@@ -5,6 +5,14 @@ Laurent series of the density sampled on the circle, never through
 principal-value quadrature.  All grids start at angle -pi and run
 counterclockwise, so the angle parametrization matches the branch cut
 of the principal logarithm.
+
+Splits are evaluated in one of two ways, chosen from the input alone.  A
+1-d array equal (``np.array_equal``) to ``circle_nodes(radius, n)``, with n
+its length and radius the split's own, takes one length-n inverse FFT of
+the coefficients folded by ``j mod n`` (exact aliasing of the truncated
+series; zero-padding when n >= m); the d-th derivative multiplies c_j by
+j(j-1)...(j-d+1) and divides by q^d.  Anything else (scalars, scattered
+points, the origin, other radii or rotations) sums powers of q/rho directly.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ def laurent_coeffs(values):
 
 
 class LaurentSplit:
-    """Plus/minus Cauchy split of a function given on an origin-centered circle.
+    r"""Plus/minus Cauchy split of a function given on an origin-centered circle.
 
     For f with Laurent coefficients c_j on the circle |k| = rho,
     the transform F(q) = (1/2pi i) \oint f(k)/(k-q) dk splits into
@@ -66,33 +74,38 @@ class LaurentSplit:
 
     def _eval(self, q, mask, derivative=0):
         q = np.asarray(q, dtype=complex)
+        c = np.where(mask, self.c, 0.0)
+        for k in range(derivative):
+            c = c * (self.j - k)
+        if q.ndim == 1 and q.size and np.array_equal(
+                q, circle_nodes(self.radius, q.size)):
+            n = q.size
+            c = c * np.exp(1j * PHASE0 * self.j)
+            slot = self.j % n
+            out = n * np.fft.ifft(np.bincount(slot, c.real, n) +
+                                  1j * np.bincount(slot, c.imag, n))
+            return out / q ** derivative if derivative else out
         scalar = q.ndim == 0
         qf = np.atleast_1d(q)
-        j = self.j[mask]
-        c = self.c[mask] / self.radius ** j.astype(float)
-        out = np.zeros(qf.shape, dtype=complex)
-        for _ in range(derivative):
-            c = c * j
-            j = j - 1
-        # drop exactly-cancelled terms so 0**0 or 0**(-1) never appears
+        # drop exactly-zero terms (masked out, or cancelled by the factorial):
+        # their powers may overflow, and inf * 0 = nan
         keep = c != 0.0
-        j, c = j[keep], c[keep]
+        j, c = self.j[keep], c[keep]
+        # at the origin only the j = derivative term survives
+        out = np.full(qf.shape, np.nan if np.any(j < 0) else
+                      c[j == derivative].sum() / self.radius ** derivative,
+                      dtype=complex)
         nz = qf != 0.0
-        if np.any(nz):
-            # negative exponents via (1/q)**|j|: the direct form overflows
-            # in its intermediate q**|j| for large |q|
-            pos, neg = j >= 0, j < 0
-            acc = np.zeros(qf[nz].shape, dtype=complex)
-            if np.any(pos):
-                acc += (qf[nz, None] ** j[None, pos]) @ c[pos]
-            if np.any(neg):
-                acc += ((1.0 / qf[nz, None]) ** (-j[None, neg])) @ c[neg]
-            out[nz] = acc
-        if np.any(~nz):
-            at0 = c[j == 0].sum() if np.any(j == 0) else 0.0
-            if np.any(j < 0):
-                at0 = np.nan if np.any(np.abs(c[j < 0]) > 0) else at0
-            out[~nz] = at0
+        # running products of z = q/rho for j >= 0 and of 1/z for j < 0:
+        # no complex pow, and no rho**j, which alone overflows for large m
+        z = qf[nz, None] / self.radius
+        acc = np.zeros(z.shape[0], dtype=complex)
+        for sel, base in ((j >= 0, z), (j < 0, 1.0 / z)):
+            if np.any(sel):
+                k = np.arange(np.max(np.abs(j[sel])) + 1)
+                powers = np.cumprod(np.where(k > 0, base, 1.0), axis=1)
+                acc += powers[:, np.abs(j[sel])] @ c[sel]
+        out[nz] = acc / qf[nz] ** derivative
         return out[0] if scalar else out
 
     def plus(self, q, derivative=0):

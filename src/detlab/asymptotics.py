@@ -36,23 +36,25 @@ def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
     """
     suite = CauchySuite(spec, contour, x, m)
     if route == "modes":
-        js, cs = suite.nu_split.j, suite.nu_split.c
-        pos = js > 0
-        modes = np.sum(js[pos] * (2j * np.pi * cs[pos]) *
-                       (2j * np.pi * cs[np.searchsorted(js, -js[pos])]))
-        return complex(np.exp(x * suite.Omega_gt(0.0) + modes))
+        return complex(np.exp(x * suite.Omega_gt(0.0) +
+                              _mode_sum(suite.nu_split)))
     if route == "double":
-        nodes, weights = suite.nodes, suite.weights
-        nu = suite.nu
-        lin = x * np.sum(weights * nu / nodes)
-        diff = nu[:, None] - nu[None, :]
-        den = nodes[:, None] - nodes[None, :]
-        np.fill_diagonal(den, 1.0)
-        ratio = diff / den
-        np.fill_diagonal(ratio, symbols.eval_dnu(spec, nodes))
-        dbl = weights @ ratio ** 2 @ weights
-        return complex(np.exp(lin - 0.5 * dbl))
+        return complex(np.exp(_log_tau_double(
+            suite, suite.nu, symbols.eval_dnu(spec, suite.nodes))))
     raise errors.InputError(f"unknown route {route!r}")
+
+
+def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
+    """ln tau as the trapezoid double integral on the suite's grid, for the
+    shift values nu and derivative dnu at its nodes; the diagonal of the
+    difference quotient is the analytic limit dnu."""
+    nodes, weights = suite.nodes, suite.weights
+    lin = suite.x * np.sum(weights * nu / nodes)
+    den = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(den, 1.0)
+    ratio = (nu[:, None] - nu[None, :]) / den
+    np.fill_diagonal(ratio, dnu)
+    return lin - 0.5 * (weights @ ratio ** 2 @ weights)
 
 
 def szego(spec: symbols.SymbolSpec, x: int, m: int = 256,
@@ -165,20 +167,17 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
     ana = _require_negative_winding(spec)
     n = -ana.winding
     z = list(ana.z_list)
+    num = 1.0 + 0.0j
+    for j, k in itertools.permutations(range(len(z)), 2):
+        num *= z[j] - z[k]
     if route == "angular":
         s_val = _s_functional(spec, z, x, n, m)
-        num = 1.0 + 0.0j
-        for j, k in itertools.permutations(range(len(z)), 2):
-            num *= z[j] - z[k]
         den = 1.0 + 0.0j
         for zk in z:
             den *= zk ** x * complex(symbols.eval_dphi(spec, np.asarray(zk)))
         return complex(np.exp(s_val) * num / den)
     if route == "reduced":
         ws = WindingAdjustedSuite(spec, max(m, 256))
-        num = 1.0 + 0.0j
-        for j, k in itertools.permutations(range(len(z)), 2):
-            num *= z[j] - z[k]
         den = 1.0 + 0.0j
         for zk in z:
             den *= zk ** (2 * n + x) * complex(
@@ -347,19 +346,10 @@ def variational_check(spec: symbols.SymbolSpec, contour: Contour, x: int,
     nu = suite.nu
     dnu = symbols.eval_dnu(spec, nodes)
 
-    def logtau(nuvals, dnuvals):
-        lin = x * np.sum(weights * nuvals / nodes)
-        diff = nuvals[:, None] - nuvals[None, :]
-        den = nodes[:, None] - nodes[None, :]
-        np.fill_diagonal(den, 1.0)
-        ratio = diff / den
-        np.fill_diagonal(ratio, dnuvals)
-        return lin - 0.5 * (weights @ ratio ** 2 @ weights)
-
     pert = nodes.astype(complex) ** j
     dpert = j * nodes.astype(complex) ** (j - 1)
-    fd = (logtau(nu + eps * pert, dnu + eps * dpert) -
-          logtau(nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
+    fd = (_log_tau_double(suite, nu + eps * pert, dnu + eps * dpert) -
+          _log_tau_double(suite, nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
 
     # first-order variation paired with the perturbation: the double-integral
     # part reduces, after integration by parts, to the principal value of the

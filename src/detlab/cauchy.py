@@ -53,9 +53,9 @@ class CauchySuite:
         self.x = int(x)
 
         def sample_nu(mm):
-            nodes = circle_nodes(self.rho, mm)
-            nu = symbols.eval_nu_grid(spec, nodes)
-            return nu, self.rho
+            # the last sample is taken on the converged grid: kept as self.nu
+            self.nu = symbols.eval_nu_grid(spec, circle_nodes(self.rho, mm))
+            return self.nu, self.rho
 
         winding = symbols.grid_winding(spec, circle_nodes(self.rho, max(m, 256)))
         if abs(winding) > 0.25:
@@ -67,7 +67,6 @@ class CauchySuite:
         self.weights = circle_weights(self.nodes, self.m)
         self.theta = symbols.eval_theta(spec, self.nodes)
         self.phi = self.theta + 1.0
-        self.nu = symbols.eval_nu_grid(spec, self.nodes)
 
         # boundary values of the split transforms on the grid itself
         self.Omega_gt_nodes = self.Omega_gt(self.nodes)
@@ -78,11 +77,11 @@ class CauchySuite:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
 
-        g = self.nodes ** self.x * self.theta / self.phi
-        self.w_split = LaurentSplit(g, self.rho)
-        b_density = -self.nodes ** (-self.x) * self.theta * np.exp(
+        self.w_density = self.nodes ** self.x * self.theta / self.phi
+        self.w_split = LaurentSplit(self.w_density, self.rho)
+        self.b_density = -self.nodes ** (-self.x) * self.theta * np.exp(
             -self.Omega_gt_nodes - self.Omega_lt_nodes)
-        self.b_split = LaurentSplit(b_density, self.rho)
+        self.b_split = LaurentSplit(self.b_density, self.rho)
 
     # --- phase-shift transform ------------------------------------------------
 
@@ -181,8 +180,8 @@ def varphi_C(suite: CauchySuite, q) -> complex:
     mindist = np.min(np.abs(suite.nodes - q))
     if mindist < 2.0 * np.pi * suite.rho / suite.m:
         raise errors.TooCloseToContour(f"distance {mindist:.2e} below node spacing")
-    g = suite.nodes ** suite.x * suite.theta / suite.phi
-    return complex(np.sum(suite.weights * g / (suite.nodes - q)) / (2j * np.pi))
+    return complex(np.sum(suite.weights * suite.w_density / (suite.nodes - q))
+                   / (2j * np.pi))
 
 
 def b_C_quadrature(suite: CauchySuite, q) -> complex:
@@ -191,9 +190,8 @@ def b_C_quadrature(suite: CauchySuite, q) -> complex:
     mindist = np.min(np.abs(suite.nodes - q))
     if mindist < 2.0 * np.pi * suite.rho / suite.m:
         raise errors.TooCloseToContour(f"distance {mindist:.2e} below node spacing")
-    dens = -suite.nodes ** (-suite.x) * suite.theta * np.exp(
-        -suite.Omega_gt_nodes - suite.Omega_lt_nodes)
-    return complex(np.sum(suite.weights * dens / (suite.nodes - q)) / (2j * np.pi))
+    return complex(np.sum(suite.weights * suite.b_density / (suite.nodes - q))
+                   / (2j * np.pi))
 
 
 class WindingAdjustedSuite:
@@ -208,13 +206,9 @@ class WindingAdjustedSuite:
         self.spec = spec
         self.winding = symbols.winding_number(spec)
 
-        def sample(mm):
-            nodes = circle_nodes(1.0, mm)
-            nu = symbols.eval_nu_grid(spec, nodes)
-            ang = np.angle(nodes)
-            return nu - self.winding * (ang + np.pi) / (2.0 * np.pi), 1.0
-
-        self.split, self.m = _converged_split(sample, max(m, 256))
+        self.split, self.m = _converged_split(
+            lambda mm: (self.nu_adjusted(circle_nodes(1.0, mm)), 1.0),
+            max(m, 256))
         self.nodes = circle_nodes(1.0, self.m)
         self.weights = circle_weights(self.nodes, self.m)
         self.nu_adj = self.split.reconstruct(self.nodes)

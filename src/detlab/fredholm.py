@@ -256,6 +256,9 @@ def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
         if prev is not None:
             err = abs(det - prev)
             if err <= tol * max(1.0, abs(det)):
+                # err = inf passes the test above when |det| = inf too
+                if not np.isfinite(det):
+                    raise errors.NotConverged(f"non-finite determinant at m={m}")
                 return DetResult(det, err, m, kernel.label)
             if m >= m_cap:
                 raise errors.NotConverged(

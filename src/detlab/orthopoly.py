@@ -160,7 +160,6 @@ class RHPSolution:
             raise errors.InputError("jump is defined on the unit circle")
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
-        nodes, _, _ = self.measure.values(512)
         split_mu = LaurentSplit(self.measure.values(512)[2], 1.0)
         mu_q = split_mu.reconstruct(np.asarray([q]))[0]
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)

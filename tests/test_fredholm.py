@@ -40,6 +40,19 @@ class TestNystrom:
             fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct,
                                  tol=1e-15, m_cap=32)
 
+    def test_overflow_is_not_converged(self):
+        # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
+        # err = inf would otherwise pass err <= tol * |det| = inf
+        class Huge:
+            label = "huge"
+
+            def matrix(self, nodes, weights):
+                return 1e9 * np.eye(len(nodes), dtype=complex)
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(errors.NotConverged):
+            fredholm.nystrom_det(Huge(), unit_circle())
+
 
 class TestKernelAlgebra:
     def test_sine_equals_v_minus_delta(self):
