@@ -24,6 +24,17 @@ def base_contour(spec: symbols.SymbolSpec, m: int = 128) -> Contour:
     return select_contour(symbols.analyze(spec), m)
 
 
+def _guarded_exp(log_value, factor=1.0) -> complex:
+    """factor * exp(log_value); OverflowGuard instead of an inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(factor * np.exp(log_value))
+    if not np.isfinite(value):
+        raise errors.OverflowGuard(
+            f"exp of log-magnitude {complex(log_value).real:.1f} "
+            "is not finite")
+    return value
+
+
 # --- leading tau -------------------------------------------------------------
 
 def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
@@ -36,11 +47,11 @@ def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
     """
     suite = CauchySuite(spec, contour, x, m)
     if route == "modes":
-        return complex(np.exp(x * suite.Omega_gt(0.0) +
-                              _mode_sum(suite.nu_split)))
+        return _guarded_exp(x * suite.Omega_gt(0.0) +
+                            _mode_sum(suite.nu_split))
     if route == "double":
-        return complex(np.exp(_log_tau_double(
-            suite, suite.nu, symbols.eval_dnu(spec, suite.nodes))))
+        return _guarded_exp(_log_tau_double(
+            suite, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
     raise errors.InputError(f"unknown route {route!r}")
 
 
@@ -70,7 +81,7 @@ def szego(spec: symbols.SymbolSpec, x: int, m: int = 256,
         acc += term
         if abs(term) < term_tol and j > 2:
             break
-    return complex(np.exp(x * nu0 + acc))
+    return _guarded_exp(x * nu0 + acc)
 
 
 # --- winding-compensated machinery on the unit circle ------------------------
@@ -115,7 +126,7 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
     ymat = np.array([[y_moment(ws, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
     exponent = (x + n) * 2j * np.pi * ws.split.zero_mode() + _mode_sum(ws.split)
-    return complex(np.linalg.det(ymat) * np.exp(exponent))
+    return _guarded_exp(exponent, np.linalg.det(ymat))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
@@ -166,25 +177,22 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
     """
     ana = _require_negative_winding(spec)
     n = -ana.winding
-    z = list(ana.z_list)
-    num = 1.0 + 0.0j
-    for j, k in itertools.permutations(range(len(z)), 2):
-        num *= z[j] - z[k]
+    z = np.array(ana.z_list, dtype=complex)
+    # zero differences over ordered pairs, and the zeros' powers and phi'
+    # values, all as logarithms so no power of a zero over- or underflows
+    diff = z[:, None] - z[None, :]
+    log_num = np.sum(np.log(diff[~np.eye(z.size, dtype=bool)]))
+    log_dphi = np.sum(np.log(symbols.eval_dphi(spec, z)))
     if route == "angular":
         s_val = _s_functional(spec, z, x, n, m)
-        den = 1.0 + 0.0j
-        for zk in z:
-            den *= zk ** x * complex(symbols.eval_dphi(spec, np.asarray(zk)))
-        return complex(np.exp(s_val) * num / den)
+        return _guarded_exp(s_val + log_num - log_dphi -
+                            x * np.sum(np.log(z)))
     if route == "reduced":
         ws = WindingAdjustedSuite(spec, max(m, 256))
-        den = 1.0 + 0.0j
-        for zk in z:
-            den *= zk ** (2 * n + x) * complex(
-                symbols.eval_dphi(spec, np.asarray(zk)))
         expo = (x + n) * 2j * np.pi * ws.split.zero_mode() + _mode_sum(ws.split)
         expo -= 2.0 * np.sum([ws.omega_lt(zk) for zk in z])
-        return complex(num / den * np.exp(expo))
+        return _guarded_exp(expo + log_num - log_dphi -
+                            (2 * n + x) * np.sum(np.log(z)))
     raise errors.InputError(f"unknown route {route!r}")
 
 
@@ -313,26 +321,24 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int, trunc: int = 48,
     om_sum = suite.Omega_gt_nodes + suite.Omega_lt_nodes
     ks_m, c_minus = laurent_coeffs(np.exp(-om_sum))   # (phi_+^{-1} phi_-)_k
     ks_p, c_plus = laurent_coeffs(np.exp(om_sum))     # (phi_+ phi_-^{-1})_k
-    cm = {int(k): complex(v) for k, v in zip(ks_m, c_minus)}
-    cp = {int(k): complex(v) for k, v in zip(ks_p, c_plus)}
-
-    K = np.zeros((trunc, trunc), dtype=complex)
-    for n in range(1, trunc + 1):
-        for mm in range(1, trunc + 1):
-            acc = 0.0 + 0.0j
-            for l in range(l_cap + 1):
-                a = cm.get(x + n + l)
-                b = cp.get(-x - mm - l)
-                if a is None or b is None:
-                    raise errors.TailNotConverged(
-                        f"coefficient index {x + n + l} beyond sampled range")
-                term = a * b
-                acc += term
-                if abs(term) < tail_tol and l > 2:
-                    break
-            else:
-                raise errors.TailNotConverged("tail cap reached")
-            K[n - 1, mm - 1] = acc
+    # K[n, m] = sum_l c-_{x+n+l} c+_{-x-m-l} (n, m >= 1) = (H- @ H+)[n, m]
+    # with Hankel factors H-[n, l] = a[n + l], H+[l, m] = b[m + l] (0-based)
+    a = c_minus[ks_m > x]              # c-_{x+1}, c-_{x+2}, ...
+    b = c_plus[ks_p < -x][::-1]        # c+_{-x-1}, c+_{-x-2}, ...
+    size = min(a.size, b.size)
+    # largest term at shift l over all (n, m): suffix maxima of |a| and |b|
+    tail = (np.maximum.accumulate(np.abs(a[:size])[::-1])[::-1] *
+            np.maximum.accumulate(np.abs(b[:size])[::-1])[::-1])
+    below = np.flatnonzero(tail < tail_tol)
+    # shifts l = 0 .. n_l - 1; a tail that never falls needs unsampled indices
+    n_l = max(int(below[0]), 1) if below.size else size + 1
+    if n_l > l_cap:
+        raise errors.TailNotConverged("tail cap reached")
+    if trunc + n_l - 1 > size:
+        raise errors.TailNotConverged(
+            f"coefficient index {x + trunc + n_l - 1} beyond sampled range")
+    hankel = np.arange(trunc)[:, None] + np.arange(n_l)[None, :]
+    K = a[hankel] @ b[hankel].T
     det = complex(np.linalg.det(np.eye(trunc, dtype=complex) - K))
     return complex(szego(spec, x) * det)
 

@@ -77,10 +77,16 @@ class CauchySuite:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
 
-        self.w_density = self.nodes ** self.x * self.theta / self.phi
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.w_density = self.nodes ** self.x * self.theta / self.phi
+            self.b_density = -self.nodes ** (-self.x) * self.theta * np.exp(
+                -self.Omega_gt_nodes - self.Omega_lt_nodes)
+        if not (np.all(np.isfinite(self.w_density)) and
+                np.all(np.isfinite(self.b_density))):
+            raise errors.OverflowGuard(
+                f"q^x densities overflow at x={self.x} "
+                f"on radius {self.rho:.4g}")
         self.w_split = LaurentSplit(self.w_density, self.rho)
-        self.b_density = -self.nodes ** (-self.x) * self.theta * np.exp(
-            -self.Omega_gt_nodes - self.Omega_lt_nodes)
         self.b_split = LaurentSplit(self.b_density, self.rho)
 
     # --- phase-shift transform ------------------------------------------------

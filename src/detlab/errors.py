@@ -114,11 +114,8 @@ class NewtonDiverged(NumericalError):
 
 
 class OverflowGuard(NumericalError):
-    """Log-magnitude of a form-factor product exceeded the safe range."""
-
-
-class BudgetExceeded(InputError):
-    """Subset enumeration would exceed the configured budget."""
+    """A log-magnitude exceeded the double range: a finite-size sum, a q^x
+    density of a Cauchy suite, or an exponentiated closed form."""
 
 
 # --- orthopoly module ---

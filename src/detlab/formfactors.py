@@ -4,13 +4,12 @@ Two families of momenta live on (or near) the unit circle: the unshifted
 roots of p^L = 1 and the shifted roots of p^L * phi(p) = 1, obtained from
 the former by a Newton homotopy that switches the symbol on gradually.
 Squared overlaps of the two families, summed over N-point subsets of the
-unshifted grid, reproduce the Fredholm determinant as L grows.
+unshifted grid, reproduce the Fredholm determinant as L grows; the sum is
+taken in closed form (Cauchy-Binet, or root-of-unity products at N = L).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import errors, symbols
 
 RESIDUAL_TOL = 1e-12
 DISTINCT_TOL = 1e-8
-SUBSET_BUDGET = 200_000
+ROW_BLOCK = 64
 HOMOTOPY_STEPS = 16
 NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 60
@@ -106,64 +105,63 @@ def _angular_density(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
     return 1.0 + p * dlog / L
 
 
-def form_factor(system: RootSystem, q_subset) -> complex:
-    """Squared overlap of the shifted roots with an N-point unshifted subset.
+def _log_row_ratios(p: np.ndarray, q: np.ndarray) -> complex:
+    """sum_i log prod_{j != i} (p_j - p_i) / (q_j - q_i).
 
-    Evaluated as a sum of logarithms and exponentiated once at the end; the
-    value is symmetric in the subset ordering.
+    Taken ROW_BLOCK rows at a time, so no n x n temporary is built; the
+    diagonal is set to 1/1 before dividing.
     """
-    q = np.asarray(q_subset, dtype=complex)
-    if q.shape != (system.N,):
-        raise errors.SizeMismatch(
-            f"subset size {q.size} != number of shifted roots {system.N}")
-    spec, L, p = system.spec, system.L, system.p_roots
-
-    theta_q = symbols.eval_theta(spec, q)
-    theta_p = symbols.eval_theta(spec, p)
-    if np.any(theta_q == 0) or np.any(theta_p == 0):
-        return 0.0 + 0.0j
-    dens = _angular_density(spec, p, L)
-
-    # Squared grid-spacing normalization 1/L^{2N}: fixed so that a constant
-    # phase shift gives the thermodynamic value exactly at every finite L
-    # (each factor 2 of a half-angle sine is already carried by the root
-    # differences).
-    log_total = -2.0 * system.N * np.log(float(L))
-    log_total += np.sum(np.log(p) + np.log(q) + np.log(theta_q) +
-                        np.log(theta_p) - np.log(1.0 + theta_q) - np.log(dens))
-    iu = np.triu_indices(system.N, k=1)
-    log_total += 2.0 * np.sum(np.log(p[iu[1]] - p[iu[0]]))
-    log_total += 2.0 * np.sum(np.log(q[iu[1]] - q[iu[0]]))
-    log_total -= 2.0 * np.sum(np.log(p[:, None] - q[None, :]))
-    if abs(log_total.real) > 700.0:
-        raise errors.OverflowGuard(
-            f"log-magnitude {log_total.real:.1f} exceeds safe range")
-    return complex(np.exp(log_total))
+    total = 0.0 + 0.0j
+    for start in range(0, p.size, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, p.size))
+        num = p[None, :] - p[rows, None]
+        den = q[None, :] - q[rows, None]
+        num[rows - start, rows] = 1.0
+        den[rows - start, rows] = 1.0
+        total += np.sum(np.log(np.prod(num / den, axis=1)))
+    return total
 
 
 def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
                    x: int = 1) -> complex:
-    """Finite-size overlap series: sum over N-subsets of the unshifted grid
-    of |overlap|^2 * prod (q_i/p_i)^x, with compensated summation."""
+    """Finite-size overlap series in closed form.
+
+    The series sums, over N-subsets S of the unshifted grid,
+    F(p) det(C_S)^2 prod_{j in S} g(q_j) with the Cauchy matrix
+    C_ij = 1/(p_i - q_j), g(q) = q^{1+x} theta/(1+theta) and
+    F(p) = L^{-2N} prod p_i^{1-x} theta(p_i) / dens(p_i); the squared grid
+    normalization L^{-2N} makes a constant phase shift exact at every L.
+
+    N < L: by Cauchy-Binet the sum is F(p) det(C diag(g) C^T), one N x N
+    log-determinant.  N = L: the one subset is the whole grid, and
+    det(C)^2 = L^{2L} prod_i R_i / prod_i (p_i^L - 1)^2, where
+    prod_j (p - q_j) = p^L - 1, the squared discriminant of q^L - 1 is
+    L^{2L} (cancelling F's normalization) and
+    R_i = prod_{j != i} (p_j - p_i)/(q_j - q_i) pairs each shifted root with
+    its unshifted start.
+    """
     system = solve_shifted(spec, L, N)
-    N = system.N
-    if math.comb(L, N) > SUBSET_BUDGET:
-        raise errors.BudgetExceeded(
-            f"C({L},{N}) = {math.comb(L, N)} exceeds {SUBSET_BUDGET}")
-    p = system.p_roots
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for combo in itertools.combinations(range(L), N):
-        q = system.q_roots[list(combo)]
-        # coincident grids (symbol identically trivial): unit overlap
-        if N == p.size and np.max(np.abs(np.sort_complex(q) -
-                                         np.sort_complex(p))) < 1e-12:
-            term = 1.0 + 0.0j
-        else:
-            term = form_factor(system, q) * complex(
-                np.prod((q / p) ** x))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return complex(total)
+    N, p, q = system.N, system.p_roots, system.q_roots
+    if np.max(np.abs(p - q[system.indices])) < 1e-12:
+        # symbol identically trivial: only the coincident subset, weight 1
+        return 1.0 + 0.0j
+    theta_p = symbols.eval_theta(spec, p)
+    if not np.all(theta_p):
+        # theta vanishes at a grid point, which the root then never leaves:
+        # F(p) = 0 and the Cauchy matrix is singular
+        return 0.0 + 0.0j
+    theta_q = symbols.eval_theta(spec, q)
+    g = q ** (1 + x) * theta_q / (1.0 + theta_q)
+    log_total = np.sum((1 - x) * np.log(p) + np.log(theta_p) -
+                       np.log(_angular_density(spec, p, L)))
+    if N < L:
+        cmat = 1.0 / (p[:, None] - q[None, :])
+        sign, logdet = np.linalg.slogdet((cmat * g) @ cmat.T)
+        log_total += logdet + np.log(sign) - 2.0 * N * np.log(float(L))
+    else:
+        log_total += (_log_row_ratios(p, q[system.indices]) +
+                      np.sum(np.log(g) - 2.0 * np.log(p ** L - 1.0)))
+    if abs(log_total.real) > 700.0:
+        raise errors.OverflowGuard(
+            f"log-magnitude {log_total.real:.1f} exceeds safe range")
+    return complex(np.exp(log_total))

@@ -38,17 +38,6 @@ class Kernel:
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
         self.label = label
 
-    def evaluate(self, q, p):
-        q = np.asarray(q, dtype=complex)
-        p = np.asarray(p, dtype=complex)
-        num = self.vp(p) * self.vm(q) - self.vp(q) * self.vm(p)
-        return self.a(q) * self.a(p) * num / (2j * np.pi * (p - q))
-
-    def diagonal(self, q):
-        q = np.asarray(q, dtype=complex)
-        num = self.dvp(q) * self.vm(q) - self.vp(q) * self.dvm(q)
-        return self.a(q) ** 2 * num / (2j * np.pi)
-
     def matrix(self, nodes, weights):
         a = self.a(nodes)
         vp, vm = self.vp(nodes), self.vm(nodes)
@@ -68,13 +57,6 @@ class SeparableKernel:
         self.u, self.v, self.c = u, v, complex(c)
         self.label = label
 
-    def evaluate(self, q, p):
-        return self.c * self.u(np.asarray(q, dtype=complex)) * \
-            self.v(np.asarray(p, dtype=complex)) / (2j * np.pi)
-
-    def diagonal(self, q):
-        return self.evaluate(q, q)
-
     def matrix(self, nodes, weights):
         col = self.c * self.u(nodes) / (2j * np.pi)
         return np.outer(col, self.v(nodes) * weights)
@@ -84,12 +66,6 @@ class SumKernel:
     def __init__(self, parts, label: str):
         self.parts = list(parts)
         self.label = label
-
-    def evaluate(self, q, p):
-        return sum(k.evaluate(q, p) for k in self.parts)
-
-    def diagonal(self, q):
-        return sum(k.diagonal(q) for k in self.parts)
 
     def matrix(self, nodes, weights):
         return sum(k.matrix(nodes, weights) for k in self.parts)

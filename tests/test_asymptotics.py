@@ -130,6 +130,12 @@ class TestIndexSeries:
         assert abs(A.borodin_okounkov(symbols.fixture("F1"), 3) -
                    1.5 ** 3) < 1e-10
 
+    @pytest.mark.parametrize("x", [470, 600])
+    def test_unsampled_indices_raise(self, x):
+        # the kernel needs c-_{x+1} .. c-_{x+trunc}; the grid holds j < 512
+        with pytest.raises(errors.TailNotConverged):
+            A.borodin_okounkov(symbols.fixture("F2"), x)
+
 
 class TestDecay:
     def test_f2_szego_gap_decays_to_floor(self):

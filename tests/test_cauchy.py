@@ -5,7 +5,7 @@ import pytest
 
 from detlab import asymptotics, cauchy, errors, symbols
 from detlab.cauchy import CauchySuite, WindingAdjustedSuite
-from detlab.contours import unit_circle
+from detlab.contours import Circle, Contour, unit_circle
 
 
 def suite_for(name, x=2):
@@ -25,6 +25,12 @@ class TestJump:
         q_out = np.array([1.7 - 0.4j])
         assert abs(s.Omega_gt(q_in)[0] - 0.3 * q_in[0]) < 1e-12
         assert abs(s.Omega_lt(q_out)[0] + 0.2 / q_out[0]) < 1e-12
+
+    def test_overflowing_density_raises(self):
+        # 2^1024 overflows a double: w's density q^x is inf on the grid
+        circle = Contour((Circle(0.0, 2.0, 1),))
+        with pytest.raises(errors.OverflowGuard):
+            CauchySuite(symbols.fixture("F2"), circle, 1024)
 
     def test_winding_on_wrong_circle_rejected(self):
         with pytest.raises(errors.WindingNonzero):

@@ -55,6 +55,12 @@ class TestExitCodes:
                        "--tol", "1e-15", "--m", "32"], capsys)
         assert code == 3
 
+    def test_overflow_exits_3(self, capsys):
+        # 1.5^2000 is past double range: a typed failure, not an inf
+        code, _ = run(["asym", "--spec", "F1", "--x", "2000",
+                       "--method", "szego"], capsys)
+        assert code == 3
+
 
 class TestTables:
     def test_toeplitz_csv(self, capsys):

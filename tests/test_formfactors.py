@@ -1,10 +1,85 @@
-"""Finite-size root systems and the discrete sum over excited subsets."""
+"""Finite-size root systems and the discrete sum over excited subsets.
+
+``form_factor`` and ``enumerated_sum`` are the small-L oracle: the sum taken
+term by term over all C(L, N) subsets, against which the closed forms of
+``tau_eff_finite`` are checked.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from detlab import asymptotics, errors, symbols, toeplitz
-from detlab.formfactors import form_factor, solve_shifted, tau_eff_finite
+from detlab.formfactors import _angular_density, solve_shifted, tau_eff_finite
+
+
+def form_factor(system, q_subset) -> complex:
+    """Squared overlap of the shifted roots with an N-point unshifted subset.
+
+    Evaluated as a sum of logarithms and exponentiated once at the end; the
+    value is symmetric in the subset ordering.
+    """
+    q = np.asarray(q_subset, dtype=complex)
+    if q.shape != (system.N,):
+        raise errors.SizeMismatch(
+            f"subset size {q.size} != number of shifted roots {system.N}")
+    spec, L, p = system.spec, system.L, system.p_roots
+
+    theta_q = symbols.eval_theta(spec, q)
+    theta_p = symbols.eval_theta(spec, p)
+    if np.any(theta_q == 0) or np.any(theta_p == 0):
+        return 0.0 + 0.0j
+    dens = _angular_density(spec, p, L)
+
+    log_total = -2.0 * system.N * np.log(float(L))
+    log_total += np.sum(np.log(p) + np.log(q) + np.log(theta_q) +
+                        np.log(theta_p) - np.log(1.0 + theta_q) - np.log(dens))
+    iu = np.triu_indices(system.N, k=1)
+    log_total += 2.0 * np.sum(np.log(p[iu[1]] - p[iu[0]]))
+    log_total += 2.0 * np.sum(np.log(q[iu[1]] - q[iu[0]]))
+    log_total -= 2.0 * np.sum(np.log(p[:, None] - q[None, :]))
+    return complex(np.exp(log_total))
+
+
+def enumerated_sum(spec, L, N, x) -> complex:
+    """Sum over N-subsets of the unshifted grid of |overlap|^2 prod (q/p)^x,
+    term by term, with compensated summation; the coincident subset of a
+    trivial symbol contributes 1."""
+    system = solve_shifted(spec, L, N)
+    p = system.p_roots
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for combo in itertools.combinations(range(L), system.N):
+        q = system.q_roots[list(combo)]
+        if np.max(np.abs(np.sort_complex(q) - np.sort_complex(p))) < 1e-12:
+            term = 1.0 + 0.0j
+        else:
+            term = form_factor(system, q) * complex(np.prod((q / p) ** x))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return complex(total)
+
+
+@st.composite
+def banded_symbols(draw):
+    """phi(q) = c prod (1 - q/w_k) prod (1 - z_k/q): zeros z_k with modulus
+    in [0.2, 0.4], w_k in [2.5, 4], so phi stays near c on the unit circle."""
+    def zero(lo, hi):
+        r = draw(st.floats(lo, hi))
+        a = draw(st.floats(0.0, 2.0 * np.pi))
+        return r * np.exp(1j * a)
+
+    inner = [zero(0.2, 0.4) for _ in range(draw(st.integers(0, 2)))]
+    outer = [zero(2.5, 4.0) for _ in range(draw(st.integers(0, 2)))]
+    c = draw(st.floats(0.5, 2.0))
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = c * numer / np.prod([-w for w in outer])
+    denom = [0.0] * len(inner) + [1.0]
+    return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
 
 
 class TestRoots:
@@ -73,6 +148,42 @@ class TestFiniteSum:
         assert gaps[-1] < 1e-10
         assert gaps[0] > gaps[-1]
 
-    def test_budget_guard(self):
-        with pytest.raises(errors.BudgetExceeded):
-            tau_eff_finite(symbols.fixture("F2"), L=64, N=32, x=2)
+    def test_trivial_symbol_gives_exactly_one(self):
+        spec = symbols.fixture("F0")
+        assert tau_eff_finite(spec, L=8, N=4, x=3) == 1.0
+        assert tau_eff_finite(spec, L=8, N=8, x=3) == 1.0
+
+    def test_large_sizes_without_budget(self):
+        # C(64, 32) ~ 1.8e18 subsets: out of reach of any enumeration
+        spec = symbols.fixture("F2")
+        assert np.isfinite(tau_eff_finite(spec, L=64, N=32, x=2))
+        truth = asymptotics.tau_eff(spec, 2)
+        val = tau_eff_finite(spec, L=1024, N=1024, x=2)
+        assert abs(val - truth) / abs(truth) < 1e-9
+
+    @pytest.mark.parametrize("name,L,N", [("F1", 8, 3), ("F2", 10, 5),
+                                          ("F2", 9, 9), ("F7", 8, 4)])
+    def test_closed_forms_match_enumeration(self, name, L, N):
+        spec = symbols.fixture(name)
+        want = enumerated_sum(spec, L, N, 2)
+        got = tau_eff_finite(spec, L, N, 2)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_theta_zero_on_grid_gives_zero(self, N):
+        # phi = (q + 3)/4 has phi(1) = 1: the root at q = 1 never moves
+        spec = symbols.SymbolSpec("rational", (0.75, 0.25), (1.0,))
+        assert enumerated_sum(spec, 8, N, 2) == 0.0
+        assert tau_eff_finite(spec, 8, N, 2) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=banded_symbols(), L=st.integers(4, 12), data=st.data(),
+           x=st.integers(0, 4))
+    def test_closed_forms_match_enumeration_random(self, spec, L, data, x):
+        N = data.draw(st.integers(1, L))
+        try:
+            want = enumerated_sum(spec, L, N, x)
+        except (errors.NewtonDiverged, errors.DegenerateZeros):
+            reject()  # no root system at this size: nothing to sum
+        got = tau_eff_finite(spec, L, N, x)
+        assert abs(got - want) <= 1e-12 * abs(want)
