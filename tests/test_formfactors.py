@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from detlab import asymptotics, errors, symbols, toeplitz
 from detlab.formfactors import _angular_density, solve_shifted, tau_eff_finite
@@ -169,6 +169,17 @@ class TestFiniteSum:
         got = tau_eff_finite(spec, L, N, 2)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("c", [1 - 2 ** -9, 1 + 2 ** -9])
+    def test_near_trivial_symbol_error_tracks_conditioning(self, c):
+        # theta = c - 1 is small, so each shifted root lies ~|theta|/L from
+        # its start and rounding the roots costs ~L eps/|theta| relative
+        spec = symbols.SymbolSpec("rational", (c,), (1.0,))
+        truth = toeplitz.toeplitz_det(spec, 2)
+        for L in (4, 8, 12, 64):
+            bound = 50 * L * np.finfo(float).eps / abs(c - 1)
+            val = tau_eff_finite(spec, L=L, x=2)
+            assert abs(val - truth) <= bound * abs(truth), L
+
     @pytest.mark.parametrize("N", [4, 8])
     def test_theta_zero_on_grid_gives_zero(self, N):
         # phi = (q + 3)/4 has phi(1) = 1: the root at q = 1 never moves
@@ -182,8 +193,16 @@ class TestFiniteSum:
     def test_closed_forms_match_enumeration_random(self, spec, L, data, x):
         N = data.draw(st.integers(1, L))
         try:
-            want = enumerated_sum(spec, L, N, x)
+            system = solve_shifted(spec, L, N)
         except (errors.NewtonDiverged, errors.DegenerateZeros):
             reject()  # no root system at this size: nothing to sum
+        # A shifted root sits about theta(p)/L from its start, so rounding p
+        # costs ~L eps/|theta(p)| in any evaluation of the sum, exact
+        # arithmetic on the rounded roots included: at theta ~ 2e-3 and
+        # L = 4 that is already 1.4e-12.  Compare only where both sides can
+        # carry 1e-12.
+        assume(np.min(np.abs(symbols.eval_theta(spec, system.p_roots)))
+               >= 0.1)
+        want = enumerated_sum(spec, L, N, x)
         got = tau_eff_finite(spec, L, N, x)
         assert abs(got - want) <= 1e-12 * abs(want)
