@@ -103,9 +103,11 @@ def _require_negative_winding(spec):
 
 def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
             m_grid: int = 512) -> complex:
-    """det(1 + V) directly on the unit circle, any winding."""
+    """det(1 + V) directly on the unit circle, any winding.  The weight is
+    split on >= 4x nodes, so its modes near j = x never fold into minus."""
+    m = max(m_grid, 1 << (4 * x - 1).bit_length())
     k = kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
-                            1.0, m_grid)
+                            1.0, m)
     return nystrom_det(k, unit_circle(), tol).value
 
 

@@ -89,12 +89,10 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
     if np.max(residuals) > RESIDUAL_TOL:
         bad = int(idx[int(np.argmax(residuals))])
         raise errors.NewtonDiverged(bad)
-    if N > 1:
-        dist = np.abs(p[:, None] - p[None, :])
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < DISTINCT_TOL:
-            raise errors.DegenerateZeros(
-                f"shifted roots collide: min distance {dist.min():.2e}")
+    gap = _min_distance(p)
+    if gap < DISTINCT_TOL:
+        raise errors.DegenerateZeros(
+            f"shifted roots collide: min distance {gap:.2e}")
     return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=idx,
                       p_roots=p, residuals=residuals)
 
@@ -103,6 +101,17 @@ def _angular_density(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
     """1 + (2 pi / L) * (angular derivative of the phase shift) at p."""
     dlog = symbols.eval_dphi(spec, p) / symbols.eval_phi(spec, p)
     return 1.0 + p * dlog / L
+
+
+def _min_distance(p: np.ndarray) -> float:
+    """min |p_i - p_j| over i != j, ROW_BLOCK rows at a time; inf for one
+    point."""
+    best = np.inf
+    for start in range(0, p.size, ROW_BLOCK):
+        dist = np.abs(p[None, :] - p[start:start + ROW_BLOCK, None])
+        np.fill_diagonal(dist[:, start:], np.inf)
+        best = min(best, float(dist.min()))
+    return best
 
 
 def _log_row_ratios(p: np.ndarray, q: np.ndarray) -> complex:

@@ -11,28 +11,27 @@ import numpy as np
 from . import errors, symbols
 
 
-def _pow2_at_least(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 def moment_table(spec: symbols.SymbolSpec, x: int):
     """Moments c_k of phi for |k| <= x, sampled densely enough for x rows."""
-    m = _pow2_at_least(max(256, 8 * x))
+    m = 1 << (max(256, 8 * x) - 1).bit_length()
     ks, c, _ = symbols.fourier_coefficients(spec, m)
-    return {int(k): complex(v) for k, v in zip(ks, c) if abs(k) <= x}
+    keep = np.abs(ks) <= x
+    return dict(zip(ks[keep].tolist(), c[keep].tolist()))
 
 
 def toeplitz_matrix(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
+    """T_ij = c_{i-j}, gathered from the moment vector c_{1-x} .. c_{x-1}."""
     if x < 1 or x != int(x):
         raise errors.InputError("matrix order must be a positive integer")
     c = moment_table(spec, x)
-    return np.array([[c[i - j] for j in range(x)] for i in range(x)],
-                    dtype=complex)
+    moments = np.array([c[k] for k in range(1 - x, x)], dtype=complex)
+    return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x - 1]
 
 
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
-    """Determinant of the x-by-x moment matrix via LU."""
-    return complex(np.linalg.det(toeplitz_matrix(spec, x)))
+    """Determinant of the x-by-x moment matrix via LU; loud on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(toeplitz_matrix(spec, x)))
+    if not np.isfinite(det):
+        raise errors.OverflowGuard(f"moment determinant at x={x} is {det}")
+    return det

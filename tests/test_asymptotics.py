@@ -43,6 +43,13 @@ class TestSzego:
         spec = symbols.fixture("F1")
         assert abs(A.szego(spec, 4) - 1.5 ** 4) < 1e-12
 
+    def test_tau_eff_past_default_grid(self):
+        # at x = 256 the weight's modes near j = x would fold into the minus
+        # part of a 512-node split; tau_eff sizes its grid from x instead
+        spec = symbols.fixture("F1")
+        value, closed = A.tau_eff(spec, 256), A.szego(spec, 256)
+        assert abs(value / closed - 1) < 1e-10
+
 
 class TestHartwigFisher:
     @pytest.mark.parametrize("name,x", [("F3", 1), ("F3", 4), ("F5", 3)])

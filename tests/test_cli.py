@@ -62,6 +62,10 @@ class TestExitCodes:
         assert code == 3
 
 
+    def test_toeplitz_overflow_exits_3(self, capsys):
+        assert run(["toeplitz", "--spec", "F4", "--x", "1024"], capsys)[0] == 3
+
+
 class TestTables:
     def test_toeplitz_csv(self, capsys):
         code, out = run(["toeplitz", "--spec", "F1", "--x", "1..4"], capsys)

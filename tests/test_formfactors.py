@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from detlab import asymptotics, errors, symbols, toeplitz
-from detlab.formfactors import _angular_density, solve_shifted, tau_eff_finite
+from detlab.formfactors import (ROW_BLOCK, _angular_density, _min_distance,
+                                solve_shifted, tau_eff_finite)
 
 
 def form_factor(system, q_subset) -> complex:
@@ -102,6 +103,20 @@ class TestRoots:
         p = sys.p_roots
         gaps = np.abs(p[:, None] - p[None, :])[np.triu_indices(len(p), 1)]
         assert gaps.min() > 1e-6
+
+    def test_colliding_roots_raise(self):
+        with pytest.raises(errors.DegenerateZeros):
+            solve_shifted(symbols.fixture("F6"), L=16, N=6)
+
+    def test_blocked_min_distance(self):
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal(2 * ROW_BLOCK + 5) + \
+            1j * rng.standard_normal(2 * ROW_BLOCK + 5)
+        p[-1] = p[ROW_BLOCK // 2] + 1e-9      # closest pair across blocks
+        dist = np.abs(p[:, None] - p[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert _min_distance(p) == dist.min()
+        assert _min_distance(p[:1]) == np.inf
 
 
 class TestFormFactor:

@@ -2,15 +2,109 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
+from detlab._series import circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite
-from detlab.contours import unit_circle
+from detlab.contours import deformed_contour, quadrature, unit_circle
 
 
 def suite_for(name, x):
     spec = symbols.fixture(name)
     return spec, CauchySuite(spec, asymptotics.base_contour(spec), x)
+
+
+def direct_fill(kernel, nodes, weights):
+    """Entry-by-entry Nystrom matrix: the oracle for ``Kernel.matrix``."""
+    a = kernel.a(nodes)
+    vp, vm = kernel.vp(nodes), kernel.vm(nodes)
+    num = vp[None, :] * vm[:, None] - vp[:, None] * vm[None, :]
+    den = nodes[None, :] - nodes[:, None]
+    np.fill_diagonal(den, 1.0)
+    mat = num / den
+    np.fill_diagonal(mat, kernel.dvp(nodes) * vm - vp * kernel.dvm(nodes))
+    mat = a[:, None] * a[None, :] * mat / (2j * np.pi)
+    return mat * weights[None, :]
+
+
+def exp_kernel(al, be, ga):
+    """a = e^(al q), vp = e^(be q), vm = e^(ga q): smooth on any circle."""
+    return fredholm.Kernel(lambda q: np.exp(al * q), lambda q: np.exp(be * q),
+                           lambda q: np.exp(ga * q),
+                           lambda q: be * np.exp(be * q),
+                           lambda q: ga * np.exp(ga * q), "exp")
+
+
+def assert_fill_matches(kernel, nodes, weights):
+    want = direct_fill(kernel, nodes, weights)
+    got = kernel.matrix(nodes, weights)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+coeff = st.complex_numbers(max_magnitude=1.5)
+
+
+class TestFill:
+    @settings(max_examples=40, deadline=None)
+    @given(radius=st.floats(0.3, 3.0),
+           center=st.sampled_from([0.0, 0.5 - 0.25j, -1.5j]),
+           n=st.one_of(st.integers(16, 1024),
+                       st.sampled_from([64, 65, 100, 512, 1000, 1024])),
+           al=coeff, be=coeff, ga=coeff)
+    def test_matches_direct_fill_on_circle_grids(self, radius, center, n,
+                                                 al, be, ga):
+        # be = ga is the zero kernel; near it every entry is a cancellation
+        # of O(1) terms, which either fill resolves only to about
+        # eps n / (2 pi radius |be - ga|) of its max-norm
+        assume(abs(be - ga) > 1.0)
+        nodes = circle_nodes(radius, n, center)
+        if n > 4 * fredholm.NEAR_BAND:
+            # the gap-table path
+            assert fredholm._circle_grid(nodes) is not None
+        assert_fill_matches(exp_kernel(al, be, ga), nodes,
+                            circle_weights(nodes, n, center))
+
+    def test_deformed_contour_takes_division(self):
+        spec = symbols.fixture("F4")
+        ct = deformed_contour(asymptotics.base_contour(spec), [0.3], [],
+                              symbols.analyze(spec))
+        quad = quadrature(ct, 128)
+        assert len(ct.components) == 2
+        assert fredholm._circle_grid(quad.nodes) is None
+        assert_fill_matches(fredholm.kernel_S(spec, 5), quad.nodes,
+                            quad.weights)
+
+    def test_subsampled_grid(self):
+        # every 16th node of 2024 leaves an uneven gap at the seam: no
+        # circle grid, so the division path
+        nodes = circle_nodes(1.3, 2024)[::16]
+        assert fredholm._circle_grid(nodes) is None
+        assert_fill_matches(exp_kernel(0.3, 0.5j, -0.2), nodes,
+                            np.full(nodes.size, 0.05 + 0.01j))
+        # of 2048 it is circle_nodes(1.3, 128) bit for bit
+        even = circle_nodes(1.3, 2048)[::16]
+        assert np.array_equal(even, circle_nodes(1.3, 128))
+        assert fredholm._circle_grid(even) is not None
+
+    @pytest.mark.parametrize("x", [64, 128])
+    def test_near_band_keeps_digits(self, x):
+        # with the exact grid's gaps next to the diagonal as well, the
+        # determinant drifts to ~1e-11 of the correction series
+        spec = symbols.fixture("F4")
+        det = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
+                                   asymptotics.base_contour(spec)).value
+        assert abs(det / asymptotics.slavnov_series(spec, x) - 1) < 1e-12
+
+    @pytest.mark.parametrize("name,m_used", [
+        ("F1", (64, 64, 128)), ("F2", (64, 64, 256)),
+        ("F3", (64, 64, 256)), ("F4", (64, 64, 256))])
+    def test_doubling_history_pinned(self, name, m_used):
+        spec = symbols.fixture(name)
+        ct = asymptotics.base_contour(spec)
+        got = tuple(fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct).m_used
+                    for x in (2, 8, 64))
+        assert got == m_used
 
 
 class TestNystrom:

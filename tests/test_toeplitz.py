@@ -34,9 +34,24 @@ class TestStructure:
             diag = np.diagonal(mat, offset=d)
             assert np.max(np.abs(diag - diag[0])) < 1e-14
 
+    @pytest.mark.parametrize("x", range(1, 9))
+    def test_matrix_entries_are_moments(self, x):
+        spec = symbols.fixture("F4")
+        c = toeplitz.moment_table(spec, x)
+        mat = toeplitz.toeplitz_matrix(spec, x)
+        assert mat.shape == (x, x)
+        for i in range(x):
+            for j in range(x):
+                assert mat[i, j] == c[i - j]
+
     def test_moment_table_symmetric_range(self):
         table = toeplitz.moment_table(symbols.fixture("F4"), 3)
         assert set(table) == set(range(-3, 4))
+
+    def test_overflow_is_loud(self):
+        # det grows past the double range at x = 1024 for F4
+        with pytest.raises(errors.OverflowGuard):
+            toeplitz.toeplitz_det(symbols.fixture("F4"), 1024)
 
     def test_invalid_order(self):
         with pytest.raises(errors.InputError):
