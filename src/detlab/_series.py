@@ -28,6 +28,11 @@ def circle_nodes(radius: float, m: int, center: complex = 0.0):
     return center + radius * np.exp(1j * phi)
 
 
+def pow2_at_least(n: int) -> int:
+    """Smallest power of two >= n, the node count of an FFT grid."""
+    return 1 << (n - 1).bit_length()
+
+
 def circle_weights(nodes, m: int, center: complex = 0.0, orientation: int = 1):
     """Trapezoidal dq weights: orientation * 2*pi*i*(q - center)/m."""
     return orientation * 2j * np.pi * (nodes - center) / m

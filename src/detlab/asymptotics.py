@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, circle_weights, laurent_coeffs
+from ._series import LaurentSplit, circle_nodes, circle_weights, laurent_coeffs, pow2_at_least
 from .cauchy import CauchySuite, WindingAdjustedSuite
 from .contours import Contour, quadrature, select_contour, unit_circle
 from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
@@ -105,7 +105,7 @@ def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
             m_grid: int = 512) -> complex:
     """det(1 + V) directly on the unit circle, any winding.  The weight is
     split on >= 4x nodes, so its modes near j = x never fold into minus."""
-    m = max(m_grid, 1 << (4 * x - 1).bit_length())
+    m = max(m_grid, pow2_at_least(4 * x))
     k = kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
                             1.0, m)
     return nystrom_det(k, unit_circle(), tol).value

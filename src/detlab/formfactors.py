@@ -104,8 +104,7 @@ def _angular_density(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
 
 
 def _min_distance(p: np.ndarray) -> float:
-    """min |p_i - p_j| over i != j, ROW_BLOCK rows at a time; inf for one
-    point."""
+    """min |p_i - p_j| over i != j (inf for one point), ROW_BLOCK rows at a time."""
     best = np.inf
     for start in range(0, p.size, ROW_BLOCK):
         dist = np.abs(p[None, :] - p[start:start + ROW_BLOCK, None])

@@ -13,18 +13,16 @@ the resolvent identity unchanged.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes
 from .cauchy import CauchySuite
 from .contours import Contour, quadrature, unit_circle
 
-NEAR_BAND = 16   # diagonals each side that keep the rounded nodes' own gaps
+ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,8 @@ class DetResult:
 
 class Kernel:
     """Integrable kernel built from four callables; see module docstring.
-
-    Off the diagonal the Nystrom matrix is Cauchy-like: the rank-two product
-    (a vm (x) vp r - a vp (x) vm r), r = a w / (2 pi i), times 1/(q_j - q_i).
-    """
+    Off the diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
+    r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
 
     def __init__(self, a, vp, vm, dvp, dvm, label: str):
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
@@ -50,56 +46,14 @@ class Kernel:
         a = self.a(nodes)
         vp, vm = self.vp(nodes), self.vm(nodes)
         r = a * weights / (2j * np.pi)
-        left = np.stack([a * vm, -a * vp], axis=1)
-        right = np.stack([vp * r, vm * r])
-        grid = _circle_grid(nodes)
-        if grid is None:
-            gaps = nodes[None, :] - nodes[:, None]
-            np.fill_diagonal(gaps, 1.0)
-            mat = left @ right
-            mat /= gaps
-        else:
-            center, table, near = grid
-            mat = (left / (nodes - center)[:, None]) @ right
-            mat *= table
-            np.put_along_axis(mat, near, np.einsum("ik,kij->ij", left,
-                                                   right[:, near]) /
-                              (nodes[near] - nodes[:, None]), axis=1)
+        mat = np.stack([a * vm, -a * vp], axis=1) @ np.stack([vp * r, vm * r])
+        for start in range(0, nodes.size, ROW_BLOCK):
+            gaps = nodes[None, :] - nodes[start:start + ROW_BLOCK, None]
+            np.fill_diagonal(gaps[:, start:], 1.0)
+            mat[start:start + ROW_BLOCK] /= gaps
         np.fill_diagonal(mat, a * r * (self.dvp(nodes) * vm -
                                         vp * self.dvm(nodes)))
         return mat
-
-
-@functools.lru_cache(maxsize=32)
-def _gap_table(n: int):
-    """Unit n-grid; C_ij = c_{(j-i) mod n}, c_k = e^{-i pi k/n}/(2i sin(pi k/n)),
-    c_0 = 0, as a strided view of one vector; columns near each diagonal."""
-    k = np.arange(1, n)
-    c = np.r_[0.0, np.exp(-1j * np.pi * k / n) / (2j * np.sin(np.pi * k / n))]
-    unit = circle_nodes(1.0, n)
-    near = (np.arange(n)[:, None] + np.r_[1:NEAR_BAND + 1, -NEAR_BAND:0]) % n
-    unit.flags.writeable = near.flags.writeable = False   # shared by the cache
-    return unit, sliding_window_view(c[np.arange(1 - n, n) % n], n)[::-1], near
-
-
-def _circle_grid(nodes):
-    """(center, C, near) when the nodes are circle_nodes(rho, n, center) to
-    16 ulps and n > 4 NEAR_BAND, else None; 1/(q_j - q_i) = C_ij/(q_i - center).
-
-    C holds the exact grid's gaps, which differ from the rounded nodes' by
-    ~eps n/|j - i| relative, while the numerators are taken at the rounded
-    nodes; the near band, where that moves determinants most, keeps the
-    nodes' own gaps.
-    """
-    if nodes.size <= 4 * NEAR_BAND:
-        return None
-    center = nodes.mean()
-    radius = np.abs(nodes - center).mean()
-    unit, table, near = _gap_table(nodes.size)
-    offset = np.max(np.abs(nodes - center - radius * unit))
-    if not offset <= 16 * np.finfo(float).eps * (abs(center) + radius):
-        return None   # also when a node is not finite
-    return center, table, near
 
 
 class SeparableKernel:

@@ -9,23 +9,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors, symbols
+from ._series import pow2_at_least
 
 
 def moment_table(spec: symbols.SymbolSpec, x: int):
-    """Moments c_k of phi for |k| <= x, sampled densely enough for x rows."""
-    m = 1 << (max(256, 8 * x) - 1).bit_length()
-    ks, c, _ = symbols.fourier_coefficients(spec, m)
+    """Moments c_k of phi for |k| <= x in ascending k, sampled for x rows."""
+    ks, c, _ = symbols.fourier_coefficients(spec, pow2_at_least(max(256, 8 * x)))
     keep = np.abs(ks) <= x
     return dict(zip(ks[keep].tolist(), c[keep].tolist()))
 
 
 def toeplitz_matrix(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
-    """T_ij = c_{i-j}, gathered from the moment vector c_{1-x} .. c_{x-1}."""
+    """T_ij = c_{i-j}, gathered from the moment vector c_{-x} .. c_x."""
     if x < 1 or x != int(x):
         raise errors.InputError("matrix order must be a positive integer")
-    c = moment_table(spec, x)
-    moments = np.array([c[k] for k in range(1 - x, x)], dtype=complex)
-    return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x - 1]
+    moments = np.array(list(moment_table(spec, x).values()))
+    return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x]
 
 
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:

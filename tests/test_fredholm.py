@@ -52,45 +52,65 @@ class TestFill:
            n=st.one_of(st.integers(16, 1024),
                        st.sampled_from([64, 65, 100, 512, 1000, 1024])),
            al=coeff, be=coeff, ga=coeff)
-    def test_matches_direct_fill_on_circle_grids(self, radius, center, n,
-                                                 al, be, ga):
+    def test_matches_direct_fill_on_circles(self, radius, center, n,
+                                            al, be, ga):
         # be = ga is the zero kernel; near it every entry is a cancellation
         # of O(1) terms, which either fill resolves only to about
         # eps n / (2 pi radius |be - ga|) of its max-norm
         assume(abs(be - ga) > 1.0)
         nodes = circle_nodes(radius, n, center)
-        if n > 4 * fredholm.NEAR_BAND:
-            # the gap-table path
-            assert fredholm._circle_grid(nodes) is not None
         assert_fill_matches(exp_kernel(al, be, ga), nodes,
                             circle_weights(nodes, n, center))
 
-    def test_deformed_contour_takes_division(self):
+    def test_deformed_contour(self):
         spec = symbols.fixture("F4")
         ct = deformed_contour(asymptotics.base_contour(spec), [0.3], [],
                               symbols.analyze(spec))
         quad = quadrature(ct, 128)
         assert len(ct.components) == 2
-        assert fredholm._circle_grid(quad.nodes) is None
         assert_fill_matches(fredholm.kernel_S(spec, 5), quad.nodes,
                             quad.weights)
 
     def test_subsampled_grid(self):
-        # every 16th node of 2024 leaves an uneven gap at the seam: no
-        # circle grid, so the division path
+        # every 16th node of 2024 leaves an uneven gap at the seam
         nodes = circle_nodes(1.3, 2024)[::16]
-        assert fredholm._circle_grid(nodes) is None
         assert_fill_matches(exp_kernel(0.3, 0.5j, -0.2), nodes,
                             np.full(nodes.size, 0.05 + 0.01j))
-        # of 2048 it is circle_nodes(1.3, 128) bit for bit
-        even = circle_nodes(1.3, 2048)[::16]
-        assert np.array_equal(even, circle_nodes(1.3, 128))
-        assert fredholm._circle_grid(even) is not None
+
+    def test_entries_rounded_like_long_double(self):
+        # tau_eff's kernel for a winding -1 symbol at x = 32, m = 1024: its
+        # determinant is ~2e14 and moves by ~1e-10 relative when the
+        # entries move by a few eps, so every entry must be the rounded
+        # nodes' own kernel value to rounding.  Gaps taken on the exact
+        # circle instead are off by up to 53 eps here.
+        zeros = [0.1384613314744908 + 0.2444180717310027j,
+                 -1.5643091968539684 + 0.3826504187855443j,
+                 -0.13573751715059915 + 2.7808952620766885j]
+        spec = symbols.SymbolSpec(
+            "rational", tuple(np.polynomial.polynomial.polyfromroots(zeros)),
+            (0.0, 0.0, 1.0))
+        kern = fredholm.kernel_V_from_theta(
+            lambda q: symbols.eval_theta(spec, q), 32)
+        quad = quadrature(unit_circle(), 1024)
+        got = kern.matrix(quad.nodes, quad.weights)
+        ld = np.clongdouble
+        q, w, a, vp, vm = (np.asarray(v, dtype=ld) for v in (
+            quad.nodes, quad.weights, kern.a(quad.nodes),
+            kern.vp(quad.nodes), kern.vm(quad.nodes)))
+        gaps = q[None, :] - q[:, None]
+        np.fill_diagonal(gaps, 1.0)
+        outer = a[:, None] * a[None, :] * w[None, :] / (2j * np.pi * gaps)
+        want = outer * (vp[None, :] * vm[:, None] - vp[:, None] * vm[None, :])
+        scale = np.abs(outer) * (np.abs(vp[None, :] * vm[:, None]) +
+                                 np.abs(vp[:, None] * vm[None, :]))
+        np.fill_diagonal(scale, np.inf)
+        err = np.abs(got.astype(ld) - want) / scale
+        assert float(err.max()) <= 5 * np.finfo(float).eps
 
     @pytest.mark.parametrize("x", [64, 128])
-    def test_near_band_keeps_digits(self, x):
-        # with the exact grid's gaps next to the diagonal as well, the
-        # determinant drifts to ~1e-11 of the correction series
+    def test_determinant_keeps_digits(self, x):
+        # against the correction series to 1e-12; with the exact grid's
+        # gaps next to the diagonal the drift was ~1e-11 at x = 128
         spec = symbols.fixture("F4")
         det = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
                                    asymptotics.base_contour(spec)).value
