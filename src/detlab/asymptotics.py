@@ -103,8 +103,15 @@ def _require_negative_winding(spec):
 
 def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
             m_grid: int = 512) -> complex:
-    """det(1 + V) directly on the unit circle, any winding.  The weight is
-    split on >= 4x nodes, so its modes near j = x never fold into minus."""
+    """det(1 + V) on the unit circle, any winding.  Negative winding: V in
+    residue form is analytic out to the first pole, so it is computed on
+    ``select_contour``'s circle, where phi does not wind.  Otherwise the
+    weight is split on >= 4x nodes, so its modes near j = x never fold."""
+    if symbols.winding_number(spec) < 0:
+        ana = symbols.analyze(spec)
+        inside = [z for z in ana.zeros if abs(z) < 1.0]
+        return nystrom_det(kernel_V_residue(spec, x, inside),
+                           select_contour(ana), tol).value
     m = max(m_grid, pow2_at_least(4 * x))
     k = kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
                             1.0, m)

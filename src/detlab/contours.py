@@ -106,22 +106,25 @@ def select_contour(analysis: SymbolAnalysis, m: int = 128) -> Contour:
     Zero winding: the unit circle.  Negative winding: a circle just beyond the
     selected zeros, geometric mean with the nearest obstruction (remaining
     zeros or poles further out), or 25% beyond when nothing obstructs.
-    Positive winding mirrors this inward.
+    Positive winding mirrors this inward.  A pole between the unit circle and
+    the selected zeros would leave phi winding on that circle: EmptyAnnulus.
     """
     n = analysis.winding
     if n == 0:
         return unit_circle(m)
     if not analysis.z_list:
         raise errors.EmptyAnnulus("nonzero winding but no zeros to enclose")
+    zmod = (max if n < 0 else min)(abs(z) for z in analysis.z_list)
+    if any(min(1.0, zmod) < p < max(1.0, zmod) for p in analysis.pole_moduli):
+        raise errors.EmptyAnnulus(
+            "a pole lies between the unit circle and the selected zeros")
     if n < 0:
-        zmod = max(abs(z) for z in analysis.z_list)
         obstructions = [abs(w) for w in analysis.w_list if abs(w) > zmod]
         obstructions += [p for p in analysis.pole_moduli if p > zmod]
         rho = np.sqrt(zmod * min(obstructions)) if obstructions else zmod * EXPANSION
         if rho <= zmod * (1 + 1e-9):
             raise errors.EmptyAnnulus("no radius separates selected zeros from obstructions")
     else:
-        zmod = min(abs(z) for z in analysis.z_list)
         obstructions = [abs(w) for w in analysis.w_list if abs(w) < zmod]
         obstructions += [p for p in analysis.pole_moduli if 0 < p < zmod]
         rho = np.sqrt(zmod * max(obstructions)) if obstructions else zmod / EXPANSION

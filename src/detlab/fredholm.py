@@ -96,14 +96,18 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
                   "S")
 
 
-def _kernel_V_generic(a, w, dw, x, label):
-    hm = _halfpow(-x)
+def _kernel_V_generic(a, w, dw, x, label, lead=False):
+    """Generators vp = q^{-x/2} w and vm = q^{-x/2}.  With ``lead`` set, w is
+    the tail of the deformation function q^x + w and vp gains q^{x/2}, so
+    q^x, which overflows on radii past 2 at x = 1024, is never formed."""
+    hp, hm = _halfpow(x), _halfpow(-x)
 
     def vp(q):
-        return hm(q) * w(q)
+        return hm(q) * w(q) + (hp(q) if lead else 0.0)
 
     def dvp(q):
-        return hm(q) * (dw(q) - (x / 2.0) * w(q) / q)
+        return hm(q) * (dw(q) - (x / 2.0) * w(q) / q) + \
+            ((x / 2.0) * hp(q) / q if lead else 0.0)
 
     return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label)
 
@@ -117,26 +121,20 @@ def kernel_V(suite: CauchySuite) -> Kernel:
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
-    """V with the deformation function in residue form; valid on any contour
-    whose enclosed region contains exactly ``zeros_inside`` zeros of phi."""
-    dphi = {complex(z): complex(symbols.eval_dphi(spec, np.asarray(z)))
-            for z in zeros_inside}
+    """V with w(q) = q^x - sum_z z^x/(phi'(z)(z - q)) in residue form; valid
+    on any contour whose enclosed region holds exactly ``zeros_inside`` zeros
+    of phi, and analytic between those zeros and the poles of phi."""
+    res = [(complex(z), complex(z) ** x /
+            complex(symbols.eval_dphi(spec, np.asarray(z))))
+           for z in zeros_inside]
 
-    def w(q):
+    def tail(q, derivative=0):
         q = np.asarray(q, dtype=complex)
-        acc = q ** x
-        for z, d in dphi.items():
-            acc = acc - z ** x / (d * (z - q))
-        return acc
+        return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
+                    np.zeros(q.shape, dtype=complex))
 
-    def dw(q):
-        q = np.asarray(q, dtype=complex)
-        acc = x * q ** (x - 1) if x else np.zeros(np.shape(q), dtype=complex)
-        for z, d in dphi.items():
-            acc = acc - z ** x / (d * (z - q) ** 2)
-        return acc
-
-    return _kernel_V_generic(_sqrt_theta(spec), w, dw, x, "V")
+    return _kernel_V_generic(_sqrt_theta(spec), tail,
+                             lambda q: tail(q, 1), x, "V", lead=True)
 
 
 def kernel_V_from_theta(theta_fn, x: int, radius: float = 1.0,

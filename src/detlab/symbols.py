@@ -10,10 +10,11 @@ Two families cover every scenario exercised by the rest of the library:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -26,12 +27,14 @@ SEP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Weight specification; immutable and safe to share between threads."""
+    """Weight specification; immutable, hashable and safe to share between
+    threads.  ``log_coeffs`` may be given as a dict j -> t_j and is stored as
+    a tuple of (j, t_j) pairs sorted by j."""
 
     kind: str
     numer: tuple = ()          # ascending powers of q (rational)
     denom: tuple = (1.0,)
-    log_coeffs: dict = field(default_factory=dict)   # j -> t_j (laurent_phase)
+    log_coeffs: tuple = ()     # (j, t_j) pairs (laurent_phase)
     label: str = ""
 
     def __post_init__(self):
@@ -41,9 +44,8 @@ class SymbolSpec:
             object.__setattr__(self, "numer", tuple(complex(c) for c in self.numer))
             object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
             self._validate_rational()
-        else:
-            lc = {int(j): complex(t) for j, t in self.log_coeffs.items()}
-            object.__setattr__(self, "log_coeffs", lc)
+        lc = {int(j): complex(t) for j, t in dict(self.log_coeffs).items()}
+        object.__setattr__(self, "log_coeffs", tuple(sorted(lc.items())))
 
     def _validate_rational(self):
         p = np.array(self.numer, dtype=complex)
@@ -90,7 +92,7 @@ def eval_phi(spec: SymbolSpec, q):
             raise errors.PoleHit("evaluation point hits a denominator root")
         return _polyval(spec.numer, q) / den
     acc = np.zeros(q.shape, dtype=complex)
-    for j, t in spec.log_coeffs.items():
+    for j, t in spec.log_coeffs:
         acc = acc + t * q ** j
     return np.exp(acc)
 
@@ -107,7 +109,7 @@ def eval_dphi(spec: SymbolSpec, q):
         den = _polyval(d, q)
         return (_polyval(_polyder(p), q) * den - _polyval(p, q) * _polyval(_polyder(d), q)) / den ** 2
     dlog = np.zeros(q.shape, dtype=complex)
-    for j, t in spec.log_coeffs.items():
+    for j, t in spec.log_coeffs:
         dlog = dlog + t * j * q ** (j - 1)
     return eval_phi(spec, q) * dlog
 
@@ -192,7 +194,13 @@ def _newton_polish(coeffs, root, tol=1e-12, maxit=40):
 
 
 def analyze(spec: SymbolSpec, sep_tol: float = SEP_TOL) -> SymbolAnalysis:
-    """Locate zeros/poles, fix the winding, and pick the zeros the contour must handle."""
+    """Locate zeros/poles, fix the winding, and pick the zeros the contour
+    must handle; memoised, as one symbol is analysed for many x and suites."""
+    return _analyze_cached(spec, sep_tol)
+
+
+@functools.lru_cache(maxsize=32)
+def _analyze_cached(spec: SymbolSpec, sep_tol: float) -> SymbolAnalysis:
     n = winding_number(spec)
     if spec.kind == "laurent_phase":
         return SymbolAnalysis((), (), 0, (), ())
@@ -238,7 +246,7 @@ def fourier_coefficients(spec: SymbolSpec, m: int = 256):
     if m & (m - 1):
         raise errors.InputError("node count must be a power of two")
     deg = (max(len(spec.numer), len(spec.denom)) - 1 if spec.kind == "rational"
-           else max((abs(j) for j in spec.log_coeffs), default=0))
+           else max((abs(j) for j, _ in spec.log_coeffs), default=0))
     if m < 4 * deg + 16:
         raise errors.InputError(f"m={m} too small for degree {deg}")
     nodes = circle_nodes(1.0, m)
@@ -248,7 +256,7 @@ def fourier_coefficients(spec: SymbolSpec, m: int = 256):
         raise errors.AliasingSuspected("phi moment tail has not decayed")
     if spec.kind == "laurent_phase":
         nu = np.zeros_like(c)
-        for j, t in spec.log_coeffs.items():
+        for j, t in spec.log_coeffs:
             nu[ks == j] = t
     else:
         nuvals = eval_nu_grid(spec, nodes)
@@ -276,7 +284,7 @@ def to_json_dict(spec: SymbolSpec) -> dict:
                 "numer": [_c2pair(c) for c in spec.numer],
                 "denom": [_c2pair(c) for c in spec.denom]}
     return {"kind": "laurent_phase",
-            "log_coeffs": {str(j): _c2pair(t) for j, t in spec.log_coeffs.items()}}
+            "log_coeffs": {str(j): _c2pair(t) for j, t in spec.log_coeffs}}
 
 
 def from_json_dict(data: dict, label: str = "") -> SymbolSpec:

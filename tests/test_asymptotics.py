@@ -1,5 +1,7 @@
 """The ladder of exact and asymptotic determinant formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,62 @@ class TestHartwigFisher:
         spec = symbols.fixture("F5")
         tl = A.tau_leading(spec, A.base_contour(spec), 4)
         assert abs(A.hf_leading(spec, 4) - tl) / abs(tl) < 1e-9
+
+
+def _rational(zeros, pole_order):
+    """phi(q) = prod (q - z) / q**pole_order."""
+    numer = np.polynomial.polynomial.polyfromroots(zeros)
+    return symbols.SymbolSpec("rational", tuple(numer),
+                              (0.0,) * pole_order + (1.0,))
+
+
+class TestTauEffDeformed:
+    """Negative winding: det(1 + V) of the unit circle, taken on the circle
+    where phi does not wind."""
+
+    @pytest.mark.parametrize("x", [32, 64, 128, 256])
+    def test_f3_is_unity_at_large_x(self, x):
+        # F3's determinant is 1 at every x (see test_toeplitz)
+        assert abs(A.tau_eff(symbols.fixture("F3"), x) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("name", ["F3", "F4"])
+    @pytest.mark.parametrize("x", [1, 2, 4, 8])
+    def test_matches_hartwig_fisher(self, name, x):
+        spec = symbols.fixture(name)
+        hf = A.hartwig_fisher(spec, x)
+        assert abs(A.tau_eff(spec, x) - hf) / abs(hf) < 1e-14
+
+    @pytest.mark.parametrize("x,tol", [(32, 1e-8), (64, 1e-6)])
+    def test_f4_at_large_x(self, x, tol):
+        # on the unit circle these ran to m_cap and raised NotConverged
+        spec = symbols.fixture("F4")
+        hf = A.hartwig_fisher(spec, x)
+        assert abs(A.tau_eff(spec, x) - hf) / abs(hf) < tol
+
+    def test_no_overflow_past_radius_two(self):
+        # selected circle rho ~ 2.11: rho^1024 overflows, rho^512 does not
+        spec = _rational([0.3, 1.65j, -2.7], 2)
+        assert A.base_contour(spec).radius > 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = A.tau_eff(spec, 1024)
+            except errors.NotConverged:
+                return
+        assert np.isfinite(value)
+
+    def test_conjugate_zero_pair_unchanged(self):
+        # winding 0, but analyze rejects the equal zero moduli: both routes
+        # stay on the unit circle and keep their values
+        zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
+                 2 * np.exp(0.7j), 2 * np.exp(-0.7j)]
+        spec = _rational(zeros, 2)
+        with pytest.raises(errors.DegenerateZeros):
+            symbols.analyze(spec)
+        for x, tau, det in [(3, 97.10801467715439, 96.95703426533626),
+                            (8, 99438.60702939723, 99438.94106258238)]:
+            assert abs(A.tau_eff(spec, x) - tau) / tau < 1e-12
+            assert abs(toeplitz.toeplitz_det(spec, x) - det) / det < 1e-12
 
 
 class TestSlavnov:

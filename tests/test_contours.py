@@ -70,6 +70,15 @@ class TestSelection:
             w = symbols.grid_winding(spec, circle_nodes(ct.radius, 512))
             assert abs(w) < 0.25, name
 
+    def test_pole_between_unit_circle_and_zeros(self):
+        # zeros 0.3, 2, 4 and poles 0, 0, 1.5: winding -1 on |q| = 1, but
+        # any circle past the zero at 2 also encloses the pole at 1.5
+        numer = np.polynomial.polynomial.polyfromroots([0.3, 2.0, 4.0])
+        denom = np.polynomial.polynomial.polyfromroots([0.0, 0.0, 1.5])
+        spec = symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+        with pytest.raises(errors.EmptyAnnulus):
+            contours.select_contour(symbols.analyze(spec))
+
 
 class TestDeformation:
     def test_exclude_include(self):

@@ -1,5 +1,6 @@
 """Symbol specifications, winding numbers, and zero bookkeeping."""
 
+import inspect
 import json
 
 import numpy as np
@@ -80,6 +81,25 @@ class TestValidation:
         q = np.array([0.9 + 0.1j])
         assert abs(symbols.eval_phi(sp, q)[0] -
                    symbols.eval_phi(again, q)[0]) < 1e-14
+
+    def test_laurent_phase_round_trip(self):
+        sp = symbols.fixture("F2")
+        again = symbols.from_json_dict(symbols.to_json_dict(sp), label=sp.label)
+        assert again == sp
+        assert sp.log_coeffs == ((-1, 0.2 + 0j), (1, 0.3 + 0j))
+
+    def test_equal_specs_hash_equal(self):
+        a = symbols.SymbolSpec("laurent_phase", log_coeffs={1: 0.3, -1: 0.2})
+        b = symbols.SymbolSpec("laurent_phase", log_coeffs={"-1": 0.2, "1": 0.3})
+        assert a == b and hash(a) == hash(b)
+        assert hash(symbols.fixture("F4")) == hash(symbols.fixture("F4"))
+
+    def test_analyze_is_memoised(self):
+        # a plain function (the benchmark tracer wraps only those) in front
+        # of the cache
+        assert inspect.isfunction(symbols.analyze)
+        spec = symbols.fixture("F4")
+        assert symbols.analyze(spec) is symbols.analyze(symbols.fixture("F4"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(errors.InputError):

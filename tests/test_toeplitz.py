@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detlab import errors, symbols, toeplitz
+from detlab import asymptotics, errors, symbols, toeplitz
 
 
 class TestClosedForms:
@@ -47,6 +47,14 @@ class TestStructure:
     def test_moment_table_symmetric_range(self):
         table = toeplitz.moment_table(symbols.fixture("F4"), 3)
         assert set(table) == set(range(-3, 4))
+
+    def test_f4_agrees_with_series_at_large_x(self):
+        # phi winds on |q| = 1; moments sampled there lost every digit by
+        # x = 128, on the zero-winding circle they keep them
+        spec = symbols.fixture("F4")
+        det = toeplitz.toeplitz_det(spec, 128)
+        ref = asymptotics.slavnov_series(spec, 128)
+        assert abs(det - ref) / abs(ref) < 1e-10
 
     def test_overflow_is_loud(self):
         # det grows past the double range at x = 1024 for F4
