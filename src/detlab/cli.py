@@ -147,7 +147,7 @@ def cmd_fredholm(args) -> int:
             kern = fredholm.kernel_V_from_theta(
                 lambda q: symbols.eval_theta(spec, q), x)
         res = fredholm.nystrom_det(kern, contour, tol=args.tol,
-                                   m_cap=max(args.m, 32))
+                                   m_cap=args.m)
         rows.append([x, res.value.real, res.value.imag, res.err_estimate,
                      res.m_used])
     _table(["x", "re", "im", "err_estimate", "m_used"], rows, args.format,
@@ -489,11 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True,
                        help="symbol JSON file or fixture name (F0..F7)")
         p.add_argument("--x", default=x_default, help="x value or range A..B")
-        p.add_argument("--m", type=int, default=512, help="quadrature cap")
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("analyze", help="zeros, poles, winding, contour")
     p.add_argument("--spec", required=True)
@@ -507,6 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fredholm", help="Nystrom determinants")
     common(p)
     p.add_argument("--kernel", choices=("S", "V"), default="S")
+    p.add_argument("--m", type=int, default=512,
+                   help="cap on nodes per contour component; the first grid "
+                        "has x + 32 nodes and the margin over x doubles")
+    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_fredholm)
 
     p = sub.add_parser("asym", help="asymptotic/exact formula ladder")

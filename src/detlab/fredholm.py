@@ -9,6 +9,11 @@ Half-integer powers and square roots use the principal branch per node: a
 different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
 the resolvent identity unchanged.
+
+Every kernel object carries its bandwidth ``x``: its generators hold the
+factors q^{+-x/2}, so a trapezoid grid of m <= x nodes aliases them and
+``nystrom_det`` starts its grids above x.  An object without the attribute
+has bandwidth 0.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ class Kernel:
     Off the diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
     r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
 
-    def __init__(self, a, vp, vm, dvp, dvm, label: str):
+    def __init__(self, a, vp, vm, dvp, dvm, label: str, x: int = 0):
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
-        self.label = label
+        self.label, self.x = label, x
 
     def matrix(self, nodes, weights):
         a = self.a(nodes)
@@ -59,9 +64,9 @@ class Kernel:
 class SeparableKernel:
     """K(q,p) = c * u(q) v(p) / (2 pi i); rank one on any grid."""
 
-    def __init__(self, u, v, c: complex, label: str):
+    def __init__(self, u, v, c: complex, label: str, x: int = 0):
         self.u, self.v, self.c = u, v, complex(c)
-        self.label = label
+        self.label, self.x = label, x
 
     def matrix(self, nodes, weights):
         col = self.c * self.u(nodes) / (2j * np.pi)
@@ -72,6 +77,7 @@ class SumKernel:
     def __init__(self, parts, label: str):
         self.parts = list(parts)
         self.label = label
+        self.x = max((getattr(k, "x", 0) for k in self.parts), default=0)
 
     def matrix(self, nodes, weights):
         return sum(k.matrix(nodes, weights) for k in self.parts)
@@ -93,7 +99,7 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
                   hp, hm,
                   lambda q: (x / 2.0) * hp(q) / q,
                   lambda q: (-x / 2.0) * hm(q) / q,
-                  "S")
+                  "S", x)
 
 
 def _kernel_V_generic(a, w, dw, x, label, lead=False):
@@ -109,7 +115,7 @@ def _kernel_V_generic(a, w, dw, x, label, lead=False):
         return hm(q) * (dw(q) - (x / 2.0) * w(q) / q) + \
             ((x / 2.0) * hp(q) / q if lead else 0.0)
 
-    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label)
+    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label, x)
 
 
 def kernel_V(suite: CauchySuite) -> Kernel:
@@ -175,7 +181,7 @@ def kernel_Delta_residue(spec, x, zeros_inside) -> SumKernel:
 
 
 def _negated(k: SeparableKernel) -> SeparableKernel:
-    return SeparableKernel(k.u, k.v, -k.c, k.label)
+    return SeparableKernel(k.u, k.v, -k.c, k.label, k.x)
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
@@ -189,7 +195,7 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     def u(q):
         return st(q) * hm(q) / (s - q)
 
-    return SeparableKernel(u, u, s ** x / ds, "W")
+    return SeparableKernel(u, u, s ** x / ds, "W", x)
 
 
 def kernel_Q(spec: symbols.SymbolSpec, x: int, m: int = 512) -> Kernel:
@@ -214,21 +220,28 @@ def kernel_Q(spec: symbols.SymbolSpec, x: int, m: int = 512) -> Kernel:
         return hp(q) * (dwt(q) + (x / 2.0) * wt(q) / q)
 
     return Kernel(_sqrt_theta(spec), hp, vm,
-                  lambda q: (x / 2.0) * hp(q) / q, dvm, "Q")
-
-
-def zero_kernel() -> SeparableKernel:
-    return SeparableKernel(lambda q: np.zeros(np.shape(q), dtype=complex),
-                           lambda q: np.zeros(np.shape(q), dtype=complex),
-                           0.0, "zero")
+                  lambda q: (x / 2.0) * hp(q) / q, dvm, "Q", x)
 
 
 def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
                 m_start: int = 32, m_cap: int = 1024) -> DetResult:
-    """det(Id + K) by LU on trapezoidal nodes, doubling until stable."""
+    """det(Id + K) by LU on trapezoidal grids of m = x + m_start 2^k nodes
+    per contour component, k = 0, 1, ..., where x is the kernel's bandwidth.
+    The grids start above x, where the q^{+-x/2} factors stop aliasing and
+    the determinants converge geometrically (Bornemann, Math. Comp. 79
+    (2010)); the first two that agree to ``tol`` give the value.  For x = 0
+    this is plain doubling from m_start.  Raises NotConverged when the next
+    grid would pass ``m_cap``, and up front, before any fill, when fewer
+    than two grids fit under it."""
+    x = getattr(kernel, "x", 0)
+    if x + 2 * m_start > m_cap:
+        raise errors.NotConverged(
+            f"bandwidth x = {x} needs m_cap >= {x + 2 * m_start} nodes, "
+            f"got {m_cap}")
     prev = None
-    m = m_start
+    margin = m_start
     while True:
+        m = x + margin
         quad = quadrature(contour, m)
         mat = kernel.matrix(quad.nodes, quad.weights)
         np.fill_diagonal(mat, mat.diagonal() + 1.0)
@@ -241,11 +254,11 @@ def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
                 if not np.isfinite(det):
                     raise errors.NotConverged(f"non-finite determinant at m={m}")
                 return DetResult(det, err, m, kernel.label)
-            if m >= m_cap:
+            if x + 2 * margin > m_cap:
                 raise errors.NotConverged(
                     f"determinant drift {err:.2e} at m={m}")
         prev = det
-        m *= 2
+        margin *= 2
 
 
 @dataclass(frozen=True)
@@ -276,7 +289,7 @@ def resolvent_kernel(suite: CauchySuite) -> Kernel:
             np.exp(-suite.Omega_gt(q)) * hm(q)
         return first - suite.b_plus(q, 1) * fp(q) - suite.b_plus(q) * dfp(q)
 
-    return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, "R")
+    return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, "R", x)
 
 
 def build_resolvent(suite: CauchySuite, m: int = 128) -> Resolvent:
@@ -342,7 +355,7 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int,
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
     vk1 = SeparableKernel(lambda q: st(q) * hm(q) / q,
-                          lambda q: st(q) * hm(q), -1.0, "V1")
+                          lambda q: st(q) * hm(q), -1.0, "V1", x)
 
     det_v = nystrom_det(vk, circle, tol)
     det_sum = nystrom_det(SumKernel([vk, vk1], "V+V1"), circle, tol)

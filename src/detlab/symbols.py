@@ -142,7 +142,13 @@ def grid_winding(spec: SymbolSpec, nodes) -> float:
 
 
 def winding_number(spec: SymbolSpec, m: int = 512) -> int:
-    """Winding of phi around the unit circle, by quadrature, cross-checked by counting."""
+    """Winding of phi around the unit circle, by quadrature, cross-checked by
+    counting; memoised, as every route of one symbol asks for it again."""
+    return _winding_cached(spec, m)
+
+
+@functools.lru_cache(maxsize=32)
+def _winding_cached(spec: SymbolSpec, m: int) -> int:
     nodes = circle_nodes(1.0, m)
     weights = circle_weights(nodes, m)
     quad = np.sum(weights * eval_dphi(spec, nodes) / eval_phi(spec, nodes)) / (2j * np.pi)

@@ -36,6 +36,35 @@ def exp_kernel(al, be, ga):
                            lambda q: ga * np.exp(ga * q), "exp")
 
 
+def zero_kernel():
+    """K = 0 with no bandwidth: det(1 + K) = 1 on the first two grids."""
+    def zero(q):
+        return np.zeros(np.shape(q), dtype=complex)
+
+    return fredholm.SeparableKernel(zero, zero, 0.0, "zero")
+
+
+@st.composite
+def rational_symbols(draw):
+    """phi(q) = c prod (1 - q/w) prod (1 - z/q) with zero moduli in separate
+    bands, so no two are close: winding 0, or winding -1 with one more zero
+    in [1.5, 1.7] that the base contour encloses."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    inner = [zero(lo, hi) for lo, hi in ((0.2, 0.3), (0.35, 0.45))
+             if draw(st.booleans())]
+    outer = [zero(lo, hi) for lo, hi in ((2.2, 2.9), (3.1, 4.0))
+             if draw(st.booleans())]
+    winding = -draw(st.integers(0, 1))
+    if winding:
+        outer.append(zero(1.5, 1.7))
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
+    denom = [0.0] * (len(inner) - winding) + [1.0]
+    return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+
+
 def assert_fill_matches(kernel, nodes, weights):
     want = direct_fill(kernel, nodes, weights)
     got = kernel.matrix(nodes, weights)
@@ -117,9 +146,10 @@ class TestFill:
         assert abs(det / asymptotics.slavnov_series(spec, x) - 1) < 1e-12
 
     @pytest.mark.parametrize("name,m_used", [
-        ("F1", (64, 64, 128)), ("F2", (64, 64, 256)),
-        ("F3", (64, 64, 256)), ("F4", (64, 64, 256))])
+        ("F1", (66, 72, 128)), ("F2", (66, 72, 128)),
+        ("F3", (66, 72, 128)), ("F4", (66, 72, 128))])
     def test_doubling_history_pinned(self, name, m_used):
+        # grids of x + 32, x + 64 nodes: the first pair above the bandwidth
         spec = symbols.fixture(name)
         ct = asymptotics.base_contour(spec)
         got = tuple(fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct).m_used
@@ -129,7 +159,7 @@ class TestFill:
 
 class TestNystrom:
     def test_zero_kernel(self):
-        res = fredholm.nystrom_det(fredholm.zero_kernel(), unit_circle())
+        res = fredholm.nystrom_det(zero_kernel(), unit_circle())
         assert abs(res.value - 1.0) < 1e-14
 
     def test_constant_symbol_sine_kernel(self):
@@ -153,6 +183,52 @@ class TestNystrom:
         with pytest.raises(errors.NotConverged):
             fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct,
                                  tol=1e-15, m_cap=32)
+
+    def test_drift_at_cap_raises(self):
+        # grids 35 and 67 leave a drift past 1e-15, and 131 passes the cap
+        spec = symbols.fixture("F4")
+        with pytest.raises(errors.NotConverged, match="drift .* at m=67"):
+            fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
+                                 asymptotics.base_contour(spec),
+                                 tol=1e-15, m_cap=3 + 64)
+
+    def test_bandwidth_past_cap_raises_before_fill(self, monkeypatch):
+        # every grid of at most 1024 nodes aliases q^{+-512}
+        def no_fill(*args):
+            raise AssertionError("filled a grid that cannot converge")
+
+        monkeypatch.setattr(fredholm.Kernel, "matrix", no_fill)
+        spec = symbols.fixture("F1")
+        with pytest.raises(errors.NotConverged, match="1088"):
+            fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
+                                 asymptotics.base_contour(spec), m_cap=1024)
+
+    def test_f4_at_x_512(self):
+        # doubling from 32 reached m_cap = 1024 here and raised
+        spec = symbols.fixture("F4")
+        res = fredholm.nystrom_det(fredholm.kernel_S(spec, 512),
+                                   asymptotics.base_contour(spec))
+        assert res.m_used == 512 + 64
+        slav = asymptotics.slavnov_series(spec, 512)
+        assert abs(res.value / slav - 1) < 1e-10
+
+    def test_sum_kernel_takes_widest_part(self):
+        spec, suite = suite_for("F4", 6)
+        parts = [zero_kernel(), fredholm.kernel_V(suite)] + \
+            [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
+        assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
+        assert fredholm.SumKernel(parts, "sum").x == 6
+        assert fredholm.kernel_Delta_residue(
+            spec, 6, suite.zeros_inside()).x == 6
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=rational_symbols(), x=st.integers(1, 300))
+    def test_grids_start_above_bandwidth(self, spec, x):
+        res = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
+                                   asymptotics.base_contour(spec))
+        assert res.m_used >= x + 32
+        truth = toeplitz.toeplitz_det(spec, x)
+        assert abs(res.value / truth - 1) < 1e-8
 
     def test_overflow_is_not_converged(self):
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where

@@ -53,7 +53,7 @@ def test_determinants_and_fills_are_counted():
         tracer.uninstall()
     assert np.linalg.det is real_det
     assert tracer.counters["toeplitz.lu_flops"] == 8 * 5 ** 3 // 3
-    # one LU per doubling step: m = 32 and 64
+    # one LU per grid: m = x + 32 and x + 64 at x = 2
     assert tracer.counters["fredholm.lu_flops"] == \
-        8 * 32 ** 3 // 3 + 8 * 64 ** 3 // 3
-    assert tracer.counters["fredholm.fill_entries"] == 32 ** 2 + 64 ** 2
+        8 * 34 ** 3 // 3 + 8 * 66 ** 3 // 3
+    assert tracer.counters["fredholm.fill_entries"] == 34 ** 2 + 66 ** 2

@@ -101,6 +101,16 @@ class TestValidation:
         spec = symbols.fixture("F4")
         assert symbols.analyze(spec) is symbols.analyze(symbols.fixture("F4"))
 
+    def test_winding_number_is_memoised(self):
+        assert inspect.isfunction(symbols.winding_number)
+        symbols._winding_cached.cache_clear()
+        for name, want in EXPECTED_WINDING.items():
+            assert symbols.winding_number(symbols.fixture(name)) == want
+            assert symbols.winding_number(symbols.fixture(name)) == want
+        info = symbols._winding_cached.cache_info()
+        assert (info.misses, info.hits) == (len(EXPECTED_WINDING),
+                                            len(EXPECTED_WINDING))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(errors.InputError):
             symbols.from_json_dict({"kind": "mystery"})
