@@ -9,14 +9,12 @@ Laurent modes, which converge geometrically.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, circle_weights, laurent_coeffs, pow2_at_least
+from ._series import LaurentSplit, circle_nodes, laurent_coeffs, pow2_at_least
 from .cauchy import CauchySuite, WindingAdjustedSuite
-from .contours import Contour, quadrature, select_contour, unit_circle
+from .contours import Contour, select_contour, unit_circle
 from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
 
 
@@ -47,12 +45,16 @@ def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
     """
     suite = CauchySuite(spec, contour, x, m)
     if route == "modes":
-        return _guarded_exp(x * suite.Omega_gt(0.0) +
-                            _mode_sum(suite.nu_split))
+        return _guarded_exp(_log_tau_modes(suite))
     if route == "double":
         return _guarded_exp(_log_tau_double(
             suite, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
     raise errors.InputError(f"unknown route {route!r}")
+
+
+def _log_tau_modes(suite: CauchySuite) -> complex:
+    """ln tau as x * Omega_gt(0) plus the mode sum of the suite's shift."""
+    return suite.x * suite.Omega_gt(0.0) + _mode_sum(suite.nu_split)
 
 
 def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
@@ -68,20 +70,13 @@ def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
     return lin - 0.5 * (weights @ ratio ** 2 @ weights)
 
 
-def szego(spec: symbols.SymbolSpec, x: int, m: int = 256,
-          term_tol: float = 1e-15) -> complex:
-    """Smooth zero-winding asymptotic from the Fourier modes of the shift."""
+def szego(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
+    """Smooth zero-winding asymptotic: the strong-limit exponent of the
+    winding-adjusted split, which for winding 0 is x nu_0 plus the mode sum
+    sum_{j>=1} j nu_j nu_{-j} of the phase shift."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    ks, _, nu = symbols.fourier_coefficients(spec, m)
-    nu0 = complex(nu[ks == 0][0])
-    acc = 0.0
-    for j in range(1, m // 2):
-        term = j * complex(nu[ks == j][0]) * complex(nu[ks == -j][0])
-        acc += term
-        if abs(term) < term_tol and j > 2:
-            break
-    return _guarded_exp(x * nu0 + acc)
+    return _guarded_exp(_log_strong_limit(WindingAdjustedSuite(spec, m), x))
 
 
 # --- winding-compensated machinery on the unit circle ------------------------
@@ -92,6 +87,12 @@ def _mode_sum(split: LaurentSplit) -> complex:
     pos = js > 0
     return complex(np.sum(js[pos] * (2j * np.pi * cs[pos]) *
                           (2j * np.pi * cs[np.searchsorted(js, -js[pos])])))
+
+
+def _log_strong_limit(ws: WindingAdjustedSuite, x: int) -> complex:
+    """(x - winding) 2 pi i nu_0 plus the mode sum of the compensated shift."""
+    return ((x - ws.winding) * 2j * np.pi * ws.split.zero_mode() +
+            _mode_sum(ws.split))
 
 
 def _require_negative_winding(spec):
@@ -134,8 +135,7 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
     ws = WindingAdjustedSuite(spec, m)
     ymat = np.array([[y_moment(ws, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
-    exponent = (x + n) * 2j * np.pi * ws.split.zero_mode() + _mode_sum(ws.split)
-    return _guarded_exp(exponent, np.linalg.det(ymat))
+    return _guarded_exp(_log_strong_limit(ws, x), np.linalg.det(ymat))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
@@ -198,7 +198,7 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
                             x * np.sum(np.log(z)))
     if route == "reduced":
         ws = WindingAdjustedSuite(spec, max(m, 256))
-        expo = (x + n) * 2j * np.pi * ws.split.zero_mode() + _mode_sum(ws.split)
+        expo = _log_strong_limit(ws, x)
         expo -= 2.0 * np.sum([ws.omega_lt(zk) for zk in z])
         return _guarded_exp(expo + log_num - log_dphi -
                             (2 * n + x) * np.sum(np.log(z)))
@@ -215,73 +215,36 @@ def _zw_sets(spec, contour):
     return zset, wset
 
 
-def slavnov_term(spec: symbols.SymbolSpec, x: int, zset, wset,
-                 contour: Contour | None = None) -> complex:
-    """One Cauchy-determinant correction for equally sized zero subsets."""
-    if len(zset) != len(wset):
-        raise errors.SizeMismatch("zero subsets must have equal size")
-    if not zset:
-        return 1.0 + 0.0j
-    contour = contour or base_contour(spec)
-    suite = CauchySuite(spec, contour, x)
-    val = 1.0 + 0.0j
-    for w in wset:
-        val *= w ** (-x) * np.exp(-2.0 * suite.Omega_lt(w)) / \
-            complex(symbols.eval_dphi(spec, np.asarray(w)))
-    for z in zset:
-        val *= z ** x * np.exp(2.0 * suite.Omega_gt(z)) / \
-            complex(symbols.eval_dphi(spec, np.asarray(z)))
-    for a, b in itertools.combinations(range(len(wset)), 2):
-        val *= (wset[a] - wset[b]) ** 2
-    for a, b in itertools.combinations(range(len(zset)), 2):
-        val *= (zset[a] - zset[b]) ** 2
-    for z in zset:
-        for w in wset:
-            val /= (z - w) ** 2
-    return complex(val)
-
-
-def correction_matrix(spec: symbols.SymbolSpec, x: int,
-                      contour: Contour | None = None) -> np.ndarray:
-    """Matrix over outside zeros whose determinant det(Id - A) collects all
-    correction terms at once."""
-    contour = contour or base_contour(spec)
-    zset, wset = _zw_sets(spec, contour)
-    suite = CauchySuite(spec, contour, x)
-    nw, nz = len(wset), len(zset)
-    A = np.zeros((max(nw, 1), max(nw, 1)), dtype=complex)[:nw, :nw]
-    for i, wn in enumerate(wset):
-        for j, wm in enumerate(wset):
-            acc = 0.0 + 0.0j
-            for z in zset:
-                acc -= (wn ** (-x) * np.exp(-2.0 * suite.Omega_lt(wn)) *
-                        np.exp(2.0 * suite.Omega_gt(z)) * z ** x /
-                        (complex(symbols.eval_dphi(spec, np.asarray(wn))) *
-                         complex(symbols.eval_dphi(spec, np.asarray(z))) *
-                         (wn - z) * (wm - z)))
-            A[i, j] = acc
-    return A
-
-
 def slavnov_series(spec: symbols.SymbolSpec, x: int,
                    max_order: int | None = None,
                    contour: Contour | None = None) -> complex:
-    """Leading value times the full (or truncated) correction sum; exact at
-    full order for symbols with finitely many zeros."""
+    """Leading value tau times the correction sum up to ``max_order``
+    (default: full order, exact for symbols with finitely many zeros).
+
+    With a(z) the residue weights of the zeros z inside the contour and b(w)
+    those of the zeros w outside it, A_ij = -b(w_i) sum_z a(z) / ((w_i - z)
+    (w_j - z)).  Coefficient k of det(t - A) is the sum of the principal
+    k-minors of -A, which by Cauchy-Binet and the Cauchy determinant is the
+    sum over k-subsets Z, W of prod a(Z) prod b(W) det[1/(w - z)]^2; the
+    series is tau times the sum of its leading coefficients."""
     if spec.kind != "rational":
         raise errors.InputError("correction series needs a rational symbol")
+    if max_order is not None and max_order < 0:
+        raise errors.InputError(f"correction order {max_order} is negative")
     contour = contour or base_contour(spec)
     zset, wset = _zw_sets(spec, contour)
-    tau = tau_leading(spec, contour, x)
+    suite = CauchySuite(spec, contour, x)
     kmax = min(len(zset), len(wset))
     if max_order is not None:
         kmax = min(kmax, max_order)
-    total = 1.0 + 0.0j
-    for k in range(1, kmax + 1):
-        for zs in itertools.combinations(zset, k):
-            for wsub in itertools.combinations(wset, k):
-                total += slavnov_term(spec, x, zs, wsub, contour)
-    return complex(tau * total)
+    total = 1.0
+    if kmax:   # np.poly takes no empty matrix
+        a = np.array([suite.residue_weight(z) for z in zset])
+        b = np.array([suite.residue_weight(w) for w in wset])
+        cmat = 1.0 / np.subtract.outer(np.array(wset), np.array(zset))
+        amat = -b[:, None] * ((cmat * a) @ cmat.T)
+        total = np.sum(np.poly(amat)[:kmax + 1])
+    return _guarded_exp(_log_tau_modes(suite), total)
 
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
@@ -303,11 +266,8 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
         raise errors.InputError(f"{w_b} is not a zero outside the contour")
 
     suite = CauchySuite(spec, contour, x)
-    closed = (z_a ** x * w_b ** (-x) *
-              np.exp(2.0 * suite.Omega_gt(z_a) - 2.0 * suite.Omega_lt(w_b)) /
-              (complex(symbols.eval_dphi(spec, np.asarray(z_a))) *
-               complex(symbols.eval_dphi(spec, np.asarray(w_b))) *
-               (z_a - w_b) ** 2))
+    closed = (suite.residue_weight(z_a) * suite.residue_weight(w_b) /
+              (z_a - w_b) ** 2)
 
     deformed = deformed_contour(contour, [z_a], [w_b], ana)
     inside_def = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
-from .contours import Contour, unit_circle
+from .contours import Contour
 
 TAIL_TOL = 1e-13
 M_CAP = 2048
@@ -122,21 +122,6 @@ class CauchySuite:
             raise errors.InputError("only first derivatives are supported")
         return lead + self.w_split.minus(q, derivative)
 
-    def w_func_residue(self, q, zeros_inside, derivative: int = 0):
-        """Same w via the residue sum over the zeros of phi inside the region."""
-        q = np.asarray(q, dtype=complex)
-        if derivative == 0:
-            acc = q ** self.x
-        else:
-            acc = self.x * q ** (self.x - 1) if self.x else np.zeros_like(q)
-        for z in zeros_inside:
-            dphi = symbols.eval_dphi(self.spec, np.asarray(z))
-            if derivative == 0:
-                acc = acc - z ** self.x / (dphi * (z - q))
-            else:
-                acc = acc - z ** self.x / (dphi * (z - q) ** 2)
-        return acc
-
     # --- b function -----------------------------------------------------------
 
     def b_plus(self, q, derivative: int = 0):
@@ -156,8 +141,7 @@ class CauchySuite:
         q = np.asarray(q, dtype=complex)
         acc = np.zeros(np.shape(q), dtype=complex)
         for w in zeros_outside:
-            dphi = complex(symbols.eval_dphi(self.spec, np.asarray(w)))
-            pref = -w ** (-self.x) * np.exp(-2.0 * self.Omega_lt(w)) / dphi
+            pref = -self.residue_weight(w)
             if derivative == 0:
                 acc = acc + pref / (w - q)
             elif derivative == 1:
@@ -165,6 +149,17 @@ class CauchySuite:
             else:
                 raise errors.InputError("only first derivatives are supported")
         return acc
+
+    def residue_weight(self, z) -> complex:
+        """Weight of a zero z of phi in the residue sums over this circle:
+        z^x e^{2 Omega_gt(z)} / phi'(z) inside it, z^{-x} e^{-2 Omega_lt(z)}
+        / phi'(z) outside it."""
+        z = complex(z)
+        if abs(z) < self.rho:
+            value = z ** self.x * np.exp(2.0 * self.Omega_gt(z))
+        else:
+            value = z ** (-self.x) * np.exp(-2.0 * self.Omega_lt(z))
+        return complex(value / symbols.eval_dphi(self.spec, np.asarray(z)))
 
     def zeros_outside(self):
         """Zeros of phi outside this circle (rational symbols only)."""
@@ -231,16 +226,3 @@ class WindingAdjustedSuite:
     def omega_lt(self, q, derivative: int = 0):
         return 2j * np.pi * self.split.minus(q, derivative)
 
-
-def small_omega(spec: symbols.SymbolSpec, q, side: str, m: int = 256):
-    """Winding-compensated transform at a point: side 'inside' or 'outside'."""
-    ws = WindingAdjustedSuite(spec, m)
-    if side == "inside":
-        if np.any(np.abs(q) > 1 + 1e-9):
-            raise errors.OutsideDomain("point lies outside the unit circle")
-        return ws.omega_gt(q)
-    if side == "outside":
-        if np.any(np.abs(q) < 1 - 1e-9):
-            raise errors.OutsideDomain("point lies inside the unit circle")
-        return ws.omega_lt(q)
-    raise errors.InputError(f"unknown side {side!r}")

@@ -73,13 +73,6 @@ def _rows_to_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _complex_json(value):
-    if isinstance(value, str):
-        return value
-    value = complex(value)
-    return {"re": value.real, "im": value.imag}
-
-
 def _json_cell(value):
     if isinstance(value, str):
         return value
@@ -112,13 +105,13 @@ def cmd_analyze(args) -> int:
     contour = asymptotics.base_contour(spec)
     report = {
         "label": spec.label,
-        "zeros": [_complex_json(z) for z in ana.zeros],
-        "poles": [{"location": _complex_json(p), "multiplicity": mult}
+        "zeros": [_json_cell(z) for z in ana.zeros],
+        "poles": [{"location": _json_cell(p), "multiplicity": mult}
                   for p, mult in ana.poles],
         "pole_moduli": sorted(float(m) for m in ana.pole_moduli),
         "winding": ana.winding,
-        "z_list": [_complex_json(z) for z in ana.z_list],
-        "w_list": [_complex_json(w) for w in ana.w_list],
+        "z_list": [_json_cell(z) for z in ana.z_list],
+        "w_list": [_json_cell(w) for w in ana.w_list],
         "contour": contour.to_json_dict(),
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
@@ -193,7 +186,7 @@ def cmd_ff(args) -> int:
     value = formfactors.tau_eff_finite(spec, args.L, n_sel, x)
     terms = math.comb(args.L, n_sel)
     oracle = asymptotics.tau_eff(spec, x)
-    payload = {"value": _complex_json(value), "terms": terms,
+    payload = {"value": _json_cell(value), "terms": terms,
                "oracle_gap": abs(value - oracle)}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -203,8 +196,24 @@ COMPARE_METHODS = ("toeplitz", "fredholm_S", "fredholm_V", "leading",
                    "szego", "hf", "hf_leading", "bo", "slavnov", "ff")
 
 
-def _compare_value(spec, method: str, x: int):
-    name, _, arg = method.partition(":")
+def _parse_method(text: str):
+    """(name, integer argument or None) of a compare method such as
+    ``slavnov:2``; InputError for an unknown name or a bad argument."""
+    name, _, arg = text.partition(":")
+    if name not in COMPARE_METHODS:
+        raise errors.InputError(f"unknown method {text!r}")
+    if not arg:
+        return name, None
+    try:
+        number = int(arg)
+    except ValueError as exc:
+        raise errors.InputError(f"bad argument in method {text!r}") from exc
+    if number < 0:
+        raise errors.InputError(f"negative argument in method {text!r}")
+    return name, number
+
+
+def _compare_value(spec, name: str, number, x: int):
     if name == "toeplitz":
         return toeplitz.toeplitz_det(spec, x)
     if name == "fredholm_S":
@@ -213,19 +222,16 @@ def _compare_value(spec, method: str, x: int):
     if name == "fredholm_V":
         return asymptotics.tau_eff(spec, x)
     if name == "ff":
-        size = int(arg) if arg else 12
+        size = 12 if number is None else number
         return formfactors.tau_eff_finite(spec, size, size, x)
-    order = int(arg) if arg else None
     return _asym_value(spec, {"hf_leading": "hf-leading"}.get(name, name),
-                       x, order)
+                       x, number)
 
 
 def cmd_compare(args) -> int:
     spec = _load_spec(args.spec)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m.partition(":")[0] not in COMPARE_METHODS:
-            raise errors.InputError(f"unknown method {m!r}")
+    parsed = [_parse_method(m) for m in methods]
     header = ["x"]
     for m in methods:
         header += [m + "_re", m + "_im", m + "_gap"]
@@ -233,9 +239,9 @@ def cmd_compare(args) -> int:
     for x in _parse_xrange(args.x):
         oracle = toeplitz.toeplitz_det(spec, x)
         row = [x]
-        for m in methods:
+        for name, number in parsed:
             try:
-                value = _compare_value(spec, m, x)
+                value = _compare_value(spec, name, number, x)
                 gap = abs(value - oracle) / max(abs(oracle), 1e-300)
                 row += [value.real, value.imag, gap]
             except errors.DetlabError as exc:
@@ -504,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fredholm", help="Nystrom determinants")
     common(p)
     p.add_argument("--kernel", choices=("S", "V"), default="S")
-    p.add_argument("--m", type=int, default=512,
+    p.add_argument("--m", type=int, default=fredholm.M_CAP,
                    help="cap on nodes per contour component; the first grid "
                         "has x + 32 nodes and the margin over x doubles")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -543,8 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "N", "sentinel") is None:
-        args.N = args.L
     try:
         return args.func(args)
     except errors.InputError as exc:

@@ -28,6 +28,7 @@ from .cauchy import CauchySuite
 from .contours import Contour, quadrature, unit_circle
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
+M_CAP = 1024     # default cap on Nystrom nodes per contour component
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def kernel_Q(spec: symbols.SymbolSpec, x: int, m: int = 512) -> Kernel:
 
 
 def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
-                m_start: int = 32, m_cap: int = 1024) -> DetResult:
+                m_start: int = 32, m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) by LU on trapezoidal grids of m = x + m_start 2^k nodes
     per contour component, k = 0, 1, ..., where x is the kernel's bandwidth.
     The grids start above x, where the q^{+-x/2} factors stop aliasing and

@@ -85,10 +85,6 @@ class MeasureMu:
                     f"moment determinant of order {k} vanishes")
 
 
-def moments(measure: MeasureMu, j: int) -> complex:
-    return measure.moment(j)
-
-
 def monic_orthogonal(measure: MeasureMu, k: int):
     """Monic degree-k polynomial orthogonal to all lower powers.
 
@@ -192,10 +188,6 @@ class RHPSolution:
             scaled = y @ np.diag([q ** (-n), q ** n])
             res = max(res, float(np.max(np.abs(scaled - np.eye(2)))))
         return res
-
-
-def rhp_Y(measure: MeasureMu, q, side: str | None = None) -> np.ndarray:
-    return RHPSolution(measure).matrix(q, side)
 
 
 def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import errors
-from ._series import circle_nodes, circle_weights, laurent_coeffs
+from ._series import circle_nodes, circle_weights
 
 SEP_TOL = 1e-6
 
@@ -240,42 +239,6 @@ def _analyze_cached(spec: SymbolSpec, sep_tol: float) -> SymbolAnalysis:
         z_list, rest = (), []
     w_list = tuple(sorted(rest, key=lambda z: abs(abs(z) - 1.0)))
     return SymbolAnalysis(tuple(zeros), tuple(poles), n, z_list, w_list)
-
-
-def fourier_coefficients(spec: SymbolSpec, m: int = 256):
-    """Fourier data on the unit circle.
-
-    Returns (ks, c, nu) where c[i] is the moment c_{ks[i]} of phi and nu[i]
-    the Laurent coefficient nu_{ks[i]} in the normalization
-    nu(q) = sum_j q^j nu_j / (2 pi i).
-    """
-    if m & (m - 1):
-        raise errors.InputError("node count must be a power of two")
-    deg = (max(len(spec.numer), len(spec.denom)) - 1 if spec.kind == "rational"
-           else max((abs(j) for j, _ in spec.log_coeffs), default=0))
-    if m < 4 * deg + 16:
-        raise errors.InputError(f"m={m} too small for degree {deg}")
-    nodes = circle_nodes(1.0, m)
-    ks, c = laurent_coeffs(eval_phi(spec, nodes))
-    cmax = np.max(np.abs(c))
-    if cmax > 0 and max(abs(c[0]), abs(c[-1])) > 1e-13 * cmax:
-        raise errors.AliasingSuspected("phi moment tail has not decayed")
-    if spec.kind == "laurent_phase":
-        nu = np.zeros_like(c)
-        for j, t in spec.log_coeffs:
-            nu[ks == j] = t
-    else:
-        nuvals = eval_nu_grid(spec, nodes)
-        w = winding_number(spec)
-        if w != 0:
-            # remove the winding part so the FFT sees a periodic function
-            phi_ang = np.angle(nodes)
-            nuvals = nuvals - w * phi_ang / (2.0 * np.pi)
-        _, nu = laurent_coeffs(nuvals)
-        nu = 2j * np.pi * nu
-        if w != 0:
-            nu[ks == 0] = np.nan   # no single-valued zero mode with winding
-    return ks, c, nu
 
 
 # --- JSON interface ---------------------------------------------------------

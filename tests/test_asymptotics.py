@@ -1,13 +1,62 @@
-"""The ladder of exact and asymptotic determinant formulas."""
+"""The ladder of exact and asymptotic determinant formulas.
 
+``slavnov_term`` and ``enumerated_series`` are the oracle of the correction
+series: the sum taken term by term over all pairs of equally sized zero
+subsets, against which the closed form of ``slavnov_series`` is checked.
+"""
+
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics as A
 from detlab import errors, symbols, toeplitz
+from detlab.cauchy import CauchySuite
 from detlab.contours import unit_circle
+
+
+def slavnov_term(spec, x, zset, wset, contour=None) -> complex:
+    """One Cauchy-determinant correction for equally sized zero subsets."""
+    if len(zset) != len(wset):
+        raise errors.SizeMismatch("zero subsets must have equal size")
+    if not zset:
+        return 1.0 + 0.0j
+    contour = contour or A.base_contour(spec)
+    suite = CauchySuite(spec, contour, x)
+    val = 1.0 + 0.0j
+    for w in wset:
+        val *= w ** (-x) * np.exp(-2.0 * suite.Omega_lt(w)) / \
+            complex(symbols.eval_dphi(spec, np.asarray(w)))
+    for z in zset:
+        val *= z ** x * np.exp(2.0 * suite.Omega_gt(z)) / \
+            complex(symbols.eval_dphi(spec, np.asarray(z)))
+    for a, b in itertools.combinations(range(len(wset)), 2):
+        val *= (wset[a] - wset[b]) ** 2
+    for a, b in itertools.combinations(range(len(zset)), 2):
+        val *= (zset[a] - zset[b]) ** 2
+    for z in zset:
+        for w in wset:
+            val /= (z - w) ** 2
+    return complex(val)
+
+
+def enumerated_series(spec, x, max_order=None, contour=None) -> complex:
+    """Leading value times 1 plus every correction term up to max_order."""
+    contour = contour or A.base_contour(spec)
+    zset, wset = A._zw_sets(spec, contour)
+    tau = A.tau_leading(spec, contour, x)
+    kmax = min(len(zset), len(wset))
+    if max_order is not None:
+        kmax = min(kmax, max_order)
+    total = 1.0 + 0.0j
+    for k in range(1, kmax + 1):
+        for zs in itertools.combinations(zset, k):
+            for wsub in itertools.combinations(wset, k):
+                total += slavnov_term(spec, x, zs, wsub, contour)
+    return complex(tau * total)
 
 
 class TestLeading:
@@ -134,15 +183,37 @@ class TestTauEffDeformed:
             assert abs(toeplitz.toeplitz_det(spec, x) - det) / det < 1e-12
 
 
+@st.composite
+def two_sided_symbols(draw):
+    """phi(q) = c prod (1 - q/w) prod (1 - z/q) with 2-3 zeros on each side
+    of select_contour's circle, moduli in separate bands: winding 0 with 2-3
+    zeros inside |q| = 1, or winding -1 with 1-2 there and one more in
+    [1.5, 1.7] that the contour encloses."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    winding = -draw(st.integers(0, 1))
+    n_in, n_out = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    bands_in = ((0.2, 0.28), (0.36, 0.44), (0.52, 0.6))[:n_in + winding]
+    inner = [zero(lo, hi) for lo, hi in bands_in]
+    outer = [zero(lo, hi) for lo, hi in
+             ((1.5, 1.7), (2.3, 2.6), (2.9, 3.3), (3.7, 4.3))[1 + winding:]]
+    outer = outer[:n_out - winding]
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
+    denom = [0.0] * (len(inner) - winding) + [1.0]
+    return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+
+
 class TestSlavnov:
     def test_empty_sets_give_unity(self):
         spec = symbols.fixture("F4")
-        assert abs(A.slavnov_term(spec, 3, [], []) - 1.0) < 1e-14
+        assert abs(slavnov_term(spec, 3, [], []) - 1.0) < 1e-14
 
     def test_size_mismatch(self):
         spec = symbols.fixture("F4")
         with pytest.raises(errors.SizeMismatch):
-            A.slavnov_term(spec, 3, [1.4], [])
+            slavnov_term(spec, 3, [1.4], [])
 
     @pytest.mark.parametrize("x", [2, 4, 6])
     def test_full_series_is_exact(self, x):
@@ -158,15 +229,43 @@ class TestSlavnov:
         ef = abs(A.slavnov_series(spec, 4) - t)
         assert ef < e0
 
+    def test_one_suite_per_call(self, monkeypatch):
+        built = []
+        init = CauchySuite.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CauchySuite, "__init__", counting)
+        A.slavnov_series(symbols.fixture("F4"), 4)
+        assert len(built) == 1
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(errors.InputError):
+            A.slavnov_series(symbols.fixture("F4"), 4, max_order=-1)
+
     def test_correction_matrix_matches_terms(self):
-        # det(I - A) equals 1 + sum of the explicit correction terms
+        # tau det(I - A) equals tau (1 + sum of the explicit correction terms)
         spec = symbols.fixture("F4")
         ct = A.base_contour(spec)
-        amat = A.correction_matrix(spec, 3, ct)
-        det = complex(np.linalg.det(np.eye(len(amat)) - amat))
-        total = 1.0 + A.slavnov_term(spec, 3, [0.3], [2.2], ct) + \
-            A.slavnov_term(spec, 3, [1.4], [2.2], ct)
+        det = A.slavnov_series(spec, 3, contour=ct) / A.tau_leading(spec, ct, 3)
+        total = 1.0 + slavnov_term(spec, 3, [0.3], [2.2], ct) + \
+            slavnov_term(spec, 3, [1.4], [2.2], ct)
         assert abs(det - total) / abs(total) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=two_sided_symbols(), x=st.integers(1, 8))
+    def test_closed_form_matches_enumeration(self, spec, x):
+        ct = A.base_contour(spec)
+        zset, wset = A._zw_sets(spec, ct)
+        assert 2 <= len(zset) <= 3 and 2 <= len(wset) <= 3
+        for order in range(min(len(zset), len(wset)) + 1):
+            want = enumerated_series(spec, x, order, ct)
+            got = A.slavnov_series(spec, x, order, ct)
+            assert abs(got - want) <= 1e-12 * abs(want), order
+        t = toeplitz.toeplitz_det(spec, x)
+        assert abs(A.slavnov_series(spec, x) - t) <= 1e-10 * abs(t)
 
     @pytest.mark.parametrize("x", [2, 3])
     def test_contour_swap_ratio(self, x):
@@ -177,7 +276,7 @@ class TestSlavnov:
     def test_terms_decay_in_x(self):
         spec = symbols.fixture("F4")
         ct = A.base_contour(spec)
-        mags = [abs(A.slavnov_term(spec, x, [1.4], [2.2], ct))
+        mags = [abs(slavnov_term(spec, x, [1.4], [2.2], ct))
                 for x in (2, 4, 6, 8)]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 

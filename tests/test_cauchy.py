@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detlab import asymptotics, cauchy, errors, symbols
+from detlab import asymptotics, cauchy, errors, fredholm, symbols
 from detlab.cauchy import CauchySuite, WindingAdjustedSuite
 from detlab.contours import Circle, Contour, unit_circle
 
@@ -49,8 +49,8 @@ class TestWFunction:
         s = suite_for("F4", x=3)
         zeros = s.zeros_inside()
         q = np.array([s.rho * 1.4 + 0.2j, s.rho * np.exp(0.7j)])
-        a = s.w_func(q)
-        b = s.w_func_residue(q, zeros)
+        a = fredholm.kernel_V(s).vp(q)
+        b = fredholm.kernel_V_residue(s.spec, 3, zeros).vp(q)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_derivative_vs_finite_difference(self):
@@ -106,12 +106,10 @@ class TestWindingAdjusted:
         assert np.max(np.abs(jump - 2j * np.pi * ws.nu_adj)) < 1e-10
 
     def test_small_omega_sides(self):
-        spec = symbols.fixture("F3")
-        inside = cauchy.small_omega(spec, np.array([0.2 + 0j]), "inside")
-        outside = cauchy.small_omega(spec, np.array([3.0 + 0j]), "outside")
+        ws = WindingAdjustedSuite(symbols.fixture("F3"))
+        inside = ws.omega_gt(np.array([0.2 + 0j]))
+        outside = ws.omega_lt(np.array([3.0 + 0j]))
         assert np.isfinite(inside).all() and np.isfinite(outside).all()
-        with pytest.raises(errors.OutsideDomain):
-            cauchy.small_omega(spec, np.array([2.0 + 0j]), "inside")
 
     def test_relation_between_raw_and_adjusted(self):
         # on the unit circle for winding -n: e^{omega_gt} = e^{Omega-like piece}

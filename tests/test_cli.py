@@ -60,6 +60,17 @@ class TestExitCodes:
                        "--m", "1024"], capsys)
         assert code == 3
 
+    def test_negative_order_exits_2(self, capsys):
+        code, _ = run(["asym", "--spec", "F4", "--x", "3",
+                       "--method", "slavnov", "--order", "-1"], capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("method", ["slavnov:abc", "ff:abc", "slavnov:-1"])
+    def test_malformed_method_argument_exits_2(self, method, capsys):
+        code, _ = run(["compare", "--spec", "F4", "--x", "2",
+                       "--methods", "toeplitz," + method], capsys)
+        assert code == 2
+
     def test_overflow_exits_3(self, capsys):
         # 1.5^2000 is past double range: a typed failure, not an inf
         code, _ = run(["asym", "--spec", "F1", "--x", "2000",
@@ -85,6 +96,13 @@ class TestTables:
         tv = float(list(csv.DictReader(io.StringIO(t)))[0]["re"])
         fv = float(list(csv.DictReader(io.StringIO(f)))[0]["re"])
         assert fv == pytest.approx(tv, rel=1e-9)
+
+    def test_fredholm_default_cap_past_x_448(self, capsys):
+        # the first grid has x + 32 = 512 nodes, confirmed on x + 64 = 544
+        code, out = run(["fredholm", "--spec", "F1", "--x", "480"], capsys)
+        assert code == 0
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert int(row["m_used"]) == 544
 
     def test_json_format(self, capsys):
         code, out = run(["toeplitz", "--spec", "F1", "--x", "2",

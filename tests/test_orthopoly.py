@@ -6,8 +6,7 @@ import pytest
 from detlab import errors, symbols
 from detlab.orthopoly import (MeasureMu, RHPSolution, cd_diagonal_from_rhp,
                               christoffel_darboux, hf_moment_equivalence,
-                              monic_orthogonal, rhp_Y,
-                              variational_moment_check)
+                              monic_orthogonal, variational_moment_check)
 
 
 class TestMeasure:
@@ -46,7 +45,7 @@ class TestRHP:
     def test_unit_determinant(self):
         mu = MeasureMu(symbols.fixture("F3"), 3)
         for q in (0.3 + 0.1j, 4.0 - 1.0j):
-            mat = rhp_Y(mu, q)
+            mat = RHPSolution(mu).matrix(q)
             assert abs(np.linalg.det(mat) - 1.0) < 1e-9
 
     def test_far_field_tail_is_first_order(self):

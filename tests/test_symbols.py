@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from detlab import errors, symbols
+from detlab import errors, symbols, toeplitz
+from detlab.cauchy import WindingAdjustedSuite
 
 EXPECTED_WINDING = {"F0": 0, "F1": 0, "F2": 0, "F3": -1, "F4": -1,
                     "F5": -2, "F6": 0, "F7": 1}
@@ -64,14 +65,14 @@ class TestFourier:
     def test_f2_exact_coefficients(self):
         # log phi = 0.3 q + 0.2 / q, i.e. nu_{+1} = 0.3, nu_{-1} = 0.2 in the
         # normalization nu(q) = sum_j q^j nu_j / (2 pi i)
-        ks, cs, nu = symbols.fourier_coefficients(symbols.fixture("F2"), 256)
-        assert abs(nu[np.searchsorted(ks, 1)] - 0.3) < 1e-13
-        assert abs(nu[np.searchsorted(ks, -1)] - 0.2) < 1e-13
+        split = WindingAdjustedSuite(symbols.fixture("F2")).split
+        assert abs(2j * np.pi * split.coefficient(1) - 0.3) < 1e-13
+        assert abs(2j * np.pi * split.coefficient(-1) - 0.2) < 1e-13
 
     def test_f1_moments(self):
-        ks, cs, _ = symbols.fourier_coefficients(symbols.fixture("F1"), 256)
-        assert abs(cs[np.searchsorted(ks, 0)] - 1.5) < 1e-13
-        assert abs(cs[np.searchsorted(ks, 3)]) < 1e-13
+        moments = toeplitz.moment_table(symbols.fixture("F1"), 4)
+        assert abs(moments[0] - 1.5) < 1e-13
+        assert abs(moments[3]) < 1e-13
 
 
 class TestValidation:
