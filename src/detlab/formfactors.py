@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, symbols
+from ._series import pow2_at_least
 
 RESIDUAL_TOL = 1e-12
 DISTINCT_TOL = 1e-8
@@ -34,6 +35,7 @@ class RootSystem:
     q_roots: np.ndarray   # all L roots of q^L = 1
     indices: np.ndarray   # the N grid indices the shifted roots continue from
     p_roots: np.ndarray   # N roots of p^L * phi(p) = 1
+    offsets: np.ndarray   # p_roots - q_roots[indices], to full relative precision
     residuals: np.ndarray
 
 
@@ -45,13 +47,22 @@ def _chosen_indices(L: int, N: int) -> np.ndarray:
     return np.sort(order[:N])
 
 
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """log(1 + z) to full relative precision in each part for small complex z
+    (numpy's complex log1p loses it: 2e-4 relative at |z| = 1e-12)."""
+    return (0.5 * np.log1p(z.real * (2.0 + z.real) + z.imag ** 2) +
+            1j * np.arctan2(z.imag, 1.0 + z.real))
+
+
 def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
                   ) -> RootSystem:
     """Continue N unit roots of p^L = 1 into roots of p^L * phi(p) = 1.
 
     The symbol is switched on through phi^t, t: 0 -> 1; the logarithm of phi
     is tracked continuously along each root's path so no branch choice is
-    ever taken from scratch.
+    ever taken from scratch.  Newton runs on the offsets delta = p - q from
+    the grid, with p^L phi^t - 1 = expm1(L log1p(delta/q) + t log phi), so a
+    root that moves little keeps its offset to full relative precision.
     """
     if L < 4:
         raise errors.InputError("grid size L must be at least 4")
@@ -63,29 +74,28 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
     q_roots = np.exp(2j * np.pi * j_all / L)
     idx = _chosen_indices(L, N)
 
-    p = q_roots[idx].astype(complex)
-    logphi = np.log(symbols.eval_phi(spec, p))  # principal start, then tracked
-
-    def step_log(p_old, p_new, l_old):
-        ratio = symbols.eval_phi(spec, p_new) / symbols.eval_phi(spec, p_old)
-        return l_old + np.log(ratio)
+    q = p = q_roots[idx]
+    delta = np.zeros(N, dtype=complex)
+    phi_p = symbols.eval_phi(spec, p)
+    logphi = np.log(phi_p)  # principal start, then tracked
 
     for t in np.linspace(0.0, 1.0, HOMOTOPY_STEPS + 1)[1:]:
         for it in range(NEWTON_MAXIT):
-            g = p ** L * np.exp(t * logphi) - 1.0
-            dlog = symbols.eval_dphi(spec, p) / symbols.eval_phi(spec, p)
-            dg = (g + 1.0) * (L / p + t * dlog)
-            delta = g / dg
-            p_new = p - delta
-            logphi = step_log(p, p_new, logphi)
-            p = p_new
-            if np.max(np.abs(delta)) < NEWTON_TOL:
+            g = np.expm1(L * _log1p(delta / q) + t * logphi)
+            dlog = symbols.eval_dphi(spec, p) / phi_p
+            step = g / ((g + 1.0) * (L / p + t * dlog))
+            delta = delta - step
+            p = q + delta
+            phi_new = symbols.eval_phi(spec, p)
+            logphi = logphi + np.log(phi_new / phi_p)
+            phi_p = phi_new
+            if np.max(np.abs(step)) < NEWTON_TOL:
                 break
         else:
-            bad = int(idx[int(np.argmax(np.abs(delta)))])
+            bad = int(idx[int(np.argmax(np.abs(step)))])
             raise errors.NewtonDiverged(bad)
 
-    residuals = np.abs(p ** L * symbols.eval_phi(spec, p) - 1.0)
+    residuals = np.abs(p ** L * phi_p - 1.0)
     if np.max(residuals) > RESIDUAL_TOL:
         bad = int(idx[int(np.argmax(residuals))])
         raise errors.NewtonDiverged(bad)
@@ -94,7 +104,7 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
         raise errors.DegenerateZeros(
             f"shifted roots collide: min distance {gap:.2e}")
     return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=idx,
-                      p_roots=p, residuals=residuals)
+                      p_roots=p, offsets=delta, residuals=residuals)
 
 
 def _angular_density(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
@@ -113,20 +123,27 @@ def _min_distance(p: np.ndarray) -> float:
     return best
 
 
-def _log_row_ratios(p: np.ndarray, q: np.ndarray) -> complex:
-    """sum_i log prod_{j != i} (p_j - p_i) / (q_j - q_i).
+def _log_row_ratios(offsets: np.ndarray, q: np.ndarray) -> complex:
+    """sum_i log prod_{j != i} (p_j - p_i) / (q_j - q_i) for p = q + offsets.
 
-    Taken ROW_BLOCK rows at a time, so no n x n temporary is built; the
-    diagonal is set to 1/1 before dividing.
+    Each factor is 1 + y_ij, y_ij = (offsets_j - offsets_i) / (q_j - q_i),
+    exact where p_j - p_i would cancel; a row's factors combine in pairs as
+    y_a + y_b (1 + y_a), so no small y is ever rounded against a 1 (with L^2
+    factors of 1 + u that cost L^2 eps/2).  Taken ROW_BLOCK rows at a time,
+    each row padded with y = 0 to a power of two; the diagonal gap is set to
+    1, where the offset difference is 0.
     """
     total = 0.0 + 0.0j
-    for start in range(0, p.size, ROW_BLOCK):
-        rows = np.arange(start, min(start + ROW_BLOCK, p.size))
-        num = p[None, :] - p[rows, None]
+    width = pow2_at_least(q.size)
+    for start in range(0, q.size, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, q.size))
         den = q[None, :] - q[rows, None]
-        num[rows - start, rows] = 1.0
         den[rows - start, rows] = 1.0
-        total += np.sum(np.log(np.prod(num / den, axis=1)))
+        y = np.zeros((rows.size, width), dtype=complex)
+        y[:, :q.size] = (offsets[None, :] - offsets[rows, None]) / den
+        while y.shape[1] > 1:
+            y = y[:, 0::2] + y[:, 1::2] * (1.0 + y[:, 0::2])
+        total += np.sum(_log1p(y[:, 0]))
     return total
 
 
@@ -150,7 +167,8 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     """
     system = solve_shifted(spec, L, N)
     N, p, q = system.N, system.p_roots, system.q_roots
-    if np.max(np.abs(p - q[system.indices])) < 1e-12:
+    q_start, delta = q[system.indices], system.offsets
+    if not np.any(delta):
         # symbol identically trivial: only the coincident subset, weight 1
         return 1.0 + 0.0j
     theta_p = symbols.eval_theta(spec, p)
@@ -160,15 +178,20 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         return 0.0 + 0.0j
     theta_q = symbols.eval_theta(spec, q)
     g = q ** (1 + x) * theta_q / (1.0 + theta_q)
-    log_total = np.sum((1 - x) * np.log(p) + np.log(theta_p) -
-                       np.log(_angular_density(spec, p, L)))
+    root_terms = (1 - x) * np.log(p) - np.log(_angular_density(spec, p, L))
     if N < L:
-        cmat = 1.0 / (p[:, None] - q[None, :])
+        # p_i - q_j = (q_start_i - q_j) + delta_i: exact where q_j = q_start_i
+        cmat = 1.0 / (q_start[:, None] - q[None, :] + delta[:, None])
         sign, logdet = np.linalg.slogdet((cmat * g) @ cmat.T)
-        log_total += logdet + np.log(sign) - 2.0 * N * np.log(float(L))
+        log_total = (np.sum(root_terms + np.log(theta_p)) + logdet +
+                     np.log(sign) - 2.0 * N * np.log(float(L)))
     else:
-        log_total += (_log_row_ratios(p, q[system.indices]) +
-                      np.sum(np.log(g) - 2.0 * np.log(p ** L - 1.0)))
+        # p^L - 1 = (1 + delta/q)^L - 1 without cancellation; theta(p_i)
+        # g(q_i) / (p_i^L - 1)^2 is one factor per root, so the large
+        # logarithms of a small theta cancel before the sum, not in it
+        ratio = theta_p * g / np.expm1(L * _log1p(delta / q_start)) ** 2
+        log_total = (np.sum(root_terms + np.log(ratio)) +
+                     _log_row_ratios(delta, q_start))
     if abs(log_total.real) > 700.0:
         raise errors.OverflowGuard(
             f"log-magnitude {log_total.real:.1f} exceeds safe range")

@@ -166,25 +166,6 @@ def kernel_V_from_theta(theta_fn, x: int, radius: float = 1.0,
     return _kernel_V_generic(a, w, dw, x, "V")
 
 
-def kernel_Delta(suite: CauchySuite) -> Kernel:
-    """Difference V - (conjugated S): only the transform part of w survives."""
-    x = suite.x
-    return _kernel_V_generic(_sqrt_theta(suite.spec),
-                             lambda q: suite.w_split.minus(q),
-                             lambda q: suite.w_split.minus(q, 1),
-                             x, "Delta")
-
-
-def kernel_Delta_residue(spec, x, zeros_inside) -> SumKernel:
-    """Same difference as a residue sum of rank-one kernels."""
-    return SumKernel([_negated(kernel_W(spec, z, x)) for z in zeros_inside],
-                     "Delta")
-
-
-def _negated(k: SeparableKernel) -> SeparableKernel:
-    return SeparableKernel(k.u, k.v, -k.c, k.label, k.x)
-
-
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     """Rank-one residue kernel at a simple zero s of phi."""
     s = complex(s)

@@ -94,6 +94,12 @@ class TestRoots:
         sys = solve_shifted(symbols.fixture("F1"), L=8, N=4)
         assert np.max(np.abs(np.abs(sys.p_roots) - 1.5 ** (-1 / 8))) < 1e-12
 
+    def test_offsets_are_root_displacements(self):
+        sys = solve_shifted(symbols.fixture("F2"), L=10, N=5)
+        assert np.array_equal(sys.p_roots,
+                              sys.q_roots[sys.indices] + sys.offsets)
+        assert not np.any(solve_shifted(symbols.fixture("F0"), 8).offsets)
+
     def test_residuals_small(self):
         sys = solve_shifted(symbols.fixture("F2"), L=10, N=5)
         assert np.max(sys.residuals) < 1e-12
@@ -194,6 +200,18 @@ class TestFiniteSum:
             bound = 50 * L * np.finfo(float).eps / abs(c - 1)
             val = tau_eff_finite(spec, L=L, x=2)
             assert abs(val - truth) <= bound * abs(truth), L
+
+    @pytest.mark.parametrize("c,L", [(1 - 2 ** -20, 12), (1 - 2 ** -20, 64),
+                                     (1 - 2 ** -20, 256), (1 - 2 ** -9, 256)])
+    def test_near_trivial_symbol_keeps_full_precision(self, c, L):
+        # each root sits ~|theta|/L from its start; Newton on that offset,
+        # p^L - 1 from it and the row ratios from offset ratios keep the sum
+        # exact to rounding (absolute roots: 5.6e-9 at c = 1 - 2^-20, L = 12;
+        # rounding each of the L^2 factors 1 + u: 6.7e-12 at c = 1 - 2^-9,
+        # L = 256)
+        spec = symbols.SymbolSpec("rational", (c,), (1.0,))
+        truth = toeplitz.toeplitz_det(spec, 2)
+        assert abs(tau_eff_finite(spec, L=L, x=2) / truth - 1) <= 1e-12
 
     @pytest.mark.parametrize("N", [4, 8])
     def test_theta_zero_on_grid_gives_zero(self, N):

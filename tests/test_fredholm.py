@@ -44,6 +44,26 @@ def zero_kernel():
     return fredholm.SeparableKernel(zero, zero, 0.0, "zero")
 
 
+def kernel_Delta(suite: CauchySuite) -> fredholm.Kernel:
+    """Difference V - (conjugated S): only the transform part of w survives."""
+    x = suite.x
+    return fredholm._kernel_V_generic(fredholm._sqrt_theta(suite.spec),
+                                      lambda q: suite.w_split.minus(q),
+                                      lambda q: suite.w_split.minus(q, 1),
+                                      x, "Delta")
+
+
+def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.SumKernel:
+    """Same difference as a residue sum of rank-one kernels."""
+    return fredholm.SumKernel(
+        [_negated(fredholm.kernel_W(spec, z, x)) for z in zeros_inside],
+        "Delta")
+
+
+def _negated(k: fredholm.SeparableKernel) -> fredholm.SeparableKernel:
+    return fredholm.SeparableKernel(k.u, k.v, -k.c, k.label, k.x)
+
+
 @st.composite
 def rational_symbols(draw):
     """phi(q) = c prod (1 - q/w) prod (1 - z/q) with zero moduli in separate
@@ -218,7 +238,7 @@ class TestNystrom:
             [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
         assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
         assert fredholm.SumKernel(parts, "sum").x == 6
-        assert fredholm.kernel_Delta_residue(
+        assert kernel_Delta_residue(
             spec, 6, suite.zeros_inside()).x == 6
 
     @settings(max_examples=25, deadline=None)
@@ -269,8 +289,8 @@ class TestKernelAlgebra:
         spec, suite = suite_for("F4", 2)
         nodes = suite.nodes[::16]
         weights = np.ones_like(nodes)
-        d1 = fredholm.kernel_Delta(suite)
-        d2 = fredholm.kernel_Delta_residue(spec, 2, suite.zeros_inside())
+        d1 = kernel_Delta(suite)
+        d2 = kernel_Delta_residue(spec, 2, suite.zeros_inside())
         m1 = d1.matrix(nodes, weights)
         m2 = d2.matrix(nodes, weights)
         assert np.max(np.abs(m1 - m2)) < 1e-10

@@ -52,7 +52,8 @@ def test_determinants_and_fills_are_counted():
     finally:
         tracer.uninstall()
     assert np.linalg.det is real_det
-    assert tracer.counters["toeplitz.lu_flops"] == 8 * 5 ** 3 // 3
+    # the Levinson recursion calls no dense LU; the tracer does not count it
+    assert tracer.counters["toeplitz.lu_flops"] == 0
     # one LU per grid: m = x + 32 and x + 64 at x = 2
     assert tracer.counters["fredholm.lu_flops"] == \
         8 * 34 ** 3 // 3 + 8 * 66 ** 3 // 3

@@ -1,9 +1,43 @@
 """Exact moment-determinant oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from detlab import asymptotics, errors, symbols, toeplitz
+from detlab import asymptotics, cli, errors, symbols, toeplitz
+
+
+def dense_log_det(spec, x):
+    sign, log_abs = np.linalg.slogdet(toeplitz.toeplitz_matrix(spec, x))
+    return complex(log_abs, np.angle(sign))
+
+
+def log_gap(a, b):
+    """|a - b| for logarithms, the imaginary part taken modulo 2 pi."""
+    d = complex(a) - complex(b)
+    return abs(complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi))
+
+
+@st.composite
+def laurent_symbols(draw):
+    """phi(q) = c prod (1 - q/w) prod (q - z) / q^p: zero moduli in separate
+    bands on both sides of |q| = 1, pole order p = 0..3 at the origin and
+    winding #inner - p in -2..1, so the moments form a banded Toeplitz
+    matrix, sampled on the zero-winding circle when one exists."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    inner = [zero(lo, hi) for lo, hi in ((0.2, 0.3), (0.35, 0.45), (0.55, 0.7))
+             if draw(st.booleans())]
+    outer = [zero(lo, hi) for lo, hi in ((1.5, 1.7), (2.2, 2.9), (3.1, 4.0))
+             if draw(st.booleans())]
+    poles = draw(st.integers(max(0, len(inner) - 1), min(3, len(inner) + 2)))
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
+    return symbols.SymbolSpec("rational", tuple(numer),
+                              tuple([0.0] * poles + [1.0]))
 
 
 class TestClosedForms:
@@ -64,3 +98,65 @@ class TestStructure:
     def test_invalid_order(self):
         with pytest.raises(errors.InputError):
             toeplitz.toeplitz_det(symbols.fixture("F1"), 0)
+
+    @pytest.mark.parametrize("x", [-3, 2.5])
+    def test_negative_or_fractional_order(self, x):
+        with pytest.raises(errors.InputError):
+            toeplitz.toeplitz_det(symbols.fixture("F1"), x)
+
+
+# phi = (q - 0.5)(q - 3)(q + 3.5)/q^2 = q - 10.75/q + 5.25/q^2 has c_0 = 0
+# on every circle: the first leading minor vanishes
+VANISHING_MINOR = symbols.SymbolSpec("rational", (5.25, -10.75, 0.0, 1.0),
+                                     (0.0, 0.0, 1.0))
+# det of the constant symbol -0.4 is (-0.4)^x: 1e-407 at x = 1024
+SMALL_CONSTANT = symbols.SymbolSpec("rational", (-0.4,), (1.0,))
+
+
+class TestLevinson:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=laurent_symbols(), x=st.integers(1, 300))
+    def test_matches_dense_lu(self, spec, x):
+        mat = toeplitz.toeplitz_matrix(spec, x)
+        assume(np.linalg.cond(mat, 1) < 1e10)
+        want = dense_log_det(spec, x)
+        assume(abs(want.real) < 700)
+        got = np.log(toeplitz.toeplitz_det(spec, x))
+        assert log_gap(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("x", [2, 3, 8, 64])
+    def test_vanishing_minor_falls_back(self, x, monkeypatch):
+        # unguarded, the recursion was off by 5.3, 18.7 and 283 in log at
+        # x = 3, 8, 64
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(len(a)) or slogdet(a))
+        got = np.log(toeplitz.toeplitz_det(VANISHING_MINOR, x))
+        assert calls == [x]
+        monkeypatch.undo()
+        assert log_gap(got, dense_log_det(VANISHING_MINOR, x)) <= 1e-12
+
+    @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
+    def test_fixtures_take_the_recursion(self, name, monkeypatch):
+        def no_lu(a):
+            raise AssertionError("dense fallback taken")
+
+        spec = symbols.fixture(name)
+        want = [dense_log_det(spec, x) for x in (1, 2, 5, 64, 300)]
+        monkeypatch.setattr(np.linalg, "slogdet", no_lu)
+        for x, ref in zip((1, 2, 5, 64, 300), want):
+            assert log_gap(np.log(toeplitz.toeplitz_det(spec, x)), ref) <= 1e-10
+
+    def test_underflow_is_loud(self):
+        assert abs(toeplitz.toeplitz_det(SMALL_CONSTANT, 700) /
+                   0.4 ** 700 - 1) < 1e-12
+        for x in (800, 1024):   # subnormal 4e-319, and 1e-407
+            with pytest.raises(errors.OverflowGuard):
+                toeplitz.toeplitz_det(SMALL_CONSTANT, x)
+
+    def test_underflow_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(symbols.to_json_dict(SMALL_CONSTANT)))
+        assert cli.main(["toeplitz", "--spec", str(path), "--x", "800"]) == 3
+        assert cli.main(["toeplitz", "--spec", str(path), "--x", "700"]) == 0
