@@ -22,17 +22,6 @@ def base_contour(spec: symbols.SymbolSpec, m: int = 128) -> Contour:
     return select_contour(symbols.analyze(spec), m)
 
 
-def _guarded_exp(log_value, factor=1.0) -> complex:
-    """factor * exp(log_value); OverflowGuard instead of an inf or NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(factor * np.exp(log_value))
-    if not np.isfinite(value):
-        raise errors.OverflowGuard(
-            f"exp of log-magnitude {complex(log_value).real:.1f} "
-            "is not finite")
-    return value
-
-
 # --- leading tau -------------------------------------------------------------
 
 def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
@@ -45,9 +34,9 @@ def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
     """
     suite = CauchySuite(spec, contour, x, m)
     if route == "modes":
-        return _guarded_exp(_log_tau_modes(suite))
+        return errors.exp_in_range(_log_tau_modes(suite))
     if route == "double":
-        return _guarded_exp(_log_tau_double(
+        return errors.exp_in_range(_log_tau_double(
             suite, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
     raise errors.InputError(f"unknown route {route!r}")
 
@@ -76,7 +65,8 @@ def szego(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
     sum_{j>=1} j nu_j nu_{-j} of the phase shift."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    return _guarded_exp(_log_strong_limit(WindingAdjustedSuite(spec, m), x))
+    return errors.exp_in_range(
+        _log_strong_limit(WindingAdjustedSuite(spec, m), x))
 
 
 # --- winding-compensated machinery on the unit circle ------------------------
@@ -102,21 +92,25 @@ def _require_negative_winding(spec):
     return ana
 
 
-def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
-            m_grid: int = 512) -> complex:
-    """det(1 + V) on the unit circle, any winding.  Negative winding: V in
-    residue form is analytic out to the first pole, so it is computed on
-    ``select_contour``'s circle, where phi does not wind.  Otherwise the
-    weight is split on >= 4x nodes, so its modes near j = x never fold."""
+def tau_eff_kernel(spec: symbols.SymbolSpec, x: int, m_grid: int = 512):
+    """(kernel, contour) whose det(1 + V) is the unit-circle one, any
+    winding.  Negative winding: V in residue form is analytic out to the
+    first pole, so it is taken on ``select_contour``'s circle, where phi does
+    not wind.  Otherwise the weight is split on >= 4x nodes, so its modes
+    near j = x never fold."""
     if symbols.winding_number(spec) < 0:
         ana = symbols.analyze(spec)
         inside = [z for z in ana.zeros if abs(z) < 1.0]
-        return nystrom_det(kernel_V_residue(spec, x, inside),
-                           select_contour(ana), tol).value
+        return kernel_V_residue(spec, x, inside), select_contour(ana)
     m = max(m_grid, pow2_at_least(4 * x))
-    k = kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
-                            1.0, m)
-    return nystrom_det(k, unit_circle(), tol).value
+    return (kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
+                                1.0, m), unit_circle())
+
+
+def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
+            m_grid: int = 512) -> complex:
+    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``)."""
+    return nystrom_det(*tau_eff_kernel(spec, x, m_grid), tol).value
 
 
 def y_moment(ws: WindingAdjustedSuite, s) -> complex:
@@ -135,7 +129,7 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
     ws = WindingAdjustedSuite(spec, m)
     ymat = np.array([[y_moment(ws, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
-    return _guarded_exp(_log_strong_limit(ws, x), np.linalg.det(ymat))
+    return errors.exp_in_range(_log_strong_limit(ws, x), np.linalg.det(ymat))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
@@ -194,26 +188,18 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
     log_dphi = np.sum(np.log(symbols.eval_dphi(spec, z)))
     if route == "angular":
         s_val = _s_functional(spec, z, x, n, m)
-        return _guarded_exp(s_val + log_num - log_dphi -
-                            x * np.sum(np.log(z)))
+        return errors.exp_in_range(s_val + log_num - log_dphi -
+                                   x * np.sum(np.log(z)))
     if route == "reduced":
         ws = WindingAdjustedSuite(spec, max(m, 256))
         expo = _log_strong_limit(ws, x)
         expo -= 2.0 * np.sum([ws.omega_lt(zk) for zk in z])
-        return _guarded_exp(expo + log_num - log_dphi -
-                            (2 * n + x) * np.sum(np.log(z)))
+        return errors.exp_in_range(expo + log_num - log_dphi -
+                                   (2 * n + x) * np.sum(np.log(z)))
     raise errors.InputError(f"unknown route {route!r}")
 
 
 # --- Cauchy-type correction series -------------------------------------------
-
-def _zw_sets(spec, contour):
-    ana = symbols.analyze(spec)
-    rho = contour.radius
-    zset = [z for z in ana.zeros if abs(z) < rho]
-    wset = [z for z in ana.zeros if abs(z) > rho]
-    return zset, wset
-
 
 def slavnov_series(spec: symbols.SymbolSpec, x: int,
                    max_order: int | None = None,
@@ -231,9 +217,8 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
         raise errors.InputError("correction series needs a rational symbol")
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
-    contour = contour or base_contour(spec)
-    zset, wset = _zw_sets(spec, contour)
-    suite = CauchySuite(spec, contour, x)
+    suite = CauchySuite(spec, contour or base_contour(spec), x)
+    zset, wset = suite.zeros_inside(), suite.zeros_outside()
     kmax = min(len(zset), len(wset))
     if max_order is not None:
         kmax = min(kmax, max_order)
@@ -244,7 +229,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
         cmat = 1.0 / np.subtract.outer(np.array(wset), np.array(zset))
         amat = -b[:, None] * ((cmat * a) @ cmat.T)
         total = np.sum(np.poly(amat)[:kmax + 1])
-    return _guarded_exp(_log_tau_modes(suite), total)
+    return errors.exp_in_range(_log_tau_modes(suite), total)
 
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
@@ -256,7 +241,8 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     from .contours import deformed_contour
     ana = symbols.analyze(spec)
     contour = select_contour(ana)
-    zset, wset = _zw_sets(spec, contour)
+    suite = CauchySuite(spec, contour, x)
+    zset, wset = suite.zeros_inside(), suite.zeros_outside()
     if not wset:
         raise errors.NotAvailable("no zeros outside the contour to include")
     z_a, w_b = complex(z_a), complex(w_b)
@@ -265,7 +251,6 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     if min(abs(w_b - w) for w in wset) > 1e-8:
         raise errors.InputError(f"{w_b} is not a zero outside the contour")
 
-    suite = CauchySuite(spec, contour, x)
     closed = (suite.residue_weight(z_a) * suite.residue_weight(w_b) /
               (z_a - w_b) ** 2)
 

@@ -37,8 +37,9 @@ class CauchySuite:
     """All scalar transforms attached to one symbol, one circle, one power x.
 
     Provides the inside/outside splits of the phase-shift transform (capital
-    Omega), the deformation function w entering the integrable kernel, and the
-    b function entering the explicit resolvent.
+    Omega), the split of the q^x theta/(1 + theta) density whose outside part
+    deforms the integrable kernel, and the b function entering the explicit
+    resolvent.
     """
 
     def __init__(self, spec: symbols.SymbolSpec, contour: Contour, x: int,
@@ -98,29 +99,6 @@ class CauchySuite:
     def Omega_lt(self, q, derivative: int = 0):
         """Outside-analytic piece, vanishing at infinity."""
         return 2j * np.pi * self.nu_split.minus(q, derivative)
-
-    def omega_inside(self, q):
-        if np.any(np.abs(q) > self.rho * (1 + 1e-9)):
-            raise errors.OutsideDomain("point lies outside the circle")
-        return self.Omega_gt(q)
-
-    def omega_outside(self, q):
-        if np.any(np.abs(q) < self.rho * (1 - 1e-9)):
-            raise errors.OutsideDomain("point lies inside the circle")
-        return self.Omega_lt(q)
-
-    # --- deformation function w ----------------------------------------------
-
-    def w_func(self, q, derivative: int = 0):
-        """w(q) = q^x + (outside continuation of the k^x theta/(1+theta) transform)."""
-        q = np.asarray(q, dtype=complex)
-        if derivative == 0:
-            lead = q ** self.x
-        elif derivative == 1:
-            lead = self.x * q ** (self.x - 1) if self.x else np.zeros_like(q)
-        else:
-            raise errors.InputError("only first derivatives are supported")
-        return lead + self.w_split.minus(q, derivative)
 
     # --- b function -----------------------------------------------------------
 

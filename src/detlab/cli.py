@@ -96,6 +96,34 @@ def _table(header, rows, fmt: str, out: str | None):
         _emit(_rows_to_csv(header, rows), out)
 
 
+def _gap(value, reference) -> float:
+    """Relative gap of value to reference; the floor keeps it finite."""
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+# --------------------------------------------------------------------------
+# routes: every name that asym, compare and verify accept, each a call
+# (spec, x, arg) with arg the route's integer argument or None: the
+# correction order of slavnov, the grid size L = N of ff (default 12)
+
+ROUTES = {
+    "toeplitz": lambda spec, x, arg: toeplitz.toeplitz_det(spec, x),
+    "fredholm_S": lambda spec, x, arg: fredholm.nystrom_det(
+        fredholm.kernel_S(spec, x), asymptotics.base_contour(spec)).value,
+    "fredholm_V": lambda spec, x, arg: asymptotics.tau_eff(spec, x),
+    "leading": lambda spec, x, arg: asymptotics.tau_leading(
+        spec, asymptotics.base_contour(spec), x),
+    "szego": lambda spec, x, arg: asymptotics.szego(spec, x),
+    "hf": lambda spec, x, arg: asymptotics.hartwig_fisher(spec, x),
+    "hf-leading": lambda spec, x, arg: asymptotics.hf_leading(spec, x),
+    "bo": lambda spec, x, arg: asymptotics.borodin_okounkov(spec, x),
+    "slavnov": lambda spec, x, arg: asymptotics.slavnov_series(
+        spec, x, max_order=arg),
+    "ff": lambda spec, x, arg: formfactors.tau_eff_finite(
+        spec, 12 if arg is None else arg, x=x),
+}
+
+
 # --------------------------------------------------------------------------
 # commands
 
@@ -136,9 +164,7 @@ def cmd_fredholm(args) -> int:
             contour = asymptotics.base_contour(spec)
             kern = fredholm.kernel_S(spec, x)
         else:
-            contour = contours.unit_circle()
-            kern = fredholm.kernel_V_from_theta(
-                lambda q: symbols.eval_theta(spec, q), x)
+            kern, contour = asymptotics.tau_eff_kernel(spec, x)
         res = fredholm.nystrom_det(kern, contour, tol=args.tol,
                                    m_cap=args.m)
         rows.append([x, res.value.real, res.value.imag, res.err_estimate,
@@ -148,27 +174,12 @@ def cmd_fredholm(args) -> int:
     return 0
 
 
-def _asym_value(spec, method: str, x: int, order):
-    if method == "szego":
-        return asymptotics.szego(spec, x)
-    if method == "leading":
-        return asymptotics.tau_leading(spec, asymptotics.base_contour(spec), x)
-    if method == "hf":
-        return asymptotics.hartwig_fisher(spec, x)
-    if method == "hf-leading":
-        return asymptotics.hf_leading(spec, x)
-    if method == "bo":
-        return asymptotics.borodin_okounkov(spec, x)
-    if method == "slavnov":
-        return asymptotics.slavnov_series(spec, x, max_order=order)
-    raise errors.InputError(f"unknown method {method!r}")
-
-
 def cmd_asym(args) -> int:
     spec = _load_spec(args.spec)
+    route = ROUTES[args.method]
     rows = []
     for x in _parse_xrange(args.x):
-        value = _asym_value(spec, args.method, x, args.order)
+        value = route(spec, x, args.order)
         oracle = toeplitz.toeplitz_det(spec, x)
         rows.append([x, value.real, value.imag, abs(value - oracle)])
     _table(["x", "re", "im", "abs_err_vs_oracle"], rows, args.format,
@@ -192,15 +203,11 @@ def cmd_ff(args) -> int:
     return 0
 
 
-COMPARE_METHODS = ("toeplitz", "fredholm_S", "fredholm_V", "leading",
-                   "szego", "hf", "hf_leading", "bo", "slavnov", "ff")
-
-
 def _parse_method(text: str):
     """(name, integer argument or None) of a compare method such as
     ``slavnov:2``; InputError for an unknown name or a bad argument."""
     name, _, arg = text.partition(":")
-    if name not in COMPARE_METHODS:
+    if name not in ROUTES:
         raise errors.InputError(f"unknown method {text!r}")
     if not arg:
         return name, None
@@ -211,21 +218,6 @@ def _parse_method(text: str):
     if number < 0:
         raise errors.InputError(f"negative argument in method {text!r}")
     return name, number
-
-
-def _compare_value(spec, name: str, number, x: int):
-    if name == "toeplitz":
-        return toeplitz.toeplitz_det(spec, x)
-    if name == "fredholm_S":
-        kern = fredholm.kernel_S(spec, x)
-        return fredholm.nystrom_det(kern, asymptotics.base_contour(spec)).value
-    if name == "fredholm_V":
-        return asymptotics.tau_eff(spec, x)
-    if name == "ff":
-        size = 12 if number is None else number
-        return formfactors.tau_eff_finite(spec, size, size, x)
-    return _asym_value(spec, {"hf_leading": "hf-leading"}.get(name, name),
-                       x, number)
 
 
 def cmd_compare(args) -> int:
@@ -241,9 +233,8 @@ def cmd_compare(args) -> int:
         row = [x]
         for name, number in parsed:
             try:
-                value = _compare_value(spec, name, number, x)
-                gap = abs(value - oracle) / max(abs(oracle), 1e-300)
-                row += [value.real, value.imag, gap]
+                value = ROUTES[name](spec, x, number)
+                row += [value.real, value.imag, _gap(value, oracle)]
             except errors.DetlabError as exc:
                 reason = f"n/a({type(exc).__name__})"
                 row += [reason, reason, reason]
@@ -269,18 +260,22 @@ def _verify_checks(seed: int):
     for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7"):
         yield f"scalar-jump-{name}", 1e-10, jump_check(name)
 
-    def oracle_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            kern = fredholm.kernel_S(spec, x)
-            det = fredholm.nystrom_det(
-                kern, asymptotics.base_contour(spec)).value
-            t = toeplitz.toeplitz_det(spec, x)
-            return abs(det - t) / max(abs(t), 1e-300)
-        return run
+    def pair_checks(prefix, tol, route, reference, cases):
+        """Checks ``prefix-name-xX``: the gap of ``route`` to ``reference``,
+        both calls (spec, x, arg), for each fixture name and order x of
+        ``cases``."""
+        def check(name, x):
+            def run():
+                spec = symbols.fixture(name)
+                return _gap(route(spec, x, None), reference(spec, x, None))
+            return run
 
-    for name, x in (("F1", 3), ("F3", 5), ("F4", 2), ("F6", 4)):
-        yield f"oracle-S-{name}-x{x}", 1e-8, oracle_check(name, x)
+        for name, x in cases:
+            yield f"{prefix}-{name}-x{x}", tol, check(name, x)
+
+    yield from pair_checks("oracle-S", 1e-8, ROUTES["fredholm_S"],
+                           ROUTES["toeplitz"],
+                           (("F1", 3), ("F3", 5), ("F4", 2), ("F6", 4)))
 
     def split_check():
         spec = symbols.fixture("F4")
@@ -294,7 +289,7 @@ def _verify_checks(seed: int):
                 "V-Delta"),
             contour).value
         rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), contour).value
-        return abs(lhs - rhs) / abs(rhs)
+        return _gap(lhs, rhs)
 
     yield "kernel-split-F4-x3", 1e-8, split_check
 
@@ -302,7 +297,7 @@ def _verify_checks(seed: int):
         def run():
             spec = symbols.fixture(name)
             suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), x)
-            return fredholm.build_resolvent(suite).inversion_residual
+            return fredholm.resolvent_residual(suite)
         return run
 
     for name, x in (("F2", 2), ("F4", 2)):
@@ -317,8 +312,7 @@ def _verify_checks(seed: int):
                 r = suite.rho * (0.3 + 0.6 * rng.random())
                 ang = 2 * np.pi * rng.random(2)
                 k1, k2 = r * np.exp(1j * ang)
-                a, b = fredholm.m_function(suite, k1, k2)
-                worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
+                worst = max(worst, _gap(*fredholm.m_function(suite, k1, k2)))
             return worst
         return run
 
@@ -334,74 +328,32 @@ def _verify_checks(seed: int):
     for name, x in (("F2", 2), ("F6", 5)):
         yield f"rank-one-{name}-x{x}", 1e-8, rank_one_check(name, x)
 
-    def hf_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            hf = asymptotics.hartwig_fisher(spec, x)
-            det = asymptotics.tau_eff(spec, x)
-            return abs(hf - det) / abs(det)
-        return run
-
-    for name, x in (("F3", 4), ("F5", 3)):
-        yield f"hf-exact-{name}-x{x}", 1e-8, hf_check(name, x)
-
-    def leading_dual_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            contour = asymptotics.base_contour(spec)
-            a = asymptotics.tau_leading(spec, contour, x, route="modes")
-            b = asymptotics.tau_leading(spec, contour, x, route="double")
-            return abs(a - b) / abs(b)
-        return run
-
-    for name, x in (("F1", 4), ("F4", 3)):
-        yield f"leading-dual-{name}-x{x}", 1e-9, leading_dual_check(name, x)
-
-    def hf_leading_dual_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            a = asymptotics.hf_leading(spec, x, route="angular")
-            b = asymptotics.hf_leading(spec, x, route="reduced")
-            return abs(a - b) / abs(b)
-        return run
-
-    for name, x in (("F3", 5), ("F5", 4)):
-        yield f"hf-leading-dual-{name}-x{x}", 1e-8, hf_leading_dual_check(name, x)
-
-    def bo_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            bo = asymptotics.borodin_okounkov(spec, x)
-            t = toeplitz.toeplitz_det(spec, x)
-            return abs(bo - t) / abs(t)
-        return run
-
-    for name, x in (("F2", 3), ("F6", 5)):
-        yield f"bo-{name}-x{x}", 1e-8, bo_check(name, x)
-
-    def slavnov_check(x):
-        def run():
-            spec = symbols.fixture("F4")
-            s = asymptotics.slavnov_series(spec, x)
-            t = toeplitz.toeplitz_det(spec, x)
-            return abs(s - t) / abs(t)
-        return run
-
-    for x in (2, 4):
-        yield f"slavnov-sum-F4-x{x}", 1e-8, slavnov_check(x)
+    yield from pair_checks("hf-exact", 1e-8, ROUTES["hf"],
+                           ROUTES["fredholm_V"], (("F3", 4), ("F5", 3)))
+    yield from pair_checks(
+        "leading-dual", 1e-9, ROUTES["leading"],
+        lambda spec, x, arg: asymptotics.tau_leading(
+            spec, asymptotics.base_contour(spec), x, route="double"),
+        (("F1", 4), ("F4", 3)))
+    yield from pair_checks(
+        "hf-leading-dual", 1e-8, ROUTES["hf-leading"],
+        lambda spec, x, arg: asymptotics.hf_leading(spec, x, route="reduced"),
+        (("F3", 5), ("F5", 4)))
+    yield from pair_checks("bo", 1e-8, ROUTES["bo"], ROUTES["toeplitz"],
+                           (("F2", 3), ("F6", 5)))
+    yield from pair_checks("slavnov-sum", 1e-8, ROUTES["slavnov"],
+                           ROUTES["toeplitz"], (("F4", 2), ("F4", 4)))
 
     def swap_check():
         spec = symbols.fixture("F4")
-        closed, ratio = asymptotics.tau_ratio_swap(spec, 3, 1.4, 2.2)
-        return abs(closed - ratio) / abs(ratio)
+        return _gap(*asymptotics.tau_ratio_swap(spec, 3, 1.4, 2.2))
 
     yield "contour-swap-F4-x3", 1e-6, swap_check
 
     def variational_fn():
         spec = symbols.fixture("F2")
-        fd, formula = asymptotics.variational_check(
-            spec, contours.unit_circle(), 2, -1)
-        return abs(fd - formula) / max(abs(formula), 1e-300)
+        return _gap(*asymptotics.variational_check(
+            spec, contours.unit_circle(), 2, -1))
 
     yield "variational-F2", 1e-4, variational_fn
 
@@ -434,18 +386,18 @@ def _verify_checks(seed: int):
         for _ in range(3):
             q = 0.8 * (rng.random() + 1j * rng.random())
             k = 0.8 * (rng.random() + 1j * rng.random())
-            a = orthopoly.christoffel_darboux(measure, q, k, "sum")
-            b = orthopoly.christoffel_darboux(measure, q, k, "closed")
-            worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
+            worst = max(worst, _gap(
+                orthopoly.christoffel_darboux(measure, q, k, "sum"),
+                orthopoly.christoffel_darboux(measure, q, k, "closed")))
         return worst
 
     yield "christoffel-darboux-F5", 1e-9, cd_check
 
     def ff_check():
         spec = symbols.fixture("F2")
-        oracle = asymptotics.tau_eff(spec, 2)
-        g8 = abs(formfactors.tau_eff_finite(spec, 8, 8, 2) - oracle)
-        g16 = abs(formfactors.tau_eff_finite(spec, 16, 16, 2) - oracle)
+        oracle = ROUTES["fredholm_V"](spec, 2, None)
+        g8 = abs(ROUTES["ff"](spec, 2, 8) - oracle)
+        g16 = abs(ROUTES["ff"](spec, 2, 16) - oracle)
         if g8 < 1e-12 and g16 < 1e-12:
             return 0.0
         return g16 / g8
@@ -455,25 +407,19 @@ def _verify_checks(seed: int):
 
 def cmd_verify(args) -> int:
     results = []
-    failed = []
     for name, tol, run in _verify_checks(args.seed):
         if args.only and args.only not in name:
             continue
         try:
-            residual = float(run())
-            ok = residual < tol
+            residual, error = float(run()), None
         except errors.DetlabError as exc:
-            residual = float("inf")
-            ok = False
-            results.append({"name": name, "tolerance": tol,
-                            "residual": None, "pass": False,
-                            "error": f"{type(exc).__name__}: {exc}"})
-            failed.append(name)
-            continue
-        results.append({"name": name, "tolerance": tol,
-                        "residual": residual, "pass": ok})
-        if not ok:
-            failed.append(name)
+            residual, error = None, f"{type(exc).__name__}: {exc}"
+        record = {"name": name, "tolerance": tol, "residual": residual,
+                  "pass": residual is not None and residual < tol}
+        if error:
+            record["error"] = error
+        results.append(record)
+    failed = [r["name"] for r in results if not r["pass"]]
     report = {"checks": results, "passed": not failed, "failed": failed}
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     if failed:
@@ -518,11 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asym", help="asymptotic/exact formula ladder")
     common(p)
-    p.add_argument("--method", required=True,
-                   choices=("szego", "leading", "hf", "hf-leading", "bo",
-                            "slavnov"))
+    p.add_argument("--method", required=True, choices=tuple(ROUTES))
     p.add_argument("--order", type=int, default=None,
-                   help="correction order for slavnov")
+                   help="the method's argument: correction order of slavnov, "
+                        "grid size of ff")
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("ff", help="finite-size overlap series")

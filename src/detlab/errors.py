@@ -1,5 +1,13 @@
 """Exception hierarchy shared by all detlab modules."""
 
+import cmath
+import math
+import sys
+
+# Re log of a magnitude inside the normal double range
+LOG_MAX = math.log(sys.float_info.max)
+LOG_TINY = math.log(sys.float_info.min)
+
 
 class DetlabError(Exception):
     """Base class for all detlab-specific failures."""
@@ -51,10 +59,6 @@ class GeometryConflict(InputError):
 
 # --- cauchy module ---
 
-class OutsideDomain(InputError):
-    """Point lies on the wrong side of the contour for this transform."""
-
-
 class TooCloseToContour(NumericalError):
     """Quadrature target point too close to a node for reliable evaluation."""
 
@@ -75,10 +79,6 @@ class NotConverged(NumericalError):
 
 class NotASimpleZero(InputError):
     """Rank-one residue kernel requested at a non-simple zero."""
-
-
-class InversionCheckFailed(NumericalError):
-    """Explicit resolvent fails the inversion identity on the grid."""
 
 
 # --- asymptotics module ---
@@ -114,8 +114,21 @@ class NewtonDiverged(NumericalError):
 
 
 class OverflowGuard(NumericalError):
-    """A log-magnitude exceeded the double range: a finite-size sum, a q^x
-    density of a Cauchy suite, or an exponentiated closed form."""
+    """A log-magnitude left the double range: a determinant or closed form
+    exponentiated from its logarithm, or a q^x density of a Cauchy suite."""
+
+
+def exp_in_range(log_value, factor=1.0) -> complex:
+    """factor * exp(log_value); OverflowGuard instead of an inf, a NaN, or a
+    magnitude that underflows past the normal double range."""
+    log_value = complex(log_value)
+    if not LOG_TINY <= log_value.real < LOG_MAX:
+        raise OverflowGuard(
+            f"log-magnitude {log_value.real:.1f} is outside the double range")
+    value = complex(factor) * cmath.exp(log_value)
+    if not cmath.isfinite(value):
+        raise OverflowGuard(f"{value} at log-magnitude {log_value.real:.1f}")
+    return value
 
 
 # --- orthopoly module ---

@@ -192,7 +192,4 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         ratio = theta_p * g / np.expm1(L * _log1p(delta / q_start)) ** 2
         log_total = (np.sum(root_terms + np.log(ratio)) +
                      _log_row_ratios(delta, q_start))
-    if abs(log_total.real) > 700.0:
-        raise errors.OverflowGuard(
-            f"log-magnitude {log_total.real:.1f} exceeds safe range")
-    return complex(np.exp(log_total))
+    return errors.exp_in_range(log_total)

@@ -36,7 +36,6 @@ class DetResult:
     value: complex
     err_estimate: float
     m_used: int
-    method: str
 
 
 class Kernel:
@@ -103,27 +102,28 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
                   "S", x)
 
 
-def _kernel_V_generic(a, w, dw, x, label, lead=False):
-    """Generators vp = q^{-x/2} w and vm = q^{-x/2}.  With ``lead`` set, w is
-    the tail of the deformation function q^x + w and vp gains q^{x/2}, so
-    q^x, which overflows on radii past 2 at x = 1024, is never formed."""
+def _kernel_V_generic(a, tail, x, label):
+    """Generators vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail and vm = q^{-x/2}
+    for the deformation function w = q^x + tail, where tail(q, derivative)
+    is the part of w analytic outside the contour; q^x, which overflows on
+    radii past 2 at x = 1024, is never formed."""
     hp, hm = _halfpow(x), _halfpow(-x)
 
     def vp(q):
-        return hm(q) * w(q) + (hp(q) if lead else 0.0)
+        return hp(q) + hm(q) * tail(q)
 
     def dvp(q):
-        return hm(q) * (dw(q) - (x / 2.0) * w(q) / q) + \
-            ((x / 2.0) * hp(q) / q if lead else 0.0)
+        return (x / 2.0) * hp(q) / q + \
+            hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q)
 
     return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label, x)
 
 
 def kernel_V(suite: CauchySuite) -> Kernel:
     """Deformed kernel on the suite's circle; exact Toeplitz value when no
-    zeros of the symbol remain outside the contour."""
-    return _kernel_V_generic(_sqrt_theta(suite.spec),
-                             suite.w_func, lambda q: suite.w_func(q, 1),
+    zeros of the symbol remain outside the contour.  Its w is q^x plus the
+    outside continuation of the k^x theta/(1 + theta) transform."""
+    return _kernel_V_generic(_sqrt_theta(suite.spec), suite.w_split.minus,
                              suite.x, "V")
 
 
@@ -140,8 +140,7 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
                     np.zeros(q.shape, dtype=complex))
 
-    return _kernel_V_generic(_sqrt_theta(spec), tail,
-                             lambda q: tail(q, 1), x, "V", lead=True)
+    return _kernel_V_generic(_sqrt_theta(spec), tail, x, "V")
 
 
 def kernel_V_from_theta(theta_fn, x: int, radius: float = 1.0,
@@ -151,19 +150,10 @@ def kernel_V_from_theta(theta_fn, x: int, radius: float = 1.0,
     tvals = theta_fn(nodes)
     split = LaurentSplit(nodes ** x * tvals / (1.0 + tvals), radius)
 
-    def w(q):
-        q = np.asarray(q, dtype=complex)
-        return q ** x + split.minus(q)
-
-    def dw(q):
-        q = np.asarray(q, dtype=complex)
-        lead = x * q ** (x - 1) if x else np.zeros(np.shape(q), dtype=complex)
-        return lead + split.minus(q, 1)
-
     def a(q):
         return np.sqrt(theta_fn(np.asarray(q, dtype=complex)))
 
-    return _kernel_V_generic(a, w, dw, x, "V")
+    return _kernel_V_generic(a, split.minus, x, "V")
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
@@ -235,21 +225,12 @@ def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
                 # err = inf passes the test above when |det| = inf too
                 if not np.isfinite(det):
                     raise errors.NotConverged(f"non-finite determinant at m={m}")
-                return DetResult(det, err, m, kernel.label)
+                return DetResult(det, err, m)
             if x + 2 * margin > m_cap:
                 raise errors.NotConverged(
                     f"determinant drift {err:.2e} at m={m}")
         prev = det
         margin *= 2
-
-
-@dataclass(frozen=True)
-class Resolvent:
-    kernel: Kernel
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    nodes: np.ndarray
-    inversion_residual: float
 
 
 def resolvent_kernel(suite: CauchySuite) -> Kernel:
@@ -274,19 +255,14 @@ def resolvent_kernel(suite: CauchySuite) -> Kernel:
     return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, "R", x)
 
 
-def build_resolvent(suite: CauchySuite, m: int = 128) -> Resolvent:
-    """Resolvent on an m-node grid with the inversion identity checked."""
-    rk = resolvent_kernel(suite)
-    vk = kernel_V(suite)
+def resolvent_residual(suite: CauchySuite, m: int = 128) -> float:
+    """Largest entry of (1 + V)(1 - R) - 1 on an m-node grid, R the explicit
+    resolvent."""
     quad = quadrature(suite.contour, m)
     eye = np.eye(len(quad.nodes), dtype=complex)
-    vmat = vk.matrix(quad.nodes, quad.weights)
-    rmat = rk.matrix(quad.nodes, quad.weights)
-    resid = float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
-    if resid > 1e-8:
-        raise errors.InversionCheckFailed(f"residual {resid:.2e} at m={m}")
-    return Resolvent(rk, rk.vp(quad.nodes), rk.vm(quad.nodes),
-                     quad.nodes, resid)
+    vmat = kernel_V(suite).matrix(quad.nodes, quad.weights)
+    rmat = resolvent_kernel(suite).matrix(quad.nodes, quad.weights)
+    return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
 def m_function(suite: CauchySuite, k1: complex, k2: complex,

@@ -32,9 +32,6 @@ from .contours import select_contour
 # x eps g <= 2.3e-11 for x <= 1024; F0-F7 and the benchmark's random symbols
 # keep g <= 1.7.
 GROWTH_MAX = 100.0
-# Re log det must stay inside the normal double range
-LOG_MAX = math.log(np.finfo(float).max)
-LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
@@ -121,8 +118,4 @@ def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
     if log_det is None:
         sign, log_abs = np.linalg.slogdet(_gather(moments))
         log_det = complex(log_abs, np.angle(sign))
-    if not LOG_TINY <= log_det.real < LOG_MAX:
-        raise errors.OverflowGuard(
-            f"moment determinant at x={x} has log-magnitude "
-            f"{log_det.real:.1f}, outside the double range")
-    return complex(np.exp(log_det))
+    return errors.exp_in_range(log_det)

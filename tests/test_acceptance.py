@@ -166,8 +166,7 @@ def test_criterion_10_resolvent_inversion():
         for x in (2, 6):
             suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec),
                                        x)
-            worst = max(worst,
-                        fredholm.build_resolvent(suite).inversion_residual)
+            worst = max(worst, fredholm.resolvent_residual(suite))
     report(10, "resolvent inversion", worst, 1e-8)
 
 

@@ -46,7 +46,8 @@ def slavnov_term(spec, x, zset, wset, contour=None) -> complex:
 def enumerated_series(spec, x, max_order=None, contour=None) -> complex:
     """Leading value times 1 plus every correction term up to max_order."""
     contour = contour or A.base_contour(spec)
-    zset, wset = A._zw_sets(spec, contour)
+    suite = CauchySuite(spec, contour, x)
+    zset, wset = suite.zeros_inside(), suite.zeros_outside()
     tau = A.tau_leading(spec, contour, x)
     kmax = min(len(zset), len(wset))
     if max_order is not None:
@@ -100,6 +101,23 @@ class TestSzego:
         spec = symbols.fixture("F1")
         value, closed = A.tau_eff(spec, 256), A.szego(spec, 256)
         assert abs(value / closed - 1) < 1e-10
+
+    def test_underflow_is_loud(self):
+        # phi = exp(-1 + 0.1 q): every route's value is e^-x, which leaves
+        # the normal double range below x ~ 708 like the oracle's does
+        spec = symbols.SymbolSpec("laurent_phase",
+                                  log_coeffs={0: -1.0, 1: 0.1})
+        contour = A.base_contour(spec)
+        for x in (720, 800):
+            with pytest.raises(errors.OverflowGuard):
+                A.szego(spec, x)
+            with pytest.raises(errors.OverflowGuard):
+                A.tau_leading(spec, contour, x)
+            with pytest.raises(errors.OverflowGuard):
+                toeplitz.toeplitz_det(spec, x)
+        t = toeplitz.toeplitz_det(spec, 700)
+        assert abs(A.szego(spec, 700) - t) < 1e-12 * abs(t)
+        assert abs(A.tau_leading(spec, contour, 700) - t) < 1e-12 * abs(t)
 
 
 class TestHartwigFisher:
@@ -258,7 +276,8 @@ class TestSlavnov:
     @given(spec=two_sided_symbols(), x=st.integers(1, 8))
     def test_closed_form_matches_enumeration(self, spec, x):
         ct = A.base_contour(spec)
-        zset, wset = A._zw_sets(spec, ct)
+        suite = CauchySuite(spec, ct, x)
+        zset, wset = suite.zeros_inside(), suite.zeros_outside()
         assert 2 <= len(zset) <= 3 and 2 <= len(wset) <= 3
         for order in range(min(len(zset), len(wset)) + 1):
             want = enumerated_series(spec, x, order, ct)

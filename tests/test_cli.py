@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from detlab import cli, symbols
+from detlab import (asymptotics, cli, errors, formfactors, fredholm,
+                    symbols, toeplitz)
 
 
 def run(argv, capsys):
@@ -104,6 +105,17 @@ class TestTables:
         row = list(csv.DictReader(io.StringIO(out)))[0]
         assert int(row["m_used"]) == 544
 
+    @pytest.mark.parametrize("spec", ["F1", "F4"])
+    def test_fredholm_V_is_tau_eff(self, spec, capsys):
+        # F4 (negative winding) takes V's residue form on the zero-winding
+        # circle, and F1 at x = 200 a split on >= 4x nodes, as tau_eff does
+        code, out = run(["fredholm", "--spec", spec, "--x", "200",
+                         "--kernel", "V", "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)[0]
+        assert complex(row["re"], row["im"]) == \
+            asymptotics.tau_eff(symbols.fixture(spec), 200)
+
     def test_json_format(self, capsys):
         code, out = run(["toeplitz", "--spec", "F1", "--x", "2",
                          "--format", "json"], capsys)
@@ -165,3 +177,100 @@ class TestVerify:
     def test_rank_one_group(self, capsys):
         code, out = run(["verify", "--only", "rank-one"], capsys)
         assert code == 0 and json.loads(out)["failed"] == []
+
+
+# each route as a direct library call (spec, x, arg), written apart from
+# cli.ROUTES; F2 (winding 0) takes the routes that F3 and F4 reject
+DIRECT = {
+    "toeplitz": lambda s, x, arg: toeplitz.toeplitz_det(s, x),
+    "fredholm_S": lambda s, x, arg: fredholm.nystrom_det(
+        fredholm.kernel_S(s, x), asymptotics.base_contour(s)).value,
+    "fredholm_V": lambda s, x, arg: asymptotics.tau_eff(s, x),
+    "leading": lambda s, x, arg: asymptotics.tau_leading(
+        s, asymptotics.base_contour(s), x, route="modes"),
+    "szego": lambda s, x, arg: asymptotics.szego(s, x),
+    "hf": lambda s, x, arg: asymptotics.hartwig_fisher(s, x),
+    "hf-leading": lambda s, x, arg: asymptotics.hf_leading(
+        s, x, route="angular"),
+    "bo": lambda s, x, arg: asymptotics.borodin_okounkov(s, x),
+    "slavnov": lambda s, x, arg: asymptotics.slavnov_series(s, x, arg),
+    "ff": lambda s, x, arg: formfactors.tau_eff_finite(
+        s, 12 if arg is None else arg, 12 if arg is None else arg, x),
+}
+
+
+def direct(name, spec, x, arg=None):
+    """The direct call's value, or the type of the DetlabError it raises."""
+    try:
+        return DIRECT[name](spec, x, arg)
+    except errors.DetlabError as exc:
+        return type(exc)
+
+
+class TestRoutes:
+    def test_table_names(self):
+        assert set(cli.ROUTES) == set(DIRECT)
+
+    @pytest.mark.parametrize("name", sorted(DIRECT))
+    @pytest.mark.parametrize("spec", ["F2", "F3", "F4"])
+    def test_asym_gives_direct_value(self, name, spec, capsys):
+        want = direct(name, symbols.fixture(spec), 2)
+        code, out = run(["asym", "--spec", spec, "--x", "2", "--method", name,
+                         "--format", "json"], capsys)
+        if isinstance(want, type):
+            assert code == (2 if issubclass(want, errors.InputError) else 3)
+        else:
+            assert code == 0
+            row = json.loads(out)[0]
+            assert complex(row["re"], row["im"]) == want
+
+    @pytest.mark.parametrize("spec", ["F2", "F3", "F4"])
+    def test_compare_gives_direct_value(self, spec, capsys):
+        methods = sorted(DIRECT) + ["slavnov:0", "slavnov:1", "ff:8"]
+        code, out = run(["compare", "--spec", spec, "--x", "2..3",
+                         "--methods", ",".join(methods), "--format", "json"],
+                        capsys)
+        assert code == 0
+        for row in json.loads(out):
+            for method in methods:
+                name, _, arg = method.partition(":")
+                want = direct(name, symbols.fixture(spec), row["x"],
+                              int(arg) if arg else None)
+                if isinstance(want, type):
+                    assert row[method + "_re"] == f"n/a({want.__name__})"
+                else:
+                    assert complex(row[method + "_re"],
+                                   row[method + "_im"]) == want
+
+
+VERIFY_CHECKS = [
+    ("scalar-jump-F1", 1e-10), ("scalar-jump-F2", 1e-10),
+    ("scalar-jump-F3", 1e-10), ("scalar-jump-F4", 1e-10),
+    ("scalar-jump-F5", 1e-10), ("scalar-jump-F6", 1e-10),
+    ("scalar-jump-F7", 1e-10),
+    ("oracle-S-F1-x3", 1e-8), ("oracle-S-F3-x5", 1e-8),
+    ("oracle-S-F4-x2", 1e-8), ("oracle-S-F6-x4", 1e-8),
+    ("kernel-split-F4-x3", 1e-8),
+    ("resolvent-inversion-F2-x2", 1e-8), ("resolvent-inversion-F4-x2", 1e-8),
+    ("mdual-F2-x2", 1e-8), ("mdual-F4-x3", 1e-8),
+    ("rank-one-F2-x2", 1e-8), ("rank-one-F6-x5", 1e-8),
+    ("hf-exact-F3-x4", 1e-8), ("hf-exact-F5-x3", 1e-8),
+    ("leading-dual-F1-x4", 1e-9), ("leading-dual-F4-x3", 1e-9),
+    ("hf-leading-dual-F3-x5", 1e-8), ("hf-leading-dual-F5-x4", 1e-8),
+    ("bo-F2-x3", 1e-8), ("bo-F6-x5", 1e-8),
+    ("slavnov-sum-F4-x2", 1e-8), ("slavnov-sum-F4-x4", 1e-8),
+    ("contour-swap-F4-x3", 1e-6),
+    ("variational-F2", 1e-4),
+    ("rhp-jump-F3-x2", 1e-8), ("rhp-normalization-F3-x2", 1e-8),
+    ("hf-moment-F3-x2", 1e-8),
+    ("rhp-jump-F5-x3", 1e-8), ("rhp-normalization-F5-x3", 1e-8),
+    ("hf-moment-F5-x3", 1e-8),
+    ("christoffel-darboux-F5", 1e-9),
+    ("ff-convergence-F2", 2.0 / 3.0),
+]
+
+
+def test_verify_checks_pinned():
+    # names, tolerances and order; the seeded probes are drawn in this order
+    assert [(name, tol) for name, tol, _ in cli._verify_checks(0)] == \
+        VERIFY_CHECKS
