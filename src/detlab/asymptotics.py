@@ -12,27 +12,33 @@ from __future__ import annotations
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, laurent_coeffs, pow2_at_least
+from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite, WindingAdjustedSuite
 from .contours import Contour, select_contour, unit_circle
 from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
 
+HF_LEADING_M = 512    # unit-circle nodes of both hf_leading routes
+BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
+BO_M = 1024           # nodes of its Wiener-Hopf factor coefficients,
+BO_TAIL_TOL = 1e-16   # size below which a Hankel-product term is dropped,
+BO_L_CAP = 4096       # and cap on the number of shifts in that product
 
-def base_contour(spec: symbols.SymbolSpec, m: int = 128) -> Contour:
-    return select_contour(symbols.analyze(spec), m)
+
+def base_contour(spec: symbols.SymbolSpec) -> Contour:
+    return select_contour(symbols.analyze(spec))
 
 
 # --- leading tau -------------------------------------------------------------
 
 def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
-                route: str = "modes", m: int = 256) -> complex:
+                route: str = "modes") -> complex:
     """Leading-order value on a zero-winding circle.
 
     route 'modes': x * (inside value at 0) plus a geometric mode sum.
     route 'double': direct trapezoid of the double integral, diagonal taken
     as the analytic limit nu'(q)^2.
     """
-    suite = CauchySuite(spec, contour, x, m)
+    suite = CauchySuite(spec, contour, x)
     if route == "modes":
         return errors.exp_in_range(_log_tau_modes(suite))
     if route == "double":
@@ -59,14 +65,14 @@ def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
     return lin - 0.5 * (weights @ ratio ** 2 @ weights)
 
 
-def szego(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
+def szego(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth zero-winding asymptotic: the strong-limit exponent of the
     winding-adjusted split, which for winding 0 is x nu_0 plus the mode sum
     sum_{j>=1} j nu_j nu_{-j} of the phase shift."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
     return errors.exp_in_range(
-        _log_strong_limit(WindingAdjustedSuite(spec, m), x))
+        _log_strong_limit(WindingAdjustedSuite(spec), x))
 
 
 # --- winding-compensated machinery on the unit circle ------------------------
@@ -92,25 +98,22 @@ def _require_negative_winding(spec):
     return ana
 
 
-def tau_eff_kernel(spec: symbols.SymbolSpec, x: int, m_grid: int = 512):
+def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
     """(kernel, contour) whose det(1 + V) is the unit-circle one, any
     winding.  Negative winding: V in residue form is analytic out to the
     first pole, so it is taken on ``select_contour``'s circle, where phi does
-    not wind.  Otherwise the weight is split on >= 4x nodes, so its modes
-    near j = x never fold."""
+    not wind.  Otherwise V is taken from theta on the unit circle."""
     if symbols.winding_number(spec) < 0:
         ana = symbols.analyze(spec)
         inside = [z for z in ana.zeros if abs(z) < 1.0]
         return kernel_V_residue(spec, x, inside), select_contour(ana)
-    m = max(m_grid, pow2_at_least(4 * x))
-    return (kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x,
-                                1.0, m), unit_circle())
+    return (kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x),
+            unit_circle())
 
 
-def tau_eff(spec: symbols.SymbolSpec, x: int, tol: float = 1e-10,
-            m_grid: int = 512) -> complex:
+def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
     """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``)."""
-    return nystrom_det(*tau_eff_kernel(spec, x, m_grid), tol).value
+    return nystrom_det(*tau_eff_kernel(spec, x)).value
 
 
 def y_moment(ws: WindingAdjustedSuite, s) -> complex:
@@ -121,19 +124,18 @@ def y_moment(ws: WindingAdjustedSuite, s) -> complex:
     return complex(np.sum(ws.weights * dens / k) / (2j * np.pi))
 
 
-def hartwig_fisher(spec: symbols.SymbolSpec, x: int, m: int = 256) -> complex:
+def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     """Winding-corrected determinant formula; exact (not just asymptotic)
     equal to det(1 + V) on the unit circle."""
     ana = _require_negative_winding(spec)
     n = -ana.winding
-    ws = WindingAdjustedSuite(spec, m)
+    ws = WindingAdjustedSuite(spec)
     ymat = np.array([[y_moment(ws, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
     return errors.exp_in_range(_log_strong_limit(ws, x), np.linalg.det(ymat))
 
 
-def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
-                  m: int = 512) -> complex:
+def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
     """The quadratic phase-shift functional entering the reduced leading form.
 
     All three pieces are computed spectrally from the angular density
@@ -142,7 +144,7 @@ def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
       - the ln|k-q| double integral via its cosine series;
       - the ln(z_j - k) moments by plain trapezoid (integrand smooth).
     """
-    nodes = circle_nodes(1.0, m)
+    nodes = circle_nodes(1.0, HF_LEADING_M)
     h = symbols.eval_dnu(spec, nodes) * 1j * nodes
     js, hm = laurent_coeffs(h)
 
@@ -161,8 +163,7 @@ def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
     hm_neg = hm[np.searchsorted(js, -js[pos])]
     term2 = -(2.0 * np.pi) ** 2 * np.sum(hm[pos] * hm_neg / js[pos])
 
-    phi = np.angle(nodes)
-    dphi = 2.0 * np.pi / m
+    dphi = 2.0 * np.pi / HF_LEADING_M
     term3 = 0.0
     for z in z_list:
         lnzk = np.log(z) + np.log1p(-nodes / z)
@@ -170,8 +171,8 @@ def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int,
     return complex(term1 + term2 + term3)
 
 
-def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
-               m: int = 512) -> complex:
+def hf_leading(spec: symbols.SymbolSpec, x: int,
+               route: str = "angular") -> complex:
     """Leading part of the winding-corrected asymptotic.
 
     route 'angular': quadratic functional of the raw phase shift on the
@@ -187,11 +188,11 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
     log_num = np.sum(np.log(diff[~np.eye(z.size, dtype=bool)]))
     log_dphi = np.sum(np.log(symbols.eval_dphi(spec, z)))
     if route == "angular":
-        s_val = _s_functional(spec, z, x, n, m)
+        s_val = _s_functional(spec, z, x, n)
         return errors.exp_in_range(s_val + log_num - log_dphi -
                                    x * np.sum(np.log(z)))
     if route == "reduced":
-        ws = WindingAdjustedSuite(spec, max(m, 256))
+        ws = WindingAdjustedSuite(spec, HF_LEADING_M)
         expo = _log_strong_limit(ws, x)
         expo -= 2.0 * np.sum([ws.omega_lt(zk) for zk in z])
         return errors.exp_in_range(expo + log_num - log_dphi -
@@ -202,8 +203,7 @@ def hf_leading(spec: symbols.SymbolSpec, x: int, route: str = "angular",
 # --- Cauchy-type correction series -------------------------------------------
 
 def slavnov_series(spec: symbols.SymbolSpec, x: int,
-                   max_order: int | None = None,
-                   contour: Contour | None = None) -> complex:
+                   max_order: int | None = None) -> complex:
     """Leading value tau times the correction sum up to ``max_order``
     (default: full order, exact for symbols with finitely many zeros).
 
@@ -217,7 +217,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
         raise errors.InputError("correction series needs a rational symbol")
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
-    suite = CauchySuite(spec, contour or base_contour(spec), x)
+    suite = CauchySuite(spec, base_contour(spec), x)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     kmax = min(len(zset), len(wset))
     if max_order is not None:
@@ -233,7 +233,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
 
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
-                   w_b: complex, tol: float = 1e-9) -> tuple:
+                   w_b: complex) -> tuple:
     """Ratio of determinants on the swapped versus base contour.
 
     Returns (closed form, Nystrom ratio on the deformed contour).
@@ -256,22 +256,19 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
 
     deformed = deformed_contour(contour, [z_a], [w_b], ana)
     inside_def = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
-    det_def = nystrom_det(kernel_V_residue(spec, x, inside_def), deformed, tol)
-    det_base = nystrom_det(kernel_V_residue(spec, x, zset), contour, tol)
+    det_def = nystrom_det(kernel_V_residue(spec, x, inside_def), deformed,
+                          1e-9)
+    det_base = nystrom_det(kernel_V_residue(spec, x, zset), contour, 1e-9)
     return complex(closed), complex(det_def.value / det_base.value)
 
 
 # --- discrete-index determinant identity -------------------------------------
 
-def borodin_okounkov(spec: symbols.SymbolSpec, x: int, trunc: int = 48,
-                     m: int = 1024, tail_tol: float = 1e-16,
-                     l_cap: int = 4096) -> complex:
+def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth-symbol factor times det(Id - K) on shifted integer indices."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
-    if trunc < 8:
-        raise errors.InputError("truncation must be at least 8")
-    suite = CauchySuite(spec, unit_circle(), x, m)
+    suite = CauchySuite(spec, unit_circle(), x, BO_M)
     om_sum = suite.Omega_gt_nodes + suite.Omega_lt_nodes
     ks_m, c_minus = laurent_coeffs(np.exp(-om_sum))   # (phi_+^{-1} phi_-)_k
     ks_p, c_plus = laurent_coeffs(np.exp(om_sum))     # (phi_+ phi_-^{-1})_k
@@ -283,25 +280,27 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int, trunc: int = 48,
     # largest term at shift l over all (n, m): suffix maxima of |a| and |b|
     tail = (np.maximum.accumulate(np.abs(a[:size])[::-1])[::-1] *
             np.maximum.accumulate(np.abs(b[:size])[::-1])[::-1])
-    below = np.flatnonzero(tail < tail_tol)
+    below = np.flatnonzero(tail < BO_TAIL_TOL)
     # shifts l = 0 .. n_l - 1; a tail that never falls needs unsampled indices
     n_l = max(int(below[0]), 1) if below.size else size + 1
-    if n_l > l_cap:
+    if n_l > BO_L_CAP:
         raise errors.TailNotConverged("tail cap reached")
-    if trunc + n_l - 1 > size:
+    if BO_TRUNC + n_l - 1 > size:
         raise errors.TailNotConverged(
-            f"coefficient index {x + trunc + n_l - 1} beyond sampled range")
-    hankel = np.arange(trunc)[:, None] + np.arange(n_l)[None, :]
+            f"coefficient index {x + BO_TRUNC + n_l - 1} beyond sampled range")
+    hankel = np.arange(BO_TRUNC)[:, None] + np.arange(n_l)[None, :]
     K = a[hankel] @ b[hankel].T
-    det = complex(np.linalg.det(np.eye(trunc, dtype=complex) - K))
+    det = complex(np.linalg.det(np.eye(BO_TRUNC, dtype=complex) - K))
     return complex(szego(spec, x) * det)
 
 
 def variational_check(spec: symbols.SymbolSpec, contour: Contour, x: int,
-                      j: int, eps: float = 1e-6, m: int = 128) -> tuple:
-    """Finite-difference derivative of ln tau under nu -> nu + eps q^j versus
-    the first-order formula; returns (finite difference, formula)."""
-    suite = CauchySuite(spec, contour, x, max(m, 256))
+                      j: int) -> tuple:
+    """Finite-difference derivative of ln tau under nu -> nu + eps q^j,
+    eps = 1e-6, versus the first-order formula; returns (finite difference,
+    formula)."""
+    eps = 1e-6
+    suite = CauchySuite(spec, contour, x)
     nodes, weights = suite.nodes, suite.weights
     nu = suite.nu
     dnu = symbols.eval_dnu(spec, nodes)

@@ -17,17 +17,16 @@ TAIL_TOL = 1e-13
 M_CAP = 2048
 
 
-def _converged_split(sample, m0: int = 256, cap: int = M_CAP,
-                     tol: float = TAIL_TOL):
+def _converged_split(sample, m0: int):
     """Build a LaurentSplit from ``sample(m) -> (values, radius)``, doubling the
-    node count until the coefficient tail decays below tol."""
+    node count from m0 until the coefficient tail decays below TAIL_TOL."""
     m = m0
     while True:
         values, radius = sample(m)
         split = LaurentSplit(values, radius)
-        if split.tail_ratio() < tol:
+        if split.tail_ratio() < TAIL_TOL:
             return split, m
-        if m >= cap:
+        if m >= M_CAP:
             raise errors.TruncationFailure(
                 f"coefficient tail {split.tail_ratio():.2e} at m={m}")
         m *= 2
@@ -109,25 +108,6 @@ class CauchySuite:
     def b_minus(self, q, derivative: int = 0):
         return self.b_split.minus(q, derivative)
 
-    def b_plus_residue(self, q, zeros_outside, derivative: int = 0):
-        """b via residues over the zeros of phi outside the circle.
-
-        The overall sign is fixed so that the series and residue routes agree;
-        equivalently, so that the explicit resolvent built from b satisfies
-        the inversion identity (checked in the test suite).
-        """
-        q = np.asarray(q, dtype=complex)
-        acc = np.zeros(np.shape(q), dtype=complex)
-        for w in zeros_outside:
-            pref = -self.residue_weight(w)
-            if derivative == 0:
-                acc = acc + pref / (w - q)
-            elif derivative == 1:
-                acc = acc + pref / (w - q) ** 2
-            else:
-                raise errors.InputError("only first derivatives are supported")
-        return acc
-
     def residue_weight(self, z) -> complex:
         """Weight of a zero z of phi in the residue sums over this circle:
         z^x e^{2 Omega_gt(z)} / phi'(z) inside it, z^{-x} e^{-2 Omega_lt(z)}
@@ -151,26 +131,6 @@ class CauchySuite:
             raise errors.NoResidueForm("residue route needs a rational symbol")
         ana = symbols.analyze(self.spec)
         return [z for z in ana.zeros if abs(z) < self.rho]
-
-
-def varphi_C(suite: CauchySuite, q) -> complex:
-    """Direct quadrature of the lower-triangular RHP entry at a point off the circle."""
-    q = complex(q)
-    mindist = np.min(np.abs(suite.nodes - q))
-    if mindist < 2.0 * np.pi * suite.rho / suite.m:
-        raise errors.TooCloseToContour(f"distance {mindist:.2e} below node spacing")
-    return complex(np.sum(suite.weights * suite.w_density / (suite.nodes - q))
-                   / (2j * np.pi))
-
-
-def b_C_quadrature(suite: CauchySuite, q) -> complex:
-    """Direct quadrature of the b transform at a point off the circle."""
-    q = complex(q)
-    mindist = np.min(np.abs(suite.nodes - q))
-    if mindist < 2.0 * np.pi * suite.rho / suite.m:
-        raise errors.TooCloseToContour(f"distance {mindist:.2e} below node spacing")
-    return complex(np.sum(suite.weights * suite.b_density / (suite.nodes - q))
-                   / (2j * np.pi))
 
 
 class WindingAdjustedSuite:

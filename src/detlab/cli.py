@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=fredholm.M_CAP,
                    help="cap on nodes per contour component; the first grid "
                         "has x + 32 nodes and the margin over x doubles")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=fredholm.TOL)
     p.set_defaults(func=cmd_fredholm)
 
     p = sub.add_parser("asym", help="asymptotic/exact formula ladder")

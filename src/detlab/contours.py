@@ -29,7 +29,6 @@ class Circle:
 @dataclass(frozen=True)
 class Contour:
     components: tuple
-    nodes_per_component: int = 128
 
     def __post_init__(self):
         outer = [c for c in self.components
@@ -71,8 +70,7 @@ class Contour:
                    for c in self.components if c.orientation == -1)
 
     def to_json_dict(self):
-        return {"nodes_per_component": self.nodes_per_component,
-                "components": [{"center": [c.center.real, c.center.imag],
+        return {"components": [{"center": [c.center.real, c.center.imag],
                                 "radius": c.radius,
                                 "orientation": c.orientation}
                                for c in self.components]}
@@ -84,12 +82,11 @@ class Quadrature:
     weights: np.ndarray     # dq weights; sum f(q_j) w_j ~ \oint f dq
 
 
-def unit_circle(m: int = 128) -> Contour:
-    return Contour((Circle(0.0, 1.0, 1),), m)
+def unit_circle() -> Contour:
+    return Contour((Circle(0.0, 1.0, 1),))
 
 
-def quadrature(contour: Contour, m: int | None = None) -> Quadrature:
-    m = m or contour.nodes_per_component
+def quadrature(contour: Contour, m: int) -> Quadrature:
     if m < 16:
         raise errors.InputError("need at least 16 nodes per component")
     nodes, weights = [], []
@@ -100,7 +97,7 @@ def quadrature(contour: Contour, m: int | None = None) -> Quadrature:
     return Quadrature(np.concatenate(nodes), np.concatenate(weights))
 
 
-def select_contour(analysis: SymbolAnalysis, m: int = 128) -> Contour:
+def select_contour(analysis: SymbolAnalysis) -> Contour:
     """Single origin-centered circle enclosing (or excluding) the selected zeros.
 
     Zero winding: the unit circle.  Negative winding: a circle just beyond the
@@ -111,7 +108,7 @@ def select_contour(analysis: SymbolAnalysis, m: int = 128) -> Contour:
     """
     n = analysis.winding
     if n == 0:
-        return unit_circle(m)
+        return unit_circle()
     if not analysis.z_list:
         raise errors.EmptyAnnulus("nonzero winding but no zeros to enclose")
     zmod = (max if n < 0 else min)(abs(z) for z in analysis.z_list)
@@ -130,7 +127,7 @@ def select_contour(analysis: SymbolAnalysis, m: int = 128) -> Contour:
         rho = np.sqrt(zmod * max(obstructions)) if obstructions else zmod / EXPANSION
         if rho >= zmod * (1 - 1e-9):
             raise errors.EmptyAnnulus("no radius separates excluded zeros from obstructions")
-    return Contour((Circle(0.0, float(rho), 1),), m)
+    return Contour((Circle(0.0, float(rho), 1),))
 
 
 def deformed_contour(base: Contour, exclude, include, analysis: SymbolAnalysis) -> Contour:
@@ -166,4 +163,4 @@ def deformed_contour(base: Contour, exclude, include, analysis: SymbolAnalysis) 
             if a is not b and abs(a.center - b.center) <= a.radius + b.radius:
                 raise errors.GeometryConflict("exclusion loops intersect")
     comps = (Circle(0.0, float(rho), 1),) + tuple(loops)
-    return Contour(comps, base.nodes_per_component)
+    return Contour(comps)

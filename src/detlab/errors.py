@@ -36,7 +36,9 @@ class WindingInconsistent(NumericalError):
 
 
 class DegenerateZeros(InputError):
-    """Two zeros of the symbol share a modulus within sep_tol."""
+    """Two zeros of the symbol share a modulus within SEP_TOL, or two roots
+    of the finite-size equation p^L phi(p) = 1, continued from the roots of
+    unity, collide."""
 
 
 class RootFindFailure(NumericalError):
@@ -89,10 +91,6 @@ class WindingNonzero(InputError):
 
 class WindingNonnegative(InputError):
     """Operation requires a negative winding number."""
-
-
-class SizeMismatch(InputError):
-    """Cauchy-determinant correction needs equally sized zero subsets."""
 
 
 class NotAvailable(InputError):

@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes
+from ._series import LaurentSplit, circle_nodes, pow2_at_least
 from .cauchy import CauchySuite
 from .contours import Contour, quadrature, unit_circle
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
+M_START = 32     # first margin of Nystrom nodes over the bandwidth x
 M_CAP = 1024     # default cap on Nystrom nodes per contour component
+TOL = 1e-10      # default agreement of two successive Nystrom determinants
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,14 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     return _kernel_V_generic(_sqrt_theta(spec), tail, x, "V")
 
 
-def kernel_V_from_theta(theta_fn, x: int, radius: float = 1.0,
-                        m: int = 512) -> Kernel:
-    """V for a weight given only as a callable on (a neighborhood of) the circle."""
-    nodes = circle_nodes(radius, m)
+def kernel_V_from_theta(theta_fn, x: int) -> Kernel:
+    """V on the unit circle for a weight given only as a callable on (a
+    neighborhood of) it.  The weight is split on max(512, 4x) nodes, rounded
+    up to a power of two, so its modes near j = x never fold."""
+    m = max(512, pow2_at_least(4 * x))
+    nodes = circle_nodes(1.0, m)
     tvals = theta_fn(nodes)
-    split = LaurentSplit(nodes ** x * tvals / (1.0 + tvals), radius)
+    split = LaurentSplit(nodes ** x * tvals / (1.0 + tvals), 1.0)
 
     def a(q):
         return np.sqrt(theta_fn(np.asarray(q, dtype=complex)))
@@ -170,48 +174,23 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     return SeparableKernel(u, u, s ** x / ds, "W", x)
 
 
-def kernel_Q(spec: symbols.SymbolSpec, x: int, m: int = 512) -> Kernel:
-    """Unit-circle kernel for nonnegative winding."""
-    nodes = circle_nodes(1.0, m)
-    tvals = symbols.eval_theta(spec, nodes)
-    split = LaurentSplit(nodes ** (-x) * tvals / (1.0 + tvals), 1.0)
-    hp = _halfpow(x)
-
-    def wt(q):
-        q = np.asarray(q, dtype=complex)
-        return q ** (-x) - split.plus(q)
-
-    def dwt(q):
-        q = np.asarray(q, dtype=complex)
-        return -x * q ** (-x - 1) - split.plus(q, 1)
-
-    def vm(q):
-        return hp(q) * wt(q)
-
-    def dvm(q):
-        return hp(q) * (dwt(q) + (x / 2.0) * wt(q) / q)
-
-    return Kernel(_sqrt_theta(spec), hp, vm,
-                  lambda q: (x / 2.0) * hp(q) / q, dvm, "Q", x)
-
-
-def nystrom_det(kernel, contour: Contour, tol: float = 1e-10,
-                m_start: int = 32, m_cap: int = M_CAP) -> DetResult:
-    """det(Id + K) by LU on trapezoidal grids of m = x + m_start 2^k nodes
+def nystrom_det(kernel, contour: Contour, tol: float = TOL,
+                m_cap: int = M_CAP) -> DetResult:
+    """det(Id + K) by LU on trapezoidal grids of m = x + M_START 2^k nodes
     per contour component, k = 0, 1, ..., where x is the kernel's bandwidth.
     The grids start above x, where the q^{+-x/2} factors stop aliasing and
     the determinants converge geometrically (Bornemann, Math. Comp. 79
     (2010)); the first two that agree to ``tol`` give the value.  For x = 0
-    this is plain doubling from m_start.  Raises NotConverged when the next
+    this is plain doubling from M_START.  Raises NotConverged when the next
     grid would pass ``m_cap``, and up front, before any fill, when fewer
     than two grids fit under it."""
     x = getattr(kernel, "x", 0)
-    if x + 2 * m_start > m_cap:
+    if x + 2 * M_START > m_cap:
         raise errors.NotConverged(
-            f"bandwidth x = {x} needs m_cap >= {x + 2 * m_start} nodes, "
+            f"bandwidth x = {x} needs m_cap >= {x + 2 * M_START} nodes, "
             f"got {m_cap}")
     prev = None
-    margin = m_start
+    margin = M_START
     while True:
         m = x + margin
         quad = quadrature(contour, m)
@@ -255,20 +234,19 @@ def resolvent_kernel(suite: CauchySuite) -> Kernel:
     return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, "R", x)
 
 
-def resolvent_residual(suite: CauchySuite, m: int = 128) -> float:
-    """Largest entry of (1 + V)(1 - R) - 1 on an m-node grid, R the explicit
+def resolvent_residual(suite: CauchySuite) -> float:
+    """Largest entry of (1 + V)(1 - R) - 1 on a 128-node grid, R the explicit
     resolvent."""
-    quad = quadrature(suite.contour, m)
+    quad = quadrature(suite.contour, 128)
     eye = np.eye(len(quad.nodes), dtype=complex)
     vmat = kernel_V(suite).matrix(quad.nodes, quad.weights)
     rmat = resolvent_kernel(suite).matrix(quad.nodes, quad.weights)
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
-def m_function(suite: CauchySuite, k1: complex, k2: complex,
-               m: int = 256) -> tuple:
-    """Returns (quadrature route, closed-form route); both sides of the
-    resolvent lemma.  k1, k2 must lie off the circle."""
+def m_function(suite: CauchySuite, k1: complex, k2: complex) -> tuple:
+    """Returns (quadrature route on 256 nodes, closed-form route); both sides
+    of the resolvent lemma.  k1, k2 must lie off the circle."""
     k1, k2 = complex(k1), complex(k2)
     rho = suite.rho
     for k in (k1, k2):
@@ -276,7 +254,7 @@ def m_function(suite: CauchySuite, k1: complex, k2: complex,
             raise errors.TooCloseToContour(f"probe {k} sits on the circle")
 
     rk = resolvent_kernel(suite)
-    quad = quadrature(suite.contour, m)
+    quad = quadrature(suite.contour, 256)
     nodes, weights = quad.nodes, quad.weights
     st = np.sqrt(symbols.eval_theta(suite.spec, nodes))
     hv = nodes ** (-suite.x / 2.0)
@@ -299,8 +277,7 @@ def m_function(suite: CauchySuite, k1: complex, k2: complex,
     return complex(route_a), complex(route_b)
 
 
-def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int,
-                            tol: float = 1e-10) -> dict:
+def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     """Cross-checks the three equivalent values of the rank-one correction:
     determinant difference, determinant of the index-shifted weight, and the
     closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
@@ -315,14 +292,14 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int,
     vk1 = SeparableKernel(lambda q: st(q) * hm(q) / q,
                           lambda q: st(q) * hm(q), -1.0, "V1", x)
 
-    det_v = nystrom_det(vk, circle, tol)
-    det_sum = nystrom_det(SumKernel([vk, vk1], "V+V1"), circle, tol)
+    det_v = nystrom_det(vk, circle)
+    det_sum = nystrom_det(SumKernel([vk, vk1], "V+V1"), circle)
 
     def theta_shift(q):
         # weight whose phase shift is the original one lowered by one index
         return -(1.0 + symbols.eval_theta(spec, q)) / q - 1.0
 
-    det_shift = nystrom_det(kernel_V_from_theta(theta_shift, x), circle, tol)
+    det_shift = nystrom_det(kernel_V_from_theta(theta_shift, x), circle)
     closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * suite.b_plus(0.0)
 
     # The raw subtraction det(1+V+V1) - det(1+V) cancels catastrophically
@@ -340,7 +317,7 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int,
 
     diff = stable_diff(512)
     drift = abs(diff - stable_diff(256))
-    if drift > max(tol * abs(diff), 1e-14):
+    if drift > max(TOL * abs(diff), 1e-14):
         raise errors.NotConverged(
             f"rank-one correction drift {drift:.2e} between grids")
     # When the correction is exponentially small in x, every determinant in

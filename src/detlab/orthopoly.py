@@ -20,12 +20,13 @@ from .cauchy import WindingAdjustedSuite
 
 MOMENT_STABILITY_TOL = 1e-12
 GRAM_TOL = 1e-12
+M_GRID = 512   # unit-circle nodes of the measure; moments also take 2 M_GRID
 
 
 class MeasureMu:
     """The orthogonality measure attached to a negative-winding symbol."""
 
-    def __init__(self, spec: symbols.SymbolSpec, x: int, m: int = 512):
+    def __init__(self, spec: symbols.SymbolSpec, x: int):
         ana = symbols.analyze(spec)
         if ana.winding >= 0:
             raise errors.WindingNonnegative(
@@ -36,11 +37,11 @@ class MeasureMu:
         self.x = int(x)
         self.winding = ana.winding
         self.n = -ana.winding
-        self.ws = WindingAdjustedSuite(spec, max(m, 256))
+        self.ws = WindingAdjustedSuite(spec, M_GRID)
         self._grids = {}
         self._moments = {}
 
-    def _values(self, m: int):
+    def values(self, m: int):
         """Measure sampled on an m-point unit-circle grid, with weights."""
         if m not in self._grids:
             nodes = circle_nodes(1.0, m)
@@ -50,9 +51,6 @@ class MeasureMu:
             self._grids[m] = (nodes, weights, vals)
         return self._grids[m]
 
-    def values(self, m: int = 512):
-        return self._values(m)
-
     def moment(self, j: int) -> complex:
         """mu_j = oint k^j mu(k) dk, checked stable under grid doubling."""
         j = int(j)
@@ -60,8 +58,8 @@ class MeasureMu:
             raise errors.InputError(f"moment order {j} out of supported range")
         if j not in self._moments:
             vals = []
-            for m in (512, 1024):
-                nodes, weights, mu = self._values(m)
+            for m in (M_GRID, 2 * M_GRID):
+                nodes, weights, mu = self.values(m)
                 vals.append(complex(np.sum(weights * nodes ** j * mu)))
             scale = max(1.0, abs(vals[1]))
             if abs(vals[0] - vals[1]) > MOMENT_STABILITY_TOL * scale:
@@ -118,7 +116,7 @@ class RHPSolution:
     boundary values; A, B are the Cauchy transforms of the first column
     times the measure."""
 
-    def __init__(self, measure: MeasureMu, m: int = 512):
+    def __init__(self, measure: MeasureMu):
         self.measure = measure
         n = measure.n
         measure.check_solvable()
@@ -127,7 +125,7 @@ class RHPSolution:
         if abs(self.h_nm1) < GRAM_TOL:
             raise errors.SingularGram("norm of degree n-1 polynomial vanishes")
         self.beta = -2j * np.pi * pnm1 / self.h_nm1
-        nodes, _, mu = measure.values(m)
+        nodes, _, mu = measure.values(M_GRID)
         self._split_a = LaurentSplit(P.polyval(nodes, self.alpha) * mu, 1.0)
         self._split_b = LaurentSplit(P.polyval(nodes, self.beta) * mu, 1.0)
 
@@ -156,7 +154,7 @@ class RHPSolution:
             raise errors.InputError("jump is defined on the unit circle")
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
-        split_mu = LaurentSplit(self.measure.values(512)[2], 1.0)
+        split_mu = LaurentSplit(self.measure.values(M_GRID)[2], 1.0)
         mu_q = split_mu.reconstruct(np.asarray([q]))[0]
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)
         return float(np.max(np.abs(np.linalg.solve(y_gt, y_lt) - jump)))
@@ -219,15 +217,6 @@ def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"
     raise errors.InputError(f"unknown route {route!r}")
 
 
-def cd_diagonal_from_rhp(sol: RHPSolution, q) -> complex:
-    """(alpha beta' - alpha' beta)/(2 pi i) -- equals the diagonal kernel."""
-    q = complex(q)
-    da, db = P.polyder(sol.alpha), P.polyder(sol.beta)
-    val = (P.polyval(q, sol.alpha) * P.polyval(q, db) -
-           P.polyval(q, da) * P.polyval(q, sol.beta))
-    return complex(val / (2j * np.pi))
-
-
 def moment_matrix(measure: MeasureMu) -> np.ndarray:
     n = measure.n
     return np.array([[measure.moment(n - 1 + i - j) for j in range(n)]
@@ -245,24 +234,3 @@ def hf_moment_equivalence(spec: symbols.SymbolSpec, x: int) -> float:
     det_mu = complex(np.linalg.det(moment_matrix(measure))) / (2j * np.pi) ** n
     return abs(det_y - det_mu) / max(abs(det_mu), 1e-300)
 
-
-def variational_moment_check(measure: MeasureMu, eps: float = 1e-6):
-    """Finite difference of ln det(moment matrix) under mu -> mu(1 + eps k)
-    against the reproducing-kernel integral; returns (fd, formula)."""
-    n = measure.n
-    base = moment_matrix(measure)
-
-    def det_shifted(sign):
-        shift = np.array([[measure.moment(n + i - j) for j in range(n)]
-                          for i in range(n)], dtype=complex)
-        return complex(np.linalg.det(base + sign * eps * shift))
-
-    fd = (np.log(det_shifted(+1)) - np.log(det_shifted(-1))) / (2 * eps)
-
-    sol = RHPSolution(measure)
-    nodes, weights, mu = measure.values(512)
-    da, db = P.polyder(sol.alpha), P.polyder(sol.beta)
-    dens = (P.polyval(nodes, sol.alpha) * P.polyval(nodes, db) -
-            P.polyval(nodes, da) * P.polyval(nodes, sol.beta))
-    formula = np.sum(weights * nodes * mu * dens) / (2j * np.pi)
-    return complex(fd), complex(formula)

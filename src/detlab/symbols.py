@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import errors
 from ._series import circle_nodes, circle_weights
 
-SEP_TOL = 1e-6
+SEP_TOL = 1e-6      # smallest gap between the moduli of two zeros
+WINDING_M = 512     # unit-circle nodes of the winding quadrature
 
 
 @dataclass(frozen=True)
@@ -70,26 +72,25 @@ def _poly_roots(coeffs_ascending):
     return np.roots(c[::-1])
 
 
-def _polyval(coeffs_ascending, q):
-    return np.polynomial.polynomial.polyval(q, np.asarray(coeffs_ascending, dtype=complex))
-
-
-def _polyder(coeffs_ascending):
-    c = np.asarray(coeffs_ascending, dtype=complex)
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+@functools.lru_cache(maxsize=64)
+def _derivative(coeffs: tuple) -> np.ndarray:
+    """Ascending coefficients of the derivative, read-only; memoised, as the
+    Newton homotopy of one finite-size sum differentiates its symbol ~65
+    times and ``P.polyder`` costs more than the evaluation."""
+    der = P.polyder(coeffs)
+    der.flags.writeable = False
+    return der
 
 
 def eval_phi(spec: SymbolSpec, q):
     """phi(q) = 1 + theta(q)."""
     q = np.asarray(q, dtype=complex)
     if spec.kind == "rational":
-        den = _polyval(spec.denom, q)
+        den = P.polyval(q, spec.denom)
         scale = max(np.max(np.abs(np.asarray(spec.denom))), 1.0)
         if np.any(np.abs(den) < 1e-14 * scale):
             raise errors.PoleHit("evaluation point hits a denominator root")
-        return _polyval(spec.numer, q) / den
+        return P.polyval(q, spec.numer) / den
     acc = np.zeros(q.shape, dtype=complex)
     for j, t in spec.log_coeffs:
         acc = acc + t * q ** j
@@ -105,8 +106,9 @@ def eval_dphi(spec: SymbolSpec, q):
     q = np.asarray(q, dtype=complex)
     if spec.kind == "rational":
         p, d = spec.numer, spec.denom
-        den = _polyval(d, q)
-        return (_polyval(_polyder(p), q) * den - _polyval(p, q) * _polyval(_polyder(d), q)) / den ** 2
+        den = P.polyval(q, d)
+        return (P.polyval(q, _derivative(p)) * den -
+                P.polyval(q, p) * P.polyval(q, _derivative(d))) / den ** 2
     dlog = np.zeros(q.shape, dtype=complex)
     for j, t in spec.log_coeffs:
         dlog = dlog + t * j * q ** (j - 1)
@@ -140,16 +142,16 @@ def grid_winding(spec: SymbolSpec, nodes) -> float:
     return float((ang[-1] - ang[0]) / (2.0 * np.pi))
 
 
-def winding_number(spec: SymbolSpec, m: int = 512) -> int:
+def winding_number(spec: SymbolSpec) -> int:
     """Winding of phi around the unit circle, by quadrature, cross-checked by
     counting; memoised, as every route of one symbol asks for it again."""
-    return _winding_cached(spec, m)
+    return _winding_cached(spec)
 
 
 @functools.lru_cache(maxsize=32)
-def _winding_cached(spec: SymbolSpec, m: int) -> int:
-    nodes = circle_nodes(1.0, m)
-    weights = circle_weights(nodes, m)
+def _winding_cached(spec: SymbolSpec) -> int:
+    nodes = circle_nodes(1.0, WINDING_M)
+    weights = circle_weights(nodes, WINDING_M)
     quad = np.sum(weights * eval_dphi(spec, nodes) / eval_phi(spec, nodes)) / (2j * np.pi)
     n = int(round(quad.real))
     if abs(quad - n) > 0.25:
@@ -178,34 +180,34 @@ class SymbolAnalysis:
 
 
 def _newton_polish(coeffs, root, tol=1e-12, maxit=40):
-    dcoeffs = _polyder(coeffs)
+    dcoeffs = _derivative(coeffs)
     z = complex(root)
     scale = max(np.max(np.abs(np.asarray(coeffs))), 1.0)
     for _ in range(maxit):
-        f = complex(_polyval(coeffs, z))
+        f = complex(P.polyval(z, coeffs))
         if abs(f) < tol * scale:
             return z
-        df = complex(_polyval(dcoeffs, z))
+        df = complex(P.polyval(z, dcoeffs))
         if df == 0.0:
             break
         step = f / df
         if not np.isfinite(step) or abs(step) > 1e6:
             break
         z -= step
-    f = complex(_polyval(coeffs, z))
+    f = complex(P.polyval(z, coeffs))
     if abs(f) < tol * scale:
         return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")
 
 
-def analyze(spec: SymbolSpec, sep_tol: float = SEP_TOL) -> SymbolAnalysis:
+def analyze(spec: SymbolSpec) -> SymbolAnalysis:
     """Locate zeros/poles, fix the winding, and pick the zeros the contour
     must handle; memoised, as one symbol is analysed for many x and suites."""
-    return _analyze_cached(spec, sep_tol)
+    return _analyze_cached(spec)
 
 
 @functools.lru_cache(maxsize=32)
-def _analyze_cached(spec: SymbolSpec, sep_tol: float) -> SymbolAnalysis:
+def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
     n = winding_number(spec)
     if spec.kind == "laurent_phase":
         return SymbolAnalysis((), (), 0, (), ())
@@ -214,8 +216,8 @@ def _analyze_cached(spec: SymbolSpec, sep_tol: float) -> SymbolAnalysis:
     zeros.sort(key=abs, reverse=True)
     mods = sorted(abs(z) for z in zeros)
     for a, b in zip(mods, mods[1:]):
-        if b - a < sep_tol:
-            raise errors.DegenerateZeros(f"zero moduli {a} and {b} within sep_tol")
+        if b - a < SEP_TOL:
+            raise errors.DegenerateZeros(f"zero moduli {a} and {b} within {SEP_TOL}")
 
     praw = sorted(_poly_roots(spec.denom), key=abs)
     poles = []
@@ -287,11 +289,8 @@ FIXTURE_NAMES = ("F0", "F1", "F2", "F3", "F4", "F5", "F6", "F7")
 
 
 def fixture(name: str) -> SymbolSpec:
-    """Load one of the shipped fixture symbols F0..F7 (env DETLAB_FIXTURES overrides)."""
+    """Load one of the shipped fixture symbols F0..F7."""
     if name not in FIXTURE_NAMES:
         raise errors.InputError(f"unknown fixture {name!r}")
-    override = os.environ.get("DETLAB_FIXTURES")
-    if override:
-        return load_symbol(os.path.join(override, f"{name}.json"))
     ref = resources.files("detlab") / "fixtures" / f"{name}.json"
     return from_json_dict(json.loads(ref.read_text()), label=name)

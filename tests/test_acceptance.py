@@ -99,7 +99,7 @@ def test_criterion_06_index_series_identity():
     for name in ("F2", "F6"):
         spec = symbols.fixture(name)
         for x in (3, 5, 8):
-            bo = asymptotics.borodin_okounkov(spec, x, trunc=48)
+            bo = asymptotics.borodin_okounkov(spec, x)
             t = toeplitz.toeplitz_det(spec, x)
             worst = max(worst, abs(bo - t) / abs(t))
     report(6, "index-space determinant identity", worst, 1e-8)

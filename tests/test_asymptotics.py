@@ -5,6 +5,7 @@ series: the sum taken term by term over all pairs of equally sized zero
 subsets, against which the closed form of ``slavnov_series`` is checked.
 """
 
+import inspect
 import itertools
 import warnings
 
@@ -13,15 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics as A
-from detlab import errors, symbols, toeplitz
+from detlab import contours, errors, symbols, toeplitz
 from detlab.cauchy import CauchySuite
 from detlab.contours import unit_circle
+
+
+class SizeMismatch(ValueError):
+    """Zero subsets of unequal size given to ``slavnov_term``."""
 
 
 def slavnov_term(spec, x, zset, wset, contour=None) -> complex:
     """One Cauchy-determinant correction for equally sized zero subsets."""
     if len(zset) != len(wset):
-        raise errors.SizeMismatch("zero subsets must have equal size")
+        raise SizeMismatch("zero subsets must have equal size")
     if not zset:
         return 1.0 + 0.0j
     contour = contour or A.base_contour(spec)
@@ -223,6 +228,19 @@ def two_sided_symbols(draw):
     return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
 
 
+SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
+              A.tau_eff: ["spec", "x"], A.borodin_okounkov: ["spec", "x"],
+              symbols.analyze: ["spec"], symbols.winding_number: ["spec"],
+              contours.unit_circle: [],
+              contours.select_contour: ["analysis"]}
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda f: f.__name__)
+def test_routes_take_only_mathematical_arguments(fn):
+    # node counts, tolerances and caps are module constants, not arguments
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
 class TestSlavnov:
     def test_empty_sets_give_unity(self):
         spec = symbols.fixture("F4")
@@ -230,7 +248,7 @@ class TestSlavnov:
 
     def test_size_mismatch(self):
         spec = symbols.fixture("F4")
-        with pytest.raises(errors.SizeMismatch):
+        with pytest.raises(SizeMismatch):
             slavnov_term(spec, 3, [1.4], [])
 
     @pytest.mark.parametrize("x", [2, 4, 6])
@@ -267,7 +285,7 @@ class TestSlavnov:
         # tau det(I - A) equals tau (1 + sum of the explicit correction terms)
         spec = symbols.fixture("F4")
         ct = A.base_contour(spec)
-        det = A.slavnov_series(spec, 3, contour=ct) / A.tau_leading(spec, ct, 3)
+        det = A.slavnov_series(spec, 3) / A.tau_leading(spec, ct, 3)
         total = 1.0 + slavnov_term(spec, 3, [0.3], [2.2], ct) + \
             slavnov_term(spec, 3, [1.4], [2.2], ct)
         assert abs(det - total) / abs(total) < 1e-10
@@ -281,7 +299,7 @@ class TestSlavnov:
         assert 2 <= len(zset) <= 3 and 2 <= len(wset) <= 3
         for order in range(min(len(zset), len(wset)) + 1):
             want = enumerated_series(spec, x, order, ct)
-            got = A.slavnov_series(spec, x, order, ct)
+            got = A.slavnov_series(spec, x, order)
             assert abs(got - want) <= 1e-12 * abs(want), order
         t = toeplitz.toeplitz_det(spec, x)
         assert abs(A.slavnov_series(spec, x) - t) <= 1e-10 * abs(t)

@@ -15,20 +15,20 @@ class TestValidation:
     def test_inner_loop_must_be_clockwise(self):
         outer = Circle(0.0, 2.0, +1)
         with pytest.raises(errors.GeometryConflict):
-            Contour((outer, Circle(1.0, 0.3, +1)), 64)
+            Contour((outer, Circle(1.0, 0.3, +1)))
 
     def test_inner_loop_must_lie_inside(self):
         outer = Circle(0.0, 1.0, +1)
         with pytest.raises(errors.GeometryConflict):
-            Contour((outer, Circle(3.0, 0.3, -1)), 64)
+            Contour((outer, Circle(3.0, 0.3, -1)))
 
     def test_intersecting_loops_rejected(self):
         outer = Circle(0.0, 2.0, +1)
         with pytest.raises(errors.GeometryConflict):
-            Contour((outer, Circle(0.5, 0.4, -1), Circle(0.8, 0.4, -1)), 64)
+            Contour((outer, Circle(0.5, 0.4, -1), Circle(0.8, 0.4, -1)))
 
     def test_contains(self):
-        ct = Contour((Circle(0.0, 2.0, +1), Circle(1.0, 0.2, -1)), 64)
+        ct = Contour((Circle(0.0, 2.0, +1), Circle(1.0, 0.2, -1)))
         assert ct.contains(0.5)
         assert not ct.contains(1.05)   # excluded by the inner loop
         assert not ct.contains(3.0)
@@ -37,12 +37,12 @@ class TestValidation:
 class TestQuadrature:
     def test_residue_on_multi_component(self):
         # 1/(q - 1) with the pole excluded by an inner loop: integral 0
-        ct = Contour((Circle(0.0, 2.0, +1), Circle(1.0, 0.3, -1)), 256)
+        ct = Contour((Circle(0.0, 2.0, +1), Circle(1.0, 0.3, -1)))
         quad = quadrature(ct, 256)
         val = np.sum(quad.weights / (quad.nodes - 1.0))
         assert abs(val) < 1e-12
         # and with the pole inside: 2 pi i
-        full = quadrature(Contour((Circle(0.0, 2.0, +1),), 256), 256)
+        full = quadrature(Contour((Circle(0.0, 2.0, +1),)), 256)
         val = np.sum(full.weights / (full.nodes - 1.0))
         assert abs(val - 2j * np.pi) < 1e-12
 

@@ -16,6 +16,10 @@ from detlab.formfactors import (ROW_BLOCK, _angular_density, _min_distance,
                                 solve_shifted, tau_eff_finite)
 
 
+class SizeMismatch(ValueError):
+    """Subset of the wrong size given to ``form_factor``."""
+
+
 def form_factor(system, q_subset) -> complex:
     """Squared overlap of the shifted roots with an N-point unshifted subset.
 
@@ -24,7 +28,7 @@ def form_factor(system, q_subset) -> complex:
     """
     q = np.asarray(q_subset, dtype=complex)
     if q.shape != (system.N,):
-        raise errors.SizeMismatch(
+        raise SizeMismatch(
             f"subset size {q.size} != number of shifted roots {system.N}")
     spec, L, p = system.spec, system.L, system.p_roots
 
@@ -142,7 +146,7 @@ class TestFormFactor:
 
     def test_size_mismatch(self):
         sys = solve_shifted(symbols.fixture("F2"), L=10, N=5)
-        with pytest.raises(errors.SizeMismatch):
+        with pytest.raises(SizeMismatch):
             form_factor(sys, sys.q_roots[:3])
 
 

@@ -1,12 +1,48 @@
-"""Orthogonal polynomials on the circle and the 2x2 matrix boundary problem."""
+"""Orthogonal polynomials on the circle and the 2x2 matrix boundary problem.
+
+``cd_diagonal_from_rhp`` and ``variational_moment_check`` are checks of the
+boundary problem's solution that only these tests use.
+"""
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from detlab import errors, symbols
-from detlab.orthopoly import (MeasureMu, RHPSolution, cd_diagonal_from_rhp,
-                              christoffel_darboux, hf_moment_equivalence,
-                              monic_orthogonal, variational_moment_check)
+from detlab.orthopoly import (MeasureMu, RHPSolution, christoffel_darboux,
+                              hf_moment_equivalence, moment_matrix,
+                              monic_orthogonal)
+
+
+def cd_diagonal_from_rhp(sol: RHPSolution, q) -> complex:
+    """(alpha beta' - alpha' beta)/(2 pi i) -- equals the diagonal kernel."""
+    q = complex(q)
+    da, db = P.polyder(sol.alpha), P.polyder(sol.beta)
+    val = (P.polyval(q, sol.alpha) * P.polyval(q, db) -
+           P.polyval(q, da) * P.polyval(q, sol.beta))
+    return complex(val / (2j * np.pi))
+
+
+def variational_moment_check(measure: MeasureMu, eps: float = 1e-6):
+    """Finite difference of ln det(moment matrix) under mu -> mu(1 + eps k)
+    against the reproducing-kernel integral; returns (fd, formula)."""
+    n = measure.n
+    base = moment_matrix(measure)
+
+    def det_shifted(sign):
+        shift = np.array([[measure.moment(n + i - j) for j in range(n)]
+                          for i in range(n)], dtype=complex)
+        return complex(np.linalg.det(base + sign * eps * shift))
+
+    fd = (np.log(det_shifted(+1)) - np.log(det_shifted(-1))) / (2 * eps)
+
+    sol = RHPSolution(measure)
+    nodes, weights, mu = measure.values(512)
+    da, db = P.polyder(sol.alpha), P.polyder(sol.beta)
+    dens = (P.polyval(nodes, sol.alpha) * P.polyval(nodes, db) -
+            P.polyval(nodes, da) * P.polyval(nodes, sol.beta))
+    formula = np.sum(weights * nodes * mu * dens) / (2j * np.pi)
+    return complex(fd), complex(formula)
 
 
 class TestMeasure:

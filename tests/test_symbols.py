@@ -29,6 +29,12 @@ class TestFixtures:
         got = sorted(abs(z) for z in ana.z_list)
         assert np.allclose(got, [1.5, 1.9], atol=1e-10)
 
+    def test_fixture_ignores_environment(self, monkeypatch, tmp_path):
+        # the shipped fixtures are the only ones; --spec PATH loads any other
+        shipped = symbols.fixture("F4")
+        monkeypatch.setenv("DETLAB_FIXTURES", str(tmp_path))
+        assert symbols.fixture("F4") == shipped
+
     def test_f1_constant_theta(self):
         sp = symbols.fixture("F1")
         q = np.exp(1j * np.linspace(0, 6, 11))
