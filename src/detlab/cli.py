@@ -33,19 +33,14 @@ def _load_spec(path: str) -> symbols.SymbolSpec:
 
 
 def _parse_xrange(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo, hi = int(lo), int(hi)
-        except ValueError as exc:
-            raise errors.InputError(f"bad x range {text!r}") from exc
-        if lo > hi:
-            raise errors.InputError(f"empty x range {text!r}")
-        return list(range(lo, hi + 1))
+    lo, sep, hi = text.partition("..")
     try:
-        return [int(text)]
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError as exc:
-        raise errors.InputError(f"bad x value {text!r}") from exc
+        raise errors.InputError(f"bad x value or range {text!r}") from exc
+    if not 0 <= lo <= hi:
+        raise errors.InputError(f"x range {text!r} is empty or negative")
+    return list(range(lo, hi + 1))
 
 
 def _cell(value) -> str:
@@ -104,7 +99,7 @@ def _gap(value, reference) -> float:
 # --------------------------------------------------------------------------
 # routes: every name that asym, compare and verify accept, each a call
 # (spec, x, arg) with arg the route's integer argument or None: the
-# correction order of slavnov, the grid size L = N of ff (default 12)
+# correction order of slavnov, the grid size L of ff (default 12; N = L + w)
 
 ROUTES = {
     "toeplitz": lambda spec, x, arg: toeplitz.toeplitz_det(spec, x),
@@ -189,16 +184,15 @@ def cmd_asym(args) -> int:
 
 def cmd_ff(args) -> int:
     spec = _load_spec(args.spec)
-    xs = _parse_xrange(args.x)
-    if len(xs) != 1:
+    x, *more = _parse_xrange(args.x)
+    if more:
         raise errors.InputError("ff takes a single x value")
-    x = xs[0]
-    n_sel = args.N if args.N is not None else args.L
+    winding = symbols.winding_number(spec)
+    n_sel = args.L + winding if args.N is None else args.N
     value = formfactors.tau_eff_finite(spec, args.L, n_sel, x)
-    terms = math.comb(args.L, n_sel)
-    oracle = asymptotics.tau_eff(spec, x)
-    payload = {"value": _json_cell(value), "terms": terms,
-               "oracle_gap": abs(value - oracle)}
+    payload = {"value": _json_cell(value), "N": n_sel, "winding": winding,
+               "terms": math.comb(args.L, n_sel),
+               "oracle_gap": abs(value - asymptotics.tau_eff(spec, x))}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -473,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ff", help="finite-size overlap series")
     common(p, x_default="2")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int, default=None,
+                   help="number of shifted roots (default L + winding)")
     p.set_defaults(func=cmd_ff)
 
     p = sub.add_parser("compare", help="side-by-side table vs the oracle")

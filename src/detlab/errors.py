@@ -36,9 +36,7 @@ class WindingInconsistent(NumericalError):
 
 
 class DegenerateZeros(InputError):
-    """Two zeros of the symbol share a modulus within SEP_TOL, or two roots
-    of the finite-size equation p^L phi(p) = 1, continued from the roots of
-    unity, collide."""
+    """Two zeros of the symbol share a modulus within SEP_TOL."""
 
 
 class RootFindFailure(NumericalError):
@@ -104,11 +102,7 @@ class TailNotConverged(NumericalError):
 # --- formfactors module ---
 
 class NewtonDiverged(NumericalError):
-    """Root continuation for the shifted momentum equation failed."""
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"Newton continuation diverged for root index {index}")
+    """The finite-size roots are not one per cell of the counting function."""
 
 
 class OverflowGuard(NumericalError):

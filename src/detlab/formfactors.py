@@ -1,11 +1,12 @@
 """Finite-size overlap sums that converge to the unit-circle determinant.
 
-Two families of momenta live on (or near) the unit circle: the unshifted
-roots of p^L = 1 and the shifted roots of p^L * phi(p) = 1, obtained from
-the former by a Newton homotopy that switches the symbol on gradually.
-Squared overlaps of the two families, summed over N-point subsets of the
-unshifted grid, reproduce the Fredholm determinant as L grows; the sum is
-taken in closed form (Cauchy-Binet, or root-of-unity products at N = L).
+The L-th roots of unity q and the L + w roots p of p^L phi(p) = 1, w the
+winding of phi, live on or near the unit circle; root k is where the
+counting function Z(theta) = L theta + arg phi(e^{i theta}) reaches 2 pi k.
+Squared overlaps of the two families, summed over the N-point subsets of
+the grid (N = L + w by default), reproduce the Fredholm determinant as L
+grows; the sum is taken in closed form (Cauchy-Binet for N < L,
+root-of-unity products at N = L) and is exactly 0 for N > L.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ._series import pow2_at_least
 RESIDUAL_TOL = 1e-12
 DISTINCT_TOL = 1e-8
 ROW_BLOCK = 64
-HOMOTOPY_STEPS = 16
 NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 60
 
@@ -33,18 +33,18 @@ class RootSystem:
     L: int
     N: int
     q_roots: np.ndarray   # all L roots of q^L = 1
-    indices: np.ndarray   # the N grid indices the shifted roots continue from
+    indices: np.ndarray   # grid index of each root's reference e^{2 pi i k/L}
     p_roots: np.ndarray   # N roots of p^L * phi(p) = 1
     offsets: np.ndarray   # p_roots - q_roots[indices], to full relative precision
     residuals: np.ndarray
 
 
 def _chosen_indices(L: int, N: int) -> np.ndarray:
-    """N grid indices closest to the positive real axis, in grid order."""
-    j = np.arange(L)
-    ang = np.angle(np.exp(2j * np.pi * j / L))
-    order = np.argsort(np.abs(ang), kind="stable")
-    return np.sort(order[:N])
+    """The N indices k of e^{2 pi i k/L}, -L/2 < k <= L/2, closest to the
+    positive real axis, in grid order (k mod L ascending)."""
+    ang = np.angle(np.exp(2j * np.pi * np.arange(L) / L))
+    j = np.sort(np.argsort(np.abs(ang), kind="stable")[:N])
+    return np.where(2 * j <= L, j, j - L)
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -54,56 +54,65 @@ def _log1p(z: np.ndarray) -> np.ndarray:
             1j * np.arctan2(z.imag, 1.0 + z.real))
 
 
+def _sector_size(spec: symbols.SymbolSpec, L: int, N: int | None):
+    """(N, L + w), N by default L + w; checks L >= 4, 1 <= N <= L + w."""
+    roots = L + symbols.winding_number(spec)
+    N = roots if N is None else N
+    if L < 4 or not 1 <= N <= roots:
+        raise errors.InputError(f"need L >= 4 and 1 <= N <= L + w = {roots}")
+    return N, roots
+
+
 def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
                   ) -> RootSystem:
-    """Continue N unit roots of p^L = 1 into roots of p^L * phi(p) = 1.
+    """N of the L + w roots of p^L * phi(p) = 1, w the winding of phi.
 
-    The symbol is switched on through phi^t, t: 0 -> 1; the logarithm of phi
-    is tracked continuously along each root's path so no branch choice is
-    ever taken from scratch.  Newton runs on the offsets delta = p - q from
-    the grid, with p^L phi^t - 1 = expm1(L log1p(delta/q) + t log phi), so a
-    root that moves little keeps its offset to full relative precision.
+    Root k is where Z(theta) = L theta + arg phi(e^{i theta}) = 2 pi k, arg
+    phi unwrapped from its principal value at theta = 0.  N < L + w takes
+    the N cells nearest theta = 0, k = ``_chosen_indices(L + w, N)``.
+    Newton runs from starts read off Z (4L nodes a turn) on the offsets
+    delta = p - q, q = e^{2 pi i k/L}, so a root that moves little keeps
+    full relative precision.  NewtonDiverged unless Z rises on its nodes and
+    every root converges, alone, in its cell.
     """
-    if L < 4:
-        raise errors.InputError("grid size L must be at least 4")
-    if N is None:
-        N = L
-    if not 1 <= N <= L:
-        raise errors.InputError("need 1 <= N <= L")
-    j_all = np.arange(L)
-    q_roots = np.exp(2j * np.pi * j_all / L)
-    idx = _chosen_indices(L, N)
-
-    q = p = q_roots[idx]
-    delta = np.zeros(N, dtype=complex)
+    N, roots = _sector_size(spec, L, N)
+    theta = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 8 * L + 1)
+    phase = 2.0 * np.pi * symbols.eval_nu_grid(spec, np.exp(1j * theta)).real
+    phase -= 2.0 * np.pi * np.round(phase[4 * L] / (2.0 * np.pi))
+    z = (L * theta + phase) / (2.0 * np.pi)  # Z in turns: root k at z = k
+    if np.min(np.diff(z)) <= 0 or round((z[-1] - z[0]) / 2) != roots:
+        raise errors.NewtonDiverged(
+            f"Z falls near theta = {theta[np.argmin(np.diff(z))]:.4f}")
+    k = _chosen_indices(roots, N)
+    phase_k = np.interp(k, z, phase)
+    q_roots = np.exp(2j * np.pi * np.arange(L) / L)
+    q = q_roots[k % L]
+    delta = q * np.expm1(-1j * phase_k / L)  # exactly 0 where phi > 0
+    p = q + delta
     phi_p = symbols.eval_phi(spec, p)
-    logphi = np.log(phi_p)  # principal start, then tracked
-
-    for t in np.linspace(0.0, 1.0, HOMOTOPY_STEPS + 1)[1:]:
-        for it in range(NEWTON_MAXIT):
-            g = np.expm1(L * _log1p(delta / q) + t * logphi)
-            dlog = symbols.eval_dphi(spec, p) / phi_p
-            step = g / ((g + 1.0) * (L / p + t * dlog))
-            delta = delta - step
-            p = q + delta
-            phi_new = symbols.eval_phi(spec, p)
-            logphi = logphi + np.log(phi_new / phi_p)
-            phi_p = phi_new
-            if np.max(np.abs(step)) < NEWTON_TOL:
-                break
-        else:
-            bad = int(idx[int(np.argmax(np.abs(step)))])
-            raise errors.NewtonDiverged(bad)
-
+    for _ in range(NEWTON_MAXIT):
+        g = np.expm1(L * _log1p(delta / q) + np.log(phi_p))
+        step = g / ((g + 1.0) * (L / p + symbols.eval_dphi(spec, p) / phi_p))
+        delta = delta - step
+        p = q + delta
+        phi_p = symbols.eval_phi(spec, p)
+        if np.max(np.abs(step)) < NEWTON_TOL:
+            break
+    else:
+        bad = k[np.argmax(np.abs(step))]
+        raise errors.NewtonDiverged(f"root k = {bad} did not converge")
     residuals = np.abs(p ** L * phi_p - 1.0)
-    if np.max(residuals) > RESIDUAL_TOL:
-        bad = int(idx[int(np.argmax(residuals))])
-        raise errors.NewtonDiverged(bad)
+    drift = np.interp(2.0 * np.pi * k / L + np.angle(p / q), theta, z) - k
+    stray = np.flatnonzero((residuals > RESIDUAL_TOL) | (abs(drift) >= 0.5))
+    if stray.size:
+        i = stray[0]
+        raise errors.NewtonDiverged(
+            f"root k = {k[i]} has Z/2pi - k = {drift[i]:.2f}, residual "
+            f"{residuals[i]:.1e}")
     gap = _min_distance(p)
     if gap < DISTINCT_TOL:
-        raise errors.DegenerateZeros(
-            f"shifted roots collide: min distance {gap:.2e}")
-    return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=idx,
+        raise errors.NewtonDiverged(f"two roots {gap:.2e} apart")
+    return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=k % L,
                       p_roots=p, offsets=delta, residuals=residuals)
 
 
@@ -151,22 +160,24 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
                    x: int = 1) -> complex:
     """Finite-size overlap series in closed form.
 
-    The series sums, over N-subsets S of the unshifted grid,
-    F(p) det(C_S)^2 prod_{j in S} g(q_j) with the Cauchy matrix
-    C_ij = 1/(p_i - q_j), g(q) = q^{1+x} theta/(1+theta) and
-    F(p) = L^{-2N} prod p_i^{1-x} theta(p_i) / dens(p_i); the squared grid
-    normalization L^{-2N} makes a constant phase shift exact at every L.
+    The series sums, over N-subsets S of the grid, F(p) det(C_S)^2
+    prod_{j in S} g(q_j) with C_ij = 1/(p_i - q_j), g(q) = q^{1+x}
+    theta/(1+theta) and F(p) = L^{-2N} prod p_i^{1-x} theta(p_i)/dens(p_i);
+    the normalization L^{-2N} makes a constant phase shift exact at every L,
+    and N defaults to L + w (``solve_shifted``).
 
     N < L: by Cauchy-Binet the sum is F(p) det(C diag(g) C^T), one N x N
     log-determinant.  N = L: the one subset is the whole grid, and
-    det(C)^2 = L^{2L} prod_i R_i / prod_i (p_i^L - 1)^2, where
-    prod_j (p - q_j) = p^L - 1, the squared discriminant of q^L - 1 is
-    L^{2L} (cancelling F's normalization) and
-    R_i = prod_{j != i} (p_j - p_i)/(q_j - q_i) pairs each shifted root with
-    its unshifted start.
+    det(C)^2 = L^{2L} prod_i R_i / prod_i (p_i^L - 1)^2, by
+    prod_j (p - q_j) = p^L - 1 and the discriminant +-L^L of q^L - 1, with
+    R_i = prod_{j != i} (p_j - p_i)/(q_j - q_i) pairing each root with its
+    grid point.  N > L: no N-subset exists and the sum is exactly 0.
     """
+    N, _ = _sector_size(spec, L, N)
+    if N > L:
+        return 0.0 + 0.0j
     system = solve_shifted(spec, L, N)
-    N, p, q = system.N, system.p_roots, system.q_roots
+    p, q = system.p_roots, system.q_roots
     q_start, delta = q[system.indices], system.offsets
     if not np.any(delta):
         # symbol identically trivial: only the coincident subset, weight 1
@@ -189,7 +200,8 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         # p^L - 1 = (1 + delta/q)^L - 1 without cancellation; theta(p_i)
         # g(q_i) / (p_i^L - 1)^2 is one factor per root, so the large
         # logarithms of a small theta cancel before the sum, not in it
-        ratio = theta_p * g / np.expm1(L * _log1p(delta / q_start)) ** 2
+        pl_minus_1 = np.expm1(L * _log1p(delta / q_start))
+        ratio = theta_p * g[system.indices] / pl_minus_1 ** 2
         log_total = (np.sum(root_terms + np.log(ratio)) +
                      _log_row_ratios(delta, q_start))
     return errors.exp_in_range(log_total)

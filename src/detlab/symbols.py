@@ -74,9 +74,8 @@ def _poly_roots(coeffs_ascending):
 
 @functools.lru_cache(maxsize=64)
 def _derivative(coeffs: tuple) -> np.ndarray:
-    """Ascending coefficients of the derivative, read-only; memoised, as the
-    Newton homotopy of one finite-size sum differentiates its symbol ~65
-    times and ``P.polyder`` costs more than the evaluation."""
+    """Ascending coefficients of the derivative, read-only; memoised, as every
+    Newton step evaluates phi' and ``P.polyder`` costs more than that."""
     der = P.polyder(coeffs)
     der.flags.writeable = False
     return der

@@ -82,6 +82,26 @@ class TestExitCodes:
     def test_toeplitz_overflow_exits_3(self, capsys):
         assert run(["toeplitz", "--spec", "F4", "--x", "1024"], capsys)[0] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["fredholm", "--spec", "F2", "--kernel", "S", "--x=-3"],
+        ["ff", "--spec", "F2", "--x=-3", "--L", "8"],
+        ["toeplitz", "--spec", "F2", "--x=-1..2"]])
+    def test_negative_x_exits_2(self, argv, capsys):
+        assert run(argv, capsys)[0] == 2
+
+    def test_ff_zero_near_circle_exits_3(self, tmp_path, capsys):
+        # phi = 1 - q/1.05 at L = 8: the roots are not one per cell of Z
+        spec = symbols.SymbolSpec("rational", (1.0, -1.0 / 1.05), (1.0,))
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(symbols.to_json_dict(spec)))
+        code, _ = run(["ff", "--spec", str(path), "--L", "8"], capsys)
+        assert code == 3
+
+    def test_ff_N_past_sector_exits_2(self, capsys):
+        # F3 has winding -1, so at most L + w = 7 roots at L = 8
+        code, _ = run(["ff", "--spec", "F3", "--L", "8", "--N", "8"], capsys)
+        assert code == 2
+
 
 class TestTables:
     def test_toeplitz_csv(self, capsys):
@@ -162,8 +182,19 @@ class TestAsymAndCompare:
                         capsys)
         rep = json.loads(out)
         assert rep["value"]["re"] == pytest.approx(2.25)
-        assert rep["terms"] == 1
+        assert (rep["N"], rep["winding"], rep["terms"]) == (8, 0, 1)
         assert rep["oracle_gap"] < 1e-9
+
+    @pytest.mark.parametrize("spec,N,winding,terms", [("F3", 7, -1, 8),
+                                                      ("F7", 9, 1, 0)])
+    def test_ff_report_winding_sector(self, spec, N, winding, terms, capsys):
+        # N = L + w; no 9-subset of 8 grid points, so F7's value is 0
+        code, out = run(["ff", "--spec", spec, "--x", "2", "--L", "8"],
+                        capsys)
+        rep = json.loads(out)
+        assert code == 0
+        assert (rep["N"], rep["winding"], rep["terms"]) == (N, winding, terms)
+        assert (rep["value"]["re"] == 0.0) == (terms == 0)
 
 
 class TestVerify:
@@ -195,7 +226,8 @@ DIRECT = {
     "bo": lambda s, x, arg: asymptotics.borodin_okounkov(s, x),
     "slavnov": lambda s, x, arg: asymptotics.slavnov_series(s, x, arg),
     "ff": lambda s, x, arg: formfactors.tau_eff_finite(
-        s, 12 if arg is None else arg, 12 if arg is None else arg, x),
+        s, 12 if arg is None else arg,
+        (12 if arg is None else arg) + symbols.winding_number(s), x),
 }
 
 

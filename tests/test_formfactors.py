@@ -87,6 +87,27 @@ def banded_symbols(draw):
     return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
 
 
+@st.composite
+def sector_symbols(draw):
+    """phi(q) = c prod (q - z) prod (1 - q/w) / q^m of winding -2..0: zeros
+    z with modulus in two bands inside [0.2, 0.7], at least |winding| zeros
+    w in bands inside [1.5, 4], so zero moduli stay apart and at least 0.3
+    from the circle."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    winding = draw(st.integers(-2, 0))
+    inner = [zero(lo, hi) for lo, hi in ((0.2, 0.35), (0.5, 0.7))
+             if draw(st.booleans())]
+    bands = ((1.5, 1.7), (2.2, 2.9), (3.1, 4.0))
+    count = draw(st.integers(-winding, 3))
+    outer = [zero(lo, hi) for lo, hi in bands[:count]]
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
+    denom = [0.0] * (len(inner) - winding) + [1.0]
+    return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+
+
 class TestRoots:
     def test_trivial_symbol_roots_coincide(self):
         spec = symbols.fixture("F0")
@@ -114,9 +135,42 @@ class TestRoots:
         gaps = np.abs(p[:, None] - p[None, :])[np.triu_indices(len(p), 1)]
         assert gaps.min() > 1e-6
 
-    def test_colliding_roots_raise(self):
-        with pytest.raises(errors.DegenerateZeros):
-            solve_shifted(symbols.fixture("F6"), L=16, N=6)
+    @pytest.mark.parametrize("name,roots", [("F3", 15), ("F5", 14),
+                                            ("F6", 16), ("F7", 17)])
+    def test_one_root_per_cell(self, name, roots):
+        # L + w roots by default, the winding sector of each fixture
+        sys = solve_shifted(symbols.fixture(name), L=16)
+        assert sys.N == roots and len(sys.p_roots) == roots
+        assert np.max(sys.residuals) < 1e-12
+
+    def test_zero_near_circle_raises(self):
+        # phi = 1 - q/1.05: Z' = L - 1/0.05 < 0 near theta = 0 at L = 8,
+        # so the L roots are not one per cell of Z there
+        spec = symbols.SymbolSpec("rational", (1.0, -1.0 / 1.05), (1.0,))
+        with pytest.raises(errors.NewtonDiverged):
+            solve_shifted(spec, L=8)
+
+    def test_root_leaving_its_cell_raises(self):
+        # F5 at L = 8: Newton from the start of cell 0 lands in cell -3, a
+        # root no other start claims at N = 1, so only the cell test sees it
+        with pytest.raises(errors.NewtonDiverged, match="k = 0 has Z/2pi"):
+            solve_shifted(symbols.fixture("F5"), L=8, N=1)
+
+    def test_falling_counting_function_raises(self):
+        # zeros at 1.02 and 1.03 turn arg phi by ~-2.9 between the nodes
+        # theta = -pi/16 and 0 at L = 8, more than L theta gains there
+        numer = np.polynomial.polynomial.polyfromroots([1.02, 1.03])
+        spec = symbols.SymbolSpec("rational", tuple(numer / 1.0506), (1.0,))
+        with pytest.raises(errors.NewtonDiverged, match="Z falls"):
+            solve_shifted(spec, L=8)
+
+    @pytest.mark.parametrize("N", [0, 16])
+    def test_sector_bounds_N(self, N):
+        # F3 has winding -1: L + w = 15 roots
+        with pytest.raises(errors.InputError, match="L \\+ w = 15"):
+            solve_shifted(symbols.fixture("F3"), L=16, N=N)
+        with pytest.raises(errors.InputError, match="L \\+ w = 15"):
+            tau_eff_finite(symbols.fixture("F3"), 16, N, 2)
 
     def test_blocked_min_distance(self):
         rng = np.random.default_rng(3)
@@ -186,8 +240,10 @@ class TestFiniteSum:
         val = tau_eff_finite(spec, L=1024, N=1024, x=2)
         assert abs(val - truth) / abs(truth) < 1e-9
 
-    @pytest.mark.parametrize("name,L,N", [("F1", 8, 3), ("F2", 10, 5),
-                                          ("F2", 9, 9), ("F7", 8, 4)])
+    @pytest.mark.parametrize("name,L,N", [
+        ("F1", 8, 3), ("F2", 10, 5), ("F2", 9, 9), ("F7", 8, 4), ("F7", 8, 8),
+        ("F3", 8, None), ("F3", 8, 4), ("F4", 8, None), ("F5", 12, None),
+        ("F6", 8, None), ("F6", 16, 6)])
     def test_closed_forms_match_enumeration(self, name, L, N):
         spec = symbols.fixture(name)
         want = enumerated_sum(spec, L, N, 2)
@@ -217,6 +273,27 @@ class TestFiniteSum:
         truth = toeplitz.toeplitz_det(spec, 2)
         assert abs(tau_eff_finite(spec, L=L, x=2) / truth - 1) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F6"])
+    def test_winding_sector_converges(self, name):
+        # N = L + w roots against the L-point grid; the limit is det(1 + V)
+        spec = symbols.fixture(name)
+        truth = asymptotics.tau_eff(spec, 2)
+        val = tau_eff_finite(spec, L=256, x=2)
+        assert abs(val - truth) <= 1e-9 * abs(truth)
+
+    def test_positive_winding_sector_is_zero(self):
+        # F7 (w = 1) has L + 1 roots: no (L + 1)-subset of L grid points
+        spec = symbols.fixture("F7")
+        for L in (8, 256):
+            assert tau_eff_finite(spec, L=L, x=2) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=sector_symbols(), x=st.integers(1, 3))
+    def test_winding_sector_converges_random(self, spec, x):
+        truth = asymptotics.tau_eff(spec, x)
+        val = tau_eff_finite(spec, L=128, x=x)
+        assert abs(val - truth) <= 1e-9 * abs(truth)
+
     @pytest.mark.parametrize("N", [4, 8])
     def test_theta_zero_on_grid_gives_zero(self, N):
         # phi = (q + 3)/4 has phi(1) = 1: the root at q = 1 never moves
@@ -231,7 +308,7 @@ class TestFiniteSum:
         N = data.draw(st.integers(1, L))
         try:
             system = solve_shifted(spec, L, N)
-        except (errors.NewtonDiverged, errors.DegenerateZeros):
+        except errors.NewtonDiverged:
             reject()  # no root system at this size: nothing to sum
         # A shifted root sits about theta(p)/L from its start, so rounding p
         # costs ~L eps/|theta(p)| in any evaluation of the sum, exact
