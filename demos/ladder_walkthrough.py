@@ -3,8 +3,9 @@
 The fixture F4 has winding -1 with zeros at 0.3, 1.4 and 2.2: every route
 in the library applies to it somewhere.  For each matrix size x the table
 shows the exact moment determinant, the Fredholm determinant on the
-selected contour, the contour leading term, and the fully corrected
-series, with relative gaps to the oracle.
+selected contour, the leading term on that same circle (the Cauchy suite
+of the symbol and x finds it by itself), and the fully corrected series,
+with relative gaps to the oracle.
 """
 
 from detlab import asymptotics, fredholm, symbols, toeplitz
@@ -23,7 +24,7 @@ print(f"{'x':>3} {'oracle':>24} {'fredholm gap':>14} "
 for x in range(1, 9):
     oracle = toeplitz.toeplitz_det(spec, x)
     fd = fredholm.nystrom_det(fredholm.kernel_S(spec, x), contour).value
-    lead = asymptotics.tau_leading(spec, contour, x)
+    lead = asymptotics.tau_leading(spec, x)
     full = asymptotics.slavnov_series(spec, x)
     def gap(v):
         return abs(v - oracle) / abs(oracle)

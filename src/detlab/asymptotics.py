@@ -30,15 +30,15 @@ def base_contour(spec: symbols.SymbolSpec) -> Contour:
 
 # --- leading tau -------------------------------------------------------------
 
-def tau_leading(spec: symbols.SymbolSpec, contour: Contour, x: int,
+def tau_leading(spec: symbols.SymbolSpec, x: int,
                 route: str = "modes") -> complex:
-    """Leading-order value on a zero-winding circle.
+    """Leading-order value on the symbol's circle, where phi does not wind.
 
     route 'modes': x * (inside value at 0) plus a geometric mode sum.
     route 'double': direct trapezoid of the double integral, diagonal taken
     as the analytic limit nu'(q)^2.
     """
-    suite = CauchySuite(spec, contour, x)
+    suite = CauchySuite(spec, x)
     if route == "modes":
         return errors.exp_in_range(_log_tau_modes(suite))
     if route == "double":
@@ -217,7 +217,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
         raise errors.InputError("correction series needs a rational symbol")
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
-    suite = CauchySuite(spec, base_contour(spec), x)
+    suite = CauchySuite(spec, x)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     kmax = min(len(zset), len(wset))
     if max_order is not None:
@@ -240,8 +240,8 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     """
     from .contours import deformed_contour
     ana = symbols.analyze(spec)
-    contour = select_contour(ana)
-    suite = CauchySuite(spec, contour, x)
+    suite = CauchySuite(spec, x)
+    contour = suite.contour
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     if not wset:
         raise errors.NotAvailable("no zeros outside the contour to include")
@@ -268,7 +268,7 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth-symbol factor times det(Id - K) on shifted integer indices."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
-    suite = CauchySuite(spec, unit_circle(), x, BO_M)
+    suite = CauchySuite(spec, x, BO_M)
     om_sum = suite.Omega_gt_nodes + suite.Omega_lt_nodes
     ks_m, c_minus = laurent_coeffs(np.exp(-om_sum))   # (phi_+^{-1} phi_-)_k
     ks_p, c_plus = laurent_coeffs(np.exp(om_sum))     # (phi_+ phi_-^{-1})_k
@@ -294,13 +294,12 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     return complex(szego(spec, x) * det)
 
 
-def variational_check(spec: symbols.SymbolSpec, contour: Contour, x: int,
-                      j: int) -> tuple:
+def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
     """Finite-difference derivative of ln tau under nu -> nu + eps q^j,
     eps = 1e-6, versus the first-order formula; returns (finite difference,
     formula)."""
     eps = 1e-6
-    suite = CauchySuite(spec, contour, x)
+    suite = CauchySuite(spec, x)
     nodes, weights = suite.nodes, suite.weights
     nu = suite.nu
     dnu = symbols.eval_dnu(spec, nodes)

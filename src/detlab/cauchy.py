@@ -3,15 +3,19 @@
 Every plus/minus boundary value is obtained from a truncated Laurent series
 of the density sampled on the circle itself (see _series.LaurentSplit); the
 slightly-shifted contours of the defining integrals never appear in numerics.
+A suite sits on its symbol's own circle, where phi does not wind, and forms a
+q^{+-x} density only on first use, so routes that read none never overflow.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
-from .contours import Contour
+from .contours import select_contour, unit_circle
 
 TAIL_TOL = 1e-13
 M_CAP = 2048
@@ -33,23 +37,23 @@ def _converged_split(sample, m0: int):
 
 
 class CauchySuite:
-    """All scalar transforms attached to one symbol, one circle, one power x.
+    """All scalar transforms attached to one symbol and one power x.
 
+    The circle is ``select_contour``'s (the unit circle at zero winding).
     Provides the inside/outside splits of the phase-shift transform (capital
-    Omega), the split of the q^x theta/(1 + theta) density whose outside part
-    deforms the integrable kernel, and the b function entering the explicit
-    resolvent.
+    Omega) and, on first read, the split of the b function entering the
+    explicit resolvent.  The q^x theta/(1 + theta) split whose outside part
+    deforms the integrable kernel is formed by ``fredholm.kernel_V``.
     """
 
-    def __init__(self, spec: symbols.SymbolSpec, contour: Contour, x: int,
-                 m: int = 256):
-        if not contour.is_single_circle():
-            raise errors.InputError("CauchySuite needs a single-circle contour")
+    def __init__(self, spec: symbols.SymbolSpec, x: int, m: int = 256):
         if x < 0 or x != int(x):
             raise errors.InputError("x must be a nonnegative integer")
         self.spec = spec
-        self.contour = contour
-        self.rho = contour.radius
+        # zero winding locates no zeros, which analyze may reject
+        self.contour = (unit_circle() if symbols.winding_number(spec) == 0
+                        else select_contour(symbols.analyze(spec)))
+        self.rho = self.contour.radius
         self.x = int(x)
 
         def sample_nu(mm):
@@ -66,7 +70,6 @@ class CauchySuite:
         self.nodes = circle_nodes(self.rho, self.m)
         self.weights = circle_weights(self.nodes, self.m)
         self.theta = symbols.eval_theta(spec, self.nodes)
-        self.phi = self.theta + 1.0
 
         # boundary values of the split transforms on the grid itself
         self.Omega_gt_nodes = self.Omega_gt(self.nodes)
@@ -76,18 +79,6 @@ class CauchySuite:
         if self.jump_residual > 1e-10:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.w_density = self.nodes ** self.x * self.theta / self.phi
-            self.b_density = -self.nodes ** (-self.x) * self.theta * np.exp(
-                -self.Omega_gt_nodes - self.Omega_lt_nodes)
-        if not (np.all(np.isfinite(self.w_density)) and
-                np.all(np.isfinite(self.b_density))):
-            raise errors.OverflowGuard(
-                f"q^x densities overflow at x={self.x} "
-                f"on radius {self.rho:.4g}")
-        self.w_split = LaurentSplit(self.w_density, self.rho)
-        self.b_split = LaurentSplit(self.b_density, self.rho)
 
     # --- phase-shift transform ------------------------------------------------
 
@@ -100,6 +91,18 @@ class CauchySuite:
         return 2j * np.pi * self.nu_split.minus(q, derivative)
 
     # --- b function -----------------------------------------------------------
+
+    @functools.cached_property
+    def b_split(self) -> LaurentSplit:
+        """Split of the density -q^{-x} theta e^{-Omega_gt - Omega_lt}, formed
+        on first read; OverflowGuard when q^{-x} overflows on the circle."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = -self.nodes ** (-self.x) * self.theta * np.exp(
+                -self.Omega_gt_nodes - self.Omega_lt_nodes)
+        if not np.all(np.isfinite(density)):
+            raise errors.OverflowGuard(f"q^-x density overflows at x={self.x} "
+                                       f"on radius {self.rho:.4g}")
+        return LaurentSplit(density, self.rho)
 
     def b_plus(self, q, derivative: int = 0):
         """Inside-analytic piece of the b transform (series route)."""
@@ -121,16 +124,15 @@ class CauchySuite:
 
     def zeros_outside(self):
         """Zeros of phi outside this circle (rational symbols only)."""
-        if self.spec.kind != "rational":
-            raise errors.NoResidueForm("residue route needs a rational symbol")
-        ana = symbols.analyze(self.spec)
-        return [z for z in ana.zeros if abs(z) > self.rho]
+        return [z for z in self._zeros() if abs(z) > self.rho]
 
     def zeros_inside(self):
+        return [z for z in self._zeros() if abs(z) < self.rho]
+
+    def _zeros(self):
         if self.spec.kind != "rational":
             raise errors.NoResidueForm("residue route needs a rational symbol")
-        ana = symbols.analyze(self.spec)
-        return [z for z in ana.zeros if abs(z) < self.rho]
+        return symbols.analyze(self.spec).zeros
 
 
 class WindingAdjustedSuite:

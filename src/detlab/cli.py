@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import (asymptotics, cauchy, contours, errors, formfactors, fredholm,
-               orthopoly, symbols, toeplitz)
+from . import (asymptotics, cauchy, errors, formfactors, fredholm, orthopoly,
+               symbols, toeplitz)
 
 FMT = "{:.16e}"  # 17 significant digits
 
@@ -106,8 +106,7 @@ ROUTES = {
     "fredholm_S": lambda spec, x, arg: fredholm.nystrom_det(
         fredholm.kernel_S(spec, x), asymptotics.base_contour(spec)).value,
     "fredholm_V": lambda spec, x, arg: asymptotics.tau_eff(spec, x),
-    "leading": lambda spec, x, arg: asymptotics.tau_leading(
-        spec, asymptotics.base_contour(spec), x),
+    "leading": lambda spec, x, arg: asymptotics.tau_leading(spec, x),
     "szego": lambda spec, x, arg: asymptotics.szego(spec, x),
     "hf": lambda spec, x, arg: asymptotics.hartwig_fisher(spec, x),
     "hf-leading": lambda spec, x, arg: asymptotics.hf_leading(spec, x),
@@ -152,6 +151,8 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_fredholm(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise errors.InputError(f"--tol {args.tol} is not finite and positive")
     spec = _load_spec(args.spec)
     rows = []
     for x in _parse_xrange(args.x):
@@ -247,8 +248,7 @@ def _verify_checks(seed: int):
     def jump_check(name):
         def run():
             spec = symbols.fixture(name)
-            suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), 2)
-            return suite.jump_residual
+            return cauchy.CauchySuite(spec, 2).jump_residual
         return run
 
     for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7"):
@@ -273,16 +273,16 @@ def _verify_checks(seed: int):
 
     def split_check():
         spec = symbols.fixture("F4")
-        contour = asymptotics.base_contour(spec)
-        suite = cauchy.CauchySuite(spec, contour, 3)
+        suite = cauchy.CauchySuite(spec, 3)
         lhs = fredholm.nystrom_det(
             fredholm.SumKernel(
                 [fredholm.kernel_V(suite)] +
                 [fredholm.kernel_W(spec, z, 3)
                  for z in suite.zeros_inside()],
                 "V-Delta"),
-            contour).value
-        rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), contour).value
+            suite.contour).value
+        rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
+                                   suite.contour).value
         return _gap(lhs, rhs)
 
     yield "kernel-split-F4-x3", 1e-8, split_check
@@ -290,8 +290,7 @@ def _verify_checks(seed: int):
     def inversion_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), x)
-            return fredholm.resolvent_residual(suite)
+            return fredholm.resolvent_residual(cauchy.CauchySuite(spec, x))
         return run
 
     for name, x in (("F2", 2), ("F4", 2)):
@@ -300,7 +299,7 @@ def _verify_checks(seed: int):
     def mdual_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), x)
+            suite = cauchy.CauchySuite(spec, x)
             worst = 0.0
             for _ in range(4):
                 r = suite.rho * (0.3 + 0.6 * rng.random())
@@ -326,8 +325,7 @@ def _verify_checks(seed: int):
                            ROUTES["fredholm_V"], (("F3", 4), ("F5", 3)))
     yield from pair_checks(
         "leading-dual", 1e-9, ROUTES["leading"],
-        lambda spec, x, arg: asymptotics.tau_leading(
-            spec, asymptotics.base_contour(spec), x, route="double"),
+        lambda spec, x, arg: asymptotics.tau_leading(spec, x, route="double"),
         (("F1", 4), ("F4", 3)))
     yield from pair_checks(
         "hf-leading-dual", 1e-8, ROUTES["hf-leading"],
@@ -346,8 +344,7 @@ def _verify_checks(seed: int):
 
     def variational_fn():
         spec = symbols.fixture("F2")
-        return _gap(*asymptotics.variational_check(
-            spec, contours.unit_circle(), 2, -1))
+        return _gap(*asymptotics.variational_check(spec, 2, -1))
 
     yield "variational-F2", 1e-4, variational_fn
 
@@ -413,6 +410,8 @@ def cmd_verify(args) -> int:
         if error:
             record["error"] = error
         results.append(record)
+    if not results:
+        raise errors.InputError(f"no check matches --only {args.only!r}")
     failed = [r["name"] for r in results if not r["pass"]]
     report = {"checks": results, "passed": not failed, "failed": failed}
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)

@@ -59,9 +59,6 @@ class Contour:
     def radius(self) -> float:
         return self.outer.radius
 
-    def is_single_circle(self) -> bool:
-        return len(self.components) == 1
-
     def contains(self, q) -> bool:
         """True when q lies in the region D enclosed by the contour."""
         if abs(q) >= self.radius:

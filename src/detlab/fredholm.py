@@ -25,7 +25,7 @@ import numpy as np
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, pow2_at_least
 from .cauchy import CauchySuite
-from .contours import Contour, quadrature, unit_circle
+from .contours import Contour, quadrature
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 M_START = 32     # first margin of Nystrom nodes over the bandwidth x
@@ -121,12 +121,23 @@ def _kernel_V_generic(a, tail, x, label):
     return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label, x)
 
 
+def _w_split(nodes, theta, x: int, radius: float) -> LaurentSplit:
+    """Split of q^x theta/(1 + theta) at ``nodes`` of the circle of ``radius``,
+    whose outside part deforms V; OverflowGuard when q^x overflows there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = nodes ** x * theta / (1.0 + theta)
+    if not np.all(np.isfinite(density)):
+        raise errors.OverflowGuard(
+            f"q^x density overflows at x={x} on radius {radius:.4g}")
+    return LaurentSplit(density, radius)
+
+
 def kernel_V(suite: CauchySuite) -> Kernel:
     """Deformed kernel on the suite's circle; exact Toeplitz value when no
     zeros of the symbol remain outside the contour.  Its w is q^x plus the
     outside continuation of the k^x theta/(1 + theta) transform."""
-    return _kernel_V_generic(_sqrt_theta(suite.spec), suite.w_split.minus,
-                             suite.x, "V")
+    tail = _w_split(suite.nodes, suite.theta, suite.x, suite.rho).minus
+    return _kernel_V_generic(_sqrt_theta(suite.spec), tail, suite.x, "V")
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -151,8 +162,7 @@ def kernel_V_from_theta(theta_fn, x: int) -> Kernel:
     up to a power of two, so its modes near j = x never fold."""
     m = max(512, pow2_at_least(4 * x))
     nodes = circle_nodes(1.0, m)
-    tvals = theta_fn(nodes)
-    split = LaurentSplit(nodes ** x * tvals / (1.0 + tvals), 1.0)
+    split = _w_split(nodes, theta_fn(nodes), x, 1.0)
 
     def a(q):
         return np.sqrt(theta_fn(np.asarray(q, dtype=complex)))
@@ -283,8 +293,8 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
-    circle = unit_circle()
-    suite = CauchySuite(spec, circle, x)
+    suite = CauchySuite(spec, x)
+    circle = suite.contour
     vk = kernel_V(suite)
     st, hm = _sqrt_theta(spec), _halfpow(-x)
     # Overall sign fixed numerically: with this choice the determinant
@@ -302,34 +312,19 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     det_shift = nystrom_det(kernel_V_from_theta(theta_shift, x), circle)
     closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * suite.b_plus(0.0)
 
-    # The raw subtraction det(1+V+V1) - det(1+V) cancels catastrophically
-    # once the correction is much smaller than the determinants themselves.
-    # For a rank-one update the difference factors exactly as
-    # det(1+V) * rowspace(V1) . (1+V)^{-1} colspace(V1), which keeps full
-    # relative precision; both grid sizes must agree.
-    def stable_diff(m):
-        quad = quadrature(circle, m)
-        vmat = np.eye(len(quad.nodes), dtype=complex) + \
-            vk.matrix(quad.nodes, quad.weights)
-        col = vk1.c * vk1.u(quad.nodes) / (2j * np.pi)
-        row = vk1.v(quad.nodes) * quad.weights
-        return det_v.value * (row @ np.linalg.solve(vmat, col))
-
-    diff = stable_diff(512)
-    drift = abs(diff - stable_diff(256))
-    if drift > max(TOL * abs(diff), 1e-14):
-        raise errors.NotConverged(
-            f"rank-one correction drift {drift:.2e} between grids")
     # When the correction is exponentially small in x, every determinant in
     # the identity is still O(1), so the identity can only hold to absolute
     # machine precision; residuals are scaled by the largest member rather
-    # than by the tiny correction alone.
+    # than by the tiny correction alone.  The same scale bounds what the
+    # raw difference det(1+V+V1) - det(1+V) loses to cancellation, so it
+    # needs no stable (relative-precision) form.
     scale = max(abs(det_sum.value), abs(det_shift.value), 1e-300)
     return {
         "det_v": det_v.value,
         "det_sum": det_sum.value,
         "det_shift": det_shift.value,
         "closed_form": complex(closed),
-        "residual_difference": abs(diff - det_shift.value) / scale,
+        "residual_difference":
+            abs(det_sum.value - det_v.value - det_shift.value) / scale,
         "residual_closed": abs(complex(closed) - det_shift.value) / scale,
     }

@@ -44,7 +44,7 @@ def test_criterion_02_constant_symbol():
         values = [
             toeplitz.toeplitz_det(spec, x),
             fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct).value,
-            asymptotics.tau_leading(spec, ct, x),
+            asymptotics.tau_leading(spec, x),
             asymptotics.szego(spec, x),
             asymptotics.borodin_okounkov(spec, x),
         ]
@@ -113,7 +113,7 @@ def test_criterion_07_m_function_dual_routes():
     worst = 0.0
     for name in FIXTURES:
         spec = symbols.fixture(name)
-        suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), 2)
+        suite = cauchy.CauchySuite(spec, 2)
         for _ in range(8):
             r1 = suite.rho * (0.3 + 0.4 * rng.random())
             r2 = suite.rho * (1.2 + 0.6 * rng.random())
@@ -164,8 +164,7 @@ def test_criterion_10_resolvent_inversion():
     for name in ("F1", "F2", "F3"):
         spec = symbols.fixture(name)
         for x in (2, 6):
-            suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec),
-                                       x)
+            suite = cauchy.CauchySuite(spec, x)
             worst = max(worst, fredholm.resolvent_residual(suite))
     report(10, "resolvent inversion", worst, 1e-8)
 
@@ -241,7 +240,7 @@ def test_criterion_14_scalar_problem_and_spectral_convergence():
     worst_jump = 0.0
     for name in FIXTURES:
         spec = symbols.fixture(name)
-        suite = cauchy.CauchySuite(spec, asymptotics.base_contour(spec), 2)
+        suite = cauchy.CauchySuite(spec, 2)
         worst_jump = max(worst_jump, suite.jump_residual)
 
     # self-convergence: each m-doubling shrinks the determinant change by

@@ -72,6 +72,11 @@ class TestExitCodes:
                        "--methods", "toeplitz," + method], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-10", "inf"])
+    def test_tol_not_finite_and_positive_exits_2(self, tol, capsys):
+        code = cli.main(["fredholm", "--spec", "F2", "--x", "2", f"--tol={tol}"])
+        assert code == 2 and "--tol" in capsys.readouterr().err
+
     def test_overflow_exits_3(self, capsys):
         # 1.5^2000 is past double range: a typed failure, not an inf
         code, _ = run(["asym", "--spec", "F1", "--x", "2000",
@@ -205,6 +210,12 @@ class TestVerify:
         assert rep["failed"] == []
         assert len(rep["checks"]) == 7
 
+    def test_filter_without_match_exits_2(self, capsys):
+        code = cli.main(["verify", "--only", "nosuchcheck"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "nosuchcheck" in captured.err
+
     def test_rank_one_group(self, capsys):
         code, out = run(["verify", "--only", "rank-one"], capsys)
         assert code == 0 and json.loads(out)["failed"] == []
@@ -217,8 +228,7 @@ DIRECT = {
     "fredholm_S": lambda s, x, arg: fredholm.nystrom_det(
         fredholm.kernel_S(s, x), asymptotics.base_contour(s)).value,
     "fredholm_V": lambda s, x, arg: asymptotics.tau_eff(s, x),
-    "leading": lambda s, x, arg: asymptotics.tau_leading(
-        s, asymptotics.base_contour(s), x, route="modes"),
+    "leading": lambda s, x, arg: asymptotics.tau_leading(s, x, route="modes"),
     "szego": lambda s, x, arg: asymptotics.szego(s, x),
     "hf": lambda s, x, arg: asymptotics.hartwig_fisher(s, x),
     "hf-leading": lambda s, x, arg: asymptotics.hf_leading(

@@ -10,7 +10,7 @@ from detlab.contours import Circle, Contour, quadrature, unit_circle
 class TestValidation:
     def test_unit_circle(self):
         ct = unit_circle()
-        assert ct.is_single_circle() and abs(ct.radius - 1.0) < 1e-15
+        assert len(ct.components) == 1 and abs(ct.radius - 1.0) < 1e-15
 
     def test_inner_loop_must_be_clockwise(self):
         outer = Circle(0.0, 2.0, +1)
@@ -50,7 +50,7 @@ class TestQuadrature:
 class TestSelection:
     def test_f3_radius_two(self):
         ct = asymptotics.base_contour(symbols.fixture("F3"))
-        assert ct.is_single_circle()
+        assert len(ct.components) == 1
         assert abs(ct.radius - 2.0) < 1e-9
 
     def test_zero_winding_uses_unit_circle(self):

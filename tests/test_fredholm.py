@@ -12,7 +12,7 @@ from detlab.contours import deformed_contour, quadrature, unit_circle
 
 def suite_for(name, x):
     spec = symbols.fixture(name)
-    return spec, CauchySuite(spec, asymptotics.base_contour(spec), x)
+    return spec, CauchySuite(spec, x)
 
 
 def direct_fill(kernel, nodes, weights):
@@ -47,7 +47,9 @@ def zero_kernel():
 def kernel_Delta(suite: CauchySuite) -> fredholm.Kernel:
     """Difference V - (conjugated S): only the transform part of w survives,
     vp = q^{-x/2} tail and vm = q^{-x/2}."""
-    x, tail = suite.x, suite.w_split.minus
+    x = suite.x
+    tail = LaurentSplit(suite.nodes ** x * suite.theta / (1.0 + suite.theta),
+                        suite.rho).minus
 
     def hm(q):
         return np.asarray(q, dtype=complex) ** (-x / 2.0)
