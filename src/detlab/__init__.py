@@ -12,7 +12,7 @@ from . import (asymptotics, cauchy, contours, errors, formfactors, fredholm,
 from .asymptotics import (base_contour, borodin_okounkov, hartwig_fisher,
                           hf_leading, slavnov_series, szego, tau_eff,
                           tau_leading)
-from .cauchy import CauchySuite, WindingAdjustedSuite
+from .cauchy import CauchySuite
 from .contours import Circle, Contour, unit_circle
 from .formfactors import solve_shifted, tau_eff_finite
 from .fredholm import kernel_S, kernel_V, nystrom_det
@@ -27,7 +27,7 @@ __all__ = [
     "orthopoly", "symbols", "toeplitz",
     "base_contour", "borodin_okounkov", "hartwig_fisher", "hf_leading",
     "slavnov_series", "szego", "tau_eff", "tau_leading",
-    "CauchySuite", "WindingAdjustedSuite", "Circle", "Contour", "unit_circle",
+    "CauchySuite", "Circle", "Contour", "unit_circle",
     "solve_shifted", "tau_eff_finite", "kernel_S", "kernel_V", "nystrom_det",
     "MeasureMu", "RHPSolution", "hf_moment_equivalence",
     "SymbolSpec", "analyze", "fixture", "load_symbol", "toeplitz_det",

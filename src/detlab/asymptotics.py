@@ -13,7 +13,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
-from .cauchy import CauchySuite, WindingAdjustedSuite
+from .cauchy import CauchySuite
 from .contours import Contour, select_contour, unit_circle
 from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
 
@@ -34,22 +34,17 @@ def tau_leading(spec: symbols.SymbolSpec, x: int,
                 route: str = "modes") -> complex:
     """Leading-order value on the symbol's circle, where phi does not wind.
 
-    route 'modes': x * (inside value at 0) plus a geometric mode sum.
+    route 'modes': the strong-limit exponent, x 2 pi i nu_0 plus a mode sum.
     route 'double': direct trapezoid of the double integral, diagonal taken
     as the analytic limit nu'(q)^2.
     """
     suite = CauchySuite(spec, x)
     if route == "modes":
-        return errors.exp_in_range(_log_tau_modes(suite))
+        return errors.exp_in_range(_log_strong_limit(suite))
     if route == "double":
         return errors.exp_in_range(_log_tau_double(
             suite, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
     raise errors.InputError(f"unknown route {route!r}")
-
-
-def _log_tau_modes(suite: CauchySuite) -> complex:
-    """ln tau as x * Omega_gt(0) plus the mode sum of the suite's shift."""
-    return suite.x * suite.Omega_gt(0.0) + _mode_sum(suite.nu_split)
 
 
 def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
@@ -67,15 +62,15 @@ def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
 
 def szego(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth zero-winding asymptotic: the strong-limit exponent of the
-    winding-adjusted split, which for winding 0 is x nu_0 plus the mode sum
-    sum_{j>=1} j nu_j nu_{-j} of the phase shift."""
+    unit-circle split, x 2 pi i nu_0 plus the mode sum
+    sum_{j>=1} j (2 pi i)^2 nu_j nu_{-j} of the phase shift."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    return errors.exp_in_range(
-        _log_strong_limit(WindingAdjustedSuite(spec), x))
+    suite = CauchySuite(spec, x, unit=True)
+    return errors.exp_in_range(_log_strong_limit(suite))
 
 
-# --- winding-compensated machinery on the unit circle ------------------------
+# --- strong-limit exponent ---------------------------------------------------
 
 def _mode_sum(split: LaurentSplit) -> complex:
     """sum_{m>=1} m * v_m * v_{-m} with v_j = 2 pi i * (Laurent coefficient j)."""
@@ -85,10 +80,10 @@ def _mode_sum(split: LaurentSplit) -> complex:
                           (2j * np.pi * cs[np.searchsorted(js, -js[pos])])))
 
 
-def _log_strong_limit(ws: WindingAdjustedSuite, x: int) -> complex:
-    """(x - winding) 2 pi i nu_0 plus the mode sum of the compensated shift."""
-    return ((x - ws.winding) * 2j * np.pi * ws.split.zero_mode() +
-            _mode_sum(ws.split))
+def _log_strong_limit(suite: CauchySuite) -> complex:
+    """(x - winding) 2 pi i nu_0 plus the mode sum of the suite's split."""
+    return ((suite.x - suite.winding) * 2j * np.pi *
+            suite.nu_split.zero_mode() + _mode_sum(suite.nu_split))
 
 
 def _require_negative_winding(spec):
@@ -116,12 +111,13 @@ def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
     return nystrom_det(*tau_eff_kernel(spec, x)).value
 
 
-def y_moment(ws: WindingAdjustedSuite, s) -> complex:
-    """(1/2 pi i) oint dk/k k^{-s} exp(-2 pi i nu_adj(k)) exp(-2 omega_lt(k))."""
-    k = ws.nodes
-    dens = k ** (-np.asarray(s)) * np.exp(-2j * np.pi * ws.nu_adj) * \
-        np.exp(-2.0 * ws.omega_lt(k))
-    return complex(np.sum(ws.weights * dens / k) / (2j * np.pi))
+def y_moment(suite: CauchySuite, s) -> complex:
+    """(1/2 pi i) oint dk/k k^{-s} exp(-2 pi i nu_w(k)) exp(-2 Omega_lt(k))
+    over the grid of a unit-circle suite."""
+    k = suite.nodes
+    dens = k ** (-np.asarray(s)) * np.exp(-2j * np.pi * suite.nu) * \
+        np.exp(-2.0 * suite.Omega_lt_nodes)
+    return complex(np.sum(suite.weights * dens / k) / (2j * np.pi))
 
 
 def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
@@ -129,10 +125,10 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     equal to det(1 + V) on the unit circle."""
     ana = _require_negative_winding(spec)
     n = -ana.winding
-    ws = WindingAdjustedSuite(spec)
-    ymat = np.array([[y_moment(ws, x + i - j) for j in range(n)]
+    suite = CauchySuite(spec, x, unit=True)
+    ymat = np.array([[y_moment(suite, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
-    return errors.exp_in_range(_log_strong_limit(ws, x), np.linalg.det(ymat))
+    return errors.exp_in_range(_log_strong_limit(suite), np.linalg.det(ymat))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
@@ -192,9 +188,9 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
         return errors.exp_in_range(s_val + log_num - log_dphi -
                                    x * np.sum(np.log(z)))
     if route == "reduced":
-        ws = WindingAdjustedSuite(spec, HF_LEADING_M)
-        expo = _log_strong_limit(ws, x)
-        expo -= 2.0 * np.sum([ws.omega_lt(zk) for zk in z])
+        suite = CauchySuite(spec, x, HF_LEADING_M, unit=True)
+        expo = _log_strong_limit(suite)
+        expo -= 2.0 * np.sum([suite.Omega_lt(zk) for zk in z])
         return errors.exp_in_range(expo + log_num - log_dphi -
                                    (2 * n + x) * np.sum(np.log(z)))
     raise errors.InputError(f"unknown route {route!r}")
@@ -229,7 +225,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
         cmat = 1.0 / np.subtract.outer(np.array(wset), np.array(zset))
         amat = -b[:, None] * ((cmat * a) @ cmat.T)
         total = np.sum(np.poly(amat)[:kmax + 1])
-    return errors.exp_in_range(_log_tau_modes(suite), total)
+    return errors.exp_in_range(_log_strong_limit(suite), total)
 
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,

@@ -3,7 +3,8 @@
 Every plus/minus boundary value is obtained from a truncated Laurent series
 of the density sampled on the circle itself (see _series.LaurentSplit); the
 slightly-shifted contours of the defining integrals never appear in numerics.
-A suite sits on its symbol's own circle, where phi does not wind, and forms a
+A suite sits on its symbol's own circle, where phi does not wind, or on the
+unit circle with the phase shift compensated for its winding; it forms a
 q^{+-x} density only on first use, so routes that read none never overflow.
 """
 
@@ -39,37 +40,43 @@ def _converged_split(sample, m0: int):
 class CauchySuite:
     """All scalar transforms attached to one symbol and one power x.
 
-    The circle is ``select_contour``'s (the unit circle at zero winding).
-    Provides the inside/outside splits of the phase-shift transform (capital
+    The circle is ``select_contour``'s, where phi does not wind, or with
+    ``unit`` the unit circle, where the split density ``nu`` is the phase
+    shift compensated for the winding w, nu - w (arg q + pi)/(2 pi).
+    Provides the inside/outside splits of that density's transform (capital
     Omega) and, on first read, the split of the b function entering the
     explicit resolvent.  The q^x theta/(1 + theta) split whose outside part
     deforms the integrable kernel is formed by ``fredholm.kernel_V``.
     """
 
-    def __init__(self, spec: symbols.SymbolSpec, x: int, m: int = 256):
+    def __init__(self, spec: symbols.SymbolSpec, x: int, m: int = 256, *,
+                 unit: bool = False):
         if x < 0 or x != int(x):
             raise errors.InputError("x must be a nonnegative integer")
         self.spec = spec
-        # zero winding locates no zeros, which analyze may reject
-        self.contour = (unit_circle() if symbols.winding_number(spec) == 0
+        self.x = int(x)
+        self.contour = (unit_circle() if unit
                         else select_contour(symbols.analyze(spec)))
         self.rho = self.contour.radius
-        self.x = int(x)
+        self.winding = symbols.winding_number(spec) if unit else 0
 
         def sample_nu(mm):
             # the last sample is taken on the converged grid: kept as self.nu
-            self.nu = symbols.eval_nu_grid(spec, circle_nodes(self.rho, mm))
+            nodes = circle_nodes(self.rho, mm)
+            self.nu = symbols.eval_nu_grid(spec, nodes) - self.winding * (
+                np.angle(nodes) + np.pi) / (2.0 * np.pi)
             return self.nu, self.rho
 
-        winding = symbols.grid_winding(spec, circle_nodes(self.rho, max(m, 256)))
-        if abs(winding) > 0.25:
-            raise errors.WindingNonzero(
-                f"phase shift winds {winding:+.2f} on the chosen circle")
+        if not unit:
+            winding = symbols.grid_winding(spec,
+                                           circle_nodes(self.rho, max(m, 256)))
+            if abs(winding) > 0.25:
+                raise errors.WindingNonzero(
+                    f"phase shift winds {winding:+.2f} on the chosen circle")
 
         self.nu_split, self.m = _converged_split(sample_nu, max(m, 256))
         self.nodes = circle_nodes(self.rho, self.m)
         self.weights = circle_weights(self.nodes, self.m)
-        self.theta = symbols.eval_theta(spec, self.nodes)
 
         # boundary values of the split transforms on the grid itself
         self.Omega_gt_nodes = self.Omega_gt(self.nodes)
@@ -79,6 +86,11 @@ class CauchySuite:
         if self.jump_residual > 1e-10:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
+
+    @functools.cached_property
+    def theta(self):
+        """theta on the grid, read only by the V kernel and b's split."""
+        return symbols.eval_theta(self.spec, self.nodes)
 
     # --- phase-shift transform ------------------------------------------------
 
@@ -133,36 +145,3 @@ class CauchySuite:
         if self.spec.kind != "rational":
             raise errors.NoResidueForm("residue route needs a rational symbol")
         return symbols.analyze(self.spec).zeros
-
-
-class WindingAdjustedSuite:
-    """Unit-circle transforms of the winding-compensated phase shift.
-
-    The compensated shift nu_w(q) = nu(q) - w*(ln q + i pi)/(2 pi i) is
-    single-valued on the unit circle for a symbol of winding w, so it admits
-    the same plus/minus split treatment as the zero-winding case.
-    """
-
-    def __init__(self, spec: symbols.SymbolSpec, m: int = 256):
-        self.spec = spec
-        self.winding = symbols.winding_number(spec)
-
-        self.split, self.m = _converged_split(
-            lambda mm: (self.nu_adjusted(circle_nodes(1.0, mm)), 1.0),
-            max(m, 256))
-        self.nodes = circle_nodes(1.0, self.m)
-        self.weights = circle_weights(self.nodes, self.m)
-        self.nu_adj = self.split.reconstruct(self.nodes)
-
-    def nu_adjusted(self, nodes):
-        """Compensated phase shift on an arbitrary unit-circle grid."""
-        nu = symbols.eval_nu_grid(self.spec, nodes)
-        ang = np.angle(nodes)
-        return nu - self.winding * (ang + np.pi) / (2.0 * np.pi)
-
-    def omega_gt(self, q, derivative: int = 0):
-        return 2j * np.pi * self.split.plus(q, derivative)
-
-    def omega_lt(self, q, derivative: int = 0):
-        return 2j * np.pi * self.split.minus(q, derivative)
-

@@ -397,6 +397,8 @@ def _verify_checks(seed: int):
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise errors.InputError(f"seed {args.seed} is negative")
     results = []
     for name, tol, run in _verify_checks(args.seed):
         if args.only and args.only not in name:

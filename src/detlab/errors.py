@@ -36,7 +36,8 @@ class WindingInconsistent(NumericalError):
 
 
 class DegenerateZeros(InputError):
-    """Two zeros of the symbol share a modulus within SEP_TOL."""
+    """Two zeros of a symbol of nonzero winding share a modulus within
+    SEP_TOL."""
 
 
 class RootFindFailure(NumericalError):

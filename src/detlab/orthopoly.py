@@ -1,11 +1,11 @@
 """Monic orthogonal polynomials on the unit circle for the winding measure.
 
-For a symbol of winding -n the measure mu(q) = e^{-omega_gt - omega_lt} *
-q^{-x-n} (built from the compensated phase shift) defines n monic
-orthogonal polynomials; packed into a 2x2 matrix with their Cauchy
-transforms they solve a Riemann-Hilbert problem with the one-sided jump
-[[1, -mu], [0, 1]].  The n-by-n determinant of the moments of mu
-reproduces the winding-corrected determinant formula.
+For a symbol of winding -n the measure mu(q) = e^{-Omega_gt - Omega_lt} *
+q^{-x-n}, built from the unit-circle ``CauchySuite`` of the compensated phase
+shift, defines n monic orthogonal polynomials; packed into a 2x2 matrix with
+their Cauchy transforms they solve a Riemann-Hilbert problem with the
+one-sided jump [[1, -mu], [0, 1]].  The n-by-n determinant of the moments of
+mu reproduces the winding-corrected determinant formula.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as P
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
 from .asymptotics import y_moment
-from .cauchy import WindingAdjustedSuite
+from .cauchy import CauchySuite
 
 MOMENT_STABILITY_TOL = 1e-12
 GRAM_TOL = 1e-12
@@ -31,13 +31,11 @@ class MeasureMu:
         if ana.winding >= 0:
             raise errors.WindingNonnegative(
                 f"measure needs negative winding, got {ana.winding}")
-        if x < 0 or x != int(x):
-            raise errors.InputError("x must be a nonnegative integer")
+        self.suite = CauchySuite(spec, x, M_GRID, unit=True)
         self.spec = spec
-        self.x = int(x)
+        self.x = self.suite.x
         self.winding = ana.winding
         self.n = -ana.winding
-        self.ws = WindingAdjustedSuite(spec, M_GRID)
         self._grids = {}
         self._moments = {}
 
@@ -46,7 +44,7 @@ class MeasureMu:
         if m not in self._grids:
             nodes = circle_nodes(1.0, m)
             weights = circle_weights(nodes, m)
-            total = self.ws.omega_gt(nodes) + self.ws.omega_lt(nodes)
+            total = self.suite.Omega_gt(nodes) + self.suite.Omega_lt(nodes)
             vals = np.exp(-total) * nodes ** (-self.x + self.winding)
             self._grids[m] = (nodes, weights, vals)
         return self._grids[m]
@@ -228,7 +226,7 @@ def hf_moment_equivalence(spec: symbols.SymbolSpec, x: int) -> float:
     formula and det(moment matrix)/(2 pi i)^n."""
     measure = MeasureMu(spec, x)
     n = measure.n
-    ymat = np.array([[y_moment(measure.ws, x + i - j) for j in range(n)]
+    ymat = np.array([[y_moment(measure.suite, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
     det_y = complex(np.linalg.det(ymat))
     det_mu = complex(np.linalg.det(moment_matrix(measure))) / (2j * np.pi) ** n

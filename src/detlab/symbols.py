@@ -213,10 +213,12 @@ def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
 
     zeros = [_newton_polish(spec.numer, r) for r in _poly_roots(spec.numer)]
     zeros.sort(key=abs, reverse=True)
-    mods = sorted(abs(z) for z in zeros)
-    for a, b in zip(mods, mods[1:]):
-        if b - a < SEP_TOL:
-            raise errors.DegenerateZeros(f"zero moduli {a} and {b} within {SEP_TOL}")
+    if n:   # equal moduli make the choice of zeros ambiguous; 0 picks none
+        mods = sorted(abs(z) for z in zeros)
+        for a, b in zip(mods, mods[1:]):
+            if b - a < SEP_TOL:
+                raise errors.DegenerateZeros(
+                    f"zero moduli {a} and {b} within {SEP_TOL}")
 
     praw = sorted(_poly_roots(spec.denom), key=abs)
     poles = []

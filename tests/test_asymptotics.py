@@ -183,21 +183,24 @@ class TestTauEffDeformed:
         assert np.isfinite(value)
 
     def test_conjugate_zero_pair_unchanged(self):
-        # winding 0, but analyze rejects the equal zero moduli: both routes
-        # stay on the unit circle and keep their values
+        # winding 0 selects no zero, so the equal moduli of a conjugate pair
+        # are harmless: analyze succeeds and every route takes the unit circle
         zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
                  2 * np.exp(0.7j), 2 * np.exp(-0.7j)]
         spec = _rational(zeros, 2)
-        with pytest.raises(errors.DegenerateZeros):
-            symbols.analyze(spec)
+        ana = symbols.analyze(spec)
+        assert ana.winding == 0 and ana.z_list == ()
         for x, tau, det in [(3, 97.10801467715439, 96.95703426533626),
                             (8, 99438.60702939723, 99438.94106258238)]:
             assert abs(A.tau_eff(spec, x) - tau) / tau < 1e-12
             assert abs(toeplitz.toeplitz_det(spec, x) - det) / det < 1e-12
+            fredholm_s = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
+                                              A.base_contour(spec)).value
+            assert abs(fredholm_s - det) / det < 1e-12
+            assert abs(A.slavnov_series(spec, x) - det) / det < 1e-12
 
     def test_conjugate_zero_pair_keeps_suite_routes(self):
-        # zero winding takes the unit circle without locating the zeros, so
-        # the suite's routes still run where analyze rejects the moduli
+        # the suite locates the zeros of a conjugate pair at winding 0 too
         zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
                  2 * np.exp(0.7j), 2 * np.exp(-0.7j)]
         spec = _rational(zeros, 2)
@@ -228,15 +231,15 @@ class TestLargeX:
 
 
 @st.composite
-def two_sided_symbols(draw):
+def two_sided_symbols(draw, negative=True):
     """phi(q) = c prod (1 - q/w) prod (1 - z/q) with 2-3 zeros on each side
     of select_contour's circle, moduli in separate bands: winding 0 with 2-3
-    zeros inside |q| = 1, or winding -1 with 1-2 there and one more in
-    [1.5, 1.7] that the contour encloses."""
+    zeros inside |q| = 1, or (unless not ``negative``) winding -1 with 1-2
+    there and one more in [1.5, 1.7] that the contour encloses."""
     def zero(lo, hi):
         return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
 
-    winding = -draw(st.integers(0, 1))
+    winding = -draw(st.integers(0, int(negative)))
     n_in, n_out = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     bands_in = ((0.2, 0.28), (0.36, 0.44), (0.52, 0.6))[:n_in + winding]
     inner = [zero(lo, hi) for lo, hi in bands_in]
@@ -254,7 +257,7 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               symbols.analyze: ["spec"], symbols.winding_number: ["spec"],
               A.tau_leading: ["spec", "x", "route"],
               A.variational_check: ["spec", "x", "j"],
-              CauchySuite: ["spec", "x", "m"],
+              CauchySuite: ["spec", "x", "m", "unit"],
               contours.unit_circle: [],
               contours.select_contour: ["analysis"]}
 
@@ -263,6 +266,29 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
 def test_routes_take_only_mathematical_arguments(fn):
     # node counts, tolerances and caps are module constants, not arguments
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+class TestCirclesAgreeAtZeroWinding:
+    """At winding 0 the symbol's own circle is the unit circle: both suites
+    build the same split, and szego reads tau_leading's exponent."""
+
+    @staticmethod
+    def assert_agree(spec, x):
+        own, unit = CauchySuite(spec, x), CauchySuite(spec, x, unit=True)
+        assert own.m == unit.m
+        assert np.array_equal(own.nu_split.c, unit.nu_split.c)
+        assert np.array_equal(own.Omega_gt_nodes, unit.Omega_gt_nodes)
+        assert np.array_equal(own.Omega_lt_nodes, unit.Omega_lt_nodes)
+        assert A.szego(spec, x) == A.tau_leading(spec, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=two_sided_symbols(negative=False), x=st.integers(0, 64))
+    def test_random_rational(self, spec, x):
+        self.assert_agree(spec, x)
+
+    @pytest.mark.parametrize("x", [0, 2, 5, 64, 512])
+    def test_laurent_phase(self, x):
+        self.assert_agree(symbols.fixture("F2"), x)
 
 
 class TestSlavnov:

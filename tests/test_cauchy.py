@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from detlab import errors, fredholm, symbols
-from detlab.cauchy import CauchySuite, WindingAdjustedSuite
+from detlab.cauchy import CauchySuite
 
 
 def suite_for(name, x=2):
@@ -132,30 +132,34 @@ class TestBFunction:
             s.zeros_outside()
 
 
+def unit_suite(name, x=2):
+    return CauchySuite(symbols.fixture(name), x, unit=True)
+
+
 class TestWindingAdjusted:
+    """The unit-circle suite of the winding-compensated phase shift."""
+
     def test_compensated_shift_is_single_valued(self):
         for name in ("F3", "F5", "F7"):
-            ws = WindingAdjustedSuite(symbols.fixture(name))
-            assert ws.split.tail_ratio() < 1e-12, name
+            assert unit_suite(name).nu_split.tail_ratio() < 1e-12, name
 
     def test_jump_of_adjusted_transforms(self):
-        ws = WindingAdjustedSuite(symbols.fixture("F5"))
-        jump = ws.omega_gt(ws.nodes) - ws.omega_lt(ws.nodes)
-        assert np.max(np.abs(jump - 2j * np.pi * ws.nu_adj)) < 1e-10
+        for name in ("F3", "F5", "F7"):
+            s = unit_suite(name)
+            jump = s.Omega_gt(s.nodes) - s.Omega_lt(s.nodes)
+            assert np.max(np.abs(jump - 2j * np.pi * s.nu)) < 1e-10, name
 
     def test_small_omega_sides(self):
-        ws = WindingAdjustedSuite(symbols.fixture("F3"))
-        inside = ws.omega_gt(np.array([0.2 + 0j]))
-        outside = ws.omega_lt(np.array([3.0 + 0j]))
+        s = unit_suite("F3")
+        inside = s.Omega_gt(np.array([0.2 + 0j]))
+        outside = s.Omega_lt(np.array([3.0 + 0j]))
         assert np.isfinite(inside).all() and np.isfinite(outside).all()
 
     def test_relation_between_raw_and_adjusted(self):
-        # on the unit circle for winding -n: e^{omega_gt} = e^{Omega-like piece}
-        # checked indirectly: the adjusted jump reproduces nu up to the
-        # compensating sawtooth
+        # the split reproduces the raw nu up to the compensating sawtooth
         spec = symbols.fixture("F3")
-        ws = WindingAdjustedSuite(spec)
-        nu = symbols.eval_nu_grid(spec, ws.nodes)
-        ang = np.angle(ws.nodes)
-        expect = nu - ws.winding * (ang + np.pi) / (2 * np.pi)
-        assert np.max(np.abs(ws.nu_adj - expect)) < 1e-10
+        s = CauchySuite(spec, 2, unit=True)
+        nu = symbols.eval_nu_grid(spec, s.nodes)
+        ang = np.angle(s.nodes)
+        expect = nu - s.winding * (ang + np.pi) / (2 * np.pi)
+        assert np.max(np.abs(s.nu_split.reconstruct(s.nodes) - expect)) < 1e-10

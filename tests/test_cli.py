@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from detlab import (asymptotics, cli, errors, formfactors, fredholm,
@@ -39,6 +40,22 @@ class TestAnalyze:
         code, out = run(["analyze", "--spec", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["winding"] == 0
+
+    def test_conjugate_zero_pair(self, tmp_path, capsys):
+        # winding 0 with equal zero moduli: no zero is selected, unit circle
+        zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
+                 2 * np.exp(0.7j), 2 * np.exp(-0.7j)]
+        spec = symbols.SymbolSpec(
+            "rational", tuple(np.polynomial.polynomial.polyfromroots(zeros)),
+            (0.0, 0.0, 1.0))
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(symbols.to_json_dict(spec)))
+        code, out = run(["analyze", "--spec", str(path)], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["winding"] == 0 and rep["z_list"] == []
+        assert rep["contour"]["components"] == [
+            {"center": [0.0, 0.0], "radius": 1.0, "orientation": 1}]
 
 
 class TestExitCodes:
@@ -215,6 +232,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "nosuchcheck" in captured.err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code = cli.main(["verify", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "seed" in captured.err
 
     def test_rank_one_group(self, capsys):
         code, out = run(["verify", "--only", "rank-one"], capsys)

@@ -16,9 +16,11 @@ from detlab import asymptotics, fredholm, symbols, toeplitz
 
 TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
-# span names with nothing left to trace: the subset enumeration they timed
-# is gone (ROADMAP item 6, next change to the benchmark)
-STALE = {"formfactors.form_factor"}
+# span names with nothing left to trace: the subset enumeration that
+# form_factor timed is gone, and the unit-circle suite is a CauchySuite whose
+# __init__ span the cauchy.suite group already counts (ROADMAP item 1, next
+# change to the benchmark)
+STALE = {"formfactors.form_factor", "cauchy.WindingAdjustedSuite.__init__"}
 
 
 def load_bench_trace():

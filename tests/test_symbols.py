@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detlab import errors, symbols, toeplitz
-from detlab.cauchy import WindingAdjustedSuite
+from detlab.cauchy import CauchySuite
 
 EXPECTED_WINDING = {"F0": 0, "F1": 0, "F2": 0, "F3": -1, "F4": -1,
                     "F5": -2, "F6": 0, "F7": 1}
@@ -71,7 +71,7 @@ class TestFourier:
     def test_f2_exact_coefficients(self):
         # log phi = 0.3 q + 0.2 / q, i.e. nu_{+1} = 0.3, nu_{-1} = 0.2 in the
         # normalization nu(q) = sum_j q^j nu_j / (2 pi i)
-        split = WindingAdjustedSuite(symbols.fixture("F2")).split
+        split = CauchySuite(symbols.fixture("F2"), 2, unit=True).nu_split
         assert abs(2j * np.pi * split.coefficient(1) - 0.3) < 1e-13
         assert abs(2j * np.pi * split.coefficient(-1) - 0.2) < 1e-13
 
