@@ -17,9 +17,8 @@ from .cauchy import CauchySuite
 from .contours import Contour, select_contour, unit_circle
 from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
 
-HF_LEADING_M = 512    # unit-circle nodes of both hf_leading routes
+HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
-BO_M = 1024           # nodes of its Wiener-Hopf factor coefficients,
 BO_TAIL_TOL = 1e-16   # size below which a Hankel-product term is dropped,
 BO_L_CAP = 4096       # and cap on the number of shifts in that product
 
@@ -111,13 +110,16 @@ def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
     return nystrom_det(*tau_eff_kernel(spec, x)).value
 
 
-def y_moment(suite: CauchySuite, s) -> complex:
-    """(1/2 pi i) oint dk/k k^{-s} exp(-2 pi i nu_w(k)) exp(-2 Omega_lt(k))
-    over the grid of a unit-circle suite."""
-    k = suite.nodes
-    dens = k ** (-np.asarray(s)) * np.exp(-2j * np.pi * suite.nu) * \
-        np.exp(-2.0 * suite.Omega_lt_nodes)
-    return complex(np.sum(suite.weights * dens / k) / (2j * np.pi))
+def y_moment(suite: CauchySuite, s: int) -> complex:
+    """y_s = (1/2 pi i) oint dk/k k^{-s} e^{-Omega_gt(k) - Omega_lt(k)} on
+    the unit circle: coefficient s of a unit-circle suite's ratio split.
+    TruncationFailure past that split's grid, |s| >= m/2, where the
+    coefficient lies below the split's tail and the grid would fold it."""
+    split = suite.ratio
+    if abs(s) >= split.m // 2:
+        raise errors.TruncationFailure(
+            f"y-moment {s} lies past the {split.m}-node ratio grid")
+    return split.coefficient(s)
 
 
 def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
@@ -188,7 +190,7 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
         return errors.exp_in_range(s_val + log_num - log_dphi -
                                    x * np.sum(np.log(z)))
     if route == "reduced":
-        suite = CauchySuite(spec, x, HF_LEADING_M, unit=True)
+        suite = CauchySuite(spec, x, unit=True)
         expo = _log_strong_limit(suite)
         expo -= 2.0 * np.sum([suite.Omega_lt(zk) for zk in z])
         return errors.exp_in_range(expo + log_num - log_dphi -
@@ -264,30 +266,31 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth-symbol factor times det(Id - K) on shifted integer indices."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
-    suite = CauchySuite(spec, x, BO_M)
-    om_sum = suite.Omega_gt_nodes + suite.Omega_lt_nodes
-    ks_m, c_minus = laurent_coeffs(np.exp(-om_sum))   # (phi_+^{-1} phi_-)_k
-    ks_p, c_plus = laurent_coeffs(np.exp(om_sum))     # (phi_+ phi_-^{-1})_k
+    suite = CauchySuite(spec, x, unit=True)
+    ratio = suite.ratio                 # (phi_+^{-1} phi_-)_k
+    ks, c_plus = laurent_coeffs(        # (phi_+ phi_-^{-1})_k
+        1.0 / ratio.reconstruct(circle_nodes(ratio.radius, ratio.m)))
     # K[n, m] = sum_l c-_{x+n+l} c+_{-x-m-l} (n, m >= 1) = (H- @ H+)[n, m]
     # with Hankel factors H-[n, l] = a[n + l], H+[l, m] = b[m + l] (0-based)
-    a = c_minus[ks_m > x]              # c-_{x+1}, c-_{x+2}, ...
-    b = c_plus[ks_p < -x][::-1]        # c+_{-x-1}, c+_{-x-2}, ...
+    a = ratio.c[ratio.j > x]            # c-_{x+1}, c-_{x+2}, ...
+    b = c_plus[ks < -x][::-1]           # c+_{-x-1}, c+_{-x-2}, ...
     size = min(a.size, b.size)
     # largest term at shift l over all (n, m): suffix maxima of |a| and |b|
     tail = (np.maximum.accumulate(np.abs(a[:size])[::-1])[::-1] *
             np.maximum.accumulate(np.abs(b[:size])[::-1])[::-1])
     below = np.flatnonzero(tail < BO_TAIL_TOL)
-    # shifts l = 0 .. n_l - 1; a tail that never falls needs unsampled indices
-    n_l = max(int(below[0]), 1) if below.size else size + 1
+    if size and not below.size:
+        raise errors.TailNotConverged(f"tail {tail[-1]:.2e} at the grid edge")
+    n_l = max(int(below[0]), 1) if size else 1   # shifts l = 0 .. n_l - 1
     if n_l > BO_L_CAP:
         raise errors.TailNotConverged("tail cap reached")
-    if BO_TRUNC + n_l - 1 > size:
-        raise errors.TailNotConverged(
-            f"coefficient index {x + BO_TRUNC + n_l - 1} beyond sampled range")
+    # past the grid the coefficients lie below the converged split's tail
+    width = BO_TRUNC + n_l - 1
+    a, b = (np.pad(v[:width], (0, max(width - v.size, 0))) for v in (a, b))
     hankel = np.arange(BO_TRUNC)[:, None] + np.arange(n_l)[None, :]
     K = a[hankel] @ b[hankel].T
     det = complex(np.linalg.det(np.eye(BO_TRUNC, dtype=complex) - K))
-    return complex(szego(spec, x) * det)
+    return errors.exp_in_range(_log_strong_limit(suite), det)
 
 
 def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:

@@ -44,12 +44,13 @@ class CauchySuite:
     ``unit`` the unit circle, where the split density ``nu`` is the phase
     shift compensated for the winding w, nu - w (arg q + pi)/(2 pi).
     Provides the inside/outside splits of that density's transform (capital
-    Omega) and, on first read, the split of the b function entering the
+    Omega) and, on first read, the split of their Wiener-Hopf ratio
+    e^{-Omega_gt - Omega_lt} and that of the b function entering the
     explicit resolvent.  The q^x theta/(1 + theta) split whose outside part
     deforms the integrable kernel is formed by ``fredholm.kernel_V``.
     """
 
-    def __init__(self, spec: symbols.SymbolSpec, x: int, m: int = 256, *,
+    def __init__(self, spec: symbols.SymbolSpec, x: int, *,
                  unit: bool = False):
         if x < 0 or x != int(x):
             raise errors.InputError("x must be a nonnegative integer")
@@ -60,21 +61,18 @@ class CauchySuite:
         self.rho = self.contour.radius
         self.winding = symbols.winding_number(spec) if unit else 0
 
-        def sample_nu(mm):
-            # the last sample is taken on the converged grid: kept as self.nu
-            nodes = circle_nodes(self.rho, mm)
-            self.nu = symbols.eval_nu_grid(spec, nodes) - self.winding * (
-                np.angle(nodes) + np.pi) / (2.0 * np.pi)
-            return self.nu, self.rho
-
         if not unit:
-            winding = symbols.grid_winding(spec,
-                                           circle_nodes(self.rho, max(m, 256)))
+            winding = symbols.grid_winding(spec, circle_nodes(self.rho, 256))
             if abs(winding) > 0.25:
                 raise errors.WindingNonzero(
                     f"phase shift winds {winding:+.2f} on the chosen circle")
 
-        self.nu_split, self.m = _converged_split(sample_nu, max(m, 256))
+        def sample_nu(mm):
+            # the last sample is taken on the converged grid: kept as self.nu
+            self.nu = self._nu_at(circle_nodes(self.rho, mm))
+            return self.nu, self.rho
+
+        self.nu_split, self.m = _converged_split(sample_nu, 256)
         self.nodes = circle_nodes(self.rho, self.m)
         self.weights = circle_weights(self.nodes, self.m)
 
@@ -86,6 +84,11 @@ class CauchySuite:
         if self.jump_residual > 1e-10:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
+
+    def _nu_at(self, nodes):
+        """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi)."""
+        return symbols.eval_nu_grid(self.spec, nodes) - self.winding * (
+            np.angle(nodes) + np.pi) / (2.0 * np.pi)
 
     @functools.cached_property
     def theta(self):
@@ -101,6 +104,21 @@ class CauchySuite:
     def Omega_lt(self, q, derivative: int = 0):
         """Outside-analytic piece, vanishing at infinity."""
         return 2j * np.pi * self.nu_split.minus(q, derivative)
+
+    @functools.cached_property
+    def ratio(self) -> LaurentSplit:
+        """Split of the Wiener-Hopf ratio e^{-Omega_gt - Omega_lt}, sampled as
+        e^{-2 pi i nu - 2 Omega_lt}; on the unit circle its coefficient s is
+        the y-moment y_s.  Doubles from the suite's grid, which it reuses."""
+        def sample(mm):
+            if mm == self.m:
+                nu, om_lt = self.nu, self.Omega_lt_nodes
+            else:
+                nodes = circle_nodes(self.rho, mm)
+                nu, om_lt = self._nu_at(nodes), self.Omega_lt(nodes)
+            return np.exp(-2j * np.pi * nu - 2.0 * om_lt), self.rho
+
+        return _converged_split(sample, self.m)[0]
 
     # --- b function -----------------------------------------------------------
 

@@ -153,6 +153,8 @@ def cmd_toeplitz(args) -> int:
 def cmd_fredholm(args) -> int:
     if not 0 < args.tol < math.inf:
         raise errors.InputError(f"--tol {args.tol} is not finite and positive")
+    if args.m < 16:
+        raise errors.InputError(f"--m {args.m} is below the 16 nodes of a grid")
     spec = _load_spec(args.spec)
     rows = []
     for x in _parse_xrange(args.x):
@@ -278,8 +280,7 @@ def _verify_checks(seed: int):
             fredholm.SumKernel(
                 [fredholm.kernel_V(suite)] +
                 [fredholm.kernel_W(spec, z, 3)
-                 for z in suite.zeros_inside()],
-                "V-Delta"),
+                 for z in suite.zeros_inside()]),
             suite.contour).value
         rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
                                    suite.contour).value

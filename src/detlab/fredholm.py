@@ -45,9 +45,9 @@ class Kernel:
     Off the diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
     r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
 
-    def __init__(self, a, vp, vm, dvp, dvm, label: str, x: int = 0):
+    def __init__(self, a, vp, vm, dvp, dvm, x: int = 0):
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
-        self.label, self.x = label, x
+        self.x = x
 
     def matrix(self, nodes, weights):
         a = self.a(nodes)
@@ -66,9 +66,9 @@ class Kernel:
 class SeparableKernel:
     """K(q,p) = c * u(q) v(p) / (2 pi i); rank one on any grid."""
 
-    def __init__(self, u, v, c: complex, label: str, x: int = 0):
+    def __init__(self, u, v, c: complex, x: int = 0):
         self.u, self.v, self.c = u, v, complex(c)
-        self.label, self.x = label, x
+        self.x = x
 
     def matrix(self, nodes, weights):
         col = self.c * self.u(nodes) / (2j * np.pi)
@@ -76,9 +76,8 @@ class SeparableKernel:
 
 
 class SumKernel:
-    def __init__(self, parts, label: str):
+    def __init__(self, parts):
         self.parts = list(parts)
-        self.label = label
         self.x = max((getattr(k, "x", 0) for k in self.parts), default=0)
 
     def matrix(self, nodes, weights):
@@ -101,10 +100,10 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
                   hp, hm,
                   lambda q: (x / 2.0) * hp(q) / q,
                   lambda q: (-x / 2.0) * hm(q) / q,
-                  "S", x)
+                  x)
 
 
-def _kernel_V_generic(a, tail, x, label):
+def _kernel_V_generic(a, tail, x):
     """Generators vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail and vm = q^{-x/2}
     for the deformation function w = q^x + tail, where tail(q, derivative)
     is the part of w analytic outside the contour; q^x, which overflows on
@@ -118,7 +117,7 @@ def _kernel_V_generic(a, tail, x, label):
         return (x / 2.0) * hp(q) / q + \
             hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q)
 
-    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, label, x)
+    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, x)
 
 
 def _w_split(nodes, theta, x: int, radius: float) -> LaurentSplit:
@@ -137,7 +136,7 @@ def kernel_V(suite: CauchySuite) -> Kernel:
     zeros of the symbol remain outside the contour.  Its w is q^x plus the
     outside continuation of the k^x theta/(1 + theta) transform."""
     tail = _w_split(suite.nodes, suite.theta, suite.x, suite.rho).minus
-    return _kernel_V_generic(_sqrt_theta(suite.spec), tail, suite.x, "V")
+    return _kernel_V_generic(_sqrt_theta(suite.spec), tail, suite.x)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -153,7 +152,7 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
                     np.zeros(q.shape, dtype=complex))
 
-    return _kernel_V_generic(_sqrt_theta(spec), tail, x, "V")
+    return _kernel_V_generic(_sqrt_theta(spec), tail, x)
 
 
 def kernel_V_from_theta(theta_fn, x: int) -> Kernel:
@@ -167,7 +166,7 @@ def kernel_V_from_theta(theta_fn, x: int) -> Kernel:
     def a(q):
         return np.sqrt(theta_fn(np.asarray(q, dtype=complex)))
 
-    return _kernel_V_generic(a, split.minus, x, "V")
+    return _kernel_V_generic(a, split.minus, x)
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
@@ -181,7 +180,7 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     def u(q):
         return st(q) * hm(q) / (s - q)
 
-    return SeparableKernel(u, u, s ** x / ds, "W", x)
+    return SeparableKernel(u, u, s ** x / ds, x)
 
 
 def nystrom_det(kernel, contour: Contour, tol: float = TOL,
@@ -241,7 +240,7 @@ def resolvent_kernel(suite: CauchySuite) -> Kernel:
             np.exp(-suite.Omega_gt(q)) * hm(q)
         return first - suite.b_plus(q, 1) * fp(q) - suite.b_plus(q) * dfp(q)
 
-    return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, "R", x)
+    return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, x)
 
 
 def resolvent_residual(suite: CauchySuite) -> float:
@@ -300,10 +299,10 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
     vk1 = SeparableKernel(lambda q: st(q) * hm(q) / q,
-                          lambda q: st(q) * hm(q), -1.0, "V1", x)
+                          lambda q: st(q) * hm(q), -1.0, x)
 
     det_v = nystrom_det(vk, circle)
-    det_sum = nystrom_det(SumKernel([vk, vk1], "V+V1"), circle)
+    det_sum = nystrom_det(SumKernel([vk, vk1]), circle)
 
     def theta_shift(q):
         # weight whose phase shift is the original one lowered by one index

@@ -1,10 +1,10 @@
 """Monic orthogonal polynomials on the unit circle for the winding measure.
 
 For a symbol of winding -n the measure mu(q) = e^{-Omega_gt - Omega_lt} *
-q^{-x-n}, built from the unit-circle ``CauchySuite`` of the compensated phase
-shift, defines n monic orthogonal polynomials; packed into a 2x2 matrix with
-their Cauchy transforms they solve a Riemann-Hilbert problem with the
-one-sided jump [[1, -mu], [0, 1]].  The n-by-n determinant of the moments of
+q^{-x-n}, read from the ratio split of the unit-circle ``CauchySuite`` of the
+compensated phase shift, defines n monic orthogonal polynomials; packed into
+a 2x2 matrix with their Cauchy transforms they solve a Riemann-Hilbert
+problem with the one-sided jump [[1, -mu], [0, 1]].  The n-by-n determinant of the moments of
 mu reproduces the winding-corrected determinant formula.
 """
 
@@ -18,9 +18,7 @@ from ._series import LaurentSplit, circle_nodes, circle_weights
 from .asymptotics import y_moment
 from .cauchy import CauchySuite
 
-MOMENT_STABILITY_TOL = 1e-12
 GRAM_TOL = 1e-12
-M_GRID = 512   # unit-circle nodes of the measure; moments also take 2 M_GRID
 
 
 class MeasureMu:
@@ -31,41 +29,22 @@ class MeasureMu:
         if ana.winding >= 0:
             raise errors.WindingNonnegative(
                 f"measure needs negative winding, got {ana.winding}")
-        self.suite = CauchySuite(spec, x, M_GRID, unit=True)
+        self.suite = CauchySuite(spec, x, unit=True)
         self.spec = spec
         self.x = self.suite.x
-        self.winding = ana.winding
         self.n = -ana.winding
-        self._grids = {}
-        self._moments = {}
-
-    def values(self, m: int):
-        """Measure sampled on an m-point unit-circle grid, with weights."""
-        if m not in self._grids:
-            nodes = circle_nodes(1.0, m)
-            weights = circle_weights(nodes, m)
-            total = self.suite.Omega_gt(nodes) + self.suite.Omega_lt(nodes)
-            vals = np.exp(-total) * nodes ** (-self.x + self.winding)
-            self._grids[m] = (nodes, weights, vals)
-        return self._grids[m]
+        # (nodes, weights, mu) on the grid of the suite's ratio split
+        ratio = self.suite.ratio
+        nodes = circle_nodes(1.0, ratio.m)
+        self.values = (nodes, circle_weights(nodes, ratio.m),
+                       ratio.reconstruct(nodes) * nodes ** (-self.x - self.n))
 
     def moment(self, j: int) -> complex:
-        """mu_j = oint k^j mu(k) dk, checked stable under grid doubling."""
+        """mu_j = oint k^j mu(k) dk = 2 pi i y_{x+n-1-j}."""
         j = int(j)
         if abs(j) > 4 * self.n + self.x + 8:
             raise errors.InputError(f"moment order {j} out of supported range")
-        if j not in self._moments:
-            vals = []
-            for m in (M_GRID, 2 * M_GRID):
-                nodes, weights, mu = self.values(m)
-                vals.append(complex(np.sum(weights * nodes ** j * mu)))
-            scale = max(1.0, abs(vals[1]))
-            if abs(vals[0] - vals[1]) > MOMENT_STABILITY_TOL * scale:
-                raise errors.NotConverged(
-                    f"moment {j} unstable under doubling: "
-                    f"{abs(vals[0] - vals[1]):.2e}")
-            self._moments[j] = vals[1]
-        return self._moments[j]
+        return 2j * np.pi * y_moment(self.suite, self.x + self.n - 1 - j)
 
     def gram_det(self, k: int) -> complex:
         """Determinant of the k x k matrix of moments mu_{i+j-2}."""
@@ -123,7 +102,7 @@ class RHPSolution:
         if abs(self.h_nm1) < GRAM_TOL:
             raise errors.SingularGram("norm of degree n-1 polynomial vanishes")
         self.beta = -2j * np.pi * pnm1 / self.h_nm1
-        nodes, _, mu = measure.values(M_GRID)
+        nodes, _, mu = measure.values
         self._split_a = LaurentSplit(P.polyval(nodes, self.alpha) * mu, 1.0)
         self._split_b = LaurentSplit(P.polyval(nodes, self.beta) * mu, 1.0)
 
@@ -152,7 +131,7 @@ class RHPSolution:
             raise errors.InputError("jump is defined on the unit circle")
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
-        split_mu = LaurentSplit(self.measure.values(M_GRID)[2], 1.0)
+        split_mu = LaurentSplit(self.measure.values[2], 1.0)
         mu_q = split_mu.reconstruct(np.asarray([q]))[0]
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)
         return float(np.max(np.abs(np.linalg.solve(y_gt, y_lt) - jump)))
@@ -215,20 +194,15 @@ def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"
     raise errors.InputError(f"unknown route {route!r}")
 
 
-def moment_matrix(measure: MeasureMu) -> np.ndarray:
-    n = measure.n
-    return np.array([[measure.moment(n - 1 + i - j) for j in range(n)]
-                     for i in range(n)], dtype=complex)
-
-
 def hf_moment_equivalence(spec: symbols.SymbolSpec, x: int) -> float:
     """Relative gap between the y-moment determinant of the winding-corrected
-    formula and det(moment matrix)/(2 pi i)^n."""
+    formula and the moments' Gram determinant as a product of the norms,
+    (-1)^{n(n-1)/2} prod_{k<n} h_k / (2 pi i)^n."""
     measure = MeasureMu(spec, x)
     n = measure.n
     ymat = np.array([[y_moment(measure.suite, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
     det_y = complex(np.linalg.det(ymat))
-    det_mu = complex(np.linalg.det(moment_matrix(measure))) / (2j * np.pi) ** n
-    return abs(det_y - det_mu) / max(abs(det_mu), 1e-300)
-
+    norms = np.prod([monic_orthogonal(measure, k)[1] for k in range(n)])
+    det_h = (-1) ** (n * (n - 1) // 2) * complex(norms) / (2j * np.pi) ** n
+    return abs(det_y - det_h) / max(abs(det_h), 1e-300)

@@ -22,7 +22,8 @@ from numpy.polynomial import polynomial as P
 from . import errors
 from ._series import circle_nodes, circle_weights
 
-SEP_TOL = 1e-6      # smallest gap between the moduli of two zeros
+SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
+                    # between the moduli at the edge of the zero selection
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
 
 
@@ -123,9 +124,14 @@ def eval_nu_grid(spec: SymbolSpec, nodes):
     """Phase shift nu = log(phi)/(2 pi i) unwrapped continuously along a circle grid.
 
     The closing increment nu[0 again] - nu[-1] accumulates the winding, so the
-    returned array is periodic only for zero-winding symbols.
+    returned array is periodic only for zero-winding symbols.  A
+    ``laurent_phase`` symbol gives sum_j t_j q^j / (2 pi i) directly: it has
+    no zeros, however small |phi| gets on the circle.
     """
     nodes = np.asarray(nodes, dtype=complex)
+    if spec.kind == "laurent_phase":
+        return sum((t * nodes ** j for j, t in spec.log_coeffs),
+                   np.zeros(nodes.shape, dtype=complex)) / (2j * np.pi)
     w = eval_phi(spec, nodes)
     if np.any(np.abs(w) < 1e-12):
         raise errors.ZeroOnContour("phi vanishes at a quadrature node")
@@ -213,12 +219,6 @@ def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
 
     zeros = [_newton_polish(spec.numer, r) for r in _poly_roots(spec.numer)]
     zeros.sort(key=abs, reverse=True)
-    if n:   # equal moduli make the choice of zeros ambiguous; 0 picks none
-        mods = sorted(abs(z) for z in zeros)
-        for a, b in zip(mods, mods[1:]):
-            if b - a < SEP_TOL:
-                raise errors.DegenerateZeros(
-                    f"zero moduli {a} and {b} within {SEP_TOL}")
 
     praw = sorted(_poly_roots(spec.denom), key=abs)
     poles = []
@@ -231,15 +231,22 @@ def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
     if n < 0:
         outside = [z for z in zeros if abs(z) > 1.0]
         outside.sort(key=abs)                     # nearest to the circle first
-        z_list = tuple(sorted(outside[:-n], key=abs, reverse=True))
-        rest = outside[-n:]
+        edge, rest = outside[:-n], outside[-n:]
+        z_list = tuple(sorted(edge, key=abs, reverse=True))
     elif n > 0:
         inside = [z for z in zeros if abs(z) < 1.0]
         inside.sort(key=abs, reverse=True)
-        z_list = tuple(inside[:n])
-        rest = inside[n:]
+        edge, rest = inside[:n], inside[n:]
+        z_list = tuple(edge)
     else:
-        z_list, rest = (), []
+        z_list, edge, rest = (), [], []
+    # a multiple zero, or equal moduli across the edge of the selection,
+    # makes the choice of zeros ambiguous (zeros are sorted by modulus)
+    if n and (any(abs(a - b) < SEP_TOL for a, b in zip(zeros, zeros[1:])) or
+              rest and abs(abs(rest[0]) - abs(edge[-1])) < SEP_TOL):
+        raise errors.DegenerateZeros(
+            f"zeros {zeros} hold a multiple zero or equal moduli within "
+            f"{SEP_TOL} at the edge of the selection")
     w_list = tuple(sorted(rest, key=lambda z: abs(abs(z) - 1.0)))
     return SymbolAnalysis(tuple(zeros), tuple(poles), n, z_list, w_list)
 

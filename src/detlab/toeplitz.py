@@ -66,11 +66,6 @@ def _gather(moments: np.ndarray) -> np.ndarray:
     return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x]
 
 
-def toeplitz_matrix(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
-    """T_ij = c_{i-j}, gathered from the moment vector c_{-x} .. c_x."""
-    return _gather(_moments(spec, x))
-
-
 def _levinson_log_det(moments: np.ndarray):
     """log det T_x = sum_k log eps_k by the nonsymmetric Levinson recursion.
 

@@ -114,6 +114,19 @@ class TestSzego:
         assert abs(A.szego(spec, 700) - t) < 1e-12 * abs(t)
         assert abs(A.tau_leading(spec, 700) - t) < 1e-12 * abs(t)
 
+    @pytest.mark.parametrize("x", [3, 80])
+    def test_tiny_phi_is_not_a_zero(self, x):
+        # phi = exp(20 q + 20/q) has no zeros, though |phi(-1)| = e^-40
+        spec = symbols.SymbolSpec("laurent_phase",
+                                  log_coeffs={1: 20.0, -1: 20.0})
+        modes = A.tau_leading(spec, x)
+        double = A.tau_leading(spec, x, route="double")
+        assert abs(modes - double) / abs(modes) < 1e-12
+        assert A.szego(spec, x) == modes
+        if x == 80:   # past x = 40 the index-space kernel is negligible
+            assert abs(A.borodin_okounkov(spec, x) - modes) / abs(modes) \
+                < 1e-12
+
 
 class TestHartwigFisher:
     @pytest.mark.parametrize("name,x", [("F3", 1), ("F3", 4), ("F5", 3)])
@@ -138,6 +151,32 @@ class TestHartwigFisher:
         spec = symbols.fixture("F5")
         tl = A.tau_leading(spec, 4)
         assert abs(A.hf_leading(spec, 4) - tl) / abs(tl) < 1e-9
+
+    @pytest.mark.parametrize("name", ["F3", "F5"])
+    def test_y_moment_is_trapezoid_coefficient(self, name):
+        suite = CauchySuite(symbols.fixture(name), 2, unit=True)
+        k = suite.nodes
+        dens = np.exp(-2j * np.pi * suite.nu - 2.0 * suite.Omega_lt_nodes)
+        for s in (-3, 0, 2, 7, 40):
+            direct = np.mean(k ** (-s) * dens)
+            assert abs(A.y_moment(suite, s) - direct) < 1e-15
+
+    @pytest.mark.parametrize("name", ["F3", "F4", "F5"])
+    def test_y_moment_past_ratio_grid_raises(self, name):
+        # y_{m/2} would fold onto y_{-m/2}: a loud failure, not a value
+        suite = CauchySuite(symbols.fixture(name), 2, unit=True)
+        half = suite.ratio.m // 2
+        A.y_moment(suite, half - 1)
+        for s in (half, -half, 2 * half):
+            with pytest.raises(errors.TruncationFailure):
+                A.y_moment(suite, s)
+
+    @pytest.mark.parametrize("name,x", [("F3", 128), ("F4", 256),
+                                        ("F5", 512)])
+    def test_past_ratio_grid_raises(self, name, x):
+        # the fixtures' ratio splits converge on 256 nodes
+        with pytest.raises(errors.TruncationFailure):
+            A.hartwig_fisher(symbols.fixture(name), x)
 
 
 def _rational(zeros, pole_order):
@@ -199,6 +238,21 @@ class TestTauEffDeformed:
             assert abs(fredholm_s - det) / det < 1e-12
             assert abs(A.slavnov_series(spec, x) - det) / det < 1e-12
 
+    @pytest.mark.parametrize("x", [3, 8])
+    def test_conjugate_pair_off_the_selection_edge(self, x):
+        # winding -1 selects the zero 1.5; the pair 3e^{+-0.5i} is not at
+        # the edge of the selection, so its equal moduli are harmless
+        zeros = [0.3, 1.5, 3 * np.exp(0.5j), 3 * np.exp(-0.5j)]
+        spec = _rational(zeros, 2)
+        assert symbols.winding_number(spec) == -1
+        det = toeplitz.toeplitz_det(spec, x)
+        fredholm_s = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
+                                          A.base_contour(spec)).value
+        assert abs(fredholm_s - det) / abs(det) < 1e-12
+        assert abs(A.slavnov_series(spec, x) - det) / abs(det) < 1e-12
+        tau = A.tau_eff(spec, x)
+        assert abs(A.hartwig_fisher(spec, x) - tau) / abs(tau) < 1e-12
+
     def test_conjugate_zero_pair_keeps_suite_routes(self):
         # the suite locates the zeros of a conjugate pair at winding 0 too
         zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
@@ -257,7 +311,7 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               symbols.analyze: ["spec"], symbols.winding_number: ["spec"],
               A.tau_leading: ["spec", "x", "route"],
               A.variational_check: ["spec", "x", "j"],
-              CauchySuite: ["spec", "x", "m", "unit"],
+              CauchySuite: ["spec", "x", "unit"],
               contours.unit_circle: [],
               contours.select_contour: ["analysis"]}
 
@@ -379,10 +433,12 @@ class TestIndexSeries:
                    1.5 ** 3) < 1e-10
 
     @pytest.mark.parametrize("x", [470, 600])
-    def test_unsampled_indices_raise(self, x):
-        # the kernel needs c-_{x+1} .. c-_{x+trunc}; the grid holds j < 512
-        with pytest.raises(errors.TailNotConverged):
-            A.borodin_okounkov(symbols.fixture("F2"), x)
+    def test_indices_past_grid_read_zero(self, x):
+        # the kernel needs c-_{x+1} .. c-_{x+trunc}, all past the ratio's
+        # grid, where they lie below its tail
+        spec = symbols.fixture("F2")
+        t = toeplitz.toeplitz_det(spec, x)
+        assert abs(A.borodin_okounkov(spec, x) - t) / abs(t) < 1e-12
 
 
 class TestDecay:

@@ -94,6 +94,11 @@ class TestExitCodes:
         code = cli.main(["fredholm", "--spec", "F2", "--x", "2", f"--tol={tol}"])
         assert code == 2 and "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["0", "-5", "15"])
+    def test_cap_below_one_grid_exits_2(self, m, capsys):
+        code = cli.main(["fredholm", "--spec", "F2", "--x", "2", f"--m={m}"])
+        assert code == 2 and "--m" in capsys.readouterr().err
+
     def test_overflow_exits_3(self, capsys):
         # 1.5^2000 is past double range: a typed failure, not an inf
         code, _ = run(["asym", "--spec", "F1", "--x", "2000",

@@ -33,7 +33,7 @@ def exp_kernel(al, be, ga):
     return fredholm.Kernel(lambda q: np.exp(al * q), lambda q: np.exp(be * q),
                            lambda q: np.exp(ga * q),
                            lambda q: be * np.exp(be * q),
-                           lambda q: ga * np.exp(ga * q), "exp")
+                           lambda q: ga * np.exp(ga * q))
 
 
 def zero_kernel():
@@ -41,7 +41,7 @@ def zero_kernel():
     def zero(q):
         return np.zeros(np.shape(q), dtype=complex)
 
-    return fredholm.SeparableKernel(zero, zero, 0.0, "zero")
+    return fredholm.SeparableKernel(zero, zero, 0.0)
 
 
 def kernel_Delta(suite: CauchySuite) -> fredholm.Kernel:
@@ -58,18 +58,17 @@ def kernel_Delta(suite: CauchySuite) -> fredholm.Kernel:
         lambda q: np.sqrt(symbols.eval_theta(suite.spec, q)),
         lambda q: hm(q) * tail(q), hm,
         lambda q: hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q),
-        lambda q: (-x / 2.0) * hm(q) / q, "Delta", x)
+        lambda q: (-x / 2.0) * hm(q) / q, x)
 
 
 def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.SumKernel:
     """Same difference as a residue sum of rank-one kernels."""
     return fredholm.SumKernel(
-        [_negated(fredholm.kernel_W(spec, z, x)) for z in zeros_inside],
-        "Delta")
+        [_negated(fredholm.kernel_W(spec, z, x)) for z in zeros_inside])
 
 
 def _negated(k: fredholm.SeparableKernel) -> fredholm.SeparableKernel:
-    return fredholm.SeparableKernel(k.u, k.v, -k.c, k.label, k.x)
+    return fredholm.SeparableKernel(k.u, k.v, -k.c, k.x)
 
 
 def kernel_Q(spec, x) -> fredholm.Kernel:
@@ -94,7 +93,7 @@ def kernel_Q(spec, x) -> fredholm.Kernel:
         return hp(q) * (dwt(q) + (x / 2.0) * wt(q) / q)
 
     return fredholm.Kernel(fredholm._sqrt_theta(spec), hp, vm,
-                           lambda q: (x / 2.0) * hp(q) / q, dvm, "Q", x)
+                           lambda q: (x / 2.0) * hp(q) / q, dvm, x)
 
 
 @st.composite
@@ -270,7 +269,7 @@ class TestNystrom:
         parts = [zero_kernel(), fredholm.kernel_V(suite)] + \
             [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
         assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
-        assert fredholm.SumKernel(parts, "sum").x == 6
+        assert fredholm.SumKernel(parts).x == 6
         assert kernel_Delta_residue(
             spec, 6, suite.zeros_inside()).x == 6
 
@@ -287,8 +286,6 @@ class TestNystrom:
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
         # err = inf would otherwise pass err <= tol * |det| = inf
         class Huge:
-            label = "huge"
-
             def matrix(self, nodes, weights):
                 return 1e9 * np.eye(len(nodes), dtype=complex)
 
@@ -304,8 +301,7 @@ class TestKernelAlgebra:
         s_det = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct).value
         combo = fredholm.SumKernel(
             [fredholm.kernel_V(suite)] +
-            [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()],
-            "V-Delta")
+            [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()])
         v_det = fredholm.nystrom_det(combo, ct).value
         assert abs(s_det - v_det) / abs(s_det) < 1e-10
 

@@ -1,7 +1,8 @@
 """Orthogonal polynomials on the circle and the 2x2 matrix boundary problem.
 
 ``cd_diagonal_from_rhp`` and ``variational_moment_check`` are checks of the
-boundary problem's solution that only these tests use.
+boundary problem's solution that only these tests use; ``moment_matrix`` is
+the Toeplitz matrix of the measure's moments they perturb.
 """
 
 import numpy as np
@@ -10,8 +11,13 @@ from numpy.polynomial import polynomial as P
 
 from detlab import errors, symbols
 from detlab.orthopoly import (MeasureMu, RHPSolution, christoffel_darboux,
-                              hf_moment_equivalence, moment_matrix,
-                              monic_orthogonal)
+                              hf_moment_equivalence, monic_orthogonal)
+
+
+def moment_matrix(measure: MeasureMu) -> np.ndarray:
+    n = measure.n
+    return np.array([[measure.moment(n - 1 + i - j) for j in range(n)]
+                     for i in range(n)], dtype=complex)
 
 
 def cd_diagonal_from_rhp(sol: RHPSolution, q) -> complex:
@@ -37,7 +43,7 @@ def variational_moment_check(measure: MeasureMu, eps: float = 1e-6):
     fd = (np.log(det_shifted(+1)) - np.log(det_shifted(-1))) / (2 * eps)
 
     sol = RHPSolution(measure)
-    nodes, weights, mu = measure.values(512)
+    nodes, weights, mu = measure.values
     da, db = P.polyder(sol.alpha), P.polyder(sol.beta)
     dens = (P.polyval(nodes, sol.alpha) * P.polyval(nodes, db) -
             P.polyval(nodes, da) * P.polyval(nodes, sol.beta))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from detlab import errors, symbols, toeplitz
+from detlab._series import circle_nodes
 from detlab.cauchy import CauchySuite
 
 EXPECTED_WINDING = {"F0": 0, "F1": 0, "F2": 0, "F3": -1, "F4": -1,
@@ -65,6 +66,37 @@ class TestEvaluation:
         from detlab._series import circle_nodes
         nu = symbols.eval_nu_grid(sp, circle_nodes(1.0, 256))
         assert np.max(np.abs(np.diff(nu))) < 0.2
+
+
+def _rational(zeros, pole_order):
+    numer = np.polynomial.polynomial.polyfromroots(zeros)
+    return symbols.SymbolSpec("rational", tuple(numer),
+                              (0.0,) * pole_order + (1.0,))
+
+
+class TestZeroSelection:
+    def test_pair_off_the_edge_is_kept(self):
+        spec = _rational([0.3, 1.5, 3 * np.exp(0.5j), 3 * np.exp(-0.5j)], 2)
+        ana = symbols.analyze(spec)
+        assert ana.winding == -1
+        assert len(ana.z_list) == 1 and abs(ana.z_list[0] - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("zeros", [
+        [0.3, 1.5 * np.exp(0.5j), 1.5 * np.exp(-0.5j), 3],  # pair at the edge
+        [0.3, 1.5, 3, 3],                                   # double zero
+    ], ids=["straddling-pair", "double-zero"])
+    def test_ambiguous_or_multiple_zeros_raise(self, zeros):
+        with pytest.raises(errors.DegenerateZeros):
+            symbols.analyze(_rational(zeros, 2))
+
+    def test_laurent_phase_shift_needs_no_phi(self):
+        # |phi(-1)| = e^-40 is no zero: nu is the exponent over 2 pi i
+        spec = symbols.SymbolSpec("laurent_phase",
+                                  log_coeffs={1: 20.0, -1: 20.0})
+        nodes = circle_nodes(1.0, 64)
+        nu = symbols.eval_nu_grid(spec, nodes)
+        assert np.allclose(nu, (20 * nodes + 20 / nodes) / (2j * np.pi),
+                           rtol=0, atol=1e-13)
 
 
 class TestFourier:
