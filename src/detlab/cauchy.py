@@ -160,6 +160,13 @@ class CauchySuite:
         return [z for z in self._zeros() if abs(z) < self.rho]
 
     def _zeros(self):
+        """The zeros of phi, each simple: ``residue_weight`` divides by phi'."""
         if self.spec.kind != "rational":
             raise errors.NoResidueForm("residue route needs a rational symbol")
-        return symbols.analyze(self.spec).zeros
+        zeros = symbols.analyze(self.spec).zeros
+        for i, a in enumerate(zeros):
+            for b in zeros[i + 1:]:
+                if abs(a - b) < symbols.SEP_TOL:
+                    raise errors.NotASimpleZero(
+                        f"zeros {a} and {b} lie within {symbols.SEP_TOL}")
+        return zeros

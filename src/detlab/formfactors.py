@@ -101,7 +101,9 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
     else:
         bad = k[np.argmax(np.abs(step))]
         raise errors.NewtonDiverged(f"root k = {bad} did not converge")
-    residuals = np.abs(p ** L * phi_p - 1.0)
+    # in offset form, as Newton drives it: |p^L phi(p) - 1| through p ** L
+    # would carry a rounding floor ~L eps, past RESIDUAL_TOL from L ~ 1000
+    residuals = np.abs(np.expm1(L * _log1p(delta / q) + np.log(phi_p)))
     drift = np.interp(2.0 * np.pi * k / L + np.angle(p / q), theta, z) - k
     stray = np.flatnonzero((residuals > RESIDUAL_TOL) | (abs(drift) >= 0.5))
     if stray.size:
@@ -122,38 +124,79 @@ def _angular_density(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
     return 1.0 + p * dlog / L
 
 
+def _pair_windows(v: np.ndarray) -> np.ndarray:
+    """Row i holds v[(i + k) mod n] for k = 1 ... n // 2: a zero-copy window
+    of v doubled (``sliding_window_view`` without its fixed cost).  Every
+    unordered pair i != j lies in one row, at cyclic distance k, once; only
+    the pairs k = n/2 of an even n lie in two rows."""
+    doubled = np.concatenate([v, v])
+    step = doubled.itemsize
+    return np.ndarray((v.size, v.size // 2), doubled.dtype, doubled, step,
+                      (step, step))
+
+
 def _min_distance(p: np.ndarray) -> float:
-    """min |p_i - p_j| over i != j (inf for one point), ROW_BLOCK rows at a time."""
-    best = np.inf
+    """min |p_i - p_j| over i != j (inf for one point), ROW_BLOCK rows of
+    ``_pair_windows`` at a time, comparing squared moduli."""
+    if p.size < 2:
+        return np.inf
+    window = _pair_windows(p)
+    diff = np.empty((ROW_BLOCK, window.shape[1]), dtype=complex)
+    sq = np.empty(diff.shape)
+    best, i, k = np.inf, 0, 0
     for start in range(0, p.size, ROW_BLOCK):
-        dist = np.abs(p[None, :] - p[start:start + ROW_BLOCK, None])
-        np.fill_diagonal(dist[:, start:], np.inf)
-        best = min(best, float(dist.min()))
-    return best
+        stop = min(start + ROW_BLOCK, p.size)
+        d, s = diff[:stop - start], sq[:stop - start]
+        np.subtract(window[start:stop], p[start:stop, None], out=d)
+        # |d|^2 from the float view: square re and im in place, add pairs
+        parts = d.view(float)
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=s)
+        at = int(np.argmin(s))
+        if s.flat[at] < best:
+            best, (i, k) = s.flat[at], divmod(at, s.shape[1])
+            i += start
+    return float(np.abs(window[i, k] - p[i]))
 
 
 def _log_row_ratios(offsets: np.ndarray, q: np.ndarray) -> complex:
     """sum_i log prod_{j != i} (p_j - p_i) / (q_j - q_i) for p = q + offsets.
 
     Each factor is 1 + y_ij, y_ij = (offsets_j - offsets_i) / (q_j - q_i),
-    exact where p_j - p_i would cancel; a row's factors combine in pairs as
-    y_a + y_b (1 + y_a), so no small y is ever rounded against a 1 (with L^2
-    factors of 1 + u that cost L^2 eps/2).  Taken ROW_BLOCK rows at a time,
-    each row padded with y = 0 to a power of two; the diagonal gap is set to
-    1, where the offset difference is 0.
+    exact where p_j - p_i would cancel.  y_ji equals y_ij bit for bit (both
+    differences change sign), so the sum is twice that over unordered
+    pairs, taken as the rows of ``_pair_windows`` with the second copy of
+    each k = n/2 pair set to y = 0.  A row's factors combine by halves as
+    y_a + y_b + y_a y_b, so no small y is ever rounded against a 1 (with L^2
+    factors of 1 + u that cost L^2 eps/2); ROW_BLOCK rows at a time, in place
+    in one buffer padded with y = 0 to a power of two.  The result holds
+    modulo 2 pi i, all that ``errors.exp_in_range`` reads.
     """
-    total = 0.0 + 0.0j
-    width = pow2_at_least(q.size)
-    for start in range(0, q.size, ROW_BLOCK):
-        rows = np.arange(start, min(start + ROW_BLOCK, q.size))
-        den = q[None, :] - q[rows, None]
-        den[rows - start, rows] = 1.0
-        y = np.zeros((rows.size, width), dtype=complex)
-        y[:, :q.size] = (offsets[None, :] - offsets[rows, None]) / den
-        while y.shape[1] > 1:
-            y = y[:, 0::2] + y[:, 1::2] * (1.0 + y[:, 0::2])
-        total += np.sum(_log1p(y[:, 0]))
-    return total
+    n = q.size
+    half = n // 2
+    d_win, q_win = _pair_windows(offsets), _pair_windows(q)
+    y = np.zeros((ROW_BLOCK, pow2_at_least(half)), dtype=complex)
+    den = np.empty((ROW_BLOCK, half), dtype=complex)
+    prod = np.empty((ROW_BLOCK, y.shape[1] // 2), dtype=complex)
+    rows = np.empty(n, dtype=complex)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        r = stop - start
+        block = y[:r, :half]
+        np.subtract(d_win[start:stop], offsets[start:stop, None], out=block)
+        np.subtract(q_win[start:stop], q[start:stop, None], out=den[:r])
+        np.divide(block, den[:r], out=block)
+        if n % 2 == 0 and stop > half:
+            block[max(half - start, 0):, half - 1] = 0.0
+        width = y.shape[1]
+        while width > 1:
+            width //= 2
+            a, b, ab = y[:r, :width], y[:r, width:2 * width], prod[:r, :width]
+            np.multiply(a, b, out=ab)
+            a += b
+            a += ab
+        rows[start:stop] = y[:r, 0]
+    return 2.0 * np.sum(_log1p(rows))
 
 
 def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,

@@ -412,6 +412,20 @@ class TestSlavnov:
         closed, ratio = A.tau_ratio_swap(spec, x, 1.4, 2.2)
         assert abs(closed - ratio) / abs(ratio) < 1e-8
 
+    def test_double_zero_raises(self):
+        # phi = (q - 0.3)(q - 3)^2/q has winding 0; its residue weights would
+        # divide by phi'(3) = 0 (the series read 899.569 + 6.8e-4i at x = 3
+        # against the Toeplitz determinant's 899.586)
+        spec = _rational([0.3, 3.0, 3.0], 1)
+        assert symbols.winding_number(spec) == 0
+        assert abs(toeplitz.toeplitz_det(spec, 3) - 899.586) < 1e-9
+        with pytest.raises(errors.NotASimpleZero):
+            CauchySuite(spec, 3).zeros_outside()
+        with pytest.raises(errors.NotASimpleZero):
+            A.slavnov_series(spec, 3)
+        with pytest.raises(errors.NotASimpleZero):
+            A.tau_ratio_swap(spec, 3, 0.3, 3.0)
+
     def test_terms_decay_in_x(self):
         spec = symbols.fixture("F4")
         mags = [abs(slavnov_term(spec, x, [1.4], [2.2]))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from detlab import asymptotics, errors, symbols, toeplitz
-from detlab.formfactors import (ROW_BLOCK, _angular_density, _min_distance,
+from detlab.formfactors import (RESIDUAL_TOL, ROW_BLOCK, _angular_density,
+                                _log1p, _log_row_ratios, _min_distance,
                                 solve_shifted, tau_eff_finite)
 
 
@@ -164,6 +165,22 @@ class TestRoots:
         with pytest.raises(errors.NewtonDiverged, match="Z falls"):
             solve_shifted(spec, L=8)
 
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", "F4", "F5", "F6"])
+    def test_sizes_each_fixture_works_from(self, name):
+        # below L ~ 12 a root near a zero outside the circle pairs off with
+        # that zero's own root (F4 has zeros 1.4 and 2.2 there, F5 1.5 and
+        # 1.9), so the cells of Z do not hold one root each; every other
+        # size works, F4 from L = 11 and F5 from L = 12
+        failing = {"F4": [7, 10], "F5": [4, 8, 10, 11]}.get(name, [])
+        spec = symbols.fixture(name)
+        fails = []
+        for L in [*range(4, 41), 64, 199, 256, 257, 511, 512, 1023, 1024]:
+            try:
+                solve_shifted(spec, L)
+            except errors.NewtonDiverged:
+                fails.append(L)
+        assert fails == failing
+
     @pytest.mark.parametrize("N", [0, 16])
     def test_sector_bounds_N(self, N):
         # F3 has winding -1: L + w = 15 roots
@@ -181,6 +198,44 @@ class TestRoots:
         np.fill_diagonal(dist, np.inf)
         assert _min_distance(p) == dist.min()
         assert _min_distance(p[:1]) == np.inf
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_min_distance_of_few_points(self, n):
+        p = np.array([0.0, 1e-3, 2.5j][:n])
+        assert _min_distance(p) == 1e-3
+
+    @pytest.mark.parametrize("n", [2 * ROW_BLOCK + 6, 2 * ROW_BLOCK + 7])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("i", [0, ROW_BLOCK - 1, ROW_BLOCK + 3])
+    def test_min_distance_across_the_window(self, n, shift, i):
+        # the closest pair at cyclic distance n//2 + shift: the last column
+        # of the pair windows and its neighbours, from rows in every block
+        p = np.exp(2j * np.pi * np.arange(n) / n)
+        j = (i + n // 2 + shift) % n
+        p[j] = p[i] + 1e-9
+        dist = np.abs(p[:, None] - p[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert _min_distance(p) == dist.min() == abs(p[j] - p[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4, 5, ROW_BLOCK - 1, ROW_BLOCK + 1,
+                              2 * ROW_BLOCK + 1]),
+           scale=st.sampled_from([1e-12, 1e-6, 0.3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_ratios_match_ordered_pairs(self, n, scale, seed):
+        # offsets on permuted roots of unity against the sum over every
+        # ordered pair, modulo 2 pi i; |offsets| ~ scale/n, so scale 1e-12
+        # tests near-trivial offsets at relative precision
+        rng = np.random.default_rng(seed)
+        q = np.exp(2j * np.pi * rng.permutation(n) / n)
+        offsets = scale / n * (rng.standard_normal(n) +
+                               1j * rng.standard_normal(n))
+        den = q[None, :] - q[:, None]
+        np.fill_diagonal(den, 1.0)
+        y = (offsets[None, :] - offsets[:, None]) / den
+        gap = _log_row_ratios(offsets, q) - np.sum(_log1p(y))
+        gap -= 2j * np.pi * np.round(gap.imag / (2.0 * np.pi))
+        assert abs(gap) <= 8 * np.finfo(float).eps * np.sum(np.abs(y))
 
 
 class TestFormFactor:
@@ -239,6 +294,23 @@ class TestFiniteSum:
         truth = asymptotics.tau_eff(spec, 2)
         val = tau_eff_finite(spec, L=1024, N=1024, x=2)
         assert abs(val - truth) / abs(truth) < 1e-9
+
+    @pytest.mark.parametrize("L", [1023, 2048])
+    def test_past_the_power_rounding_floor(self, L):
+        # |p^L phi(p) - 1| through p ** L has a rounding floor ~L eps, past
+        # RESIDUAL_TOL at these sizes; the offset-form residual Newton drives
+        # to zero stays at ~1e-16 .. 2e-15
+        for name in ("F1", "F2", "F6"):
+            spec = symbols.fixture(name)
+            assert np.max(solve_shifted(spec, L).residuals) <= RESIDUAL_TOL
+            truth = asymptotics.tau_eff(spec, 2)
+            val = tau_eff_finite(spec, L=L, x=2)
+            assert abs(val - truth) <= 7e-13 * abs(truth), name
+        if L == 1023:
+            spec = symbols.fixture("F4")   # winding -1: Cauchy-Binet form
+            truth = asymptotics.tau_eff(spec, 2)
+            assert abs(tau_eff_finite(spec, L=L, x=2) - truth) <= \
+                1e-10 * abs(truth)
 
     @pytest.mark.parametrize("name,L,N", [
         ("F1", 8, 3), ("F2", 10, 5), ("F2", 9, 9), ("F7", 8, 4), ("F7", 8, 8),
