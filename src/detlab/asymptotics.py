@@ -9,13 +9,15 @@ Laurent modes, which converge geometrically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite
 from .contours import Contour, select_contour, unit_circle
-from .fredholm import kernel_V_from_theta, kernel_V_residue, nystrom_det
+from .fredholm import kernel_V, kernel_V_residue, nystrom_det
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
@@ -37,21 +39,22 @@ def tau_leading(spec: symbols.SymbolSpec, x: int,
     route 'double': direct trapezoid of the double integral, diagonal taken
     as the analytic limit nu'(q)^2.
     """
-    suite = CauchySuite(spec, x)
+    x = errors.check_x(x)
+    suite = CauchySuite(spec)
     if route == "modes":
-        return errors.exp_in_range(_log_strong_limit(suite))
+        return errors.exp_in_range(_log_strong_limit(suite, x))
     if route == "double":
         return errors.exp_in_range(_log_tau_double(
-            suite, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
+            suite, x, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
     raise errors.InputError(f"unknown route {route!r}")
 
 
-def _log_tau_double(suite: CauchySuite, nu, dnu) -> complex:
+def _log_tau_double(suite: CauchySuite, x: int, nu, dnu) -> complex:
     """ln tau as the trapezoid double integral on the suite's grid, for the
     shift values nu and derivative dnu at its nodes; the diagonal of the
     difference quotient is the analytic limit dnu."""
     nodes, weights = suite.nodes, suite.weights
-    lin = suite.x * np.sum(weights * nu / nodes)
+    lin = x * np.sum(weights * nu / nodes)
     den = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(den, 1.0)
     ratio = (nu[:, None] - nu[None, :]) / den
@@ -63,10 +66,11 @@ def szego(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth zero-winding asymptotic: the strong-limit exponent of the
     unit-circle split, x 2 pi i nu_0 plus the mode sum
     sum_{j>=1} j (2 pi i)^2 nu_j nu_{-j} of the phase shift."""
+    x = errors.check_x(x)
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    suite = CauchySuite(spec, x, unit=True)
-    return errors.exp_in_range(_log_strong_limit(suite))
+    suite = CauchySuite(spec, unit=True)
+    return errors.exp_in_range(_log_strong_limit(suite, x))
 
 
 # --- strong-limit exponent ---------------------------------------------------
@@ -79,9 +83,9 @@ def _mode_sum(split: LaurentSplit) -> complex:
                           (2j * np.pi * cs[np.searchsorted(js, -js[pos])])))
 
 
-def _log_strong_limit(suite: CauchySuite) -> complex:
+def _log_strong_limit(suite: CauchySuite, x: int) -> complex:
     """(x - winding) 2 pi i nu_0 plus the mode sum of the suite's split."""
-    return ((suite.x - suite.winding) * 2j * np.pi *
+    return ((x - suite.winding) * 2j * np.pi *
             suite.nu_split.zero_mode() + _mode_sum(suite.nu_split))
 
 
@@ -101,7 +105,7 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
         ana = symbols.analyze(spec)
         inside = [z for z in ana.zeros if abs(z) < 1.0]
         return kernel_V_residue(spec, x, inside), select_contour(ana)
-    return (kernel_V_from_theta(lambda q: symbols.eval_theta(spec, q), x),
+    return (kernel_V(functools.partial(symbols.eval_theta, spec), x, 1.0),
             unit_circle())
 
 
@@ -125,12 +129,14 @@ def y_moment(suite: CauchySuite, s: int) -> complex:
 def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     """Winding-corrected determinant formula; exact (not just asymptotic)
     equal to det(1 + V) on the unit circle."""
+    x = errors.check_x(x)
     ana = _require_negative_winding(spec)
     n = -ana.winding
-    suite = CauchySuite(spec, x, unit=True)
+    suite = CauchySuite(spec, unit=True)
     ymat = np.array([[y_moment(suite, x + i - j) for j in range(n)]
                      for i in range(n)], dtype=complex)
-    return errors.exp_in_range(_log_strong_limit(suite), np.linalg.det(ymat))
+    return errors.exp_in_range(_log_strong_limit(suite, x),
+                               np.linalg.det(ymat))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
@@ -177,6 +183,7 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
     angle interval [-pi, pi).
     route 'reduced': compensated-shift mode sums plus explicit zero factors.
     """
+    x = errors.check_x(x)
     ana = _require_negative_winding(spec)
     n = -ana.winding
     z = np.array(ana.z_list, dtype=complex)
@@ -190,8 +197,8 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
         return errors.exp_in_range(s_val + log_num - log_dphi -
                                    x * np.sum(np.log(z)))
     if route == "reduced":
-        suite = CauchySuite(spec, x, unit=True)
-        expo = _log_strong_limit(suite)
+        suite = CauchySuite(spec, unit=True)
+        expo = _log_strong_limit(suite, x)
         expo -= 2.0 * np.sum([suite.Omega_lt(zk) for zk in z])
         return errors.exp_in_range(expo + log_num - log_dphi -
                                    (2 * n + x) * np.sum(np.log(z)))
@@ -211,23 +218,24 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
     k-minors of -A, which by Cauchy-Binet and the Cauchy determinant is the
     sum over k-subsets Z, W of prod a(Z) prod b(W) det[1/(w - z)]^2; the
     series is tau times the sum of its leading coefficients."""
+    x = errors.check_x(x)
     if spec.kind != "rational":
         raise errors.InputError("correction series needs a rational symbol")
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
-    suite = CauchySuite(spec, x)
+    suite = CauchySuite(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     kmax = min(len(zset), len(wset))
     if max_order is not None:
         kmax = min(kmax, max_order)
     total = 1.0
     if kmax:   # np.poly takes no empty matrix
-        a = np.array([suite.residue_weight(z) for z in zset])
-        b = np.array([suite.residue_weight(w) for w in wset])
+        a = np.array([suite.residue_weight(z, x) for z in zset])
+        b = np.array([suite.residue_weight(w, x) for w in wset])
         cmat = 1.0 / np.subtract.outer(np.array(wset), np.array(zset))
         amat = -b[:, None] * ((cmat * a) @ cmat.T)
         total = np.sum(np.poly(amat)[:kmax + 1])
-    return errors.exp_in_range(_log_strong_limit(suite), total)
+    return errors.exp_in_range(_log_strong_limit(suite, x), total)
 
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
@@ -237,8 +245,9 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     Returns (closed form, Nystrom ratio on the deformed contour).
     """
     from .contours import deformed_contour
+    x = errors.check_x(x)
     ana = symbols.analyze(spec)
-    suite = CauchySuite(spec, x)
+    suite = CauchySuite(spec)
     contour = suite.contour
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     if not wset:
@@ -249,7 +258,7 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     if min(abs(w_b - w) for w in wset) > 1e-8:
         raise errors.InputError(f"{w_b} is not a zero outside the contour")
 
-    closed = (suite.residue_weight(z_a) * suite.residue_weight(w_b) /
+    closed = (suite.residue_weight(z_a, x) * suite.residue_weight(w_b, x) /
               (z_a - w_b) ** 2)
 
     deformed = deformed_contour(contour, [z_a], [w_b], ana)
@@ -264,9 +273,10 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
 
 def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     """Smooth-symbol factor times det(Id - K) on shifted integer indices."""
+    x = errors.check_x(x)
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
-    suite = CauchySuite(spec, x, unit=True)
+    suite = CauchySuite(spec, unit=True)
     ratio = suite.ratio                 # (phi_+^{-1} phi_-)_k
     ks, c_plus = laurent_coeffs(        # (phi_+ phi_-^{-1})_k
         1.0 / ratio.reconstruct(circle_nodes(ratio.radius, ratio.m)))
@@ -290,7 +300,7 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     hankel = np.arange(BO_TRUNC)[:, None] + np.arange(n_l)[None, :]
     K = a[hankel] @ b[hankel].T
     det = complex(np.linalg.det(np.eye(BO_TRUNC, dtype=complex) - K))
-    return errors.exp_in_range(_log_strong_limit(suite), det)
+    return errors.exp_in_range(_log_strong_limit(suite, x), det)
 
 
 def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
@@ -298,15 +308,16 @@ def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
     eps = 1e-6, versus the first-order formula; returns (finite difference,
     formula)."""
     eps = 1e-6
-    suite = CauchySuite(spec, x)
+    x = errors.check_x(x)
+    suite = CauchySuite(spec)
     nodes, weights = suite.nodes, suite.weights
     nu = suite.nu
     dnu = symbols.eval_dnu(spec, nodes)
 
     pert = nodes.astype(complex) ** j
     dpert = j * nodes.astype(complex) ** (j - 1)
-    fd = (_log_tau_double(suite, nu + eps * pert, dnu + eps * dpert) -
-          _log_tau_double(suite, nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
+    fd = (_log_tau_double(suite, x, nu + eps * pert, dnu + eps * dpert) -
+          _log_tau_double(suite, x, nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
 
     # first-order variation paired with the perturbation: the double-integral
     # part reduces, after integration by parts, to the principal value of the

@@ -3,13 +3,14 @@
 Every plus/minus boundary value is obtained from a truncated Laurent series
 of the density sampled on the circle itself (see _series.LaurentSplit); the
 slightly-shifted contours of the defining integrals never appear in numerics.
-A suite sits on its symbol's own circle, where phi does not wind, or on the
-unit circle with the phase shift compensated for its winding; it forms a
-q^{+-x} density only on first use, so routes that read none never overflow.
+A suite is one symbol on one circle, its own (where phi does not wind) or
+the unit circle with the phase shift compensated for its winding; x enters
+only through q^{+-x}, as an argument of the b split and the residue weights.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import numpy as np
@@ -37,25 +38,37 @@ def _converged_split(sample, m0: int):
         m *= 2
 
 
+def residue_coefficient(spec: symbols.SymbolSpec, z, power: int,
+                        log_factor) -> complex:
+    """z^power e^{log_factor} / phi'(z) at a simple zero z of phi, formed
+    from its logarithm: OverflowGuard past the double range, while an
+    underflow goes to 0; NotASimpleZero where phi'(z) vanishes."""
+    z = complex(z)
+    dphi = complex(symbols.eval_dphi(spec, np.asarray(z)))
+    if abs(dphi) < 1e-10:
+        raise errors.NotASimpleZero(f"phi'({z}) = {dphi}")
+    log_value = complex(power * cmath.log(z) + log_factor - cmath.log(dphi))
+    if log_value.real >= errors.LOG_MAX:
+        raise errors.OverflowGuard(f"residue at {z} is e^{log_value.real:.1f}")
+    return cmath.exp(log_value)
+
+
 class CauchySuite:
-    """All scalar transforms attached to one symbol and one power x.
+    """All scalar transforms attached to one symbol on one circle.
 
     The circle is ``select_contour``'s, where phi does not wind, or with
     ``unit`` the unit circle, where the split density ``nu`` is the phase
     shift compensated for the winding w, nu - w (arg q + pi)/(2 pi).
     Provides the inside/outside splits of that density's transform (capital
-    Omega) and, on first read, the split of their Wiener-Hopf ratio
-    e^{-Omega_gt - Omega_lt} and that of the b function entering the
-    explicit resolvent.  The q^x theta/(1 + theta) split whose outside part
-    deforms the integrable kernel is formed by ``fredholm.kernel_V``.
+    Omega), on first read the split of their Wiener-Hopf ratio
+    e^{-Omega_gt - Omega_lt}, and the zeros of phi on either side of the
+    circle.  None of these depends on x: the b split and the residue weights
+    take it as an argument, and the q^x theta/(1 + theta) split that deforms
+    the integrable kernel is formed by ``fredholm.kernel_V``.
     """
 
-    def __init__(self, spec: symbols.SymbolSpec, x: int, *,
-                 unit: bool = False):
-        if x < 0 or x != int(x):
-            raise errors.InputError("x must be a nonnegative integer")
+    def __init__(self, spec: symbols.SymbolSpec, *, unit: bool = False):
         self.spec = spec
-        self.x = int(x)
         self.contour = (unit_circle() if unit
                         else select_contour(symbols.analyze(spec)))
         self.rho = self.contour.radius
@@ -90,11 +103,6 @@ class CauchySuite:
         return symbols.eval_nu_grid(self.spec, nodes) - self.winding * (
             np.angle(nodes) + np.pi) / (2.0 * np.pi)
 
-    @functools.cached_property
-    def theta(self):
-        """theta on the grid, read only by the V kernel and b's split."""
-        return symbols.eval_theta(self.spec, self.nodes)
-
     # --- phase-shift transform ------------------------------------------------
 
     def Omega_gt(self, q, derivative: int = 0):
@@ -120,37 +128,27 @@ class CauchySuite:
 
         return _converged_split(sample, self.m)[0]
 
-    # --- b function -----------------------------------------------------------
+    # --- b function and residue weights --------------------------------------
 
-    @functools.cached_property
-    def b_split(self) -> LaurentSplit:
-        """Split of the density -q^{-x} theta e^{-Omega_gt - Omega_lt}, formed
-        on first read; OverflowGuard when q^{-x} overflows on the circle."""
+    def b_split(self, x: int) -> LaurentSplit:
+        """Split of the density -q^{-x} theta e^{-Omega_gt - Omega_lt} on the
+        suite's grid; OverflowGuard when q^{-x} overflows on the circle."""
+        theta = symbols.eval_theta(self.spec, self.nodes)
         with np.errstate(over="ignore", invalid="ignore"):
-            density = -self.nodes ** (-self.x) * self.theta * np.exp(
+            density = -self.nodes ** (-x) * theta * np.exp(
                 -self.Omega_gt_nodes - self.Omega_lt_nodes)
         if not np.all(np.isfinite(density)):
-            raise errors.OverflowGuard(f"q^-x density overflows at x={self.x} "
+            raise errors.OverflowGuard(f"q^-x density overflows at x={x} "
                                        f"on radius {self.rho:.4g}")
         return LaurentSplit(density, self.rho)
 
-    def b_plus(self, q, derivative: int = 0):
-        """Inside-analytic piece of the b transform (series route)."""
-        return self.b_split.plus(q, derivative)
-
-    def b_minus(self, q, derivative: int = 0):
-        return self.b_split.minus(q, derivative)
-
-    def residue_weight(self, z) -> complex:
+    def residue_weight(self, z, x: int) -> complex:
         """Weight of a zero z of phi in the residue sums over this circle:
         z^x e^{2 Omega_gt(z)} / phi'(z) inside it, z^{-x} e^{-2 Omega_lt(z)}
         / phi'(z) outside it."""
-        z = complex(z)
         if abs(z) < self.rho:
-            value = z ** self.x * np.exp(2.0 * self.Omega_gt(z))
-        else:
-            value = z ** (-self.x) * np.exp(-2.0 * self.Omega_lt(z))
-        return complex(value / symbols.eval_dphi(self.spec, np.asarray(z)))
+            return residue_coefficient(self.spec, z, x, 2.0 * self.Omega_gt(z))
+        return residue_coefficient(self.spec, z, -x, -2.0 * self.Omega_lt(z))
 
     def zeros_outside(self):
         """Zeros of phi outside this circle (rational symbols only)."""

@@ -1,4 +1,4 @@
-"""Command-line interface: analysis, determinants, asymptotic tables,
+"""Command-line interface: analysis, determinants, route comparison tables,
 finite-size studies, and the self-verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -97,7 +98,7 @@ def _gap(value, reference) -> float:
 
 
 # --------------------------------------------------------------------------
-# routes: every name that asym, compare and verify accept, each a call
+# routes: every name that compare and verify accept, each a call
 # (spec, x, arg) with arg the route's integer argument or None: the
 # correction order of slavnov, the grid size L of ff (default 12; N = L + w)
 
@@ -172,19 +173,6 @@ def cmd_fredholm(args) -> int:
     return 0
 
 
-def cmd_asym(args) -> int:
-    spec = _load_spec(args.spec)
-    route = ROUTES[args.method]
-    rows = []
-    for x in _parse_xrange(args.x):
-        value = route(spec, x, args.order)
-        oracle = toeplitz.toeplitz_det(spec, x)
-        rows.append([x, value.real, value.imag, abs(value - oracle)])
-    _table(["x", "re", "im", "abs_err_vs_oracle"], rows, args.format,
-           args.out)
-    return 0
-
-
 def cmd_ff(args) -> int:
     spec = _load_spec(args.spec)
     x, *more = _parse_xrange(args.x)
@@ -250,7 +238,7 @@ def _verify_checks(seed: int):
     def jump_check(name):
         def run():
             spec = symbols.fixture(name)
-            return cauchy.CauchySuite(spec, 2).jump_residual
+            return cauchy.CauchySuite(spec).jump_residual
         return run
 
     for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7"):
@@ -275,10 +263,11 @@ def _verify_checks(seed: int):
 
     def split_check():
         spec = symbols.fixture("F4")
-        suite = cauchy.CauchySuite(spec, 3)
+        suite = cauchy.CauchySuite(spec)
+        theta = functools.partial(symbols.eval_theta, spec)
         lhs = fredholm.nystrom_det(
             fredholm.SumKernel(
-                [fredholm.kernel_V(suite)] +
+                [fredholm.kernel_V(theta, 3, suite.rho)] +
                 [fredholm.kernel_W(spec, z, 3)
                  for z in suite.zeros_inside()]),
             suite.contour).value
@@ -291,7 +280,7 @@ def _verify_checks(seed: int):
     def inversion_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            return fredholm.resolvent_residual(cauchy.CauchySuite(spec, x))
+            return fredholm.resolvent_residual(cauchy.CauchySuite(spec), x)
         return run
 
     for name, x in (("F2", 2), ("F4", 2)):
@@ -300,13 +289,14 @@ def _verify_checks(seed: int):
     def mdual_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            suite = cauchy.CauchySuite(spec, x)
+            suite = cauchy.CauchySuite(spec)
             worst = 0.0
             for _ in range(4):
                 r = suite.rho * (0.3 + 0.6 * rng.random())
                 ang = 2 * np.pi * rng.random(2)
                 k1, k2 = r * np.exp(1j * ang)
-                worst = max(worst, _gap(*fredholm.m_function(suite, k1, k2)))
+                worst = max(worst,
+                            _gap(*fredholm.m_function(suite, x, k1, k2)))
             return worst
         return run
 
@@ -457,14 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "has x + 32 nodes and the margin over x doubles")
     p.add_argument("--tol", type=float, default=fredholm.TOL)
     p.set_defaults(func=cmd_fredholm)
-
-    p = sub.add_parser("asym", help="asymptotic/exact formula ladder")
-    common(p)
-    p.add_argument("--method", required=True, choices=tuple(ROUTES))
-    p.add_argument("--order", type=int, default=None,
-                   help="the method's argument: correction order of slavnov, "
-                        "grid size of ff")
-    p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("ff", help="finite-size overlap series")
     common(p, x_default="2")

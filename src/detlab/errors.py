@@ -124,6 +124,16 @@ def exp_in_range(log_value, factor=1.0) -> complex:
     return value
 
 
+def check_x(x) -> int:
+    """The order x as an int; InputError unless it is a nonnegative integer."""
+    try:
+        if x >= 0 and x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"x = {x!r} is not a nonnegative integer")
+
+
 # --- orthopoly module ---
 
 class SingularGram(NumericalError):

@@ -216,6 +216,7 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     R_i = prod_{j != i} (p_j - p_i)/(q_j - q_i) pairing each root with its
     grid point.  N > L: no N-subset exists and the sum is exactly 0.
     """
+    x = errors.check_x(x)
     N, _ = _sector_size(spec, L, N)
     if N > L:
         return 0.0 + 0.0j

@@ -10,21 +10,26 @@ different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
 the resolvent identity unchanged.
 
-Every kernel object carries its bandwidth ``x``: its generators hold the
-factors q^{+-x/2}, so a trapezoid grid of m <= x nodes aliases them and
-``nystrom_det`` starts its grids above x.  An object without the attribute
-has bandwidth 0.
+Every kernel object carries its bandwidth ``x``, a nonnegative integer: its
+generators hold the factors q^{+-x/2}, so a trapezoid grid of m <= x nodes
+aliases them and ``nystrom_det`` starts its grids above x.  An object
+without the attribute has bandwidth 0.
+
+V has one split form, ``kernel_V``, and one residue form; the residue form,
+``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
+``cauchy.residue_coefficient``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, pow2_at_least
-from .cauchy import CauchySuite
+from .cauchy import CauchySuite, residue_coefficient
 from .contours import Contour, quadrature
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
@@ -47,7 +52,7 @@ class Kernel:
 
     def __init__(self, a, vp, vm, dvp, dvm, x: int = 0):
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
-        self.x = x
+        self.x = errors.check_x(x)
 
     def matrix(self, nodes, weights):
         a = self.a(nodes)
@@ -68,7 +73,7 @@ class SeparableKernel:
 
     def __init__(self, u, v, c: complex, x: int = 0):
         self.u, self.v, self.c = u, v, complex(c)
-        self.x = x
+        self.x = errors.check_x(x)
 
     def matrix(self, nodes, weights):
         col = self.c * self.u(nodes) / (2j * np.pi)
@@ -120,31 +125,33 @@ def _kernel_V_generic(a, tail, x):
     return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, x)
 
 
-def _w_split(nodes, theta, x: int, radius: float) -> LaurentSplit:
-    """Split of q^x theta/(1 + theta) at ``nodes`` of the circle of ``radius``,
-    whose outside part deforms V; OverflowGuard when q^x overflows there."""
+def kernel_V(theta, x: int, radius: float) -> Kernel:
+    """Deformed kernel on the circle of ``radius`` for the weight ``theta``,
+    a callable on (a neighborhood of) it; exact Toeplitz value when no zeros
+    of 1 + theta remain outside that circle.  Its w is q^x plus the outside
+    part of the split of q^x theta/(1 + theta), taken on max(512, 4x) nodes,
+    rounded up to a power of two, so its modes near j = x never fold;
+    OverflowGuard when q^x overflows on the circle."""
+    x = errors.check_x(x)
+    nodes = circle_nodes(radius, max(512, pow2_at_least(4 * x)))
+    t = theta(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        density = nodes ** x * theta / (1.0 + theta)
+        density = nodes ** x * t / (1.0 + t)
     if not np.all(np.isfinite(density)):
         raise errors.OverflowGuard(
             f"q^x density overflows at x={x} on radius {radius:.4g}")
-    return LaurentSplit(density, radius)
 
+    def a(q):
+        return np.sqrt(theta(np.asarray(q, dtype=complex)))
 
-def kernel_V(suite: CauchySuite) -> Kernel:
-    """Deformed kernel on the suite's circle; exact Toeplitz value when no
-    zeros of the symbol remain outside the contour.  Its w is q^x plus the
-    outside continuation of the k^x theta/(1 + theta) transform."""
-    tail = _w_split(suite.nodes, suite.theta, suite.x, suite.rho).minus
-    return _kernel_V_generic(_sqrt_theta(suite.spec), tail, suite.x)
+    return _kernel_V_generic(a, LaurentSplit(density, radius).minus, x)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     """V with w(q) = q^x - sum_z z^x/(phi'(z)(z - q)) in residue form; valid
     on any contour whose enclosed region holds exactly ``zeros_inside`` zeros
     of phi, and analytic between those zeros and the poles of phi."""
-    res = [(complex(z), complex(z) ** x /
-            complex(symbols.eval_dphi(spec, np.asarray(z))))
+    res = [(complex(z), residue_coefficient(spec, z, x, 0.0))
            for z in zeros_inside]
 
     def tail(q, derivative=0):
@@ -155,32 +162,14 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     return _kernel_V_generic(_sqrt_theta(spec), tail, x)
 
 
-def kernel_V_from_theta(theta_fn, x: int) -> Kernel:
-    """V on the unit circle for a weight given only as a callable on (a
-    neighborhood of) it.  The weight is split on max(512, 4x) nodes, rounded
-    up to a power of two, so its modes near j = x never fold."""
-    m = max(512, pow2_at_least(4 * x))
-    nodes = circle_nodes(1.0, m)
-    split = _w_split(nodes, theta_fn(nodes), x, 1.0)
-
-    def a(q):
-        return np.sqrt(theta_fn(np.asarray(q, dtype=complex)))
-
-    return _kernel_V_generic(a, split.minus, x)
-
-
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     """Rank-one residue kernel at a simple zero s of phi."""
-    s = complex(s)
-    ds = complex(symbols.eval_dphi(spec, np.asarray(s)))
-    if abs(ds) < 1e-10:
-        raise errors.NotASimpleZero(f"phi'({s}) = {ds}")
     st, hm = _sqrt_theta(spec), _halfpow(-x)
 
     def u(q):
         return st(q) * hm(q) / (s - q)
 
-    return SeparableKernel(u, u, s ** x / ds, x)
+    return SeparableKernel(u, u, residue_coefficient(spec, s, x, 0.0), x)
 
 
 def nystrom_det(kernel, contour: Contour, tol: float = TOL,
@@ -221,9 +210,8 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
         margin *= 2
 
 
-def resolvent_kernel(suite: CauchySuite) -> Kernel:
-    """Explicit resolvent of 1 + V on the suite's circle."""
-    x = suite.x
+def _resolvent(suite: CauchySuite, x: int, b_plus) -> Kernel:
+    """Explicit resolvent of 1 + V, given the inside part of b's split."""
     hp, hm = _halfpow(x), _halfpow(-x)
 
     def fp(q):
@@ -233,27 +221,33 @@ def resolvent_kernel(suite: CauchySuite) -> Kernel:
         return (suite.Omega_lt(q, 1) + (x / 2.0) / q) * fp(q)
 
     def fm(q):
-        return np.exp(-suite.Omega_gt(q)) * hm(q) - suite.b_plus(q) * fp(q)
+        return np.exp(-suite.Omega_gt(q)) * hm(q) - b_plus(q) * fp(q)
 
     def dfm(q):
         first = (-suite.Omega_gt(q, 1) - (x / 2.0) / q) * \
             np.exp(-suite.Omega_gt(q)) * hm(q)
-        return first - suite.b_plus(q, 1) * fp(q) - suite.b_plus(q) * dfp(q)
+        return first - b_plus(q, 1) * fp(q) - b_plus(q) * dfp(q)
 
     return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, x)
 
 
-def resolvent_residual(suite: CauchySuite) -> float:
+def resolvent_kernel(suite: CauchySuite, x: int) -> Kernel:
+    """Explicit resolvent of 1 + V on the suite's circle."""
+    return _resolvent(suite, x, suite.b_split(x).plus)
+
+
+def resolvent_residual(suite: CauchySuite, x: int) -> float:
     """Largest entry of (1 + V)(1 - R) - 1 on a 128-node grid, R the explicit
     resolvent."""
     quad = quadrature(suite.contour, 128)
     eye = np.eye(len(quad.nodes), dtype=complex)
-    vmat = kernel_V(suite).matrix(quad.nodes, quad.weights)
-    rmat = resolvent_kernel(suite).matrix(quad.nodes, quad.weights)
+    theta = functools.partial(symbols.eval_theta, suite.spec)
+    vmat = kernel_V(theta, x, suite.rho).matrix(quad.nodes, quad.weights)
+    rmat = resolvent_kernel(suite, x).matrix(quad.nodes, quad.weights)
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
-def m_function(suite: CauchySuite, k1: complex, k2: complex) -> tuple:
+def m_function(suite: CauchySuite, x: int, k1: complex, k2: complex) -> tuple:
     """Returns (quadrature route on 256 nodes, closed-form route); both sides
     of the resolvent lemma.  k1, k2 must lie off the circle."""
     k1, k2 = complex(k1), complex(k2)
@@ -262,21 +256,21 @@ def m_function(suite: CauchySuite, k1: complex, k2: complex) -> tuple:
         if abs(abs(k) - rho) < 1e-6 * rho:
             raise errors.TooCloseToContour(f"probe {k} sits on the circle")
 
-    rk = resolvent_kernel(suite)
+    b = suite.b_split(x)
     quad = quadrature(suite.contour, 256)
     nodes, weights = quad.nodes, quad.weights
     st = np.sqrt(symbols.eval_theta(suite.spec, nodes))
-    hv = nodes ** (-suite.x / 2.0)
+    hv = nodes ** (-x / 2.0)
     u = st * hv / (k1 - nodes)
     v = st * hv / (k2 - nodes)
-    rmat = rk.matrix(nodes, weights)
+    rmat = _resolvent(suite, x, b.plus).matrix(nodes, weights)
     route_a = (np.sum(weights * u * v) - (weights * u) @ rmat @ v) / (2j * np.pi)
 
     def omega(k):
         return suite.Omega_gt(k) if abs(k) < rho else suite.Omega_lt(k)
 
     def bval(k, der=0):
-        return suite.b_plus(k, der) if abs(k) < rho else suite.b_minus(k, der)
+        return b.plus(k, der) if abs(k) < rho else b.minus(k, der)
 
     if abs(k1 - k2) < 1e-12:
         route_b = -np.exp(2.0 * omega(k1)) * bval(k1, 1)
@@ -292,9 +286,9 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
-    suite = CauchySuite(spec, x)
+    suite = CauchySuite(spec)
     circle = suite.contour
-    vk = kernel_V(suite)
+    vk = kernel_V(functools.partial(symbols.eval_theta, spec), x, suite.rho)
     st, hm = _sqrt_theta(spec), _halfpow(-x)
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
@@ -308,8 +302,9 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         # weight whose phase shift is the original one lowered by one index
         return -(1.0 + symbols.eval_theta(spec, q)) / q - 1.0
 
-    det_shift = nystrom_det(kernel_V_from_theta(theta_shift, x), circle)
-    closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * suite.b_plus(0.0)
+    det_shift = nystrom_det(kernel_V(theta_shift, x, suite.rho), circle)
+    closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * \
+        suite.b_split(x).plus(0.0)
 
     # When the correction is exponentially small in x, every determinant in
     # the identity is still O(1), so the identity can only hold to absolute

@@ -25,13 +25,13 @@ class MeasureMu:
     """The orthogonality measure attached to a negative-winding symbol."""
 
     def __init__(self, spec: symbols.SymbolSpec, x: int):
+        self.x = errors.check_x(x)
         ana = symbols.analyze(spec)
         if ana.winding >= 0:
             raise errors.WindingNonnegative(
                 f"measure needs negative winding, got {ana.winding}")
-        self.suite = CauchySuite(spec, x, unit=True)
+        self.suite = CauchySuite(spec, unit=True)
         self.spec = spec
-        self.x = self.suite.x
         self.n = -ana.winding
         # (nodes, weights, mu) on the grid of the suite's ratio split
         ratio = self.suite.ratio

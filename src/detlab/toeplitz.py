@@ -56,8 +56,8 @@ def moment_table(spec: symbols.SymbolSpec, x: int):
 
 def _moments(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
     """The moment vector c_{-x} .. c_x, for a positive integer order x."""
-    if x < 1 or x != int(x):
-        raise errors.InputError("matrix order must be a positive integer")
+    if errors.check_x(x) == 0:
+        raise errors.InputError("matrix order must be positive")
     return np.array(list(moment_table(spec, int(x)).values()))
 
 

@@ -5,6 +5,7 @@ series: the sum taken term by term over all pairs of equally sized zero
 subsets, against which the closed form of ``slavnov_series`` is checked.
 """
 
+import functools
 import inspect
 import itertools
 import warnings
@@ -28,7 +29,7 @@ def slavnov_term(spec, x, zset, wset) -> complex:
         raise SizeMismatch("zero subsets must have equal size")
     if not zset:
         return 1.0 + 0.0j
-    suite = CauchySuite(spec, x)
+    suite = CauchySuite(spec)
     val = 1.0 + 0.0j
     for w in wset:
         val *= w ** (-x) * np.exp(-2.0 * suite.Omega_lt(w)) / \
@@ -48,7 +49,7 @@ def slavnov_term(spec, x, zset, wset) -> complex:
 
 def enumerated_series(spec, x, max_order=None) -> complex:
     """Leading value times 1 plus every correction term up to max_order."""
-    suite = CauchySuite(spec, x)
+    suite = CauchySuite(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     tau = A.tau_leading(spec, x)
     kmax = min(len(zset), len(wset))
@@ -154,7 +155,7 @@ class TestHartwigFisher:
 
     @pytest.mark.parametrize("name", ["F3", "F5"])
     def test_y_moment_is_trapezoid_coefficient(self, name):
-        suite = CauchySuite(symbols.fixture(name), 2, unit=True)
+        suite = CauchySuite(symbols.fixture(name), unit=True)
         k = suite.nodes
         dens = np.exp(-2j * np.pi * suite.nu - 2.0 * suite.Omega_lt_nodes)
         for s in (-3, 0, 2, 7, 40):
@@ -164,7 +165,7 @@ class TestHartwigFisher:
     @pytest.mark.parametrize("name", ["F3", "F4", "F5"])
     def test_y_moment_past_ratio_grid_raises(self, name):
         # y_{m/2} would fold onto y_{-m/2}: a loud failure, not a value
-        suite = CauchySuite(symbols.fixture(name), 2, unit=True)
+        suite = CauchySuite(symbols.fixture(name), unit=True)
         half = suite.ratio.m // 2
         A.y_moment(suite, half - 1)
         for s in (half, -half, 2 * half):
@@ -258,7 +259,7 @@ class TestTauEffDeformed:
         zeros = [0.5 * np.exp(1j), 0.5 * np.exp(-1j),
                  2 * np.exp(0.7j), 2 * np.exp(-0.7j)]
         spec = _rational(zeros, 2)
-        assert CauchySuite(spec, 3).rho == 1.0
+        assert CauchySuite(spec).rho == 1.0
         det = 96.95703426533626
         assert abs(A.borodin_okounkov(spec, 3) - det) / det < 1e-12
 
@@ -280,8 +281,9 @@ class TestLargeX:
         assert abs(A.slavnov_series(self.SPEC, x) - t) < 1e-10 * abs(t)
 
     def test_kernel_v_reads_the_overflowing_density(self):
+        theta = functools.partial(symbols.eval_theta, self.SPEC)
         with pytest.raises(errors.OverflowGuard):
-            fredholm.kernel_V(CauchySuite(self.SPEC, 700))
+            fredholm.kernel_V(theta, 700, CauchySuite(self.SPEC).rho)
 
 
 @st.composite
@@ -306,12 +308,28 @@ def two_sided_symbols(draw, negative=True):
     return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
 
 
+class TestSplitV:
+    @settings(max_examples=25, deadline=None)
+    @given(spec=two_sided_symbols(), x=st.integers(0, 8))
+    def test_v_plus_residues_is_s(self, spec, x):
+        # S = V + sum_z W_z on the suite's circle, which at winding -1 is
+        # select_contour's, off the unit circle
+        suite = CauchySuite(spec)
+        theta = functools.partial(symbols.eval_theta, spec)
+        parts = [fredholm.kernel_V(theta, x, suite.rho)] + [
+            fredholm.kernel_W(spec, z, x) for z in suite.zeros_inside()]
+        v = fredholm.nystrom_det(fredholm.SumKernel(parts), suite.contour)
+        s = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.contour)
+        assert abs(v.value - s.value) <= 1e-8 * abs(s.value)
+
+
 SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               A.tau_eff: ["spec", "x"], A.borodin_okounkov: ["spec", "x"],
               symbols.analyze: ["spec"], symbols.winding_number: ["spec"],
               A.tau_leading: ["spec", "x", "route"],
               A.variational_check: ["spec", "x", "j"],
-              CauchySuite: ["spec", "x", "unit"],
+              CauchySuite: ["spec", "unit"],
+              fredholm.kernel_V: ["theta", "x", "radius"],
               contours.unit_circle: [],
               contours.select_contour: ["analysis"]}
 
@@ -328,7 +346,7 @@ class TestCirclesAgreeAtZeroWinding:
 
     @staticmethod
     def assert_agree(spec, x):
-        own, unit = CauchySuite(spec, x), CauchySuite(spec, x, unit=True)
+        own, unit = CauchySuite(spec), CauchySuite(spec, unit=True)
         assert own.m == unit.m
         assert np.array_equal(own.nu_split.c, unit.nu_split.c)
         assert np.array_equal(own.Omega_gt_nodes, unit.Omega_gt_nodes)
@@ -396,7 +414,7 @@ class TestSlavnov:
     @settings(max_examples=25, deadline=None)
     @given(spec=two_sided_symbols(), x=st.integers(1, 8))
     def test_closed_form_matches_enumeration(self, spec, x):
-        suite = CauchySuite(spec, x)
+        suite = CauchySuite(spec)
         zset, wset = suite.zeros_inside(), suite.zeros_outside()
         assert 2 <= len(zset) <= 3 and 2 <= len(wset) <= 3
         for order in range(min(len(zset), len(wset)) + 1):
@@ -420,11 +438,30 @@ class TestSlavnov:
         assert symbols.winding_number(spec) == 0
         assert abs(toeplitz.toeplitz_det(spec, 3) - 899.586) < 1e-9
         with pytest.raises(errors.NotASimpleZero):
-            CauchySuite(spec, 3).zeros_outside()
+            CauchySuite(spec).zeros_outside()
         with pytest.raises(errors.NotASimpleZero):
             A.slavnov_series(spec, 3)
         with pytest.raises(errors.NotASimpleZero):
             A.tau_ratio_swap(spec, 3, 0.3, 3.0)
+
+    def test_residue_weights_past_double_range_raise(self):
+        # the weight of the zero 1.4 passes e^709 at x = 4096 and, times
+        # that of 2.2, at x = 2500: a typed failure, like every overflow
+        spec = symbols.fixture("F4")
+        with pytest.raises(errors.OverflowGuard):
+            A.slavnov_series(spec, 4096)
+        with pytest.raises(errors.OverflowGuard):
+            fredholm.kernel_W(spec, 1.4, 4096)
+        with pytest.raises(errors.OverflowGuard):
+            A.tau_ratio_swap(spec, 2500, 1.4, 2.2)
+
+    @pytest.mark.parametrize("name", ["F3", "F5"])
+    def test_residue_weights_underflow_to_zero(self, name):
+        # every correction underflows at x = 4096, which is no failure:
+        # the series is its leading value
+        spec = symbols.fixture(name)
+        tau = A.tau_leading(spec, 4096)
+        assert abs(A.slavnov_series(spec, 4096) - tau) <= 1e-12 * abs(tau)
 
     def test_terms_decay_in_x(self):
         spec = symbols.fixture("F4")

@@ -5,6 +5,8 @@ the suite's series transforms: the trapezoid sum of a Cauchy integral at a
 point off the circle, and b as a residue sum over the zeros outside it.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,25 +14,33 @@ from detlab import errors, fredholm, symbols
 from detlab.cauchy import CauchySuite
 
 
-def suite_for(name, x=2):
-    return CauchySuite(symbols.fixture(name), x)
+def suite_for(name):
+    return CauchySuite(symbols.fixture(name))
 
 
-def w_density(suite: CauchySuite):
+def theta_of(suite: CauchySuite):
+    return functools.partial(symbols.eval_theta, suite.spec)
+
+
+def w_density(suite: CauchySuite, x):
     """q^x theta/(1 + theta) on the suite's nodes."""
-    return suite.nodes ** suite.x * suite.theta / (1.0 + suite.theta)
+    theta = symbols.eval_theta(suite.spec, suite.nodes)
+    return suite.nodes ** x * theta / (1.0 + theta)
 
 
-def b_density(suite: CauchySuite):
+def b_density(suite: CauchySuite, x):
     """-q^{-x} theta e^{-Omega_gt - Omega_lt} on the suite's nodes."""
-    return -suite.nodes ** (-suite.x) * suite.theta * np.exp(
+    theta = symbols.eval_theta(suite.spec, suite.nodes)
+    return -suite.nodes ** (-x) * theta * np.exp(
         -suite.Omega_gt(suite.nodes) - suite.Omega_lt(suite.nodes))
 
 
-def w_minus(suite: CauchySuite, q, derivative: int = 0):
-    """Outside part of the suite's w split at the points q."""
-    split = fredholm._w_split(suite.nodes, suite.theta, suite.x, suite.rho)
-    return split.minus(np.array([q]), derivative)[0]
+def w_minus(suite: CauchySuite, x, q):
+    """Outside part of kernel_V's w at the point q, read off its generator
+    vp = q^{x/2} + q^{-x/2} w_minus."""
+    half = complex(q) ** (x / 2.0)
+    kern = fredholm.kernel_V(theta_of(suite), x, suite.rho)
+    return (kern.vp(np.array([q]))[0] - half) * half
 
 
 def direct_transform(suite: CauchySuite, density, q) -> complex:
@@ -44,7 +54,8 @@ def direct_transform(suite: CauchySuite, density, q) -> complex:
                    / (2j * np.pi))
 
 
-def b_plus_residue(suite: CauchySuite, q, zeros_outside, derivative: int = 0):
+def b_plus_residue(suite: CauchySuite, x, q, zeros_outside,
+                   derivative: int = 0):
     """b via residues over the zeros of phi outside the circle.
 
     The overall sign is fixed so that the series and residue routes agree;
@@ -54,7 +65,7 @@ def b_plus_residue(suite: CauchySuite, q, zeros_outside, derivative: int = 0):
     q = np.asarray(q, dtype=complex)
     acc = np.zeros(np.shape(q), dtype=complex)
     for w in zeros_outside:
-        pref = -suite.residue_weight(w)
+        pref = -suite.residue_weight(w, x)
         if derivative == 0:
             acc = acc + pref / (w - q)
         elif derivative == 1:
@@ -79,52 +90,55 @@ class TestJump:
 
     def test_overflowing_density_raises(self):
         # F7 sits on radius 0.32, where q^-1024 overflows a double: the
-        # suite builds, and b's density raises at its first read
-        s = suite_for("F7", x=1024)
+        # suite builds, and b's split raises at x = 1024 only
+        s = suite_for("F7")
+        s.b_split(512)
         with pytest.raises(errors.OverflowGuard):
-            s.b_plus(0.1)
+            s.b_split(1024)
 
 
 class TestWFunction:
     def test_series_vs_residue(self):
-        s = suite_for("F4", x=3)
+        s = suite_for("F4")
         zeros = s.zeros_inside()
         q = np.array([s.rho * 1.4 + 0.2j, s.rho * np.exp(0.7j)])
-        a = fredholm.kernel_V(s).vp(q)
+        a = fredholm.kernel_V(theta_of(s), 3, s.rho).vp(q)
         b = fredholm.kernel_V_residue(s.spec, 3, zeros).vp(q)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_derivative_vs_finite_difference(self):
-        s = suite_for("F4", x=3)
-        q, h = 4.0 + 1.0j, 1e-6
-        fd = (w_minus(s, q + h) - w_minus(s, q - h)) / (2 * h)
-        assert abs(w_minus(s, q, 1) - fd) < 1e-7
+        s = suite_for("F4")
+        kern = fredholm.kernel_V(theta_of(s), 3, s.rho)
+        q, h = np.array([4.0 + 1.0j]), 1e-6
+        fd = (kern.vp(q + h) - kern.vp(q - h)) / (2 * h)
+        assert abs(kern.dvp(q)[0] - fd[0]) < 1e-7 * abs(fd[0])
 
     def test_direct_quadrature_matches(self):
-        s = suite_for("F4", x=2)
+        s = suite_for("F4")
         q = 1.4 * s.rho
-        assert abs(direct_transform(s, w_density(s), q) - w_minus(s, q)) < 1e-10
+        assert abs(direct_transform(s, w_density(s, 2), q) -
+                   w_minus(s, 2, q)) < 1e-10
 
     def test_too_close_to_contour(self):
-        s = suite_for("F4", x=2)
+        s = suite_for("F4")
         with pytest.raises(errors.TooCloseToContour):
-            direct_transform(s, w_density(s), s.nodes[3] * (1 + 1e-9))
+            direct_transform(s, w_density(s, 2), s.nodes[3] * (1 + 1e-9))
 
 
 class TestBFunction:
     def test_series_vs_residue(self):
-        s = suite_for("F4", x=2)
+        s = suite_for("F4")
         zeros = s.zeros_outside()
         q = np.array([0.2 + 0.1j, -0.4j])
-        a = s.b_plus(q)
-        b = b_plus_residue(s, q, zeros)
+        a = s.b_split(2).plus(q)
+        b = b_plus_residue(s, 2, q, zeros)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_direct_quadrature_matches(self):
-        s = suite_for("F4", x=2)
+        s = suite_for("F4")
         q = 0.25 + 0.15j
-        assert abs(direct_transform(s, b_density(s), q) -
-                   s.b_plus(np.array([q]))[0]) < 1e-10
+        assert abs(direct_transform(s, b_density(s, 2), q) -
+                   s.b_split(2).plus(np.array([q]))[0]) < 1e-10
 
     def test_residue_route_needs_rational(self):
         s = suite_for("F2")
@@ -132,8 +146,8 @@ class TestBFunction:
             s.zeros_outside()
 
 
-def unit_suite(name, x=2):
-    return CauchySuite(symbols.fixture(name), x, unit=True)
+def unit_suite(name):
+    return CauchySuite(symbols.fixture(name), unit=True)
 
 
 class TestWindingAdjusted:
@@ -158,7 +172,7 @@ class TestWindingAdjusted:
     def test_relation_between_raw_and_adjusted(self):
         # the split reproduces the raw nu up to the compensating sawtooth
         spec = symbols.fixture("F3")
-        s = CauchySuite(spec, 2, unit=True)
+        s = CauchySuite(spec, unit=True)
         nu = symbols.eval_nu_grid(spec, s.nodes)
         ang = np.angle(s.nodes)
         expect = nu - s.winding * (ang + np.pi) / (2 * np.pi)

@@ -78,11 +78,6 @@ class TestExitCodes:
                        "--m", "1024"], capsys)
         assert code == 3
 
-    def test_negative_order_exits_2(self, capsys):
-        code, _ = run(["asym", "--spec", "F4", "--x", "3",
-                       "--method", "slavnov", "--order", "-1"], capsys)
-        assert code == 2
-
     @pytest.mark.parametrize("method", ["slavnov:abc", "ff:abc", "slavnov:-1"])
     def test_malformed_method_argument_exits_2(self, method, capsys):
         code, _ = run(["compare", "--spec", "F4", "--x", "2",
@@ -101,8 +96,8 @@ class TestExitCodes:
 
     def test_overflow_exits_3(self, capsys):
         # 1.5^2000 is past double range: a typed failure, not an inf
-        code, _ = run(["asym", "--spec", "F1", "--x", "2000",
-                       "--method", "szego"], capsys)
+        code, _ = run(["compare", "--spec", "F1", "--x", "2000",
+                       "--methods", "szego"], capsys)
         assert code == 3
 
 
@@ -185,10 +180,11 @@ class TestTables:
 
 class TestAsymAndCompare:
     def test_asym_szego(self, capsys):
-        code, out = run(["asym", "--spec", "F2", "--x", "6",
-                         "--method", "szego"], capsys)
+        # one rung of the ladder is a one-method compare run
+        code, out = run(["compare", "--spec", "F2", "--x", "6",
+                         "--methods", "szego"], capsys)
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert float(rows[0]["abs_err_vs_oracle"]) < 1e-6
+        assert code == 0 and float(rows[0]["szego_gap"]) < 1e-6
 
     def test_compare_includes_na_cells(self, capsys):
         # hf needs negative winding; F2 has winding 0
@@ -284,15 +280,35 @@ class TestRoutes:
     @pytest.mark.parametrize("name", sorted(DIRECT))
     @pytest.mark.parametrize("spec", ["F2", "F3", "F4"])
     def test_asym_gives_direct_value(self, name, spec, capsys):
-        want = direct(name, symbols.fixture(spec), 2)
-        code, out = run(["asym", "--spec", spec, "--x", "2", "--method", name,
-                         "--format", "json"], capsys)
+        # one rung of the ladder, a one-method compare run: the direct value
+        # and its relative gap to the Toeplitz oracle, or the error's name
+        fixture = symbols.fixture(spec)
+        want = direct(name, fixture, 2)
+        code, out = run(["compare", "--spec", spec, "--x", "2", "--methods",
+                         name, "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)[0]
         if isinstance(want, type):
-            assert code == (2 if issubclass(want, errors.InputError) else 3)
+            assert row[name + "_gap"] == f"n/a({want.__name__})"
         else:
-            assert code == 0
-            row = json.loads(out)[0]
-            assert complex(row["re"], row["im"]) == want
+            assert complex(row[name + "_re"], row[name + "_im"]) == want
+            oracle = toeplitz.toeplitz_det(fixture, 2)
+            assert row[name + "_gap"] == abs(want - oracle) / abs(oracle)
+
+    @pytest.mark.parametrize("x", [-2, 2.5])
+    @pytest.mark.parametrize("name", sorted(DIRECT))
+    def test_bad_x_is_input_error(self, name, x):
+        # on a symbol each route takes at x = 2: F3 has the negative winding
+        # that hf and hf-leading need
+        spec = symbols.fixture("F3" if name.startswith("hf") else "F1")
+        cli.ROUTES[name](spec, 2, None)
+        with pytest.raises(errors.InputError, match="nonnegative integer"):
+            cli.ROUTES[name](spec, x, None)
+
+    @pytest.mark.parametrize("name", sorted(DIRECT))
+    def test_numpy_integer_x(self, name):
+        spec = symbols.fixture("F3" if name.startswith("hf") else "F4")
+        assert direct(name, spec, np.int64(5)) == direct(name, spec, 5)
 
     @pytest.mark.parametrize("spec", ["F2", "F3", "F4"])
     def test_compare_gives_direct_value(self, spec, capsys):

@@ -1,5 +1,7 @@
 """Integrable kernels, Nystrom determinants, resolvent, and dual routes."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,9 +12,13 @@ from detlab.cauchy import CauchySuite
 from detlab.contours import deformed_contour, quadrature, unit_circle
 
 
-def suite_for(name, x):
+def suite_for(name):
     spec = symbols.fixture(name)
-    return spec, CauchySuite(spec, x)
+    return spec, CauchySuite(spec)
+
+
+def theta_of(spec):
+    return functools.partial(symbols.eval_theta, spec)
 
 
 def direct_fill(kernel, nodes, weights):
@@ -44,11 +50,11 @@ def zero_kernel():
     return fredholm.SeparableKernel(zero, zero, 0.0)
 
 
-def kernel_Delta(suite: CauchySuite) -> fredholm.Kernel:
+def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
     """Difference V - (conjugated S): only the transform part of w survives,
     vp = q^{-x/2} tail and vm = q^{-x/2}."""
-    x = suite.x
-    tail = LaurentSplit(suite.nodes ** x * suite.theta / (1.0 + suite.theta),
+    theta = symbols.eval_theta(suite.spec, suite.nodes)
+    tail = LaurentSplit(suite.nodes ** x * theta / (1.0 + theta),
                         suite.rho).minus
 
     def hm(q):
@@ -170,8 +176,7 @@ class TestFill:
         spec = symbols.SymbolSpec(
             "rational", tuple(np.polynomial.polynomial.polyfromroots(zeros)),
             (0.0, 0.0, 1.0))
-        kern = fredholm.kernel_V_from_theta(
-            lambda q: symbols.eval_theta(spec, q), 32)
+        kern = fredholm.kernel_V(theta_of(spec), 32, 1.0)
         quad = quadrature(unit_circle(), 1024)
         got = kern.matrix(quad.nodes, quad.weights)
         ld = np.clongdouble
@@ -265,8 +270,9 @@ class TestNystrom:
         assert abs(res.value / slav - 1) < 1e-10
 
     def test_sum_kernel_takes_widest_part(self):
-        spec, suite = suite_for("F4", 6)
-        parts = [zero_kernel(), fredholm.kernel_V(suite)] + \
+        spec, suite = suite_for("F4")
+        parts = [zero_kernel(),
+                 fredholm.kernel_V(theta_of(spec), 6, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
         assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
         assert fredholm.SumKernel(parts).x == 6
@@ -296,18 +302,18 @@ class TestNystrom:
 
 class TestKernelAlgebra:
     def test_sine_equals_v_minus_delta(self):
-        spec, suite = suite_for("F4", 3)
+        spec, suite = suite_for("F4")
         ct = suite.contour
         s_det = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct).value
         combo = fredholm.SumKernel(
-            [fredholm.kernel_V(suite)] +
+            [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] +
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()])
         v_det = fredholm.nystrom_det(combo, ct).value
         assert abs(s_det - v_det) / abs(s_det) < 1e-10
 
     def test_v_residue_route(self):
-        spec, suite = suite_for("F4", 2)
-        kern_a = fredholm.kernel_V(suite)
+        spec, suite = suite_for("F4")
+        kern_a = fredholm.kernel_V(theta_of(spec), 2, suite.rho)
         kern_b = fredholm.kernel_V_residue(spec, 2, suite.zeros_inside())
         ct = suite.contour
         a = fredholm.nystrom_det(kern_a, ct).value
@@ -315,10 +321,10 @@ class TestKernelAlgebra:
         assert abs(a - b) / abs(a) < 1e-10
 
     def test_delta_residue_matches_split(self):
-        spec, suite = suite_for("F4", 2)
+        spec, suite = suite_for("F4")
         nodes = suite.nodes[::16]
         weights = np.ones_like(nodes)
-        d1 = kernel_Delta(suite)
+        d1 = kernel_Delta(suite, 2)
         d2 = kernel_Delta_residue(spec, 2, suite.zeros_inside())
         m1 = d1.matrix(nodes, weights)
         m2 = d2.matrix(nodes, weights)
@@ -342,22 +348,22 @@ class TestKernelAlgebra:
 class TestResolvent:
     def test_inversion_identity(self):
         for name, x in (("F2", 2), ("F4", 3)):
-            _, suite = suite_for(name, x)
-            assert fredholm.resolvent_residual(suite) < 1e-8
+            _, suite = suite_for(name)
+            assert fredholm.resolvent_residual(suite, x) < 1e-8
 
     def test_m_function_dual_routes(self):
-        _, suite = suite_for("F4", 2)
+        _, suite = suite_for("F4")
         rng = np.random.default_rng(7)
         for _ in range(4):
             r = suite.rho * (0.3 + 0.5 * rng.random(2))
             k1, k2 = r * np.exp(2j * np.pi * rng.random(2))
-            a, b = fredholm.m_function(suite, k1, k2)
+            a, b = fredholm.m_function(suite, 2, k1, k2)
             assert abs(a - b) / max(abs(b), 1e-30) < 1e-8
 
     def test_m_function_diagonal(self):
-        _, suite = suite_for("F2", 2)
+        _, suite = suite_for("F2")
         k = 0.55 * np.exp(0.9j)
-        a, b = fredholm.m_function(suite, k, k)
+        a, b = fredholm.m_function(suite, 2, k, k)
         assert abs(a - b) / abs(b) < 1e-8
 
 

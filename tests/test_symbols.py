@@ -103,7 +103,7 @@ class TestFourier:
     def test_f2_exact_coefficients(self):
         # log phi = 0.3 q + 0.2 / q, i.e. nu_{+1} = 0.3, nu_{-1} = 0.2 in the
         # normalization nu(q) = sum_j q^j nu_j / (2 pi i)
-        split = CauchySuite(symbols.fixture("F2"), 2, unit=True).nu_split
+        split = CauchySuite(symbols.fixture("F2"), unit=True).nu_split
         assert abs(2j * np.pi * split.coefficient(1) - 0.3) < 1e-13
         assert abs(2j * np.pi * split.coefficient(-1) - 0.2) < 1e-13
 
