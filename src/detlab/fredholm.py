@@ -89,8 +89,9 @@ class SumKernel:
         return sum(k.matrix(nodes, weights) for k in self.parts)
 
 
-def _sqrt_theta(spec):
-    return lambda q: np.sqrt(symbols.eval_theta(spec, q))
+def _sqrt_theta(theta):
+    """Principal square root of the weight ``theta``, a callable."""
+    return lambda q: np.sqrt(theta(np.asarray(q, dtype=complex)))
 
 
 def _halfpow(x):
@@ -101,7 +102,7 @@ def _halfpow(x):
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
     """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q)."""
     hp, hm = _halfpow(x), _halfpow(-x)
-    return Kernel(_sqrt_theta(spec),
+    return Kernel(_sqrt_theta(functools.partial(symbols.eval_theta, spec)),
                   hp, hm,
                   lambda q: (x / 2.0) * hp(q) / q,
                   lambda q: (-x / 2.0) * hm(q) / q,
@@ -140,11 +141,8 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     if not np.all(np.isfinite(density)):
         raise errors.OverflowGuard(
             f"q^x density overflows at x={x} on radius {radius:.4g}")
-
-    def a(q):
-        return np.sqrt(theta(np.asarray(q, dtype=complex)))
-
-    return _kernel_V_generic(a, LaurentSplit(density, radius).minus, x)
+    return _kernel_V_generic(_sqrt_theta(theta),
+                             LaurentSplit(density, radius).minus, x)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -159,12 +157,14 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
                     np.zeros(q.shape, dtype=complex))
 
-    return _kernel_V_generic(_sqrt_theta(spec), tail, x)
+    return _kernel_V_generic(
+        _sqrt_theta(functools.partial(symbols.eval_theta, spec)), tail, x)
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     """Rank-one residue kernel at a simple zero s of phi."""
-    st, hm = _sqrt_theta(spec), _halfpow(-x)
+    st = _sqrt_theta(functools.partial(symbols.eval_theta, spec))
+    hm = _halfpow(-x)
 
     def u(q):
         return st(q) * hm(q) / (s - q)
@@ -210,8 +210,9 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
         margin *= 2
 
 
-def _resolvent(suite: CauchySuite, x: int, b_plus) -> Kernel:
-    """Explicit resolvent of 1 + V, given the inside part of b's split."""
+def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
+    """Explicit resolvent of 1 + V on the suite's circle, given the inside
+    part ``b_plus`` of ``suite.b_split(x)``."""
     hp, hm = _halfpow(x), _halfpow(-x)
 
     def fp(q):
@@ -228,12 +229,9 @@ def _resolvent(suite: CauchySuite, x: int, b_plus) -> Kernel:
             np.exp(-suite.Omega_gt(q)) * hm(q)
         return first - b_plus(q, 1) * fp(q) - b_plus(q) * dfp(q)
 
-    return Kernel(_sqrt_theta(suite.spec), fp, fm, dfp, dfm, x)
-
-
-def resolvent_kernel(suite: CauchySuite, x: int) -> Kernel:
-    """Explicit resolvent of 1 + V on the suite's circle."""
-    return _resolvent(suite, x, suite.b_split(x).plus)
+    return Kernel(_sqrt_theta(functools.partial(symbols.eval_theta,
+                                                suite.spec)),
+                  fp, fm, dfp, dfm, x)
 
 
 def resolvent_residual(suite: CauchySuite, x: int) -> float:
@@ -243,7 +241,8 @@ def resolvent_residual(suite: CauchySuite, x: int) -> float:
     eye = np.eye(len(quad.nodes), dtype=complex)
     theta = functools.partial(symbols.eval_theta, suite.spec)
     vmat = kernel_V(theta, x, suite.rho).matrix(quad.nodes, quad.weights)
-    rmat = resolvent_kernel(suite, x).matrix(quad.nodes, quad.weights)
+    rmat = resolvent_kernel(suite, x, suite.b_split(x).plus).matrix(
+        quad.nodes, quad.weights)
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
@@ -263,7 +262,7 @@ def m_function(suite: CauchySuite, x: int, k1: complex, k2: complex) -> tuple:
     hv = nodes ** (-x / 2.0)
     u = st * hv / (k1 - nodes)
     v = st * hv / (k2 - nodes)
-    rmat = _resolvent(suite, x, b.plus).matrix(nodes, weights)
+    rmat = resolvent_kernel(suite, x, b.plus).matrix(nodes, weights)
     route_a = (np.sum(weights * u * v) - (weights * u) @ rmat @ v) / (2j * np.pi)
 
     def omega(k):
@@ -288,8 +287,9 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
     suite = CauchySuite(spec)
     circle = suite.contour
-    vk = kernel_V(functools.partial(symbols.eval_theta, spec), x, suite.rho)
-    st, hm = _sqrt_theta(spec), _halfpow(-x)
+    theta = functools.partial(symbols.eval_theta, spec)
+    vk = kernel_V(theta, x, suite.rho)
+    st, hm = _sqrt_theta(theta), _halfpow(-x)
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
     vk1 = SeparableKernel(lambda q: st(q) * hm(q) / q,

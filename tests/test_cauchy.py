@@ -107,11 +107,16 @@ class TestWFunction:
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_derivative_vs_finite_difference(self):
-        s = suite_for("F4")
-        kern = fredholm.kernel_V(theta_of(s), 3, s.rho)
-        q, h = np.array([4.0 + 1.0j]), 1e-6
-        fd = (kern.vp(q + h) - kern.vp(q - h)) / (2 * h)
-        assert abs(kern.dvp(q)[0] - fd[0]) < 1e-7 * abs(fd[0])
+        # w_minus' read back from dvp = (x/2) q^{x/2-1}
+        #   + q^{-x/2} (w_minus' - (x/2) w_minus / q)
+        s, x = suite_for("F4"), 3
+        kern = fredholm.kernel_V(theta_of(s), x, s.rho)
+        q, h = 4.0 + 1.0j, 1e-6
+        dvp = kern.dvp(np.array([q]))[0]
+        dw = (dvp - (x / 2) * q ** (x / 2 - 1)) * q ** (x / 2) + \
+            (x / 2) * w_minus(s, x, q) / q
+        fd = (w_minus(s, x, q + h) - w_minus(s, x, q - h)) / (2 * h)
+        assert abs(dw - fd) < 1e-7
 
     def test_direct_quadrature_matches(self):
         s = suite_for("F4")

@@ -95,10 +95,11 @@ class TestExitCodes:
         assert code == 2 and "--m" in capsys.readouterr().err
 
     def test_overflow_exits_3(self, capsys):
-        # 1.5^2000 is past double range: a typed failure, not an inf
-        code, _ = run(["compare", "--spec", "F1", "--x", "2000",
-                       "--methods", "szego"], capsys)
-        assert code == 3
+        # 1.5^2000 is past double range: szego and the Toeplitz oracle raise
+        # a typed failure, not an inf, and the toeplitz command exits 3
+        with pytest.raises(errors.OverflowGuard):
+            cli.ROUTES["szego"](symbols.fixture("F1"), 2000, None)
+        assert run(["toeplitz", "--spec", "F1", "--x", "2000"], capsys)[0] == 3
 
 
     def test_toeplitz_overflow_exits_3(self, capsys):

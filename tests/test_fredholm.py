@@ -98,7 +98,7 @@ def kernel_Q(spec, x) -> fredholm.Kernel:
     def dvm(q):
         return hp(q) * (dwt(q) + (x / 2.0) * wt(q) / q)
 
-    return fredholm.Kernel(fredholm._sqrt_theta(spec), hp, vm,
+    return fredholm.Kernel(fredholm._sqrt_theta(theta_of(spec)), hp, vm,
                            lambda q: (x / 2.0) * hp(q) / q, dvm, x)
 
 
