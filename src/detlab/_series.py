@@ -22,10 +22,10 @@ import numpy as np
 PHASE0 = -np.pi
 
 
-def circle_nodes(radius: float, m: int, center: complex = 0.0):
-    """Counterclockwise nodes q_j = center + radius*exp(i*phi_j), phi_j in [-pi, pi)."""
+def circle_nodes(radius: float, m: int):
+    """Counterclockwise nodes q_j = radius*exp(i*phi_j), phi_j in [-pi, pi)."""
     phi = PHASE0 + 2.0 * np.pi * np.arange(m) / m
-    return center + radius * np.exp(1j * phi)
+    return radius * np.exp(1j * phi)
 
 
 def pow2_at_least(n: int) -> int:
@@ -33,9 +33,9 @@ def pow2_at_least(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def circle_weights(nodes, m: int, center: complex = 0.0, orientation: int = 1):
-    """Trapezoidal dq weights: orientation * 2*pi*i*(q - center)/m."""
-    return orientation * 2j * np.pi * (nodes - center) / m
+def circle_weights(nodes, m: int):
+    """Trapezoidal dq weights 2*pi*i*q/m of the nodes of ``circle_nodes``."""
+    return 2j * np.pi * nodes / m
 
 
 def laurent_coeffs(values):

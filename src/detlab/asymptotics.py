@@ -16,8 +16,8 @@ import numpy as np
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite
-from .contours import Contour, select_contour, unit_circle
-from .fredholm import kernel_V, kernel_V_residue, nystrom_det
+from .contours import EXPANSION, Contour, select_contour, unit_circle
+from .fredholm import ROW_BLOCK, kernel_V, kernel_V_residue, nystrom_det
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
@@ -55,11 +55,16 @@ def _log_tau_double(suite: CauchySuite, x: int, nu, dnu) -> complex:
     difference quotient is the analytic limit dnu."""
     nodes, weights = suite.nodes, suite.weights
     lin = x * np.sum(weights * nu / nodes)
-    den = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(den, 1.0)
-    ratio = (nu[:, None] - nu[None, :]) / den
+    # one m x m buffer holds the quotient and its square; the node gaps
+    # are formed ROW_BLOCK rows at a time
+    ratio = np.subtract.outer(nu, nu)
+    for start in range(0, nodes.size, ROW_BLOCK):
+        gaps = np.subtract.outer(nodes[start:start + ROW_BLOCK], nodes)
+        np.fill_diagonal(gaps[:, start:], 1.0)
+        ratio[start:start + ROW_BLOCK] /= gaps
     np.fill_diagonal(ratio, dnu)
-    return lin - 0.5 * (weights @ ratio ** 2 @ weights)
+    ratio *= ratio
+    return lin - 0.5 * (weights @ ratio @ weights)
 
 
 def szego(spec: symbols.SymbolSpec, x: int) -> complex:
@@ -126,6 +131,12 @@ def y_moment(suite: CauchySuite, s: int) -> complex:
     return split.coefficient(s)
 
 
+def y_moment_matrix(suite: CauchySuite, x: int, n: int) -> np.ndarray:
+    """The n-by-n matrix [y_{x+i-j}] of a unit-circle suite's y-moments."""
+    return np.array([[y_moment(suite, x + i - j) for j in range(n)]
+                     for i in range(n)], dtype=complex)
+
+
 def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     """Winding-corrected determinant formula; exact (not just asymptotic)
     equal to det(1 + V) on the unit circle."""
@@ -133,10 +144,8 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     ana = _require_negative_winding(spec)
     n = -ana.winding
     suite = CauchySuite(spec, unit=True)
-    ymat = np.array([[y_moment(suite, x + i - j) for j in range(n)]
-                     for i in range(n)], dtype=complex)
     return errors.exp_in_range(_log_strong_limit(suite, x),
-                               np.linalg.det(ymat))
+                               np.linalg.det(y_moment_matrix(suite, x, n)))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
@@ -240,13 +249,16 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
 
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
                    w_b: complex) -> tuple:
-    """Ratio of determinants on the swapped versus base contour.
+    """Ratio of det(1 + V) with the zero z_a inside the contour swapped for
+    the zero w_b outside it, to det(1 + V) before the swap.
 
-    Returns (closed form, Nystrom ratio on the deformed contour).
+    Returns (closed form, Nystrom ratio).  The swapped V in residue form is
+    regular at z_a, where theta = -1, so its determinant is taken on a plain
+    circle past w_b: at the geometric mean of |w_b| and the nearest pole of
+    phi beyond it, or EXPANSION |w_b| when there is none.  EmptyAnnulus when
+    a pole lies between the base circle and w_b.
     """
-    from .contours import deformed_contour
     x = errors.check_x(x)
-    ana = symbols.analyze(spec)
     suite = CauchySuite(spec)
     contour = suite.contour
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
@@ -261,12 +273,18 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     closed = (suite.residue_weight(z_a, x) * suite.residue_weight(w_b, x) /
               (z_a - w_b) ** 2)
 
-    deformed = deformed_contour(contour, [z_a], [w_b], ana)
-    inside_def = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
-    det_def = nystrom_det(kernel_V_residue(spec, x, inside_def), deformed,
-                          1e-9)
+    poles = symbols.analyze(spec).pole_moduli
+    if any(contour.radius < p <= abs(w_b) for p in poles):
+        raise errors.EmptyAnnulus(
+            f"a pole lies between the contour and the zero {w_b}")
+    beyond = [p for p in poles if p > abs(w_b)]
+    swapped = Contour(np.sqrt(abs(w_b) * min(beyond)) if beyond
+                      else abs(w_b) * EXPANSION)
+    inside_swap = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
+    det_swap = nystrom_det(kernel_V_residue(spec, x, inside_swap), swapped,
+                           1e-9)
     det_base = nystrom_det(kernel_V_residue(spec, x, zset), contour, 1e-9)
-    return complex(closed), complex(det_def.value / det_base.value)
+    return complex(closed), complex(det_swap.value / det_base.value)
 
 
 # --- discrete-index determinant identity -------------------------------------

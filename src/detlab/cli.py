@@ -214,12 +214,16 @@ def cmd_compare(args) -> int:
         header += [m + "_re", m + "_im", m + "_gap"]
     rows = []
     for x in _parse_xrange(args.x):
-        oracle = toeplitz.toeplitz_det(spec, x)
         row = [x]
+        try:
+            oracle = toeplitz.toeplitz_det(spec, x)
+        except errors.DetlabError as exc:
+            oracle = f"n/a({type(exc).__name__})"
         for name, number in parsed:
             try:
                 value = ROUTES[name](spec, x, number)
-                row += [value.real, value.imag, _gap(value, oracle)]
+                gap = oracle if isinstance(oracle, str) else _gap(value, oracle)
+                row += [value.real, value.imag, gap]
             except errors.DetlabError as exc:
                 reason = f"n/a({type(exc).__name__})"
                 row += [reason, reason, reason]
@@ -443,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kernel", choices=("S", "V"), default="S")
     p.add_argument("--m", type=int, default=fredholm.M_CAP,
-                   help="cap on nodes per contour component; the first grid "
+                   help="cap on nodes on the contour; the first grid "
                         "has x + 32 nodes and the margin over x doubles")
     p.add_argument("--tol", type=float, default=fredholm.TOL)
     p.set_defaults(func=cmd_fredholm)

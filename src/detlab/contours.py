@@ -1,4 +1,11 @@
-"""Contours as unions of oriented circles, with spectrally accurate quadrature."""
+"""The contour: one origin-centered counterclockwise circle, its spectrally
+accurate trapezoid quadrature, and its choice from a symbol's zeros and poles.
+
+A Fredholm kernel in residue form over a zero set is analytic off that set,
+the origin and the poles of phi: a zero swapped out of the set is a regular
+point, so the swapped determinant is taken on a larger plain circle, and no
+contour needs a second component.
+"""
 
 from __future__ import annotations
 
@@ -14,63 +21,16 @@ EXPANSION = 1.25   # default outward factor when nothing obstructs
 
 
 @dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
-    orientation: int = 1      # +1 counterclockwise, -1 clockwise
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise errors.InputError("circle radius must be positive")
-        if self.orientation not in (+1, -1):
-            raise errors.InputError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
 class Contour:
-    components: tuple
+    radius: float
 
     def __post_init__(self):
-        outer = [c for c in self.components
-                 if c.orientation == 1 and c.center == 0]
-        if len(outer) != 1:
-            raise errors.GeometryConflict("need exactly one counterclockwise circle at the origin")
-        rad = outer[0].radius
-        for c in self.components:
-            if c is outer[0]:
-                continue
-            if c.orientation != -1:
-                raise errors.GeometryConflict("inner components must be clockwise")
-            if abs(c.center) + c.radius >= rad:
-                raise errors.GeometryConflict("inner component not strictly inside the outer circle")
-        for a in self.components:
-            for b in self.components:
-                if a is b or a.orientation == 1 or b.orientation == 1:
-                    continue
-                if a is not b and abs(a.center - b.center) <= a.radius + b.radius \
-                        and id(a) < id(b):
-                    raise errors.GeometryConflict("contour components intersect")
-
-    @property
-    def outer(self) -> Circle:
-        return next(c for c in self.components if c.orientation == 1)
-
-    @property
-    def radius(self) -> float:
-        return self.outer.radius
-
-    def contains(self, q) -> bool:
-        """True when q lies in the region D enclosed by the contour."""
-        if abs(q) >= self.radius:
-            return False
-        return all(abs(q - c.center) > c.radius
-                   for c in self.components if c.orientation == -1)
+        if not self.radius > 0:
+            raise errors.InputError("contour radius must be positive")
 
     def to_json_dict(self):
-        return {"components": [{"center": [c.center.real, c.center.imag],
-                                "radius": c.radius,
-                                "orientation": c.orientation}
-                               for c in self.components]}
+        return {"components": [{"center": [0.0, 0.0], "radius": self.radius,
+                                "orientation": 1}]}
 
 
 @dataclass(frozen=True)
@@ -80,18 +40,14 @@ class Quadrature:
 
 
 def unit_circle() -> Contour:
-    return Contour((Circle(0.0, 1.0, 1),))
+    return Contour(1.0)
 
 
 def quadrature(contour: Contour, m: int) -> Quadrature:
     if m < 16:
-        raise errors.InputError("need at least 16 nodes per component")
-    nodes, weights = [], []
-    for c in contour.components:
-        n = circle_nodes(c.radius, m, c.center)
-        nodes.append(n)
-        weights.append(circle_weights(n, m, c.center, c.orientation))
-    return Quadrature(np.concatenate(nodes), np.concatenate(weights))
+        raise errors.InputError("need at least 16 nodes on the circle")
+    nodes = circle_nodes(contour.radius, m)
+    return Quadrature(nodes, circle_weights(nodes, m))
 
 
 def select_contour(analysis: SymbolAnalysis) -> Contour:
@@ -124,40 +80,4 @@ def select_contour(analysis: SymbolAnalysis) -> Contour:
         rho = np.sqrt(zmod * max(obstructions)) if obstructions else zmod / EXPANSION
         if rho >= zmod * (1 - 1e-9):
             raise errors.EmptyAnnulus("no radius separates excluded zeros from obstructions")
-    return Contour((Circle(0.0, float(rho), 1),))
-
-
-def deformed_contour(base: Contour, exclude, include, analysis: SymbolAnalysis) -> Contour:
-    """Enlarge the outer circle past the ``include`` points and cut clockwise
-    loops around each ``exclude`` point."""
-    exclude = [complex(z) for z in exclude]
-    include = [complex(w) for w in include]
-    if not exclude and not include:
-        return base
-    for z in exclude:
-        if not base.contains(z):
-            raise errors.GeometryConflict(f"excluded point {z} is not inside the base contour")
-    for w in include:
-        if base.contains(w):
-            raise errors.GeometryConflict(f"included point {w} is already inside the base contour")
-
-    rho = base.radius
-    if include:
-        rho = max(abs(w) for w in include) * EXPANSION
-    others = [z for z in analysis.zeros] + [p for p, _ in analysis.poles]
-    loops = []
-    for z in exclude:
-        dists = [abs(z - o) for o in others if abs(z - o) > 1e-12]
-        r = min(0.4, min(dists) / 2.0) if dists else 0.4
-        if abs(z) + r >= rho:
-            raise errors.GeometryConflict(f"loop around {z} reaches the outer circle")
-        for o in others:
-            if abs(z - o) > 1e-12 and abs(z - o) <= r:
-                raise errors.GeometryConflict(f"loop around {z} would contain {o}")
-        loops.append(Circle(z, r, -1))
-    for a in loops:
-        for b in loops:
-            if a is not b and abs(a.center - b.center) <= a.radius + b.radius:
-                raise errors.GeometryConflict("exclusion loops intersect")
-    comps = (Circle(0.0, float(rho), 1),) + tuple(loops)
-    return Contour(comps)
+    return Contour(float(rho))

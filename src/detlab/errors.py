@@ -54,10 +54,6 @@ class EmptyAnnulus(InputError):
     """No circle radius separates the selected zeros from obstructions."""
 
 
-class GeometryConflict(InputError):
-    """A requested contour deformation would intersect itself or a pole."""
-
-
 # --- cauchy module ---
 
 class TooCloseToContour(NumericalError):

@@ -34,7 +34,7 @@ from .contours import Contour, quadrature
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 M_START = 32     # first margin of Nystrom nodes over the bandwidth x
-M_CAP = 1024     # default cap on Nystrom nodes per contour component
+M_CAP = 1024     # default cap on Nystrom nodes on the circle
 TOL = 1e-10      # default agreement of two successive Nystrom determinants
 
 
@@ -146,9 +146,11 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
-    """V with w(q) = q^x - sum_z z^x/(phi'(z)(z - q)) in residue form; valid
-    on any contour whose enclosed region holds exactly ``zeros_inside`` zeros
-    of phi, and analytic between those zeros and the poles of phi."""
+    """V with w(q) = q^x - sum_z z^x/(phi'(z)(z - q)) in residue form over
+    the zero set ``zeros_inside``.  V is singular only at that set, at 0 and
+    at the poles of phi, so det(1 + V) is the same on every circle that
+    encloses the zero set, 0 and the same poles of phi.  Other zeros of phi
+    do not matter: theta = -1 there, and V is regular."""
     res = [(complex(z), residue_coefficient(spec, z, x, 0.0))
            for z in zeros_inside]
 
@@ -175,7 +177,7 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
 def nystrom_det(kernel, contour: Contour, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) by LU on trapezoidal grids of m = x + M_START 2^k nodes
-    per contour component, k = 0, 1, ..., where x is the kernel's bandwidth.
+    on the contour's circle, k = 0, 1, ..., where x is the kernel's bandwidth.
     The grids start above x, where the q^{+-x/2} factors stop aliasing and
     the determinants converge geometrically (Bornemann, Math. Comp. 79
     (2010)); the first two that agree to ``tol`` give the value.  For x = 0

@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as P
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
-from .asymptotics import y_moment
+from .asymptotics import y_moment, y_moment_matrix
 from .cauchy import CauchySuite
 
 GRAM_TOL = 1e-12
@@ -200,9 +200,7 @@ def hf_moment_equivalence(spec: symbols.SymbolSpec, x: int) -> float:
     (-1)^{n(n-1)/2} prod_{k<n} h_k / (2 pi i)^n."""
     measure = MeasureMu(spec, x)
     n = measure.n
-    ymat = np.array([[y_moment(measure.suite, x + i - j) for j in range(n)]
-                     for i in range(n)], dtype=complex)
-    det_y = complex(np.linalg.det(ymat))
+    det_y = complex(np.linalg.det(y_moment_matrix(measure.suite, x, n)))
     norms = np.prod([monic_orthogonal(measure, k)[1] for k in range(n)])
     det_h = (-1) ** (n * (n - 1) // 2) * complex(norms) / (2j * np.pi) ** n
     return abs(det_y - det_h) / max(abs(det_h), 1e-300)

@@ -330,6 +330,8 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               A.variational_check: ["spec", "x", "j"],
               CauchySuite: ["spec", "unit"],
               fredholm.kernel_V: ["theta", "x", "radius"],
+              contours.Contour: ["radius"],
+              contours.quadrature: ["contour", "m"],
               contours.unit_circle: [],
               contours.select_contour: ["analysis"]}
 
@@ -429,6 +431,27 @@ class TestSlavnov:
         spec = symbols.fixture("F4")
         closed, ratio = A.tau_ratio_swap(spec, x, 1.4, 2.2)
         assert abs(closed - ratio) / abs(ratio) < 1e-8
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec=two_sided_symbols(), x=st.integers(1, 4))
+    def test_contour_swap_every_pair(self, spec, x):
+        # the Nystrom ratio is a quotient of LU determinants, whose errors
+        # are absolute on the scale of O(1) entries (up to ~2e-13 seen): a
+        # ratio below 1e-4 is held to 1e-12 absolute
+        suite = CauchySuite(spec)
+        for z in suite.zeros_inside():
+            for w in suite.zeros_outside():
+                closed, ratio = A.tau_ratio_swap(spec, x, z, w)
+                assert abs(closed - ratio) <= 1e-8 * max(abs(ratio), 1e-4)
+
+    def test_contour_swap_across_a_pole_raises(self):
+        # phi = (q - 0.3)(q - 1.2)(q - 2.5)/(q^2 (q - 1.8)): every circle
+        # past 2.5 also encloses the pole at 1.8, where V is singular
+        numer = np.polynomial.polynomial.polyfromroots([0.3, 1.2, 2.5])
+        denom = np.polynomial.polynomial.polyfromroots([0.0, 0.0, 1.8])
+        spec = symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+        with pytest.raises(errors.EmptyAnnulus):
+            A.tau_ratio_swap(spec, 2, 1.2, 2.5)
 
     def test_double_zero_raises(self):
         # phi = (q - 0.3)(q - 3)^2/q has winding 0; its residue weights would

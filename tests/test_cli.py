@@ -196,6 +196,17 @@ class TestAsymAndCompare:
         assert all(r["hf_re"] == "n/a(WindingNonnegative)" for r in rows)
         assert all(float(r["szego_gap"]) < 1e-5 for r in rows)
 
+    def test_failing_oracle_fills_only_its_row(self, capsys):
+        # the Toeplitz oracle overflows at x = 899 only: the other rows keep
+        # their gaps, and that row's gap cells name the failure
+        code, out = run(["compare", "--spec", "F4", "--x", "895..899",
+                         "--methods", "leading"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and [int(r["x"]) for r in rows] == list(
+            range(895, 900))
+        assert all(float(r["leading_gap"]) < 1e-10 for r in rows[:4])
+        assert rows[4]["leading_gap"] == "n/a(OverflowGuard)"
+
     def test_unknown_method_rejected(self, capsys):
         code, _ = run(["compare", "--spec", "F2", "--x", "2",
                        "--methods", "nosuch"], capsys)

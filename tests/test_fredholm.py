@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite
-from detlab.contours import deformed_contour, quadrature, unit_circle
+from detlab.contours import Contour, quadrature, unit_circle
 
 
 def suite_for(name):
@@ -145,18 +145,9 @@ class TestFill:
         # of O(1) terms, which either fill resolves only to about
         # eps n / (2 pi radius |be - ga|) of its max-norm
         assume(abs(be - ga) > 1.0)
-        nodes = circle_nodes(radius, n, center)
-        assert_fill_matches(exp_kernel(al, be, ga), nodes,
-                            circle_weights(nodes, n, center))
-
-    def test_deformed_contour(self):
-        spec = symbols.fixture("F4")
-        ct = deformed_contour(asymptotics.base_contour(spec), [0.3], [],
-                              symbols.analyze(spec))
-        quad = quadrature(ct, 128)
-        assert len(ct.components) == 2
-        assert_fill_matches(fredholm.kernel_S(spec, 5), quad.nodes,
-                            quad.weights)
+        offsets = circle_nodes(radius, n)
+        assert_fill_matches(exp_kernel(al, be, ga), center + offsets,
+                            circle_weights(offsets, n))
 
     def test_subsampled_grid(self):
         # every 16th node of 2024 leaves an uneven gap at the seam
@@ -287,6 +278,28 @@ class TestNystrom:
         assert res.m_used >= x + 32
         truth = toeplitz.toeplitz_det(spec, x)
         assert abs(res.value / truth - 1) < 1e-8
+
+    @pytest.mark.parametrize("roots,poles,zset,radii", [
+        # phi = (q - 0.3)(q - 1.2)(q - 2.5)/(q^2 (q - 1.8)): two radii
+        # between max|S| and the first pole
+        ([0.3, 1.2, 2.5], [0.0, 0.0, 1.8], [0.3, 1.2], (1.4, 1.6)),
+        # F4's zeros 0.3, 1.4, 2.2 and double pole at 0: the zero 2.2 lies
+        # between the radii, or the zero 1.4 left out of S inside both
+        ([0.3, 1.4, 2.2], [0.0, 0.0], [0.3, 1.4], (1.6, 3.0)),
+        ([0.3, 1.4, 2.2], [0.0, 0.0], [0.3, 2.2], (2.5, 4.0))])
+    @pytest.mark.parametrize("x", [2, 5])
+    def test_residue_v_ignores_zeros_off_its_set(self, roots, poles, zset,
+                                                 radii, x):
+        # V in residue form over S is regular where theta = -1 off S, so
+        # det(1 + V) is one number on every circle past S inside the first
+        # pole, whichever other zeros of phi the circle encloses
+        numer = np.polynomial.polynomial.polyfromroots(roots)
+        denom = np.polynomial.polynomial.polyfromroots(poles)
+        spec = symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+        kern = fredholm.kernel_V_residue(spec, x, zset)
+        small, large = (fredholm.nystrom_det(kern, Contour(r)).value
+                        for r in radii)
+        assert abs(small - large) <= 1e-9 * abs(large)
 
     def test_overflow_is_not_converged(self):
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
