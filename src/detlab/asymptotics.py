@@ -17,7 +17,8 @@ from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite
 from .contours import EXPANSION, Contour, select_contour, unit_circle
-from .fredholm import ROW_BLOCK, kernel_V, kernel_V_residue, nystrom_det
+from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
+                       nystrom_det)
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
@@ -115,7 +116,9 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
 
 
 def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
-    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``)."""
+    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``);
+    NotConverged past the node cap before the kernel samples anything."""
+    check_grid_cap(errors.check_x(x))
     return nystrom_det(*tau_eff_kernel(spec, x)).value
 
 

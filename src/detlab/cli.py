@@ -159,6 +159,7 @@ def cmd_fredholm(args) -> int:
     spec = _load_spec(args.spec)
     rows = []
     for x in _parse_xrange(args.x):
+        fredholm.check_grid_cap(x, args.m)
         if args.kernel == "S":
             contour = asymptotics.base_contour(spec)
             kern = fredholm.kernel_S(spec, x)
@@ -448,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("S", "V"), default="S")
     p.add_argument("--m", type=int, default=fredholm.M_CAP,
                    help="cap on nodes on the contour; the first grid "
-                        "has x + 32 nodes and the margin over x doubles")
+                        "has x + a nodes, a from 1 to 32 the modes the "
+                        "kernel carries past q^(x/2), and a doubles")
     p.add_argument("--tol", type=float, default=fredholm.TOL)
     p.set_defaults(func=cmd_fredholm)
 

@@ -13,7 +13,10 @@ the resolvent identity unchanged.
 Every kernel object carries its bandwidth ``x``, a nonnegative integer: its
 generators hold the factors q^{+-x/2}, so a trapezoid grid of m <= x nodes
 aliases them and ``nystrom_det`` starts its grids above x.  An object
-without the attribute has bandwidth 0.
+without the attribute has bandwidth 0.  A kernel may also carry ``reach``,
+a callable radius -> how many modes its generators carry past q^{+-x/2}
+on the circle of that radius above ``cauchy.TAIL_TOL``; ``nystrom_det``
+starts its grids that far past x (see ``first_margin``).
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
@@ -23,17 +26,18 @@ V has one split form, ``kernel_V``, and one residue form; the residue form,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, pow2_at_least
-from .cauchy import CauchySuite, residue_coefficient
+from ._series import LaurentSplit, circle_nodes, laurent_coeffs, pow2_at_least
+from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient
 from .contours import Contour, quadrature
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
-M_START = 32     # first margin of Nystrom nodes over the bandwidth x
+M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
 M_CAP = 1024     # default cap on Nystrom nodes on the circle
 TOL = 1e-10      # default agreement of two successive Nystrom determinants
 
@@ -43,6 +47,7 @@ class DetResult:
     value: complex
     err_estimate: float
     m_used: int
+    grids: tuple    # node counts tried, in order; the last is m_used
 
 
 class Kernel:
@@ -50,9 +55,10 @@ class Kernel:
     Off the diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
     r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
 
-    def __init__(self, a, vp, vm, dvp, dvm, x: int = 0):
+    def __init__(self, a, vp, vm, dvp, dvm, x: int = 0, reach=None):
         self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
         self.x = errors.check_x(x)
+        self.reach = reach
 
     def matrix(self, nodes, weights):
         a = self.a(nodes)
@@ -89,6 +95,31 @@ class SumKernel:
         return sum(k.matrix(nodes, weights) for k in self.parts)
 
 
+def first_margin(kernel, radius: float) -> int:
+    """Margin over x of the first Nystrom grid on the circle of ``radius``:
+    the kernel's ``reach`` there, clipped to [1, M_START]; M_START for a
+    kernel without one."""
+    reach = getattr(kernel, "reach", None)
+    if reach is None:
+        return M_START
+    return min(M_START, max(1, reach(radius)))
+
+
+def _reach(j, c, part=True) -> int:
+    """Largest |j| among the modes ``part`` selects whose coefficient c_j
+    lies within TAIL_TOL of the largest of all; 0 when none does."""
+    mag = np.abs(c)
+    keep = (mag > 0) & (mag >= TAIL_TOL * np.max(mag)) & part
+    return int(np.max(np.abs(j[keep]), initial=0))
+
+
+def _theta_reach(spec: symbols.SymbolSpec, radius: float) -> int:
+    """Laurent bandwidth of theta on the circle of ``radius``, read from one
+    FFT of theta on 256 nodes."""
+    nodes = circle_nodes(radius, 256)
+    return _reach(*laurent_coeffs(symbols.eval_theta(spec, nodes)))
+
+
 def _sqrt_theta(theta):
     """Principal square root of the weight ``theta``, a callable."""
     return lambda q: np.sqrt(theta(np.asarray(q, dtype=complex)))
@@ -100,16 +131,17 @@ def _halfpow(x):
 
 
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
-    """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q)."""
+    """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q).  Its
+    reach is theta's Laurent bandwidth."""
     hp, hm = _halfpow(x), _halfpow(-x)
     return Kernel(_sqrt_theta(functools.partial(symbols.eval_theta, spec)),
                   hp, hm,
                   lambda q: (x / 2.0) * hp(q) / q,
                   lambda q: (-x / 2.0) * hm(q) / q,
-                  x)
+                  x, functools.partial(_theta_reach, spec))
 
 
-def _kernel_V_generic(a, tail, x):
+def _kernel_V_generic(a, tail, x, reach):
     """Generators vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail and vm = q^{-x/2}
     for the deformation function w = q^x + tail, where tail(q, derivative)
     is the part of w analytic outside the contour; q^x, which overflows on
@@ -123,7 +155,7 @@ def _kernel_V_generic(a, tail, x):
         return (x / 2.0) * hp(q) / q + \
             hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q)
 
-    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, x)
+    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, x, reach)
 
 
 def kernel_V(theta, x: int, radius: float) -> Kernel:
@@ -132,7 +164,9 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     of 1 + theta remain outside that circle.  Its w is q^x plus the outside
     part of the split of q^x theta/(1 + theta), taken on max(512, 4x) nodes,
     rounded up to a power of two, so its modes near j = x never fold;
-    OverflowGuard when q^x overflows on the circle."""
+    OverflowGuard when q^x overflows on the circle.  Its reach, on this
+    circle, is the larger of theta's bandwidth and the largest |j| of that
+    outside part, both read from these samples."""
     x = errors.check_x(x)
     nodes = circle_nodes(radius, max(512, pow2_at_least(4 * x)))
     t = theta(nodes)
@@ -141,8 +175,14 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     if not np.all(np.isfinite(density)):
         raise errors.OverflowGuard(
             f"q^x density overflows at x={x} on radius {radius:.4g}")
-    return _kernel_V_generic(_sqrt_theta(theta),
-                             LaurentSplit(density, radius).minus, x)
+    split = LaurentSplit(density, radius)
+
+    def reach(rho):
+        # read on this circle, the one every caller factors the kernel on
+        return max(_reach(*laurent_coeffs(t)),
+                   _reach(split.j, split.c, split.j < 0))
+
+    return _kernel_V_generic(_sqrt_theta(theta), split.minus, x, reach)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -159,8 +199,18 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
                     np.zeros(q.shape, dtype=complex))
 
+    def reach(rho):
+        # the mode n of q^{-x/2} z^x/(z - q) past q^{-x/2} is (|z|/rho)^{x+n}
+        # of q^{x/2} on the circle of rho
+        top = max((abs(z) for z, _ in res), default=0.0) / rho
+        if top >= 1.0:
+            return M_START
+        poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
+        return max(_theta_reach(spec, rho), poles)
+
     return _kernel_V_generic(
-        _sqrt_theta(functools.partial(symbols.eval_theta, spec)), tail, x)
+        _sqrt_theta(functools.partial(symbols.eval_theta, spec)), tail, x,
+        reach)
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
@@ -174,25 +224,37 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     return SeparableKernel(u, u, residue_coefficient(spec, s, x, 0.0), x)
 
 
-def nystrom_det(kernel, contour: Contour, tol: float = TOL,
-                m_cap: int = M_CAP) -> DetResult:
-    """det(Id + K) by LU on trapezoidal grids of m = x + M_START 2^k nodes
-    on the contour's circle, k = 0, 1, ..., where x is the kernel's bandwidth.
-    The grids start above x, where the q^{+-x/2} factors stop aliasing and
-    the determinants converge geometrically (Bornemann, Math. Comp. 79
-    (2010)); the first two that agree to ``tol`` give the value.  For x = 0
-    this is plain doubling from M_START.  Raises NotConverged when the next
-    grid would pass ``m_cap``, and up front, before any fill, when fewer
-    than two grids fit under it."""
-    x = getattr(kernel, "x", 0)
+def check_grid_cap(x: int, m_cap: int = M_CAP) -> None:
+    """NotConverged when a kernel of bandwidth x could not be confirmed on
+    two grids under ``m_cap``, x + 2 M_START > m_cap: the up-front check of
+    ``nystrom_det``, for callers to make before they sample anything."""
     if x + 2 * M_START > m_cap:
         raise errors.NotConverged(
             f"bandwidth x = {x} needs m_cap >= {x + 2 * M_START} nodes, "
             f"got {m_cap}")
+
+
+def nystrom_det(kernel, contour: Contour, tol: float = TOL,
+                m_cap: int = M_CAP) -> DetResult:
+    """det(Id + K) by LU on trapezoidal grids of m = x + a 2^k nodes on the
+    contour's circle, k = 0, 1, ..., where x is the kernel's bandwidth and a
+    its ``first_margin`` on that circle, doubled while the grid has fewer
+    than the 16 nodes of a quadrature.  Past x + a the q^{+-x/2} factors
+    and the kernel's own modes stop aliasing, and the determinants converge
+    geometrically (Bornemann, Math. Comp. 79 (2010)); the first two that
+    agree to ``tol`` give the value.  Raises NotConverged when the next grid
+    would pass ``m_cap``, and up front, before any sampling, by
+    ``check_grid_cap``."""
+    x = getattr(kernel, "x", 0)
+    check_grid_cap(x, m_cap)
+    margin = first_margin(kernel, contour.radius)
+    while x + margin < 16:
+        margin *= 2
+    grids = []
     prev = None
-    margin = M_START
     while True:
         m = x + margin
+        grids.append(m)
         quad = quadrature(contour, m)
         mat = kernel.matrix(quad.nodes, quad.weights)
         np.fill_diagonal(mat, mat.diagonal() + 1.0)
@@ -204,7 +266,7 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
                 # err = inf passes the test above when |det| = inf too
                 if not np.isfinite(det):
                     raise errors.NotConverged(f"non-finite determinant at m={m}")
-                return DetResult(det, err, m)
+                return DetResult(det, err, m, tuple(grids))
             if x + 2 * margin > m_cap:
                 raise errors.NotConverged(
                     f"determinant drift {err:.2e} at m={m}")

@@ -142,11 +142,13 @@ class TestTables:
         assert fv == pytest.approx(tv, rel=1e-9)
 
     def test_fredholm_default_cap_past_x_448(self, capsys):
-        # the first grid has x + 32 = 512 nodes, confirmed on x + 64 = 544
+        # F1's constant theta starts the grids at x + 1 = 481, confirmed on
+        # x + 2 = 482; the cap check still asks for x + 64 <= 1024
         code, out = run(["fredholm", "--spec", "F1", "--x", "480"], capsys)
         assert code == 0
         row = list(csv.DictReader(io.StringIO(out)))[0]
-        assert int(row["m_used"]) == 544
+        assert int(row["m_used"]) == 482
+        assert float(row["re"]) == pytest.approx(1.5 ** 480, rel=1e-10)
 
     @pytest.mark.parametrize("spec", ["F1", "F4"])
     def test_fredholm_V_is_tau_eff(self, spec, capsys):

@@ -194,15 +194,20 @@ class TestFill:
         assert abs(det / asymptotics.slavnov_series(spec, x) - 1) < 1e-12
 
     @pytest.mark.parametrize("name,m_used", [
-        ("F1", (66, 72, 128)), ("F2", (66, 72, 128)),
-        ("F3", (66, 72, 128)), ("F4", (66, 72, 128))])
+        ("F1", ((18, 34), (16, 24), (65, 66))),
+        ("F2", ((24, 46), (19, 30), (75, 86))),
+        ("F3", ((18, 34), (16, 24), (66, 68))),
+        ("F4", ((18, 34), (16, 24), (66, 68)))])
     def test_doubling_history_pinned(self, name, m_used):
-        # grids of x + 32, x + 64 nodes: the first pair above the bandwidth
+        # the grids tried at x = 2, 8, 64, each ladder ending on m_used:
+        # x + a, x + 2a nodes, a theta's bandwidth (0 -> 1 for F1, 11 for F2,
+        # 2 for F3 and F4) doubled while x + a < 16
         spec = symbols.fixture(name)
         ct = asymptotics.base_contour(spec)
-        got = tuple(fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct).m_used
-                    for x in (2, 8, 64))
-        assert got == m_used
+        res = [fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct)
+               for x in (2, 8, 64)]
+        assert tuple(r.grids for r in res) == m_used
+        assert [r.m_used for r in res] == [g[-1] for g in m_used]
 
 
 class TestNystrom:
@@ -233,7 +238,7 @@ class TestNystrom:
                                  tol=1e-15, m_cap=32)
 
     def test_drift_at_cap_raises(self):
-        # grids 35 and 67 leave a drift past 1e-15, and 131 passes the cap
+        # grids 19, 35 and 67 leave a drift past 1e-15, and 131 passes the cap
         spec = symbols.fixture("F4")
         with pytest.raises(errors.NotConverged, match="drift .* at m=67"):
             fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
@@ -251,12 +256,38 @@ class TestNystrom:
             fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
                                  asymptotics.base_contour(spec), m_cap=1024)
 
+    @pytest.mark.parametrize("route,spec", [
+        ("tau_eff", symbols.fixture("F1")),
+        # R0 of the x sweep: one zero inside and one outside |q| = 1
+        ("tau_eff", symbols.SymbolSpec(
+            "rational", tuple(np.polynomial.polynomial.polyfromroots(
+                [0.4j, -2.4])), (0.0, 1.0))),
+        # a laurent_phase theta's margin is read from an FFT of theta
+        ("kernel_S", symbols.fixture("F2"))])
+    def test_past_cap_raises_before_sampling(self, monkeypatch, route, spec):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = symbols.eval_theta
+        monkeypatch.setattr(symbols, "eval_theta", counted)
+        with pytest.raises(errors.NotConverged, match="1088"):
+            if route == "tau_eff":
+                asymptotics.tau_eff(spec, 1024)
+            else:
+                fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
+                                     unit_circle())
+        assert calls == []
+
     def test_f4_at_x_512(self):
-        # doubling from 32 reached m_cap = 1024 here and raised
+        # doubling from 32 reached m_cap = 1024 here and raised; theta's
+        # bandwidth 2 starts the grids at x + 2
         spec = symbols.fixture("F4")
         res = fredholm.nystrom_det(fredholm.kernel_S(spec, 512),
                                    asymptotics.base_contour(spec))
-        assert res.m_used == 512 + 64
+        assert res.grids == (512 + 2, 512 + 4)
         slav = asymptotics.slavnov_series(spec, 512)
         assert abs(res.value / slav - 1) < 1e-10
 
@@ -273,11 +304,39 @@ class TestNystrom:
     @settings(max_examples=25, deadline=None)
     @given(spec=rational_symbols(), x=st.integers(1, 300))
     def test_grids_start_above_bandwidth(self, spec, x):
-        res = fredholm.nystrom_det(fredholm.kernel_S(spec, x),
-                                   asymptotics.base_contour(spec))
-        assert res.m_used >= x + 32
+        kern, ct = fredholm.kernel_S(spec, x), asymptotics.base_contour(spec)
+        res = fredholm.nystrom_det(kern, ct)
+        assert res.m_used >= x + fredholm.first_margin(kern, ct.radius)
         truth = toeplitz.toeplitz_det(spec, x)
         assert abs(res.value / truth - 1) < 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=rational_symbols(), x=st.integers(1, 300))
+    def test_first_grids_agree_with_a_fine_grid(self, spec, x):
+        # the ladder from the kernel's own margin stops where a grid of
+        # x + 128 nodes agrees to tol, for S and for tau_eff's V
+        for kern, ct in ((fredholm.kernel_S(spec, x),
+                          asymptotics.base_contour(spec)),
+                         asymptotics.tau_eff_kernel(spec, x)):
+            res = fredholm.nystrom_det(kern, ct)
+            quad = quadrature(ct, x + 128)
+            mat = kern.matrix(quad.nodes, quad.weights)
+            np.fill_diagonal(mat, mat.diagonal() + 1.0)
+            ref = np.linalg.det(mat)
+            assert abs(res.value - ref) <= fredholm.TOL * max(1.0, abs(ref))
+
+    def test_margin_of_one_is_still_checked(self):
+        # F6's split V at x = 2 carries ~39 modes past q^{-1}, capped at 32:
+        # the ladder of the previous fixed margin.  Forced to 1, the first
+        # grids disagree and the ladder doubles on to the same value.
+        kern = fredholm.kernel_V(theta_of(symbols.fixture("F6")), 2, 1.0)
+        want = fredholm.nystrom_det(kern, unit_circle())
+        assert want.grids == (34, 66, 130)
+        kern.reach = lambda radius: 1
+        got = fredholm.nystrom_det(kern, unit_circle())
+        assert got.grids[0] == 18
+        assert abs(got.value - want.value) <= \
+            fredholm.TOL * max(1.0, abs(want.value))
 
     @pytest.mark.parametrize("roots,poles,zset,radii", [
         # phi = (q - 0.3)(q - 1.2)(q - 2.5)/(q^2 (q - 1.8)): two radii

@@ -8,13 +8,15 @@ zero a per-layer metric; these tests make it fail loudly instead.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from detlab import asymptotics, fredholm, symbols, toeplitz
+from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 
-TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACE_PATH = PERFBENCH / "bench_trace.py"
 
 # span names with nothing left to trace: the subset enumeration that
 # form_factor timed is gone, and the unit-circle suite is a CauchySuite whose
@@ -23,11 +25,20 @@ TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py
 STALE = {"formfactors.form_factor", "cauchy.WindingAdjustedSuite.__init__"}
 
 
-def load_bench_trace():
-    spec = importlib.util.spec_from_file_location("bench_trace", TRACE_PATH)
+def load_perfbench(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # a dataclass looks its module up while the class is made
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
+
+
+def load_bench_trace():
+    return load_perfbench("bench_trace", TRACE_PATH)
 
 
 def test_group_spans_resolve_to_traced_callables():
@@ -49,14 +60,41 @@ def test_determinants_and_fills_are_counted():
     try:
         toeplitz.toeplitz_det(symbols.fixture("F4"), 5)
         spec = symbols.fixture("F1")
-        fredholm.nystrom_det(fredholm.kernel_S(spec, 2),
-                             asymptotics.base_contour(spec))
+        res = fredholm.nystrom_det(fredholm.kernel_S(spec, 2),
+                                   asymptotics.base_contour(spec))
     finally:
         tracer.uninstall()
     assert np.linalg.det is real_det
     # the Levinson recursion calls no dense LU; the tracer does not count it
     assert tracer.counters["toeplitz.lu_flops"] == 0
-    # one LU per grid: m = x + 32 and x + 64 at x = 2
+    # one fill and one LU per grid of the ladder
+    assert len(res.grids) >= 2
     assert tracer.counters["fredholm.lu_flops"] == \
-        8 * 34 ** 3 // 3 + 8 * 66 ** 3 // 3
-    assert tracer.counters["fredholm.fill_entries"] == 34 ** 2 + 66 ** 2
+        sum(8 * m ** 3 // 3 for m in res.grids)
+    assert tracer.counters["fredholm.fill_entries"] == \
+        sum(m ** 2 for m in res.grids)
+
+
+def test_no_first_grid_past_the_fixed_margin(monkeypatch):
+    # every Nystrom ladder of verify and of one x sweep pass starts at most
+    # fredholm.M_START nodes past the kernel's bandwidth
+    starts = []
+    real = fredholm.nystrom_det
+
+    def recorded(kernel, *args, **kwargs):
+        res = real(kernel, *args, **kwargs)
+        starts.append((getattr(kernel, "x", 0), res.grids[0]))
+        return res
+
+    monkeypatch.setattr(fredholm, "nystrom_det", recorded)
+    monkeypatch.setattr(asymptotics, "nystrom_det", recorded)
+    bw = load_perfbench("bench_workloads", PERFBENCH / "bench_workloads.py")
+    ops = bw.Verify(0).ops() + [op for op in bw.XSweep(9).ops()
+                                if op.route in ("nystrom_S", "tau_eff")]
+    for op in ops:
+        try:
+            op.call()
+        except errors.DetlabError:   # the workload's own failures
+            pass
+    assert len(starts) > 100
+    assert all(first <= x + fredholm.M_START for x, first in starts)
