@@ -320,7 +320,14 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     a, b = (np.pad(v[:width], (0, max(width - v.size, 0))) for v in (a, b))
     hankel = np.arange(BO_TRUNC)[:, None] + np.arange(n_l)[None, :]
     K = a[hankel] @ b[hankel].T
-    det = complex(np.linalg.det(np.eye(BO_TRUNC, dtype=complex) - K))
+    mat = np.eye(BO_TRUNC, dtype=complex) - K
+    det = complex(np.linalg.det(mat))
+    # rounding the entries moves det by ~eps times the product of the row
+    # norms, which bounds |det|: below eps of it no digit is assured
+    hadamard = abs(np.linalg.det(mat / np.linalg.norm(mat, axis=1)[:, None]))
+    if hadamard < np.finfo(float).eps:
+        raise errors.Cancellation(
+            f"det(Id - K) is {hadamard:.1e} of its Hadamard bound at x={x}")
     return errors.exp_in_range(_log_strong_limit(suite, x), det)
 
 

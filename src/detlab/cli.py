@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -295,14 +296,12 @@ def _verify_checks(seed: int):
         def run():
             spec = symbols.fixture(name)
             suite = cauchy.CauchySuite(spec)
-            worst = 0.0
+            probes = []
             for _ in range(4):
                 r = suite.rho * (0.3 + 0.6 * rng.random())
-                ang = 2 * np.pi * rng.random(2)
-                k1, k2 = r * np.exp(1j * ang)
-                worst = max(worst,
-                            _gap(*fredholm.m_function(suite, x, k1, k2)))
-            return worst
+                probes.append(r * np.exp(1j * (2 * np.pi * rng.random(2))))
+            k1, k2 = np.transpose(probes)
+            return max(map(_gap, *fredholm.m_function(suite, x, k1, k2)))
         return run
 
     for name, x in (("F2", 2), ("F4", 3)):
@@ -399,12 +398,14 @@ def cmd_verify(args) -> int:
     for name, tol, run in _verify_checks(args.seed):
         if args.only and args.only not in name:
             continue
+        start = time.perf_counter()
         try:
             residual, error = float(run()), None
         except errors.DetlabError as exc:
             residual, error = None, f"{type(exc).__name__}: {exc}"
         record = {"name": name, "tolerance": tol, "residual": residual,
-                  "pass": residual is not None and residual < tol}
+                  "pass": residual is not None and residual < tol,
+                  "duration_ms": 1e3 * (time.perf_counter() - start)}
         if error:
             record["error"] = error
         results.append(record)

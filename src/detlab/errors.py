@@ -96,6 +96,11 @@ class TailNotConverged(NumericalError):
     """Series tail in a coefficient sum did not fall below cutoff."""
 
 
+class Cancellation(NumericalError):
+    """A determinant so far below the product of its row norms (Hadamard's
+    bound) that rounding the entries may leave none of its digits."""
+
+
 # --- formfactors module ---
 
 class NewtonDiverged(NumericalError):

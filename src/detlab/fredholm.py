@@ -5,6 +5,8 @@ Every kernel here has the two-function integrable shape
     K(q,p) = a(q) a(p) (vp(p) vm(q) - vp(q) vm(p)) / (2 pi i (p - q)),
 
 with the diagonal given by the analytic limit a^2 (vp' vm - vp vm')/(2 pi i).
+A kernel's one callable ``generators(q)`` returns (a, vp, vm, dvp, dvm) at
+the nodes q, so a fill forms the pieces they share, like q^{+-x/2}, once.
 Half-integer powers and square roots use the principal branch per node: a
 different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
@@ -51,39 +53,37 @@ class DetResult:
 
 
 class Kernel:
-    """Integrable kernel built from four callables; see module docstring.
-    Off the diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
+    """Integrable kernel from ``generators``; see module docstring.  Off the
+    diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
     r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
 
-    def __init__(self, a, vp, vm, dvp, dvm, x: int = 0, reach=None):
-        self.a, self.vp, self.vm, self.dvp, self.dvm = a, vp, vm, dvp, dvm
+    def __init__(self, generators, x: int = 0, reach=None):
+        self.generators = generators
         self.x = errors.check_x(x)
         self.reach = reach
 
     def matrix(self, nodes, weights):
-        a = self.a(nodes)
-        vp, vm = self.vp(nodes), self.vm(nodes)
+        a, vp, vm, dvp, dvm = self.generators(nodes)
         r = a * weights / (2j * np.pi)
         mat = np.stack([a * vm, -a * vp], axis=1) @ np.stack([vp * r, vm * r])
         for start in range(0, nodes.size, ROW_BLOCK):
             gaps = nodes[None, :] - nodes[start:start + ROW_BLOCK, None]
             np.fill_diagonal(gaps[:, start:], 1.0)
             mat[start:start + ROW_BLOCK] /= gaps
-        np.fill_diagonal(mat, a * r * (self.dvp(nodes) * vm -
-                                        vp * self.dvm(nodes)))
+        np.fill_diagonal(mat, a * r * (dvp * vm - vp * dvm))
         return mat
 
 
 class SeparableKernel:
-    """K(q,p) = c * u(q) v(p) / (2 pi i); rank one on any grid."""
+    """K(q,p) = c * u(q) v(p) / (2 pi i), (u, v) = generators(q); rank one."""
 
-    def __init__(self, u, v, c: complex, x: int = 0):
-        self.u, self.v, self.c = u, v, complex(c)
+    def __init__(self, generators, c: complex, x: int = 0):
+        self.generators, self.c = generators, complex(c)
         self.x = errors.check_x(x)
 
     def matrix(self, nodes, weights):
-        col = self.c * self.u(nodes) / (2j * np.pi)
-        return np.outer(col, self.v(nodes) * weights)
+        u, v = self.generators(nodes)
+        return np.outer(self.c * u / (2j * np.pi), v * weights)
 
 
 class SumKernel:
@@ -120,42 +120,38 @@ def _theta_reach(spec: symbols.SymbolSpec, radius: float) -> int:
     return _reach(*laurent_coeffs(symbols.eval_theta(spec, nodes)))
 
 
-def _sqrt_theta(theta):
-    """Principal square root of the weight ``theta``, a callable."""
-    return lambda q: np.sqrt(theta(np.asarray(q, dtype=complex)))
-
-
-def _halfpow(x):
-    """Principal q^(x/2); sign ambiguity is harmless (see module docstring)."""
-    return lambda q: np.asarray(q, dtype=complex) ** (x / 2.0)
+def _halfpows(q, x):
+    """Principal q^{x/2} and q^{-x/2}, the second its own power rather than
+    the reciprocal of the first, which would round differently; the sign
+    ambiguity is harmless (see module docstring)."""
+    return q ** (x / 2.0), q ** (-x / 2.0)
 
 
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
     """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q).  Its
     reach is theta's Laurent bandwidth."""
-    hp, hm = _halfpow(x), _halfpow(-x)
-    return Kernel(_sqrt_theta(functools.partial(symbols.eval_theta, spec)),
-                  hp, hm,
-                  lambda q: (x / 2.0) * hp(q) / q,
-                  lambda q: (-x / 2.0) * hm(q) / q,
-                  x, functools.partial(_theta_reach, spec))
+    def generators(q):
+        hp, hm = _halfpows(q, x)
+        return (np.sqrt(symbols.eval_theta(spec, q)), hp, hm,
+                (x / 2.0) * hp / q, (-x / 2.0) * hm / q)
+
+    return Kernel(generators, x, functools.partial(_theta_reach, spec))
 
 
-def _kernel_V_generic(a, tail, x, reach):
-    """Generators vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail and vm = q^{-x/2}
-    for the deformation function w = q^x + tail, where tail(q, derivative)
-    is the part of w analytic outside the contour; q^x, which overflows on
-    radii past 2 at x = 1024, is never formed."""
-    hp, hm = _halfpow(x), _halfpow(-x)
+def _kernel_V_generic(theta, tail, x, reach):
+    """Generators a = sqrt(theta), vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail
+    and vm = q^{-x/2} for the deformation function w = q^x + tail, where
+    tail(q) returns the part of w analytic outside the contour and its
+    derivative; q^x, which overflows on radii past 2 at x = 1024, is never
+    formed."""
+    def generators(q):
+        hp, hm = _halfpows(q, x)
+        t, dt = tail(q)
+        return (np.sqrt(theta(q)), hp + hm * t, hm,
+                (x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
+                (-x / 2.0) * hm / q)
 
-    def vp(q):
-        return hp(q) + hm(q) * tail(q)
-
-    def dvp(q):
-        return (x / 2.0) * hp(q) / q + \
-            hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q)
-
-    return Kernel(a, vp, hm, dvp, lambda q: (-x / 2.0) * hm(q) / q, x, reach)
+    return Kernel(generators, x, reach)
 
 
 def kernel_V(theta, x: int, radius: float) -> Kernel:
@@ -182,7 +178,8 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
         return max(_reach(*laurent_coeffs(t)),
                    _reach(split.j, split.c, split.j < 0))
 
-    return _kernel_V_generic(_sqrt_theta(theta), split.minus, x, reach)
+    return _kernel_V_generic(
+        theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -194,10 +191,11 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     res = [(complex(z), residue_coefficient(spec, z, x, 0.0))
            for z in zeros_inside]
 
-    def tail(q, derivative=0):
-        q = np.asarray(q, dtype=complex)
-        return -sum((c / (z - q) ** (1 + derivative) for z, c in res),
-                    np.zeros(q.shape, dtype=complex))
+    def tail(q):
+        gaps = [(c, z - q) for z, c in res]
+        zero = np.zeros(q.shape, dtype=complex)
+        return (-sum((c / g for c, g in gaps), zero),
+                -sum((c / g ** 2 for c, g in gaps), zero))
 
     def reach(rho):
         # the mode n of q^{-x/2} z^x/(z - q) past q^{-x/2} is (|z|/rho)^{x+n}
@@ -208,30 +206,28 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
         return max(_theta_reach(spec, rho), poles)
 
-    return _kernel_V_generic(
-        _sqrt_theta(functools.partial(symbols.eval_theta, spec)), tail, x,
-        reach)
+    return _kernel_V_generic(functools.partial(symbols.eval_theta, spec),
+                             tail, x, reach)
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
     """Rank-one residue kernel at a simple zero s of phi."""
-    st = _sqrt_theta(functools.partial(symbols.eval_theta, spec))
-    hm = _halfpow(-x)
+    def generators(q):
+        u = np.sqrt(symbols.eval_theta(spec, q)) * q ** (-x / 2.0) / (s - q)
+        return u, u
 
-    def u(q):
-        return st(q) * hm(q) / (s - q)
-
-    return SeparableKernel(u, u, residue_coefficient(spec, s, x, 0.0), x)
+    return SeparableKernel(generators, residue_coefficient(spec, s, x, 0.0), x)
 
 
-def check_grid_cap(x: int, m_cap: int = M_CAP) -> None:
+def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
     """NotConverged when a kernel of bandwidth x could not be confirmed on
-    two grids under ``m_cap``, x + 2 M_START > m_cap: the up-front check of
+    its first two grids, x + margin and x + 2 margin nodes, under ``m_cap``.
+    The default margin 1 gives the shortest ladder: the up-front check of
     ``nystrom_det``, for callers to make before they sample anything."""
-    if x + 2 * M_START > m_cap:
+    if x + 2 * margin > m_cap:
         raise errors.NotConverged(
-            f"bandwidth x = {x} needs m_cap >= {x + 2 * M_START} nodes, "
-            f"got {m_cap}")
+            f"bandwidth x = {x} with first margin {margin} needs "
+            f"m_cap >= {x + 2 * margin} nodes, got {m_cap}")
 
 
 def nystrom_det(kernel, contour: Contour, tol: float = TOL,
@@ -243,13 +239,14 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
     and the kernel's own modes stop aliasing, and the determinants converge
     geometrically (Bornemann, Math. Comp. 79 (2010)); the first two that
     agree to ``tol`` give the value.  Raises NotConverged when the next grid
-    would pass ``m_cap``, and up front, before any sampling, by
-    ``check_grid_cap``."""
+    would pass ``m_cap``, and, by ``check_grid_cap``, up front before any
+    sampling and again once the first margin is read, before any fill."""
     x = getattr(kernel, "x", 0)
     check_grid_cap(x, m_cap)
     margin = first_margin(kernel, contour.radius)
     while x + margin < 16:
         margin *= 2
+    check_grid_cap(x, m_cap, margin)
     grids = []
     prev = None
     while True:
@@ -276,26 +273,19 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
 
 def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
     """Explicit resolvent of 1 + V on the suite's circle, given the inside
-    part ``b_plus`` of ``suite.b_split(x)``."""
-    hp, hm = _halfpow(x), _halfpow(-x)
+    part ``b_plus`` of ``suite.b_split(x)``: generators fp = e^{Omega_lt}
+    q^{x/2} and fm = e^{-Omega_gt} q^{-x/2} - b_plus fp."""
+    def generators(q):
+        hp, hm = _halfpows(q, x)
+        fp = np.exp(suite.Omega_lt(q)) * hp
+        dfp = (suite.Omega_lt(q, 1) + (x / 2.0) / q) * fp
+        egt, bp = np.exp(-suite.Omega_gt(q)), b_plus(q)
+        dfm = (-suite.Omega_gt(q, 1) - (x / 2.0) / q) * egt * hm - \
+            b_plus(q, 1) * fp - bp * dfp
+        return (np.sqrt(symbols.eval_theta(suite.spec, q)), fp,
+                egt * hm - bp * fp, dfp, dfm)
 
-    def fp(q):
-        return np.exp(suite.Omega_lt(q)) * hp(q)
-
-    def dfp(q):
-        return (suite.Omega_lt(q, 1) + (x / 2.0) / q) * fp(q)
-
-    def fm(q):
-        return np.exp(-suite.Omega_gt(q)) * hm(q) - b_plus(q) * fp(q)
-
-    def dfm(q):
-        first = (-suite.Omega_gt(q, 1) - (x / 2.0) / q) * \
-            np.exp(-suite.Omega_gt(q)) * hm(q)
-        return first - b_plus(q, 1) * fp(q) - b_plus(q) * dfp(q)
-
-    return Kernel(_sqrt_theta(functools.partial(symbols.eval_theta,
-                                                suite.spec)),
-                  fp, fm, dfp, dfm, x)
+    return Kernel(generators, x)
 
 
 def resolvent_residual(suite: CauchySuite, x: int) -> float:
@@ -310,12 +300,16 @@ def resolvent_residual(suite: CauchySuite, x: int) -> float:
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
-def m_function(suite: CauchySuite, x: int, k1: complex, k2: complex) -> tuple:
-    """Returns (quadrature route on 256 nodes, closed-form route); both sides
-    of the resolvent lemma.  k1, k2 must lie off the circle."""
-    k1, k2 = complex(k1), complex(k2)
+def m_function(suite: CauchySuite, x: int, k1, k2) -> tuple:
+    """Both sides of the resolvent lemma at each probe pair (k1[i], k2[i]):
+    returns arrays (quadrature route on 256 nodes, closed-form route).  The
+    probes, equal-length arrays, must lie off the circle; the resolvent is
+    filled once for all of them."""
+    k1, k2 = np.asarray(k1, dtype=complex), np.asarray(k2, dtype=complex)
+    if k1.ndim != 1 or k1.shape != k2.shape:
+        raise errors.InputError("k1 and k2 must be equal-length arrays")
     rho = suite.rho
-    for k in (k1, k2):
+    for k in np.concatenate([k1, k2]):
         if abs(abs(k) - rho) < 1e-6 * rho:
             raise errors.TooCloseToContour(f"probe {k} sits on the circle")
 
@@ -324,10 +318,7 @@ def m_function(suite: CauchySuite, x: int, k1: complex, k2: complex) -> tuple:
     nodes, weights = quad.nodes, quad.weights
     st = np.sqrt(symbols.eval_theta(suite.spec, nodes))
     hv = nodes ** (-x / 2.0)
-    u = st * hv / (k1 - nodes)
-    v = st * hv / (k2 - nodes)
     rmat = resolvent_kernel(suite, x, b.plus).matrix(nodes, weights)
-    route_a = (np.sum(weights * u * v) - (weights * u) @ rmat @ v) / (2j * np.pi)
 
     def omega(k):
         return suite.Omega_gt(k) if abs(k) < rho else suite.Omega_lt(k)
@@ -335,12 +326,18 @@ def m_function(suite: CauchySuite, x: int, k1: complex, k2: complex) -> tuple:
     def bval(k, der=0):
         return b.plus(k, der) if abs(k) < rho else b.minus(k, der)
 
-    if abs(k1 - k2) < 1e-12:
-        route_b = -np.exp(2.0 * omega(k1)) * bval(k1, 1)
-    else:
-        route_b = -np.exp(omega(k1) + omega(k2)) * \
-            (bval(k1) - bval(k2)) / (k1 - k2)
-    return complex(route_a), complex(route_b)
+    route_a, route_b = [], []
+    for p, k in zip(k1.tolist(), k2.tolist()):
+        u = st * hv / (p - nodes)
+        v = st * hv / (k - nodes)
+        route_a.append((np.sum(weights * u * v) - (weights * u) @ rmat @ v) /
+                       (2j * np.pi))
+        if abs(p - k) < 1e-12:
+            route_b.append(-np.exp(2.0 * omega(p)) * bval(p, 1))
+        else:
+            route_b.append(-np.exp(omega(p) + omega(k)) *
+                           (bval(p) - bval(k)) / (p - k))
+    return np.array(route_a, dtype=complex), np.array(route_b, dtype=complex)
 
 
 def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
@@ -353,11 +350,14 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     circle = suite.contour
     theta = functools.partial(symbols.eval_theta, spec)
     vk = kernel_V(theta, x, suite.rho)
-    st, hm = _sqrt_theta(theta), _halfpow(-x)
+
+    def rank_one(q):
+        u = np.sqrt(theta(q)) * q ** (-x / 2.0)
+        return u / q, u
+
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
-    vk1 = SeparableKernel(lambda q: st(q) * hm(q) / q,
-                          lambda q: st(q) * hm(q), -1.0, x)
+    vk1 = SeparableKernel(rank_one, -1.0, x)
 
     det_v = nystrom_det(vk, circle)
     det_sum = nystrom_det(SumKernel([vk, vk1]), circle)

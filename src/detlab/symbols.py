@@ -296,8 +296,9 @@ def load_symbol(path) -> SymbolSpec:
 FIXTURE_NAMES = ("F0", "F1", "F2", "F3", "F4", "F5", "F6", "F7")
 
 
+@functools.lru_cache(maxsize=None)
 def fixture(name: str) -> SymbolSpec:
-    """Load one of the shipped fixture symbols F0..F7."""
+    """Load one of the shipped fixture symbols F0..F7, once per name."""
     if name not in FIXTURE_NAMES:
         raise errors.InputError(f"unknown fixture {name!r}")
     ref = resources.files("detlab") / "fixtures" / f"{name}.json"

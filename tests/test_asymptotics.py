@@ -495,7 +495,7 @@ class TestSlavnov:
 
 class TestIndexSeries:
     @pytest.mark.parametrize("name,x", [("F2", 3), ("F2", 5), ("F6", 3),
-                                        ("F6", 8)])
+                                        ("F6", 5), ("F6", 8)])
     def test_identity(self, name, x):
         spec = symbols.fixture(name)
         bo = A.borodin_okounkov(spec, x)
@@ -505,6 +505,24 @@ class TestIndexSeries:
     def test_f1_closed_form(self):
         assert abs(A.borodin_okounkov(symbols.fixture("F1"), 3) -
                    1.5 ** 3) < 1e-10
+
+    @pytest.mark.parametrize("x", [3, 5, 10])
+    def test_cancelled_determinant_raises(self, x):
+        # on phi = exp(20 q + 20/q), det(Id - K) is 1e-101 ... 8e-61 of the
+        # product of its row norms, and the value it gave was off by
+        # 3.5e25, 1.3e15 and 2.5 relative to det [I_{i-j}(40)]
+        spec = symbols.SymbolSpec("laurent_phase",
+                                  log_coeffs={1: 20.0, -1: 20.0})
+        with pytest.raises(errors.Cancellation):
+            A.borodin_okounkov(spec, x)
+
+    def test_no_cancellation_at_x_40(self):
+        # det [I_{i-j}(40)] of order 40, the Toeplitz determinant of
+        # exp(20 q + 20/q), from 60-digit Bessel moments
+        spec = symbols.SymbolSpec("laurent_phase",
+                                  log_coeffs={1: 20.0, -1: 20.0})
+        exact = 5.0704260363127643415e173
+        assert abs(A.borodin_okounkov(spec, 40) / exact - 1) < 1e-12
 
     @pytest.mark.parametrize("x", [470, 600])
     def test_indices_past_grid_read_zero(self, x):

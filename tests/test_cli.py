@@ -241,6 +241,7 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["failed"] == []
         assert len(rep["checks"]) == 7
+        assert all(c["duration_ms"] > 0 for c in rep["checks"])
 
     def test_filter_without_match_exits_2(self, capsys):
         code = cli.main(["verify", "--only", "nosuchcheck"])

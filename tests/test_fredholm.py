@@ -1,5 +1,6 @@
 """Integrable kernels, Nystrom determinants, resolvent, and dual routes."""
 
+import collections
 import functools
 
 import numpy as np
@@ -23,23 +24,23 @@ def theta_of(spec):
 
 def direct_fill(kernel, nodes, weights):
     """Entry-by-entry Nystrom matrix: the oracle for ``Kernel.matrix``."""
-    a = kernel.a(nodes)
-    vp, vm = kernel.vp(nodes), kernel.vm(nodes)
+    a, vp, vm, dvp, dvm = kernel.generators(nodes)
     num = vp[None, :] * vm[:, None] - vp[:, None] * vm[None, :]
     den = nodes[None, :] - nodes[:, None]
     np.fill_diagonal(den, 1.0)
     mat = num / den
-    np.fill_diagonal(mat, kernel.dvp(nodes) * vm - vp * kernel.dvm(nodes))
+    np.fill_diagonal(mat, dvp * vm - vp * dvm)
     mat = a[:, None] * a[None, :] * mat / (2j * np.pi)
     return mat * weights[None, :]
 
 
 def exp_kernel(al, be, ga):
     """a = e^(al q), vp = e^(be q), vm = e^(ga q): smooth on any circle."""
-    return fredholm.Kernel(lambda q: np.exp(al * q), lambda q: np.exp(be * q),
-                           lambda q: np.exp(ga * q),
-                           lambda q: be * np.exp(be * q),
-                           lambda q: ga * np.exp(ga * q))
+    def generators(q):
+        vp, vm = np.exp(be * q), np.exp(ga * q)
+        return np.exp(al * q), vp, vm, be * vp, ga * vm
+
+    return fredholm.Kernel(generators)
 
 
 def zero_kernel():
@@ -47,7 +48,7 @@ def zero_kernel():
     def zero(q):
         return np.zeros(np.shape(q), dtype=complex)
 
-    return fredholm.SeparableKernel(zero, zero, 0.0)
+    return fredholm.SeparableKernel(lambda q: (zero(q), zero(q)), 0.0)
 
 
 def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
@@ -57,14 +58,13 @@ def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
     tail = LaurentSplit(suite.nodes ** x * theta / (1.0 + theta),
                         suite.rho).minus
 
-    def hm(q):
-        return np.asarray(q, dtype=complex) ** (-x / 2.0)
+    def generators(q):
+        hm = q ** (-x / 2.0)
+        return (np.sqrt(symbols.eval_theta(suite.spec, q)), hm * tail(q), hm,
+                hm * (tail(q, 1) - (x / 2.0) * tail(q) / q),
+                (-x / 2.0) * hm / q)
 
-    return fredholm.Kernel(
-        lambda q: np.sqrt(symbols.eval_theta(suite.spec, q)),
-        lambda q: hm(q) * tail(q), hm,
-        lambda q: hm(q) * (tail(q, 1) - (x / 2.0) * tail(q) / q),
-        lambda q: (-x / 2.0) * hm(q) / q, x)
+    return fredholm.Kernel(generators, x)
 
 
 def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.SumKernel:
@@ -74,7 +74,7 @@ def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.SumKernel:
 
 
 def _negated(k: fredholm.SeparableKernel) -> fredholm.SeparableKernel:
-    return fredholm.SeparableKernel(k.u, k.v, -k.c, k.x)
+    return fredholm.SeparableKernel(k.generators, -k.c, k.x)
 
 
 def kernel_Q(spec, x) -> fredholm.Kernel:
@@ -82,24 +82,14 @@ def kernel_Q(spec, x) -> fredholm.Kernel:
     nodes = circle_nodes(1.0, 512)
     tvals = symbols.eval_theta(spec, nodes)
     split = LaurentSplit(nodes ** (-x) * tvals / (1.0 + tvals), 1.0)
-    hp = fredholm._halfpow(x)
+    def generators(q):
+        hp = fredholm._halfpows(q, x)[0]
+        wt = q ** (-x) - split.plus(q)
+        dwt = -x * q ** (-x - 1) - split.plus(q, 1)
+        return (np.sqrt(symbols.eval_theta(spec, q)), hp, hp * wt,
+                (x / 2.0) * hp / q, hp * (dwt + (x / 2.0) * wt / q))
 
-    def wt(q):
-        q = np.asarray(q, dtype=complex)
-        return q ** (-x) - split.plus(q)
-
-    def dwt(q):
-        q = np.asarray(q, dtype=complex)
-        return -x * q ** (-x - 1) - split.plus(q, 1)
-
-    def vm(q):
-        return hp(q) * wt(q)
-
-    def dvm(q):
-        return hp(q) * (dwt(q) + (x / 2.0) * wt(q) / q)
-
-    return fredholm.Kernel(fredholm._sqrt_theta(theta_of(spec)), hp, vm,
-                           lambda q: (x / 2.0) * hp(q) / q, dvm, x)
+    return fredholm.Kernel(generators, x)
 
 
 @st.composite
@@ -172,8 +162,7 @@ class TestFill:
         got = kern.matrix(quad.nodes, quad.weights)
         ld = np.clongdouble
         q, w, a, vp, vm = (np.asarray(v, dtype=ld) for v in (
-            quad.nodes, quad.weights, kern.a(quad.nodes),
-            kern.vp(quad.nodes), kern.vm(quad.nodes)))
+            quad.nodes, quad.weights, *kern.generators(quad.nodes)[:3]))
         gaps = q[None, :] - q[:, None]
         np.fill_diagonal(gaps, 1.0)
         outer = a[:, None] * a[None, :] * w[None, :] / (2j * np.pi * gaps)
@@ -252,7 +241,7 @@ class TestNystrom:
 
         monkeypatch.setattr(fredholm.Kernel, "matrix", no_fill)
         spec = symbols.fixture("F1")
-        with pytest.raises(errors.NotConverged, match="1088"):
+        with pytest.raises(errors.NotConverged, match="1026"):
             fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
                                  asymptotics.base_contour(spec), m_cap=1024)
 
@@ -273,7 +262,7 @@ class TestNystrom:
 
         real = symbols.eval_theta
         monkeypatch.setattr(symbols, "eval_theta", counted)
-        with pytest.raises(errors.NotConverged, match="1088"):
+        with pytest.raises(errors.NotConverged, match="1026"):
             if route == "tau_eff":
                 asymptotics.tau_eff(spec, 1024)
             else:
@@ -290,6 +279,14 @@ class TestNystrom:
         assert res.grids == (512 + 2, 512 + 4)
         slav = asymptotics.slavnov_series(spec, 512)
         assert abs(res.value / slav - 1) < 1e-10
+
+    def test_margin_of_one_fits_under_cap(self):
+        # F1's constant theta has margin 1: grids 1001 and 1002 fit under
+        # m_cap = 1024, which a check for x + 2 M_START nodes refused
+        res = fredholm.nystrom_det(
+            fredholm.kernel_S(symbols.fixture("F1"), 1000), unit_circle())
+        assert res.grids == (1001, 1002)
+        assert abs(res.value / 1.5 ** 1000 - 1) < 1e-12
 
     def test_sum_kernel_takes_widest_part(self):
         spec, suite = suite_for("F4")
@@ -417,6 +414,87 @@ class TestKernelAlgebra:
         assert abs(det - 1.5 ** 3) < 1e-9
 
 
+class TestOnePass:
+    """Each fill evaluates the generators once, which form their pieces
+    once."""
+
+    def test_one_generator_pass_per_grid(self, monkeypatch):
+        sizes = []
+
+        def counted(spec, q):
+            sizes.append(np.size(q))
+            return real(spec, q)
+
+        real = symbols.eval_theta
+        monkeypatch.setattr(symbols, "eval_theta", counted)
+        spec, suite = suite_for("F4")
+        for kern in (fredholm.kernel_S(spec, 3),
+                     fredholm.kernel_V_residue(spec, 3, suite.zeros_inside()),
+                     fredholm.resolvent_kernel(suite, 3,
+                                               suite.b_split(3).plus)):
+            passes = []
+
+            def generators(q, inner=kern.generators):
+                passes.append(q.size)
+                return inner(q)
+
+            kern.generators = generators
+            sizes.clear()
+            res = fredholm.nystrom_det(kern, suite.contour)
+            assert passes == list(res.grids)
+            # theta's reach FFT samples 256 nodes
+            assert [n for n in sizes if n != 256] == passes
+
+    def test_split_pieces_formed_once_per_fill(self, monkeypatch):
+        # kernel_V's tail and its derivative are the minus part of its
+        # split; the resolvent's Omega_lt and Omega_gt are the minus and
+        # plus parts of the phase shift's split, and b_plus a plus part
+        calls = collections.Counter()
+
+        def counting(side):
+            real = getattr(LaurentSplit, side)
+
+            def wrapped(self, q, derivative=0):
+                calls[side, derivative] += 1
+                return real(self, q, derivative)
+            return wrapped
+
+        for side in ("plus", "minus"):
+            monkeypatch.setattr(LaurentSplit, side, counting(side))
+        spec, suite = suite_for("F4")
+        nodes = circle_nodes(suite.rho, 40)
+        weights = circle_weights(nodes, 40)
+        for kern, want in (
+                (fredholm.kernel_V(theta_of(spec), 3, suite.rho),
+                 {("minus", 0): 1, ("minus", 1): 1}),
+                (fredholm.resolvent_kernel(suite, 3, suite.b_split(3).plus),
+                 {("minus", 0): 1, ("minus", 1): 1,
+                  ("plus", 0): 2, ("plus", 1): 2})):
+            calls.clear()
+            kern.matrix(nodes, weights)
+            assert calls == want
+
+    def test_m_function_fills_once(self, monkeypatch):
+        _, suite = suite_for("F4")
+        fills = []
+        real = fredholm.Kernel.matrix
+
+        def counted(self, nodes, weights):
+            fills.append(nodes.size)
+            return real(self, nodes, weights)
+
+        monkeypatch.setattr(fredholm.Kernel, "matrix", counted)
+        # one diagonal pair, and probes on both sides of the circle
+        k1 = suite.rho * np.array([0.4, 0.5j, 1.5, -0.7])
+        k2 = suite.rho * np.array([1.3j, 0.6, -1.6, -0.7])
+        a, b = fredholm.m_function(suite, 2, k1, k2)
+        assert fills == [256]
+        for i in range(k1.size):
+            (ai,), (bi,) = fredholm.m_function(suite, 2, k1[i:i + 1],
+                                               k2[i:i + 1])
+            assert (ai, bi) == (a[i], b[i])
+
+
 class TestResolvent:
     def test_inversion_identity(self):
         for name, x in (("F2", 2), ("F4", 3)):
@@ -426,16 +504,17 @@ class TestResolvent:
     def test_m_function_dual_routes(self):
         _, suite = suite_for("F4")
         rng = np.random.default_rng(7)
+        probes = []
         for _ in range(4):
             r = suite.rho * (0.3 + 0.5 * rng.random(2))
-            k1, k2 = r * np.exp(2j * np.pi * rng.random(2))
-            a, b = fredholm.m_function(suite, 2, k1, k2)
-            assert abs(a - b) / max(abs(b), 1e-30) < 1e-8
+            probes.append(r * np.exp(2j * np.pi * rng.random(2)))
+        a, b = fredholm.m_function(suite, 2, *np.transpose(probes))
+        assert np.all(np.abs(a - b) / np.maximum(np.abs(b), 1e-30) < 1e-8)
 
     def test_m_function_diagonal(self):
         _, suite = suite_for("F2")
         k = 0.55 * np.exp(0.9j)
-        a, b = fredholm.m_function(suite, 2, k, k)
+        (a,), (b,) = fredholm.m_function(suite, 2, [k], [k])
         assert abs(a - b) / abs(b) < 1e-8
 
 

@@ -1,5 +1,6 @@
 """Symbol specifications, winding numbers, and zero bookkeeping."""
 
+import dataclasses
 import inspect
 import json
 
@@ -35,6 +36,12 @@ class TestFixtures:
         shipped = symbols.fixture("F4")
         monkeypatch.setenv("DETLAB_FIXTURES", str(tmp_path))
         assert symbols.fixture("F4") == shipped
+
+    def test_fixture_read_once_and_frozen(self):
+        spec = symbols.fixture("F4")
+        assert symbols.fixture("F4") is spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.numer = (1.0,)
 
     def test_f1_constant_theta(self):
         sp = symbols.fixture("F1")
