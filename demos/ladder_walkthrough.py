@@ -12,18 +12,18 @@ from detlab import asymptotics, fredholm, symbols, toeplitz
 
 spec = symbols.fixture("F4")
 ana = symbols.analyze(spec)
-contour = asymptotics.base_contour(spec)
+radius = asymptotics.base_contour(spec)
 
 print(f"symbol {spec.label}: winding {ana.winding}, "
       f"zeros at {[f'{z.real:.2f}' for z in ana.zeros]}, "
-      f"contour radius {contour.radius:.4f}")
+      f"contour radius {radius:.4f}")
 print()
 print(f"{'x':>3} {'oracle':>24} {'fredholm gap':>14} "
       f"{'leading gap':>14} {'corrected gap':>14}")
 
 for x in range(1, 9):
     oracle = toeplitz.toeplitz_det(spec, x)
-    fd = fredholm.nystrom_det(fredholm.kernel_S(spec, x), contour).value
+    fd = fredholm.nystrom_det(fredholm.kernel_S(spec, x), radius).value
     lead = asymptotics.tau_leading(spec, x)
     full = asymptotics.slavnov_series(spec, x)
     def gap(v):

@@ -13,7 +13,6 @@ from .asymptotics import (base_contour, borodin_okounkov, hartwig_fisher,
                           hf_leading, slavnov_series, szego, tau_eff,
                           tau_leading)
 from .cauchy import CauchySuite
-from .contours import Contour, unit_circle
 from .formfactors import solve_shifted, tau_eff_finite
 from .fredholm import kernel_S, kernel_V, nystrom_det
 from .orthopoly import MeasureMu, RHPSolution, hf_moment_equivalence
@@ -27,7 +26,7 @@ __all__ = [
     "orthopoly", "symbols", "toeplitz",
     "base_contour", "borodin_okounkov", "hartwig_fisher", "hf_leading",
     "slavnov_series", "szego", "tau_eff", "tau_leading",
-    "CauchySuite", "Contour", "unit_circle",
+    "CauchySuite",
     "solve_shifted", "tau_eff_finite", "kernel_S", "kernel_V", "nystrom_det",
     "MeasureMu", "RHPSolution", "hf_moment_equivalence",
     "SymbolSpec", "analyze", "fixture", "load_symbol", "toeplitz_det",

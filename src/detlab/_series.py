@@ -7,25 +7,32 @@ counterclockwise, so the angle parametrization matches the branch cut
 of the principal logarithm.
 
 Splits are evaluated in one of two ways, chosen from the input alone.  A
-1-d array equal (``np.array_equal``) to ``circle_nodes(radius, n)``, with n
-its length and radius the split's own, takes one length-n inverse FFT of
-the coefficients folded by ``j mod n`` (exact aliasing of the truncated
-series; zero-padding when n >= m); the d-th derivative multiplies c_j by
-j(j-1)...(j-d+1) and divides by q^d.  Anything else (scalars, scattered
-points, the origin, other radii or rotations) sums powers of q/rho directly.
+1-d array that is, or equals (``np.array_equal``), the memoised grid
+``circle_nodes(radius, n)``, with n its length and radius the split's own,
+takes one length-n inverse FFT of the coefficients folded by ``j mod n``
+(exact aliasing of the truncated series; zero-padding when n >= m); the
+d-th derivative multiplies c_j by j(j-1)...(j-d+1) and divides by q^d.
+Anything else (scalars, scattered points, the origin, other radii or
+rotations) sums powers of q/rho directly.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 PHASE0 = -np.pi
 
 
+@functools.lru_cache(maxsize=32)
 def circle_nodes(radius: float, m: int):
-    """Counterclockwise nodes q_j = radius*exp(i*phi_j), phi_j in [-pi, pi)."""
+    """Counterclockwise nodes q_j = radius*exp(i*phi_j), phi_j in [-pi, pi);
+    memoised, so the same read-only array serves every caller of a grid."""
     phi = PHASE0 + 2.0 * np.pi * np.arange(m) / m
-    return radius * np.exp(1j * phi)
+    nodes = radius * np.exp(1j * phi)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def pow2_at_least(n: int) -> int:
@@ -82,8 +89,9 @@ class LaurentSplit:
         c = np.where(mask, self.c, 0.0)
         for k in range(derivative):
             c = c * (self.j - k)
-        if q.ndim == 1 and q.size and np.array_equal(
-                q, circle_nodes(self.radius, q.size)):
+        if q.ndim == 1 and q.size and (
+                q is (grid := circle_nodes(self.radius, q.size))
+                or np.array_equal(q, grid)):
             n = q.size
             c = c * np.exp(1j * PHASE0 * self.j)
             slot = self.j % n

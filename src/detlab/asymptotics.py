@@ -16,7 +16,7 @@ import numpy as np
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite
-from .contours import EXPANSION, Contour, select_contour, unit_circle
+from .contours import base_contour, radius_past
 from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
                        nystrom_det)
 
@@ -24,10 +24,6 @@ HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
 BO_TAIL_TOL = 1e-16   # size below which a Hankel-product term is dropped,
 BO_L_CAP = 4096       # and cap on the number of shifts in that product
-
-
-def base_contour(spec: symbols.SymbolSpec) -> Contour:
-    return select_contour(symbols.analyze(spec))
 
 
 # --- leading tau -------------------------------------------------------------
@@ -103,22 +99,26 @@ def _require_negative_winding(spec):
 
 
 def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
-    """(kernel, contour) whose det(1 + V) is the unit-circle one, any
+    """(kernel, radius) whose det(1 + V) is the unit-circle one, any
     winding.  Negative winding: V in residue form is analytic out to the
-    first pole, so it is taken on ``select_contour``'s circle, where phi does
+    first pole, so it is taken on ``base_contour``'s circle, where phi does
     not wind.  Otherwise V is taken from theta on the unit circle."""
     if symbols.winding_number(spec) < 0:
-        ana = symbols.analyze(spec)
-        inside = [z for z in ana.zeros if abs(z) < 1.0]
-        return kernel_V_residue(spec, x, inside), select_contour(ana)
+        inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
+        return kernel_V_residue(spec, x, inside), base_contour(spec)
     return (kernel_V(functools.partial(symbols.eval_theta, spec), x, 1.0),
-            unit_circle())
+            1.0)
 
 
 def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
-    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``);
+    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``):
+    exactly 0 at positive winding w, where the sector N = L + w of
+    ``formfactors.tau_eff_finite`` is empty, with no kernel built;
     NotConverged past the node cap before the kernel samples anything."""
-    check_grid_cap(errors.check_x(x))
+    x = errors.check_x(x)
+    if symbols.winding_number(spec) > 0:
+        return 0.0 + 0.0j
+    check_grid_cap(x)
     return nystrom_det(*tau_eff_kernel(spec, x)).value
 
 
@@ -229,10 +229,9 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
     (w_j - z)).  Coefficient k of det(t - A) is the sum of the principal
     k-minors of -A, which by Cauchy-Binet and the Cauchy determinant is the
     sum over k-subsets Z, W of prod a(Z) prod b(W) det[1/(w - z)]^2; the
-    series is tau times the sum of its leading coefficients."""
+    series is tau times the sum of its leading coefficients.  NoResidueForm
+    unless phi is rational."""
     x = errors.check_x(x)
-    if spec.kind != "rational":
-        raise errors.InputError("correction series needs a rational symbol")
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
     suite = CauchySuite(spec)
@@ -256,14 +255,13 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     the zero w_b outside it, to det(1 + V) before the swap.
 
     Returns (closed form, Nystrom ratio).  The swapped V in residue form is
-    regular at z_a, where theta = -1, so its determinant is taken on a plain
-    circle past w_b: at the geometric mean of |w_b| and the nearest pole of
-    phi beyond it, or EXPANSION |w_b| when there is none.  EmptyAnnulus when
-    a pole lies between the base circle and w_b.
+    regular at z_a, where theta = -1, so its determinant is taken on the
+    plain circle ``radius_past`` |w_b| outward, with the poles of phi as
+    obstructions.  EmptyAnnulus when a pole lies between the base circle
+    and w_b.
     """
     x = errors.check_x(x)
     suite = CauchySuite(spec)
-    contour = suite.contour
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     if not wset:
         raise errors.NotAvailable("no zeros outside the contour to include")
@@ -277,16 +275,13 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
               (z_a - w_b) ** 2)
 
     poles = symbols.analyze(spec).pole_moduli
-    if any(contour.radius < p <= abs(w_b) for p in poles):
+    if any(suite.rho < p <= abs(w_b) for p in poles):
         raise errors.EmptyAnnulus(
             f"a pole lies between the contour and the zero {w_b}")
-    beyond = [p for p in poles if p > abs(w_b)]
-    swapped = Contour(np.sqrt(abs(w_b) * min(beyond)) if beyond
-                      else abs(w_b) * EXPANSION)
     inside_swap = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
-    det_swap = nystrom_det(kernel_V_residue(spec, x, inside_swap), swapped,
-                           1e-9)
-    det_base = nystrom_det(kernel_V_residue(spec, x, zset), contour, 1e-9)
+    det_swap = nystrom_det(kernel_V_residue(spec, x, inside_swap),
+                           radius_past(abs(w_b), poles, 1), 1e-9)
+    det_base = nystrom_det(kernel_V_residue(spec, x, zset), suite.rho, 1e-9)
     return complex(closed), complex(det_swap.value / det_base.value)
 
 

@@ -3,9 +3,10 @@
 Every plus/minus boundary value is obtained from a truncated Laurent series
 of the density sampled on the circle itself (see _series.LaurentSplit); the
 slightly-shifted contours of the defining integrals never appear in numerics.
-A suite is one symbol on one circle, its own (where phi does not wind) or
-the unit circle with the phase shift compensated for its winding; x enters
-only through q^{+-x}, as an argument of the b split and the residue weights.
+A suite is one symbol on one circle, known by its radius: its own (where
+phi does not wind) or the unit circle with the phase shift compensated for
+its winding; x enters only through q^{+-x}, as an argument of the b split
+and the residue weights.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
-from .contours import select_contour, unit_circle
+from .contours import base_contour
 
 TAIL_TOL = 1e-13
 M_CAP = 2048
@@ -56,9 +57,10 @@ def residue_coefficient(spec: symbols.SymbolSpec, z, power: int,
 class CauchySuite:
     """All scalar transforms attached to one symbol on one circle.
 
-    The circle is ``select_contour``'s, where phi does not wind, or with
-    ``unit`` the unit circle, where the split density ``nu`` is the phase
-    shift compensated for the winding w, nu - w (arg q + pi)/(2 pi).
+    The circle is its radius ``rho``: ``contours.base_contour``'s, where
+    phi does not wind, or with ``unit`` 1, the unit circle, where the split
+    density ``nu`` is the phase shift compensated for the winding w,
+    nu - w (arg q + pi)/(2 pi).
     Provides the inside/outside splits of that density's transform (capital
     Omega), on first read the split of their Wiener-Hopf ratio
     e^{-Omega_gt - Omega_lt}, and the zeros of phi on either side of the
@@ -69,9 +71,7 @@ class CauchySuite:
 
     def __init__(self, spec: symbols.SymbolSpec, *, unit: bool = False):
         self.spec = spec
-        self.contour = (unit_circle() if unit
-                        else select_contour(symbols.analyze(spec)))
-        self.rho = self.contour.radius
+        self.rho = 1.0 if unit else base_contour(spec)
         self.winding = symbols.winding_number(spec) if unit else 0
 
         if not unit:

@@ -126,7 +126,7 @@ ROUTES = {
 def cmd_analyze(args) -> int:
     spec = _load_spec(args.spec)
     ana = symbols.analyze(spec)
-    contour = asymptotics.base_contour(spec)
+    radius = asymptotics.base_contour(spec)
     report = {
         "label": spec.label,
         "zeros": [_json_cell(z) for z in ana.zeros],
@@ -136,7 +136,8 @@ def cmd_analyze(args) -> int:
         "winding": ana.winding,
         "z_list": [_json_cell(z) for z in ana.z_list],
         "w_list": [_json_cell(w) for w in ana.w_list],
-        "contour": contour.to_json_dict(),
+        "contour": {"components": [{"center": [0.0, 0.0], "radius": radius,
+                                    "orientation": 1}]},
     }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -162,11 +163,11 @@ def cmd_fredholm(args) -> int:
     for x in _parse_xrange(args.x):
         fredholm.check_grid_cap(x, args.m)
         if args.kernel == "S":
-            contour = asymptotics.base_contour(spec)
+            radius = asymptotics.base_contour(spec)
             kern = fredholm.kernel_S(spec, x)
         else:
-            kern, contour = asymptotics.tau_eff_kernel(spec, x)
-        res = fredholm.nystrom_det(kern, contour, tol=args.tol,
+            kern, radius = asymptotics.tau_eff_kernel(spec, x)
+        res = fredholm.nystrom_det(kern, radius, tol=args.tol,
                                    m_cap=args.m)
         rows.append([x, res.value.real, res.value.imag, res.err_estimate,
                      res.m_used])
@@ -276,9 +277,9 @@ def _verify_checks(seed: int):
                 [fredholm.kernel_V(theta, 3, suite.rho)] +
                 [fredholm.kernel_W(spec, z, 3)
                  for z in suite.zeros_inside()]),
-            suite.contour).value
+            suite.rho).value
         rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
-                                   suite.contour).value
+                                   suite.rho).value
         return _gap(lhs, rhs)
 
     yield "kernel-split-F4-x3", 1e-8, split_check

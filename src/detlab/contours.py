@@ -1,5 +1,6 @@
-"""The contour: one origin-centered counterclockwise circle, its spectrally
-accurate trapezoid quadrature, and its choice from a symbol's zeros and poles.
+"""The contour: one origin-centered counterclockwise circle, given by its
+radius alone, and its choice from a symbol's zeros and poles.  Its grids are
+``_series.circle_nodes(radius, m)`` with ``circle_weights(nodes, m)``.
 
 A Fredholm kernel in residue form over a zero set is analytic off that set,
 the origin and the poles of phi: a zero swapped out of the set is a regular
@@ -9,75 +10,51 @@ contour needs a second component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import errors
-from ._series import circle_nodes, circle_weights
-from .symbols import SymbolAnalysis
+from . import errors, symbols
 
 EXPANSION = 1.25   # default outward factor when nothing obstructs
 
 
-@dataclass(frozen=True)
-class Contour:
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise errors.InputError("contour radius must be positive")
-
-    def to_json_dict(self):
-        return {"components": [{"center": [0.0, 0.0], "radius": self.radius,
-                                "orientation": 1}]}
+def radius_past(r: float, obstructions, sign: int) -> float:
+    """A radius past r, outward for sign > 0 and inward for sign < 0: the
+    geometric mean of r and the nearest of the positive ``obstructions`` on
+    that side, or r * EXPANSION, resp. r / EXPANSION, when none lies there."""
+    if sign > 0:
+        beyond = [p for p in obstructions if p > r]
+        return float(np.sqrt(r * min(beyond))) if beyond else r * EXPANSION
+    beyond = [p for p in obstructions if 0 < p < r]
+    return float(np.sqrt(r * max(beyond))) if beyond else r / EXPANSION
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    nodes: np.ndarray
-    weights: np.ndarray     # dq weights; sum f(q_j) w_j ~ \oint f dq
+def select_contour(analysis: symbols.SymbolAnalysis) -> float:
+    """Radius of the origin-centered circle enclosing (or excluding) the
+    selected zeros.
 
-
-def unit_circle() -> Contour:
-    return Contour(1.0)
-
-
-def quadrature(contour: Contour, m: int) -> Quadrature:
-    if m < 16:
-        raise errors.InputError("need at least 16 nodes on the circle")
-    nodes = circle_nodes(contour.radius, m)
-    return Quadrature(nodes, circle_weights(nodes, m))
-
-
-def select_contour(analysis: SymbolAnalysis) -> Contour:
-    """Single origin-centered circle enclosing (or excluding) the selected zeros.
-
-    Zero winding: the unit circle.  Negative winding: a circle just beyond the
-    selected zeros, geometric mean with the nearest obstruction (remaining
-    zeros or poles further out), or 25% beyond when nothing obstructs.
-    Positive winding mirrors this inward.  A pole between the unit circle and
-    the selected zeros would leave phi winding on that circle: EmptyAnnulus.
+    Zero winding: the unit circle.  Negative winding: ``radius_past`` the
+    selected zeros outward, with the remaining zeros and the poles further
+    out as obstructions.  Positive winding mirrors this inward.  A pole
+    between the unit circle and the selected zeros would leave phi winding
+    on that circle: EmptyAnnulus.
     """
     n = analysis.winding
     if n == 0:
-        return unit_circle()
+        return 1.0
     if not analysis.z_list:
         raise errors.EmptyAnnulus("nonzero winding but no zeros to enclose")
     zmod = (max if n < 0 else min)(abs(z) for z in analysis.z_list)
     if any(min(1.0, zmod) < p < max(1.0, zmod) for p in analysis.pole_moduli):
         raise errors.EmptyAnnulus(
             "a pole lies between the unit circle and the selected zeros")
-    if n < 0:
-        obstructions = [abs(w) for w in analysis.w_list if abs(w) > zmod]
-        obstructions += [p for p in analysis.pole_moduli if p > zmod]
-        rho = np.sqrt(zmod * min(obstructions)) if obstructions else zmod * EXPANSION
-        if rho <= zmod * (1 + 1e-9):
-            raise errors.EmptyAnnulus("no radius separates selected zeros from obstructions")
-    else:
-        obstructions = [abs(w) for w in analysis.w_list if abs(w) < zmod]
-        obstructions += [p for p in analysis.pole_moduli if 0 < p < zmod]
-        rho = np.sqrt(zmod * max(obstructions)) if obstructions else zmod / EXPANSION
-        if rho >= zmod * (1 - 1e-9):
-            raise errors.EmptyAnnulus("no radius separates excluded zeros from obstructions")
-    return Contour(float(rho))
+    obstructions = [abs(w) for w in analysis.w_list] + [*analysis.pole_moduli]
+    rho = radius_past(zmod, obstructions, -n)
+    if (rho <= zmod * (1 + 1e-9)) if n < 0 else (rho >= zmod * (1 - 1e-9)):
+        raise errors.EmptyAnnulus(
+            "no radius separates the selected zeros from obstructions")
+    return rho
+
+
+def base_contour(spec: symbols.SymbolSpec) -> float:
+    """Radius of the symbol's own circle, where phi does not wind."""
+    return select_contour(symbols.analyze(spec))

@@ -60,7 +60,7 @@ class TooCloseToContour(NumericalError):
     """Quadrature target point too close to a node for reliable evaluation."""
 
 
-class NoResidueForm(DetlabError):
+class NoResidueForm(InputError):
     """Residue evaluation unavailable for this symbol family."""
 
 

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, laurent_coeffs, pow2_at_least
+from ._series import (LaurentSplit, circle_nodes, circle_weights,
+                      laurent_coeffs, pow2_at_least)
 from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient
-from .contours import Contour, quadrature
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
@@ -230,20 +230,23 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
             f"m_cap >= {x + 2 * margin} nodes, got {m_cap}")
 
 
-def nystrom_det(kernel, contour: Contour, tol: float = TOL,
+def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) by LU on trapezoidal grids of m = x + a 2^k nodes on the
-    contour's circle, k = 0, 1, ..., where x is the kernel's bandwidth and a
-    its ``first_margin`` on that circle, doubled while the grid has fewer
-    than the 16 nodes of a quadrature.  Past x + a the q^{+-x/2} factors
-    and the kernel's own modes stop aliasing, and the determinants converge
-    geometrically (Bornemann, Math. Comp. 79 (2010)); the first two that
-    agree to ``tol`` give the value.  Raises NotConverged when the next grid
-    would pass ``m_cap``, and, by ``check_grid_cap``, up front before any
-    sampling and again once the first margin is read, before any fill."""
+    origin-centered circle of ``radius``, k = 0, 1, ..., where x is the
+    kernel's bandwidth and a its ``first_margin`` on that circle, doubled
+    while the grid has fewer than 16 nodes.  Past x + a the q^{+-x/2}
+    factors and the kernel's own modes stop aliasing, and the determinants
+    converge geometrically (Bornemann, Math. Comp. 79 (2010)); the first two
+    that agree to ``tol`` give the value.  InputError unless radius > 0;
+    raises NotConverged when the next grid would pass ``m_cap``, and, by
+    ``check_grid_cap``, up front before any sampling and again once the
+    first margin is read, before any fill."""
+    if not radius > 0:
+        raise errors.InputError(f"circle radius {radius} is not positive")
     x = getattr(kernel, "x", 0)
     check_grid_cap(x, m_cap)
-    margin = first_margin(kernel, contour.radius)
+    margin = first_margin(kernel, radius)
     while x + margin < 16:
         margin *= 2
     check_grid_cap(x, m_cap, margin)
@@ -252,8 +255,8 @@ def nystrom_det(kernel, contour: Contour, tol: float = TOL,
     while True:
         m = x + margin
         grids.append(m)
-        quad = quadrature(contour, m)
-        mat = kernel.matrix(quad.nodes, quad.weights)
+        nodes = circle_nodes(radius, m)
+        mat = kernel.matrix(nodes, circle_weights(nodes, m))
         np.fill_diagonal(mat, mat.diagonal() + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             det = complex(np.linalg.det(mat))
@@ -291,12 +294,13 @@ def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
 def resolvent_residual(suite: CauchySuite, x: int) -> float:
     """Largest entry of (1 + V)(1 - R) - 1 on a 128-node grid, R the explicit
     resolvent."""
-    quad = quadrature(suite.contour, 128)
-    eye = np.eye(len(quad.nodes), dtype=complex)
+    nodes = circle_nodes(suite.rho, 128)
+    weights = circle_weights(nodes, 128)
+    eye = np.eye(nodes.size, dtype=complex)
     theta = functools.partial(symbols.eval_theta, suite.spec)
-    vmat = kernel_V(theta, x, suite.rho).matrix(quad.nodes, quad.weights)
+    vmat = kernel_V(theta, x, suite.rho).matrix(nodes, weights)
     rmat = resolvent_kernel(suite, x, suite.b_split(x).plus).matrix(
-        quad.nodes, quad.weights)
+        nodes, weights)
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
 
 
@@ -314,8 +318,8 @@ def m_function(suite: CauchySuite, x: int, k1, k2) -> tuple:
             raise errors.TooCloseToContour(f"probe {k} sits on the circle")
 
     b = suite.b_split(x)
-    quad = quadrature(suite.contour, 256)
-    nodes, weights = quad.nodes, quad.weights
+    nodes = circle_nodes(rho, 256)
+    weights = circle_weights(nodes, 256)
     st = np.sqrt(symbols.eval_theta(suite.spec, nodes))
     hv = nodes ** (-x / 2.0)
     rmat = resolvent_kernel(suite, x, b.plus).matrix(nodes, weights)
@@ -347,7 +351,6 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
     suite = CauchySuite(spec)
-    circle = suite.contour
     theta = functools.partial(symbols.eval_theta, spec)
     vk = kernel_V(theta, x, suite.rho)
 
@@ -359,14 +362,14 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     # difference, the shifted-weight determinant and the closed form agree.
     vk1 = SeparableKernel(rank_one, -1.0, x)
 
-    det_v = nystrom_det(vk, circle)
-    det_sum = nystrom_det(SumKernel([vk, vk1]), circle)
+    det_v = nystrom_det(vk, suite.rho)
+    det_sum = nystrom_det(SumKernel([vk, vk1]), suite.rho)
 
     def theta_shift(q):
         # weight whose phase shift is the original one lowered by one index
         return -(1.0 + symbols.eval_theta(spec, q)) / q - 1.0
 
-    det_shift = nystrom_det(kernel_V(theta_shift, x, suite.rho), circle)
+    det_shift = nystrom_det(kernel_V(theta_shift, x, suite.rho), suite.rho)
     closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * \
         suite.b_split(x).plus(0.0)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import circle_nodes, laurent_coeffs, pow2_at_least
-from .contours import select_contour
+from .contours import base_contour
 
 # Largest |alpha|, |gamma| and |alpha gamma| / |1 - alpha gamma| (the
 # cancellation in eps_{k+1}) the recursion accepts; past it a leading minor is
@@ -37,7 +37,7 @@ GROWTH_MAX = 100.0
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
     """Radius of the circle where phi does not wind; 1 if none is found."""
     try:
-        return select_contour(symbols.analyze(spec)).radius
+        return base_contour(spec)
     except errors.DetlabError:
         return 1.0
 

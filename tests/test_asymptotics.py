@@ -187,6 +187,26 @@ def _rational(zeros, pole_order):
                               (0.0,) * pole_order + (1.0,))
 
 
+class TestTauEffPositiveWinding:
+    """Positive winding: det(1 + V) on the unit circle is a structural 0."""
+
+    @pytest.mark.parametrize("x", [0, 3, 32, 2048])
+    def test_f7_is_exactly_zero_without_a_kernel(self, x, monkeypatch):
+        # past the node cap too: no Nystrom ladder runs
+        monkeypatch.setattr(A, "tau_eff_kernel", None)
+        assert A.tau_eff(symbols.fixture("F7"), x) == 0.0
+
+    def test_bad_x_still_raises(self):
+        with pytest.raises(errors.InputError, match="nonnegative integer"):
+            A.tau_eff(symbols.fixture("F7"), -1)
+
+    def test_raw_kernel_is_still_available(self):
+        # detlab fredholm --kernel V: the unit-circle Nystrom value itself,
+        # rounding noise against the 0 above
+        res = fredholm.nystrom_det(*A.tau_eff_kernel(symbols.fixture("F7"), 3))
+        assert res.value != 0.0 and abs(res.value) < 1e-12
+
+
 class TestTauEffDeformed:
     """Negative winding: det(1 + V) of the unit circle, taken on the circle
     where phi does not wind."""
@@ -213,7 +233,7 @@ class TestTauEffDeformed:
     def test_no_overflow_past_radius_two(self):
         # selected circle rho ~ 2.11: rho^1024 overflows, rho^512 does not
         spec = _rational([0.3, 1.65j, -2.7], 2)
-        assert A.base_contour(spec).radius > 2.0
+        assert A.base_contour(spec) > 2.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -318,8 +338,8 @@ class TestSplitV:
         theta = functools.partial(symbols.eval_theta, spec)
         parts = [fredholm.kernel_V(theta, x, suite.rho)] + [
             fredholm.kernel_W(spec, z, x) for z in suite.zeros_inside()]
-        v = fredholm.nystrom_det(fredholm.SumKernel(parts), suite.contour)
-        s = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.contour)
+        v = fredholm.nystrom_det(fredholm.SumKernel(parts), suite.rho)
+        s = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.rho)
         assert abs(v.value - s.value) <= 1e-8 * abs(s.value)
 
 
@@ -330,9 +350,9 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               A.variational_check: ["spec", "x", "j"],
               CauchySuite: ["spec", "unit"],
               fredholm.kernel_V: ["theta", "x", "radius"],
-              contours.Contour: ["radius"],
-              contours.quadrature: ["contour", "m"],
-              contours.unit_circle: [],
+              fredholm.nystrom_det: ["kernel", "radius", "tol", "m_cap"],
+              contours.radius_past: ["r", "obstructions", "sign"],
+              contours.base_contour: ["spec"],
               contours.select_contour: ["analysis"]}
 
 
@@ -366,6 +386,12 @@ class TestCirclesAgreeAtZeroWinding:
 
 
 class TestSlavnov:
+    def test_needs_a_residue_form(self):
+        # F2 is a laurent_phase symbol: its zeros are not located
+        assert issubclass(errors.NoResidueForm, errors.InputError)
+        with pytest.raises(errors.NoResidueForm):
+            A.slavnov_series(symbols.fixture("F2"), 2)
+
     def test_empty_sets_give_unity(self):
         spec = symbols.fixture("F4")
         assert abs(slavnov_term(spec, 3, [], []) - 1.0) < 1e-14
@@ -431,6 +457,23 @@ class TestSlavnov:
         spec = symbols.fixture("F4")
         closed, ratio = A.tau_ratio_swap(spec, x, 1.4, 2.2)
         assert abs(closed - ratio) / abs(ratio) < 1e-8
+
+    def test_contour_swap_circle(self, monkeypatch):
+        # F4's only pole is the origin: the swapped circle lies EXPANSION
+        # past the zero 2.2, the base circle is the suite's
+        radii = []
+
+        def recording(kernel, radius, *args):
+            radii.append(radius)
+            return fredholm.nystrom_det(kernel, radius, *args)
+
+        monkeypatch.setattr(A, "nystrom_det", recording)
+        spec = symbols.fixture("F4")
+        A.tau_ratio_swap(spec, 3, 1.4, 2.2)
+        poles = symbols.analyze(spec).pole_moduli
+        assert radii == [contours.radius_past(2.2, poles, 1),
+                         CauchySuite(spec).rho]
+        assert radii[0] == pytest.approx(2.75)
 
     @settings(max_examples=15, deadline=None)
     @given(spec=two_sided_symbols(), x=st.integers(1, 4))

@@ -198,6 +198,14 @@ class TestAsymAndCompare:
         assert all(r["hf_re"] == "n/a(WindingNonnegative)" for r in rows)
         assert all(float(r["szego_gap"]) < 1e-5 for r in rows)
 
+    def test_compare_slavnov_needs_a_rational_symbol(self, capsys):
+        # F2 is a laurent_phase symbol, with no residue form
+        code, out = run(["compare", "--spec", "F2", "--x", "2..3",
+                         "--methods", "slavnov"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(r["slavnov_re"] == "n/a(NoResidueForm)" for r in rows)
+
     def test_failing_oracle_fills_only_its_row(self, capsys):
         # the Toeplitz oracle overflows at x = 899 only: the other rows keep
         # their gaps, and that row's gap cells name the failure

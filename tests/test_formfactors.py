@@ -109,6 +109,25 @@ def sector_symbols(draw):
     return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
 
 
+@st.composite
+def positive_winding_symbols(draw):
+    """phi(q) = c prod (q - z) prod (1 - q/w) / q^m of winding 1..2: 2-3
+    zeros z inside [0.2, 0.7], m = |z| - winding poles at the origin, and
+    0-2 zeros w in [1.5, 4]."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    inner = [zero(lo, hi) for lo, hi in ((0.2, 0.3), (0.4, 0.5), (0.6, 0.7))]
+    inner = inner[:draw(st.integers(2, 3))]
+    winding = draw(st.integers(1, 2))
+    outer = [zero(lo, hi) for lo, hi in ((1.5, 2.0), (2.5, 4.0))]
+    outer = outer[:draw(st.integers(0, 2))]
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
+    denom = [0.0] * (len(inner) - winding) + [1.0]
+    return symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
+
+
 class TestRoots:
     def test_trivial_symbol_roots_coincide(self):
         spec = symbols.fixture("F0")
@@ -354,10 +373,19 @@ class TestFiniteSum:
         assert abs(val - truth) <= 1e-9 * abs(truth)
 
     def test_positive_winding_sector_is_zero(self):
-        # F7 (w = 1) has L + 1 roots: no (L + 1)-subset of L grid points
+        # F7 (w = 1) has L + 1 roots: no (L + 1)-subset of L grid points;
+        # its limit det(1 + V) is the same structural 0
         spec = symbols.fixture("F7")
         for L in (8, 256):
             assert tau_eff_finite(spec, L=L, x=2) == 0.0
+        assert asymptotics.tau_eff(spec, 2) == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=positive_winding_symbols(), x=st.integers(0, 40))
+    def test_positive_winding_is_zero_on_both_routes(self, spec, x):
+        assert symbols.winding_number(spec) > 0
+        assert asymptotics.tau_eff(spec, x) == 0.0
+        assert tau_eff_finite(spec, L=16, x=x) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(spec=sector_symbols(), x=st.integers(1, 3))

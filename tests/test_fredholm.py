@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite
-from detlab.contours import Contour, quadrature, unit_circle
 
 
 def suite_for(name):
@@ -158,11 +157,12 @@ class TestFill:
             "rational", tuple(np.polynomial.polynomial.polyfromroots(zeros)),
             (0.0, 0.0, 1.0))
         kern = fredholm.kernel_V(theta_of(spec), 32, 1.0)
-        quad = quadrature(unit_circle(), 1024)
-        got = kern.matrix(quad.nodes, quad.weights)
+        nodes = circle_nodes(1.0, 1024)
+        weights = circle_weights(nodes, 1024)
+        got = kern.matrix(nodes, weights)
         ld = np.clongdouble
         q, w, a, vp, vm = (np.asarray(v, dtype=ld) for v in (
-            quad.nodes, quad.weights, *kern.generators(quad.nodes)[:3]))
+            nodes, weights, *kern.generators(nodes)[:3]))
         gaps = q[None, :] - q[:, None]
         np.fill_diagonal(gaps, 1.0)
         outer = a[:, None] * a[None, :] * w[None, :] / (2j * np.pi * gaps)
@@ -201,7 +201,7 @@ class TestFill:
 
 class TestNystrom:
     def test_zero_kernel(self):
-        res = fredholm.nystrom_det(zero_kernel(), unit_circle())
+        res = fredholm.nystrom_det(zero_kernel(), 1.0)
         assert abs(res.value - 1.0) < 1e-14
 
     def test_constant_symbol_sine_kernel(self):
@@ -266,8 +266,7 @@ class TestNystrom:
             if route == "tau_eff":
                 asymptotics.tau_eff(spec, 1024)
             else:
-                fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
-                                     unit_circle())
+                fredholm.nystrom_det(fredholm.kernel_S(spec, 1024), 1.0)
         assert calls == []
 
     def test_f4_at_x_512(self):
@@ -284,7 +283,7 @@ class TestNystrom:
         # F1's constant theta has margin 1: grids 1001 and 1002 fit under
         # m_cap = 1024, which a check for x + 2 M_START nodes refused
         res = fredholm.nystrom_det(
-            fredholm.kernel_S(symbols.fixture("F1"), 1000), unit_circle())
+            fredholm.kernel_S(symbols.fixture("F1"), 1000), 1.0)
         assert res.grids == (1001, 1002)
         assert abs(res.value / 1.5 ** 1000 - 1) < 1e-12
 
@@ -303,7 +302,7 @@ class TestNystrom:
     def test_grids_start_above_bandwidth(self, spec, x):
         kern, ct = fredholm.kernel_S(spec, x), asymptotics.base_contour(spec)
         res = fredholm.nystrom_det(kern, ct)
-        assert res.m_used >= x + fredholm.first_margin(kern, ct.radius)
+        assert res.m_used >= x + fredholm.first_margin(kern, ct)
         truth = toeplitz.toeplitz_det(spec, x)
         assert abs(res.value / truth - 1) < 1e-8
 
@@ -316,8 +315,8 @@ class TestNystrom:
                           asymptotics.base_contour(spec)),
                          asymptotics.tau_eff_kernel(spec, x)):
             res = fredholm.nystrom_det(kern, ct)
-            quad = quadrature(ct, x + 128)
-            mat = kern.matrix(quad.nodes, quad.weights)
+            nodes = circle_nodes(ct, x + 128)
+            mat = kern.matrix(nodes, circle_weights(nodes, x + 128))
             np.fill_diagonal(mat, mat.diagonal() + 1.0)
             ref = np.linalg.det(mat)
             assert abs(res.value - ref) <= fredholm.TOL * max(1.0, abs(ref))
@@ -327,10 +326,10 @@ class TestNystrom:
         # the ladder of the previous fixed margin.  Forced to 1, the first
         # grids disagree and the ladder doubles on to the same value.
         kern = fredholm.kernel_V(theta_of(symbols.fixture("F6")), 2, 1.0)
-        want = fredholm.nystrom_det(kern, unit_circle())
+        want = fredholm.nystrom_det(kern, 1.0)
         assert want.grids == (34, 66, 130)
         kern.reach = lambda radius: 1
-        got = fredholm.nystrom_det(kern, unit_circle())
+        got = fredholm.nystrom_det(kern, 1.0)
         assert got.grids[0] == 18
         assert abs(got.value - want.value) <= \
             fredholm.TOL * max(1.0, abs(want.value))
@@ -353,7 +352,7 @@ class TestNystrom:
         denom = np.polynomial.polynomial.polyfromroots(poles)
         spec = symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
         kern = fredholm.kernel_V_residue(spec, x, zset)
-        small, large = (fredholm.nystrom_det(kern, Contour(r)).value
+        small, large = (fredholm.nystrom_det(kern, r).value
                         for r in radii)
         assert abs(small - large) <= 1e-9 * abs(large)
 
@@ -366,13 +365,13 @@ class TestNystrom:
 
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(errors.NotConverged):
-            fredholm.nystrom_det(Huge(), unit_circle())
+            fredholm.nystrom_det(Huge(), 1.0)
 
 
 class TestKernelAlgebra:
     def test_sine_equals_v_minus_delta(self):
         spec, suite = suite_for("F4")
-        ct = suite.contour
+        ct = suite.rho
         s_det = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct).value
         combo = fredholm.SumKernel(
             [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] +
@@ -384,7 +383,7 @@ class TestKernelAlgebra:
         spec, suite = suite_for("F4")
         kern_a = fredholm.kernel_V(theta_of(spec), 2, suite.rho)
         kern_b = fredholm.kernel_V_residue(spec, 2, suite.zeros_inside())
-        ct = suite.contour
+        ct = suite.rho
         a = fredholm.nystrom_det(kern_a, ct).value
         b = fredholm.nystrom_det(kern_b, ct).value
         assert abs(a - b) / abs(a) < 1e-10
@@ -403,14 +402,12 @@ class TestKernelAlgebra:
         # F7 (winding +1) on the unit circle reproduces the oracle
         spec = symbols.fixture("F7")
         for x in (2, 4):
-            det = fredholm.nystrom_det(kernel_Q(spec, x),
-                                       unit_circle()).value
+            det = fredholm.nystrom_det(kernel_Q(spec, x), 1.0).value
             assert abs(det - toeplitz.toeplitz_det(spec, x)) < 1e-9
 
     def test_q_kernel_zero_winding(self):
         spec = symbols.fixture("F1")
-        det = fredholm.nystrom_det(kernel_Q(spec, 3),
-                                   unit_circle()).value
+        det = fredholm.nystrom_det(kernel_Q(spec, 3), 1.0).value
         assert abs(det - 1.5 ** 3) < 1e-9
 
 
@@ -440,7 +437,7 @@ class TestOnePass:
 
             kern.generators = generators
             sizes.clear()
-            res = fredholm.nystrom_det(kern, suite.contour)
+            res = fredholm.nystrom_det(kern, suite.rho)
             assert passes == list(res.grids)
             # theta's reach FFT samples 256 nodes
             assert [n for n in sizes if n != 256] == passes

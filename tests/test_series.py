@@ -83,6 +83,12 @@ class TestQuadrature:
         nodes = circle_nodes(1.0, 8)
         assert abs(nodes[0] + 1.0) < 1e-15
 
+    def test_grid_is_built_once_and_read_only(self):
+        nodes = circle_nodes(1.7, 48)
+        assert circle_nodes(1.7, 48) is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
 
 def direct_sum(split, kind, q, derivative):
     """sign * sum_j c_j j(j-1)...(j-d+1) (q/rho)^j / q^d over the kind's modes,
