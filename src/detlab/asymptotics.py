@@ -21,9 +21,9 @@ from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
                        nystrom_det)
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
-BO_TRUNC = 48         # borodin_okounkov: order of the index-space determinant,
-BO_TAIL_TOL = 1e-16   # size below which a Hankel-product term is dropped,
-BO_L_CAP = 4096       # and cap on the number of shifts in that product
+BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which a Hankel-product
+                      # term, row or column is dropped,
+BO_L_CAP = 4096       # and cap on the order of the index-space determinant
 
 
 # --- leading tau -------------------------------------------------------------
@@ -301,21 +301,27 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     a = ratio.c[ratio.j > x]            # c-_{x+1}, c-_{x+2}, ...
     b = c_plus[ks < -x][::-1]           # c+_{-x-1}, c+_{-x-2}, ...
     size = min(a.size, b.size)
-    # largest term at shift l over all (n, m): suffix maxima of |a| and |b|
-    tail = (np.maximum.accumulate(np.abs(a[:size])[::-1])[::-1] *
-            np.maximum.accumulate(np.abs(b[:size])[::-1])[::-1])
+    # with A, B the suffix maxima of |a| and |b|, the terms at shift l lie
+    # below A_l B_l, and the entries of row or column n below
+    # max(A_n B_0, A_0 B_n); each is kept while it passes BO_TAIL_TOL
+    a_max, b_max = (np.maximum.accumulate(np.abs(v[:size])[::-1])[::-1]
+                    for v in (a, b))
+    tail = a_max * b_max
     below = np.flatnonzero(tail < BO_TAIL_TOL)
     if size and not below.size:
         raise errors.TailNotConverged(f"tail {tail[-1]:.2e} at the grid edge")
     n_l = max(int(below[0]), 1) if size else 1   # shifts l = 0 .. n_l - 1
-    if n_l > BO_L_CAP:
+    below = np.flatnonzero(np.maximum(a_max * b_max[:1], a_max[:1] * b_max)
+                           < BO_TAIL_TOL)
+    order = int(below[0]) if below.size else size    # rows n = 0 .. order - 1
+    if order > BO_L_CAP:
         raise errors.TailNotConverged("tail cap reached")
     # past the grid the coefficients lie below the converged split's tail
-    width = BO_TRUNC + n_l - 1
+    width = order + n_l - 1
     a, b = (np.pad(v[:width], (0, max(width - v.size, 0))) for v in (a, b))
-    hankel = np.arange(BO_TRUNC)[:, None] + np.arange(n_l)[None, :]
+    hankel = np.arange(order)[:, None] + np.arange(n_l)[None, :]
     K = a[hankel] @ b[hankel].T
-    mat = np.eye(BO_TRUNC, dtype=complex) - K
+    mat = np.eye(order, dtype=complex) - K
     det = complex(np.linalg.det(mat))
     # rounding the entries moves det by ~eps times the product of the row
     # norms, which bounds |det|: below eps of it no digit is assured

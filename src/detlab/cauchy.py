@@ -151,16 +151,17 @@ class CauchySuite:
         return residue_coefficient(self.spec, z, -x, -2.0 * self.Omega_lt(z))
 
     def zeros_outside(self):
-        """Zeros of phi outside this circle (rational symbols only)."""
+        """Zeros of phi outside this circle (phi = P/Q only)."""
         return [z for z in self._zeros() if abs(z) > self.rho]
 
     def zeros_inside(self):
         return [z for z in self._zeros() if abs(z) < self.rho]
 
     def _zeros(self):
-        """The zeros of phi, each simple: ``residue_weight`` divides by phi'."""
-        if self.spec.kind != "rational":
-            raise errors.NoResidueForm("residue route needs a rational symbol")
+        """The zeros of phi, each simple: ``residue_weight`` divides by phi'.
+        NoResidueForm with any t_j: sums over zeros cannot carry exp(...)."""
+        if self.spec.log_coeffs:
+            raise errors.NoResidueForm("residue route needs phi = P/Q, no t_j")
         zeros = symbols.analyze(self.spec).zeros
         for i, a in enumerate(zeros):
             for b in zeros[i + 1:]:

@@ -241,7 +241,8 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     that agree to ``tol`` give the value.  InputError unless radius > 0;
     raises NotConverged when the next grid would pass ``m_cap``, and, by
     ``check_grid_cap``, up front before any sampling and again once the
-    first margin is read, before any fill."""
+    first margin is read, before any fill; OverflowGuard once |det| or its
+    drift between two grids leaves the double range."""
     if not radius > 0:
         raise errors.InputError(f"circle radius {radius} is not positive")
     x = getattr(kernel, "x", 0)
@@ -260,12 +261,16 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
         np.fill_diagonal(mat, mat.diagonal() + 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             det = complex(np.linalg.det(mat))
+        try:    # abs raises where the modulus of a finite complex overflows
+            size, err = abs(det), 0.0 if prev is None else abs(det - prev)
+        except OverflowError:
+            size = err = np.inf
+        if not (np.isfinite(size) and np.isfinite(err)):
+            raise errors.OverflowGuard(
+                f"|det| {size:.2e} or its drift {err:.2e} at m={m} is past "
+                "the double range")
         if prev is not None:
-            err = abs(det - prev)
-            if err <= tol * max(1.0, abs(det)):
-                # err = inf passes the test above when |det| = inf too
-                if not np.isfinite(det):
-                    raise errors.NotConverged(f"non-finite determinant at m={m}")
+            if err <= tol * max(1.0, size):
                 return DetResult(det, err, m, tuple(grids))
             if x + 2 * margin > m_cap:
                 raise errors.NotConverged(

@@ -1,11 +1,8 @@
 """Symbol weights theta(q), phi(q) = 1 + theta(q), and their phase shift.
 
-Two families cover every scenario exercised by the rest of the library:
-
-* ``rational``      -- phi(q) = P(q)/Q(q), zeros and poles exactly known,
-                       any winding number;
-* ``laurent_phase`` -- phi(q) = exp(sum_j t_j q^j), nowhere zero, smooth,
-                       always zero winding.
+One form covers every symbol: phi(q) = P(q)/Q(q) * exp(sum_j t_j q^j).  P/Q
+carries every zero and pole, so the winding too; the smooth exponential
+factor has none off the origin.  Either may be absent: P = Q = 1, or no t_j.
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from importlib import resources
 
 import numpy as np
@@ -31,21 +28,21 @@ WINDING_M = 512     # unit-circle nodes of the winding quadrature
 class SymbolSpec:
     """Weight specification; immutable, hashable and safe to share between
     threads.  ``log_coeffs`` may be given as a dict j -> t_j and is stored as
-    a tuple of (j, t_j) pairs sorted by j."""
+    a tuple of (j, t_j) pairs sorted by j.  A leading ``kind``, "rational" or
+    "laurent_phase" (the two former symbol kinds), is checked, not stored."""
 
-    kind: str
-    numer: tuple = ()          # ascending powers of q (rational)
-    denom: tuple = (1.0,)
-    log_coeffs: tuple = ()     # (j, t_j) pairs (laurent_phase)
+    kind: InitVar[str | None] = None
+    numer: tuple = (1.0,)      # P, ascending powers of q
+    denom: tuple = (1.0,)      # Q
+    log_coeffs: tuple = ()     # (j, t_j) pairs
     label: str = ""
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "laurent_phase"):
-            raise errors.InputError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "rational":
-            object.__setattr__(self, "numer", tuple(complex(c) for c in self.numer))
-            object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
-            self._validate_rational()
+    def __post_init__(self, kind):
+        if kind not in (None, "rational", "laurent_phase"):
+            raise errors.InputError(f"unknown symbol kind {kind!r}")
+        object.__setattr__(self, "numer", tuple(complex(c) for c in self.numer))
+        object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
+        self._validate_rational()
         lc = {int(j): complex(t) for j, t in dict(self.log_coeffs).items()}
         object.__setattr__(self, "log_coeffs", tuple(sorted(lc.items())))
 
@@ -53,9 +50,8 @@ class SymbolSpec:
         p = np.array(self.numer, dtype=complex)
         q = np.array(self.denom, dtype=complex)
         if not len(p) or not np.any(p) or not len(q) or not np.any(q):
-            raise errors.InputError("rational symbol needs nonzero numerator and denominator")
-        pr = _poly_roots(p)
-        qr = _poly_roots(q)
+            raise errors.InputError("symbol needs nonzero numerator and denominator")
+        pr, qr = _poly_roots(p), _poly_roots(q)
         for r in pr:
             if abs(abs(r) - 1.0) < 1e-8:
                 raise errors.InputError(f"numerator root {r} lies on the unit circle")
@@ -82,19 +78,34 @@ def _derivative(coeffs: tuple) -> np.ndarray:
     return der
 
 
-def eval_phi(spec: SymbolSpec, q):
-    """phi(q) = 1 + theta(q)."""
-    q = np.asarray(q, dtype=complex)
-    if spec.kind == "rational":
-        den = P.polyval(q, spec.denom)
-        scale = max(np.max(np.abs(np.asarray(spec.denom))), 1.0)
-        if np.any(np.abs(den) < 1e-14 * scale):
-            raise errors.PoleHit("evaluation point hits a denominator root")
-        return P.polyval(q, spec.numer) / den
+def _ratio(spec: SymbolSpec, q, derivative: bool = False):
+    """P(q)/Q(q), PoleHit at a root of Q; or (P/Q)'(q)."""
+    p, d = spec.numer, spec.denom
+    den = P.polyval(q, d)
+    if derivative:
+        return (P.polyval(q, _derivative(p)) * den -
+                P.polyval(q, p) * P.polyval(q, _derivative(d))) / den ** 2
+    scale = max(np.max(np.abs(np.asarray(d))), 1.0)
+    if np.any(np.abs(den) < 1e-14 * scale):
+        raise errors.PoleHit("evaluation point hits a denominator root")
+    return P.polyval(q, p) / den
+
+
+def _exponent(spec: SymbolSpec, q, derivative: bool = False):
+    """sum_j t_j q^j, or its derivative."""
     acc = np.zeros(q.shape, dtype=complex)
     for j, t in spec.log_coeffs:
-        acc = acc + t * q ** j
-    return np.exp(acc)
+        acc = acc + (t * j * q ** (j - 1) if derivative else t * q ** j)
+    return acc
+
+
+def eval_phi(spec: SymbolSpec, q):
+    """phi(q) = 1 + theta(q); a factor that is 1 is not evaluated."""
+    q = np.asarray(q, dtype=complex)
+    if not spec.log_coeffs:
+        return _ratio(spec, q)
+    phi = np.exp(_exponent(spec, q))
+    return phi if spec.numer == spec.denom else phi * _ratio(spec, q)
 
 
 def eval_theta(spec: SymbolSpec, q):
@@ -102,17 +113,15 @@ def eval_theta(spec: SymbolSpec, q):
 
 
 def eval_dphi(spec: SymbolSpec, q):
-    """phi'(q)."""
+    """phi'(q); (R e^E)' = e^E (R' + R E') where both factors are present."""
     q = np.asarray(q, dtype=complex)
-    if spec.kind == "rational":
-        p, d = spec.numer, spec.denom
-        den = P.polyval(q, d)
-        return (P.polyval(q, _derivative(p)) * den -
-                P.polyval(q, p) * P.polyval(q, _derivative(d))) / den ** 2
-    dlog = np.zeros(q.shape, dtype=complex)
-    for j, t in spec.log_coeffs:
-        dlog = dlog + t * j * q ** (j - 1)
-    return eval_phi(spec, q) * dlog
+    if not spec.log_coeffs:
+        return _ratio(spec, q, derivative=True)
+    dlog = _exponent(spec, q, derivative=True)
+    if spec.numer == spec.denom:
+        return eval_phi(spec, q) * dlog
+    return np.exp(_exponent(spec, q)) * (_ratio(spec, q, derivative=True) +
+                                         _ratio(spec, q) * dlog)
 
 
 def eval_dnu(spec: SymbolSpec, q):
@@ -123,20 +132,21 @@ def eval_dnu(spec: SymbolSpec, q):
 def eval_nu_grid(spec: SymbolSpec, nodes):
     """Phase shift nu = log(phi)/(2 pi i) unwrapped continuously along a circle grid.
 
-    The closing increment nu[0 again] - nu[-1] accumulates the winding, so the
-    returned array is periodic only for zero-winding symbols.  A
-    ``laurent_phase`` symbol gives sum_j t_j q^j / (2 pi i) directly: it has
-    no zeros, however small |phi| gets on the circle.
+    Only log(P/Q) is unwrapped, and its closing increment nu[0 again] - nu[-1]
+    accumulates the winding, so the returned array is periodic only for
+    zero-winding symbols.  The exponent sum_j t_j q^j is added as it is: that
+    factor has no zeros, however small |phi| gets on the circle.
     """
     nodes = np.asarray(nodes, dtype=complex)
-    if spec.kind == "laurent_phase":
-        return sum((t * nodes ** j for j, t in spec.log_coeffs),
-                   np.zeros(nodes.shape, dtype=complex)) / (2j * np.pi)
-    w = eval_phi(spec, nodes)
+    if spec.numer == spec.denom:
+        return _exponent(spec, nodes) / (2j * np.pi)
+    w = _ratio(spec, nodes)
     if np.any(np.abs(w) < 1e-12):
         raise errors.ZeroOnContour("phi vanishes at a quadrature node")
-    ang = np.unwrap(np.angle(w))
-    return (np.log(np.abs(w)) + 1j * ang) / (2j * np.pi)
+    log_phi = np.log(np.abs(w)) + 1j * np.unwrap(np.angle(w))
+    if spec.log_coeffs:
+        log_phi = log_phi + _exponent(spec, nodes)
+    return log_phi / (2j * np.pi)
 
 
 def grid_winding(spec: SymbolSpec, nodes) -> float:
@@ -149,7 +159,8 @@ def grid_winding(spec: SymbolSpec, nodes) -> float:
 
 def winding_number(spec: SymbolSpec) -> int:
     """Winding of phi around the unit circle, by quadrature, cross-checked by
-    counting; memoised, as every route of one symbol asks for it again."""
+    counting the zeros and poles of P/Q; memoised, as every route of one
+    symbol asks for it again."""
     return _winding_cached(spec)
 
 
@@ -161,13 +172,11 @@ def _winding_cached(spec: SymbolSpec) -> int:
     n = int(round(quad.real))
     if abs(quad - n) > 0.25:
         raise errors.WindingInconsistent(f"quadrature winding {quad} not near an integer")
-    if spec.kind == "rational":
-        zeros = _poly_roots(spec.numer)
-        poles = _poly_roots(spec.denom)
-        count = int(np.sum(np.abs(zeros) < 1.0)) - int(np.sum(np.abs(poles) < 1.0))
-        if n != count:
-            raise errors.WindingInconsistent(
-                f"quadrature winding {n} vs zero/pole count {count}")
+    zeros, poles = _poly_roots(spec.numer), _poly_roots(spec.denom)
+    count = int(np.sum(np.abs(zeros) < 1.0)) - int(np.sum(np.abs(poles) < 1.0))
+    if n != count:
+        raise errors.WindingInconsistent(
+            f"quadrature winding {n} vs zero/pole count {count}")
     return n
 
 
@@ -206,17 +215,15 @@ def _newton_polish(coeffs, root, tol=1e-12, maxit=40):
 
 
 def analyze(spec: SymbolSpec) -> SymbolAnalysis:
-    """Locate zeros/poles, fix the winding, and pick the zeros the contour
-    must handle; memoised, as one symbol is analysed for many x and suites."""
+    """Locate the zeros and poles of P/Q (the exponential factor has none),
+    fix the winding, and pick the zeros the contour must handle; memoised, as
+    one symbol is analysed for many x and suites."""
     return _analyze_cached(spec)
 
 
 @functools.lru_cache(maxsize=32)
 def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
     n = winding_number(spec)
-    if spec.kind == "laurent_phase":
-        return SymbolAnalysis((), (), 0, (), ())
-
     zeros = [_newton_polish(spec.numer, r) for r in _poly_roots(spec.numer)]
     zeros.sort(key=abs, reverse=True)
 
@@ -258,30 +265,26 @@ def _c2pair(z):
 
 
 def to_json_dict(spec: SymbolSpec) -> dict:
-    if spec.kind == "rational":
-        return {"kind": "rational",
-                "numer": [_c2pair(c) for c in spec.numer],
-                "denom": [_c2pair(c) for c in spec.denom]}
-    return {"kind": "laurent_phase",
+    return {"numer": [_c2pair(c) for c in spec.numer],
+            "denom": [_c2pair(c) for c in spec.denom],
             "log_coeffs": {str(j): _c2pair(t) for j, t in spec.log_coeffs}}
 
 
 def from_json_dict(data: dict, label: str = "") -> SymbolSpec:
+    """Read ``to_json_dict``'s form, or any part of it: a missing factor is
+    1.  A ``kind`` key, of the two former kinds' files, is checked."""
     try:
-        kind = data["kind"]
-        if kind == "rational":
-            return SymbolSpec(kind="rational",
-                              numer=tuple(complex(a, b) for a, b in data["numer"]),
-                              denom=tuple(complex(a, b) for a, b in data["denom"]),
-                              label=label)
-        if kind == "laurent_phase":
-            return SymbolSpec(kind="laurent_phase",
-                              log_coeffs={int(j): complex(a, b)
-                                          for j, (a, b) in data["log_coeffs"].items()},
-                              label=label)
-    except (KeyError, TypeError, ValueError) as exc:
+        unknown = set(dict(data)) - {"kind", "numer", "denom", "log_coeffs"}
+        if unknown:
+            raise errors.InputError(f"unknown symbol keys {sorted(unknown)}")
+        return SymbolSpec(
+            data.get("kind"),
+            tuple(complex(a, b) for a, b in data.get("numer", [(1.0, 0.0)])),
+            tuple(complex(a, b) for a, b in data.get("denom", [(1.0, 0.0)])),
+            {int(j): complex(a, b) for j, (a, b) in data.get("log_coeffs", {}).items()},
+            label=label)
+    except (AttributeError, TypeError, ValueError) as exc:
         raise errors.InputError(f"malformed symbol data: {exc}") from exc
-    raise errors.InputError(f"unknown symbol kind {data.get('kind')!r}")
 
 
 def load_symbol(path) -> SymbolSpec:

@@ -387,7 +387,7 @@ class TestCirclesAgreeAtZeroWinding:
 
 class TestSlavnov:
     def test_needs_a_residue_form(self):
-        # F2 is a laurent_phase symbol: its zeros are not located
+        # F2 has t_j: the residue sums over zeros cannot carry exp(...)
         assert issubclass(errors.NoResidueForm, errors.InputError)
         with pytest.raises(errors.NoResidueForm):
             A.slavnov_series(symbols.fixture("F2"), 2)
@@ -567,10 +567,30 @@ class TestIndexSeries:
         exact = 5.0704260363127643415e173
         assert abs(A.borodin_okounkov(spec, 40) / exact - 1) < 1e-12
 
+    @pytest.mark.parametrize("x", [4, 8])
+    def test_rows_read_from_the_coefficient_decay(self, x):
+        # log phi = sum_{|j| <= 300} 0.4 0.9^|j| q^j: |c-_n| and |c+_n| stay
+        # above 1e-16 / max|c+-| for hundreds of n, far past any fixed row
+        # count (48 rows were off by 8.8e-7 and 5.6e-7 in log).  toeplitz
+        # refuses this symbol, so the reference is a dense slogdet of
+        # moments from 2^14 nodes, the exponent summed by one inverse FFT.
+        t = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
+        spec = symbols.SymbolSpec(log_coeffs=t)
+        with pytest.raises(errors.AliasingSuspected):
+            toeplitz.toeplitz_det(spec, x)
+        m = 2 ** 14
+        expo = np.zeros(m, dtype=complex)
+        expo[[j % m for j in t]] = list(t.values())
+        moments = np.fft.fft(np.exp(m * np.fft.ifft(expo))) / m
+        sign, log_abs = np.linalg.slogdet(
+            moments[np.subtract.outer(np.arange(x), np.arange(x)) % m])
+        bo = A.borodin_okounkov(spec, x)
+        assert abs(np.log(bo) - (log_abs + 1j * np.angle(sign))) < 1e-12
+
     @pytest.mark.parametrize("x", [470, 600])
     def test_indices_past_grid_read_zero(self, x):
-        # the kernel needs c-_{x+1} .. c-_{x+trunc}, all past the ratio's
-        # grid, where they lie below its tail
+        # the kernel's rows need c-_{x+1}, c-_{x+2}, ..., all past the
+        # ratio's grid, where they lie below its tail
         spec = symbols.fixture("F2")
         t = toeplitz.toeplitz_det(spec, x)
         assert abs(A.borodin_okounkov(spec, x) - t) / abs(t) < 1e-12

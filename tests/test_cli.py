@@ -105,6 +105,20 @@ class TestExitCodes:
     def test_toeplitz_overflow_exits_3(self, capsys):
         assert run(["toeplitz", "--spec", "F4", "--x", "1024"], capsys)[0] == 3
 
+    def test_nystrom_past_double_range_exits_3(self, capsys):
+        # F4's determinant passes the double range between x = 880 and 899:
+        # a typed OverflowGuard, not a bare OverflowError from |det - prev|
+        code, out = run(["fredholm", "--spec", "F4", "--x", "880"], capsys)
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert code == 0 and int(row["m_used"]) == 884
+        assert float(row["re"]) == pytest.approx(6.8385007240580616e301,
+                                                 rel=1e-12)
+        assert run(["fredholm", "--spec", "F4", "--x", "899"], capsys)[0] == 3
+        code, out = run(["compare", "--spec", "F4", "--x", "899",
+                         "--methods", "fredholm_S"], capsys)
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert code == 0 and row["fredholm_S_re"] == "n/a(OverflowGuard)"
+
     @pytest.mark.parametrize("argv", [
         ["fredholm", "--spec", "F2", "--kernel", "S", "--x=-3"],
         ["ff", "--spec", "F2", "--x=-3", "--L", "8"],
@@ -199,12 +213,25 @@ class TestAsymAndCompare:
         assert all(float(r["szego_gap"]) < 1e-5 for r in rows)
 
     def test_compare_slavnov_needs_a_rational_symbol(self, capsys):
-        # F2 is a laurent_phase symbol, with no residue form
+        # F2 is exp(0.3 q + 0.2 / q), with no residue form
         code, out = run(["compare", "--spec", "F2", "--x", "2..3",
                          "--methods", "slavnov"], capsys)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert all(r["slavnov_re"] == "n/a(NoResidueForm)" for r in rows)
+
+    def test_compare_product_symbol_file(self, tmp_path, capsys):
+        # F4's P/Q times exp(...): winding -1 with a smooth non-rational factor
+        f4 = symbols.fixture("F4")
+        spec = symbols.SymbolSpec(numer=f4.numer, denom=f4.denom,
+                                  log_coeffs={1: 0.3, -1: 0.2, 2: 0.05j})
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(symbols.to_json_dict(spec)))
+        code, out = run(["compare", "--spec", str(path), "--x", "2..6",
+                         "--methods", "fredholm_S"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 5
+        assert all(float(r["fredholm_S_gap"]) <= 1e-10 for r in rows)
 
     def test_failing_oracle_fills_only_its_row(self, capsys):
         # the Toeplitz oracle overflows at x = 899 only: the other rows keep

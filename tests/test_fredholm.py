@@ -251,7 +251,7 @@ class TestNystrom:
         ("tau_eff", symbols.SymbolSpec(
             "rational", tuple(np.polynomial.polynomial.polyfromroots(
                 [0.4j, -2.4])), (0.0, 1.0))),
-        # a laurent_phase theta's margin is read from an FFT of theta
+        # F2's exponential theta has its margin read from an FFT of theta
         ("kernel_S", symbols.fixture("F2"))])
     def test_past_cap_raises_before_sampling(self, monkeypatch, route, spec):
         calls = []
@@ -356,7 +356,7 @@ class TestNystrom:
                         for r in radii)
         assert abs(small - large) <= 1e-9 * abs(large)
 
-    def test_overflow_is_not_converged(self):
+    def test_overflow_raises_overflow_guard(self):
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
         # err = inf would otherwise pass err <= tol * |det| = inf
         class Huge:
@@ -364,8 +364,20 @@ class TestNystrom:
                 return 1e9 * np.eye(len(nodes), dtype=complex)
 
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(errors.NotConverged):
+                pytest.raises(errors.OverflowGuard):
             fredholm.nystrom_det(Huge(), 1.0)
+
+    def test_overflowing_modulus_raises_overflow_guard(self):
+        # both parts finite, the modulus past the double range: Python's
+        # abs would raise a bare OverflowError
+        class Big:
+            def matrix(self, nodes, weights):
+                mat = np.zeros((len(nodes), len(nodes)), dtype=complex)
+                mat[0, 0] = 1.5e308 * (1 + 1j)
+                return mat
+
+        with pytest.raises(errors.OverflowGuard):
+            fredholm.nystrom_det(Big(), 1.0)
 
 
 class TestKernelAlgebra:

@@ -6,13 +6,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detlab import errors, symbols, toeplitz
+from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes
 from detlab.cauchy import CauchySuite
+from detlab.contours import base_contour
 
 EXPECTED_WINDING = {"F0": 0, "F1": 0, "F2": 0, "F3": -1, "F4": -1,
                     "F5": -2, "F6": 0, "F7": 1}
+EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
+
+
+def times_exponent(name, log_coeffs=EXPONENT):
+    """Fixture ``name``'s P/Q times exp(sum_j t_j q^j)."""
+    ratio = symbols.fixture(name)
+    return symbols.SymbolSpec(numer=ratio.numer, denom=ratio.denom,
+                              log_coeffs=log_coeffs)
 
 
 class TestFixtures:
@@ -57,10 +67,11 @@ class TestEvaluation:
                              (1.0 + symbols.eval_theta(sp, q)))) < 1e-13
 
     def test_dphi_finite_difference(self):
-        sp = symbols.fixture("F5")
         q, h = 0.7 + 0.4j, 1e-6
-        fd = (symbols.eval_phi(sp, q + h) - symbols.eval_phi(sp, q - h)) / (2 * h)
-        assert abs(symbols.eval_dphi(sp, q) - fd) < 1e-8
+        for sp in (symbols.fixture("F5"), times_exponent("F5")):
+            fd = (symbols.eval_phi(sp, q + h) -
+                  symbols.eval_phi(sp, q - h)) / (2 * h)
+            assert abs(symbols.eval_dphi(sp, q) - fd) < 1e-8
 
     def test_dnu_is_logarithmic_derivative(self):
         sp = symbols.fixture("F2")
@@ -122,11 +133,11 @@ class TestFourier:
 
 class TestValidation:
     def test_round_trip(self):
-        sp = symbols.fixture("F4")
-        again = symbols.from_json_dict(symbols.to_json_dict(sp), label=sp.label)
-        q = np.array([0.9 + 0.1j])
-        assert abs(symbols.eval_phi(sp, q)[0] -
-                   symbols.eval_phi(again, q)[0]) < 1e-14
+        # the one form: numer, denom and log_coeffs, and no kind
+        for sp in (symbols.fixture("F4"), times_exponent("F4")):
+            data = json.loads(json.dumps(symbols.to_json_dict(sp)))
+            assert sorted(data) == ["denom", "log_coeffs", "numer"]
+            assert symbols.from_json_dict(data, label=sp.label) == sp
 
     def test_laurent_phase_round_trip(self):
         sp = symbols.fixture("F2")
@@ -161,6 +172,28 @@ class TestValidation:
         with pytest.raises(errors.InputError):
             symbols.from_json_dict({"kind": "mystery"})
 
+    def test_legacy_forms_load(self):
+        rational = {"kind": "rational", "numer": [[0.5, 0.0], [1.0, 0.0]],
+                    "denom": [[1.0, 0.0]]}
+        laurent = {"kind": "laurent_phase", "log_coeffs": {"1": [0.3, 0.1]}}
+        assert symbols.from_json_dict(rational) == \
+            symbols.SymbolSpec(numer=(0.5, 1.0))
+        assert symbols.from_json_dict(laurent) == \
+            symbols.SymbolSpec(log_coeffs={1: 0.3 + 0.1j})
+
+    def test_missing_parts_are_one(self):
+        assert symbols.from_json_dict({}) == symbols.SymbolSpec()
+        q = np.array([0.5, 1.5j])
+        assert np.all(symbols.eval_phi(symbols.SymbolSpec(), q) == 1.0)
+
+    @pytest.mark.parametrize("data", [[1.0, 2.0], "F2", None,
+                                      {"numer": [[1.0, 0.0]], "lgo": {}},
+                                      {"log_coeffs": [[1.0, 0.0]]},
+                                      {"numer": [1.0, 2.0]}])
+    def test_malformed_data_rejected(self, data):
+        with pytest.raises(errors.InputError):
+            symbols.from_json_dict(data)
+
     def test_unknown_fixture_rejected(self):
         with pytest.raises(errors.InputError):
             symbols.fixture("F99")
@@ -170,3 +203,98 @@ class TestValidation:
         bad.write_text("not json")
         with pytest.raises(errors.InputError, match="parse error"):
             symbols.load_symbol(str(bad))
+
+
+@st.composite
+def product_symbols(draw):
+    """(P/Q) exp(sum_{|j|<=2} t_j q^j) with |t_j| <= 0.2, and its winding w,
+    drawn from -2..1: P has two zeros inside the unit circle and three
+    outside, moduli in separate bands, and Q = q^(2 - w)."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    winding = draw(st.integers(-2, 1))
+    inner = [zero(0.2, 0.28), zero(0.45, 0.55)]
+    outer = [zero(1.5, 1.7), zero(2.3, 2.6), zero(3.2, 3.6)]
+    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
+    numer = numer / np.prod([-w for w in outer])
+    t = {j: draw(st.complex_numbers(max_magnitude=0.2)) for j in range(-2, 3)}
+    spec = symbols.SymbolSpec(numer=tuple(numer),
+                              denom=(0.0,) * (2 - winding) + (1.0,),
+                              log_coeffs=t)
+    return spec, winding
+
+
+class TestProductForm:
+    """phi = (P/Q) exp(sum_j t_j q^j): one form, no kind."""
+
+    def test_constructor_parameters_pinned(self):
+        # callers pass kind, numer and denom by position
+        assert list(inspect.signature(symbols.SymbolSpec).parameters) == \
+            ["kind", "numer", "denom", "log_coeffs", "label"]
+
+    def test_kind_is_checked_not_stored(self):
+        tagged = symbols.SymbolSpec("rational", (0.5, 1.0), (1.0,))
+        plain = symbols.SymbolSpec(numer=(0.5, 1.0))
+        assert tagged == plain and hash(tagged) == hash(plain)
+        assert "kind" not in vars(tagged)
+        assert [f.name for f in dataclasses.fields(tagged)] == \
+            ["numer", "denom", "log_coeffs", "label"]
+        with pytest.raises(errors.InputError, match="kind"):
+            symbols.SymbolSpec("mystery", (0.5, 1.0))
+
+    def test_factors_multiply(self):
+        sp = times_exponent("F4")
+        q = np.array([0.9 + 0.3j, -1.2, 0.5j])
+        want = (symbols.eval_phi(symbols.fixture("F4"), q) *
+                symbols.eval_phi(symbols.SymbolSpec(log_coeffs=EXPONENT), q))
+        assert np.allclose(symbols.eval_phi(sp, q), want, rtol=1e-14, atol=0)
+
+    def test_nu_grid_unwraps_the_ratio_only(self):
+        nodes = circle_nodes(1.0, 256)
+        got = symbols.eval_nu_grid(times_exponent("F5"), nodes)
+        want = symbols.eval_nu_grid(symbols.fixture("F5"), nodes) + \
+            symbols.eval_nu_grid(symbols.SymbolSpec(log_coeffs=EXPONENT), nodes)
+        assert np.allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_WINDING))
+    def test_zeros_and_winding_from_the_ratio(self, name):
+        sp = times_exponent(name)
+        assert symbols.winding_number(sp) == EXPECTED_WINDING[name]
+        if name != "F2":
+            ratio = symbols.analyze(symbols.fixture(name))
+            assert symbols.analyze(sp) == ratio
+
+    @pytest.mark.parametrize("x", [6, 32])
+    @pytest.mark.parametrize("name", ["F0", "F1", "F3", "F4", "F5", "F6",
+                                      "F7"])
+    def test_fredholm_s_is_toeplitz(self, name, x):
+        sp = times_exponent(name)
+        s = fredholm.nystrom_det(fredholm.kernel_S(sp, x),
+                                 base_contour(sp)).value
+        t = toeplitz.toeplitz_det(sp, x)
+        assert abs(s - t) <= 1e-12 * abs(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=product_symbols(), x=st.integers(1, 32))
+    def test_random_products(self, drawn, x):
+        sp, winding = drawn
+        ratio = symbols.SymbolSpec(numer=sp.numer, denom=sp.denom)
+        assert symbols.winding_number(sp) == \
+            symbols.winding_number(ratio) == winding
+        s = fredholm.nystrom_det(fredholm.kernel_S(sp, x),
+                                 base_contour(sp)).value
+        t = toeplitz.toeplitz_det(sp, x)
+        assert abs(s - t) <= 1e-10 * abs(t)
+
+    def test_no_residue_form_exactly_with_t_j(self):
+        # the residue sums see the zeros only, not the exponential factor
+        sp = times_exponent("F4")
+        with pytest.raises(errors.NoResidueForm):
+            asymptotics.slavnov_series(sp, 3)
+        with pytest.raises(errors.NoResidueForm):
+            asymptotics.tau_ratio_swap(sp, 3, 1.4, 2.2)
+        # no t_j: the same residue sum as F4 itself, a separate cache entry
+        bare = times_exponent("F4", log_coeffs={})
+        assert asymptotics.slavnov_series(bare, 3) == \
+            asymptotics.slavnov_series(symbols.fixture("F4"), 3)
