@@ -21,9 +21,8 @@ from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
                        nystrom_det)
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
-BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which a Hankel-product
-                      # term, row or column is dropped,
-BO_L_CAP = 4096       # and cap on the order of the index-space determinant
+BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which the Hankel terms
+                      # past a shift, and the indices past it, are dropped
 
 
 # --- leading tau -------------------------------------------------------------
@@ -301,25 +300,23 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     a = ratio.c[ratio.j > x]            # c-_{x+1}, c-_{x+2}, ...
     b = c_plus[ks < -x][::-1]           # c+_{-x-1}, c+_{-x-2}, ...
     size = min(a.size, b.size)
-    # with A, B the suffix maxima of |a| and |b|, the terms at shift l lie
-    # below A_l B_l, and the entries of row or column n below
-    # max(A_n B_0, A_0 B_n); each is kept while it passes BO_TAIL_TOL
+    # with A, B the suffix maxima of |a| and |b|, the shifts l >= n add at
+    # most T_n = sum_{s>=n} A_s B_s to any entry, and T_n bounds K[n, n]:
+    # shifts and indices n (a row and a column, which enter det(Id - K)
+    # through K[n, n] and the products K[n, m] K[m, n]) are kept while T_n
+    # passes BO_TAIL_TOL.  A row alone, of size A_n B_0, would flatten at
+    # the coefficients' rounding floor instead.
     a_max, b_max = (np.maximum.accumulate(np.abs(v[:size])[::-1])[::-1]
                     for v in (a, b))
-    tail = a_max * b_max
+    tail = np.cumsum((a_max * b_max)[::-1])[::-1]
     below = np.flatnonzero(tail < BO_TAIL_TOL)
     if size and not below.size:
         raise errors.TailNotConverged(f"tail {tail[-1]:.2e} at the grid edge")
-    n_l = max(int(below[0]), 1) if size else 1   # shifts l = 0 .. n_l - 1
-    below = np.flatnonzero(np.maximum(a_max * b_max[:1], a_max[:1] * b_max)
-                           < BO_TAIL_TOL)
-    order = int(below[0]) if below.size else size    # rows n = 0 .. order - 1
-    if order > BO_L_CAP:
-        raise errors.TailNotConverged("tail cap reached")
+    order = max(int(below[0]), 1) if size else 1   # n, l = 0 .. order - 1
     # past the grid the coefficients lie below the converged split's tail
-    width = order + n_l - 1
+    width = 2 * order - 1
     a, b = (np.pad(v[:width], (0, max(width - v.size, 0))) for v in (a, b))
-    hankel = np.arange(order)[:, None] + np.arange(n_l)[None, :]
+    hankel = np.add.outer(np.arange(order), np.arange(order))
     K = a[hankel] @ b[hankel].T
     mat = np.eye(order, dtype=complex) - K
     det = complex(np.linalg.det(mat))

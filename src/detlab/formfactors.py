@@ -111,7 +111,7 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
         raise errors.NewtonDiverged(
             f"root k = {k[i]} has Z/2pi - k = {drift[i]:.2f}, residual "
             f"{residuals[i]:.1e}")
-    gap = _min_distance(p)
+    gap = _min_distance(p, L, float(np.max(np.abs(delta))))
     if gap < DISTINCT_TOL:
         raise errors.NewtonDiverged(f"two roots {gap:.2e} apart")
     return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=k % L,
@@ -135,27 +135,34 @@ def _pair_windows(v: np.ndarray) -> np.ndarray:
                       (step, step))
 
 
-def _min_distance(p: np.ndarray) -> float:
-    """min |p_i - p_j| over i != j (inf for one point), ROW_BLOCK rows of
-    ``_pair_windows`` at a time, comparing squared moduli."""
+def _min_distance(p: np.ndarray, L: int, spread: float) -> float:
+    """min |p_i - p_j| over i != j (inf for one point), comparing squared
+    moduli one column of ``_pair_windows``, one cyclic array distance k, at
+    a time.  With each p_i within ``spread`` of e^{2 pi i k_i/L} for
+    integers k_i that are contiguous and ascend cyclically along the array
+    (as ``_chosen_indices`` gives them), the pairs at distance k lie at
+    least 2 sin(pi (k - e)/L) - 2 spread apart, e = max(p.size - L, 0) the
+    indices past one turn: the scan stops once that bound passes the
+    minimum so far.  An infinite spread scans every pair."""
     if p.size < 2:
         return np.inf
     window = _pair_windows(p)
-    diff = np.empty((ROW_BLOCK, window.shape[1]), dtype=complex)
-    sq = np.empty(diff.shape)
+    diff = np.empty(p.size, dtype=complex)
+    sq = np.empty(p.size)
+    excess = max(p.size - L, 0)
     best, i, k = np.inf, 0, 0
-    for start in range(0, p.size, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, p.size)
-        d, s = diff[:stop - start], sq[:stop - start]
-        np.subtract(window[start:stop], p[start:stop, None], out=d)
+    for col in range(window.shape[1]):
+        floor = 2.0 * np.sin(np.pi * (col + 1 - excess) / L) - 2.0 * spread
+        if floor > 0.0 and floor * floor > best:
+            break
+        np.subtract(window[:, col], p, out=diff)
         # |d|^2 from the float view: square re and im in place, add pairs
-        parts = d.view(float)
+        parts = diff.view(float)
         np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=s)
-        at = int(np.argmin(s))
-        if s.flat[at] < best:
-            best, (i, k) = s.flat[at], divmod(at, s.shape[1])
-            i += start
+        np.add(parts[0::2], parts[1::2], out=sq)
+        at = int(np.argmin(sq))
+        if sq[at] < best:
+            best, i, k = sq[at], at, col
     return float(np.abs(window[i, k] - p[i]))
 
 

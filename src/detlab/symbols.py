@@ -7,6 +7,7 @@ factor has none off the origin.  Either may be absent: P = Q = 1, or no t_j.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import os
@@ -17,11 +18,13 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors
-from ._series import circle_nodes, circle_weights
+from ._series import circle_nodes, circle_weights, grid_of
 
 SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
                     # between the moduli at the edge of the zero selection
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
+SAMPLE_MEMO = 64    # grid samples held by eval_phi and eval_nu_grid,
+SAMPLE_M_MAX = 1024  # each on a grid of at most this many nodes
 
 
 @dataclass(frozen=True)
@@ -70,25 +73,35 @@ def _poly_roots(coeffs_ascending):
 
 
 @functools.lru_cache(maxsize=64)
-def _derivative(coeffs: tuple) -> np.ndarray:
-    """Ascending coefficients of the derivative, read-only; memoised, as every
-    Newton step evaluates phi' and ``P.polyder`` costs more than that."""
-    der = P.polyder(coeffs)
-    der.flags.writeable = False
-    return der
+def _poly(coeffs: tuple):
+    """(c, c', max(max |c|, 1)) of ascending coefficients, the arrays
+    read-only; memoised, as converting the tuple costs more than a small
+    evaluation."""
+    c, der = np.array(coeffs, dtype=complex), P.polyder(coeffs)
+    c.flags.writeable = der.flags.writeable = False
+    return c, der, max(np.max(np.abs(c)), 1.0)
+
+
+def _horner(c, q):
+    """``P.polyval(q, c)`` for an array c, bit for bit: its own recursion,
+    without its per-call conversion of c."""
+    acc = c[-1] + q * 0
+    for a in c[-2::-1]:
+        acc = a + acc * q
+    return acc
 
 
 def _ratio(spec: SymbolSpec, q, derivative: bool = False):
     """P(q)/Q(q), PoleHit at a root of Q; or (P/Q)'(q)."""
-    p, d = spec.numer, spec.denom
-    den = P.polyval(q, d)
+    p, dp, _ = _poly(spec.numer)
+    d, dd, scale = _poly(spec.denom)
+    den = _horner(d, q)
     if derivative:
-        return (P.polyval(q, _derivative(p)) * den -
-                P.polyval(q, p) * P.polyval(q, _derivative(d))) / den ** 2
-    scale = max(np.max(np.abs(np.asarray(d))), 1.0)
+        return (_horner(dp, q) * den -
+                _horner(p, q) * _horner(dd, q)) / den ** 2
     if np.any(np.abs(den) < 1e-14 * scale):
         raise errors.PoleHit("evaluation point hits a denominator root")
-    return P.polyval(q, p) / den
+    return _horner(p, q) / den
 
 
 def _exponent(spec: SymbolSpec, q, derivative: bool = False):
@@ -99,6 +112,34 @@ def _exponent(spec: SymbolSpec, q, derivative: bool = False):
     return acc
 
 
+_samples = collections.OrderedDict()   # (evaluator, spec, radius, m) -> array
+
+
+def _memo_on_grids(evaluate):
+    """``evaluate(spec, q)``, memoised for q a ``circle_nodes`` grid (known
+    by identity, ``grid_of``) of at most SAMPLE_M_MAX nodes: the SAMPLE_MEMO
+    latest such results are held, read-only, and returned as they are; any
+    other q, and every call that raises, is evaluated afresh."""
+    @functools.wraps(evaluate)
+    def memoised(spec, q):
+        grid = grid_of(q)
+        if grid is None or grid[1] > SAMPLE_M_MAX:
+            return evaluate(spec, q)
+        key = (evaluate, spec, *grid)
+        out = _samples.get(key)
+        if out is None:
+            out = evaluate(spec, q)
+            out.flags.writeable = False
+            _samples[key] = out
+            if len(_samples) > SAMPLE_MEMO:
+                _samples.popitem(last=False)
+        else:
+            _samples.move_to_end(key)
+        return out
+    return memoised
+
+
+@_memo_on_grids
 def eval_phi(spec: SymbolSpec, q):
     """phi(q) = 1 + theta(q); a factor that is 1 is not evaluated."""
     q = np.asarray(q, dtype=complex)
@@ -129,7 +170,8 @@ def eval_dnu(spec: SymbolSpec, q):
     return eval_dphi(spec, q) / (2j * np.pi * eval_phi(spec, q))
 
 
-def eval_nu_grid(spec: SymbolSpec, nodes):
+@_memo_on_grids
+def eval_nu_grid(spec: SymbolSpec, q):
     """Phase shift nu = log(phi)/(2 pi i) unwrapped continuously along a circle grid.
 
     Only log(P/Q) is unwrapped, and its closing increment nu[0 again] - nu[-1]
@@ -137,23 +179,22 @@ def eval_nu_grid(spec: SymbolSpec, nodes):
     zero-winding symbols.  The exponent sum_j t_j q^j is added as it is: that
     factor has no zeros, however small |phi| gets on the circle.
     """
-    nodes = np.asarray(nodes, dtype=complex)
+    q = np.asarray(q, dtype=complex)
     if spec.numer == spec.denom:
-        return _exponent(spec, nodes) / (2j * np.pi)
-    w = _ratio(spec, nodes)
+        return _exponent(spec, q) / (2j * np.pi)
+    w = _ratio(spec, q)
     if np.any(np.abs(w) < 1e-12):
         raise errors.ZeroOnContour("phi vanishes at a quadrature node")
     log_phi = np.log(np.abs(w)) + 1j * np.unwrap(np.angle(w))
     if spec.log_coeffs:
-        log_phi = log_phi + _exponent(spec, nodes)
+        log_phi = log_phi + _exponent(spec, q)
     return log_phi / (2j * np.pi)
 
 
 def grid_winding(spec: SymbolSpec, nodes) -> float:
     """Total increment of nu over one closed loop of the grid (argument principle)."""
-    nodes = np.asarray(nodes, dtype=complex)
-    w = eval_phi(spec, np.concatenate([nodes, nodes[:1]]))
-    ang = np.unwrap(np.angle(w))
+    w = eval_phi(spec, nodes)
+    ang = np.unwrap(np.angle(np.concatenate([w, w[:1]])))
     return float((ang[-1] - ang[0]) / (2.0 * np.pi))
 
 
@@ -194,21 +235,20 @@ class SymbolAnalysis:
 
 
 def _newton_polish(coeffs, root, tol=1e-12, maxit=40):
-    dcoeffs = _derivative(coeffs)
+    c, dc, scale = _poly(coeffs)
     z = complex(root)
-    scale = max(np.max(np.abs(np.asarray(coeffs))), 1.0)
     for _ in range(maxit):
-        f = complex(P.polyval(z, coeffs))
+        f = complex(_horner(c, z))
         if abs(f) < tol * scale:
             return z
-        df = complex(P.polyval(z, dcoeffs))
+        df = complex(_horner(dc, z))
         if df == 0.0:
             break
         step = f / df
         if not np.isfinite(step) or abs(step) > 1e6:
             break
         z -= step
-    f = complex(P.polyval(z, coeffs))
+    f = complex(_horner(c, z))
     if abs(f) < tol * scale:
         return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")

@@ -9,6 +9,7 @@ import functools
 import inspect
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -567,25 +568,41 @@ class TestIndexSeries:
         exact = 5.0704260363127643415e173
         assert abs(A.borodin_okounkov(spec, 40) / exact - 1) < 1e-12
 
-    @pytest.mark.parametrize("x", [4, 8])
-    def test_rows_read_from_the_coefficient_decay(self, x):
-        # log phi = sum_{|j| <= 300} 0.4 0.9^|j| q^j: |c-_n| and |c+_n| stay
-        # above 1e-16 / max|c+-| for hundreds of n, far past any fixed row
-        # count (48 rows were off by 8.8e-7 and 5.6e-7 in log).  toeplitz
-        # refuses this symbol, so the reference is a dense slogdet of
-        # moments from 2^14 nodes, the exponent summed by one inverse FFT.
-        t = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
-        spec = symbols.SymbolSpec(log_coeffs=t)
-        with pytest.raises(errors.AliasingSuspected):
-            toeplitz.toeplitz_det(spec, x)
+    # log phi = sum_{|j| <= 300} 0.4 0.9^|j| q^j: |c-_n| and |c+_n| stay
+    # above 1e-16 / max|c+-| for hundreds of n, far past any fixed row count
+    # (48 rows were off by 8.8e-7 and 5.6e-7 in log at x = 4, 8)
+    SLOW = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
+
+    @staticmethod
+    def dense_log_det(t, x):
+        """log det of the x-by-x moments of exp(sum_j t_j q^j) from 2^14
+        nodes, the exponent summed by one inverse FFT."""
         m = 2 ** 14
         expo = np.zeros(m, dtype=complex)
         expo[[j % m for j in t]] = list(t.values())
         moments = np.fft.fft(np.exp(m * np.fft.ifft(expo))) / m
         sign, log_abs = np.linalg.slogdet(
             moments[np.subtract.outer(np.arange(x), np.arange(x)) % m])
+        return log_abs + 1j * np.angle(sign)
+
+    @pytest.mark.parametrize("x", [4, 8])
+    def test_rows_read_from_the_coefficient_decay(self, x):
+        # toeplitz refuses this symbol: the reference is the dense one
+        spec = symbols.SymbolSpec(log_coeffs=self.SLOW)
+        with pytest.raises(errors.AliasingSuspected):
+            toeplitz.toeplitz_det(spec, x)
         bo = A.borodin_okounkov(spec, x)
-        assert abs(np.log(bo) - (log_abs + 1j * np.angle(sign))) < 1e-12
+        assert abs(np.log(bo) - self.dense_log_det(self.SLOW, x)) < 1e-12
+
+    def test_rows_stop_above_the_rounding_floor(self):
+        # a row alone, max(A_n B_0, A_0 B_n), flattens at ~1.4e-16, above
+        # BO_TAIL_TOL, and kept all 507 rows of the grid; the tail sum
+        # T_n = sum_{s>=n} A_s B_s passes below it at n = 144
+        spec = symbols.SymbolSpec(log_coeffs=self.SLOW)
+        with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+            bo = A.borodin_okounkov(spec, 4)
+        assert max(c.args[0].shape[0] for c in det.call_args_list) <= 160
+        assert abs(bo / np.exp(self.dense_log_det(self.SLOW, 4)) - 1) < 1e-14
 
     @pytest.mark.parametrize("x", [470, 600])
     def test_indices_past_grid_read_zero(self, x):

@@ -6,6 +6,7 @@ term by term over all C(L, N) subsets, against which the closed forms of
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from detlab import asymptotics, errors, symbols, toeplitz
 from detlab.formfactors import (RESIDUAL_TOL, ROW_BLOCK, _angular_density,
-                                _log1p, _log_row_ratios, _min_distance,
-                                solve_shifted, tau_eff_finite)
+                                _chosen_indices, _log1p, _log_row_ratios,
+                                _min_distance, solve_shifted, tau_eff_finite)
 
 
 class SizeMismatch(ValueError):
@@ -215,26 +216,65 @@ class TestRoots:
         p[-1] = p[ROW_BLOCK // 2] + 1e-9      # closest pair across blocks
         dist = np.abs(p[:, None] - p[None, :])
         np.fill_diagonal(dist, np.inf)
-        assert _min_distance(p) == dist.min()
-        assert _min_distance(p[:1]) == np.inf
+        assert _min_distance(p, p.size, np.inf) == dist.min()
+        assert _min_distance(p[:1], 1, np.inf) == np.inf
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_min_distance_of_few_points(self, n):
         p = np.array([0.0, 1e-3, 2.5j][:n])
-        assert _min_distance(p) == 1e-3
+        assert _min_distance(p, p.size, np.inf) == 1e-3
 
     @pytest.mark.parametrize("n", [2 * ROW_BLOCK + 6, 2 * ROW_BLOCK + 7])
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     @pytest.mark.parametrize("i", [0, ROW_BLOCK - 1, ROW_BLOCK + 3])
     def test_min_distance_across_the_window(self, n, shift, i):
         # the closest pair at cyclic distance n//2 + shift: the last column
-        # of the pair windows and its neighbours, from rows in every block
-        p = np.exp(2j * np.pi * np.arange(n) / n)
+        # of the pair windows and its neighbours, from rows in every block;
+        # the moved root's spread keeps the bounded scan from stopping early
+        grid = np.exp(2j * np.pi * np.arange(n) / n)
+        p = grid.copy()
         j = (i + n // 2 + shift) % n
         p[j] = p[i] + 1e-9
         dist = np.abs(p[:, None] - p[None, :])
         np.fill_diagonal(dist, np.inf)
-        assert _min_distance(p) == dist.min() == abs(p[j] - p[i])
+        spread = np.max(np.abs(p - grid))
+        assert _min_distance(p, n, spread) == \
+            _min_distance(p, n, np.inf) == dist.min() == abs(p[j] - p[i])
+
+    @pytest.mark.parametrize("L,N", [(40, 25), (41, 30), (2 * ROW_BLOCK + 7,
+                                                           2 * ROW_BLOCK)])
+    @pytest.mark.parametrize("pair", ["wrap", "gap", "middle"])
+    def test_min_distance_of_a_sector(self, L, N, pair):
+        # N < L cells of _chosen_indices: the array runs k = 0 .. k_max,
+        # then jumps across the L - N cells left out to k_min .. -1, so
+        # array neighbours at the jump lie far apart; the closest pair is
+        # squeezed to half a cell across the array's end ("wrap"), just
+        # before the jump ("gap") or inside the first run ("middle")
+        k = _chosen_indices(L, N)
+        rng = np.random.default_rng([L, N])
+        grid = np.exp(2j * np.pi * k / L)
+        p = grid + 0.05 / L * np.exp(2j * np.pi * rng.random(N))
+        top = int(np.argmax(k))
+        a = {"wrap": N - 1, "gap": top - 1, "middle": N // 4}[pair]
+        b = (a + 1) % N
+        p[b] = 0.5 * (p[a] + p[b])
+        dist = np.abs(p[:, None] - p[None, :])
+        np.fill_diagonal(dist, np.inf)
+        spread = np.max(np.abs(p - grid))
+        with mock.patch.object(np, "subtract", wraps=np.subtract) as cols:
+            got = _min_distance(p, L, spread)
+        assert got == _min_distance(p, L, np.inf) == dist.min() == dist[a, b]
+        # half a cell apart, with spread a quarter cell: the bound passes
+        # the minimum at cyclic array distance 2 or 3
+        assert cols.call_count <= 2
+
+    @pytest.mark.parametrize("name", ["F1", "F2"])
+    @pytest.mark.parametrize("L", [256, 1024])
+    def test_bounded_scan_of_shifted_roots(self, name, L):
+        system = solve_shifted(symbols.fixture(name), L)
+        spread = np.max(np.abs(system.offsets))
+        assert _min_distance(system.p_roots, L, spread) == \
+            _min_distance(system.p_roots, L, np.inf)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([2, 3, 4, 5, ROW_BLOCK - 1, ROW_BLOCK + 1,

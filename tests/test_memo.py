@@ -1,0 +1,199 @@
+"""Process-wide memos: grid samples of phi and nu, coefficient arrays, FFT
+layouts and circle grids.  A memo may only save time: every value it
+returns is, bit for bit, what the uncached call returns."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
+
+from detlab import cli, errors, symbols
+from detlab._series import (LaurentSplit, circle_nodes, grid_of,
+                            laurent_coeffs)
+
+MEMOISED = (symbols.eval_phi, symbols.eval_nu_grid)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rational(zeros, poles, label=""):
+    return symbols.SymbolSpec(numer=tuple(P.polyfromroots(zeros)),
+                              denom=tuple(P.polyfromroots(poles)),
+                              label=label)
+
+
+class TestGridIdentity:
+    def test_grid_known_by_identity_only(self):
+        grid = circle_nodes(1.3, 40)
+        assert grid_of(grid) == (1.3, 40)
+        assert grid_of(np.array(grid)) is None
+        assert grid_of(grid[::2]) is None
+        assert grid_of(grid[:]) is None
+        assert grid_of(1.3) is None
+
+    def test_off_grid_evaluation_builds_no_grid(self):
+        grid = circle_nodes(1.0, 64)
+        split = LaurentSplit(np.exp(grid), 1.0)
+        before = circle_nodes.cache_info()
+        for q in (np.array([0.3, 0.5j, -0.7]), np.array([-1.0]),
+                  np.array(grid)):
+            split.plus(q)
+            split.minus(q, 1)
+        assert circle_nodes.cache_info() == before
+
+    def test_equal_copy_of_a_grid_takes_the_direct_sum(self):
+        grid = circle_nodes(1.0, 64)
+        split = LaurentSplit(np.exp(0.3 * grid + 0.2 / grid), 1.0)
+        on_grid, copy = split.plus(grid), split.plus(np.array(grid))
+        assert np.max(np.abs(on_grid - copy)) < 1e-14
+
+    def test_second_verify_pass_misses_no_grid(self):
+        def one_pass():
+            for _, _, check in cli._verify_checks(3):
+                check()
+
+        one_pass()
+        before = circle_nodes.cache_info()
+        one_pass()
+        after = circle_nodes.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+
+class TestGridSamples:
+    @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
+    @pytest.mark.parametrize("evaluate", MEMOISED)
+    def test_cached_sample_is_the_uncached_value(self, name, evaluate):
+        spec = symbols.fixture(name)
+        grid = circle_nodes(1.0, 256)
+        cached = evaluate(spec, grid)
+        assert evaluate(spec, grid) is cached
+        assert same_bits(cached, evaluate(spec, np.array(grid)))
+
+    @pytest.mark.parametrize("evaluate", MEMOISED)
+    def test_cached_sample_is_read_only(self, evaluate):
+        out = evaluate(symbols.fixture("F4"), circle_nodes(1.0, 128))
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+
+    @pytest.mark.parametrize("evaluate", MEMOISED)
+    def test_copies_and_views_are_evaluated_afresh(self, evaluate):
+        spec = symbols.fixture("F3")
+        grid = circle_nodes(1.0, 128)
+        for q in (np.array(grid), grid[::2], grid[1:]):
+            first, second = evaluate(spec, q), evaluate(spec, q)
+            assert first is not second and first.flags.writeable
+            assert same_bits(first, second)
+
+    def test_large_grids_are_not_held(self):
+        grid = circle_nodes(1.0, 2 * symbols.SAMPLE_M_MAX)
+        spec = symbols.fixture("F2")
+        assert symbols.eval_phi(spec, grid) is not \
+            symbols.eval_phi(spec, grid)
+
+    def test_memo_is_bounded(self):
+        spec = symbols.fixture("F1")
+        for m in range(16, 16 + 2 * symbols.SAMPLE_MEMO):
+            symbols.eval_phi(spec, circle_nodes(1.0, m))
+        assert len(symbols._samples) == symbols.SAMPLE_MEMO
+
+    def test_pole_hit_raises_on_every_call(self):
+        grid = circle_nodes(1.3, 16)
+        spec = rational([0.5], [grid[3]])
+        for _ in range(3):
+            with pytest.raises(errors.PoleHit):
+                symbols.eval_phi(spec, grid)
+
+    def test_zero_on_contour_raises_on_every_call(self):
+        grid = circle_nodes(1.3, 16)
+        spec = rational([grid[5]], [0.2])
+        for _ in range(3):
+            with pytest.raises(errors.ZeroOnContour):
+                symbols.eval_nu_grid(spec, grid)
+
+    @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
+    def test_grid_winding_reads_the_cached_sample(self, name):
+        spec = symbols.fixture(name)
+        grid = circle_nodes(1.0, 256)
+        closed = symbols.eval_phi(spec, np.concatenate([grid, grid[:1]]))
+        ang = np.unwrap(np.angle(closed))
+        assert symbols.grid_winding(spec, grid) == \
+            float((ang[-1] - ang[0]) / (2.0 * np.pi))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zeros=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=0,
+                          max_size=4),
+           poles=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=0,
+                          max_size=3),
+           radius=st.sampled_from([0.7, 1.0, 1.6]),
+           m=st.sampled_from([16, 100, 256, 1024, 2048]))
+    def test_random_rational_symbols(self, zeros, poles, radius, m):
+        try:
+            spec = rational(zeros, poles)
+        except errors.InputError:
+            return
+        grid = circle_nodes(radius, m)
+        for evaluate in MEMOISED:
+            try:
+                cached = evaluate(spec, grid)
+            except (errors.PoleHit, errors.ZeroOnContour) as exc:
+                with pytest.raises(type(exc)):
+                    evaluate(spec, np.array(grid))
+                continue
+            with np.errstate(all="ignore"):
+                fresh = evaluate(spec, np.array(grid))
+            assert same_bits(cached, fresh)
+            assert same_bits(evaluate(spec, grid), fresh)
+
+
+class TestSetUpOnce:
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=10.0,
+                                              allow_subnormal=False),
+                           min_size=1, max_size=6),
+           points=st.lists(st.complex_numbers(max_magnitude=3.0,
+                                              allow_subnormal=False),
+                           min_size=0, max_size=5))
+    def test_horner_is_polyval(self, coeffs, points):
+        c = symbols._poly(tuple(coeffs))[0]
+        for q in (np.array(points, dtype=complex),
+                  np.asarray(complex(points[0]) if points else 0.5j)):
+            with np.errstate(all="ignore"):
+                assert same_bits(symbols._horner(c, q),
+                                 P.polyval(q, tuple(coeffs)))
+
+    def test_coefficient_arrays_are_shared_and_read_only(self):
+        c, der, scale = symbols._poly((1.0, -2.0, 0.5j))
+        assert symbols._poly((1.0, -2.0, 0.5j))[0] is c
+        assert not c.flags.writeable and not der.flags.writeable
+        assert same_bits(der, P.polyder((1.0, -2.0, 0.5j)))
+        assert scale == 2.0
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 256, 1000])
+    def test_laurent_coeffs_match_the_direct_layout(self, m):
+        rng = np.random.default_rng(m)
+        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        j = np.fft.fftfreq(m, 1.0 / m).astype(int)
+        c = np.fft.fft(values) / m * np.exp(-1j * j * -np.pi)
+        order = np.argsort(j)
+        got_j, got_c = laurent_coeffs(values)
+        assert same_bits(got_j, j[order]) and same_bits(got_c, c[order])
+        assert laurent_coeffs(values[::-1])[0] is got_j
+        assert not got_j.flags.writeable
+
+    @pytest.mark.parametrize("side", ["plus", "minus", "reconstruct"])
+    def test_split_side_prepared_once(self, side):
+        grid = circle_nodes(1.0, 128)
+        split = LaurentSplit(np.exp(0.3 * grid + 0.2 / grid), 1.0)
+        off = np.array([0.2 + 0.1j, 1.5j])
+        first = [getattr(split, side)(q, d) for q in (grid, off)
+                 for d in (0, 1)]
+        held = dict(split._terms_memo)
+        again = [getattr(split, side)(q, d) for q in (grid, off)
+                 for d in (0, 1)]
+        assert split._terms_memo.keys() == held.keys() and len(held) == 4
+        assert all(same_bits(a, b) for a, b in zip(first, again))

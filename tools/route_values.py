@@ -1,0 +1,42 @@
+"""Dump every route value and verification residual, exactly, for diffing.
+
+    PYTHONPATH=src python3 tools/route_values.py > values.txt
+
+Writes one line per value: every ``cli.ROUTES`` route on the fixtures
+F0-F7 at x in {1, 2, 3, 6, 16, 40}, then every ``detlab verify`` residual at
+seeds 0, 3 and 9.  Numbers are written as ``repr``, so two checkouts compute
+bit-identical values exactly when ``diff`` of their outputs is empty; a
+route that raises writes its error type and message instead.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from detlab import cli, errors, symbols
+
+X_VALUES = (1, 2, 3, 6, 16, 40)
+SEEDS = (0, 3, 9)
+
+
+def outcome(call) -> str:
+    try:
+        return repr(call())
+    except errors.DetlabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def main(out=sys.stdout) -> None:
+    for name in symbols.FIXTURE_NAMES:
+        spec = symbols.fixture(name)
+        for route, call in cli.ROUTES.items():
+            for x in X_VALUES:
+                value = outcome(lambda: call(spec, x, None))
+                out.write(f"route {name} {route} x={x} {value}\n")
+    for seed in SEEDS:
+        for check, _, run in cli._verify_checks(seed):
+            out.write(f"verify seed={seed} {check} {outcome(run)}\n")
+
+
+if __name__ == "__main__":
+    main()
