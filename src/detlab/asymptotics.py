@@ -15,7 +15,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
-from .cauchy import CauchySuite
+from .cauchy import CauchySuite, suite_for
 from .contours import base_contour, radius_past
 from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
                        nystrom_det)
@@ -36,7 +36,7 @@ def tau_leading(spec: symbols.SymbolSpec, x: int,
     as the analytic limit nu'(q)^2.
     """
     x = errors.check_x(x)
-    suite = CauchySuite(spec)
+    suite = suite_for(spec)
     if route == "modes":
         return errors.exp_in_range(_log_strong_limit(suite, x))
     if route == "double":
@@ -70,7 +70,7 @@ def szego(spec: symbols.SymbolSpec, x: int) -> complex:
     x = errors.check_x(x)
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    suite = CauchySuite(spec, unit=True)
+    suite = suite_for(spec, unit=True)
     return errors.exp_in_range(_log_strong_limit(suite, x))
 
 
@@ -145,7 +145,7 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     x = errors.check_x(x)
     ana = _require_negative_winding(spec)
     n = -ana.winding
-    suite = CauchySuite(spec, unit=True)
+    suite = suite_for(spec, unit=True)
     return errors.exp_in_range(_log_strong_limit(suite, x),
                                np.linalg.det(y_moment_matrix(suite, x, n)))
 
@@ -208,7 +208,7 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
         return errors.exp_in_range(s_val + log_num - log_dphi -
                                    x * np.sum(np.log(z)))
     if route == "reduced":
-        suite = CauchySuite(spec, unit=True)
+        suite = suite_for(spec, unit=True)
         expo = _log_strong_limit(suite, x)
         expo -= 2.0 * np.sum([suite.Omega_lt(zk) for zk in z])
         return errors.exp_in_range(expo + log_num - log_dphi -
@@ -233,7 +233,7 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
     x = errors.check_x(x)
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
-    suite = CauchySuite(spec)
+    suite = suite_for(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     kmax = min(len(zset), len(wset))
     if max_order is not None:
@@ -260,7 +260,7 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     and w_b.
     """
     x = errors.check_x(x)
-    suite = CauchySuite(spec)
+    suite = suite_for(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
     if not wset:
         raise errors.NotAvailable("no zeros outside the contour to include")
@@ -291,7 +291,7 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     x = errors.check_x(x)
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
-    suite = CauchySuite(spec, unit=True)
+    suite = suite_for(spec, unit=True)
     ratio = suite.ratio                 # (phi_+^{-1} phi_-)_k
     ks, c_plus = laurent_coeffs(        # (phi_+ phi_-^{-1})_k
         1.0 / ratio.reconstruct(circle_nodes(ratio.radius, ratio.m)))
@@ -319,14 +319,16 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
     hankel = np.add.outer(np.arange(order), np.arange(order))
     K = a[hankel] @ b[hankel].T
     mat = np.eye(order, dtype=complex) - K
-    det = complex(np.linalg.det(mat))
+    sign, log_abs = np.linalg.slogdet(mat)
     # rounding the entries moves det by ~eps times the product of the row
     # norms, which bounds |det|: below eps of it no digit is assured
-    hadamard = abs(np.linalg.det(mat / np.linalg.norm(mat, axis=1)[:, None]))
-    if hadamard < np.finfo(float).eps:
+    log_hadamard = log_abs - np.sum(np.log(np.linalg.norm(mat, axis=1)))
+    if not log_hadamard >= np.log(np.finfo(float).eps):
         raise errors.Cancellation(
-            f"det(Id - K) is {hadamard:.1e} of its Hadamard bound at x={x}")
-    return errors.exp_in_range(_log_strong_limit(suite, x), det)
+            f"det(Id - K) is {np.exp(log_hadamard):.1e} of its Hadamard "
+            f"bound at x={x}")
+    return errors.exp_in_range(_log_strong_limit(suite, x) + log_abs +
+                               1j * np.angle(sign))
 
 
 def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
@@ -335,7 +337,7 @@ def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
     formula)."""
     eps = 1e-6
     x = errors.check_x(x)
-    suite = CauchySuite(spec)
+    suite = suite_for(spec)
     nodes, weights = suite.nodes, suite.weights
     nu = suite.nu
     dnu = symbols.eval_dnu(spec, nodes)

@@ -7,11 +7,17 @@ A suite is one symbol on one circle, known by its radius: its own (where
 phi does not wind) or the unit circle with the phase shift compensated for
 its winding; x enters only through q^{+-x}, as an argument of the b split
 and the residue weights.
+
+Routes ask ``suite_for`` for a suite.  Inside a ``SuiteScope`` every request
+for one (spec, unit) gets the suite the first one built; outside any scope
+each request builds a fresh one.  A suite is read-only, so sharing it moves
+no value.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import functools
 
 import numpy as np
@@ -22,6 +28,9 @@ from .contours import base_contour
 
 TAIL_TOL = 1e-13
 M_CAP = 2048
+
+# the suites of the innermost entered SuiteScope, or None outside any
+_SCOPE = contextvars.ContextVar("detlab_suite_scope", default=None)
 
 
 def _converged_split(sample, m0: int):
@@ -97,6 +106,10 @@ class CauchySuite:
         if self.jump_residual > 1e-10:
             raise errors.NumericalError(
                 f"scalar jump residual {self.jump_residual:.2e}")
+        # a scope shares the suite between routes: none may write to it
+        for a in (self.nu, self.weights, self.Omega_gt_nodes,
+                  self.Omega_lt_nodes):
+            a.flags.writeable = False
 
     def _nu_at(self, nodes):
         """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi)."""
@@ -169,3 +182,37 @@ class CauchySuite:
                     raise errors.NotASimpleZero(
                         f"zeros {a} and {b} lie within {symbols.SEP_TOL}")
         return zeros
+
+
+class SuiteScope:
+    """A memo of suites keyed by (spec, unit), in force while entered:
+    inside ``with scope:`` ``suite_for`` hands every request for one key the
+    suite that the first request built.  A scope may be entered again, also
+    within itself; its suites live as long as the scope object does, and
+    leaving it, by an exception too, restores the scope outside."""
+
+    def __init__(self):
+        self._suites = {}
+        self._tokens = []
+
+    def __enter__(self):
+        self._tokens.append(_SCOPE.set(self._suites))
+        return self
+
+    def __exit__(self, *exc_info):
+        _SCOPE.reset(self._tokens.pop())
+
+
+def suite_for(spec: symbols.SymbolSpec, *, unit: bool = False) -> CauchySuite:
+    """``CauchySuite(spec, unit=unit)``, held by the innermost entered
+    ``SuiteScope`` and built there on first request; outside any scope a
+    fresh suite on every call.  A construction that raises is not held, so
+    the next request raises again."""
+    suites = _SCOPE.get()
+    if suites is None:
+        return CauchySuite(spec, unit=unit)
+    key = (spec, bool(unit))
+    suite = suites.get(key)
+    if suite is None:
+        suite = suites[key] = CauchySuite(spec, unit=unit)
+    return suite

@@ -216,21 +216,24 @@ def cmd_compare(args) -> int:
     for m in methods:
         header += [m + "_re", m + "_im", m + "_gap"]
     rows = []
-    for x in _parse_xrange(args.x):
-        row = [x]
-        try:
-            oracle = toeplitz.toeplitz_det(spec, x)
-        except errors.DetlabError as exc:
-            oracle = f"n/a({type(exc).__name__})"
-        for name, number in parsed:
+    # one suite per circle serves every route at every x of the range
+    with cauchy.SuiteScope():
+        for x in _parse_xrange(args.x):
+            row = [x]
             try:
-                value = ROUTES[name](spec, x, number)
-                gap = oracle if isinstance(oracle, str) else _gap(value, oracle)
-                row += [value.real, value.imag, gap]
+                oracle = toeplitz.toeplitz_det(spec, x)
             except errors.DetlabError as exc:
-                reason = f"n/a({type(exc).__name__})"
-                row += [reason, reason, reason]
-        rows.append(row)
+                oracle = f"n/a({type(exc).__name__})"
+            for name, number in parsed:
+                try:
+                    value = ROUTES[name](spec, x, number)
+                    gap = (oracle if isinstance(oracle, str)
+                           else _gap(value, oracle))
+                    row += [value.real, value.imag, gap]
+                except errors.DetlabError as exc:
+                    reason = f"n/a({type(exc).__name__})"
+                    row += [reason, reason, reason]
+            rows.append(row)
     _table(header, rows, args.format, args.out)
     return 0
 
@@ -239,13 +242,30 @@ def cmd_compare(args) -> int:
 # verification suite
 
 def _verify_checks(seed: int):
-    """Yield (name, tolerance, residual_callable) triples."""
+    """Yield (name, tolerance, residual_callable) triples.  One call is one
+    verify pass: its callables run inside one ``cauchy.SuiteScope``, which
+    lives as long as they do, so the pass builds each suite once."""
+    scope = cauchy.SuiteScope()
+
+    def scoped(run):
+        def call():
+            with scope:
+                return run()
+        return call
+
+    for name, tol, run in _checks(seed):
+        yield name, tol, scoped(run)
+
+
+def _checks(seed: int):
+    """The (name, tolerance, residual_callable) triples of ``_verify_checks``,
+    each callable outside any suite scope."""
     rng = np.random.default_rng(seed)
 
     def jump_check(name):
         def run():
             spec = symbols.fixture(name)
-            return cauchy.CauchySuite(spec).jump_residual
+            return cauchy.suite_for(spec).jump_residual
         return run
 
     for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7"):
@@ -270,7 +290,7 @@ def _verify_checks(seed: int):
 
     def split_check():
         spec = symbols.fixture("F4")
-        suite = cauchy.CauchySuite(spec)
+        suite = cauchy.suite_for(spec)
         theta = functools.partial(symbols.eval_theta, spec)
         lhs = fredholm.nystrom_det(
             fredholm.SumKernel(
@@ -287,7 +307,7 @@ def _verify_checks(seed: int):
     def inversion_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            return fredholm.resolvent_residual(cauchy.CauchySuite(spec), x)
+            return fredholm.resolvent_residual(cauchy.suite_for(spec), x)
         return run
 
     for name, x in (("F2", 2), ("F4", 2)):
@@ -296,7 +316,7 @@ def _verify_checks(seed: int):
     def mdual_check(name, x):
         def run():
             spec = symbols.fixture(name)
-            suite = cauchy.CauchySuite(spec)
+            suite = cauchy.suite_for(spec)
             probes = []
             for _ in range(4):
                 r = suite.rho * (0.3 + 0.6 * rng.random())

@@ -36,7 +36,7 @@ import numpy as np
 from . import errors, symbols
 from ._series import (LaurentSplit, circle_nodes, circle_weights,
                       laurent_coeffs, pow2_at_least)
-from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient
+from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient, suite_for
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
@@ -77,9 +77,10 @@ class Kernel:
 class SeparableKernel:
     """K(q,p) = c * u(q) v(p) / (2 pi i), (u, v) = generators(q); rank one."""
 
-    def __init__(self, generators, c: complex, x: int = 0):
+    def __init__(self, generators, c: complex, x: int = 0, reach=None):
         self.generators, self.c = generators, complex(c)
         self.x = errors.check_x(x)
+        self.reach = reach
 
     def matrix(self, nodes, weights):
         u, v = self.generators(nodes)
@@ -87,9 +88,17 @@ class SeparableKernel:
 
 
 class SumKernel:
+    """The sum of ``parts``.  Its reach on a circle is the largest
+    ``first_margin`` of its parts there, so a part without a reach makes it
+    M_START and no sum starts past the margin of its widest part."""
+
     def __init__(self, parts):
         self.parts = list(parts)
         self.x = max((getattr(k, "x", 0) for k in self.parts), default=0)
+
+    def reach(self, radius: float) -> int:
+        return max((first_margin(k, radius) for k in self.parts),
+                   default=M_START)
 
     def matrix(self, nodes, weights):
         return sum(k.matrix(nodes, weights) for k in self.parts)
@@ -355,7 +364,7 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
-    suite = CauchySuite(spec)
+    suite = suite_for(spec)
     theta = functools.partial(symbols.eval_theta, spec)
     vk = kernel_V(theta, x, suite.rho)
 
@@ -365,7 +374,8 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
 
     # Overall sign fixed numerically: with this choice the determinant
     # difference, the shifted-weight determinant and the closed form agree.
-    vk1 = SeparableKernel(rank_one, -1.0, x)
+    vk1 = SeparableKernel(rank_one, -1.0, x,
+                          functools.partial(_theta_reach, spec))
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(SumKernel([vk, vk1]), suite.rho)

@@ -16,7 +16,7 @@ from numpy.polynomial import polynomial as P
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights
 from .asymptotics import y_moment, y_moment_matrix
-from .cauchy import CauchySuite
+from .cauchy import suite_for
 
 GRAM_TOL = 1e-12
 
@@ -30,7 +30,7 @@ class MeasureMu:
         if ana.winding >= 0:
             raise errors.WindingNonnegative(
                 f"measure needs negative winding, got {ana.winding}")
-        self.suite = CauchySuite(spec, unit=True)
+        self.suite = suite_for(spec, unit=True)
         self.spec = spec
         self.n = -ana.winding
         # (nodes, weights, mu) on the grid of the suite's ratio split

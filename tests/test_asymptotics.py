@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics as A
-from detlab import contours, errors, fredholm, symbols, toeplitz
+from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
 from detlab.cauchy import CauchySuite
 
 
@@ -599,9 +599,12 @@ class TestIndexSeries:
         # BO_TAIL_TOL, and kept all 507 rows of the grid; the tail sum
         # T_n = sum_{s>=n} A_s B_s passes below it at n = 144
         spec = symbols.SymbolSpec(log_coeffs=self.SLOW)
-        with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+        with mock.patch.object(np.linalg, "slogdet",
+                               wraps=np.linalg.slogdet) as slogdet:
             bo = A.borodin_okounkov(spec, 4)
-        assert max(c.args[0].shape[0] for c in det.call_args_list) <= 160
+        # one factorization gives both the value and the Hadamard ratio
+        assert slogdet.call_count == 1
+        assert slogdet.call_args.args[0].shape[0] <= 160
         assert abs(bo / np.exp(self.dense_log_det(self.SLOW, 4)) - 1) < 1e-14
 
     @pytest.mark.parametrize("x", [470, 600])
@@ -621,3 +624,111 @@ class TestDecay:
         floor = 1e-13
         above = [g for g in gaps if g > floor]
         assert all(a > b for a, b in zip(above, above[1:]))
+
+
+class TestSuiteScope:
+    """Inside a ``cauchy.SuiteScope`` one suite serves each (spec, unit);
+    outside any scope every request builds its own."""
+
+    SPEC = symbols.fixture("F4")
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The (spec, unit) of every CauchySuite built from now on."""
+        built = []
+        real = CauchySuite.__init__
+
+        def counted(self, spec, *, unit=False):
+            built.append((spec, unit))
+            real(self, spec, unit=unit)
+
+        monkeypatch.setattr(CauchySuite, "__init__", counted)
+        return built
+
+    def test_one_suite_per_key_inside_a_scope(self):
+        with cauchy.SuiteScope():
+            own = cauchy.suite_for(self.SPEC)
+            unit = cauchy.suite_for(self.SPEC, unit=True)
+            assert own is not unit
+            assert cauchy.suite_for(self.SPEC) is own
+            assert cauchy.suite_for(symbols.fixture("F4")) is own
+            assert cauchy.suite_for(self.SPEC, unit=True) is unit
+
+    def test_nothing_shared_outside_or_across_scopes(self):
+        assert cauchy.suite_for(self.SPEC) is not cauchy.suite_for(self.SPEC)
+        outer = cauchy.SuiteScope()
+        with outer:
+            first = cauchy.suite_for(self.SPEC)
+            with cauchy.SuiteScope():
+                assert cauchy.suite_for(self.SPEC) is not first
+            assert cauchy.suite_for(self.SPEC) is first
+        with cauchy.SuiteScope():
+            assert cauchy.suite_for(self.SPEC) is not first
+        assert cauchy.suite_for(self.SPEC) is not first
+        # entered again, a scope still holds its suites
+        with outer:
+            assert cauchy.suite_for(self.SPEC) is first
+
+    def test_verify_pass_builds_each_suite_once(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        counts = []
+        for _ in range(2):
+            # the checks of a pass are all made before any runs, as the
+            # benchmark does: the scope outlives the generator
+            checks = list(cli._verify_checks(9))
+            start = len(built)
+            for _, _, run in checks:
+                run()
+            counts.append(len(built) - start)
+            assert len(set(built[start:])) == counts[-1]
+        assert counts == [11, 11]
+
+    def test_scope_left_on_an_exception(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        with pytest.raises(errors.NotConverged):
+            with cauchy.SuiteScope():
+                inside = cauchy.suite_for(self.SPEC)
+                raise errors.NotConverged("raised inside the scope")
+        assert cauchy.suite_for(self.SPEC) is not inside
+        assert len(built) == 2
+
+    def test_a_failed_construction_is_not_held(self, monkeypatch):
+        calls = []
+        real = CauchySuite.__init__
+
+        def fails_first(self, spec, *, unit=False):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise errors.TruncationFailure("the first build fails")
+            real(self, spec, unit=unit)
+
+        monkeypatch.setattr(CauchySuite, "__init__", fails_first)
+        with cauchy.SuiteScope():
+            with pytest.raises(errors.TruncationFailure):
+                cauchy.suite_for(self.SPEC)
+            suite = cauchy.suite_for(self.SPEC)
+            assert cauchy.suite_for(self.SPEC) is suite
+        assert len(calls) == 2
+
+    ROUTES = (A.tau_eff, A.hartwig_fisher, A.slavnov_series, A.szego,
+              A.tau_leading)
+
+    @staticmethod
+    def outcomes(spec, x):
+        """repr of each route's value, or its error, in ROUTES order."""
+        out = []
+        for route in TestSuiteScope.ROUTES:
+            try:
+                out.append(repr(route(spec, x)))
+            except errors.DetlabError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+        return out
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=two_sided_symbols(), x=st.integers(0, 8))
+    def test_values_identical_inside_a_scope(self, spec, x):
+        fresh = self.outcomes(spec, x)
+        with cauchy.SuiteScope():
+            # the second round reads every suite the first one built
+            assert self.outcomes(spec, x) == fresh
+            assert self.outcomes(spec, x) == fresh

@@ -297,6 +297,20 @@ class TestNystrom:
         assert kernel_Delta_residue(
             spec, 6, suite.zeros_inside()).x == 6
 
+    def test_sum_kernel_reach_is_its_widest_margin(self):
+        def part(reach):
+            return fredholm.SeparableKernel(lambda q: (q, q), 0.0, 0, reach)
+
+        def margin(*parts):
+            return fredholm.first_margin(fredholm.SumKernel(parts), 1.0)
+
+        assert margin(part(lambda r: 5), part(lambda r: 9)) == 9
+        # a part without a reach counts as M_START, and a reach past it is
+        # clipped there, so no sum starts past its widest part's margin
+        assert margin(part(lambda r: 5), part(None)) == fredholm.M_START
+        assert margin(part(lambda r: 500)) == fredholm.M_START
+        assert margin() == fredholm.M_START
+
     @settings(max_examples=25, deadline=None)
     @given(spec=rational_symbols(), x=st.integers(1, 300))
     def test_grids_start_above_bandwidth(self, spec, x):
@@ -533,6 +547,21 @@ class TestRankOne:
         res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
         assert res["residual_difference"] < 1e-8
         assert res["residual_closed"] < 1e-8
+
+    def test_sum_starts_at_the_margin_of_v(self, monkeypatch):
+        # on F2 at x = 2 the rank-one part carries theta's reach, no wider
+        # than V's, so the sum takes V's ladder where it took x + 32 nodes
+        ladders = []
+        real = fredholm.nystrom_det
+
+        def recorded(kernel, *args, **kwargs):
+            res = real(kernel, *args, **kwargs)
+            ladders.append((type(kernel).__name__, res.grids))
+            return res
+
+        monkeypatch.setattr(fredholm, "nystrom_det", recorded)
+        fredholm.rank_one_shift_identity(symbols.fixture("F2"), 2)
+        assert ladders[:2] == [("Kernel", (24, 46)), ("SumKernel", (24, 46))]
 
     def test_not_a_simple_zero_guard(self):
         # phi = (q - 1.3)^2 / q has a double zero: the rank-one residue

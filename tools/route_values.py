@@ -6,17 +6,23 @@ Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, then every ``detlab verify`` residual at
 seeds 0, 3 and 9.  Numbers are written as ``repr``, so two checkouts compute
 bit-identical values exactly when ``diff`` of their outputs is empty; a
-route that raises writes its error type and message instead.
+route that raises writes its error type and message instead.  Last come the
+rows of ``detlab compare --spec F4 --x 1..32`` over every route, as the CLI
+prints them (17 significant digits), which run inside compare's suite scope.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 
 from detlab import cli, errors, symbols
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
 SEEDS = (0, 3, 9)
+COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
+           "--methods", ",".join(cli.ROUTES))
 
 
 def outcome(call) -> str:
@@ -36,6 +42,11 @@ def main(out=sys.stdout) -> None:
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
             out.write(f"verify seed={seed} {check} {outcome(run)}\n")
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        cli.main(list(COMPARE))
+    for row in table.getvalue().splitlines():
+        out.write(f"compare F4 {row}\n")
 
 
 if __name__ == "__main__":
