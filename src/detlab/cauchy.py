@@ -11,7 +11,7 @@ and the residue weights.
 Routes ask ``suite_for`` for a suite.  Inside a ``SuiteScope`` every request
 for one (spec, unit) gets the suite the first one built; outside any scope
 each request builds a fresh one.  A suite is read-only, so sharing it moves
-no value.
+no value; ``scoped`` holds other read-only values the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .contours import base_contour
 TAIL_TOL = 1e-13
 M_CAP = 2048
 
-# the suites of the innermost entered SuiteScope, or None outside any
+# the values held by the innermost entered SuiteScope, or None outside any
 _SCOPE = contextvars.ContextVar("detlab_suite_scope", default=None)
 
 
@@ -185,34 +185,41 @@ class CauchySuite:
 
 
 class SuiteScope:
-    """A memo of suites keyed by (spec, unit), in force while entered:
-    inside ``with scope:`` ``suite_for`` hands every request for one key the
-    suite that the first request built.  A scope may be entered again, also
-    within itself; its suites live as long as the scope object does, and
-    leaving it, by an exception too, restores the scope outside."""
+    """A memo of read-only values, in force while entered: inside ``with
+    scope:`` ``scoped`` hands every request for one key the value that the
+    first request built, a suite per (spec, unit) through ``suite_for`` and
+    a finite-size root system per (spec, L, N).  A scope may be entered
+    again, also within itself; its values live as long as the scope object
+    does, and leaving it, by an exception too, restores the scope outside."""
 
     def __init__(self):
-        self._suites = {}
+        self._held = {}
         self._tokens = []
 
     def __enter__(self):
-        self._tokens.append(_SCOPE.set(self._suites))
+        self._tokens.append(_SCOPE.set(self._held))
         return self
 
     def __exit__(self, *exc_info):
         _SCOPE.reset(self._tokens.pop())
 
 
-def suite_for(spec: symbols.SymbolSpec, *, unit: bool = False) -> CauchySuite:
-    """``CauchySuite(spec, unit=unit)``, held by the innermost entered
-    ``SuiteScope`` and built there on first request; outside any scope a
-    fresh suite on every call.  A construction that raises is not held, so
+def scoped(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, held under its call by the innermost
+    entered ``SuiteScope`` and built there on first request; outside any
+    scope built afresh on every call.  A build that raises is not held, so
     the next request raises again."""
-    suites = _SCOPE.get()
-    if suites is None:
-        return CauchySuite(spec, unit=unit)
-    key = (spec, bool(unit))
-    suite = suites.get(key)
-    if suite is None:
-        suite = suites[key] = CauchySuite(spec, unit=unit)
-    return suite
+    held = _SCOPE.get()
+    if held is None:
+        return build(*args, **kwargs)
+    key = (build, args, tuple(sorted(kwargs.items())))
+    value = held.get(key)
+    if value is None:
+        value = held[key] = build(*args, **kwargs)
+    return value
+
+
+def suite_for(spec: symbols.SymbolSpec, *, unit: bool = False) -> CauchySuite:
+    """``CauchySuite(spec, unit=unit)``, one per (spec, unit) within a
+    ``SuiteScope`` (``scoped``)."""
+    return scoped(CauchySuite, spec, unit=bool(unit))

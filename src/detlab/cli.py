@@ -216,7 +216,8 @@ def cmd_compare(args) -> int:
     for m in methods:
         header += [m + "_re", m + "_im", m + "_gap"]
     rows = []
-    # one suite per circle serves every route at every x of the range
+    # one suite per circle and one root system per (L, N) serve every route
+    # at every x of the range
     with cauchy.SuiteScope():
         for x in _parse_xrange(args.x):
             row = [x]
@@ -354,7 +355,8 @@ def _checks(seed: int):
 
     def swap_check():
         spec = symbols.fixture("F4")
-        return _gap(*asymptotics.tau_ratio_swap(spec, 3, 1.4, 2.2))
+        closed, ratio, _ = asymptotics.tau_ratio_swap(spec, 3, 1.4, 2.2)
+        return _gap(closed, ratio)
 
     yield "contour-swap-F4-x3", 1e-6, swap_check
 

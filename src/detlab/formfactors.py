@@ -17,6 +17,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import pow2_at_least
+from .cauchy import scoped
 
 RESIDUAL_TOL = 1e-12
 DISTINCT_TOL = 1e-8
@@ -176,33 +177,37 @@ def _log_row_ratios(offsets: np.ndarray, q: np.ndarray) -> complex:
     each k = n/2 pair set to y = 0.  A row's factors combine by halves as
     y_a + y_b + y_a y_b, so no small y is ever rounded against a 1 (with L^2
     factors of 1 + u that cost L^2 eps/2); ROW_BLOCK rows at a time, in place
-    in one buffer padded with y = 0 to a power of two.  The result holds
-    modulo 2 pi i, all that ``errors.exp_in_range`` reads.
+    in one buffer padded with y = 0 to a power of two.  The buffer holds a
+    block transposed, one row per cyclic distance k and one column per row
+    i of the window, so a distance fills one contiguous row (the window's
+    transpose is again a window, contiguous along i) and each halving step
+    adds two contiguous blocks of rows.  The result holds modulo 2 pi i,
+    all that ``errors.exp_in_range`` reads.
     """
     n = q.size
     half = n // 2
     d_win, q_win = _pair_windows(offsets), _pair_windows(q)
-    y = np.zeros((ROW_BLOCK, pow2_at_least(half)), dtype=complex)
-    den = np.empty((ROW_BLOCK, half), dtype=complex)
-    prod = np.empty((ROW_BLOCK, y.shape[1] // 2), dtype=complex)
+    y = np.zeros((pow2_at_least(half), ROW_BLOCK), dtype=complex)
+    den = np.empty((half, ROW_BLOCK), dtype=complex)
+    prod = np.empty((y.shape[0] // 2, ROW_BLOCK), dtype=complex)
     rows = np.empty(n, dtype=complex)
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
         r = stop - start
-        block = y[:r, :half]
-        np.subtract(d_win[start:stop], offsets[start:stop, None], out=block)
-        np.subtract(q_win[start:stop], q[start:stop, None], out=den[:r])
-        np.divide(block, den[:r], out=block)
+        block = y[:half, :r]
+        np.subtract(d_win[start:stop].T, offsets[start:stop], out=block)
+        np.subtract(q_win[start:stop].T, q[start:stop], out=den[:, :r])
+        np.divide(block, den[:, :r], out=block)
         if n % 2 == 0 and stop > half:
-            block[max(half - start, 0):, half - 1] = 0.0
-        width = y.shape[1]
+            block[half - 1, max(half - start, 0):] = 0.0
+        width = y.shape[0]
         while width > 1:
             width //= 2
-            a, b, ab = y[:r, :width], y[:r, width:2 * width], prod[:r, :width]
+            a, b, ab = y[:width, :r], y[width:2 * width, :r], prod[:width, :r]
             np.multiply(a, b, out=ab)
             a += b
             a += ab
-        rows[start:stop] = y[:r, 0]
+        rows[start:stop] = y[0, :r]
     return 2.0 * np.sum(_log1p(rows))
 
 
@@ -221,13 +226,15 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     det(C)^2 = L^{2L} prod_i R_i / prod_i (p_i^L - 1)^2, by
     prod_j (p - q_j) = p^L - 1 and the discriminant +-L^L of q^L - 1, with
     R_i = prod_{j != i} (p_j - p_i)/(q_j - q_i) pairing each root with its
-    grid point.  N > L: no N-subset exists and the sum is exactly 0.
+    grid point.  N > L: no N-subset exists and the sum is exactly 0.  The
+    roots take no x: inside a ``cauchy.SuiteScope`` they are solved once
+    per (spec, L, N).
     """
     x = errors.check_x(x)
     N, _ = _sector_size(spec, L, N)
     if N > L:
         return 0.0 + 0.0j
-    system = solve_shifted(spec, L, N)
+    system = scoped(solve_shifted, spec, L, N)
     p, q = system.p_roots, system.q_roots
     q_start, delta = q[system.indices], system.offsets
     if not np.any(delta):

@@ -88,7 +88,7 @@ def test_criterion_04_correction_series_exactness():
 def test_criterion_05_contour_swap_ratio():
     worst = 0.0
     for x in (2, 3, 4):
-        closed, ratio = asymptotics.tau_ratio_swap(
+        closed, ratio, _ = asymptotics.tau_ratio_swap(
             symbols.fixture("F4"), x, 1.4, 2.2)
         worst = max(worst, abs(closed - ratio) / abs(ratio))
     report(5, "zero-for-zero contour swap", worst, 1e-6)

@@ -244,6 +244,26 @@ class TestAsymAndCompare:
         assert all(float(r["leading_gap"]) < 1e-10 for r in rows[:4])
         assert rows[4]["leading_gap"] == "n/a(OverflowGuard)"
 
+    def test_compare_solves_the_roots_once(self, monkeypatch, capsys):
+        # the roots take no x: one solve serves the whole range, and every
+        # row is the one a separate single-x run prints
+        calls = []
+        real = formfactors.solve_shifted
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(formfactors, "solve_shifted", counted)
+        argv = ["compare", "--spec", "F2", "--methods", "ff", "--x"]
+        code, out = run(argv + ["1..8"], capsys)
+        assert code == 0 and len(calls) == 1
+        header, *rows = out.splitlines()
+        for x, row in zip(range(1, 9), rows, strict=True):
+            single = run(argv + [str(x)], capsys)[1].splitlines()
+            assert single == [header, row]
+        assert len(calls) == 9
+
     def test_unknown_method_rejected(self, capsys):
         code, _ = run(["compare", "--spec", "F2", "--x", "2",
                        "--methods", "nosuch"], capsys)

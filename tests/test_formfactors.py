@@ -10,12 +10,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 
 from detlab import asymptotics, errors, symbols, toeplitz
+from detlab._series import pow2_at_least
 from detlab.formfactors import (RESIDUAL_TOL, ROW_BLOCK, _angular_density,
                                 _chosen_indices, _log1p, _log_row_ratios,
-                                _min_distance, solve_shifted, tau_eff_finite)
+                                _min_distance, _pair_windows, solve_shifted,
+                                tau_eff_finite)
 
 
 class SizeMismatch(ValueError):
@@ -69,6 +72,44 @@ def enumerated_sum(spec, L, N, x) -> complex:
         comp = (t - total) - y
         total = t
     return complex(total)
+
+
+def row_major_ratios(offsets, q) -> complex:
+    """``_log_row_ratios`` with each block held row-major, one buffer row per
+    window row: the same operations on the same operands in the same order,
+    so the oracle for its values bit for bit."""
+    n = q.size
+    half = n // 2
+    d_win, q_win = _pair_windows(offsets), _pair_windows(q)
+    y = np.zeros((ROW_BLOCK, pow2_at_least(half)), dtype=complex)
+    rows = np.empty(n, dtype=complex)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        r = stop - start
+        block = y[:r, :half]
+        block[:] = ((d_win[start:stop] - offsets[start:stop, None]) /
+                    (q_win[start:stop] - q[start:stop, None]))
+        if n % 2 == 0 and stop > half:
+            block[max(half - start, 0):, half - 1] = 0.0
+        width = y.shape[1]
+        while width > 1:
+            width //= 2
+            a, b = y[:r, :width], y[:r, width:2 * width]
+            ab = a * b
+            a += b
+            a += ab
+        rows[start:stop] = y[:r, 0]
+    return 2.0 * np.sum(_log1p(rows))
+
+
+def at_block_edges(test):
+    """Explicit examples at n = ROW_BLOCK, 2 ROW_BLOCK and their odd and even
+    neighbours, where the duplicated k = n/2 pairs start at a block edge or
+    next to one."""
+    for base in (ROW_BLOCK, 2 * ROW_BLOCK):
+        for n in range(base - 2, base + 3):
+            test = example(n=n, scale=0.3, seed=n)(test)
+    return test
 
 
 @st.composite
@@ -277,14 +318,19 @@ class TestRoots:
             _min_distance(system.p_roots, L, np.inf)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([2, 3, 4, 5, ROW_BLOCK - 1, ROW_BLOCK + 1,
-                              2 * ROW_BLOCK + 1]),
+    @given(n=st.sampled_from([2, 3, 4, 5, ROW_BLOCK - 2, ROW_BLOCK - 1,
+                              ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2,
+                              2 * ROW_BLOCK - 2, 2 * ROW_BLOCK - 1,
+                              2 * ROW_BLOCK, 2 * ROW_BLOCK + 1,
+                              2 * ROW_BLOCK + 2]),
            scale=st.sampled_from([1e-12, 1e-6, 0.3]),
            seed=st.integers(0, 2 ** 32 - 1))
+    @at_block_edges
     def test_row_ratios_match_ordered_pairs(self, n, scale, seed):
         # offsets on permuted roots of unity against the sum over every
         # ordered pair, modulo 2 pi i; |offsets| ~ scale/n, so scale 1e-12
-        # tests near-trivial offsets at relative precision
+        # tests near-trivial offsets at relative precision.  The row-major
+        # reduction gives the same value bit for bit
         rng = np.random.default_rng(seed)
         q = np.exp(2j * np.pi * rng.permutation(n) / n)
         offsets = scale / n * (rng.standard_normal(n) +
@@ -292,9 +338,19 @@ class TestRoots:
         den = q[None, :] - q[:, None]
         np.fill_diagonal(den, 1.0)
         y = (offsets[None, :] - offsets[:, None]) / den
-        gap = _log_row_ratios(offsets, q) - np.sum(_log1p(y))
+        value = _log_row_ratios(offsets, q)
+        assert value == row_major_ratios(offsets, q)
+        gap = value - np.sum(_log1p(y))
         gap -= 2j * np.pi * np.round(gap.imag / (2.0 * np.pi))
         assert abs(gap) <= 8 * np.finfo(float).eps * np.sum(np.abs(y))
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F6"])
+    @pytest.mark.parametrize("L", [64, 256, 1024])
+    def test_row_ratios_match_row_major_reduction(self, name, L):
+        system = solve_shifted(symbols.fixture(name), L, L)
+        q = system.q_roots[system.indices]
+        assert _log_row_ratios(system.offsets, q) == \
+            row_major_ratios(system.offsets, q)
 
 
 class TestFormFactor:

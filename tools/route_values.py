@@ -4,7 +4,9 @@
 
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, then every ``detlab verify`` residual at
-seeds 0, 3 and 9.  Numbers are written as ``repr``, so two checkouts compute
+seeds 0, 3 and 9, then ``formfactors.tau_eff_finite`` at x = 2 for F1 and
+F2 at N = L, L in {64, 256, 1024, 2048}, and for F2 and F6 at (L, N) =
+(16, 6).  Numbers are written as ``repr``, so two checkouts compute
 bit-identical values exactly when ``diff`` of their outputs is empty; a
 route that raises writes its error type and message instead.  Last come the
 rows of ``detlab compare --spec F4 --x 1..32`` over every route, as the CLI
@@ -17,10 +19,13 @@ import contextlib
 import io
 import sys
 
-from detlab import cli, errors, symbols
+from detlab import cli, errors, formfactors, symbols
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
 SEEDS = (0, 3, 9)
+FINITE_X = 2
+FINITE_CASES = [(name, L, L) for name in ("F1", "F2")
+                for L in (64, 256, 1024, 2048)] + [("F2", 16, 6), ("F6", 16, 6)]
 COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
            "--methods", ",".join(cli.ROUTES))
 
@@ -42,6 +47,10 @@ def main(out=sys.stdout) -> None:
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
             out.write(f"verify seed={seed} {check} {outcome(run)}\n")
+    for name, L, N in FINITE_CASES:
+        value = outcome(lambda: formfactors.tau_eff_finite(
+            symbols.fixture(name), L, N, FINITE_X))
+        out.write(f"ff {name} L={L} N={N} x={FINITE_X} {value}\n")
     table = io.StringIO()
     with contextlib.redirect_stdout(table):
         cli.main(list(COMPARE))
