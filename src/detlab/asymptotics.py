@@ -17,8 +17,8 @@ from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite, suite_for
 from .contours import base_contour, radius_past
-from .fredholm import (ROW_BLOCK, check_grid_cap, kernel_V, kernel_V_residue,
-                       nystrom_det)
+from .fredholm import (_divide_by_gaps, check_grid_cap, kernel_V,
+                       kernel_V_residue, nystrom_det)
 
 HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which the Hankel terms
@@ -51,13 +51,8 @@ def _log_tau_double(suite: CauchySuite, x: int, nu, dnu) -> complex:
     difference quotient is the analytic limit dnu."""
     nodes, weights = suite.nodes, suite.weights
     lin = x * np.sum(weights * nu / nodes)
-    # one m x m buffer holds the quotient and its square; the node gaps
-    # are formed ROW_BLOCK rows at a time
-    ratio = np.subtract.outer(nu, nu)
-    for start in range(0, nodes.size, ROW_BLOCK):
-        gaps = np.subtract.outer(nodes[start:start + ROW_BLOCK], nodes)
-        np.fill_diagonal(gaps[:, start:], 1.0)
-        ratio[start:start + ROW_BLOCK] /= gaps
+    # one m x m buffer holds the quotient and its square
+    ratio = _divide_by_gaps(nu[None, :] - nu[:, None], nodes)
     np.fill_diagonal(ratio, dnu)
     ratio *= ratio
     return lin - 0.5 * (weights @ ratio @ weights)
@@ -259,18 +254,17 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     relative to itself.  The swapped V in residue form is regular at z_a,
     where theta = -1, so its determinant is taken on the plain circle
     ``radius_past`` |w_b| outward, with the poles of phi as obstructions.
-    EmptyAnnulus when a pole lies between the base circle and w_b.
-    """
+    EmptyAnnulus when a pole lies between the base circle and w_b;
+    NotAvailable when no zero lies inside the contour, or none outside."""
     x = errors.check_x(x)
     suite = suite_for(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
-    if not wset:
-        raise errors.NotAvailable("no zeros outside the contour to include")
     z_a, w_b = complex(z_a), complex(w_b)
-    if min(abs(z_a - z) for z in zset) > 1e-8:
-        raise errors.InputError(f"{z_a} is not a zero inside the contour")
-    if min(abs(w_b - w) for w in wset) > 1e-8:
-        raise errors.InputError(f"{w_b} is not a zero outside the contour")
+    for z, zeros, side in ((z_a, zset, "inside"), (w_b, wset, "outside")):
+        if not zeros:
+            raise errors.NotAvailable(f"no zeros {side} the contour")
+        if min(abs(z - w) for w in zeros) > 1e-8:
+            raise errors.InputError(f"{z} is not a zero {side} the contour")
 
     closed = (suite.residue_weight(z_a, x) * suite.residue_weight(w_b, x) /
               (z_a - w_b) ** 2)

@@ -294,7 +294,7 @@ def _checks(seed: int):
         suite = cauchy.suite_for(spec)
         theta = functools.partial(symbols.eval_theta, spec)
         lhs = fredholm.nystrom_det(
-            fredholm.SumKernel(
+            fredholm.kernel_sum(
                 [fredholm.kernel_V(theta, 3, suite.rho)] +
                 [fredholm.kernel_W(spec, z, 3)
                  for z in suite.zeros_inside()]),

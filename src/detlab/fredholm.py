@@ -1,12 +1,14 @@
 """Nystrom machinery: integrable kernels, determinants, explicit resolvent.
 
-Every kernel here has the two-function integrable shape
+Every kernel here is integrable with r generator pairs (f_k, g_k),
 
-    K(q,p) = a(q) a(p) (vp(p) vm(q) - vp(q) vm(p)) / (2 pi i (p - q)),
+    K(q,p) = a(q) a(p) sum_k f_k(q) g_k(p) / (2 pi i (p - q)),
 
-with the diagonal given by the analytic limit a^2 (vp' vm - vp vm')/(2 pi i).
-A kernel's one callable ``generators(q)`` returns (a, vp, vm, dvp, dvm) at
-the nodes q, so a fill forms the pieces they share, like q^{+-x/2}, once.
+sum_k f_k g_k = 0, with the diagonal given by the analytic limit
+a^2 sum_k f_k g_k' / (2 pi i).  A kernel's one callable ``generators(q)``
+returns (a, f, g, dg) at the nodes q, f, g and dg = (g_k') sequences of r
+arrays, so a fill forms the pieces they share, like q^{+-x/2}, once.  S, V
+and the resolvent have f = (vm, -vp) and g = (vp, vm).
 Half-integer powers and square roots use the principal branch per node: a
 different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
@@ -28,6 +30,7 @@ V has one split form, ``kernel_V``, and one residue form; the residue form,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +56,8 @@ class DetResult:
 
 
 class Kernel:
-    """Integrable kernel from ``generators``; see module docstring.  Off the
-    diagonal its Nystrom matrix is (a vm (x) vp r - a vp (x) vm r),
-    r = a w / (2 pi i), divided by the node gaps q_j - q_i."""
+    """Integrable kernel from ``generators`` (module docstring): its fill is
+    sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i."""
 
     def __init__(self, generators, x: int = 0, reach=None):
         self.generators = generators
@@ -63,45 +65,42 @@ class Kernel:
         self.reach = reach
 
     def matrix(self, nodes, weights):
-        a, vp, vm, dvp, dvm = self.generators(nodes)
+        a, f, g, dg = self.generators(nodes)
         r = a * weights / (2j * np.pi)
-        mat = np.stack([a * vm, -a * vp], axis=1) @ np.stack([vp * r, vm * r])
-        for start in range(0, nodes.size, ROW_BLOCK):
-            gaps = nodes[None, :] - nodes[start:start + ROW_BLOCK, None]
-            np.fill_diagonal(gaps[:, start:], 1.0)
-            mat[start:start + ROW_BLOCK] /= gaps
-        np.fill_diagonal(mat, a * r * (dvp * vm - vp * dvm))
+        cols = np.stack([a * fk for fk in f], axis=1)
+        mat = _divide_by_gaps(cols @ np.stack([gk * r for gk in g]), nodes)
+        np.fill_diagonal(mat, a * r * sum(fk * dgk for fk, dgk in zip(f, dg)))
         return mat
 
 
-class SeparableKernel:
-    """K(q,p) = c * u(q) v(p) / (2 pi i), (u, v) = generators(q); rank one."""
-
-    def __init__(self, generators, c: complex, x: int = 0, reach=None):
-        self.generators, self.c = generators, complex(c)
-        self.x = errors.check_x(x)
-        self.reach = reach
-
-    def matrix(self, nodes, weights):
-        u, v = self.generators(nodes)
-        return np.outer(self.c * u / (2j * np.pi), v * weights)
+def _divide_by_gaps(mat, nodes):
+    """mat[i, j] / (nodes[j] - nodes[i]) off the diagonal, in place, the gaps
+    formed ROW_BLOCK rows at a time; the diagonal is the caller's."""
+    for start in range(0, nodes.size, ROW_BLOCK):
+        gaps = nodes[None, :] - nodes[start:start + ROW_BLOCK, None]
+        np.fill_diagonal(gaps[:, start:], 1.0)
+        mat[start:start + ROW_BLOCK] /= gaps
+    return mat
 
 
-class SumKernel:
-    """The sum of ``parts``.  Its reach on a circle is the largest
-    ``first_margin`` of its parts there, so a part without a reach makes it
-    M_START and no sum starts past the margin of its widest part."""
+def _rank_one(a, q, u, v, dv):
+    """Generators of a(q) a(p) u(q) v(p) / (2 pi i), by
+    u(q) v(p) (p - q) = u(q) p v(p) - q u(q) v(p)."""
+    return a, (u, -q * u), (q * v, v), (v + q * dv, dv)
 
-    def __init__(self, parts):
-        self.parts = list(parts)
-        self.x = max((getattr(k, "x", 0) for k in self.parts), default=0)
 
-    def reach(self, radius: float) -> int:
-        return max((first_margin(k, radius) for k in self.parts),
-                   default=M_START)
+def kernel_sum(parts: list) -> Kernel:
+    """The sum of the kernels ``parts``, which share a: their pairs, in
+    order, with the largest x of the parts, and as reach on a circle their
+    largest ``first_margin`` there (M_START for a part without a reach)."""
+    def generators(q):
+        a, *pairs = zip(*(k.generators(q) for k in parts))
+        return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
 
-    def matrix(self, nodes, weights):
-        return sum(k.matrix(nodes, weights) for k in self.parts)
+    def reach(radius):
+        return max((first_margin(k, radius) for k in parts), default=M_START)
+
+    return Kernel(generators, max((k.x for k in parts), default=0), reach)
 
 
 def first_margin(kernel, radius: float) -> int:
@@ -141,8 +140,8 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
     reach is theta's Laurent bandwidth."""
     def generators(q):
         hp, hm = _halfpows(q, x)
-        return (np.sqrt(symbols.eval_theta(spec, q)), hp, hm,
-                (x / 2.0) * hp / q, (-x / 2.0) * hm / q)
+        return (np.sqrt(symbols.eval_theta(spec, q)), (hm, -hp), (hp, hm),
+                ((x / 2.0) * hp / q, (-x / 2.0) * hm / q))
 
     return Kernel(generators, x, functools.partial(_theta_reach, spec))
 
@@ -156,9 +155,10 @@ def _kernel_V_generic(theta, tail, x, reach):
     def generators(q):
         hp, hm = _halfpows(q, x)
         t, dt = tail(q)
-        return (np.sqrt(theta(q)), hp + hm * t, hm,
-                (x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
-                (-x / 2.0) * hm / q)
+        vp = hp + hm * t
+        return (np.sqrt(theta(q)), (hm, -vp), (vp, hm),
+                ((x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
+                 (-x / 2.0) * hm / q))
 
     return Kernel(generators, x, reach)
 
@@ -219,13 +219,17 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
                              tail, x, reach)
 
 
-def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> SeparableKernel:
-    """Rank-one residue kernel at a simple zero s of phi."""
-    def generators(q):
-        u = np.sqrt(symbols.eval_theta(spec, q)) * q ** (-x / 2.0) / (s - q)
-        return u, u
+def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
+    """Rank-one residue kernel c u(q) u(p) / (2 pi i) at a simple zero s of
+    phi, c its residue coefficient and u = sqrt(theta) q^{-x/2}/(s - q)."""
+    c = residue_coefficient(spec, s, x, 0.0)
 
-    return SeparableKernel(generators, residue_coefficient(spec, s, x, 0.0), x)
+    def generators(q):
+        u = q ** (-x / 2.0) / (s - q)
+        return _rank_one(np.sqrt(symbols.eval_theta(spec, q)), q, c * u, u,
+                         u * (1.0 / (s - q) - (x / 2.0) / q))
+
+    return Kernel(generators, x)
 
 
 def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
@@ -299,8 +303,9 @@ def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
         egt, bp = np.exp(-suite.Omega_gt(q)), b_plus(q)
         dfm = (-suite.Omega_gt(q, 1) - (x / 2.0) / q) * egt * hm - \
             b_plus(q, 1) * fp - bp * dfp
-        return (np.sqrt(symbols.eval_theta(suite.spec, q)), fp,
-                egt * hm - bp * fp, dfp, dfm)
+        fm = egt * hm - bp * fp
+        return (np.sqrt(symbols.eval_theta(suite.spec, q)), (fm, -fp),
+                (fp, fm), (dfp, dfm))
 
     return Kernel(generators, x)
 
@@ -368,17 +373,16 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     theta = functools.partial(symbols.eval_theta, spec)
     vk = kernel_V(theta, x, suite.rho)
 
+    # -sqrt(theta(q) theta(p)) q^{-x/2-1} p^{-x/2} / (2 pi i), its sign fixed
+    # numerically: with it, the three values of the identity agree.
     def rank_one(q):
-        u = np.sqrt(theta(q)) * q ** (-x / 2.0)
-        return u / q, u
+        h = q ** (-x / 2.0)
+        return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
 
-    # Overall sign fixed numerically: with this choice the determinant
-    # difference, the shifted-weight determinant and the closed form agree.
-    vk1 = SeparableKernel(rank_one, -1.0, x,
-                          functools.partial(_theta_reach, spec))
+    vk1 = Kernel(rank_one, x, functools.partial(_theta_reach, spec))
 
     det_v = nystrom_det(vk, suite.rho)
-    det_sum = nystrom_det(SumKernel([vk, vk1]), suite.rho)
+    det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)
 
     def theta_shift(q):
         # weight whose phase shift is the original one lowered by one index

@@ -339,7 +339,7 @@ class TestSplitV:
         theta = functools.partial(symbols.eval_theta, spec)
         parts = [fredholm.kernel_V(theta, x, suite.rho)] + [
             fredholm.kernel_W(spec, z, x) for z in suite.zeros_inside()]
-        v = fredholm.nystrom_det(fredholm.SumKernel(parts), suite.rho)
+        v = fredholm.nystrom_det(fredholm.kernel_sum(parts), suite.rho)
         s = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.rho)
         assert abs(v.value - s.value) <= 1e-8 * abs(s.value)
 
@@ -501,6 +501,15 @@ class TestSlavnov:
         spec = symbols.SymbolSpec("rational", tuple(numer), tuple(denom))
         with pytest.raises(errors.EmptyAnnulus):
             A.tau_ratio_swap(spec, 2, 1.2, 2.5)
+
+    @pytest.mark.parametrize("name,z_a,w_b,side", [
+        ("F7", 0.1, 0.4, "inside"), ("F3", 0.4, 2.0, "outside")])
+    def test_contour_swap_needs_a_zero_on_each_side(self, name, z_a, w_b,
+                                                    side):
+        # F7 has no zero inside its contour (0.4 lies outside), F3 none
+        # outside it (0.4 and 1.6 lie inside)
+        with pytest.raises(errors.NotAvailable, match=side):
+            A.tau_ratio_swap(symbols.fixture(name), 3, z_a, w_b)
 
     def test_double_zero_raises(self):
         # phi = (q - 0.3)(q - 3)^2/q has winding 0; its residue weights would

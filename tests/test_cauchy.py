@@ -37,10 +37,10 @@ def b_density(suite: CauchySuite, x):
 
 def w_minus(suite: CauchySuite, x, q):
     """Outside part of kernel_V's w at the point q, read off its generator
-    vp = q^{x/2} + q^{-x/2} w_minus."""
+    vp = g_1 = q^{x/2} + q^{-x/2} w_minus."""
     half = complex(q) ** (x / 2.0)
     kern = fredholm.kernel_V(theta_of(suite), x, suite.rho)
-    return (kern.generators(np.array([q]))[1][0] - half) * half
+    return (kern.generators(np.array([q]))[2][0][0] - half) * half
 
 
 def direct_transform(suite: CauchySuite, density, q) -> complex:
@@ -102,17 +102,17 @@ class TestWFunction:
         s = suite_for("F4")
         zeros = s.zeros_inside()
         q = np.array([s.rho * 1.4 + 0.2j, s.rho * np.exp(0.7j)])
-        a = fredholm.kernel_V(theta_of(s), 3, s.rho).generators(q)[1]
-        b = fredholm.kernel_V_residue(s.spec, 3, zeros).generators(q)[1]
+        a = fredholm.kernel_V(theta_of(s), 3, s.rho).generators(q)[2][0]
+        b = fredholm.kernel_V_residue(s.spec, 3, zeros).generators(q)[2][0]
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_derivative_vs_finite_difference(self):
-        # w_minus' read back from dvp = (x/2) q^{x/2-1}
+        # w_minus' read back from dvp = g_1' = (x/2) q^{x/2-1}
         #   + q^{-x/2} (w_minus' - (x/2) w_minus / q)
         s, x = suite_for("F4"), 3
         kern = fredholm.kernel_V(theta_of(s), x, s.rho)
         q, h = 4.0 + 1.0j, 1e-6
-        dvp = kern.generators(np.array([q]))[3][0]
+        dvp = kern.generators(np.array([q]))[3][0][0]
         dw = (dvp - (x / 2) * q ** (x / 2 - 1)) * q ** (x / 2) + \
             (x / 2) * w_minus(s, x, q) / q
         fd = (w_minus(s, x, q + h) - w_minus(s, x, q - h)) / (2 * h)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
-from detlab.cauchy import CauchySuite
+from detlab.cauchy import CauchySuite, residue_coefficient
 
 
 def suite_for(name):
@@ -22,32 +22,67 @@ def theta_of(spec):
 
 
 def direct_fill(kernel, nodes, weights):
-    """Entry-by-entry Nystrom matrix: the oracle for ``Kernel.matrix``."""
-    a, vp, vm, dvp, dvm = kernel.generators(nodes)
-    num = vp[None, :] * vm[:, None] - vp[:, None] * vm[None, :]
+    """Entry-by-entry Nystrom matrix of r generator pairs: the oracle for
+    ``Kernel.matrix``."""
+    a, f, g, dg = kernel.generators(nodes)
+    num = sum(fk[:, None] * gk[None, :] for fk, gk in zip(f, g))
     den = nodes[None, :] - nodes[:, None]
     np.fill_diagonal(den, 1.0)
     mat = num / den
-    np.fill_diagonal(mat, dvp * vm - vp * dvm)
+    np.fill_diagonal(mat, sum(fk * dgk for fk, dgk in zip(f, dg)))
     mat = a[:, None] * a[None, :] * mat / (2j * np.pi)
     return mat * weights[None, :]
+
+
+def long_double_errors(kernel, nodes, weights):
+    """Off-diagonal and diagonal errors of ``kernel.matrix`` against the
+    same generator values filled entry by entry in long double, each in
+    units of its entry's scale: the sum of the moduli of the r terms."""
+    ld = np.clongdouble
+    got = kernel.matrix(nodes, weights).astype(ld)
+    a, f, g, dg = kernel.generators(nodes)
+    q, w, a = (np.asarray(v, dtype=ld) for v in (nodes, weights, a))
+    f, g, dg = ([np.asarray(v, dtype=ld) for v in vs] for vs in (f, g, dg))
+    gaps = q[None, :] - q[:, None]
+    np.fill_diagonal(gaps, 1.0)
+    outer = a[:, None] * a[None, :] * w[None, :] / (2j * np.pi * gaps)
+    want = outer * sum(fk[:, None] * gk[None, :] for fk, gk in zip(f, g))
+    np.fill_diagonal(want, got.diagonal())
+    scale = np.abs(outer) * sum(np.abs(fk[:, None] * gk[None, :])
+                                for fk, gk in zip(f, g))
+    np.fill_diagonal(scale, 0.0)
+    pre = a * a * w / (2j * np.pi)
+    diag = pre * sum(fk * dgk for fk, dgk in zip(f, dg))
+    dscale = np.abs(pre) * sum(np.abs(fk * dgk) for fk, dgk in zip(f, dg))
+    # an entry of scale 0, like every entry of r = 1, must be filled as 0
+    return tuple(float(np.max(np.abs(err) / np.where(sc > 0, sc, 1.0)))
+                 for err, sc in ((got - want, scale),
+                                 (got.diagonal() - diag, dscale)))
+
+
+def two_pairs(a, vp, vm, dvp, dvm):
+    """Generators of a^2 (vp(p) vm(q) - vp(q) vm(p)) / (2 pi i (p - q))."""
+    return a, (vm, -vp), (vp, vm), (dvp, dvm)
 
 
 def exp_kernel(al, be, ga):
     """a = e^(al q), vp = e^(be q), vm = e^(ga q): smooth on any circle."""
     def generators(q):
         vp, vm = np.exp(be * q), np.exp(ga * q)
-        return np.exp(al * q), vp, vm, be * vp, ga * vm
+        return two_pairs(np.exp(al * q), vp, vm, be * vp, ga * vm)
 
     return fredholm.Kernel(generators)
 
 
+def zero_generators(q):
+    """One pair, f = g = 0."""
+    zero = np.zeros(np.shape(q), dtype=complex)
+    return np.ones(np.shape(q), dtype=complex), (zero,), (zero,), (zero,)
+
+
 def zero_kernel():
     """K = 0 with no bandwidth: det(1 + K) = 1 on the first two grids."""
-    def zero(q):
-        return np.zeros(np.shape(q), dtype=complex)
-
-    return fredholm.SeparableKernel(lambda q: (zero(q), zero(q)), 0.0)
+    return fredholm.Kernel(zero_generators)
 
 
 def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
@@ -59,21 +94,25 @@ def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
 
     def generators(q):
         hm = q ** (-x / 2.0)
-        return (np.sqrt(symbols.eval_theta(suite.spec, q)), hm * tail(q), hm,
-                hm * (tail(q, 1) - (x / 2.0) * tail(q) / q),
-                (-x / 2.0) * hm / q)
+        return two_pairs(
+            np.sqrt(symbols.eval_theta(suite.spec, q)), hm * tail(q), hm,
+            hm * (tail(q, 1) - (x / 2.0) * tail(q) / q), (-x / 2.0) * hm / q)
 
     return fredholm.Kernel(generators, x)
 
 
-def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.SumKernel:
+def kernel_Delta_residue(spec, x, zeros_inside) -> fredholm.Kernel:
     """Same difference as a residue sum of rank-one kernels."""
-    return fredholm.SumKernel(
+    return fredholm.kernel_sum(
         [_negated(fredholm.kernel_W(spec, z, x)) for z in zeros_inside])
 
 
-def _negated(k: fredholm.SeparableKernel) -> fredholm.SeparableKernel:
-    return fredholm.SeparableKernel(k.generators, -k.c, k.x)
+def _negated(k: fredholm.Kernel) -> fredholm.Kernel:
+    def generators(q):
+        a, f, g, dg = k.generators(q)
+        return a, [-fk for fk in f], g, dg
+
+    return fredholm.Kernel(generators, k.x)
 
 
 def kernel_Q(spec, x) -> fredholm.Kernel:
@@ -85,8 +124,9 @@ def kernel_Q(spec, x) -> fredholm.Kernel:
         hp = fredholm._halfpows(q, x)[0]
         wt = q ** (-x) - split.plus(q)
         dwt = -x * q ** (-x - 1) - split.plus(q, 1)
-        return (np.sqrt(symbols.eval_theta(spec, q)), hp, hp * wt,
-                (x / 2.0) * hp / q, hp * (dwt + (x / 2.0) * wt / q))
+        return two_pairs(
+            np.sqrt(symbols.eval_theta(spec, q)), hp, hp * wt,
+            (x / 2.0) * hp / q, hp * (dwt + (x / 2.0) * wt / q))
 
     return fredholm.Kernel(generators, x)
 
@@ -121,6 +161,30 @@ def assert_fill_matches(kernel, nodes, weights):
 coeff = st.complex_numbers(max_magnitude=1.5)
 
 
+@st.composite
+def r_pair_kernels(draw):
+    """(r, kernel) with r in 1..4 pairs: a = e^(ga q), f_k = e^(al_k q),
+    g_k = e^(be_k q) for k < r, and g_r solved from sum_k f_k g_k = 0."""
+    r = draw(st.integers(1, 4))
+    al = [draw(coeff) for _ in range(r)]
+    be = [draw(coeff) for _ in range(r - 1)]
+    ga = draw(coeff)
+
+    def generators(q):
+        f = [np.exp(c * q) for c in al]
+        g = [np.exp(c * q) for c in be]
+        dg = [c * gk for c, gk in zip(be, g)]
+        zero = np.zeros(q.shape, dtype=complex)
+        g.append(-sum((fk * gk for fk, gk in zip(f, g)), zero) / f[-1])
+        # (f_r g_r)' = -sum_{k<r} (f_k g_k)'
+        dg.append(-(sum(((ak * gk + dgk) * fk for ak, fk, gk, dgk
+                         in zip(al, f, g, dg)), zero) + al[-1] * f[-1] * g[-1])
+                  / f[-1])
+        return np.exp(ga * q), f, g, dg
+
+    return r, fredholm.Kernel(generators)
+
+
 class TestFill:
     @settings(max_examples=40, deadline=None)
     @given(radius=st.floats(0.3, 3.0),
@@ -137,6 +201,65 @@ class TestFill:
         offsets = circle_nodes(radius, n)
         assert_fill_matches(exp_kernel(al, be, ga), center + offsets,
                             circle_weights(offsets, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=r_pair_kernels(), radius=st.floats(0.3, 3.0),
+           n=st.integers(8, 300))
+    def test_r_pairs_rounded_like_long_double(self, drawn, radius, n):
+        r, kern = drawn
+        nodes = circle_nodes(radius, n)
+        off, diag = long_double_errors(kern, nodes, circle_weights(nodes, n))
+        eps = np.finfo(float).eps
+        assert off <= (4 + r) * eps
+        assert diag <= (4 + r) * eps
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=r_pair_kernels(), radius=st.floats(0.3, 3.0),
+           n=st.integers(8, 300))
+    def test_displacement_has_rank_r(self, drawn, radius, n):
+        # off the diagonal, diag(q) A - A diag(q) = -F G with the fill's own
+        # generator columns F = [a f_k] and rows G = [g_k a w / (2 pi i)]:
+        # the Nystrom matrix is Cauchy-like of displacement rank r
+        r, kern = drawn
+        nodes = circle_nodes(radius, n)
+        weights = circle_weights(nodes, n)
+        mat = kern.matrix(nodes, weights)
+        disp = nodes[:, None] * mat - mat * nodes[None, :]
+        a, f, g, _ = kern.generators(nodes)
+        cols = np.stack([a * fk for fk in f], axis=1)
+        rows = np.stack([gk * a * weights / (2j * np.pi) for gk in g])
+        prod = -cols @ rows
+        np.fill_diagonal(disp, prod.diagonal())
+        bound = 8 * np.finfo(float).eps * (np.abs(cols) @ np.abs(rows))
+        assert np.all(np.abs(disp - prod) <= bound)
+        # so past the r-th, its singular values lie within the rounding of
+        # that product (Weyl), even where the product itself cancels
+        sv = np.linalg.svd(disp, compute_uv=False)
+        assert np.all(sv[r:] <= np.linalg.norm(bound))
+
+    def test_residue_kernel_is_its_rank_one_term(self):
+        # kernel_W's two pairs fill c u(q) u(p) / (2 pi i) times the weight,
+        # u = sqrt(theta) q^{-x/2} / (s - q), c the residue coefficient
+        spec, suite = suite_for("F4")
+        nodes = circle_nodes(suite.rho, 64)
+        weights = circle_weights(nodes, 64)
+        for z in suite.zeros_inside():
+            c = residue_coefficient(spec, z, 3, 0.0)
+            u = np.sqrt(symbols.eval_theta(spec, nodes)) * \
+                nodes ** (-1.5) / (z - nodes)
+            want = np.outer(c * u / (2j * np.pi), u * weights)
+            got = fredholm.kernel_W(spec, z, 3).matrix(nodes, weights)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_sum_fills_its_parts_at_once(self):
+        spec, suite = suite_for("F4")
+        parts = [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] + \
+            [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()]
+        nodes = circle_nodes(suite.rho, 64)
+        weights = circle_weights(nodes, 64)
+        want = sum(k.matrix(nodes, weights) for k in parts)
+        got = fredholm.kernel_sum(parts).matrix(nodes, weights)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_subsampled_grid(self):
         # every 16th node of 2024 leaves an uneven gap at the seam
@@ -158,20 +281,8 @@ class TestFill:
             (0.0, 0.0, 1.0))
         kern = fredholm.kernel_V(theta_of(spec), 32, 1.0)
         nodes = circle_nodes(1.0, 1024)
-        weights = circle_weights(nodes, 1024)
-        got = kern.matrix(nodes, weights)
-        ld = np.clongdouble
-        q, w, a, vp, vm = (np.asarray(v, dtype=ld) for v in (
-            nodes, weights, *kern.generators(nodes)[:3]))
-        gaps = q[None, :] - q[:, None]
-        np.fill_diagonal(gaps, 1.0)
-        outer = a[:, None] * a[None, :] * w[None, :] / (2j * np.pi * gaps)
-        want = outer * (vp[None, :] * vm[:, None] - vp[:, None] * vm[None, :])
-        scale = np.abs(outer) * (np.abs(vp[None, :] * vm[:, None]) +
-                                 np.abs(vp[:, None] * vm[None, :]))
-        np.fill_diagonal(scale, np.inf)
-        err = np.abs(got.astype(ld) - want) / scale
-        assert float(err.max()) <= 5 * np.finfo(float).eps
+        off, _ = long_double_errors(kern, nodes, circle_weights(nodes, 1024))
+        assert off <= 5 * np.finfo(float).eps
 
     @pytest.mark.parametrize("x", [64, 128])
     def test_determinant_keeps_digits(self, x):
@@ -293,16 +404,16 @@ class TestNystrom:
                  fredholm.kernel_V(theta_of(spec), 6, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
         assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
-        assert fredholm.SumKernel(parts).x == 6
+        assert fredholm.kernel_sum(parts).x == 6
         assert kernel_Delta_residue(
             spec, 6, suite.zeros_inside()).x == 6
 
     def test_sum_kernel_reach_is_its_widest_margin(self):
         def part(reach):
-            return fredholm.SeparableKernel(lambda q: (q, q), 0.0, 0, reach)
+            return fredholm.Kernel(zero_generators, 0, reach)
 
         def margin(*parts):
-            return fredholm.first_margin(fredholm.SumKernel(parts), 1.0)
+            return fredholm.first_margin(fredholm.kernel_sum(parts), 1.0)
 
         assert margin(part(lambda r: 5), part(lambda r: 9)) == 9
         # a part without a reach counts as M_START, and a reach past it is
@@ -399,7 +510,7 @@ class TestKernelAlgebra:
         spec, suite = suite_for("F4")
         ct = suite.rho
         s_det = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct).value
-        combo = fredholm.SumKernel(
+        combo = fredholm.kernel_sum(
             [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] +
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()])
         v_det = fredholm.nystrom_det(combo, ct).value
@@ -550,18 +661,20 @@ class TestRankOne:
 
     def test_sum_starts_at_the_margin_of_v(self, monkeypatch):
         # on F2 at x = 2 the rank-one part carries theta's reach, no wider
-        # than V's, so the sum takes V's ladder where it took x + 32 nodes
+        # than V's, so the sum (V's two pairs and the rank-one part's two)
+        # takes V's ladder where it took x + 32 nodes
         ladders = []
         real = fredholm.nystrom_det
 
         def recorded(kernel, *args, **kwargs):
             res = real(kernel, *args, **kwargs)
-            ladders.append((type(kernel).__name__, res.grids))
+            pairs = len(kernel.generators(circle_nodes(1.0, 4))[1])
+            ladders.append((pairs, res.grids))
             return res
 
         monkeypatch.setattr(fredholm, "nystrom_det", recorded)
         fredholm.rank_one_shift_identity(symbols.fixture("F2"), 2)
-        assert ladders[:2] == [("Kernel", (24, 46)), ("SumKernel", (24, 46))]
+        assert ladders[:2] == [(2, (24, 46)), (4, (24, 46))]
 
     def test_not_a_simple_zero_guard(self):
         # phi = (q - 1.3)^2 / q has a double zero: the rank-one residue

@@ -19,10 +19,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACE_PATH = PERFBENCH / "bench_trace.py"
 
 # span names with nothing left to trace: the subset enumeration that
-# form_factor timed is gone, and the unit-circle suite is a CauchySuite whose
-# __init__ span the cauchy.suite group already counts (ROADMAP item 1, next
+# form_factor timed is gone, the unit-circle suite is a CauchySuite whose
+# __init__ span the cauchy.suite group already counts, and every kernel,
+# a sum or a rank-one residue term included, is one fredholm.Kernel whose
+# matrix span the fredholm.fill group already counts (ROADMAP item 1, next
 # change to the benchmark)
-STALE = {"formfactors.form_factor", "cauchy.WindingAdjustedSuite.__init__"}
+STALE = {"formfactors.form_factor", "cauchy.WindingAdjustedSuite.__init__",
+         "fredholm.SeparableKernel.matrix", "fredholm.SumKernel.matrix"}
 
 
 def load_perfbench(name, path):
