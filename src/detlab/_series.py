@@ -12,7 +12,8 @@ identity, ``grid_of``), takes one length-n inverse FFT of the coefficients
 folded by ``j mod n`` (exact aliasing of the truncated series; zero-padding
 when n >= m); the d-th derivative multiplies c_j by j(j-1)...(j-d+1) and
 divides by q^d.  Anything else (scalars, scattered points, the origin,
-other radii or rotations, copies of a grid) sums powers of q/rho directly.
+other radii or rotations, copies of a grid) goes to ``horner``, the one
+routine that sums a polynomial or Laurent series off such a grid.
 """
 
 from __future__ import annotations
@@ -52,6 +53,39 @@ def grid_of(q):
 def pow2_at_least(n: int) -> int:
     """Smallest power of two >= n, the node count of an FFT grid."""
     return 1 << (n - 1).bit_length()
+
+
+def horner(c, q):
+    """sum_k c[k] q^k by Horner's rule, for ascending coefficients c (a
+    nonempty sequence) at a point or an array of points; for an array c the
+    recursion, and the bits, of ``numpy.polynomial.polynomial.polyval``."""
+    acc = c[-1] + q * 0
+    for a in c[-2::-1]:
+        acc = a + acc * q
+    return acc
+
+
+def laurent_terms(e, a):
+    """(plus, minus): the lists that ``laurent_sum`` takes for
+    sum_e a_e z^e, e distinct integers; a_e at plus[e] for e >= 0 and at
+    minus[-e] for e < 0.  Exactly-zero a_e are dropped: neither list ends in
+    a zero, except plus = [0] when no e >= 0 is left, and minus is empty
+    when no e < 0 is."""
+    e, a = np.asarray(e, dtype=int), np.asarray(a, dtype=complex)
+    e, a = e[a != 0.0], a[a != 0.0]
+    plus = np.zeros(e.max(initial=0) + 1, dtype=complex)
+    minus = np.zeros(1 - e.min(initial=0), dtype=complex)
+    plus[e[e >= 0]] = a[e >= 0]
+    minus[-e[e < 0]] = a[e < 0]
+    return plus.tolist(), minus.tolist() if len(minus) > 1 else []
+
+
+def laurent_sum(terms, z):
+    """sum_e a_e z^e from ``laurent_terms``: Horner's rule in z, and in 1/z
+    for the e < 0."""
+    plus, minus = terms
+    out = horner(plus, z)
+    return out + horner(minus, 1.0 / z) if minus else out
 
 
 def circle_weights(nodes, m: int):
@@ -118,8 +152,8 @@ class LaurentSplit:
     def _terms(self, side: str, derivative: int, path: str):
         """The coefficients of one side ("plus", "minus" or "all") times
         j(j-1)...(j-d+1), prepared for one evaluation path: on "grid" rotated
-        by e^{i j PHASE0}, for "direct" the value at the origin and the
-        nonzero terms by power base.  Formed once per split."""
+        by e^{i j PHASE0}, for "direct" the ``laurent_terms`` of
+        sum_j c_j z^(j-d), z = q/rho.  Formed once per split."""
         key = (side, derivative, path)
         terms = self._terms_memo.get(key)
         if terms is None:
@@ -129,28 +163,9 @@ class LaurentSplit:
             if path == "grid":
                 terms = c * np.exp(1j * PHASE0 * self.j)
             else:
-                terms = self._power_terms(c, derivative)
+                terms = laurent_terms(self.j - derivative, c)
             self._terms_memo[key] = terms
         return terms
-
-    def _power_terms(self, c, derivative: int):
-        """(value at the origin, [(inverse, |j|, c_j, k > 0 for k = 0 ..
-        max |j|)]): the terms j >= 0, powers of z = q/rho, then j < 0,
-        powers of 1/z."""
-        # drop exactly-zero terms (masked out, or cancelled by the factorial):
-        # their powers may overflow, and inf * 0 = nan
-        keep = c != 0.0
-        j, c = self.j[keep], c[keep]
-        # at the origin only the j = derivative term survives
-        origin = (np.nan if np.any(j < 0) else
-                  c[j == derivative].sum() / self.radius ** derivative)
-        terms = []
-        for inverse, sel in ((False, j >= 0), (True, j < 0)):
-            if np.any(sel):
-                absj = np.abs(j[sel])
-                terms.append((inverse, absj, c[sel],
-                              np.arange(np.max(absj) + 1) > 0))
-        return origin, terms
 
     def _eval(self, q, side: str, derivative=0):
         q = np.asarray(q, dtype=complex)
@@ -161,21 +176,11 @@ class LaurentSplit:
             out = n * np.fft.ifft(np.bincount(slot, c.real, n) +
                                   1j * np.bincount(slot, c.imag, n))
             return out / q ** derivative if derivative else out
-        origin, terms = self._terms(side, derivative, "direct")
-        scalar = q.ndim == 0
-        qf = np.atleast_1d(q)
-        out = np.full(qf.shape, origin, dtype=complex)
-        nz = qf != 0.0
-        # running products of z = q/rho for j >= 0 and of 1/z for j < 0:
-        # no complex pow, and no rho**j, which alone overflows for large m
-        z = qf[nz, None] / self.radius
-        acc = np.zeros(z.shape[0], dtype=complex)
-        for inverse, absj, c, later in terms:
-            powers = np.cumprod(np.where(later, 1.0 / z if inverse else z,
-                                         1.0), axis=1)
-            acc += powers[:, absj] @ c
-        out[nz] = acc / qf[nz] ** derivative
-        return out[0] if scalar else out
+        # rho^-d sum_j c_j j(j-1)...(j-d+1) z^(j-d) divides by no power of
+        # q, so the plus side holds at the origin too
+        out = laurent_sum(self._terms(side, derivative, "direct"),
+                          q / self.radius)
+        return out / self.radius ** derivative if derivative else out
 
     def plus(self, q, derivative=0):
         return self._eval(q, "plus", derivative)

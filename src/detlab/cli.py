@@ -34,7 +34,8 @@ def _load_spec(path: str) -> symbols.SymbolSpec:
     raise errors.InputError(f"no such symbol file or fixture: {path}")
 
 
-def _parse_xrange(text: str):
+def _parse_xrange(text: str) -> range:
+    """The x values of ``N`` or ``LO..HI``, as a lazy range."""
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if sep else lo)
@@ -42,7 +43,7 @@ def _parse_xrange(text: str):
         raise errors.InputError(f"bad x value or range {text!r}") from exc
     if not 0 <= lo <= hi:
         raise errors.InputError(f"x range {text!r} is empty or negative")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cell(value) -> str:
@@ -178,8 +179,9 @@ def cmd_fredholm(args) -> int:
 
 def cmd_ff(args) -> int:
     spec = _load_spec(args.spec)
-    x, *more = _parse_xrange(args.x)
-    if more:
+    xs = _parse_xrange(args.x)
+    x = xs[0]
+    if xs[-1] != x:     # not len(xs), which overflows past 2^63 values
         raise errors.InputError("ff takes a single x value")
     winding = symbols.winding_number(spec)
     n_sel = args.L + winding if args.N is None else args.N

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, circle_weights
+from ._series import LaurentSplit, circle_nodes, circle_weights, horner
 from .asymptotics import y_moment, y_moment_matrix
 from .cauchy import suite_for
 
@@ -103,8 +103,8 @@ class RHPSolution:
             raise errors.SingularGram("norm of degree n-1 polynomial vanishes")
         self.beta = -2j * np.pi * pnm1 / self.h_nm1
         nodes, _, mu = measure.values
-        self._split_a = LaurentSplit(P.polyval(nodes, self.alpha) * mu, 1.0)
-        self._split_b = LaurentSplit(P.polyval(nodes, self.beta) * mu, 1.0)
+        self._split_a = LaurentSplit(horner(self.alpha, nodes) * mu, 1.0)
+        self._split_b = LaurentSplit(horner(self.beta, nodes) * mu, 1.0)
 
     def _transforms(self, q, side: str):
         if side == "inside":
@@ -121,8 +121,8 @@ class RHPSolution:
                     "on-circle evaluation needs an explicit side")
             side = "inside" if abs(q) < 1.0 else "outside"
         a_val, b_val = self._transforms(q, side)
-        return np.array([[P.polyval(q, self.alpha), a_val],
-                         [P.polyval(q, self.beta), b_val]], dtype=complex)
+        return np.array([[horner(self.alpha, q), a_val],
+                         [horner(self.beta, q), b_val]], dtype=complex)
 
     def jump_residual(self, q) -> float:
         """Max-norm of Y_>^{-1} Y_< - [[1, -mu], [0, 1]] at a circle point."""
@@ -132,7 +132,7 @@ class RHPSolution:
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
         split_mu = LaurentSplit(self.measure.values[2], 1.0)
-        mu_q = split_mu.reconstruct(np.asarray([q]))[0]
+        mu_q = split_mu.reconstruct(q)
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)
         return float(np.max(np.abs(np.linalg.solve(y_gt, y_lt) - jump)))
 
@@ -179,18 +179,18 @@ def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"
         total = 0.0 + 0.0j
         for j in range(n):
             cj, hj = monic_orthogonal(measure, j)
-            total += P.polyval(q, cj) * P.polyval(k, cj) / hj
+            total += horner(cj, q) * horner(cj, k) / hj
         return complex(total)
     if route == "closed":
         cn, _ = monic_orthogonal(measure, n)
         cm, hm = monic_orthogonal(measure, n - 1)
         if abs(k - q) < 1e-9:
             dn, dm = P.polyder(cn), P.polyder(cm)
-            val = (P.polyval(q, dn) * P.polyval(q, cm) -
-                   P.polyval(q, cn) * P.polyval(q, dm)) / hm
+            val = (horner(dn, q) * horner(cm, q) -
+                   horner(cn, q) * horner(dm, q)) / hm
             return complex(val)
-        return complex((P.polyval(k, cn) * P.polyval(q, cm) -
-                        P.polyval(q, cn) * P.polyval(k, cm)) / (hm * (k - q)))
+        return complex((horner(cn, k) * horner(cm, q) -
+                        horner(cn, q) * horner(cm, k)) / (hm * (k - q)))
     raise errors.InputError(f"unknown route {route!r}")
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors
-from ._series import circle_nodes, circle_weights, grid_of
+from ._series import (circle_nodes, circle_weights, grid_of, horner,
+                      laurent_sum, laurent_terms)
 
 SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
                     # between the moduli at the edge of the zero selection
@@ -32,7 +33,8 @@ class SymbolSpec:
     """Weight specification; immutable, hashable and safe to share between
     threads.  ``log_coeffs`` may be given as a dict j -> t_j and is stored as
     a tuple of (j, t_j) pairs sorted by j.  A leading ``kind``, "rational" or
-    "laurent_phase" (the two former symbol kinds), is checked, not stored."""
+    "laurent_phase" (the two former symbol kinds), is checked, not stored.
+    The coefficient lists that evaluation sums are formed here, once."""
 
     kind: InitVar[str | None] = None
     numer: tuple = (1.0,)      # P, ascending powers of q
@@ -47,7 +49,18 @@ class SymbolSpec:
         object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
         self._validate_rational()
         lc = {int(j): complex(t) for j, t in dict(self.log_coeffs).items()}
+        # the exponent is summed over a dense list of its 1 + max |j| powers
+        if lc and max(map(abs, lc)) > 1 << 16:
+            raise errors.InputError("exponent index |j| above 2^16")
         object.__setattr__(self, "log_coeffs", tuple(sorted(lc.items())))
+        j, t = np.array(list(lc), dtype=int), np.array(list(lc.values()))
+        for name, value in (
+                ("_dnumer", P.polyder(self.numer).tolist()),
+                ("_ddenom", P.polyder(self.denom).tolist()),
+                ("_pole_scale", max(max(map(abs, self.denom)), 1.0)),
+                ("_exponent_terms", (laurent_terms(j, t),
+                                     laurent_terms(j - 1, j * t)))):
+            object.__setattr__(self, name, value)
 
     def _validate_rational(self):
         p = np.array(self.numer, dtype=complex)
@@ -72,44 +85,21 @@ def _poly_roots(coeffs_ascending):
     return np.roots(c[::-1])
 
 
-@functools.lru_cache(maxsize=64)
-def _poly(coeffs: tuple):
-    """(c, c', max(max |c|, 1)) of ascending coefficients, the arrays
-    read-only; memoised, as converting the tuple costs more than a small
-    evaluation."""
-    c, der = np.array(coeffs, dtype=complex), P.polyder(coeffs)
-    c.flags.writeable = der.flags.writeable = False
-    return c, der, max(np.max(np.abs(c)), 1.0)
-
-
-def _horner(c, q):
-    """``P.polyval(q, c)`` for an array c, bit for bit: its own recursion,
-    without its per-call conversion of c."""
-    acc = c[-1] + q * 0
-    for a in c[-2::-1]:
-        acc = a + acc * q
-    return acc
-
-
 def _ratio(spec: SymbolSpec, q, derivative: bool = False):
     """P(q)/Q(q), PoleHit at a root of Q; or (P/Q)'(q)."""
-    p, dp, _ = _poly(spec.numer)
-    d, dd, scale = _poly(spec.denom)
-    den = _horner(d, q)
+    den = horner(spec.denom, q)
     if derivative:
-        return (_horner(dp, q) * den -
-                _horner(p, q) * _horner(dd, q)) / den ** 2
-    if np.any(np.abs(den) < 1e-14 * scale):
+        return (horner(spec._dnumer, q) * den -
+                horner(spec.numer, q) * horner(spec._ddenom, q)) / den ** 2
+    if np.any(np.abs(den) < 1e-14 * spec._pole_scale):
         raise errors.PoleHit("evaluation point hits a denominator root")
-    return _horner(p, q) / den
+    return horner(spec.numer, q) / den
 
 
 def _exponent(spec: SymbolSpec, q, derivative: bool = False):
-    """sum_j t_j q^j, or its derivative."""
-    acc = np.zeros(q.shape, dtype=complex)
-    for j, t in spec.log_coeffs:
-        acc = acc + (t * j * q ** (j - 1) if derivative else t * q ** j)
-    return acc
+    """sum_j t_j q^j, or its derivative: Horner's rule in q for j >= 0 and
+    in 1/q for j < 0."""
+    return laurent_sum(spec._exponent_terms[derivative], q)
 
 
 _samples = collections.OrderedDict()   # (evaluator, spec, radius, m) -> array
@@ -234,21 +224,22 @@ class SymbolAnalysis:
         return tuple(abs(p) for p, _ in self.poles)
 
 
-def _newton_polish(coeffs, root, tol=1e-12, maxit=40):
-    c, dc, scale = _poly(coeffs)
+def _newton_polish(spec: SymbolSpec, root, tol=1e-12, maxit=40):
+    c, dc = spec.numer, spec._dnumer
+    scale = max(max(map(abs, c)), 1.0)
     z = complex(root)
     for _ in range(maxit):
-        f = complex(_horner(c, z))
+        f = complex(horner(c, z))
         if abs(f) < tol * scale:
             return z
-        df = complex(_horner(dc, z))
+        df = complex(horner(dc, z))
         if df == 0.0:
             break
         step = f / df
         if not np.isfinite(step) or abs(step) > 1e6:
             break
         z -= step
-    f = complex(_horner(c, z))
+    f = complex(horner(c, z))
     if abs(f) < tol * scale:
         return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")
@@ -264,7 +255,7 @@ def analyze(spec: SymbolSpec) -> SymbolAnalysis:
 @functools.lru_cache(maxsize=32)
 def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
     n = winding_number(spec)
-    zeros = [_newton_polish(spec.numer, r) for r in _poly_roots(spec.numer)]
+    zeros = [_newton_polish(spec, r) for r in _poly_roots(spec.numer)]
     zeros.sort(key=abs, reverse=True)
 
     praw = sorted(_poly_roots(spec.denom), key=abs)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics as A
 from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
+from detlab._series import circle_nodes
 from detlab.cauchy import CauchySuite
 
 
@@ -588,16 +589,31 @@ class TestIndexSeries:
     SLOW = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
 
     @staticmethod
-    def dense_log_det(t, x):
+    def fft_exponent(t, m):
+        """sum_j t_j q^j at q = e^{2 pi i k/m}, k = 0 .. m-1, by one inverse
+        FFT."""
+        expo = np.zeros(m, dtype=complex)
+        expo[[j % m for j in t]] = list(t.values())
+        return m * np.fft.ifft(expo)
+
+    @classmethod
+    def dense_log_det(cls, t, x):
         """log det of the x-by-x moments of exp(sum_j t_j q^j) from 2^14
         nodes, the exponent summed by one inverse FFT."""
         m = 2 ** 14
-        expo = np.zeros(m, dtype=complex)
-        expo[[j % m for j in t]] = list(t.values())
-        moments = np.fft.fft(np.exp(m * np.fft.ifft(expo))) / m
+        moments = np.fft.fft(np.exp(cls.fft_exponent(t, m))) / m
         sign, log_abs = np.linalg.slogdet(
             moments[np.subtract.outer(np.arange(x), np.arange(x)) % m])
         return log_abs + 1j * np.angle(sign)
+
+    def test_exponent_is_the_inverse_fft_sum(self):
+        # 601 terms by Horner's rule on the 1024 points of the inverse FFT,
+        # the grid turned by pi to start at angle 0
+        q = -circle_nodes(1.0, 1024)
+        got = 2j * np.pi * symbols.eval_nu_grid(
+            symbols.SymbolSpec(log_coeffs=self.SLOW), q)
+        assert np.max(np.abs(got - self.fft_exponent(self.SLOW, 1024))) < \
+            1e-13
 
     @pytest.mark.parametrize("x", [4, 8])
     def test_rows_read_from_the_coefficient_decay(self, x):

@@ -134,6 +134,14 @@ class TestExitCodes:
         code, _ = run(["ff", "--spec", str(path), "--L", "8"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("xs", ["0..1", "0..1" + "0" * 12,
+                                    "0..1" + "0" * 30])
+    def test_ff_x_range_exits_2(self, xs, capsys):
+        # the range is not built: 10^12 or 10^30 values ask for no memory
+        code = cli.main(["ff", "--spec", "F1", "--L", "8", "--x", xs])
+        assert code == 2
+        assert "ff takes a single x value" in capsys.readouterr().err
+
     def test_ff_N_past_sector_exits_2(self, capsys):
         # F3 has winding -1, so at most L + w = 7 roots at L = 8
         code, _ = run(["ff", "--spec", "F3", "--L", "8", "--N", "8"], capsys)

@@ -1,6 +1,7 @@
-"""Process-wide memos: grid samples of phi and nu, coefficient arrays, FFT
-layouts and circle grids.  A memo may only save time: every value it
-returns is, bit for bit, what the uncached call returns."""
+"""Process-wide memos: grid samples of phi and nu, FFT layouts and circle
+grids, and the set-up each evaluator pays once.  A memo may only save
+time: every value it returns is, bit for bit, what the uncached call
+returns."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from detlab import cli, errors, symbols
-from detlab._series import (LaurentSplit, circle_nodes, grid_of,
+from detlab._series import (LaurentSplit, circle_nodes, grid_of, horner,
                             laurent_coeffs)
 
 MEMOISED = (symbols.eval_phi, symbols.eval_nu_grid)
@@ -159,19 +160,26 @@ class TestSetUpOnce:
                                               allow_subnormal=False),
                            min_size=0, max_size=5))
     def test_horner_is_polyval(self, coeffs, points):
-        c = symbols._poly(tuple(coeffs))[0]
-        for q in (np.array(points, dtype=complex),
-                  np.asarray(complex(points[0]) if points else 0.5j)):
-            with np.errstate(all="ignore"):
-                assert same_bits(symbols._horner(c, q),
-                                 P.polyval(q, tuple(coeffs)))
+        # array, list and tuple coefficients, at arrays, 0-d arrays and
+        # Python scalars: the bits of polyval
+        for c in (np.array(coeffs, dtype=complex), list(coeffs),
+                  tuple(coeffs)):
+            for q in (np.array(points, dtype=complex),
+                      np.asarray(complex(points[0]) if points else 0.5j),
+                      complex(points[-1]) if points else -0.25):
+                with np.errstate(all="ignore"):
+                    got = horner(c, q)
+                    assert np.ndim(got) == np.ndim(q)
+                    assert same_bits(got, P.polyval(q, tuple(coeffs)))
 
-    def test_coefficient_arrays_are_shared_and_read_only(self):
-        c, der, scale = symbols._poly((1.0, -2.0, 0.5j))
-        assert symbols._poly((1.0, -2.0, 0.5j))[0] is c
-        assert not c.flags.writeable and not der.flags.writeable
-        assert same_bits(der, P.polyder((1.0, -2.0, 0.5j)))
-        assert scale == 2.0
+    def test_coefficient_lists_formed_with_the_spec(self):
+        spec = symbols.SymbolSpec(numer=(1.0, -2.0, 0.5j), denom=(2.0, 3.0),
+                                  log_coeffs={2: 0.5, -3: 0.25j})
+        assert same_bits(np.array(spec._dnumer),
+                         P.polyder((1.0, -2.0, 0.5j)))
+        assert spec._ddenom == [3.0] and spec._pole_scale == 3.0
+        assert spec._exponent_terms == (([0, 0, 0.5], [0, 0, 0, 0.25j]),
+                                        ([0, 1.0], [0, 0, 0, 0, -0.75j]))
 
     @pytest.mark.parametrize("m", [1, 2, 15, 16, 256, 1000])
     def test_laurent_coeffs_match_the_direct_layout(self, m):

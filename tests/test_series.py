@@ -92,14 +92,20 @@ class TestQuadrature:
 
 def direct_sum(split, kind, q, derivative):
     """sign * sum_j c_j j(j-1)...(j-d+1) (q/rho)^j / q^d over the kind's modes,
-    with the powers taken as exp(j log(q/rho))."""
+    with the powers taken as exp(j log(q/rho)); at q = 0, where only j = d
+    is left, its limit c_d d! / rho^d."""
     select, sign = KINDS[kind]
     mask = select(split.j)
     j, c = split.j[mask], split.c[mask]
     for k in range(derivative):
         c = c * (j - k)
-    logz = np.log(q / split.radius)
-    return sign * (np.exp(logz[:, None] * j[None, :]) @ c) / q ** derivative
+    q = np.atleast_1d(q)
+    out = np.full(q.shape, c[j == derivative].sum() / split.radius **
+                  derivative)
+    nz = q != 0.0
+    logz = np.log(q[nz] / split.radius)
+    out[nz] = (np.exp(logz[:, None] * j[None, :]) @ c) / q[nz] ** derivative
+    return sign * out
 
 
 @st.composite
@@ -120,6 +126,8 @@ def random_splits(draw):
 def assert_agrees(split, kind, q, derivative, got):
     # the reference is checked on at most 16 of the points, which keeps its
     # dense points x modes matrix small
+    assert np.shape(got) == np.shape(q)
+    q, got = np.atleast_1d(q), np.atleast_1d(got)
     rng = np.random.default_rng(q.size)
     idx = rng.choice(q.size, size=min(q.size, 16), replace=False)
     want = direct_sum(split, kind, q[idx], derivative)
@@ -147,13 +155,20 @@ class TestGridEvaluation:
     @settings(max_examples=20, deadline=None)
     @given(random_splits(), st.sampled_from(["rotated", "other radius"]))
     def test_perturbed_grids_take_direct_path(self, drawn, perturbation):
+        # arrays, and the single points the routes pass: 0-d arrays, Python
+        # scalars, and the origin on the plus side
         split, rng = drawn
         n = int(rng.choice([16, 100]))
         q = circle_nodes(split.radius, n)
         q = q * (np.exp(1e-9j) if perturbation == "rotated" else 1.01)
-        for kind in KINDS:
+        points = [(kind, q) for kind in KINDS]
+        points += [(kind, np.asarray(q[int(rng.integers(n))]))
+                   for kind in KINDS]
+        points += [(kind, complex(q[int(rng.integers(n))])) for kind in KINDS]
+        points += [("plus", 0.0), ("plus", np.array([0.0, q[0]]))]
+        for kind, point in points:
             for derivative in (0, 1, 2):
                 with mock.patch.object(np.fft, "ifft",
                                        side_effect=AssertionError("FFT path")):
-                    got = getattr(split, kind)(q, derivative)
-                assert_agrees(split, kind, q, derivative, got)
+                    got = getattr(split, kind)(point, derivative)
+                assert_agrees(split, kind, point, derivative, got)

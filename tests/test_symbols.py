@@ -189,7 +189,10 @@ class TestValidation:
     @pytest.mark.parametrize("data", [[1.0, 2.0], "F2", None,
                                       {"numer": [[1.0, 0.0]], "lgo": {}},
                                       {"log_coeffs": [[1.0, 0.0]]},
-                                      {"numer": [1.0, 2.0]}])
+                                      {"numer": [1.0, 2.0]},
+                                      # a dense list of 10^12 powers
+                                      {"log_coeffs": {"1000000000000":
+                                                      [1.0, 0.0]}}])
     def test_malformed_data_rejected(self, data):
         with pytest.raises(errors.InputError):
             symbols.from_json_dict(data)
@@ -298,3 +301,71 @@ class TestProductForm:
         bare = times_exponent("F4", log_coeffs={})
         assert asymptotics.slavnov_series(bare, 3) == \
             asymptotics.slavnov_series(symbols.fixture("F4"), 3)
+
+
+def power_sum(log_coeffs, q, derivative=False):
+    """sum_j t_j q^j, or its derivative, term by term with complex powers:
+    the reference for Horner's rule."""
+    acc = np.zeros(q.shape, dtype=complex)
+    for j, t in log_coeffs:
+        acc = acc + (t * j * q ** (j - 1) if derivative else t * q ** j)
+    return acc
+
+
+@st.composite
+def exponent_symbols(draw):
+    """(P/Q) exp(sum_j t_j q^j), |j| <= 40, the t_j all of some span
+    (dense) or a few (sparse), |t_j| <= 0.3 * 0.5^|j| so that no term passes
+    0.3 on radii 0.5 ... 2; the zeros and poles of P/Q lie off that
+    annulus."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        span = draw(st.integers(0, 40))
+        js = range(-span, span + 1)
+    else:
+        js = draw(st.lists(st.integers(-40, 40), unique=True, max_size=6))
+    t = {j: 0.3 * 0.5 ** abs(j) * rng.uniform(0, 1) *
+         np.exp(2j * np.pi * rng.uniform()) for j in js}
+
+    def roots(k):
+        return (rng.choice([rng.uniform(0.1, 0.4), rng.uniform(2.5, 4.0)]) *
+                np.exp(2j * np.pi * rng.uniform()) for _ in range(k))
+
+    numer = np.polynomial.polynomial.polyfromroots(list(roots(
+        draw(st.integers(0, 3)))))
+    denom = np.polynomial.polynomial.polyfromroots(list(roots(
+        draw(st.integers(0, 2)))))
+    return symbols.SymbolSpec(numer=tuple(numer), denom=tuple(denom),
+                              log_coeffs=t)
+
+
+class TestExponent:
+    """The exponent sum_j t_j q^j by Horner's rule in q and 1/q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=exponent_symbols(), radius=st.floats(0.5, 2.0),
+           n=st.sampled_from([16, 64, 100]))
+    def test_agrees_with_the_power_sum(self, spec, radius, n):
+        ratio = symbols.SymbolSpec(numer=spec.numer, denom=spec.denom)
+        grid = circle_nodes(radius, n)
+        # the grid, an off-grid copy rotated off it, and one point of it
+        for q in (grid, grid * np.exp(0.1j), np.asarray(grid[n // 3])):
+            e, de = power_sum(spec.log_coeffs, q), \
+                power_sum(spec.log_coeffs, q, derivative=True)
+            # rounding of either sum grows with the sum of its terms' moduli
+            size = 1.0 + power_sum([(j, abs(t)) for j, t in spec.log_coeffs],
+                                   abs(q)).real
+            dsize = 1.0 + power_sum([(j - 1, abs(j * t)) for j, t in
+                                     spec.log_coeffs], abs(q)).real
+            tol = 1e-13     # ~400 eps: rounding of 81 terms, five times over
+            phi = symbols.eval_phi(ratio, q) * np.exp(e)
+            dphi = np.exp(e) * (symbols.eval_dphi(ratio, q) +
+                                symbols.eval_phi(ratio, q) * de)
+            assert np.all(np.abs(symbols.eval_phi(spec, q) - phi) <=
+                          tol * size * np.abs(phi))
+            assert np.all(np.abs(symbols.eval_dphi(spec, q) - dphi) <=
+                          tol * (size * np.abs(dphi) + dsize * np.abs(phi)))
+            if q.ndim:
+                nu = symbols.eval_nu_grid(ratio, q) + e / (2j * np.pi)
+                assert np.all(np.abs(symbols.eval_nu_grid(spec, q) - nu) <=
+                              tol * size)

@@ -13,6 +13,11 @@ try the same grids, exactly when ``diff`` of their outputs is empty; a
 route that raises writes its error type and message instead.  Last come the
 rows of ``detlab compare --spec F4 --x 1..32`` over every route, as the CLI
 prints them (17 significant digits), which run inside compare's suite scope.
+Then the off-grid evaluations: on each fixture's own-circle and unit-circle
+``CauchySuite``, Omega_gt(0) and, at each zero of phi, the Omega_gt (zero
+inside the circle) or Omega_lt (outside) that its residue weight reads; and
+phi, phi' and nu of F2 and of F5 exp(0.3 q + 0.2/q + 0.05i q^2) at a few
+scalar points.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ import contextlib
 import io
 import sys
 
-from detlab import asymptotics, cli, errors, formfactors, fredholm, symbols
+import numpy as np
+
+from detlab import (asymptotics, cauchy, cli, errors, formfactors, fredholm,
+                    symbols)
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
 SEEDS = (0, 3, 9)
@@ -30,6 +38,8 @@ FINITE_CASES = [(name, L, L) for name in ("F1", "F2")
                 for L in (64, 256, 1024, 2048)] + [("F2", 16, 6), ("F6", 16, 6)]
 COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
            "--methods", ",".join(cli.ROUTES))
+POINTS = (0.5 + 0.3j, 0.2 - 1.2j, 1.7 + 0j, 1.35 + 2.1j)
+EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
 LADDERS = {
     "fredholm_S": lambda spec, x: (fredholm.kernel_S(spec, x),
                                    asymptotics.base_contour(spec)),
@@ -70,6 +80,31 @@ def main(out=sys.stdout) -> None:
         cli.main(list(COMPARE))
     for row in table.getvalue().splitlines():
         out.write(f"compare F4 {row}\n")
+    for name in symbols.FIXTURE_NAMES:
+        spec = symbols.fixture(name)
+        for circle, unit in (("own", False), ("unit", True)):
+            try:
+                suite = cauchy.CauchySuite(spec, unit=unit)
+            except errors.DetlabError as exc:
+                out.write(f"omega {name} {circle} {type(exc).__name__}: "
+                          f"{exc}\n")
+                continue
+            value = outcome(lambda: suite.Omega_gt(0.0))
+            out.write(f"omega {name} {circle} Omega_gt(0) {value}\n")
+            for z in symbols.analyze(spec).zeros:
+                side = "Omega_gt" if abs(z) < suite.rho else "Omega_lt"
+                value = outcome(lambda: getattr(suite, side)(z))
+                out.write(f"omega {name} {circle} {side}({z!r}) {value}\n")
+    f5 = symbols.fixture("F5")
+    mixed = symbols.SymbolSpec(numer=f5.numer, denom=f5.denom,
+                               log_coeffs=EXPONENT)
+    for name, spec in (("F2", symbols.fixture("F2")), ("F5*exp", mixed)):
+        for q in POINTS:
+            for label, value in (
+                    ("phi", lambda: symbols.eval_phi(spec, q)),
+                    ("dphi", lambda: symbols.eval_dphi(spec, q)),
+                    ("nu", lambda: symbols.eval_nu_grid(spec, np.array([q])))):
+                out.write(f"symbol {name} {label}({q!r}) {outcome(value)}\n")
 
 
 if __name__ == "__main__":
