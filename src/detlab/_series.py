@@ -192,9 +192,6 @@ class LaurentSplit:
         """Full series value; valid in the annulus of analyticity."""
         return self._eval(q, "all", derivative)
 
-    def zero_mode(self) -> complex:
-        return self.coefficient(0)
-
     def coefficient(self, k: int) -> complex:
         """c_k, or 0 past the grid; j runs -m/2 .. m/2 - 1 one by one."""
         at = k - int(self.j[0])

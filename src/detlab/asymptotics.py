@@ -59,14 +59,13 @@ def _log_tau_double(suite: CauchySuite, x: int, nu, dnu) -> complex:
 
 
 def szego(spec: symbols.SymbolSpec, x: int) -> complex:
-    """Smooth zero-winding asymptotic: the strong-limit exponent of the
-    unit-circle split, x 2 pi i nu_0 plus the mode sum
-    sum_{j>=1} j (2 pi i)^2 nu_j nu_{-j} of the phase shift."""
+    """Smooth zero-winding asymptotic x 2 pi i nu_0 + sum_{j>=1} j (2 pi i)^2
+    nu_j nu_{-j}: at winding 0 the symbol's own circle is the unit circle,
+    so this is ``tau_leading``'s strong-limit value from the one suite."""
     x = errors.check_x(x)
     if symbols.winding_number(spec) != 0:
         raise errors.WindingNonzero("formula needs a zero-winding symbol")
-    suite = suite_for(spec, unit=True)
-    return errors.exp_in_range(_log_strong_limit(suite, x))
+    return tau_leading(spec, x)
 
 
 # --- strong-limit exponent ---------------------------------------------------
@@ -82,7 +81,7 @@ def _mode_sum(split: LaurentSplit) -> complex:
 def _log_strong_limit(suite: CauchySuite, x: int) -> complex:
     """(x - winding) 2 pi i nu_0 plus the mode sum of the suite's split."""
     return ((x - suite.winding) * 2j * np.pi *
-            suite.nu_split.zero_mode() + _mode_sum(suite.nu_split))
+            suite.nu_split.coefficient(0) + _mode_sum(suite.nu_split))
 
 
 def _require_negative_winding(spec):

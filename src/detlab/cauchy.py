@@ -221,5 +221,7 @@ def scoped(build, *args, **kwargs):
 
 def suite_for(spec: symbols.SymbolSpec, *, unit: bool = False) -> CauchySuite:
     """``CauchySuite(spec, unit=unit)``, one per (spec, unit) within a
-    ``SuiteScope`` (``scoped``)."""
-    return scoped(CauchySuite, spec, unit=bool(unit))
+    ``SuiteScope`` (``scoped``); at winding 0 the symbol's own circle is the
+    unit circle (``contours.select_contour``), so both get the unit suite."""
+    unit = bool(unit) or base_contour(spec) == 1.0
+    return scoped(CauchySuite, spec, unit=unit)

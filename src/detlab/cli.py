@@ -46,52 +46,36 @@ def _parse_xrange(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _cell(value) -> str:
+def _cell(value, fmt: str = "json"):
+    """A JSON value, or with fmt "csv" a CSV cell's text: a str as it is, an
+    integer, any other number as a float (FMT in CSV); a complex number as
+    {"re", "im"}, in JSON only, since CSV rows hold re and im apart."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return str(int(value)) if fmt == "csv" else int(value)
     if isinstance(value, complex):
-        return FMT.format(value.real) + "," + FMT.format(value.imag)
-    return FMT.format(float(value))
+        return {"re": value.real, "im": value.imag}
+    return FMT.format(float(value)) if fmt == "csv" else float(value)
 
 
-def _emit(text: str, out: str | None):
+def _write(out: str | None, payload, header=None, fmt: str = "json"):
+    """Write ``payload`` to the file ``out``, or stdout if None, as indented
+    JSON with sorted keys; given a ``header``, its rows as CSV or JSON."""
+    if header is not None and fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_cell(v, fmt) for v in row) for row in payload]
+        text = "\n".join(lines) + "\n"
+    else:
+        if header is not None:
+            payload = [{h: _cell(v) for h, v in zip(header, row)}
+                       for row in payload]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _rows_to_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return float(value)
-
-
-def _rows_to_json(header, rows) -> str:
-    payload = [{h: _json_cell(v) for h, v in zip(header, row)}
-               for row in rows]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _table(header, rows, fmt: str, out: str | None):
-    if fmt == "json":
-        _emit(_rows_to_json(header, rows), out)
-    else:
-        _emit(_rows_to_csv(header, rows), out)
 
 
 def _gap(value, reference) -> float:
@@ -130,17 +114,17 @@ def cmd_analyze(args) -> int:
     radius = asymptotics.base_contour(spec)
     report = {
         "label": spec.label,
-        "zeros": [_json_cell(z) for z in ana.zeros],
-        "poles": [{"location": _json_cell(p), "multiplicity": mult}
+        "zeros": [_cell(z) for z in ana.zeros],
+        "poles": [{"location": _cell(p), "multiplicity": mult}
                   for p, mult in ana.poles],
         "pole_moduli": sorted(float(m) for m in ana.pole_moduli),
         "winding": ana.winding,
-        "z_list": [_json_cell(z) for z in ana.z_list],
-        "w_list": [_json_cell(w) for w in ana.w_list],
+        "z_list": [_cell(z) for z in ana.z_list],
+        "w_list": [_cell(w) for w in ana.w_list],
         "contour": {"components": [{"center": [0.0, 0.0], "radius": radius,
                                     "orientation": 1}]},
     }
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write(args.out, report)
     return 0
 
 
@@ -150,7 +134,7 @@ def cmd_toeplitz(args) -> int:
     for x in _parse_xrange(args.x):
         t = toeplitz.toeplitz_det(spec, x)
         rows.append([x, t.real, t.imag])
-    _table(["x", "re", "im"], rows, args.format, args.out)
+    _write(args.out, rows, ["x", "re", "im"], args.format)
     return 0
 
 
@@ -162,6 +146,11 @@ def cmd_fredholm(args) -> int:
     spec = _load_spec(args.spec)
     rows = []
     for x in _parse_xrange(args.x):
+        if args.kernel == "V" and symbols.winding_number(spec) > 0:
+            # tau_eff's structural 0 (empty sector N = L + w): no kernel
+            # is built, and no grid gives it an error
+            rows.append([x, 0.0, 0.0, 0.0, 0])
+            continue
         fredholm.check_grid_cap(x, args.m)
         if args.kernel == "S":
             radius = asymptotics.base_contour(spec)
@@ -172,8 +161,8 @@ def cmd_fredholm(args) -> int:
                                    m_cap=args.m)
         rows.append([x, res.value.real, res.value.imag, res.err_estimate,
                      res.m_used])
-    _table(["x", "re", "im", "err_estimate", "m_used"], rows, args.format,
-           args.out)
+    _write(args.out, rows, ["x", "re", "im", "err_estimate", "m_used"],
+           args.format)
     return 0
 
 
@@ -186,10 +175,10 @@ def cmd_ff(args) -> int:
     winding = symbols.winding_number(spec)
     n_sel = args.L + winding if args.N is None else args.N
     value = formfactors.tau_eff_finite(spec, args.L, n_sel, x)
-    payload = {"value": _json_cell(value), "N": n_sel, "winding": winding,
+    payload = {"value": _cell(value), "N": n_sel, "winding": winding,
                "terms": math.comb(args.L, n_sel),
                "oracle_gap": abs(value - asymptotics.tau_eff(spec, x))}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write(args.out, payload)
     return 0
 
 
@@ -237,7 +226,7 @@ def cmd_compare(args) -> int:
                     reason = f"n/a({type(exc).__name__})"
                     row += [reason, reason, reason]
             rows.append(row)
-    _table(header, rows, args.format, args.out)
+    _write(args.out, rows, header, args.format)
     return 0
 
 
@@ -438,7 +427,7 @@ def cmd_verify(args) -> int:
         raise errors.InputError(f"no check matches --only {args.only!r}")
     failed = [r["name"] for r in results if not r["pass"]]
     report = {"checks": results, "passed": not failed, "failed": failed}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write(args.out, report)
     if failed:
         sys.stderr.write("FAILED: " + ", ".join(failed) + "\n")
         return 1

@@ -10,12 +10,14 @@ mu reproduces the winding-corrected determinant formula.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, circle_weights, horner
-from .asymptotics import y_moment, y_moment_matrix
+from .asymptotics import _require_negative_winding, y_moment, y_moment_matrix
 from .cauchy import suite_for
 
 GRAM_TOL = 1e-12
@@ -26,13 +28,8 @@ class MeasureMu:
 
     def __init__(self, spec: symbols.SymbolSpec, x: int):
         self.x = errors.check_x(x)
-        ana = symbols.analyze(spec)
-        if ana.winding >= 0:
-            raise errors.WindingNonnegative(
-                f"measure needs negative winding, got {ana.winding}")
+        self.n = -_require_negative_winding(spec).winding
         self.suite = suite_for(spec, unit=True)
-        self.spec = spec
-        self.n = -ana.winding
         # (nodes, weights, mu) on the grid of the suite's ratio split
         ratio = self.suite.ratio
         nodes = circle_nodes(1.0, ratio.m)
@@ -46,14 +43,21 @@ class MeasureMu:
             raise errors.InputError(f"moment order {j} out of supported range")
         return 2j * np.pi * y_moment(self.suite, self.x + self.n - 1 - j)
 
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """The Hankel matrix [mu_{i+j}], i, j = 0 .. n, read-only."""
+        moments = np.array([self.moment(j) for j in range(2 * self.n + 1)])
+        index = np.arange(self.n + 1)
+        gram = moments[index[:, None] + index]
+        gram.flags.writeable = False
+        return gram
+
     def gram_det(self, k: int) -> complex:
         """Determinant of the k x k matrix of moments mu_{i+j-2}."""
-        mat = np.array([[self.moment(i + j) for j in range(k)]
-                        for i in range(k)], dtype=complex)
-        return complex(np.linalg.det(mat))
+        return complex(np.linalg.det(self.gram[:k, :k]))
 
     def check_solvable(self):
-        scale = max(abs(self.moment(0)), 1e-30)
+        scale = max(abs(self.gram[0, 0]), 1e-30)
         for k in range(1, self.n + 1):
             if abs(self.gram_det(k)) < GRAM_TOL * scale ** k:
                 raise errors.SingularGram(
@@ -64,26 +68,23 @@ def monic_orthogonal(measure: MeasureMu, k: int):
     """Monic degree-k polynomial orthogonal to all lower powers.
 
     Returns (ascending coefficients, norm h_k with h_k = oint p_k^2 mu dq).
-    Solved directly from the k x k moment system; the measure is generally
-    not Hermitian-positive, so no recurrence is assumed.
+    Solved from the k x k block of the Gram matrix; the measure is
+    generally not Hermitian-positive, so no recurrence is assumed.
     """
     if k < 0 or k > measure.n:
         raise errors.InputError(f"degree {k} outside 0..{measure.n}")
+    gram = measure.gram
     if k == 0:
         coeffs = np.array([1.0 + 0.0j])
     else:
-        mat = np.array([[measure.moment(i + j) for i in range(k)]
-                        for j in range(k)], dtype=complex)
-        rhs = -np.array([measure.moment(k + j) for j in range(k)],
-                        dtype=complex)
         try:
-            low = np.linalg.solve(mat, rhs)
+            low = np.linalg.solve(gram[:k, :k], -gram[:k, k])
         except np.linalg.LinAlgError as exc:
             raise errors.SingularGram(str(exc)) from exc
         if not np.all(np.isfinite(low)):
             raise errors.SingularGram(f"moment system of order {k} singular")
         coeffs = np.concatenate([low, [1.0 + 0.0j]])
-    h_k = sum(coeffs[i] * coeffs[j] * measure.moment(i + j)
+    h_k = sum(coeffs[i] * coeffs[j] * gram[i, j]
               for i in range(k + 1) for j in range(k + 1))
     return coeffs, complex(h_k)
 
@@ -152,17 +153,6 @@ class RHPSolution:
             if j < n:
                 res = max(res, abs(self._split_b.coefficient(-j)))
         return float(res)
-
-    def far_field_residual(self, radius: float = 1e3) -> float:
-        """‖Y_<(q) diag(q^{-n}, q^{n}) - Id‖ at |q| = radius; this carries the
-        honest O(1/radius) tail of the expansion."""
-        n = self.measure.n
-        res = 0.0
-        for q in radius * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j):
-            y = self.matrix(q, side="outside")
-            scaled = y @ np.diag([q ** (-n), q ** n])
-            res = max(res, float(np.max(np.abs(scaled - np.eye(2)))))
-        return res
 
 
 def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"

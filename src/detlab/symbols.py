@@ -47,8 +47,10 @@ class SymbolSpec:
             raise errors.InputError(f"unknown symbol kind {kind!r}")
         object.__setattr__(self, "numer", tuple(complex(c) for c in self.numer))
         object.__setattr__(self, "denom", tuple(complex(c) for c in self.denom))
-        self._validate_rational()
         lc = {int(j): complex(t) for j, t in dict(self.log_coeffs).items()}
+        if not np.all(np.isfinite([*self.numer, *self.denom, *lc.values()])):
+            raise errors.InputError("symbol coefficients must be finite")
+        self._validate_rational()
         # the exponent is summed over a dense list of its 1 + max |j| powers
         if lc and max(map(abs, lc)) > 1 << 16:
             raise errors.InputError("exponent index |j| above 2^16")
@@ -199,7 +201,13 @@ def winding_number(spec: SymbolSpec) -> int:
 def _winding_cached(spec: SymbolSpec) -> int:
     nodes = circle_nodes(1.0, WINDING_M)
     weights = circle_weights(nodes, WINDING_M)
-    quad = np.sum(weights * eval_dphi(spec, nodes) / eval_phi(spec, nodes)) / (2j * np.pi)
+    # finite coefficients may still overflow, exp(t_0) past e^709 say
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = np.sum(weights * eval_dphi(spec, nodes) /
+                      eval_phi(spec, nodes)) / (2j * np.pi)
+    if not np.isfinite(quad):
+        raise errors.WindingInconsistent(
+            f"quadrature winding {quad} is not finite")
     n = int(round(quad.real))
     if abs(quad - n) > 0.25:
         raise errors.WindingInconsistent(f"quadrature winding {quad} not near an integer")

@@ -35,30 +35,29 @@ GROWTH_MAX = 100.0
 
 
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
-    """Radius of the circle where phi does not wind; 1 if none is found."""
+    """Radius of the circle where phi does not wind; 1 if no circle
+    separates the selected zeros (an InputError of the contour choice).  A
+    numerical failure, such as a winding quadrature that is not finite,
+    raises."""
     try:
         return base_contour(spec)
-    except errors.DetlabError:
+    except errors.InputError:
         return 1.0
 
 
-def moment_table(spec: symbols.SymbolSpec, x: int):
-    """Moments rho^k c_k of phi for |k| <= x in ascending k, sampled for x
-    rows on the circle |q| = rho where phi does not wind: the matrix becomes
-    D T D^{-1}, D = diag(rho^i), with the same determinant, better conditioned."""
+def moment_table(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
+    """The moment vector rho^k c_k of phi, k = -x .. x, for a positive
+    integer order x, sampled for x rows on the circle |q| = rho where phi
+    does not wind: the matrix becomes D T D^{-1}, D = diag(rho^i), with the
+    same determinant, better conditioned."""
+    x = errors.check_x(x)
+    if x == 0:
+        raise errors.InputError("matrix order must be positive")
     nodes = circle_nodes(_sample_radius(spec), pow2_at_least(max(256, 8 * x)))
     ks, c = laurent_coeffs(symbols.eval_phi(spec, nodes))
     if max(abs(c[0]), abs(c[-1])) > 1e-13 * np.max(np.abs(c)):
         raise errors.AliasingSuspected("phi moment tail has not decayed")
-    keep = np.abs(ks) <= x
-    return dict(zip(ks[keep].tolist(), c[keep].tolist()))
-
-
-def _moments(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
-    """The moment vector c_{-x} .. c_x, for a positive integer order x."""
-    if errors.check_x(x) == 0:
-        raise errors.InputError("matrix order must be positive")
-    return np.array(list(moment_table(spec, int(x)).values()))
+    return c[np.abs(ks) <= x]
 
 
 def _gather(moments: np.ndarray) -> np.ndarray:
@@ -108,7 +107,7 @@ def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
     """Determinant of the x-by-x moment matrix, by the Levinson recursion or,
     past its growth bound, dense LU; OverflowGuard when |det| leaves the
     normal double range on either side."""
-    moments = _moments(spec, x)
+    moments = moment_table(spec, x)
     log_det = _levinson_log_det(moments)
     if log_det is None:
         sign, log_abs = np.linalg.slogdet(_gather(moments))

@@ -19,6 +19,7 @@ from detlab import asymptotics as A
 from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes
 from detlab.cauchy import CauchySuite
+from test_formfactors import banded_symbols
 
 
 class SizeMismatch(ValueError):
@@ -366,7 +367,8 @@ def test_routes_take_only_mathematical_arguments(fn):
 
 class TestCirclesAgreeAtZeroWinding:
     """At winding 0 the symbol's own circle is the unit circle: both suites
-    build the same split, and szego reads tau_leading's exponent."""
+    build the same split, and szego is tau_leading's value, bit for bit; at
+    any other winding szego raises before it builds a suite."""
 
     @staticmethod
     def assert_agree(spec, x):
@@ -378,9 +380,19 @@ class TestCirclesAgreeAtZeroWinding:
         assert A.szego(spec, x) == A.tau_leading(spec, x)
 
     @settings(max_examples=25, deadline=None)
-    @given(spec=two_sided_symbols(negative=False), x=st.integers(0, 64))
+    @given(spec=st.one_of(two_sided_symbols(negative=False),
+                          banded_symbols()),
+           x=st.integers(0, 64))
     def test_random_rational(self, spec, x):
         self.assert_agree(spec, x)
+
+    @pytest.mark.parametrize("name", ["F3", "F4", "F5", "F7"])
+    def test_szego_at_nonzero_winding_builds_no_suite(self, name,
+                                                      monkeypatch):
+        built = TestSuiteScope.count_builds(monkeypatch)
+        with pytest.raises(errors.WindingNonzero):
+            A.szego(symbols.fixture(name), 3)
+        assert built == []
 
     @pytest.mark.parametrize("x", [0, 2, 5, 64, 512])
     def test_laurent_phase(self, x):
@@ -684,6 +696,17 @@ class TestSuiteScope:
             assert cauchy.suite_for(symbols.fixture("F4")) is own
             assert cauchy.suite_for(self.SPEC, unit=True) is unit
 
+    @pytest.mark.parametrize("name,winding", [("F1", 0), ("F2", 0), ("F6", 0),
+                                              ("F3", -1), ("F4", -1)])
+    def test_zero_winding_shares_the_unit_suite(self, name, winding):
+        # at winding 0 the symbol's own circle is the unit circle
+        spec = symbols.fixture(name)
+        assert symbols.winding_number(spec) == winding
+        with cauchy.SuiteScope():
+            own = cauchy.suite_for(spec)
+            shared = own is cauchy.suite_for(spec, unit=True)
+        assert shared == (winding == 0)
+
     def test_nothing_shared_outside_or_across_scopes(self):
         assert cauchy.suite_for(self.SPEC) is not cauchy.suite_for(self.SPEC)
         outer = cauchy.SuiteScope()
@@ -711,7 +734,7 @@ class TestSuiteScope:
                 run()
             counts.append(len(built) - start)
             assert len(set(built[start:])) == counts[-1]
-        assert counts == [11, 11]
+        assert counts == [9, 9]
 
     def test_scope_left_on_an_exception(self, monkeypatch):
         built = self.count_builds(monkeypatch)

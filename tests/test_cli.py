@@ -142,6 +142,18 @@ class TestExitCodes:
         assert code == 2
         assert "ff takes a single x value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,code", [
+        ('{"numer": [[NaN, 0]]}', 2),
+        ('{"numer": [[1, 0], [Infinity, 0]]}', 2),
+        ('{"log_coeffs": {"1": [NaN, 0]}}', 2),
+        # finite, but exp(t_0) overflows: the winding quadrature is not
+        ('{"log_coeffs": {"0": [1e308, 0]}}', 3)])
+    def test_non_finite_symbol_exit_code(self, text, code, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        for argv in (["toeplitz", "--x", "2"], ["analyze"]):
+            assert run(argv + ["--spec", str(path)], capsys)[0] == code
+
     def test_ff_N_past_sector_exits_2(self, capsys):
         # F3 has winding -1, so at most L + w = 7 roots at L = 8
         code, _ = run(["ff", "--spec", "F3", "--L", "8", "--N", "8"], capsys)
@@ -182,6 +194,27 @@ class TestTables:
         row = json.loads(out)[0]
         assert complex(row["re"], row["im"]) == \
             asymptotics.tau_eff(symbols.fixture(spec), 200)
+
+    def test_fredholm_V_positive_winding_is_the_structural_zero(
+            self, monkeypatch, capsys):
+        # F7 (winding +1): tau_eff's exact 0, as compare prints it, with no
+        # error estimate, no grid and no kernel built
+        def no_kernel(spec, x):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(asymptotics, "tau_eff_kernel", no_kernel)
+        code, out = run(["fredholm", "--spec", "F7", "--x", "1..4",
+                         "--kernel", "V"], capsys)
+        assert code == 0
+        zero = "0.0000000000000000e+00"
+        assert out.splitlines()[1:] == [f"{x},{zero},{zero},{zero},0"
+                                        for x in range(1, 5)]
+        code, out = run(["compare", "--spec", "F7", "--x", "1..4",
+                         "--methods", "fredholm_V"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0
+        assert all(r["fredholm_V_re"] == r["fredholm_V_im"] == zero
+                   for r in rows)
 
     def test_json_format(self, capsys):
         code, out = run(["toeplitz", "--spec", "F1", "--x", "2",
@@ -432,6 +465,20 @@ VERIFY_CHECKS = [
     ("christoffel-darboux-F5", 1e-9),
     ("ff-convergence-F2", 2.0 / 3.0),
 ]
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("csv", "s,i,n,f,g\na,3,-4,5.0000000000000000e-01,"
+            "3.3333333333333331e-01\n"),
+    ("json", '[\n  {\n    "f": 0.5,\n    "g": 0.3333333333333333,\n'
+             '    "i": 3,\n    "n": -4,\n    "s": "a"\n  }\n]\n')])
+def test_table_cells(fmt, text, tmp_path):
+    # a str as it is, an int or NumPy integer as an integer, a float with
+    # 17 significant digits in CSV and as itself in JSON
+    path = tmp_path / "table"
+    cli._write(str(path), [["a", 3, np.int64(-4), 0.5, np.float64(1 / 3)]],
+               ["s", "i", "n", "f", "g"], fmt)
+    assert path.read_text() == text
 
 
 def test_verify_checks_pinned():

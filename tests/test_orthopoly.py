@@ -1,8 +1,11 @@
 """Orthogonal polynomials on the circle and the 2x2 matrix boundary problem.
 
-``cd_diagonal_from_rhp`` and ``variational_moment_check`` are checks of the
-boundary problem's solution that only these tests use; ``moment_matrix`` is
-the Toeplitz matrix of the measure's moments they perturb.
+``cd_diagonal_from_rhp``, ``variational_moment_check`` and
+``far_field_residual`` are checks of the boundary problem's solution that
+only these tests use; ``moment_matrix`` is the Toeplitz matrix of the
+measure's moments they perturb.  ``fresh_gram_det`` and
+``fresh_monic_orthogonal`` gather a fresh moment matrix on every call, the
+reference for the measure's one Gram matrix.
 """
 
 import numpy as np
@@ -27,6 +30,41 @@ def cd_diagonal_from_rhp(sol: RHPSolution, q) -> complex:
     val = (P.polyval(q, sol.alpha) * P.polyval(q, db) -
            P.polyval(q, da) * P.polyval(q, sol.beta))
     return complex(val / (2j * np.pi))
+
+
+def far_field_residual(sol: RHPSolution, radius: float = 1e3) -> float:
+    """‖Y_<(q) diag(q^{-n}, q^{n}) - Id‖ at |q| = radius; this carries the
+    honest O(1/radius) tail of the expansion."""
+    n = sol.measure.n
+    res = 0.0
+    for q in radius * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j):
+        y = sol.matrix(q, side="outside")
+        scaled = y @ np.diag([q ** (-n), q ** n])
+        res = max(res, float(np.max(np.abs(scaled - np.eye(2)))))
+    return res
+
+
+def fresh_gram_det(measure: MeasureMu, k: int) -> complex:
+    """Determinant of the k x k matrix of moments mu_{i+j-2}, gathered
+    afresh."""
+    mat = np.array([[measure.moment(i + j) for j in range(k)]
+                    for i in range(k)], dtype=complex)
+    return complex(np.linalg.det(mat))
+
+
+def fresh_monic_orthogonal(measure: MeasureMu, k: int):
+    """``monic_orthogonal`` from a freshly gathered k x k moment system."""
+    if k == 0:
+        coeffs = np.array([1.0 + 0.0j])
+    else:
+        mat = np.array([[measure.moment(i + j) for i in range(k)]
+                        for j in range(k)], dtype=complex)
+        rhs = -np.array([measure.moment(k + j) for j in range(k)],
+                        dtype=complex)
+        coeffs = np.concatenate([np.linalg.solve(mat, rhs), [1.0 + 0.0j]])
+    h_k = sum(coeffs[i] * coeffs[j] * measure.moment(i + j)
+              for i in range(k + 1) for j in range(k + 1))
+    return coeffs, complex(h_k)
 
 
 def variational_moment_check(measure: MeasureMu, eps: float = 1e-6):
@@ -70,6 +108,20 @@ class TestMeasure:
         ip = sum(c * mu.moment(i + k) for i, c in enumerate(coeffs))
         assert abs(ip - h) / abs(h) < 1e-10
 
+    @pytest.mark.parametrize("name", ["F3", "F5"])
+    @pytest.mark.parametrize("x", range(1, 7))
+    def test_gram_matrix_is_the_fresh_moments(self, name, x):
+        # one Gram matrix serves every order: the same bits as a moment
+        # matrix gathered afresh for each determinant and each system
+        mu = MeasureMu(symbols.fixture(name), x)
+        assert not mu.gram.flags.writeable
+        for k in range(1, mu.n + 1):
+            assert mu.gram_det(k) == fresh_gram_det(mu, k)
+        for k in range(mu.n + 1):
+            coeffs, h = monic_orthogonal(mu, k)
+            ref_coeffs, ref_h = fresh_monic_orthogonal(mu, k)
+            assert np.array_equal(coeffs, ref_coeffs) and h == ref_h
+
     def test_moment_range_guard(self):
         mu = MeasureMu(symbols.fixture("F3"), 2)
         with pytest.raises(errors.InputError):
@@ -92,8 +144,8 @@ class TestRHP:
 
     def test_far_field_tail_is_first_order(self):
         sol = RHPSolution(MeasureMu(symbols.fixture("F5"), 3))
-        r1 = sol.far_field_residual(radius=400.0)
-        r2 = sol.far_field_residual(radius=2000.0)
+        r1 = far_field_residual(sol, radius=400.0)
+        r2 = far_field_residual(sol, radius=2000.0)
         assert r2 < 0.3 * r1   # decays like 1/radius
 
     @pytest.mark.parametrize("name,x", [("F3", 1), ("F3", 4), ("F5", 2)])

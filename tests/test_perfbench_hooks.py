@@ -22,10 +22,12 @@ TRACE_PATH = PERFBENCH / "bench_trace.py"
 # form_factor timed is gone, the unit-circle suite is a CauchySuite whose
 # __init__ span the cauchy.suite group already counts, and every kernel,
 # a sum or a rank-one residue term included, is one fredholm.Kernel whose
-# matrix span the fredholm.fill group already counts (ROADMAP item 1, next
-# change to the benchmark)
+# matrix span the fredholm.fill group already counts, and the far-field
+# residual of the matrix boundary problem is a helper of its tests (ROADMAP
+# item 1, next change to the benchmark)
 STALE = {"formfactors.form_factor", "cauchy.WindingAdjustedSuite.__init__",
-         "fredholm.SeparableKernel.matrix", "fredholm.SumKernel.matrix"}
+         "fredholm.SeparableKernel.matrix", "fredholm.SumKernel.matrix",
+         "orthopoly.RHPSolution.far_field_residual"}
 
 
 def load_perfbench(name, path):

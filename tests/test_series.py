@@ -30,7 +30,7 @@ class TestCoefficients:
 
     def test_zero_mode(self):
         split, _ = sample(lambda q: 7.0 + q)
-        assert abs(split.zero_mode() - 7.0) < 1e-13
+        assert abs(split.coefficient(0) - 7.0) < 1e-13
 
     def test_laurent_coeffs_ordering(self):
         nodes = circle_nodes(1.0, 16)

@@ -126,9 +126,10 @@ class TestFourier:
         assert abs(2j * np.pi * split.coefficient(-1) - 0.2) < 1e-13
 
     def test_f1_moments(self):
+        # c_{-4} .. c_4: c_0 at index 4, c_3 at index 7
         moments = toeplitz.moment_table(symbols.fixture("F1"), 4)
-        assert abs(moments[0] - 1.5) < 1e-13
-        assert abs(moments[3]) < 1e-13
+        assert abs(moments[4] - 1.5) < 1e-13
+        assert abs(moments[7]) < 1e-13
 
 
 class TestValidation:
@@ -192,7 +193,15 @@ class TestValidation:
                                       {"numer": [1.0, 2.0]},
                                       # a dense list of 10^12 powers
                                       {"log_coeffs": {"1000000000000":
-                                                      [1.0, 0.0]}}])
+                                                      [1.0, 0.0]}},
+                                      # non-finite coefficients, as Python's
+                                      # json reads NaN and Infinity
+                                      {"numer": [[float("nan"), 0.0]]},
+                                      {"numer": [[1.0, 0.0],
+                                                 [float("inf"), 0.0]]},
+                                      {"denom": [[1.0, float("-inf")]]},
+                                      {"log_coeffs": {"1": [float("nan"),
+                                                            0.0]}}])
     def test_malformed_data_rejected(self, data):
         with pytest.raises(errors.InputError):
             symbols.from_json_dict(data)

@@ -11,7 +11,7 @@ from detlab import asymptotics, cli, errors, symbols, toeplitz
 
 def toeplitz_matrix(spec, x):
     """T_ij = c_{i-j}, gathered from the moment vector c_{-x} .. c_x."""
-    return toeplitz._gather(toeplitz._moments(spec, x))
+    return toeplitz._gather(toeplitz.moment_table(spec, x))
 
 
 def dense_log_det(spec, x):
@@ -81,11 +81,14 @@ class TestStructure:
         assert mat.shape == (x, x)
         for i in range(x):
             for j in range(x):
-                assert mat[i, j] == c[i - j]
+                assert mat[i, j] == c[i - j + x]
 
     def test_moment_table_symmetric_range(self):
+        # the moment vector c_{-3} .. c_3; order 0 has no matrix
         table = toeplitz.moment_table(symbols.fixture("F4"), 3)
-        assert set(table) == set(range(-3, 4))
+        assert table.shape == (7,)
+        with pytest.raises(errors.InputError):
+            toeplitz.moment_table(symbols.fixture("F4"), 0)
 
     def test_f4_agrees_with_series_at_large_x(self):
         # phi winds on |q| = 1; moments sampled there lost every digit by

@@ -17,7 +17,14 @@ Then the off-grid evaluations: on each fixture's own-circle and unit-circle
 ``CauchySuite``, Omega_gt(0) and, at each zero of phi, the Omega_gt (zero
 inside the circle) or Omega_lt (outside) that its residue weight reads; and
 phi, phi' and nu of F2 and of F5 exp(0.3 q + 0.2/q + 0.05i q^2) at a few
-scalar points.
+scalar points.  Then the orthogonal-polynomial values of F3 and F5 at
+x = 2 and 5: every Gram determinant, every monic polynomial's coefficients
+and norm, both Christoffel-Darboux routes at an off-diagonal and a diagonal
+probe pair, the moment equivalence and the boundary problem's normalization
+residual; the Toeplitz moment vectors of F1 and F4 at x = 3 and 40; and
+last the output, byte for byte with its exit code and error line, of
+``toeplitz``, ``fredholm --kernel S`` and ``--kernel V`` (CSV and JSON),
+``ff --L 12`` and ``analyze`` on F3, F4 and F7.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import sys
 import numpy as np
 
 from detlab import (asymptotics, cauchy, cli, errors, formfactors, fredholm,
-                    symbols)
+                    orthopoly, symbols, toeplitz)
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
 SEEDS = (0, 3, 9)
@@ -40,6 +47,14 @@ COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
            "--methods", ",".join(cli.ROUTES))
 POINTS = (0.5 + 0.3j, 0.2 - 1.2j, 1.7 + 0j, 1.35 + 2.1j)
 EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
+ORTHO_CASES = [(name, x) for name in ("F3", "F5") for x in (2, 5)]
+CD_PROBES = ((0.3 + 0.2j, -0.4 + 0.5j), (0.6 - 0.1j, 0.6 - 0.1j))
+MOMENT_CASES = [(name, x) for name in ("F1", "F4") for x in (3, 40)]
+CLI_COMMANDS = [(*command, "--format", fmt)
+                for command in (("toeplitz",), ("fredholm", "--kernel", "S"),
+                                ("fredholm", "--kernel", "V"))
+                for fmt in ("csv", "json")] + [("ff", "--L", "12"),
+                                               ("analyze",)]
 LADDERS = {
     "fredholm_S": lambda spec, x: (fredholm.kernel_S(spec, x),
                                    asymptotics.base_contour(spec)),
@@ -52,6 +67,20 @@ def outcome(call) -> str:
         return repr(call())
     except errors.DetlabError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def monic(measure, k):
+    coeffs, norm = orthopoly.monic_orthogonal(measure, k)
+    return coeffs.tolist(), norm
+
+
+def run_cli(argv):
+    """(exit code, stdout and stderr) of one ``detlab`` command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+    return code, stdout.getvalue() + stderr.getvalue()
 
 
 def main(out=sys.stdout) -> None:
@@ -105,6 +134,36 @@ def main(out=sys.stdout) -> None:
                     ("dphi", lambda: symbols.eval_dphi(spec, q)),
                     ("nu", lambda: symbols.eval_nu_grid(spec, np.array([q])))):
                 out.write(f"symbol {name} {label}({q!r}) {outcome(value)}\n")
+    for name, x in ORTHO_CASES:
+        spec = symbols.fixture(name)
+        measure = orthopoly.MeasureMu(spec, x)
+        head = f"orthopoly {name} x={x}"
+        for k in range(1, measure.n + 1):
+            value = outcome(lambda: measure.gram_det(k))
+            out.write(f"{head} gram_det({k}) {value}\n")
+        for k in range(measure.n + 1):
+            value = outcome(lambda: monic(measure, k))
+            out.write(f"{head} monic({k}) {value}\n")
+        for q, k in CD_PROBES:
+            for route in ("sum", "closed"):
+                value = outcome(lambda: orthopoly.christoffel_darboux(
+                    measure, q, k, route))
+                out.write(f"{head} cd_{route}({q!r}, {k!r}) {value}\n")
+        value = outcome(lambda: orthopoly.hf_moment_equivalence(spec, x))
+        out.write(f"{head} hf_moment_equivalence {value}\n")
+        value = outcome(
+            lambda: orthopoly.RHPSolution(measure).normalization_residual())
+        out.write(f"{head} normalization_residual {value}\n")
+    for name, x in MOMENT_CASES:
+        value = outcome(
+            lambda: toeplitz.moment_table(symbols.fixture(name), x).tolist())
+        out.write(f"moments {name} x={x} {value}\n")
+    for name in ("F3", "F4", "F7"):
+        for command in CLI_COMMANDS:
+            argv = (*command, "--spec", name)
+            code, text = run_cli(argv)
+            for line in text.splitlines():
+                out.write(f"cli {' '.join(argv)} exit={code} | {line}\n")
 
 
 if __name__ == "__main__":
