@@ -22,6 +22,14 @@ a callable radius -> how many modes its generators carry past q^{+-x/2}
 on the circle of that radius above ``cauchy.TAIL_TOL``; ``nystrom_det``
 starts its grids that far past x (see ``first_margin``).
 
+``nystrom_det`` takes det(Id + K) on grids below BLOCKED_MIN nodes by LU
+of the filled matrix, and from there on by block Gaussian elimination on
+the generators (Gohberg, Kailath and Olshevsky, Math. Comp. 64 (1995)),
+which never forms the m x m matrix: O((r + BLOCK) m^2) time and
+O((r + BLOCK) m) memory.  It does not pivot across blocks, so it watches the
+Schur complement's growth and hands the grid back to the dense LU past
+GROWTH_MAX.
+
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.
@@ -42,6 +50,30 @@ from ._series import (LaurentSplit, circle_nodes, circle_weights,
 from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient, suite_for
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
+# Nodes per block of the elimination on the generators, ``_blocked_det``.
+# Generators and elimination on F4's tau_eff kernel, median of 21, 1 BLAS
+# thread on a 2-vCPU x86-64 host: b = 24, 32, 48 take 8.3, 8.2, 9.0 ms at
+# m = 514 and 24.1, 20.6, 25.8 ms at m = 1002.
+BLOCK = 32
+# Smallest grid whose determinant ``nystrom_det`` takes by the elimination.
+# Median ms per grid, dense fill + LU / generators + elimination, same host:
+#     m     F4 tau_eff    F1 S         F3 S
+#     258    4.2 / 3.6     3.1 / 3.7    3.0 / 3.5
+#     290    3.7 / 3.5     4.0 / 4.3    3.8 / 4.1
+#     322    5.9 / 3.3     5.0 / 4.9    4.7 / 4.9
+#     386    9.3 / 6.2     7.5 / 6.3    7.3 / 6.1
+#     514   19.1 / 6.7    15.1 / 9.9   15.1 / 9.7
+#     1002  92.7 / 28.5   98.0 / 27.9  96.0 / 28.4
+# The S kernels break even near m = 320, the tau_eff kernel below 258.
+BLOCKED_MIN = 300
+# Largest growth of the Schur complement's ``_entry_scale`` over that of
+# Id + K that the elimination accepts; past it the dense LU takes the grid.
+# Measured on the Nystrom ladders of the benchmark's random symbols (seeds
+# 1-40, x = 300, 400, 512, S and tau_eff): growth <= 34 and the two
+# determinants within 9.7e-13, except one grid (seed 10's R1 at x = 512,
+# m = 516) that grew by 2.1e3 and was 1.3e-11 off; F4 grows by <= 73 up to
+# x = 1000.
+GROWTH_MAX = 100.0
 M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
 M_CAP = 1024     # default cap on Nystrom nodes on the circle
 TOL = 1e-10      # default agreement of two successive Nystrom determinants
@@ -64,13 +96,24 @@ class Kernel:
         self.x = errors.check_x(x)
         self.reach = reach
 
-    def matrix(self, nodes, weights):
+    def parts(self, nodes, weights):
+        """(cols, rows, diag) of the fill: the m x r generator columns a f_k,
+        the r x m rows g_k a w / (2 pi i) and the diagonal."""
         a, f, g, dg = self.generators(nodes)
         r = a * weights / (2j * np.pi)
-        cols = np.stack([a * fk for fk in f], axis=1)
-        mat = _divide_by_gaps(cols @ np.stack([gk * r for gk in g]), nodes)
-        np.fill_diagonal(mat, a * r * sum(fk * dgk for fk, dgk in zip(f, dg)))
-        return mat
+        return (np.stack([a * fk for fk in f], axis=1),
+                np.stack([gk * r for gk in g]),
+                a * r * sum(fk * dgk for fk, dgk in zip(f, dg)))
+
+    def matrix(self, nodes, weights):
+        return _fill(*self.parts(nodes, weights), nodes)
+
+
+def _fill(cols, rows, diag, nodes):
+    """The m x m Nystrom matrix of a kernel's ``parts``."""
+    mat = _divide_by_gaps(cols @ rows, nodes)
+    np.fill_diagonal(mat, diag)
+    return mat
 
 
 def _divide_by_gaps(mat, nodes):
@@ -81,6 +124,57 @@ def _divide_by_gaps(mat, nodes):
         np.fill_diagonal(gaps[:, start:], 1.0)
         mat[start:start + ROW_BLOCK] /= gaps
     return mat
+
+
+def _entry_scale(cols, rows, diag) -> float:
+    """Bound on the entries of a Cauchy-like matrix with these generators and
+    diagonal, up to the node gaps: sum_k max|cols_k| max|rows_k|, or the
+    largest diagonal entry if that is larger."""
+    gen = np.max(np.abs(cols), axis=0) @ np.max(np.abs(rows), axis=1)
+    return max(float(gen), float(np.max(np.abs(diag))))
+
+
+def _blocked_det(cols, rows, diag, nodes):
+    """det(Id + K) from the fill's ``parts`` without the m x m matrix, by
+    block Gaussian elimination on the generators, BLOCK nodes at a time.
+    The Schur complement of a leading block A_11 is Cauchy-like on the
+    remaining nodes, with generators cols_2 - A_21 A_11^-1 cols_1 and
+    rows_2 - rows_1 A_11^-1 A_12 and diagonal diag_2 - diag(A_21 A_11^-1
+    A_12), so each step forms only the block's rows [A_11 A_12] and columns
+    A_21, by the entry formula of ``Kernel.matrix``, and adds log det A_11,
+    by LU with partial pivoting inside the block.  Blocks are not pivoted
+    against each other: None when a block is singular or the Schur
+    complement's ``_entry_scale`` passes GROWTH_MAX times the matrix's, for
+    the dense LU to take the grid."""
+    cols, rows, diag = cols.copy(), rows.copy(), diag + 1.0
+    m = nodes.size
+    bound = GROWTH_MAX * _entry_scale(cols, rows, diag)
+    logabs, phase = 0.0, 1.0
+    for start in range(0, m, BLOCK):
+        stop = min(start + BLOCK, m)
+        gaps = nodes[None, start:] - nodes[start:stop, None]
+        np.fill_diagonal(gaps, 1.0)
+        top = cols[start:stop] @ rows[:, start:] / gaps
+        np.fill_diagonal(top, diag[start:stop])
+        a11, a12 = top[:, :stop - start], top[:, stop - start:]
+        sign, logdet = np.linalg.slogdet(a11)
+        if not np.isfinite(logdet):
+            return None
+        logabs, phase = logabs + logdet, phase * sign
+        if stop == m:
+            break
+        inv = np.linalg.inv(a11)
+        # A_21 A_11^-1, the gaps of A_21 those of A_12 negated
+        left = -(cols[stop:] @ rows[:, start:stop]
+                 / gaps[:, stop - start:].T) @ inv
+        cols[stop:] -= left @ cols[start:stop]
+        rows[:, stop:] -= rows[:, start:stop] @ inv @ a12
+        diag[stop:] -= np.einsum("ij,ji->i", left, a12)
+        if not _entry_scale(cols[stop:], rows[:, stop:],
+                            diag[stop:]) <= bound:
+            return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(phase * np.exp(logabs))
 
 
 def _rank_one(a, q, u, v, dv):
@@ -243,12 +337,32 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
             f"m_cap >= {x + 2 * margin} nodes, got {m_cap}")
 
 
+def _grid_det(kernel, nodes, weights) -> complex:
+    """det(Id + K) on one grid: by ``_blocked_det`` from the kernel's
+    ``parts`` on grids of BLOCKED_MIN nodes or more, else, and for a kernel
+    with only ``matrix`` or where the elimination gives up, by LU of the
+    filled matrix.  Past the double range the value is inf or nan."""
+    if hasattr(kernel, "parts") and nodes.size >= BLOCKED_MIN:
+        parts = kernel.parts(nodes, weights)
+        det = _blocked_det(*parts, nodes)
+        if det is not None:
+            return det
+        mat = _fill(*parts, nodes)
+    else:
+        mat = kernel.matrix(nodes, weights)
+    np.fill_diagonal(mat, mat.diagonal() + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.linalg.det(mat))
+
+
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
-    """det(Id + K) by LU on trapezoidal grids of m = x + a 2^k nodes on the
+    """det(Id + K) on trapezoidal grids of m = x + a 2^k nodes on the
     origin-centered circle of ``radius``, k = 0, 1, ..., where x is the
     kernel's bandwidth and a its ``first_margin`` on that circle, doubled
-    while the grid has fewer than 16 nodes.  Past x + a the q^{+-x/2}
+    while the grid has fewer than 16 nodes; each grid's determinant by
+    ``_grid_det``, LU of the filled matrix or, from BLOCKED_MIN nodes on,
+    elimination on the generators.  Past x + a the q^{+-x/2}
     factors and the kernel's own modes stop aliasing, and the determinants
     converge geometrically (Bornemann, Math. Comp. 79 (2010)); the first two
     that agree to ``tol`` give the value.  InputError unless radius > 0;
@@ -270,10 +384,7 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
         m = x + margin
         grids.append(m)
         nodes = circle_nodes(radius, m)
-        mat = kernel.matrix(nodes, circle_weights(nodes, m))
-        np.fill_diagonal(mat, mat.diagonal() + 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = complex(np.linalg.det(mat))
+        det = _grid_det(kernel, nodes, circle_weights(nodes, m))
         try:    # abs raises where the modulus of a finite complex overflows
             size, err = abs(det), 0.0 if prev is None else abs(det - prev)
         except OverflowError:

@@ -107,6 +107,11 @@ class RHPSolution:
         self._split_a = LaurentSplit(horner(self.alpha, nodes) * mu, 1.0)
         self._split_b = LaurentSplit(horner(self.beta, nodes) * mu, 1.0)
 
+    @functools.cached_property
+    def _split_mu(self) -> LaurentSplit:
+        """The measure's own split, held for every ``jump_residual`` probe."""
+        return LaurentSplit(self.measure.values[2], 1.0)
+
     def _transforms(self, q, side: str):
         if side == "inside":
             return self._split_a.plus(q), self._split_b.plus(q)
@@ -132,8 +137,7 @@ class RHPSolution:
             raise errors.InputError("jump is defined on the unit circle")
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
-        split_mu = LaurentSplit(self.measure.values[2], 1.0)
-        mu_q = split_mu.reconstruct(q)
+        mu_q = self._split_mu.reconstruct(q)
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)
         return float(np.max(np.abs(np.linalg.solve(y_gt, y_lt) - jump)))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from detlab import errors, symbols
+from detlab import errors, orthopoly, symbols
 from detlab.orthopoly import (MeasureMu, RHPSolution, christoffel_darboux,
                               hf_moment_equivalence, monic_orthogonal)
 
@@ -135,6 +135,21 @@ class TestRHP:
         for q in np.exp(2j * np.pi * np.array([0.13, 0.41, 0.77])):
             assert sol.jump_residual(q) < 1e-10
         assert sol.normalization_residual() < 1e-10
+
+    def test_jump_probes_share_one_split(self, monkeypatch):
+        # the measure's split is made on the first probe and held after it
+        sol = RHPSolution(MeasureMu(symbols.fixture("F3"), 5))
+        made = []
+        real = orthopoly.LaurentSplit
+
+        def counted(values, radius):
+            made.append(radius)
+            return real(values, radius)
+
+        monkeypatch.setattr(orthopoly, "LaurentSplit", counted)
+        for q in np.exp(2j * np.pi * np.array([0.13, 0.41, 0.77, 0.9])):
+            assert sol.jump_residual(q) < 1e-10
+        assert made == [1.0]
 
     def test_unit_determinant(self):
         mu = MeasureMu(symbols.fixture("F3"), 3)

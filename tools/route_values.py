@@ -5,7 +5,8 @@
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, then the Nystrom ladder
 (``DetResult.grids``) of ``fredholm_S`` and of ``tau_eff_kernel`` on the
-same fixtures and x, then every ``detlab verify`` residual at seeds 0, 3
+same fixtures and x, and both ladders with their values on F1 and F4 at
+x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then every ``detlab verify`` residual at seeds 0, 3
 and 9, then ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L,
 L in {64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
 are written as ``repr``, so two checkouts compute bit-identical values, and
@@ -50,6 +51,7 @@ EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
 ORTHO_CASES = [(name, x) for name in ("F3", "F5") for x in (2, 5)]
 CD_PROBES = ((0.3 + 0.2j, -0.4 + 0.5j), (0.6 - 0.1j, 0.6 - 0.1j))
 MOMENT_CASES = [(name, x) for name in ("F1", "F4") for x in (3, 40)]
+BLOCKED_CASES = [(name, 512) for name in ("F1", "F4")]
 CLI_COMMANDS = [(*command, "--format", fmt)
                 for command in (("toeplitz",), ("fredholm", "--kernel", "S"),
                                 ("fredholm", "--kernel", "V"))
@@ -67,6 +69,11 @@ def outcome(call) -> str:
         return repr(call())
     except errors.DetlabError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def ladder_and_value(kernel, radius):
+    res = fredholm.nystrom_det(kernel, radius)
+    return res.grids, res.value
 
 
 def monic(measure, k):
@@ -97,6 +104,11 @@ def main(out=sys.stdout) -> None:
                 grids = outcome(
                     lambda: fredholm.nystrom_det(*build(spec, x)).grids)
                 out.write(f"ladder {name} {kernel} x={x} {grids}\n")
+    for name, x in BLOCKED_CASES:
+        spec = symbols.fixture(name)
+        for kernel, build in LADDERS.items():
+            value = outcome(lambda: ladder_and_value(*build(spec, x)))
+            out.write(f"ladder {name} {kernel} x={x} {value}\n")
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
             out.write(f"verify seed={seed} {check} {outcome(run)}\n")
