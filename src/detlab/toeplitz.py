@@ -4,12 +4,14 @@ This module is the ground truth for the whole library; it depends only on
 the symbol layer and the contour selection, and shares no code with the
 kernel/asymptotics machinery.
 
-The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken by the
+The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken in the
+log domain and exponentiated once.  Below the order LEVINSON_MIN it is the
+dense LU of T (``np.linalg.slogdet``); from LEVINSON_MIN on it is the
 nonsymmetric Levinson recursion (Trench, J. SIAM 12 (1964); Zohar, J. ACM 21
 (1974)) in O(x^2) time and O(x) memory, as the sum of the logarithms of its
-prediction errors, and exponentiated once.  Where a reflection coefficient
-shows a (nearly) singular leading minor, the recursion is not trusted and the
-dense LU of the same matrix takes over.
+prediction errors.  Where a reflection coefficient shows a (nearly) singular
+leading minor, the recursion is not trusted and the dense LU of the same
+matrix takes over.
 """
 
 from __future__ import annotations
@@ -32,6 +34,21 @@ from .contours import base_contour
 # x eps g <= 2.3e-11 for x <= 1024; F0-F7 and the benchmark's random symbols
 # keep g <= 1.7.
 GROWTH_MAX = 100.0
+# Smallest order whose determinant ``toeplitz_det`` takes by the recursion;
+# below it the dense LU is faster, since each step of the recursion pays
+# 7-9 us, mostly NumPy call overhead.  Median us of 21 interleaved runs,
+# recursion / gather + slogdet of the same moments, 1 BLAS thread on a
+# 2-vCPU x86-64 host:
+#     x      F4             F1
+#     8        50 / 13        53 / 14
+#     64      675 / 111      457 / 87
+#     128    1223 / 447      870 / 536
+#     160    1553 / 1138    1124 / 1221
+#     176    1724 / 1556    1351 / 1438
+#     192    1871 / 1883    2036 / 1968
+#     208    2033 / 2276    2204 / 2360
+#     256    2571 / 3719    2746 / 3795
+LEVINSON_MIN = 192
 
 
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
@@ -104,11 +121,13 @@ def _levinson_log_det(moments: np.ndarray):
 
 
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
-    """Determinant of the x-by-x moment matrix, by the Levinson recursion or,
-    past its growth bound, dense LU; OverflowGuard when |det| leaves the
-    normal double range on either side."""
+    """Determinant of the x-by-x moment matrix: by dense LU for x below
+    LEVINSON_MIN, by the Levinson recursion from LEVINSON_MIN on, and by
+    dense LU again where the recursion passes its growth bound;
+    OverflowGuard when |det| leaves the normal double range on either
+    side."""
     moments = moment_table(spec, x)
-    log_det = _levinson_log_det(moments)
+    log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
     if log_det is None:
         sign, log_abs = np.linalg.slogdet(_gather(moments))
         log_det = complex(log_abs, np.angle(sign))

@@ -19,6 +19,27 @@ def dense_log_det(spec, x):
     return complex(log_abs, np.angle(sign))
 
 
+EPS = np.finfo(float).eps
+
+
+def growth(moments):
+    """g of the recursion's error model (toeplitz.GROWTH_MAX): the largest
+    |alpha|, |gamma| and |alpha gamma| / |1 - alpha gamma| over its steps,
+    by a plain loop over the same recurrences."""
+    x = moments.size // 2
+    p = q = np.ones(1, dtype=complex)
+    eps, g = moments[x], 0.0
+    for k in range(1, x):
+        alpha = moments[x + k - np.arange(k)] @ p / eps
+        gamma = moments[x - 1 - np.arange(k)] @ q / eps
+        p, q = (np.append(p, 0) - alpha * np.insert(q, 0, 0),
+                np.insert(q, 0, 0) - gamma * np.append(p, 0))
+        eps *= 1 - alpha * gamma
+        g = max(g, abs(alpha), abs(gamma),
+                abs(alpha * gamma) / abs(1 - alpha * gamma))
+    return g
+
+
 def log_gap(a, b):
     """|a - b| for logarithms, the imaginary part taken modulo 2 pi."""
     d = complex(a) - complex(b)
@@ -125,17 +146,24 @@ class TestLevinson:
     @settings(max_examples=40, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(1, 300))
     def test_matches_dense_lu(self, spec, x):
+        # the recursion itself at every order, also below LEVINSON_MIN,
+        # where toeplitz_det takes the dense LU
         mat = toeplitz_matrix(spec, x)
         assume(np.linalg.cond(mat, 1) < 1e10)
         want = dense_log_det(spec, x)
         assume(abs(want.real) < 700)
-        got = np.log(toeplitz.toeplitz_det(spec, x))
+        got = toeplitz._levinson_log_det(toeplitz.moment_table(spec, x))
+        # a refusal is the monitor's: test_vanishing_minor_falls_back
+        assume(got is not None)
         assert log_gap(got, want) <= 1e-10
 
-    @pytest.mark.parametrize("x", [2, 3, 8, 64])
+    @pytest.mark.parametrize("x", [2, 3, 8, 64, toeplitz.LEVINSON_MIN, 256])
     def test_vanishing_minor_falls_back(self, x, monkeypatch):
         # unguarded, the recursion was off by 5.3, 18.7 and 283 in log at
-        # x = 3, 8, 64
+        # x = 3, 8, 64; from LEVINSON_MIN on toeplitz_det runs it, and its
+        # monitor hands the order to the dense LU
+        assert toeplitz._levinson_log_det(
+            toeplitz.moment_table(VANISHING_MINOR, x)) is None
         calls = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet",
@@ -151,10 +179,44 @@ class TestLevinson:
             raise AssertionError("dense fallback taken")
 
         spec = symbols.fixture(name)
-        want = [dense_log_det(spec, x) for x in (1, 2, 5, 64, 300)]
+        orders = (1, 2, 5, 64, toeplitz.LEVINSON_MIN, 300)
+        want = [dense_log_det(spec, x) for x in orders]
         monkeypatch.setattr(np.linalg, "slogdet", no_lu)
-        for x, ref in zip((1, 2, 5, 64, 300), want):
-            assert log_gap(np.log(toeplitz.toeplitz_det(spec, x)), ref) <= 1e-10
+        for x, ref in zip(orders, want):
+            if x < toeplitz.LEVINSON_MIN:
+                got = toeplitz._levinson_log_det(toeplitz.moment_table(spec, x))
+            else:
+                got = np.log(toeplitz.toeplitz_det(spec, x))
+            assert log_gap(got, ref) <= 1e-10
+
+    @pytest.mark.parametrize("x, method", [
+        (toeplitz.LEVINSON_MIN - 1, "lu"), (toeplitz.LEVINSON_MIN, "levinson")])
+    def test_method_switches_at_the_crossover(self, x, method, monkeypatch):
+        calls = []
+        levinson, slogdet = toeplitz._levinson_log_det, np.linalg.slogdet
+        monkeypatch.setattr(toeplitz, "_levinson_log_det",
+                            lambda m: calls.append("levinson") or levinson(m))
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append("lu") or slogdet(a))
+        toeplitz.toeplitz_det(symbols.fixture("F4"), x)
+        assert calls == [method]
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=laurent_symbols(),
+           x=st.sampled_from([toeplitz.LEVINSON_MIN - 1,
+                              toeplitz.LEVINSON_MIN]))
+    def test_methods_agree_at_the_crossover(self, spec, x):
+        # the recursion's error model of toeplitz.GROWTH_MAX, plus the
+        # rounding of slogdet's one-at-a-time sum of x pivot logarithms:
+        # against 40-digit references the LU side is the larger, up to
+        # 44 log|det| eps, the recursion up to 7 x eps max(g, 1)
+        moments = toeplitz.moment_table(spec, x)
+        got = toeplitz._levinson_log_det(moments)
+        assume(got is not None)
+        want = dense_log_det(spec, x)
+        bound = (40 * x * EPS * max(growth(moments), 1.0) +
+                 x * EPS * max(abs(want.real), 1.0) / 2)
+        assert log_gap(got, want) <= bound
 
     def test_underflow_is_loud(self):
         assert abs(toeplitz.toeplitz_det(SMALL_CONSTANT, 700) /

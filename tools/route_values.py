@@ -3,7 +3,9 @@
     PYTHONPATH=src python3 tools/route_values.py > values.txt
 
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
-F0-F7 at x in {1, 2, 3, 6, 16, 40}, then the Nystrom ladder
+F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at either side
+of ``toeplitz.LEVINSON_MIN``, where it switches from the dense LU to the
+Levinson recursion, then the Nystrom ladder
 (``DetResult.grids``) of ``fredholm_S`` and of ``tau_eff_kernel`` on the
 same fixtures and x, and both ladders with their values on F1 and F4 at
 x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then every ``detlab verify`` residual at seeds 0, 3
@@ -40,6 +42,7 @@ from detlab import (asymptotics, cauchy, cli, errors, formfactors, fredholm,
                     orthopoly, symbols, toeplitz)
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
+CROSSOVER_X = (toeplitz.LEVINSON_MIN - 1, toeplitz.LEVINSON_MIN)
 SEEDS = (0, 3, 9)
 FINITE_X = 2
 FINITE_CASES = [(name, L, L) for name in ("F1", "F2")
@@ -97,6 +100,9 @@ def main(out=sys.stdout) -> None:
             for x in X_VALUES:
                 value = outcome(lambda: call(spec, x, None))
                 out.write(f"route {name} {route} x={x} {value}\n")
+        for x in CROSSOVER_X:
+            value = outcome(lambda: toeplitz.toeplitz_det(spec, x))
+            out.write(f"route {name} toeplitz x={x} {value}\n")
     for name in symbols.FIXTURE_NAMES:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
