@@ -22,13 +22,14 @@ a callable radius -> how many modes its generators carry past q^{+-x/2}
 on the circle of that radius above ``cauchy.TAIL_TOL``; ``nystrom_det``
 starts its grids that far past x (see ``first_margin``).
 
-``nystrom_det`` takes det(Id + K) on grids below BLOCKED_MIN nodes by LU
-of the filled matrix, and from there on by block Gaussian elimination on
-the generators (Gohberg, Kailath and Olshevsky, Math. Comp. 64 (1995)),
-which never forms the m x m matrix: O((r + BLOCK) m^2) time and
-O((r + BLOCK) m) memory.  It does not pivot across blocks, so it watches the
-Schur complement's growth and hands the grid back to the dense LU past
-GROWTH_MAX.
+``nystrom_det`` runs a ladder of grids x + a, x + 2a, x + 4a, ..., with one
+short step of a nodes where two drifts predict convergence.  It takes
+det(Id + K) on grids below BLOCKED_MIN nodes by LU of the filled matrix,
+and from there on by block Gaussian elimination on the generators
+(Gohberg, Kailath and Olshevsky, Math. Comp. 64 (1995)), which never forms
+the m x m matrix: O((r + BLOCK) m^2) time and O((r + BLOCK) m) memory.
+It does not pivot across blocks, so it watches the Schur complement's
+growth and hands the grid back to the dense LU past GROWTH_MAX.
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
@@ -85,6 +86,7 @@ class DetResult:
     err_estimate: float
     m_used: int
     grids: tuple    # node counts tried, in order; the last is m_used
+    drifts: tuple   # |det - det before| on each grid after the first
 
 
 class Kernel:
@@ -355,6 +357,17 @@ def _grid_det(kernel, nodes, weights) -> complex:
         return complex(np.linalg.det(mat))
 
 
+def _error_left(grids, drifts) -> float:
+    """Error left on the last grid m_k predicted from the last two drifts,
+    d_k r^(m_k - m_(k-1)) with the per-node rate r = (d_k / d_(k-1))^(1 /
+    (m_(k-1) - m_(k-2))) of a geometric convergence; inf unless there are
+    two drifts and they decrease."""
+    if len(drifts) < 2 or not drifts[-1] < drifts[-2]:
+        return math.inf
+    rate = (drifts[-1] / drifts[-2]) ** (1.0 / (grids[-2] - grids[-3]))
+    return drifts[-1] * rate ** (grids[-1] - grids[-2])
+
+
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) on trapezoidal grids of m = x + a 2^k nodes on the
@@ -365,7 +378,10 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     elimination on the generators.  Past x + a the q^{+-x/2}
     factors and the kernel's own modes stop aliasing, and the determinants
     converge geometrically (Bornemann, Math. Comp. 79 (2010)); the first two
-    that agree to ``tol`` give the value.  InputError unless radius > 0;
+    that agree to ``tol`` give the value.  Where the last two drifts predict
+    (``_error_left``) at most tol/2 max(1, |det|) left on the grid
+    x + a 2^k, the next grid is x + a (2^k + 1); if that one disagrees, the
+    ladder goes on to x + a 2^(k+1).  InputError unless radius > 0;
     raises NotConverged when the next grid would pass ``m_cap``, and, by
     ``check_grid_cap``, up front before any sampling and again once the
     first margin is read, before any fill; OverflowGuard once |det| or its
@@ -378,10 +394,10 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     while x + margin < 16:
         margin *= 2
     check_grid_cap(x, m_cap, margin)
-    grids = []
+    step, m = margin, x + margin
+    grids, drifts = [], []
     prev = None
     while True:
-        m = x + margin
         grids.append(m)
         nodes = circle_nodes(radius, m)
         det = _grid_det(kernel, nodes, circle_weights(nodes, m))
@@ -394,13 +410,20 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
                 f"|det| {size:.2e} or its drift {err:.2e} at m={m} is past "
                 "the double range")
         if prev is not None:
+            drifts.append(err)
             if err <= tol * max(1.0, size):
-                return DetResult(det, err, m, tuple(grids))
-            if x + 2 * margin > m_cap:
-                raise errors.NotConverged(
-                    f"determinant drift {err:.2e} at m={m}")
+                return DetResult(det, err, m, tuple(grids), tuple(drifts))
         prev = det
-        margin *= 2
+        # one short step, from a grid the doubling reached
+        if m == x + margin and \
+                _error_left(grids, drifts) <= 0.5 * tol * max(1.0, size):
+            m += step
+        else:
+            margin *= 2
+            m = x + margin
+        if m > m_cap:
+            raise errors.NotConverged(
+                f"determinant drift {err:.2e} at m={grids[-1]}")
 
 
 def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:

@@ -306,6 +306,30 @@ class TestAsymAndCompare:
             assert single == [header, row]
         assert len(calls) == 9
 
+    def test_compare_takes_toeplitz_once_per_x(self, monkeypatch, capsys):
+        # the toeplitz column is the oracle's value, its gap 0, and where
+        # the oracle fails (F4 at x = 899) the column names that failure
+        calls = []
+        real = toeplitz.toeplitz_det
+
+        def counted(spec, x):
+            calls.append(x)
+            return real(spec, x)
+
+        monkeypatch.setattr(toeplitz, "toeplitz_det", counted)
+        code, out = run(["compare", "--spec", "F4", "--x", "1..8",
+                         "--methods", "toeplitz,leading"], capsys)
+        assert code == 0 and calls == list(range(1, 9))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for x, row in zip(range(1, 9), rows, strict=True):
+            value = real(symbols.fixture("F4"), x)
+            assert float(row["toeplitz_re"]) == value.real
+            assert float(row["toeplitz_gap"]) == 0.0
+        code, out = run(["compare", "--spec", "F4", "--x", "899",
+                         "--methods", "toeplitz"], capsys)
+        row, = csv.DictReader(io.StringIO(out))
+        assert set(row.values()) == {"899", "n/a(OverflowGuard)"}
+
     def test_unknown_method_rejected(self, capsys):
         code, _ = run(["compare", "--spec", "F2", "--x", "2",
                        "--methods", "nosuch"], capsys)

@@ -1,15 +1,20 @@
 """Dump every route value and verification residual, exactly, for diffing.
 
-    PYTHONPATH=src python3 tools/route_values.py > values.txt
+    python3 tools/route_values.py > values.txt
+
+Imports ``detlab`` from the ``src`` of the checkout the script sits in, and
+exits with an error if it gets it from anywhere else, so two checkouts'
+outputs compare the two trees whatever ``PYTHONPATH`` says.
 
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at either side
 of ``toeplitz.LEVINSON_MIN``, where it switches from the dense LU to the
-Levinson recursion, then the Nystrom ladder
-(``DetResult.grids``) of ``fredholm_S`` and of ``tau_eff_kernel`` on the
-same fixtures and x, and both ladders with their values on F1 and F4 at
-x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then every ``detlab verify`` residual at seeds 0, 3
-and 9, then ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L,
+Levinson recursion, then the Nystrom ladder (``DetResult.grids``) of
+``fredholm_S`` and of ``tau_eff_kernel`` on the same fixtures and x, and
+both ladders with their values on F1 and F4 at x = 512, whose grids pass
+``fredholm.BLOCKED_MIN``, then every ``detlab verify`` residual at seeds
+0, 3 and 9, at seed 0 with the grids of every Nystrom ladder the check
+runs, then ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L,
 L in {64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
 are written as ``repr``, so two checkouts compute bit-identical values, and
 try the same grids, exactly when ``diff`` of their outputs is empty; a
@@ -35,11 +40,20 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from detlab import (asymptotics, cauchy, cli, errors, formfactors, fredholm,
-                    orthopoly, symbols, toeplitz)
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import detlab  # noqa: E402
+from detlab import (  # noqa: E402
+    asymptotics, cauchy, cli, errors, formfactors, fredholm, orthopoly,
+    symbols, toeplitz)
+
+if Path(detlab.__file__).resolve().parent != SRC / "detlab":
+    raise SystemExit(f"detlab imported from {detlab.__file__}, not {SRC}")
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
 CROSSOVER_X = (toeplitz.LEVINSON_MIN - 1, toeplitz.LEVINSON_MIN)
@@ -77,6 +91,29 @@ def outcome(call) -> str:
 def ladder_and_value(kernel, radius):
     res = fredholm.nystrom_det(kernel, radius)
     return res.grids, res.value
+
+
+@contextlib.contextmanager
+def recorded_ladders():
+    """Yields a list that collects the ``grids`` of every ``nystrom_det``
+    call made inside the block, through any module's alias of it."""
+    real, ladders = fredholm.nystrom_det, []
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        ladders.append(res.grids)
+        return res
+
+    aliases = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "detlab"
+               and getattr(module, "nystrom_det", None) is real]
+    for module in aliases:
+        module.nystrom_det = recorded
+    try:
+        yield ladders
+    finally:
+        for module in aliases:
+            module.nystrom_det = real
 
 
 def monic(measure, k):
@@ -117,7 +154,12 @@ def main(out=sys.stdout) -> None:
             out.write(f"ladder {name} {kernel} x={x} {value}\n")
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
-            out.write(f"verify seed={seed} {check} {outcome(run)}\n")
+            with recorded_ladders() as ladders:
+                value = outcome(run)
+            out.write(f"verify seed={seed} {check} {value}\n")
+            if seed == SEEDS[0] and ladders:
+                out.write(f"verify seed={seed} {check} ladders "
+                          f"{tuple(ladders)}\n")
     for name, L, N in FINITE_CASES:
         value = outcome(lambda: formfactors.tau_eff_finite(
             symbols.fixture(name), L, N, FINITE_X))
