@@ -15,12 +15,11 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
-from .cauchy import CauchySuite, suite_for
+from .cauchy import CauchySuite, _converged_split, suite_for
 from .contours import base_contour, radius_past
 from .fredholm import (_divide_by_gaps, check_grid_cap, kernel_V,
                        kernel_V_residue, nystrom_det)
 
-HF_LEADING_M = 512    # unit-circle nodes of hf_leading's angular route
 BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which the Hankel terms
                       # past a shift, and the indices past it, are dropped
 
@@ -147,15 +146,15 @@ def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
     """The quadratic phase-shift functional entering the reduced leading form.
 
-    All three pieces are computed spectrally from the angular density
-    h(phi) = nu'(e^{i phi}) i e^{i phi}:
+    All three pieces are computed spectrally from the unit-circle modes h_j
+    of the angular density h(phi) = nu'(e^{i phi}) i e^{i phi}:
       - the ln(q) moment via the Fourier series of the sawtooth;
       - the ln|k-q| double integral via its cosine series;
-      - the ln(z_j - k) moments by plain trapezoid (integrand smooth).
+      - the ln(z_j - k) moments, |z_j| > 1, via the series of ln(1 - q/z).
     """
-    nodes = circle_nodes(1.0, HF_LEADING_M)
-    h = symbols.eval_dnu(spec, nodes) * 1j * nodes
-    js, hm = laurent_coeffs(h)
+    split, m = _converged_split(lambda m: (symbols.eval_dnu(
+        spec, circle_nodes(1.0, m)) * 1j * circle_nodes(1.0, m), 1.0), 256)
+    js, hm = split.j, split.c
 
     nz = js != 0
     jnz = js[nz]
@@ -165,18 +164,15 @@ def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:
     # endpoint value of the (unwrapped) phase shift at q = -1 is subtracted,
     # which is the convention under which this route agrees with the
     # compensated-shift route.
-    nu_end = symbols.eval_nu_grid(spec, nodes)[0]
+    nu_end = symbols.eval_nu_grid(spec, circle_nodes(1.0, m))[0]
     term1 = -(x + n) * (1j * int_phi_h - 2j * np.pi * nu_end)
 
     pos = js > 0
     hm_neg = hm[np.searchsorted(js, -js[pos])]
     term2 = -(2.0 * np.pi) ** 2 * np.sum(hm[pos] * hm_neg / js[pos])
 
-    dphi = 2.0 * np.pi / HF_LEADING_M
-    term3 = 0.0
-    for z in z_list:
-        lnzk = np.log(z) + np.log1p(-nodes / z)
-        term3 += 2.0 * np.sum(lnzk * h) * dphi
+    term3 = sum(4.0 * np.pi * (np.log(z) * split.coefficient(0) - np.sum(
+        (1.0 / z) ** js[pos] * hm_neg / js[pos])) for z in z_list)
     return complex(term1 + term2 + term3)
 
 

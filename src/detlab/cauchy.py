@@ -3,6 +3,8 @@
 Every plus/minus boundary value is obtained from a truncated Laurent series
 of the density sampled on the circle itself (see _series.LaurentSplit); the
 slightly-shifted contours of the defining integrals never appear in numerics.
+``_converged_split`` sizes every such sample, here and in every other
+module: it doubles the grid until the coefficient tail passes TAIL_TOL.
 A suite is one symbol on one circle, known by its radius: its own (where
 phi does not wind) or the unit circle with the phase shift compensated for
 its winding; x enters only through q^{+-x}, as an argument of the b split
@@ -34,17 +36,17 @@ _SCOPE = contextvars.ContextVar("detlab_suite_scope", default=None)
 
 
 def _converged_split(sample, m0: int):
-    """Build a LaurentSplit from ``sample(m) -> (values, radius)``, doubling the
-    node count from m0 until the coefficient tail decays below TAIL_TOL."""
+    """(split, m) of ``sample(m) -> (values, radius)`` on the first grid of
+    m0, 2 m0, ... nodes that passes TAIL_TOL; TruncationFailure past M_CAP."""
     m = m0
     while True:
-        values, radius = sample(m)
-        split = LaurentSplit(values, radius)
-        if split.tail_ratio() < TAIL_TOL:
+        split = LaurentSplit(*sample(m))
+        tail = split.tail_ratio()
+        if tail < TAIL_TOL:
             return split, m
         if m >= M_CAP:
             raise errors.TruncationFailure(
-                f"coefficient tail {split.tail_ratio():.2e} at m={m}")
+                f"coefficient tail {tail:.2e} at m={m}, cap M_CAP = {M_CAP}")
         m *= 2
 
 

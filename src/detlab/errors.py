@@ -44,10 +44,6 @@ class RootFindFailure(NumericalError):
     """Newton polishing of a polynomial root diverged."""
 
 
-class AliasingSuspected(NumericalError):
-    """Fourier tail too large for the requested sampling."""
-
-
 # --- contour module ---
 
 class EmptyAnnulus(InputError):

@@ -46,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, symbols
-from ._series import (LaurentSplit, circle_nodes, circle_weights,
-                      laurent_coeffs, pow2_at_least)
-from .cauchy import TAIL_TOL, CauchySuite, residue_coefficient, suite_for
+from ._series import (circle_nodes, circle_weights, laurent_coeffs,
+                      pow2_at_least)
+from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
+                     residue_coefficient, suite_for)
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 # Nodes per block of the elimination on the generators, ``_blocked_det``.
@@ -218,10 +219,11 @@ def _reach(j, c, part=True) -> int:
 
 
 def _theta_reach(spec: symbols.SymbolSpec, radius: float) -> int:
-    """Laurent bandwidth of theta on the circle of ``radius``, read from one
-    FFT of theta on 256 nodes."""
-    nodes = circle_nodes(radius, 256)
-    return _reach(*laurent_coeffs(symbols.eval_theta(spec, nodes)))
+    """Laurent bandwidth of theta on the circle of ``radius``, read from its
+    converged split from 256 nodes."""
+    split, _ = _converged_split(lambda m: (symbols.eval_theta(
+        spec, circle_nodes(radius, m)), radius), 256)
+    return _reach(split.j, split.c)
 
 
 def _halfpows(q, x):
@@ -263,24 +265,29 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     """Deformed kernel on the circle of ``radius`` for the weight ``theta``,
     a callable on (a neighborhood of) it; exact Toeplitz value when no zeros
     of 1 + theta remain outside that circle.  Its w is q^x plus the outside
-    part of the split of q^x theta/(1 + theta), taken on max(512, 4x) nodes,
-    rounded up to a power of two, so its modes near j = x never fold;
-    OverflowGuard when q^x overflows on the circle.  Its reach, on this
-    circle, is the larger of theta's bandwidth and the largest |j| of that
-    outside part, both read from these samples."""
+    part of the converged split of q^x theta/(1 + theta) from max(512, 4x)
+    nodes, rounded up to a power of two, so its modes near j = x never
+    fold; OverflowGuard when q^x overflows on the circle.  Its reach, on
+    this circle, is the larger of theta's bandwidth and the largest |j| of
+    that outside part, both read from the samples of the converged grid."""
     x = errors.check_x(x)
-    nodes = circle_nodes(radius, max(512, pow2_at_least(4 * x)))
-    t = theta(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = nodes ** x * t / (1.0 + t)
-    if not np.all(np.isfinite(density)):
-        raise errors.OverflowGuard(
-            f"q^x density overflows at x={x} on radius {radius:.4g}")
-    split = LaurentSplit(density, radius)
+    held = {}
+
+    def sample(m):
+        nodes = circle_nodes(radius, m)
+        t = held["theta"] = theta(nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = nodes ** x * t / (1.0 + t)
+        if not np.all(np.isfinite(density)):
+            raise errors.OverflowGuard(
+                f"q^x density overflows at x={x} on radius {radius:.4g}")
+        return density, radius
+
+    split, _ = _converged_split(sample, max(512, pow2_at_least(4 * x)))
 
     def reach(rho):
         # read on this circle, the one every caller factors the kernel on
-        return max(_reach(*laurent_coeffs(t)),
+        return max(_reach(*laurent_coeffs(held["theta"])),
                    _reach(split.j, split.c, split.j < 0))
 
     return _kernel_V_generic(
@@ -340,11 +347,10 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
 
 
 def _grid_det(kernel, nodes, weights) -> complex:
-    """det(Id + K) on one grid: by ``_blocked_det`` from the kernel's
-    ``parts`` on grids of BLOCKED_MIN nodes or more, else, and for a kernel
-    with only ``matrix`` or where the elimination gives up, by LU of the
-    filled matrix.  Past the double range the value is inf or nan."""
-    if hasattr(kernel, "parts") and nodes.size >= BLOCKED_MIN:
+    """det(Id + K) on one grid, inf or nan past the double range: by
+    ``_blocked_det`` on the kernel's ``parts`` from BLOCKED_MIN nodes on,
+    else, or where the elimination gives up, by LU of the filled matrix."""
+    if nodes.size >= BLOCKED_MIN:
         parts = kernel.parts(nodes, weights)
         det = _blocked_det(*parts, nodes)
         if det is not None:

@@ -1,8 +1,8 @@
 """Exact reference values: finite determinants of Fourier moments.
 
-This module is the ground truth for the whole library; it depends only on
-the symbol layer and the contour selection, and shares no code with the
-kernel/asymptotics machinery.
+This module is the ground truth for the whole library; it depends on the
+symbol layer and the contour selection, and shares only the one sampling
+rule, ``cauchy._converged_split``, with the kernel/asymptotics machinery.
 
 The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken in the
 log domain and exponentiated once.  Below the order LEVINSON_MIN it is the
@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from . import errors, symbols
-from ._series import circle_nodes, laurent_coeffs, pow2_at_least
+from ._series import circle_nodes, pow2_at_least
+from .cauchy import _converged_split
 from .contours import base_contour
 
 # Largest |alpha|, |gamma| and |alpha gamma| / |1 - alpha gamma| (the
@@ -64,17 +65,16 @@ def _sample_radius(spec: symbols.SymbolSpec) -> float:
 
 def moment_table(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
     """The moment vector rho^k c_k of phi, k = -x .. x, for a positive
-    integer order x, sampled for x rows on the circle |q| = rho where phi
-    does not wind: the matrix becomes D T D^{-1}, D = diag(rho^i), with the
-    same determinant, better conditioned."""
+    integer order x, sampled on the circle |q| = rho where phi does not
+    wind: the matrix becomes D T D^{-1}, D = diag(rho^i), with the same
+    determinant, better conditioned.  Read from phi's converged split."""
     x = errors.check_x(x)
     if x == 0:
         raise errors.InputError("matrix order must be positive")
-    nodes = circle_nodes(_sample_radius(spec), pow2_at_least(max(256, 8 * x)))
-    ks, c = laurent_coeffs(symbols.eval_phi(spec, nodes))
-    if max(abs(c[0]), abs(c[-1])) > 1e-13 * np.max(np.abs(c)):
-        raise errors.AliasingSuspected("phi moment tail has not decayed")
-    return c[np.abs(ks) <= x]
+    rho = _sample_radius(spec)
+    split, _ = _converged_split(lambda m: (symbols.eval_phi(
+        spec, circle_nodes(rho, m)), rho), pow2_at_least(max(256, 8 * x)))
+    return split.c[np.abs(split.j) <= x]
 
 
 def _gather(moments: np.ndarray) -> np.ndarray:

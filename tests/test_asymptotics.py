@@ -564,6 +564,13 @@ class TestSlavnov:
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
+# log phi = sum_{|j| <= 300} 0.4 0.9^|j| q^j: |c-_n| and |c+_n| stay above
+# 1e-16 / max|c+-| for hundreds of n, far past any fixed row count (48 rows
+# were off by 8.8e-7 and 5.6e-7 in log at x = 4, 8), and the moments of phi
+# take 1024 nodes to decay below cauchy.TAIL_TOL
+SLOW = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
+
+
 class TestIndexSeries:
     @pytest.mark.parametrize("name,x", [("F2", 3), ("F2", 5), ("F6", 3),
                                         ("F6", 5), ("F6", 8)])
@@ -595,11 +602,6 @@ class TestIndexSeries:
         exact = 5.0704260363127643415e173
         assert abs(A.borodin_okounkov(spec, 40) / exact - 1) < 1e-12
 
-    # log phi = sum_{|j| <= 300} 0.4 0.9^|j| q^j: |c-_n| and |c+_n| stay
-    # above 1e-16 / max|c+-| for hundreds of n, far past any fixed row count
-    # (48 rows were off by 8.8e-7 and 5.6e-7 in log at x = 4, 8)
-    SLOW = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
-
     @staticmethod
     def fft_exponent(t, m):
         """sum_j t_j q^j at q = e^{2 pi i k/m}, k = 0 .. m-1, by one inverse
@@ -623,31 +625,31 @@ class TestIndexSeries:
         # the grid turned by pi to start at angle 0
         q = -circle_nodes(1.0, 1024)
         got = 2j * np.pi * symbols.eval_nu_grid(
-            symbols.SymbolSpec(log_coeffs=self.SLOW), q)
-        assert np.max(np.abs(got - self.fft_exponent(self.SLOW, 1024))) < \
+            symbols.SymbolSpec(log_coeffs=SLOW), q)
+        assert np.max(np.abs(got - self.fft_exponent(SLOW, 1024))) < \
             1e-13
 
     @pytest.mark.parametrize("x", [4, 8])
     def test_rows_read_from_the_coefficient_decay(self, x):
-        # toeplitz refuses this symbol: the reference is the dense one
-        spec = symbols.SymbolSpec(log_coeffs=self.SLOW)
-        with pytest.raises(errors.AliasingSuspected):
-            toeplitz.toeplitz_det(spec, x)
+        # toeplitz's moments converge on 1024 nodes, past its first grid
+        spec = symbols.SymbolSpec(log_coeffs=SLOW)
+        dense = self.dense_log_det(SLOW, x)
+        assert abs(np.log(toeplitz.toeplitz_det(spec, x)) - dense) < 1e-12
         bo = A.borodin_okounkov(spec, x)
-        assert abs(np.log(bo) - self.dense_log_det(self.SLOW, x)) < 1e-12
+        assert abs(np.log(bo) - dense) < 1e-12
 
     def test_rows_stop_above_the_rounding_floor(self):
         # a row alone, max(A_n B_0, A_0 B_n), flattens at ~1.4e-16, above
         # BO_TAIL_TOL, and kept all 507 rows of the grid; the tail sum
         # T_n = sum_{s>=n} A_s B_s passes below it at n = 144
-        spec = symbols.SymbolSpec(log_coeffs=self.SLOW)
+        spec = symbols.SymbolSpec(log_coeffs=SLOW)
         with mock.patch.object(np.linalg, "slogdet",
                                wraps=np.linalg.slogdet) as slogdet:
             bo = A.borodin_okounkov(spec, 4)
         # one factorization gives both the value and the Hadamard ratio
         assert slogdet.call_count == 1
         assert slogdet.call_args.args[0].shape[0] <= 160
-        assert abs(bo / np.exp(self.dense_log_det(self.SLOW, 4)) - 1) < 1e-14
+        assert abs(bo / np.exp(self.dense_log_det(SLOW, 4)) - 1) < 1e-14
 
     @pytest.mark.parametrize("x", [470, 600])
     def test_indices_past_grid_read_zero(self, x):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite, residue_coefficient
-from test_asymptotics import two_sided_symbols
+from test_asymptotics import SLOW, two_sided_symbols
 
 
 def suite_for(name):
@@ -85,6 +85,14 @@ def zero_generators(q):
 def zero_kernel():
     """K = 0 with no bandwidth: det(1 + K) = 1 on the first two grids."""
     return fredholm.Kernel(zero_generators)
+
+
+def zero_parts(nodes, diag):
+    """``Kernel.parts`` with one pair of zero generators and the constant
+    diagonal ``diag``: the fill is diag times the identity."""
+    m = nodes.size
+    return (np.zeros((m, 1), dtype=complex), np.zeros((1, m), dtype=complex),
+            np.full(m, diag, dtype=complex))
 
 
 def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
@@ -516,6 +524,12 @@ class TestNystrom:
         assert margin(part(lambda r: 500)) == fredholm.M_START
         assert margin() == fredholm.M_START
 
+    def test_theta_reach_reads_the_converged_bandwidth(self):
+        # SLOW's theta converges on 1024 nodes: one FFT on 256 nodes read
+        # 128, the edge of its grid
+        spec = symbols.SymbolSpec(log_coeffs=SLOW)
+        assert fredholm._theta_reach(spec, 1.0) >= 400
+
     @settings(max_examples=25, deadline=None)
     @given(spec=rational_symbols(), x=st.integers(1, 300))
     def test_grids_start_above_bandwidth(self, spec, x):
@@ -578,25 +592,25 @@ class TestNystrom:
     def test_overflow_raises_overflow_guard(self):
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
         # err = inf would otherwise pass err <= tol * |det| = inf
-        class Huge:
-            def matrix(self, nodes, weights):
-                return 1e9 * np.eye(len(nodes), dtype=complex)
+        class Huge(fredholm.Kernel):
+            def parts(self, nodes, weights):
+                return zero_parts(nodes, 1e9)
 
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(errors.OverflowGuard):
-            fredholm.nystrom_det(Huge(), 1.0)
+            fredholm.nystrom_det(Huge(None), 1.0)
 
     def test_overflowing_modulus_raises_overflow_guard(self):
         # both parts finite, the modulus past the double range: Python's
         # abs would raise a bare OverflowError
-        class Big:
-            def matrix(self, nodes, weights):
-                mat = np.zeros((len(nodes), len(nodes)), dtype=complex)
-                mat[0, 0] = 1.5e308 * (1 + 1j)
-                return mat
+        class Big(fredholm.Kernel):
+            def parts(self, nodes, weights):
+                cols, rows, diag = zero_parts(nodes, 0.0)
+                diag[0] = 1.5e308 * (1 + 1j)
+                return cols, rows, diag
 
         with pytest.raises(errors.OverflowGuard):
-            fredholm.nystrom_det(Big(), 1.0)
+            fredholm.nystrom_det(Big(None), 1.0)
 
 
 class TestLadder:

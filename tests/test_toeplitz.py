@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detlab import asymptotics, cli, errors, symbols, toeplitz
+from detlab import asymptotics, cauchy, cli, errors, symbols, toeplitz
+from test_asymptotics import SLOW
 
 
 def toeplitz_matrix(spec, x):
@@ -132,6 +133,41 @@ class TestStructure:
     def test_negative_or_fractional_order(self, x):
         with pytest.raises(errors.InputError):
             toeplitz.toeplitz_det(symbols.fixture("F1"), x)
+
+
+# phi = 1/(1 - 0.99 q): its moments fall like 0.99^k, by only 3.4e-5 across
+# the 2048 nodes of cauchy.M_CAP
+NEAR_POLE = symbols.SymbolSpec(numer=(1.0,), denom=(1.0, -0.99))
+
+
+class TestSampling:
+    """``moment_table`` samples phi by the one rule,
+    ``cauchy._converged_split``, from max(256, 8x) nodes."""
+
+    @pytest.mark.parametrize("spec, x, grids", [
+        (symbols.fixture("F4"), 3, [256]),
+        (symbols.fixture("F4"), 40, [512]),
+        (symbols.SymbolSpec(log_coeffs=SLOW), 4, [256, 512, 1024])])
+    def test_grids_sampled(self, spec, x, grids, monkeypatch):
+        sampled, split = [], toeplitz._converged_split
+
+        def counted(sample, m0):
+            def recorded(m):
+                sampled.append(m)
+                return sample(m)
+            return split(recorded, m0)
+
+        monkeypatch.setattr(toeplitz, "_converged_split", counted)
+        toeplitz.moment_table(spec, x)
+        assert sampled == grids
+
+    def test_tail_past_the_cap_raises(self, tmp_path):
+        with pytest.raises(errors.TruncationFailure,
+                           match=f"M_CAP = {cauchy.M_CAP}"):
+            toeplitz.toeplitz_det(NEAR_POLE, 4)
+        path = tmp_path / "near_pole.json"
+        path.write_text(json.dumps(symbols.to_json_dict(NEAR_POLE)))
+        assert cli.main(["toeplitz", "--spec", str(path), "--x", "4"]) == 3
 
 
 # phi = (q - 0.5)(q - 3)(q + 3.5)/q^2 = q - 10.75/q + 5.25/q^2 has c_0 = 0

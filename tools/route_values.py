@@ -29,10 +29,14 @@ scalar points.  Then the orthogonal-polynomial values of F3 and F5 at
 x = 2 and 5: every Gram determinant, every monic polynomial's coefficients
 and norm, both Christoffel-Darboux routes at an off-diagonal and a diagonal
 probe pair, the moment equivalence and the boundary problem's normalization
-residual; the Toeplitz moment vectors of F1 and F4 at x = 3 and 40; and
-last the output, byte for byte with its exit code and error line, of
-``toeplitz``, ``fredholm --kernel S`` and ``--kernel V`` (CSV and JSON),
-``ff --L 12`` and ``analyze`` on F3, F4 and F7.
+residual; the Toeplitz moment vectors of F1 and F4 at x = 3 and 40; then
+on the wide-band symbol exp(sum_{|j| <= 300} 0.4 0.9^|j| q^j), whose
+moments and theta take more nodes than any first grid, ``toeplitz`` and
+``bo`` at x = 4, 8 and 16 and theta's Laurent bandwidth on the unit circle
+(``fredholm._theta_reach``); and last the output, byte for byte with its
+exit code and error line, of ``toeplitz``, ``fredholm --kernel S`` and
+``--kernel V`` (CSV and JSON), ``ff --L 12`` and ``analyze`` on F3, F4 and
+F7.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
 ORTHO_CASES = [(name, x) for name in ("F3", "F5") for x in (2, 5)]
 CD_PROBES = ((0.3 + 0.2j, -0.4 + 0.5j), (0.6 - 0.1j, 0.6 - 0.1j))
 MOMENT_CASES = [(name, x) for name in ("F1", "F4") for x in (3, 40)]
+WIDE_BAND = symbols.SymbolSpec(
+    log_coeffs={j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)})
+WIDE_BAND_X = (4, 8, 16)
 BLOCKED_CASES = [(name, 512) for name in ("F1", "F4")]
 CLI_COMMANDS = [(*command, "--format", fmt)
                 for command in (("toeplitz",), ("fredholm", "--kernel", "S"),
@@ -218,6 +225,12 @@ def main(out=sys.stdout) -> None:
         value = outcome(
             lambda: toeplitz.moment_table(symbols.fixture(name), x).tolist())
         out.write(f"moments {name} x={x} {value}\n")
+    for route in ("toeplitz", "bo"):
+        for x in WIDE_BAND_X:
+            value = outcome(lambda: cli.ROUTES[route](WIDE_BAND, x, None))
+            out.write(f"wide-band {route} x={x} {value}\n")
+    value = outcome(lambda: fredholm._theta_reach(WIDE_BAND, 1.0))
+    out.write(f"wide-band theta_reach radius=1.0 {value}\n")
     for name in ("F3", "F4", "F7"):
         for command in CLI_COMMANDS:
             argv = (*command, "--spec", name)
