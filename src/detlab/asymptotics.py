@@ -244,9 +244,10 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     the zero w_b outside it, to det(1 + V) before the swap.
 
     Returns (closed form, Nystrom ratio, absolute error bound of the
-    ratio), the bound combining both determinants' ``err_estimate``: the
-    ratio is accurate only in absolute terms, so a small one may be far off
-    relative to itself.  The swapped V in residue form is regular at z_a,
+    ratio), the bound combining both determinants' ``err_estimate`` and
+    ``lu_rounding``, m^2 eps max(1, |det|) on m nodes: the ratio is
+    accurate only in absolute terms, so a small one may be far off relative
+    to itself.  The swapped V in residue form is regular at z_a,
     where theta = -1, so its determinant is taken on the plain circle
     ``radius_past`` |w_b| outward, with the poles of phi as obstructions.
     EmptyAnnulus when a pole lies between the base circle and w_b;
@@ -273,10 +274,11 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
                            radius_past(abs(w_b), poles, 1), 1e-9)
     det_base = nystrom_det(kernel_V_residue(spec, x, zset), suite.rho, 1e-9)
     ratio = det_swap.value / det_base.value
+    d_swap, d_base = (d.err_estimate + d.lu_rounding
+                      for d in (det_swap, det_base))
     # |a/b - (a + da)/(b + db)| <= (|da| + |a/b| |db|) / (|b| - |db|)
-    floor = abs(det_base.value) - det_base.err_estimate
-    err = ((det_swap.err_estimate + abs(ratio) * det_base.err_estimate) /
-           floor if floor > 0 else np.inf)
+    floor = abs(det_base.value) - d_base
+    err = (d_swap + abs(ratio) * d_base) / floor if floor > 0 else np.inf
     return complex(closed), complex(ratio), float(err)
 
 

@@ -20,10 +20,15 @@ aliases them and ``nystrom_det`` starts its grids above x.  An object
 without the attribute has bandwidth 0.  A kernel may also carry ``reach``,
 a callable radius -> how many modes its generators carry past q^{+-x/2}
 on the circle of that radius above ``cauchy.TAIL_TOL``; ``nystrom_det``
-starts its grids that far past x (see ``first_margin``).
+starts its grids that far past x (see ``first_margin``).  The reach
+returns a ``Reach``: that count, and a bound on what a grid folds back,
+read from the same split or decay as the count, or None.
 
-``nystrom_det`` runs a ladder of grids x + a, x + 2a, x + 4a, ..., with one
-short step of a nodes where two drifts predict convergence.  It takes
+``nystrom_det`` fills one grid, x + 2a nodes for the first margin a, where
+the kernel bounds what that grid folds, with its LU's rounding, within tol,
+and otherwise runs a
+ladder of grids x + a, x + 2a, x + 4a, ..., with one short step of a nodes
+where two drifts predict convergence.  It takes
 det(Id + K) on grids below BLOCKED_MIN nodes by LU of the filled matrix,
 and from there on by block Gaussian elimination on the generators
 (Gohberg, Kailath and Olshevsky, Math. Comp. 64 (1995)), which never forms
@@ -42,6 +47,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,11 +89,35 @@ TOL = 1e-10      # default agreement of two successive Nystrom determinants
 
 @dataclass(frozen=True)
 class DetResult:
+    """det(Id + K) from ``nystrom_det``.  A ladder lists the node counts it
+    tried in ``grids``, the last m_used, and in ``drifts`` |det - det
+    before| on each grid after the first; its ``err_estimate`` is the last
+    drift.  A single grid has ``grids`` (m_used,), no ``drifts``, and as
+    ``err_estimate`` m_used times its kernel's bound on what the grid folds
+    into each entry, times max(1, |det|), taken only where that and the
+    LU's rounding, ``lu_rounding``, are within tol together.  Neither
+    estimate counts that rounding."""
     value: complex
     err_estimate: float
     m_used: int
-    grids: tuple    # node counts tried, in order; the last is m_used
-    drifts: tuple   # |det - det before| on each grid after the first
+    grids: tuple
+    drifts: tuple
+
+    @property
+    def lu_rounding(self) -> float:
+        """m^2 eps max(1, |det|) on m = m_used nodes: the first-order bound
+        on an LU's rounding of order m, without its condition number."""
+        return self.m_used ** 2 * np.finfo(float).eps * max(1.0,
+                                                              abs(self.value))
+
+
+class Reach(NamedTuple):
+    """A kernel's ``reach`` on one circle: ``modes``, how many modes its
+    generators carry past q^{+-x/2} above TAIL_TOL, and ``folds(n)``, a
+    bound on what a grid of x + n nodes folds into each entry, relative to
+    the kernel's leading term (``nystrom_det``); None gives no bound."""
+    modes: int
+    folds: Optional[Callable[[int], float]]
 
 
 class Kernel:
@@ -189,25 +219,46 @@ def _rank_one(a, q, u, v, dv):
 def kernel_sum(parts: list) -> Kernel:
     """The sum of the kernels ``parts``, which share a: their pairs, in
     order, with the largest x of the parts, and as reach on a circle their
-    largest ``first_margin`` there (M_START for a part without a reach)."""
+    largest ``first_margin`` there (M_START for a part without a reach),
+    which folds the worst of what its parts fold, or no bound where a part
+    has none or its margin was clipped; parts after one at M_START with no
+    bound are not read."""
     def generators(q):
         a, *pairs = zip(*(k.generators(q) for k in parts))
         return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
 
     def reach(radius):
-        return max((first_margin(k, radius) for k in parts), default=M_START)
+        read = []
+        for k in parts:
+            read.append(_first_reach(k, radius))
+            if read[-1] == (M_START, None):
+                return read[-1]     # the sum's reach, whatever follows
+        folds = [r.folds for r in read]
+        return Reach(max((r.modes for r in read), default=M_START),
+                     None if None in folds or not read else
+                     lambda n: max(f(n) for f in folds))
 
     return Kernel(generators, max((k.x for k in parts), default=0), reach)
+
+
+def _first_reach(kernel, radius: float) -> Reach:
+    """The kernel's ``reach`` on the circle of ``radius``, its modes clipped
+    to [1, M_START] and its folds dropped where they were clipped; M_START
+    with no bound for a kernel without one."""
+    reach = getattr(kernel, "reach", None)
+    if reach is None:
+        return Reach(M_START, None)
+    modes, folds = reach(radius)
+    if modes > M_START:
+        return Reach(M_START, None)
+    return Reach(max(1, modes), folds)
 
 
 def first_margin(kernel, radius: float) -> int:
     """Margin over x of the first Nystrom grid on the circle of ``radius``:
     the kernel's ``reach`` there, clipped to [1, M_START]; M_START for a
     kernel without one."""
-    reach = getattr(kernel, "reach", None)
-    if reach is None:
-        return M_START
-    return min(M_START, max(1, reach(radius)))
+    return _first_reach(kernel, radius).modes
 
 
 def _reach(j, c, part=True) -> int:
@@ -218,12 +269,73 @@ def _reach(j, c, part=True) -> int:
     return int(np.max(np.abs(j[keep]), initial=0))
 
 
+def _envelope(j, c):
+    """E[k], the largest |c_j| over |j| >= k relative to the largest of all,
+    for k = 0 ... max|j| + 1, where it is 0."""
+    by_k = np.zeros(np.max(np.abs(j)) + 2)
+    np.maximum.at(by_k, np.abs(j), np.abs(c))
+    env = np.maximum.accumulate(by_k[::-1])[::-1]
+    return env / env[0] if env[0] > 0 else env
+
+
+def _folds(env, tail, n: int) -> float:
+    """Bound on what a grid of x + n nodes folds back, relative to the
+    kernel's leading term (``nystrom_det``): theta's largest mode past n,
+    from its ``_envelope`` env, plus the sum over the tail modes nu = 1,
+    2, ..., ``tail(nu)`` relative to q^x, of each times theta's largest
+    mode at or past |n - nu|; no tail for None."""
+    last = env.size - 1
+    folds = env[min(n + 1, last)]
+    if tail is not None:
+        nu = np.arange(1, n + last + 1)
+        folds += np.sum(tail(nu) * env[np.minimum(np.abs(n - nu), last)])
+    return float(folds)
+
+
+def _theta_split(spec: symbols.SymbolSpec, radius: float):
+    """theta's converged split on the circle of ``radius``, from 256 nodes."""
+    split, _ = _converged_split(lambda m: (symbols.eval_theta(
+        spec, circle_nodes(radius, m)), radius), 256)
+    return split
+
+
+def _s_reach(spec: symbols.SymbolSpec, radius: float) -> Reach:
+    """``kernel_S``'s reach: theta's Laurent bandwidth, read from its
+    converged split, which also bounds the modes a grid folds."""
+    split = _theta_split(spec, radius)
+    return Reach(_reach(split.j, split.c),
+                 functools.partial(_folds, _envelope(split.j, split.c), None))
+
+
 def _theta_reach(spec: symbols.SymbolSpec, radius: float) -> int:
     """Laurent bandwidth of theta on the circle of ``radius``, read from its
     converged split from 256 nodes."""
-    split, _ = _converged_split(lambda m: (symbols.eval_theta(
-        spec, circle_nodes(radius, m)), radius), 256)
+    split = _theta_split(spec, radius)
     return _reach(split.j, split.c)
+
+
+def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
+                   rho: float) -> Reach:
+    """Reach of a residue tail -sum_z c_z/(z - q) over the pairs ``res`` of
+    a zero z and its c_z = z^x/phi'(z) on the circle of rho, V's residue
+    form or W's one zero.  Its mode nu is sum_z c_z z^(nu - 1) q^-nu, at
+    most sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) of q^x there, which bounds
+    what a grid folds.  It carries theta's bandwidth or ceil(log TAIL_TOL /
+    log(max|z|/rho)) - x modes, whichever is more, the count without the
+    weights c_z; M_START, with no bound, unless max|z| < rho."""
+    size = np.abs([z for z, _ in res])
+    top = np.max(size, initial=0.0) / rho
+    if top >= 1.0:
+        return Reach(M_START, None)
+    split = _theta_split(spec, rho)
+    poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
+    with np.errstate(divide="ignore"):
+        # |c_z|/rho^(x + 1) by logarithms, as rho^x alone may underflow
+        weight = np.exp(np.log(np.abs([c for _, c in res])) -
+                        (x + 1) * math.log(rho))
+    return Reach(max(_reach(split.j, split.c), poles), functools.partial(
+        _folds, _envelope(split.j, split.c),
+        lambda nu: weight @ (size[:, None] / rho) ** (nu - 1)))
 
 
 def _halfpows(q, x):
@@ -235,13 +347,13 @@ def _halfpows(q, x):
 
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
     """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q).  Its
-    reach is theta's Laurent bandwidth."""
+    reach is theta's Laurent bandwidth (``_s_reach``)."""
     def generators(q):
         hp, hm = _halfpows(q, x)
         return (np.sqrt(symbols.eval_theta(spec, q)), (hm, -hp), (hp, hm),
                 ((x / 2.0) * hp / q, (-x / 2.0) * hm / q))
 
-    return Kernel(generators, x, functools.partial(_theta_reach, spec))
+    return Kernel(generators, x, functools.partial(_s_reach, spec))
 
 
 def _kernel_V_generic(theta, tail, x, reach):
@@ -269,7 +381,9 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     nodes, rounded up to a power of two, so its modes near j = x never
     fold; OverflowGuard when q^x overflows on the circle.  Its reach, on
     this circle, is the larger of theta's bandwidth and the largest |j| of
-    that outside part, both read from the samples of the converged grid."""
+    that outside part, both read from the samples of the converged grid,
+    which also bound the modes a grid folds; no bound where radius^x
+    underflows."""
     x = errors.check_x(x)
     held = {}
 
@@ -287,8 +401,16 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
 
     def reach(rho):
         # read on this circle, the one every caller factors the kernel on
-        return max(_reach(*laurent_coeffs(held["theta"])),
-                   _reach(split.j, split.c, split.j < 0))
+        j, c = laurent_coeffs(held["theta"])
+        modes = max(_reach(j, c), _reach(split.j, split.c, split.j < 0))
+        lead = radius ** x
+        if not lead > 0:
+            return Reach(modes, None)
+        # the outside modes nu = 1, 2, ... relative to q^x, then zeros
+        tail = np.append(np.abs(split.c[split.j < 0][::-1]) / lead, 0.0)
+        return Reach(modes, functools.partial(
+            _folds, _envelope(j, c),
+            lambda nu: tail[np.minimum(nu, tail.size) - 1]))
 
     return _kernel_V_generic(
         theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach)
@@ -309,22 +431,15 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return (-sum((c / g for c, g in gaps), zero),
                 -sum((c / g ** 2 for c, g in gaps), zero))
 
-    def reach(rho):
-        # the mode n of q^{-x/2} z^x/(z - q) past q^{-x/2} is (|z|/rho)^{x+n}
-        # of q^{x/2} on the circle of rho
-        top = max((abs(z) for z, _ in res), default=0.0) / rho
-        if top >= 1.0:
-            return M_START
-        poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
-        return max(_theta_reach(spec, rho), poles)
-
     return _kernel_V_generic(functools.partial(symbols.eval_theta, spec),
-                             tail, x, reach)
+                             tail, x,
+                             functools.partial(_residue_reach, spec, x, res))
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
     """Rank-one residue kernel c u(q) u(p) / (2 pi i) at a simple zero s of
-    phi, c its residue coefficient and u = sqrt(theta) q^{-x/2}/(s - q)."""
+    phi, c its residue coefficient and u = sqrt(theta) q^{-x/2}/(s - q); its
+    reach is the residue form's at s (``_residue_reach``)."""
     c = residue_coefficient(spec, s, x, 0.0)
 
     def generators(q):
@@ -332,7 +447,8 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
         return _rank_one(np.sqrt(symbols.eval_theta(spec, q)), q, c * u, u,
                          u * (1.0 / (s - q) - (x / 2.0) / q))
 
-    return Kernel(generators, x)
+    return Kernel(generators, x,
+                  functools.partial(_residue_reach, spec, x, [(s, c)]))
 
 
 def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
@@ -374,47 +490,100 @@ def _error_left(grids, drifts) -> float:
     return drifts[-1] * rate ** (grids[-1] - grids[-2])
 
 
+def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
+    """(det, |det|, |det - prev|) on the grid of m nodes by ``_grid_det``,
+    the drift 0 without ``prev``; OverflowGuard once |det| or the drift
+    leaves the double range."""
+    nodes = circle_nodes(radius, m)
+    det = _grid_det(kernel, nodes, circle_weights(nodes, m))
+    try:    # abs raises where the modulus of a finite complex overflows
+        size, err = abs(det), 0.0 if prev is None else abs(det - prev)
+    except OverflowError:
+        size = err = np.inf
+    if not (np.isfinite(size) and np.isfinite(err)):
+        raise errors.OverflowGuard(
+            f"|det| {size:.2e} or its drift {err:.2e} at m={m} is past "
+            "the double range")
+    return det, size, err
+
+
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
-    """det(Id + K) on trapezoidal grids of m = x + a 2^k nodes on the
-    origin-centered circle of ``radius``, k = 0, 1, ..., where x is the
-    kernel's bandwidth and a its ``first_margin`` on that circle, doubled
-    while the grid has fewer than 16 nodes; each grid's determinant by
-    ``_grid_det``, LU of the filled matrix or, from BLOCKED_MIN nodes on,
-    elimination on the generators.  Past x + a the q^{+-x/2}
-    factors and the kernel's own modes stop aliasing, and the determinants
-    converge geometrically (Bornemann, Math. Comp. 79 (2010)); the first two
-    that agree to ``tol`` give the value.  Where the last two drifts predict
-    (``_error_left``) at most tol/2 max(1, |det|) left on the grid
-    x + a 2^k, the next grid is x + a (2^k + 1); if that one disagrees, the
-    ladder goes on to x + a 2^(k+1).  InputError unless radius > 0;
-    raises NotConverged when the next grid would pass ``m_cap``, and, by
-    ``check_grid_cap``, up front before any sampling and again once the
-    first margin is read, before any fill; OverflowGuard once |det| or its
-    drift between two grids leaves the double range."""
+    """det(Id + K) on trapezoidal grids on the origin-centered circle of
+    ``radius``, each grid's determinant by ``_grid_det``, LU of the filled
+    matrix or, from BLOCKED_MIN nodes on, elimination on the generators.
+    x is the kernel's bandwidth and a its ``first_margin`` on that circle,
+    doubled while the grid has fewer than 16 nodes.  Past x + a the
+    q^{+-x/2} factors and the kernel's own modes stop aliasing, and the
+    determinants converge geometrically (Bornemann, Math. Comp. 79 (2010)).
+
+    What a grid folds.  On m nodes the trapezoid rule adds to the integral
+    of theta q^k the modes of theta a nonzero multiple of m away from the
+    one it reads.  S's
+    sine part (q^x - p^x)/(q - p) has rank x, so det(Id + K) on m = x + n
+    nodes is the x x x Toeplitz determinant of theta's m-node moments, and
+    the grid folds theta's modes c_j with |j| > n, nothing else.  V has
+    w = q^x + sum_{nu >= 1} d_nu q^-nu in place of q^x; to first order in
+    the tail its grid also folds each product d_nu c_(nu - n), so a tail
+    of N modes on a theta of bandwidth b is exact only from n = N + b + 1,
+    and the modes past n alone do not tell (with N = b = 2 the grid x + 4
+    was 2e-5 off for tail modes of 1e-4).  ``kernel_S`` and split-form
+    ``kernel_V`` read c_j and d_nu (relative to q^x) from their converged
+    splits, whose coefficients past the function's own modes are the
+    samples' own rounding: where nothing else folds, the bound is that
+    split's rounding floor, at most 0.4 eps of theta's largest mode on F3,
+    F4 and the benchmark's random rational symbols (0 on F1's constant
+    theta), and for V's tail a floor that grows with x, 91 eps of theta's
+    largest on F1 at x = 512.  The residue form's d_nu is at most
+    sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) on the circle of rho, c_z =
+    z^x/phi'(z) its residue weights, so a small phi'(z) raises the bound,
+    and ``kernel_W``'s the same for its one zero.
+
+    One grid: the kernel's reach bounds what the grid of m = x + 2a nodes
+    folds into each entry (``Reach.folds(2a)``, relative to its leading
+    term), and to first order the determinant moves by at most m times
+    that, without the condition number; the residue form with
+    phi'(0.5) = -4e-6 moved 6 times the bound at x = 30.  Where m
+    times the bound plus m^2 eps, the LU's rounding
+    (``DetResult.lu_rounding``), is within ``tol``, only that grid is
+    filled, and its determinant is returned with m times the bound times
+    max(1, |det|) as ``err_estimate``.  That is the grid a ladder returns
+    when its first two grids agree, so it is the same value.  Folding
+    below rounding moves the matrix less than forming it does, so a
+    second grid could not tell the two apart; conditioning amplifies both
+    alike, and neither estimate counts it.  A tol below the rounding,
+    which no grid can deliver, runs the ladder, whose drifts show it.
+
+    Otherwise (no bound, a reach clipped at M_START, or a bound or rounding
+    past tol) a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
+    two grids that agree to ``tol`` give the value.  Where the last two
+    drifts predict (``_error_left``) at most tol/2 max(1, |det|) left on
+    the grid x + a 2^k, the next grid is x + a (2^k + 1); if that one
+    disagrees, the ladder goes on to x + a 2^(k+1).  InputError unless
+    radius > 0; raises NotConverged when the next grid would pass
+    ``m_cap``, and, by ``check_grid_cap``, up front before any sampling
+    and again once the first margin is read, before any fill;
+    OverflowGuard once |det| or its drift between two grids leaves the
+    double range."""
     if not radius > 0:
         raise errors.InputError(f"circle radius {radius} is not positive")
     x = getattr(kernel, "x", 0)
     check_grid_cap(x, m_cap)
-    margin = first_margin(kernel, radius)
+    margin, folds = _first_reach(kernel, radius)
     while x + margin < 16:
         margin *= 2
     check_grid_cap(x, m_cap, margin)
+    m = x + 2 * margin
+    bound = math.inf if folds is None else m * folds(2 * margin)
+    if bound + m * m * np.finfo(float).eps <= tol:
+        det, size, _ = _grid_value(kernel, radius, m, None)
+        return DetResult(det, bound * max(1.0, size), m, (m,), ())
     step, m = margin, x + margin
     grids, drifts = [], []
     prev = None
     while True:
         grids.append(m)
-        nodes = circle_nodes(radius, m)
-        det = _grid_det(kernel, nodes, circle_weights(nodes, m))
-        try:    # abs raises where the modulus of a finite complex overflows
-            size, err = abs(det), 0.0 if prev is None else abs(det - prev)
-        except OverflowError:
-            size = err = np.inf
-        if not (np.isfinite(size) and np.isfinite(err)):
-            raise errors.OverflowGuard(
-                f"|det| {size:.2e} or its drift {err:.2e} at m={m} is past "
-                "the double range")
+        det, size, err = _grid_value(kernel, radius, m, prev)
         if prev is not None:
             drifts.append(err)
             if err <= tol * max(1.0, size):
@@ -519,7 +688,8 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         h = q ** (-x / 2.0)
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
 
-    vk1 = Kernel(rank_one, x, functools.partial(_theta_reach, spec))
+    vk1 = Kernel(rank_one, x,
+                 lambda radius: Reach(_theta_reach(spec, radius), None))
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)

@@ -177,8 +177,8 @@ class TestTables:
         assert fv == pytest.approx(tv, rel=1e-9)
 
     def test_fredholm_default_cap_past_x_448(self, capsys):
-        # F1's constant theta starts the grids at x + 1 = 481, confirmed on
-        # x + 2 = 482; the cap check still asks for x + 64 <= 1024
+        # F1's constant theta has margin 1, and its one grid x + 2 = 482
+        # nodes; the cap check still asks for x + 64 <= 1024
         code, out = run(["fredholm", "--spec", "F1", "--x", "480"], capsys)
         assert code == 0
         row = list(csv.DictReader(io.StringIO(out)))[0]

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,8 @@ from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite, residue_coefficient
 from test_asymptotics import SLOW, two_sided_symbols
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def suite_for(name):
@@ -306,14 +309,14 @@ class TestFill:
         assert abs(det / asymptotics.slavnov_series(spec, x) - 1) < 1e-12
 
     @pytest.mark.parametrize("name,m_used", [
-        ("F1", ((18, 34), (16, 24), (65, 66))),
-        ("F2", ((24, 46), (19, 30), (75, 86))),
-        ("F3", ((18, 34), (16, 24), (66, 68))),
-        ("F4", ((18, 34), (16, 24), (66, 68)))])
+        ("F1", ((34,), (24,), (66,))),
+        ("F2", ((46,), (30,), (86,))),
+        ("F3", ((34,), (24,), (68,))),
+        ("F4", ((34,), (24,), (68,)))])
     def test_doubling_history_pinned(self, name, m_used):
-        # the grids tried at x = 2, 8, 64, each ladder ending on m_used:
-        # x + a, x + 2a nodes, a theta's bandwidth (0 -> 1 for F1, 11 for F2,
-        # 2 for F3 and F4) doubled while x + a < 16
+        # the grids tried at x = 2, 8, 64: theta's modes past 2a are
+        # rounding, so one grid of x + 2a nodes, a theta's bandwidth (0 -> 1
+        # for F1, 11 for F2, 2 for F3 and F4) doubled while x + a < 16
         spec = symbols.fixture(name)
         ct = asymptotics.base_contour(spec)
         res = [fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct)
@@ -440,7 +443,9 @@ class TestNystrom:
                                  tol=1e-15, m_cap=32)
 
     def test_drift_at_cap_raises(self):
-        # grids 19, 35 and 67 leave a drift past 1e-15, and 131 passes the cap
+        # the grid 35 rounds past 1e-15, so no single grid: the ladder's
+        # grids 19, 35 and 67 leave a drift past 1e-15, and 131 passes the
+        # cap
         spec = symbols.fixture("F4")
         with pytest.raises(errors.NotConverged, match="drift .* at m=67"):
             fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
@@ -484,11 +489,11 @@ class TestNystrom:
 
     def test_f4_at_x_512(self):
         # doubling from 32 reached m_cap = 1024 here and raised; theta's
-        # bandwidth 2 starts the grids at x + 2
+        # bandwidth 2 puts the one grid at x + 4
         spec = symbols.fixture("F4")
         res = fredholm.nystrom_det(fredholm.kernel_S(spec, 512),
                                    asymptotics.base_contour(spec))
-        assert res.grids == (512 + 2, 512 + 4)
+        assert res.grids == (512 + 4,)
         slav = asymptotics.slavnov_series(spec, 512)
         assert abs(res.value / slav - 1) < 1e-10
 
@@ -511,17 +516,18 @@ class TestNystrom:
             spec, 6, suite.zeros_inside()).x == 6
 
     def test_sum_kernel_reach_is_its_widest_margin(self):
-        def part(reach):
-            return fredholm.Kernel(zero_generators, 0, reach)
+        def part(modes):
+            return fredholm.Kernel(zero_generators, 0, None if modes is None
+                                   else lambda r: fredholm.Reach(modes, None))
 
         def margin(*parts):
             return fredholm.first_margin(fredholm.kernel_sum(parts), 1.0)
 
-        assert margin(part(lambda r: 5), part(lambda r: 9)) == 9
+        assert margin(part(5), part(9)) == 9
         # a part without a reach counts as M_START, and a reach past it is
         # clipped there, so no sum starts past its widest part's margin
-        assert margin(part(lambda r: 5), part(None)) == fredholm.M_START
-        assert margin(part(lambda r: 500)) == fredholm.M_START
+        assert margin(part(5), part(None)) == fredholm.M_START
+        assert margin(part(500)) == fredholm.M_START
         assert margin() == fredholm.M_START
 
     def test_theta_reach_reads_the_converged_bandwidth(self):
@@ -561,7 +567,7 @@ class TestNystrom:
         kern = fredholm.kernel_V(theta_of(symbols.fixture("F6")), 2, 1.0)
         want = fredholm.nystrom_det(kern, 1.0)
         assert want.grids == (34, 66, 130)
-        kern.reach = lambda radius: 1
+        kern.reach = lambda radius: fredholm.Reach(1, None)
         got = fredholm.nystrom_det(kern, 1.0)
         assert got.grids[0] == 18
         assert abs(got.value - want.value) <= \
@@ -613,6 +619,160 @@ class TestNystrom:
             fredholm.nystrom_det(Big(None), 1.0)
 
 
+class TestOneGrid:
+    """``nystrom_det`` fills one grid, x + 2a, where the kernel's reach
+    bounds what that grid folds within tol, and runs the ladder otherwise."""
+
+    @staticmethod
+    def filled(monkeypatch):
+        """The node counts of every grid filled from here on."""
+        sizes = []
+        real = fredholm._grid_det
+
+        def grid_det(kernel, nodes, weights):
+            sizes.append(nodes.size)
+            return real(kernel, nodes, weights)
+
+        monkeypatch.setattr(fredholm, "_grid_det", grid_det)
+        return sizes
+
+    def test_f4_takes_the_last_grid_of_its_ladder(self, monkeypatch):
+        # the same generators with a reach that bounds nothing run the
+        # ladder (66, 68): its value, bit for bit, from one fill
+        spec = symbols.fixture("F4")
+        ct = asymptotics.base_contour(spec)
+        kern = fredholm.kernel_S(spec, 64)
+        ladder = fredholm.nystrom_det(fredholm.Kernel(
+            kern.generators, 64, lambda radius: fredholm.Reach(2, None)), ct)
+        sizes = self.filled(monkeypatch)
+        one = fredholm.nystrom_det(kern, ct)
+        assert ladder.grids == (66, 68)
+        assert sizes == [68] and one.grids == (68,) and one.drifts == ()
+        assert one.value == ladder.value
+        # theta's modes past 4 are rounding, 0.23 eps of its largest, on
+        # each of the 68 entries of a row
+        assert 0 < one.err_estimate <= 68e-16 * abs(one.value)
+
+    def test_residue_forms_share_one_reach(self):
+        # W at the zero 0.3 reads V's residue-form reach over {0.3}: theta's
+        # bandwidth 2 or the 11 modes the tail keeps above TAIL_TOL past
+        # x = 6, (0.3 / 1.75)^(6 + 11) < 1e-13, with the same bound
+        spec = symbols.fixture("F4")
+        rho = asymptotics.base_contour(spec)
+        v = fredholm.kernel_V_residue(spec, 6, [0.3]).reach(rho)
+        w = fredholm.kernel_W(spec, 0.3, 6).reach(rho)
+        assert v.modes == w.modes == 11
+        assert [v.folds(n) for n in (4, 22)] == [w.folds(n) for n in (4, 22)]
+        assert v.folds(4) > 1e-8 > 1e-15 > v.folds(22)
+
+    def test_v_tail_meets_theta_below_the_grid(self):
+        # theta of bandwidth 2 and the tail 1e-4 (1/q + 1/q^2): the grid
+        # x + n folds the tail mode 2 into theta's mode n - 2 until
+        # n = 2 + 2 + 1, which the modes past n alone do not show
+        def theta(q):
+            return 0.5 + 0.2 * (q + 1 / q) + 0.1 * (q ** 2 + 1 / q ** 2)
+
+        def tail(q):
+            return (1e-4 * (1 / q + 1 / q ** 2),
+                    -1e-4 * (1 / q ** 2 + 2 / q ** 3))
+
+        x = 30
+        kern = fredholm._kernel_V_generic(theta, tail, x, None)
+        split = LaurentSplit(theta(circle_nodes(1.0, 256)), 1.0)
+        env = fredholm._envelope(split.j, split.c)
+        modes = np.array([1e-4, 1e-4, 0.0])
+
+        def folds(n):
+            return fredholm._folds(
+                env, lambda nu: modes[np.minimum(nu, 3) - 1], n)
+
+        def det(m):
+            nodes = circle_nodes(1.0, m)
+            return fredholm._grid_det(kern, nodes, circle_weights(nodes, m))
+
+        exact = det(200)
+        for n in (2, 3, 4):
+            off = abs(det(x + n) / exact - 1)
+            assert folds(n) / 2 <= off <= folds(n)
+            assert env[n + 1] < 1e-16
+        for n in (5, 6, 8):
+            assert abs(det(x + n) / exact - 1) < 1e-13
+            assert folds(n) < 1e-15
+
+    @staticmethod
+    def near_double_zero(x):
+        """V in residue form over the zero 0.5 of phi = (q - 0.5)(q -
+        0.5001)/q^2, on the unit circle: phi'(0.5) = -4e-4."""
+        roots = np.polynomial.polynomial.polyfromroots([0.5, 0.5001])
+        spec = symbols.SymbolSpec("rational", tuple(roots), (0.0, 0.0, 1.0))
+        return fredholm.kernel_V_residue(spec, x, [0.5])
+
+    def test_small_phi_prime_raises_the_bound(self):
+        # the tail's weight z^x/phi'(z) puts its modes 1/|z phi'(z)| = 5000
+        # times above (|z|/rho)^(x + nu): at x = 40 that keeps the grid 48
+        # from standing alone, where it is 1.4e-10 off; x = 30 and 50 take
+        # one grid, which holds against twice its grid
+        def det(kern, m):
+            nodes = circle_nodes(1.0, m)
+            return fredholm._grid_det(kern, nodes, circle_weights(nodes, m))
+
+        kern = self.near_double_zero(40)
+        assert fredholm.first_margin(kern, 1.0) == 4
+        assert 48 * kern.reach(1.0).folds(8) > fredholm.TOL
+        assert abs(det(kern, 48) - det(kern, 96)) > fredholm.TOL
+        assert len(fredholm.nystrom_det(kern, 1.0).grids) > 1
+        for x, m in ((30, 58), (50, 54)):
+            kern = self.near_double_zero(x)
+            res = fredholm.nystrom_det(kern, 1.0)
+            assert res.grids == (m,)
+            assert abs(res.value - det(kern, 2 * m)) <= \
+                res.err_estimate + res.lu_rounding
+
+    @pytest.mark.parametrize("case", ["no reach", "slow", "fermi", "bound",
+                                      "rounding"])
+    def test_ladder_where_no_bound_holds(self, monkeypatch, case):
+        # a kernel with no reach, a reach clipped at M_START (SLOW's theta,
+        # and the Fermi weight's tau_eff kernel at beta = 8), a bound above
+        # tol, and a tol below the grid's rounding each fill the ladder's
+        # grids x + a and x + 2a
+        tol, m_cap = fredholm.TOL, fredholm.M_CAP
+        if case == "no reach":
+            _, suite = suite_for("F4")
+            kern, radius = fredholm.resolvent_kernel(
+                suite, 3, suite.b_split(3).plus), suite.rho
+        elif case == "slow":
+            kern, radius = fredholm.kernel_S(
+                symbols.SymbolSpec(log_coeffs=SLOW), 4), 1.0
+        elif case == "fermi":
+            spec = symbols.load_symbol(DATA / "fermi_beta8.json")
+            kern, radius = asymptotics.tau_eff_kernel(spec, 16)
+        elif case == "bound":
+            kern, radius = self.near_double_zero(40), 1.0
+        else:
+            # the grid 68 folds 1.6e-15 and rounds at 1e-12
+            spec = symbols.fixture("F4")
+            kern, radius = fredholm.kernel_S(spec, 64), \
+                asymptotics.base_contour(spec)
+            tol = 1e-13
+        margin = fredholm.first_margin(kern, radius)
+        while kern.x + margin < 16:
+            margin *= 2
+        sizes = self.filled(monkeypatch)
+        try:
+            res = fredholm.nystrom_det(kern, radius, tol, m_cap)
+            assert res.grids == tuple(sizes) and len(res.drifts) >= 1
+        except errors.NotConverged:
+            pass
+        assert sizes[:2] == [kern.x + margin, kern.x + 2 * margin]
+
+    def test_clipped_reach_bounds_nothing(self):
+        # a reach past M_START is clipped there and drops its bound, which
+        # counted only the modes it read
+        kern = fredholm.Kernel(zero_generators, 3, lambda radius:
+                               fredholm.Reach(500, lambda n: 0.0))
+        assert fredholm._first_reach(kern, 1.0) == (fredholm.M_START, None)
+
+
 class TestLadder:
     """The short step of ``nystrom_det``: grids x + a, x + 2a, x + 4a, ...
     until two drifts predict convergence, then one of a nodes more."""
@@ -628,8 +788,8 @@ class TestLadder:
             return complex(det_at(nodes.size - self.X))
 
         monkeypatch.setattr(fredholm, "_grid_det", grid_det)
-        return fredholm.Kernel(zero_generators, self.X,
-                               lambda radius: self.A), filled
+        return fredholm.Kernel(zero_generators, self.X, lambda radius:
+                               fredholm.Reach(self.A, None)), filled
 
     @staticmethod
     def geometric(n):
@@ -704,7 +864,9 @@ class TestLadder:
     def test_accepted_values_hold_on_twice_the_grid(self, spec, x):
         # the ladders of S, of tau_eff's V and of tau_ratio_swap's two
         # residue kernels, swapping the largest zero inside for the
-        # smallest outside: many take the short step
+        # smallest outside: many take the short step, and many a single
+        # grid, which holds to its err_estimate, which counts no rounding,
+        # plus its LU's
         calls = []
         nystrom = self.recorded(calls)
         nystrom(fredholm.kernel_S(spec, x), asymptotics.base_contour(spec))
@@ -720,6 +882,9 @@ class TestLadder:
             nodes = circle_nodes(radius, m)
             ref = fredholm._grid_det(kernel, nodes, circle_weights(nodes, m))
             assert abs(res.value - ref) <= tol * max(1.0, abs(ref))
+            if len(res.grids) == 1:
+                assert abs(res.value - ref) <= \
+                    res.err_estimate + res.lu_rounding
 
 
 class TestKernelAlgebra:
@@ -879,7 +1044,9 @@ class TestRankOne:
     def test_sum_starts_at_the_margin_of_v(self, monkeypatch):
         # on F2 at x = 2 the rank-one part carries theta's reach, no wider
         # than V's, so the sum (V's two pairs and the rank-one part's two)
-        # takes V's ladder where it took x + 32 nodes
+        # starts at V's margin where it took x + 32 nodes; V bounds what its
+        # grid x + 2a folds and takes that one grid, the rank-one part has
+        # no bound, so the sum runs the ladder
         ladders = []
         real = fredholm.nystrom_det
 
@@ -891,7 +1058,7 @@ class TestRankOne:
 
         monkeypatch.setattr(fredholm, "nystrom_det", recorded)
         fredholm.rank_one_shift_identity(symbols.fixture("F2"), 2)
-        assert ladders[:2] == [(2, (24, 46)), (4, (24, 46))]
+        assert ladders[:2] == [(2, (46,)), (4, (24, 46))]
 
     def test_not_a_simple_zero_guard(self):
         # phi = (q - 1.3)^2 / q has a double zero: the rank-one residue

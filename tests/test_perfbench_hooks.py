@@ -65,31 +65,39 @@ def test_determinants_and_fills_are_counted():
     try:
         toeplitz.toeplitz_det(symbols.fixture("F4"), 5)
         spec = symbols.fixture("F1")
-        res = fredholm.nystrom_det(fredholm.kernel_S(spec, 2),
-                                   asymptotics.base_contour(spec))
+        kern, radius = fredholm.kernel_S(spec, 2), asymptotics.base_contour(
+            spec)
+        # S's one grid, and the ladder of its generators with no reach
+        res = [fredholm.nystrom_det(kern, radius),
+               fredholm.nystrom_det(fredholm.Kernel(kern.generators, 2),
+                                    radius)]
     finally:
         tracer.uninstall()
     assert np.linalg.det is real_det
     # below toeplitz.LEVINSON_MIN the oracle takes the dense LU by slogdet,
     # which bench_trace.LU_FUNCS does not wrap, so its flops go uncounted
     assert tracer.counters["toeplitz.lu_flops"] == 0
-    # one fill and one LU per grid of the ladder
-    assert len(res.grids) >= 2
+    # one fill and one LU per grid
+    grids = [m for r in res for m in r.grids]
+    assert len(res[0].grids) == 1 and len(res[1].grids) >= 2
     assert tracer.counters["fredholm.lu_flops"] == \
-        sum(8 * m ** 3 // 3 for m in res.grids)
+        sum(8 * m ** 3 // 3 for m in grids)
     assert tracer.counters["fredholm.fill_entries"] == \
-        sum(m ** 2 for m in res.grids)
+        sum(m ** 2 for m in grids)
 
 
 def test_no_first_grid_past_the_fixed_margin(monkeypatch):
     # every Nystrom ladder of verify and of one x sweep pass starts at most
-    # fredholm.M_START nodes past the kernel's bandwidth
+    # fredholm.M_START nodes past the kernel's bandwidth; a single grid is
+    # the second grid of the ladder it stands for, x + 2a
     starts = []
     real = fredholm.nystrom_det
 
     def recorded(kernel, *args, **kwargs):
         res = real(kernel, *args, **kwargs)
-        starts.append((getattr(kernel, "x", 0), res.grids[0]))
+        first = res.grids[0] if len(res.grids) > 1 else \
+            (res.grids[0] + getattr(kernel, "x", 0)) // 2
+        starts.append((getattr(kernel, "x", 0), first))
         return res
 
     monkeypatch.setattr(fredholm, "nystrom_det", recorded)

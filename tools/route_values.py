@@ -9,13 +9,14 @@ outputs compare the two trees whatever ``PYTHONPATH`` says.
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at either side
 of ``toeplitz.LEVINSON_MIN``, where it switches from the dense LU to the
-Levinson recursion, then the Nystrom ladder (``DetResult.grids``) of
-``fredholm_S`` and of ``tau_eff_kernel`` on the same fixtures and x, and
-both ladders with their values on F1 and F4 at x = 512, whose grids pass
-``fredholm.BLOCKED_MIN``, then every ``detlab verify`` residual at seeds
-0, 3 and 9, at seed 0 with the grids of every Nystrom ladder the check
-runs, then ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L,
-L in {64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
+Levinson recursion, then the Nystrom ladder (``DetResult.grids``, each
+with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
+the same fixtures and x, and both ladders with their values on F1 and F4
+at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then every
+``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids
+and ``err_estimate`` of every Nystrom ladder the check runs, then
+``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L, L in
+{64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
 are written as ``repr``, so two checkouts compute bit-identical values, and
 try the same grids, exactly when ``diff`` of their outputs is empty; a
 route that raises writes its error type and message instead.  Last come the
@@ -97,18 +98,19 @@ def outcome(call) -> str:
 
 def ladder_and_value(kernel, radius):
     res = fredholm.nystrom_det(kernel, radius)
-    return res.grids, res.value
+    return res.grids, res.err_estimate, res.value
 
 
 @contextlib.contextmanager
 def recorded_ladders():
-    """Yields a list that collects the ``grids`` of every ``nystrom_det``
-    call made inside the block, through any module's alias of it."""
+    """Yields a list that collects the ``grids`` and ``err_estimate`` of
+    every ``nystrom_det`` call made inside the block, through any module's
+    alias of it."""
     real, ladders = fredholm.nystrom_det, []
 
     def recorded(*args, **kwargs):
         res = real(*args, **kwargs)
-        ladders.append(res.grids)
+        ladders.append((res.grids, res.err_estimate))
         return res
 
     aliases = [module for name, module in sys.modules.items()
@@ -152,7 +154,7 @@ def main(out=sys.stdout) -> None:
         for kernel, build in LADDERS.items():
             for x in X_VALUES:
                 grids = outcome(
-                    lambda: fredholm.nystrom_det(*build(spec, x)).grids)
+                    lambda: ladder_and_value(*build(spec, x))[:2])
                 out.write(f"ladder {name} {kernel} x={x} {grids}\n")
     for name, x in BLOCKED_CASES:
         spec = symbols.fixture(name)
