@@ -468,12 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kernel", choices=("S", "V"), default="S")
     p.add_argument("--m", type=int, default=fredholm.M_CAP,
-                   help="cap on nodes on the contour; a from 1 to 32 is "
-                        "the modes the kernel carries past q^(x/2): one "
-                        "grid of m = x + 2a nodes where m times the modes "
-                        "it folds, plus m^2 eps, is within --tol, else "
-                        "grids of x + a nodes, a doubling, with one step "
-                        "of a nodes once two drifts predict convergence")
+                   help="cap on the nodes of one grid on the contour; a "
+                        "kernel that needs more raises NotConverged "
+                        "(exit 3)")
     p.add_argument("--tol", type=float, default=fredholm.TOL)
     p.set_defaults(func=cmd_fredholm)
 

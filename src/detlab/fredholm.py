@@ -14,15 +14,14 @@ different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
 the resolvent identity unchanged.
 
-Every kernel object carries its bandwidth ``x``, a nonnegative integer: its
+Every kernel carries its bandwidth ``x``, a nonnegative integer: its
 generators hold the factors q^{+-x/2}, so a trapezoid grid of m <= x nodes
-aliases them and ``nystrom_det`` starts its grids above x.  An object
-without the attribute has bandwidth 0.  A kernel may also carry ``reach``,
-a callable radius -> how many modes its generators carry past q^{+-x/2}
-on the circle of that radius above ``cauchy.TAIL_TOL``; ``nystrom_det``
-starts its grids that far past x (see ``first_margin``).  The reach
-returns a ``Reach``: that count, and a bound on what a grid folds back,
-read from the same split or decay as the count, or None.
+aliases them and ``nystrom_det`` starts its grids above x.  Its ``reach``,
+None or a callable radius -> how many modes its generators carry past
+q^{+-x/2} on the circle of that radius above ``cauchy.TAIL_TOL``, tells
+``nystrom_det`` how far past x to start its grids.
+The reach returns a ``Reach``: that count, and a bound on what a grid
+folds back, read from the same split or decay as the count, or None.
 
 ``nystrom_det`` fills one grid, x + 2a nodes for the first margin a, where
 the kernel bounds what that grid folds, with its LU's rounding, within tol,
@@ -38,7 +37,7 @@ growth and hands the grid back to the dense LU past GROWTH_MAX.
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
-``cauchy.residue_coefficient``.
+``cauchy.residue_coefficient``.  S is the residue form over no zeros.
 """
 
 from __future__ import annotations
@@ -218,11 +217,11 @@ def _rank_one(a, q, u, v, dv):
 
 def kernel_sum(parts: list) -> Kernel:
     """The sum of the kernels ``parts``, which share a: their pairs, in
-    order, with the largest x of the parts, and as reach on a circle their
-    largest ``first_margin`` there (M_START for a part without a reach),
-    which folds the worst of what its parts fold, or no bound where a part
-    has none or its margin was clipped; parts after one at M_START with no
-    bound are not read."""
+    order, with the largest x of the parts, and as reach on a circle the
+    largest of their ``_first_reach`` there, which folds the sum of what
+    its parts fold, as each entry is the sum of theirs, or no bound where a
+    part has none or its margin was clipped; parts after one at M_START
+    with no bound are not read."""
     def generators(q):
         a, *pairs = zip(*(k.generators(q) for k in parts))
         return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
@@ -236,7 +235,7 @@ def kernel_sum(parts: list) -> Kernel:
         folds = [r.folds for r in read]
         return Reach(max((r.modes for r in read), default=M_START),
                      None if None in folds or not read else
-                     lambda n: max(f(n) for f in folds))
+                     lambda n: sum(f(n) for f in folds))
 
     return Kernel(generators, max((k.x for k in parts), default=0), reach)
 
@@ -245,23 +244,15 @@ def _first_reach(kernel, radius: float) -> Reach:
     """The kernel's ``reach`` on the circle of ``radius``, its modes clipped
     to [1, M_START] and its folds dropped where they were clipped; M_START
     with no bound for a kernel without one."""
-    reach = getattr(kernel, "reach", None)
-    if reach is None:
+    if kernel.reach is None:
         return Reach(M_START, None)
-    modes, folds = reach(radius)
+    modes, folds = kernel.reach(radius)
     if modes > M_START:
         return Reach(M_START, None)
     return Reach(max(1, modes), folds)
 
 
-def first_margin(kernel, radius: float) -> int:
-    """Margin over x of the first Nystrom grid on the circle of ``radius``:
-    the kernel's ``reach`` there, clipped to [1, M_START]; M_START for a
-    kernel without one."""
-    return _first_reach(kernel, radius).modes
-
-
-def _reach(j, c, part=True) -> int:
+def _bandwidth(j, c, part=True) -> int:
     """Largest |j| among the modes ``part`` selects whose coefficient c_j
     lies within TAIL_TOL of the largest of all; 0 when none does."""
     mag = np.abs(c)
@@ -283,13 +274,23 @@ def _folds(env, tail, n: int) -> float:
     kernel's leading term (``nystrom_det``): theta's largest mode past n,
     from its ``_envelope`` env, plus the sum over the tail modes nu = 1,
     2, ..., ``tail(nu)`` relative to q^x, of each times theta's largest
-    mode at or past |n - nu|; no tail for None."""
+    mode at or past |n - nu|."""
     last = env.size - 1
-    folds = env[min(n + 1, last)]
-    if tail is not None:
-        nu = np.arange(1, n + last + 1)
-        folds += np.sum(tail(nu) * env[np.minimum(np.abs(n - nu), last)])
-    return float(folds)
+    nu = np.arange(1, n + last + 1)
+    return float(env[min(n + 1, last)] +
+                 np.sum(tail(nu) * env[np.minimum(np.abs(n - nu), last)]))
+
+
+def _reach(j, c, tail_modes: int = 0, tail=None) -> Reach:
+    """Reach of a kernel whose theta has the Laurent modes (j, c) and whose
+    w = q^x + sum_nu d_nu q^-nu carries ``tail_modes`` modes past q^x, with
+    |d_nu| relative to q^x at most ``tail(nu)``: theta's ``_bandwidth`` or
+    the tail's count, whichever is more, folding what ``_folds`` bounds; no
+    bound for tail None."""
+    modes = max(_bandwidth(j, c), tail_modes)
+    if tail is None:
+        return Reach(modes, None)
+    return Reach(modes, functools.partial(_folds, _envelope(j, c), tail))
 
 
 def _theta_split(spec: symbols.SymbolSpec, radius: float):
@@ -297,21 +298,6 @@ def _theta_split(spec: symbols.SymbolSpec, radius: float):
     split, _ = _converged_split(lambda m: (symbols.eval_theta(
         spec, circle_nodes(radius, m)), radius), 256)
     return split
-
-
-def _s_reach(spec: symbols.SymbolSpec, radius: float) -> Reach:
-    """``kernel_S``'s reach: theta's Laurent bandwidth, read from its
-    converged split, which also bounds the modes a grid folds."""
-    split = _theta_split(spec, radius)
-    return Reach(_reach(split.j, split.c),
-                 functools.partial(_folds, _envelope(split.j, split.c), None))
-
-
-def _theta_reach(spec: symbols.SymbolSpec, radius: float) -> int:
-    """Laurent bandwidth of theta on the circle of ``radius``, read from its
-    converged split from 256 nodes."""
-    split = _theta_split(spec, radius)
-    return _reach(split.j, split.c)
 
 
 def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
@@ -322,7 +308,8 @@ def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
     most sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) of q^x there, which bounds
     what a grid folds.  It carries theta's bandwidth or ceil(log TAIL_TOL /
     log(max|z|/rho)) - x modes, whichever is more, the count without the
-    weights c_z; M_START, with no bound, unless max|z| < rho."""
+    weights c_z; M_START, with no bound, unless max|z| < rho.  Over no zeros
+    it is theta's bandwidth, and the grid folds theta's modes alone."""
     size = np.abs([z for z, _ in res])
     top = np.max(size, initial=0.0) / rho
     if top >= 1.0:
@@ -333,9 +320,8 @@ def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
         # |c_z|/rho^(x + 1) by logarithms, as rho^x alone may underflow
         weight = np.exp(np.log(np.abs([c for _, c in res])) -
                         (x + 1) * math.log(rho))
-    return Reach(max(_reach(split.j, split.c), poles), functools.partial(
-        _folds, _envelope(split.j, split.c),
-        lambda nu: weight @ (size[:, None] / rho) ** (nu - 1)))
+    return _reach(split.j, split.c, poles,
+                  lambda nu: weight @ (size[:, None] / rho) ** (nu - 1))
 
 
 def _halfpows(q, x):
@@ -343,17 +329,6 @@ def _halfpows(q, x):
     the reciprocal of the first, which would round differently; the sign
     ambiguity is harmless (see module docstring)."""
     return q ** (x / 2.0), q ** (-x / 2.0)
-
-
-def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
-    """Bare finite-temperature kernel; diagonal x*theta/(2 pi i q).  Its
-    reach is theta's Laurent bandwidth (``_s_reach``)."""
-    def generators(q):
-        hp, hm = _halfpows(q, x)
-        return (np.sqrt(symbols.eval_theta(spec, q)), (hm, -hp), (hp, hm),
-                ((x / 2.0) * hp / q, (-x / 2.0) * hm / q))
-
-    return Kernel(generators, x, functools.partial(_s_reach, spec))
 
 
 def _kernel_V_generic(theta, tail, x, reach):
@@ -400,17 +375,14 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     split, _ = _converged_split(sample, max(512, pow2_at_least(4 * x)))
 
     def reach(rho):
-        # read on this circle, the one every caller factors the kernel on
-        j, c = laurent_coeffs(held["theta"])
-        modes = max(_reach(j, c), _reach(split.j, split.c, split.j < 0))
-        lead = radius ** x
-        if not lead > 0:
-            return Reach(modes, None)
+        # read on this circle, the one every caller factors the kernel on:
         # the outside modes nu = 1, 2, ... relative to q^x, then zeros
-        tail = np.append(np.abs(split.c[split.j < 0][::-1]) / lead, 0.0)
-        return Reach(modes, functools.partial(
-            _folds, _envelope(j, c),
-            lambda nu: tail[np.minimum(nu, tail.size) - 1]))
+        lead = radius ** x
+        tail = np.append(np.abs(split.c[split.j < 0][::-1]), 0.0)
+        return _reach(*laurent_coeffs(held["theta"]),
+                      _bandwidth(split.j, split.c, split.j < 0),
+                      (lambda nu: tail[np.minimum(nu, tail.size) - 1] / lead)
+                      if lead > 0 else None)
 
     return _kernel_V_generic(
         theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach)
@@ -434,6 +406,13 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     return _kernel_V_generic(functools.partial(symbols.eval_theta, spec),
                              tail, x,
                              functools.partial(_residue_reach, spec, x, res))
+
+
+def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
+    """Bare finite-temperature kernel, diagonal x*theta/(2 pi i q): V with
+    w = q^x and no tail, the residue form over no zeros, whose reach is
+    theta's Laurent bandwidth."""
+    return kernel_V_residue(spec, x, ())
 
 
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
@@ -512,9 +491,10 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
     ``radius``, each grid's determinant by ``_grid_det``, LU of the filled
     matrix or, from BLOCKED_MIN nodes on, elimination on the generators.
-    x is the kernel's bandwidth and a its ``first_margin`` on that circle,
-    doubled while the grid has fewer than 16 nodes.  Past x + a the
-    q^{+-x/2} factors and the kernel's own modes stop aliasing, and the
+    x is the kernel's bandwidth and a its reach's modes on that circle,
+    clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
+    a reach), doubled while the grid has fewer than 16 nodes.  Past x + a
+    the q^{+-x/2} factors and the kernel's own modes stop aliasing, and the
     determinants converge geometrically (Bornemann, Math. Comp. 79 (2010)).
 
     What a grid folds.  On m nodes the trapezoid rule adds to the integral
@@ -554,6 +534,11 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     alike, and neither estimate counts it.  A tol below the rounding,
     which no grid can deliver, runs the ladder, whose drifts show it.
 
+    The clip does more than guard against an overestimated reach: it also
+    keeps a bound that understates what a grid folds off the single grid.
+    ``asymptotics.tau_ratio_swap``'s swapped F4 kernel, 132 modes on radius
+    2.75, has grids m = 40 ... 140 off by 2.1 times m folds(m - 3).
+
     Otherwise (no bound, a reach clipped at M_START, or a bound or rounding
     past tol) a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
     two grids that agree to ``tol`` give the value.  Where the last two
@@ -567,7 +552,7 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     double range."""
     if not radius > 0:
         raise errors.InputError(f"circle radius {radius} is not positive")
-    x = getattr(kernel, "x", 0)
+    x = kernel.x
     check_grid_cap(x, m_cap)
     margin, folds = _first_reach(kernel, radius)
     while x + margin < 16:
@@ -688,8 +673,11 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         h = q ** (-x / 2.0)
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
 
-    vk1 = Kernel(rank_one, x,
-                 lambda radius: Reach(_theta_reach(spec, radius), None))
+    def reach(radius):
+        split = _theta_split(spec, radius)
+        return _reach(split.j, split.c)     # theta's modes, no bound
+
+    vk1 = Kernel(rank_one, x, reach)
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)

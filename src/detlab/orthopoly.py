@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, circle_weights, horner
+from ._series import LaurentSplit, circle_nodes, horner
 from .asymptotics import _require_negative_winding, y_moment, y_moment_matrix
 from .cauchy import suite_for
 
@@ -30,10 +30,10 @@ class MeasureMu:
         self.x = errors.check_x(x)
         self.n = -_require_negative_winding(spec).winding
         self.suite = suite_for(spec, unit=True)
-        # (nodes, weights, mu) on the grid of the suite's ratio split
+        # (nodes, mu) on the grid of the suite's ratio split
         ratio = self.suite.ratio
         nodes = circle_nodes(1.0, ratio.m)
-        self.values = (nodes, circle_weights(nodes, ratio.m),
+        self.values = (nodes,
                        ratio.reconstruct(nodes) * nodes ** (-self.x - self.n))
 
     def moment(self, j: int) -> complex:
@@ -103,14 +103,14 @@ class RHPSolution:
         if abs(self.h_nm1) < GRAM_TOL:
             raise errors.SingularGram("norm of degree n-1 polynomial vanishes")
         self.beta = -2j * np.pi * pnm1 / self.h_nm1
-        nodes, _, mu = measure.values
+        nodes, mu = measure.values
         self._split_a = LaurentSplit(horner(self.alpha, nodes) * mu, 1.0)
         self._split_b = LaurentSplit(horner(self.beta, nodes) * mu, 1.0)
 
     @functools.cached_property
     def _split_mu(self) -> LaurentSplit:
         """The measure's own split, held for every ``jump_residual`` probe."""
-        return LaurentSplit(self.measure.values[2], 1.0)
+        return LaurentSplit(self.measure.values[1], 1.0)
 
     def _transforms(self, q, side: str):
         if side == "inside":

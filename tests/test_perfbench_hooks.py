@@ -96,8 +96,8 @@ def test_no_first_grid_past_the_fixed_margin(monkeypatch):
     def recorded(kernel, *args, **kwargs):
         res = real(kernel, *args, **kwargs)
         first = res.grids[0] if len(res.grids) > 1 else \
-            (res.grids[0] + getattr(kernel, "x", 0)) // 2
-        starts.append((getattr(kernel, "x", 0), first))
+            (res.grids[0] + kernel.x) // 2
+        starts.append((kernel.x, first))
         return res
 
     monkeypatch.setattr(fredholm, "nystrom_det", recorded)

@@ -12,7 +12,11 @@ of ``toeplitz.LEVINSON_MIN``, where it switches from the dense LU to the
 Levinson recursion, then the Nystrom ladder (``DetResult.grids``, each
 with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
 the same fixtures and x, and both ladders with their values on F1 and F4
-at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then every
+at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then the reach of
+``kernel_S``, of ``tau_eff_kernel`` and of ``kernel_W`` at each zero inside
+the base contour on the same fixtures and x, each its ``modes`` and
+``folds(n)`` at n = 2a, 4a and 8a, a its modes (at least 1, doubled while
+x + a < 16), read only through ``kernel.reach(radius)``, then every
 ``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids
 and ``err_estimate`` of every Nystrom ladder the check runs, then
 ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L, L in
@@ -34,10 +38,10 @@ residual; the Toeplitz moment vectors of F1 and F4 at x = 3 and 40; then
 on the wide-band symbol exp(sum_{|j| <= 300} 0.4 0.9^|j| q^j), whose
 moments and theta take more nodes than any first grid, ``toeplitz`` and
 ``bo`` at x = 4, 8 and 16 and theta's Laurent bandwidth on the unit circle
-(``fredholm._theta_reach``); and last the output, byte for byte with its
-exit code and error line, of ``toeplitz``, ``fredholm --kernel S`` and
-``--kernel V`` (CSV and JSON), ``ff --L 12`` and ``analyze`` on F3, F4 and
-F7.
+(the ``modes`` of ``kernel_S``'s reach at x = 0); and last the output,
+byte for byte with its exit code and error line, of ``toeplitz``,
+``fredholm --kernel S`` and ``--kernel V`` (CSV and JSON), ``ff --L 12``
+and ``analyze`` on F3, F4 and F7.
 """
 
 from __future__ import annotations
@@ -94,6 +98,28 @@ def outcome(call) -> str:
         return repr(call())
     except errors.DetlabError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def reach_line(kernel, radius):
+    """(modes, folds at n = 2a, 4a, 8a or None) of the kernel's reach on the
+    circle of ``radius``, a its modes at least 1, doubled while the grid
+    x + a has fewer than 16 nodes: ``nystrom_det``'s first margin wherever
+    the modes are at most ``fredholm.M_START``."""
+    modes, folds = kernel.reach(radius)
+    a = max(1, modes)
+    while kernel.x + a < 16:
+        a *= 2
+    return modes, folds and tuple(folds(n * a) for n in (2, 4, 8))
+
+
+def reach_kernels(spec, x):
+    """(label, kernel, radius) for every kernel whose reach is written."""
+    radius = asymptotics.base_contour(spec)
+    inside = [z for z in symbols.analyze(spec).zeros if abs(z) < radius]
+    return [("kernel_S", fredholm.kernel_S(spec, x), radius),
+            ("tau_eff_kernel", *asymptotics.tau_eff_kernel(spec, x))] + \
+        [(f"kernel_W({z!r})", fredholm.kernel_W(spec, z, x), radius)
+         for z in inside]
 
 
 def ladder_and_value(kernel, radius):
@@ -161,6 +187,18 @@ def main(out=sys.stdout) -> None:
         for kernel, build in LADDERS.items():
             value = outcome(lambda: ladder_and_value(*build(spec, x)))
             out.write(f"ladder {name} {kernel} x={x} {value}\n")
+    for name in symbols.FIXTURE_NAMES:
+        spec = symbols.fixture(name)
+        for x in X_VALUES:
+            try:
+                kernels = reach_kernels(spec, x)
+            except errors.DetlabError as exc:
+                out.write(f"reach {name} x={x} {type(exc).__name__}: "
+                          f"{exc}\n")
+                continue
+            for label, kernel, radius in kernels:
+                value = outcome(lambda: reach_line(kernel, radius))
+                out.write(f"reach {name} {label} x={x} {value}\n")
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
             with recorded_ladders() as ladders:
@@ -231,7 +269,8 @@ def main(out=sys.stdout) -> None:
         for x in WIDE_BAND_X:
             value = outcome(lambda: cli.ROUTES[route](WIDE_BAND, x, None))
             out.write(f"wide-band {route} x={x} {value}\n")
-    value = outcome(lambda: fredholm._theta_reach(WIDE_BAND, 1.0))
+    value = outcome(
+        lambda: fredholm.kernel_S(WIDE_BAND, 0).reach(1.0).modes)
     out.write(f"wide-band theta_reach radius=1.0 {value}\n")
     for name in ("F3", "F4", "F7"):
         for command in CLI_COMMANDS:
