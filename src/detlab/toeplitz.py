@@ -5,12 +5,18 @@ symbol layer and the contour selection, and shares only the one sampling
 rule, ``cauchy._converged_split``, with the kernel/asymptotics machinery.
 
 The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken in the
-log domain and exponentiated once.  Below the order LEVINSON_MIN it is the
-dense LU of T (``np.linalg.slogdet``); from LEVINSON_MIN on it is the
-nonsymmetric Levinson recursion (Trench, J. SIAM 12 (1964); Zohar, J. ACM 21
-(1974)) in O(x^2) time and O(x) memory, as the sum of the logarithms of its
-prediction errors.  Where a reflection coefficient shows a (nearly) singular
-leading minor, the recursion is not trusted and the dense LU of the same
+log domain and exponentiated once.  A Laurent polynomial P(q)/(a q^p) that
+does not wind on its sampling circle has a banded T, whose finite sections
+are stable (Boettcher and Grudsky, Spectral Properties of Banded Toeplitz
+Matrices, SIAM 2005): past the order BLOCK its determinant is a block
+elimination whose Schur complements reach a fixed point within a few
+blocks, so it costs a few small LUs at any x.  Every other symbol takes the
+dense LU of T (``np.linalg.slogdet``) below the order LEVINSON_MIN and from
+there the nonsymmetric Levinson recursion (Trench, J. SIAM 12 (1964);
+Zohar, J. ACM 21 (1974)) in O(x^2) time and O(x) memory, as the sum of the
+logarithms of its prediction errors.  Where a reflection coefficient shows
+a (nearly) singular leading minor, or a block is singular or its Schur
+complement grows, the method is not trusted and the dense LU of the same
 matrix takes over.
 """
 
@@ -33,23 +39,33 @@ from .contours import base_contour
 # + delta, delta = 1e-1 .. 1e-12, x = 3 .. 200) and <= 40 x eps max(g, 1) on
 # random rational symbols (winding -2..5, x <= 300, g <= 4).  At this bound
 # x eps g <= 2.3e-11 for x <= 1024; F0-F7 and the benchmark's random symbols
-# keep g <= 1.7.
+# keep g <= 1.7.  The block elimination takes the same bound on the growth of
+# its Schur complements' entries over those of A_0.
 GROWTH_MAX = 100.0
-# Smallest order whose determinant ``toeplitz_det`` takes by the recursion;
-# below it the dense LU is faster, since each step of the recursion pays
-# 7-9 us, mostly NumPy call overhead.  Median us of 21 interleaved runs,
-# recursion / gather + slogdet of the same moments, 1 BLAS thread on a
-# 2-vCPU x86-64 host:
-#     x      F4             F1
-#     8        50 / 13        53 / 14
-#     64      675 / 111      457 / 87
-#     128    1223 / 447      870 / 536
-#     160    1553 / 1138    1124 / 1221
-#     176    1724 / 1556    1351 / 1438
-#     192    1871 / 1883    2036 / 1968
-#     208    2033 / 2276    2204 / 2360
-#     256    2571 / 3719    2746 / 3795
+# Smallest order whose determinant ``toeplitz_det`` takes by the recursion
+# where the symbol is not a banded one for the block elimination; below it
+# the dense LU is faster, since each step of the recursion pays 7-9 us,
+# mostly NumPy call overhead.  Median us of 41 interleaved runs, recursion /
+# dense LU of the same moments, 1 BLAS thread on a 2-vCPU x86-64 host, for
+# F2, the wide-band exp(sum_{|j| <= 300} 0.4 0.9^|j| q^j) and the Fermi
+# weight at beta = 2 (tests/data/fermi_beta2.json):
+#     x      F2             wide band      Fermi beta 2
+#     8        72 / 18        72 / 18        75 / 18
+#     64      557 / 106      554 / 105      576 / 105
+#     128    1144 / 443     1158 / 444     1161 / 427
+#     160    1468 / 1121    1463 / 1111    1486 / 1118
+#     176    1602 / 1400    1569 / 1378    1599 / 1337
+#     192    1710 / 1640    1800 / 1698    1737 / 1624
+#     208    1822 / 1929    1865 / 1969    1921 / 1965
+#     256    2339 / 3229    2392 / 3307    2497 / 3302
 LEVINSON_MIN = 192
+# Rows per block of ``_block_log_det``, the elimination of a banded T_x,
+# at least the band.  Median ms of 15 interleaved runs of ``toeplitz_det``,
+# summed over the benchmark's x sweep at x = 32 .. 1024 (F1, F3, F4 and the
+# random R0 and R1), seed 9 / 31, same host: 10.9 / 11.2 at 16 rows, 11.1 /
+# 11.5 at 24, 10.6 / 11.2 at 32; the elimination alone on F4 at x = 1024
+# takes 0.43, 0.44, 0.41, 0.54 and 0.77 ms at 16, 24, 32, 48 and 64 rows.
+BLOCK = 32
 
 
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
@@ -75,11 +91,6 @@ def moment_table(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
     split, _ = _converged_split(lambda m: (symbols.eval_phi(
         spec, circle_nodes(rho, m)), rho), pow2_at_least(max(256, 8 * x)))
     return split.c[np.abs(split.j) <= x]
-
-
-def _gather(moments: np.ndarray) -> np.ndarray:
-    x = moments.size // 2
-    return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x]
 
 
 def _levinson_log_det(moments: np.ndarray):
@@ -120,15 +131,94 @@ def _levinson_log_det(moments: np.ndarray):
     return complex(np.sum(np.log(errs)))
 
 
+def _laurent_band(spec: symbols.SymbolSpec):
+    """The band b of T_x, c_k = 0 for |k| > b, when phi = P(q)/(a q^p) is a
+    Laurent polynomial with exactly p zeros of P inside its sampling circle,
+    so that it does not wind there; None for every other symbol.  Read from
+    the coefficients, since moments sampled past the band are rounding."""
+    powers = [i for i, d in enumerate(spec.denom) if d]
+    if spec.log_coeffs or len(powers) != 1:
+        return None
+    p, = powers
+    try:
+        rho, zeros = base_contour(spec), symbols.analyze(spec).zeros
+    except errors.InputError:   # phi winds on every circle it could take
+        return None
+    if sum(abs(z) < rho for z in zeros) != p:
+        return None
+    return max(p, len(spec.numer) - 1 - p)
+
+
+def _slogdet(mat: np.ndarray) -> complex:
+    sign, log_abs = np.linalg.slogdet(mat)
+    return complex(log_abs, np.angle(sign))
+
+
+def _block_log_det(moments: np.ndarray, band: int):
+    """log det T_x of moments zero past ``band`` by block elimination.
+
+    With blocks of B = max(BLOCK, band) rows T_x is block tridiagonal, A_0
+    on the diagonal, A_below and A_above beside it, and log det T_x =
+    sum_k log det S_k over the Schur complements S_1 = A_0, S_{k+1} = A_0 -
+    A_below S_k^-1 A_above; a last partial block of r rows adds the leading
+    r-by-r minor of its S.  A_below and A_above touch only the leading
+    band-by-band corner.  Once S_{k+1} equals S_k bit for bit, every later
+    block repeats it, and its log det counts once per block left.  With
+    B >= x this is the dense LU of T_x, every moment kept.  Blocks are not
+    pivoted against each other: None when a block is singular or an entry
+    of S passes GROWTH_MAX times the largest of A_0, for the dense LU to
+    take the order."""
+    x = moments.size // 2
+    size = max(BLOCK, band)
+    span = np.arange(min(size, x))
+    offsets = np.subtract.outer(span, span)
+    if size >= x:
+        # one block: the dense LU, whose value stands as it is
+        return _slogdet(moments[offsets + x])
+    # c_k at index mid + k, |k| < 2 B, zero past the band
+    mid = 2 * size - 1
+    c = np.zeros(2 * mid + 1, dtype=complex)
+    c[mid - band:mid + band + 1] = moments[x - band:x + band + 1]
+    offsets += mid
+    a0 = c[offsets]
+    below, above = c[offsets[:band] + size], c[offsets[:, :band] - size]
+    blocks, rest = divmod(x, size)
+    bound = GROWTH_MAX * np.max(np.abs(a0))
+    schur, log_det = a0, 0j
+    for k in range(1, blocks + 1):
+        block = _slogdet(schur)
+        if not math.isfinite(block.real):
+            return None
+        log_det += block
+        if k == blocks and not rest:
+            break
+        step = a0.copy()
+        step[:band, :band] -= below @ np.linalg.solve(schur, above)
+        if not np.max(np.abs(step)) <= bound:
+            return None
+        if np.array_equal(step, schur):
+            log_det += (blocks - k) * block
+            break
+        schur = step
+    if rest:
+        log_det += _slogdet(schur[:rest, :rest])
+    return log_det if math.isfinite(log_det.real) else None
+
+
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
-    """Determinant of the x-by-x moment matrix: by dense LU for x below
-    LEVINSON_MIN, by the Levinson recursion from LEVINSON_MIN on, and by
-    dense LU again where the recursion passes its growth bound;
-    OverflowGuard when |det| leaves the normal double range on either
-    side."""
+    """Determinant of the x-by-x moment matrix.  Past the order BLOCK, a
+    Laurent polynomial that does not wind on its sampling circle takes the
+    block elimination of its banded matrix; any other symbol takes the
+    dense LU below LEVINSON_MIN and the Levinson recursion from there.
+    Where either refuses, the dense LU takes over.  OverflowGuard when
+    |det| leaves the normal double range on either side."""
     moments = moment_table(spec, x)
-    log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
+    band = _laurent_band(spec) if x > BLOCK else None
+    log_det = None
+    if band is not None:
+        log_det = _block_log_det(moments, band)
+    elif x >= LEVINSON_MIN:
+        log_det = _levinson_log_det(moments)
     if log_det is None:
-        sign, log_abs = np.linalg.slogdet(_gather(moments))
-        log_det = complex(log_abs, np.angle(sign))
+        log_det = _block_log_det(moments, x)
     return errors.exp_in_range(log_det)

@@ -1,18 +1,24 @@
 """Exact moment-determinant oracle."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics, cauchy, cli, errors, symbols, toeplitz
-from test_asymptotics import SLOW
+from test_asymptotics import SLOW, two_sided_symbols
+
+
+def gather(moments):
+    """T_ij = c_{i-j} from the moment vector c_{-x} .. c_x."""
+    x = moments.size // 2
+    return moments[np.subtract.outer(np.arange(x), np.arange(x)) + x]
 
 
 def toeplitz_matrix(spec, x):
-    """T_ij = c_{i-j}, gathered from the moment vector c_{-x} .. c_x."""
-    return toeplitz._gather(toeplitz.moment_table(spec, x))
+    return gather(toeplitz.moment_table(spec, x))
 
 
 def dense_log_det(spec, x):
@@ -178,6 +184,27 @@ VANISHING_MINOR = symbols.SymbolSpec("rational", (5.25, -10.75, 0.0, 1.0),
 SMALL_CONSTANT = symbols.SymbolSpec("rational", (-0.4,), (1.0,))
 
 
+def record_methods(monkeypatch, spec, x):
+    """The methods ``toeplitz_det(spec, x)`` runs, in order: "levinson",
+    "block", the elimination of a band below x, and "lu", the dense LU of
+    the whole order; the recording stays installed."""
+    calls = []
+    levinson, block = toeplitz._levinson_log_det, toeplitz._block_log_det
+
+    def recorded_block(moments, band):
+        calls.append("lu" if band >= x else "block")
+        return block(moments, band)
+
+    monkeypatch.setattr(toeplitz, "_levinson_log_det",
+                        lambda m: calls.append("levinson") or levinson(m))
+    monkeypatch.setattr(toeplitz, "_block_log_det", recorded_block)
+    try:
+        toeplitz.toeplitz_det(spec, x)
+    except errors.OverflowGuard:
+        pass
+    return calls
+
+
 class TestLevinson:
     @settings(max_examples=40, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(1, 300))
@@ -196,46 +223,52 @@ class TestLevinson:
     @pytest.mark.parametrize("x", [2, 3, 8, 64, toeplitz.LEVINSON_MIN, 256])
     def test_vanishing_minor_falls_back(self, x, monkeypatch):
         # unguarded, the recursion was off by 5.3, 18.7 and 283 in log at
-        # x = 3, 8, 64; from LEVINSON_MIN on toeplitz_det runs it, and its
-        # monitor hands the order to the dense LU
+        # x = 3, 8, 64, and its monitor refuses at every order; toeplitz_det
+        # never runs it here: the symbol is banded and does not wind on its
+        # sampling circle, so up to BLOCK it takes the dense LU and past it
+        # the block elimination, which pivots inside each block
         assert toeplitz._levinson_log_det(
             toeplitz.moment_table(VANISHING_MINOR, x)) is None
-        calls = []
-        slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: calls.append(len(a)) or slogdet(a))
+        assert record_methods(monkeypatch, VANISHING_MINOR, x) == \
+            ["lu" if x <= toeplitz.BLOCK else "block"]
         got = np.log(toeplitz.toeplitz_det(VANISHING_MINOR, x))
-        assert calls == [x]
-        monkeypatch.undo()
         assert log_gap(got, dense_log_det(VANISHING_MINOR, x)) <= 1e-12
 
     @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
     def test_fixtures_take_the_recursion(self, name, monkeypatch):
-        def no_lu(a):
-            raise AssertionError("dense fallback taken")
-
+        # neither recursion's monitor refuses a fixture, and from
+        # LEVINSON_MIN on toeplitz_det takes no dense LU of the whole order:
+        # the block elimination for the banded fixtures, Levinson for F2
         spec = symbols.fixture(name)
+        band = toeplitz._laurent_band(spec)
+        assert (band is None) == (name == "F2")
         orders = (1, 2, 5, 64, toeplitz.LEVINSON_MIN, 300)
         want = [dense_log_det(spec, x) for x in orders]
-        monkeypatch.setattr(np.linalg, "slogdet", no_lu)
         for x, ref in zip(orders, want):
-            if x < toeplitz.LEVINSON_MIN:
-                got = toeplitz._levinson_log_det(toeplitz.moment_table(spec, x))
-            else:
+            moments = toeplitz.moment_table(spec, x)
+            got = [toeplitz._levinson_log_det(moments)]
+            if band is not None:
+                got.append(toeplitz._block_log_det(moments, band))
+            for value in got:
+                assert log_gap(value, ref) <= 1e-10
+        slogdet = np.linalg.slogdet
+
+        def blocks_only(a):
+            assert len(a) <= toeplitz.BLOCK, "dense LU of the order taken"
+            return slogdet(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", blocks_only)
+        for x, ref in zip(orders, want):
+            if x >= toeplitz.LEVINSON_MIN:
                 got = np.log(toeplitz.toeplitz_det(spec, x))
-            assert log_gap(got, ref) <= 1e-10
+                assert log_gap(got, ref) <= 1e-10
 
     @pytest.mark.parametrize("x, method", [
         (toeplitz.LEVINSON_MIN - 1, "lu"), (toeplitz.LEVINSON_MIN, "levinson")])
     def test_method_switches_at_the_crossover(self, x, method, monkeypatch):
-        calls = []
-        levinson, slogdet = toeplitz._levinson_log_det, np.linalg.slogdet
-        monkeypatch.setattr(toeplitz, "_levinson_log_det",
-                            lambda m: calls.append("levinson") or levinson(m))
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: calls.append("lu") or slogdet(a))
-        toeplitz.toeplitz_det(symbols.fixture("F4"), x)
-        assert calls == [method]
+        # F2, exp(0.3 q + 0.2/q), is not banded and keeps the crossover
+        assert record_methods(monkeypatch, symbols.fixture("F2"), x) == \
+            [method]
 
     @settings(max_examples=20, deadline=None)
     @given(spec=laurent_symbols(),
@@ -266,3 +299,114 @@ class TestLevinson:
         path.write_text(json.dumps(symbols.to_json_dict(SMALL_CONSTANT)))
         assert cli.main(["toeplitz", "--spec", str(path), "--x", "800"]) == 3
         assert cli.main(["toeplitz", "--spec", str(path), "--x", "700"]) == 0
+
+
+# phi = (0.787 + (-0.262 + 0.207i) q)/q^2 winds -2 on every circle: its one
+# zero can never balance the double pole.  Run on the band anyway, the block
+# elimination read log det T_55 = -1168.2 against the dense LU's -157.8
+WINDING = symbols.SymbolSpec("rational", (0.787, -0.262 + 0.207j),
+                             (0.0, 0.0, 1.0))
+
+
+def every_block(moments, band):
+    """log det T_x by the block recursion of ``toeplitz._block_log_det`` on
+    the gathered matrix, moments past ``band`` zeroed, forming every Schur
+    complement and none of its shortcuts."""
+    x = moments.size // 2
+    size = max(toeplitz.BLOCK, band)
+    k = np.arange(-x, x + 1)
+    mat = gather(np.where(np.abs(k) <= band, moments, 0))
+    log_det, prev = 0j, None
+    for start in range(0, x, size):
+        rows = slice(start, min(start + size, x))
+        schur = mat[rows, rows]
+        if prev is not None:
+            schur = schur - mat[rows, prev] @ np.linalg.solve(
+                prev_schur, mat[prev, rows])
+        sign, log_abs = np.linalg.slogdet(schur)
+        log_det += complex(log_abs, np.angle(sign))
+        prev, prev_schur = rows, schur
+    return log_det
+
+
+class TestBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(laurent_symbols(), two_sided_symbols()),
+           x=st.integers(toeplitz.BLOCK + 1, 300))
+    def test_matches_dense_lu(self, spec, x):
+        # within the error model of test_methods_agree_at_the_crossover: of
+        # 600 draws the guard excluded 9, the block path refused none of the
+        # rest, and they read at worst 2.3e-12, 0.18 of the bound
+        band = toeplitz._laurent_band(spec)
+        assume(band is not None)
+        moments = toeplitz.moment_table(spec, x)
+        got = toeplitz._block_log_det(moments, band)
+        assert got is not None
+        want = dense_log_det(spec, x)
+        bound = (40 * x * EPS * max(growth(moments), 1.0) +
+                 x * EPS * max(abs(want.real), 1.0) / 2)
+        assert log_gap(got, want) <= bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=laurent_symbols(), x=st.integers(toeplitz.BLOCK + 1, 600))
+    def test_fixed_point_matches_every_block(self, spec, x):
+        # the shortcut counts the repeated block's log det once per block
+        # left, where the recursion sums the same term block by block
+        band = toeplitz._laurent_band(spec)
+        assume(band is not None)
+        moments = toeplitz.moment_table(spec, x)
+        want = every_block(moments, band)
+        got = toeplitz._block_log_det(moments, band)
+        assert log_gap(got, want) <= x * EPS * max(abs(want.real), 1.0)
+
+    @pytest.mark.parametrize("name, most", [("F4", 4), ("F1", 1)])
+    def test_blocks_stop_at_the_fixed_point(self, name, most, monkeypatch):
+        # 32 blocks of T_1024; F1's constant symbol repeats its first
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(len(a)) or slogdet(a))
+        spec = symbols.fixture(name)
+        toeplitz._block_log_det(toeplitz.moment_table(spec, 1024),
+                                toeplitz._laurent_band(spec))
+        assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("x, method", [
+        (toeplitz.BLOCK, "lu"), (toeplitz.BLOCK + 1, "block")])
+    def test_banded_symbols_switch_at_block(self, x, method, monkeypatch):
+        assert record_methods(monkeypatch, symbols.fixture("F4"), x) == \
+            [method]
+
+    @pytest.mark.parametrize("x", [55, toeplitz.LEVINSON_MIN])
+    def test_winding_symbol_keeps_the_old_rule(self, x, monkeypatch):
+        assert toeplitz._laurent_band(WINDING) is None
+        assert "block" not in record_methods(monkeypatch, WINDING, x)
+        got = np.log(toeplitz.toeplitz_det(WINDING, x))
+        assert log_gap(got, dense_log_det(WINDING, x)) <= 1e-9
+
+
+REFERENCES = json.loads((Path(__file__).parent / "data" /
+                         "toeplitz_references.json").read_text())
+
+
+class TestReferences:
+    """log det T_x of the banded fixtures against the 50-digit values of
+    ``tools/toeplitz_references.py``.  Against them, in units of
+    x eps max(1, |log det|), the block path read at worst 1.00 (F5,
+    x = 32), the dense LU 1.00 (F5, x = 1024) and Levinson 2.02 (F5,
+    x = 512); on F4 at x = 1024, 8.1e-13, 6.4e-12 and 2.6e-12."""
+
+    @pytest.mark.parametrize("name, x", [
+        (name, int(x)) for name, entry in REFERENCES.items()
+        for x in entry["log_det"]])
+    def test_three_methods(self, name, x):
+        spec = symbols.fixture(name)
+        assert REFERENCES[name]["rho"] == toeplitz._sample_radius(spec)
+        want = complex(*map(float, REFERENCES[name]["log_det"][str(x)]))
+        moments = toeplitz.moment_table(spec, x)
+        bound = 4 * x * EPS * max(abs(want.real), 1.0)
+        for got in (toeplitz._block_log_det(moments,
+                                            toeplitz._laurent_band(spec)),
+                    toeplitz._levinson_log_det(moments),
+                    toeplitz._block_log_det(moments, x)):
+            assert log_gap(got, want) <= bound

@@ -7,9 +7,11 @@ exits with an error if it gets it from anywhere else, so two checkouts'
 outputs compare the two trees whatever ``PYTHONPATH`` says.
 
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
-F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at either side
-of ``toeplitz.LEVINSON_MIN``, where it switches from the dense LU to the
-Levinson recursion, then the Nystrom ladder (``DetResult.grids``, each
+F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at x = 33,
+64, 128, 256 and 512 and at either side of ``toeplitz.LEVINSON_MIN``, each
+with the path it took: "levinson" for the recursion, "lu" for a dense LU of
+the whole order and "blocks=n" for n LUs of smaller blocks, in the order
+they ran, then the Nystrom ladder (``DetResult.grids``, each
 with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
 the same fixtures and x, and both ladders with their values on F1 and F4
 at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then the reach of
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -65,7 +68,8 @@ if Path(detlab.__file__).resolve().parent != SRC / "detlab":
     raise SystemExit(f"detlab imported from {detlab.__file__}, not {SRC}")
 
 X_VALUES = (1, 2, 3, 6, 16, 40)
-CROSSOVER_X = (toeplitz.LEVINSON_MIN - 1, toeplitz.LEVINSON_MIN)
+TOEPLITZ_X = (33, 64, 128, toeplitz.LEVINSON_MIN - 1, toeplitz.LEVINSON_MIN,
+              256, 512)
 SEEDS = (0, 3, 9)
 FINITE_X = 2
 FINITE_CASES = [(name, L, L) for name in ("F1", "F2")
@@ -98,6 +102,33 @@ def outcome(call) -> str:
         return repr(call())
     except errors.DetlabError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def toeplitz_path(spec, x):
+    """(outcome, path) of ``toeplitz_det(spec, x)``, the path read from the
+    calls it made to ``_levinson_log_det`` and ``np.linalg.slogdet``."""
+    steps = []
+    levinson, slogdet = toeplitz._levinson_log_det, np.linalg.slogdet
+
+    def recorded_levinson(moments):
+        steps.append("levinson")
+        return levinson(moments)
+
+    def recorded_slogdet(a):
+        steps.append("lu" if len(a) == x else "block")
+        return slogdet(a)
+
+    toeplitz._levinson_log_det = recorded_levinson
+    np.linalg.slogdet = recorded_slogdet
+    try:
+        value = outcome(lambda: toeplitz.toeplitz_det(spec, x))
+    finally:
+        toeplitz._levinson_log_det, np.linalg.slogdet = levinson, slogdet
+    path = []
+    for step, run in itertools.groupby(steps):
+        run = list(run)
+        path += [f"blocks={len(run)}"] if step == "block" else run
+    return value, "+".join(path)
 
 
 def reach_line(kernel, radius):
@@ -172,9 +203,9 @@ def main(out=sys.stdout) -> None:
             for x in X_VALUES:
                 value = outcome(lambda: call(spec, x, None))
                 out.write(f"route {name} {route} x={x} {value}\n")
-        for x in CROSSOVER_X:
-            value = outcome(lambda: toeplitz.toeplitz_det(spec, x))
-            out.write(f"route {name} toeplitz x={x} {value}\n")
+        for x in TOEPLITZ_X:
+            value, path = toeplitz_path(spec, x)
+            out.write(f"route {name} toeplitz x={x} {value} path={path}\n")
     for name in symbols.FIXTURE_NAMES:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
