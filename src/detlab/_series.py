@@ -119,6 +119,21 @@ def laurent_coeffs(values):
     return j, (c * phase)[order]
 
 
+def grid_powers(m: int, p: int):
+    """u_j^p for the m nodes u_j of ``circle_nodes(1.0, m)``, from the
+    exact index j p mod m: u_j^p = (-1)^p e^{2 pi i j p / m}, the grid
+    starting at angle -pi."""
+    return (1 - 2 * (p % 2)) * np.exp(2j * np.pi * (np.arange(m) * p % m) / m)
+
+
+def grid_sums(values, s):
+    """sum_j values[..., j] u_j^-s, u_j as in ``grid_powers`` with m =
+    values.shape[-1], for every integer in the array s, any range: one FFT
+    along the last axis, read at s mod m with the sign (-1)^s."""
+    s = np.asarray(s)
+    return np.fft.fft(values)[..., s % values.shape[-1]] * (1 - 2 * (s % 2))
+
+
 SIDES = {"plus": lambda j: j >= 0, "minus": lambda j: j < 0,
          "all": lambda j: np.ones(j.shape, dtype=bool)}
 

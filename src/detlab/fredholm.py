@@ -38,6 +38,32 @@ growth and hands the grid back to the dense LU past GROWTH_MAX.
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.  S is the residue form over no zeros.
+
+The residue form, S included, also has a grid form, which takes its
+determinant from LEMMA_MIN nodes on.  On the m nodes q_j = rho u_j of
+``circle_nodes``, q_j^m is one constant, so q^x = q^m q^-n with n = m - x.
+Conjugated by diag(q^{x/2}), a similarity that leaves the determinant
+alone (it also absorbs the branch signs of the half powers), the residue
+form's entry off the diagonal is
+
+    -a_i a_j w_j/(2 pi i) [sum_{k<n} q_i^(-1-k) q_j^k
+                           + sum_z c_z q_j^-x / ((z - q_i)(z - q_j))],
+
+rank n from the sine part and one more per zero z of the residue sum.  So
+Id + K = diag(delta) + U W^T with R = n + #zeros columns, and delta_j =
+1 + K_jj - (U W^T)_jj = 1 + theta_j w_j m/(2 pi i q_j), which is phi(q_j)
+on the trapezoid weights.  By the matrix determinant lemma, det(Id + K) =
+prod delta_j det(I_R + W^T diag(delta)^-1 U), in O(m log m + R^3) rather
+than O(m^2) or O(m^3).  For S, I_n + W^T diag(delta)^-1 U is the Toeplitz
+matrix of the m-node moments of 1/phi, so D_x(phi_m) = prod_j phi(q_j)
+D_n((1/phi)_m): Jacobi's complementary-minor identity on the m x m
+circulant (Boettcher and Widom, "Szego via Jacobi", Linear Algebra Appl.
+419 (2006)).  Where delta has a zero or a non-finite entry, or an entry of
+W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of 1/phi - 1: a
+zero of phi near the circle), the grid goes to the LU or the elimination.
+Split-form V, ``kernel_W``, ``kernel_sum`` and the resolvent have no grid
+form: split V's tail is a converged split of up to m/2 stored modes, so a
+tail cut to few columns would change its matrix.
 """
 
 from __future__ import annotations
@@ -51,8 +77,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import errors, symbols
-from ._series import (circle_nodes, circle_weights, laurent_coeffs,
-                      pow2_at_least)
+from ._series import (circle_nodes, circle_weights, grid_of, grid_powers,
+                      grid_sums, laurent_coeffs, pow2_at_least)
 from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
                      residue_coefficient, suite_for)
 
@@ -62,7 +88,8 @@ ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 # thread on a 2-vCPU x86-64 host: b = 24, 32, 48 take 8.3, 8.2, 9.0 ms at
 # m = 514 and 24.1, 20.6, 25.8 ms at m = 1002.
 BLOCK = 32
-# Smallest grid whose determinant ``nystrom_det`` takes by the elimination.
+# Smallest grid whose determinant ``nystrom_det`` takes by the elimination,
+# for kernels without a grid form or grids the lemma hands back (LEMMA_MIN).
 # Median ms per grid, dense fill + LU / generators + elimination, same host:
 #     m     F4 tau_eff    F1 S         F3 S
 #     258    4.2 / 3.6     3.1 / 3.7    3.0 / 3.5
@@ -73,6 +100,21 @@ BLOCK = 32
 #     1002  92.7 / 28.5   98.0 / 27.9  96.0 / 28.4
 # The S kernels break even near m = 320, the tau_eff kernel below 258.
 BLOCKED_MIN = 300
+# Smallest grid whose determinant ``_grid_det`` takes by the determinant
+# lemma, for kernels with a ``grid_form``.  Median ms per grid of 21, same
+# host, x = m - 4: today's path (fill + LU, or from BLOCKED_MIN the
+# generators + elimination) / grid form + lemma:
+#     m     F3 tau_eff    F4 tau_eff    F1 S          F4 S
+#     40    0.10 / 0.12   0.10 / 0.11   0.09 / 0.10   0.09 / 0.10
+#     48    0.11 / 0.11   0.11 / 0.11   0.10 / 0.10   0.10 / 0.10
+#     56    0.13 / 0.11   0.13 / 0.11   0.12 / 0.10   0.12 / 0.10
+#     64    0.15 / 0.12   0.15 / 0.11   0.14 / 0.10   0.14 / 0.11
+#     130   0.67 / 0.18   0.68 / 0.18   0.68 / 0.17   0.67 / 0.17
+#     322   2.86 / 0.24   2.79 / 0.23   2.97 / 0.20   2.87 / 0.20
+#     516   6.13 / 0.28   5.86 / 0.29   6.24 / 0.27   5.99 / 0.27
+#     1002  19.2 / 0.56   19.0 / 0.58   19.3 / 0.44   19.2 / 0.44
+# They break even near m = 48.
+LEMMA_MIN = 56
 # Largest growth of the Schur complement's ``_entry_scale`` over that of
 # Id + K that the elimination accepts; past it the dense LU takes the grid.
 # Measured on the Nystrom ladders of the benchmark's random symbols (seeds
@@ -121,12 +163,16 @@ class Reach(NamedTuple):
 
 class Kernel:
     """Integrable kernel from ``generators`` (module docstring): its fill is
-    sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i."""
+    sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i.
+    Its ``grid_form``, None or a callable (nodes, weights) -> (delta, cap)
+    on a grid of ``circle_nodes``, gives ``_lemma_det``'s factors of the
+    same matrix (module docstring)."""
 
-    def __init__(self, generators, x: int = 0, reach=None):
+    def __init__(self, generators, x: int = 0, reach=None, grid_form=None):
         self.generators = generators
         self.x = errors.check_x(x)
         self.reach = reach
+        self.grid_form = grid_form
 
     def parts(self, nodes, weights):
         """(cols, rows, diag) of the fill: the m x r generator columns a f_k,
@@ -331,7 +377,7 @@ def _halfpows(q, x):
     return q ** (x / 2.0), q ** (-x / 2.0)
 
 
-def _kernel_V_generic(theta, tail, x, reach):
+def _kernel_V_generic(theta, tail, x, reach, grid_form=None):
     """Generators a = sqrt(theta), vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail
     and vm = q^{-x/2} for the deformation function w = q^x + tail, where
     tail(q) returns the part of w analytic outside the contour and its
@@ -345,7 +391,7 @@ def _kernel_V_generic(theta, tail, x, reach):
                 ((x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
                  (-x / 2.0) * hm / q))
 
-    return Kernel(generators, x, reach)
+    return Kernel(generators, x, reach, grid_form)
 
 
 def kernel_V(theta, x: int, radius: float) -> Kernel:
@@ -405,7 +451,62 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
 
     return _kernel_V_generic(functools.partial(symbols.eval_theta, spec),
                              tail, x,
-                             functools.partial(_residue_reach, spec, x, res))
+                             functools.partial(_residue_reach, spec, x, res),
+                             functools.partial(_residue_grid, spec, x, res))
+
+
+def _residue_grid(spec: symbols.SymbolSpec, x: int, res, nodes, weights):
+    """(delta, cap) of V's residue form over the pairs ``res`` of a zero z
+    and its c_z = z^x/phi'(z), on a grid of m > x ``circle_nodes`` (module
+    docstring): Id + K is similar to diag(delta) + U W^T with R = n +
+    len(res) columns, n = m - x, and cap = W^T diag(delta)^-1 U.  Every
+    entry of cap is a sum over the nodes of a row times u^s, so one FFT of
+    those rows gives them all (``grid_sums``), in O(m log m) with neither U
+    nor W formed."""
+    radius, m = grid_of(nodes)
+    n, zs = m - x, len(res)
+    phi = symbols.eval_phi(spec, nodes)
+    tw = (phi - 1.0) * weights / (2j * np.pi * nodes)   # theta / m
+    delta = 1.0 + m * tw
+    g = -tw / delta
+    # per zero, U's column a beta/(z - q) and W's -a w r u^-x/(2 pi i beta
+    # (z - q)), r = c_z/radius^x by logarithms and beta = sqrt|r|, so that
+    # the entries of cap have one scale: v = q beta/(z - q) and e = g r
+    # u^-x/(beta (z - q)) are their products with the other factors
+    with np.errstate(divide="ignore"):
+        r = np.exp(np.log([c for _, c in res]) - x * math.log(radius))
+    beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
+    gaps = np.array([z for z, _ in res])[:, None] - nodes
+    v = beta[:, None] * nodes / gaps
+    e = g * (r / beta)[:, None] * grid_powers(m, -x) / gaps
+    # sums[i, n - 1 + s] = sum_j rows[i, j] u_j^-s, s = 1 - n ... n - 1
+    sums = grid_sums(np.vstack([g, g * v, e]), np.arange(1 - n, n))
+    k = np.arange(n)
+    cap = np.empty((n + zs, n + zs), dtype=complex)
+    cap[:n, :n] = sums[0, n - 1 + k[None, :] - k[:, None]]
+    cap[:n, n:] = sums[1:zs + 1, n - 1 - k].T
+    cap[n:, :n] = sums[zs + 1:, n - 1 + k]
+    cap[n:, n:] = e @ v.T
+    return delta, cap
+
+
+def _lemma_det(delta, cap):
+    """det(diag(delta) + U W^T) = prod delta det(I + cap), cap = W^T
+    diag(delta)^-1 U, by the matrix determinant lemma, its logarithms
+    summed and the complex value formed only at the end, inf or nan past
+    the double range; None where delta has a zero or a non-finite entry,
+    where an entry of cap passes GROWTH_MAX, or where I + cap is singular,
+    for ``_grid_det`` to take the grid by LU or elimination."""
+    size = np.abs(delta)
+    if not (np.min(size) > 0 and np.max(size) < np.inf and
+            np.max(np.abs(cap)) <= GROWTH_MAX):
+        return None
+    sign, logdet = np.linalg.slogdet(cap + np.eye(len(cap)))
+    if sign == 0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(sign * np.prod(delta / size) *
+                       np.exp(np.sum(np.log(size)) + logdet))
 
 
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
@@ -443,8 +544,16 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
 
 def _grid_det(kernel, nodes, weights) -> complex:
     """det(Id + K) on one grid, inf or nan past the double range: by
-    ``_blocked_det`` on the kernel's ``parts`` from BLOCKED_MIN nodes on,
-    else, or where the elimination gives up, by LU of the filled matrix."""
+    ``_lemma_det`` on the kernel's ``grid_form`` from LEMMA_MIN nodes on,
+    where it has one and the nodes are a grid of ``circle_nodes``; else,
+    or where the lemma gives up, by ``_blocked_det`` on the kernel's
+    ``parts`` from BLOCKED_MIN nodes on; else, or where the elimination
+    gives up, by LU of the filled matrix."""
+    if kernel.grid_form is not None and nodes.size >= LEMMA_MIN and \
+            grid_of(nodes) is not None:
+        det = _lemma_det(*kernel.grid_form(nodes, weights))
+        if det is not None:
+            return det
     if nodes.size >= BLOCKED_MIN:
         parts = kernel.parts(nodes, weights)
         det = _blocked_det(*parts, nodes)
@@ -491,6 +600,8 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
     ``radius``, each grid's determinant by ``_grid_det``, LU of the filled
     matrix or, from BLOCKED_MIN nodes on, elimination on the generators.
+    A kernel with a ``grid_form`` has that determinant by the determinant
+    lemma from LEMMA_MIN nodes on, unless the lemma hands the grid back.
     x is the kernel's bandwidth and a its reach's modes on that circle,
     clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
     a reach), doubled while the grid has fewer than 16 nodes.  Past x + a

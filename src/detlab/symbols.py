@@ -233,12 +233,17 @@ class SymbolAnalysis:
 
 
 def _newton_polish(spec: SymbolSpec, root, tol=1e-12, maxit=40):
+    """Newton steps on the numerator P from ``root`` until z is a root of a
+    polynomial within tol of P coefficient by coefficient: the backward
+    error |P(z)| <= tol sum_k |c_k| |z|^k, which a high degree's large
+    |z|^k does not defeat as an absolute residual test does;
+    RootFindFailure where the steps stall first."""
     c, dc = spec.numer, spec._dnumer
-    scale = max(max(map(abs, c)), 1.0)
+    size = np.abs(c)
     z = complex(root)
     for _ in range(maxit):
         f = complex(horner(c, z))
-        if abs(f) < tol * scale:
+        if abs(f) <= tol * horner(size, abs(z)):
             return z
         df = complex(horner(dc, z))
         if df == 0.0:
@@ -248,7 +253,7 @@ def _newton_polish(spec: SymbolSpec, root, tol=1e-12, maxit=40):
             break
         z -= step
     f = complex(horner(c, z))
-    if abs(f) < tol * scale:
+    if abs(f) <= tol * horner(size, abs(z)):
         return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")
 

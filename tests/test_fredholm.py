@@ -13,8 +13,10 @@ from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import CauchySuite, residue_coefficient
 from test_asymptotics import SLOW, two_sided_symbols
+from test_toeplitz import REFERENCES, laurent_symbols, log_gap
 
 DATA = Path(__file__).resolve().parent / "data"
+EPS = np.finfo(float).eps
 
 
 def suite_for(name):
@@ -419,6 +421,118 @@ class TestBlocked:
         assert max(res.grids) < fredholm.BLOCKED_MIN
 
 
+def dense_det(kernel, nodes, weights):
+    """det(Id + K) by LU of the filled matrix, and that matrix."""
+    mat = kernel.matrix(nodes, weights)
+    np.fill_diagonal(mat, mat.diagonal() + 1.0)
+    return np.linalg.det(mat), mat
+
+
+def near_circle_zero():
+    """phi = (q - 0.3)(q - 1.0001)/q: |phi| = 7e-5 at the node q = 1."""
+    return symbols.SymbolSpec("rational", tuple(
+        np.polynomial.polynomial.polyfromroots([0.3, 1.0001])), (0.0, 1.0))
+
+
+class TestLemma:
+    """S and V's residue form by the determinant lemma on their trapezoid
+    grids (``fredholm._lemma_det`` of the kernel's ``grid_form``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(laurent_symbols(), two_sided_symbols()),
+           x=st.integers(1, 200), n=st.integers(1, 64),
+           residue=st.booleans())
+    def test_matches_dense_lu(self, spec, x, n, residue):
+        # S, or V's residue form over the zeros inside |q| = 1, on m = x + n
+        # nodes: both within eps m cond(Id + K) of the exact value; on 3,000
+        # scratch draws the two differed by at most 1.3 eps max(m, 16) cond
+        zeros = [z for z in symbols.analyze(spec).zeros
+                 if abs(z) < 1.0] if residue else []
+        kern = fredholm.kernel_V_residue(spec, x, zeros)
+        m = x + n
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
+        want, mat = dense_det(kern, nodes, weights)
+        got = fredholm._lemma_det(*kern.grid_form(nodes, weights))
+        if got is None:
+            # handed back, and below BLOCKED_MIN the dense LU takes it
+            assert fredholm._grid_det(kern, nodes, weights) == want
+            return
+        bound = 4 * EPS * max(m, 16) * np.linalg.cond(mat)
+        assert abs(got / want - 1) <= bound
+
+    @pytest.mark.parametrize("name, x, route", [
+        (name, x, route) for name in REFERENCES for x in (32, 128, 512)
+        for route in ("S", "tau_eff")
+        # det(1 + V) is D_x where phi has no zero outside base_contour
+        if route == "S" or name in ("F3", "F5")])
+    def test_references(self, name, x, route):
+        # on the grid nystrom_det fills, against the 50-digit log det T_x;
+        # in units of x eps max(1, |log det|) the lemma read at worst 0.39
+        # (F5, x = 32), and the dense LU or elimination on the same grid
+        # 2.16 (F5, x = 512)
+        spec = symbols.fixture(name)
+        kern, radius = ((fredholm.kernel_S(spec, x),
+                         asymptotics.base_contour(spec)) if route == "S"
+                        else asymptotics.tau_eff_kernel(spec, x))
+        m = fredholm.nystrom_det(kern, radius).m_used
+        nodes = circle_nodes(radius, m)
+        got = fredholm._lemma_det(*kern.grid_form(
+            nodes, circle_weights(nodes, m)))
+        want = complex(*map(float, REFERENCES[name]["log_det"][str(x)]))
+        assert log_gap(np.log(got), want) <= \
+            4 * x * EPS * max(abs(want.real), 1.0)
+
+    @pytest.mark.parametrize("spec, zeros, x, m", [
+        # a zero 1e-4 outside the circle: min |phi| = 7e-5 on the grid, and
+        # cap's entries, the moments of 1/phi - 1, reach 212
+        (near_circle_zero(), [], 60, 68),
+        # the near-double zero of CHANGES.md: phi'(z) = 2.1e-5, and V's
+        # residue form over z has cap entries up to 360 on 12 nodes
+        (symbols.SymbolSpec("rational", tuple(
+            np.polynomial.polynomial.polyfromroots(
+                [0.0674 + 0.4125j, 0.0674 + 0.4125j + 3.7e-6 * np.exp(0.3j)])),
+            (0.0, 0.0, 1.0)), [0.0674 + 0.4125j], 4, 12)])
+    def test_hands_back_to_the_lu(self, spec, zeros, x, m):
+        kern = fredholm.kernel_V_residue(spec, x, zeros)
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
+        delta, cap = kern.grid_form(nodes, weights)
+        assert np.max(np.abs(cap)) > fredholm.GROWTH_MAX
+        assert fredholm._lemma_det(delta, cap) is None
+        want, _ = dense_det(kern, nodes, weights)
+        assert fredholm._grid_det(kern, nodes, weights) == want
+
+    def test_switch_at_the_crossover(self, monkeypatch):
+        # the lemma takes grids of circle_nodes from LEMMA_MIN nodes on, for
+        # kernels with a grid form; a copy of a grid, split-form V and grids
+        # below LEMMA_MIN take the dense LU, bit for bit
+        taken = []
+        real = fredholm._lemma_det
+
+        def lemma(delta, cap):
+            taken.append(delta.size)
+            return real(delta, cap)
+
+        monkeypatch.setattr(fredholm, "_lemma_det", lemma)
+        spec = symbols.fixture("F4")
+        rho = asymptotics.base_contour(spec)
+        kern = fredholm.kernel_S(spec, 40)
+        split = fredholm.kernel_V(theta_of(spec), 40, rho)
+        for m in (fredholm.LEMMA_MIN - 1, fredholm.LEMMA_MIN):
+            nodes = circle_nodes(rho, m)
+            weights = circle_weights(nodes, m)
+            got = fredholm._grid_det(kern, nodes, weights)
+            if m < fredholm.LEMMA_MIN:
+                assert got == dense_det(kern, nodes, weights)[0]
+            else:
+                assert got == real(*kern.grid_form(nodes, weights))
+            for k, q in ((kern, nodes.copy()), (split, nodes)):
+                assert fredholm._grid_det(k, q, weights) == \
+                    dense_det(k, q, weights)[0]
+        assert taken == [fredholm.LEMMA_MIN]
+
+
 class TestNystrom:
     def test_zero_kernel(self):
         res = fredholm.nystrom_det(zero_kernel(), 1.0)
@@ -654,13 +768,14 @@ class TestOneGrid:
         return sizes
 
     def test_f4_takes_the_last_grid_of_its_ladder(self, monkeypatch):
-        # the same generators with a reach that bounds nothing run the
-        # ladder (66, 68): its value, bit for bit, from one fill
+        # the same generators and grid form with a reach that bounds nothing
+        # run the ladder (66, 68): its value, bit for bit, from one grid
         spec = symbols.fixture("F4")
         ct = asymptotics.base_contour(spec)
         kern = fredholm.kernel_S(spec, 64)
         ladder = fredholm.nystrom_det(fredholm.Kernel(
-            kern.generators, 64, lambda radius: fredholm.Reach(2, None)), ct)
+            kern.generators, 64, lambda radius: fredholm.Reach(2, None),
+            kern.grid_form), ct)
         sizes = self.filled(monkeypatch)
         one = fredholm.nystrom_det(kern, ct)
         assert ladder.grids == (66, 68)
@@ -959,14 +1074,16 @@ class TestOnePass:
     once."""
 
     def test_one_generator_pass_per_grid(self, monkeypatch):
+        # a grid the determinant lemma takes is not filled, and it reads
+        # the symbol once too
         sizes = []
 
         def counted(spec, q):
             sizes.append(np.size(q))
             return real(spec, q)
 
-        real = symbols.eval_theta
-        monkeypatch.setattr(symbols, "eval_theta", counted)
+        real = symbols.eval_phi
+        monkeypatch.setattr(symbols, "eval_phi", counted)
         spec, suite = suite_for("F4")
         for kern in (fredholm.kernel_S(spec, 3),
                      fredholm.kernel_V_residue(spec, 3, suite.zeros_inside()),
@@ -981,9 +1098,11 @@ class TestOnePass:
             kern.generators = generators
             sizes.clear()
             res = fredholm.nystrom_det(kern, suite.rho)
-            assert passes == list(res.grids)
+            lemma = kern.grid_form is not None
+            assert passes == [m for m in res.grids
+                              if not (lemma and m >= fredholm.LEMMA_MIN)]
             # theta's reach FFT samples 256 nodes
-            assert [n for n in sizes if n != 256] == passes
+            assert [n for n in sizes if n != 256] == list(res.grids)
 
     def test_split_pieces_formed_once_per_fill(self, monkeypatch):
         # kernel_V's tail and its derivative are the minus part of its

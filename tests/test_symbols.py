@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
-from detlab._series import circle_nodes
+from detlab._series import circle_nodes, horner
 from detlab.cauchy import CauchySuite
 from detlab.contours import base_contour
 
@@ -115,6 +115,41 @@ class TestZeroSelection:
         nu = symbols.eval_nu_grid(spec, nodes)
         assert np.allclose(nu, (20 * nodes + 20 / nodes) / (2j * np.pi),
                            rtol=0, atol=1e-13)
+
+
+def wide_laurent(b):
+    """1 + sum_{0 < |k| <= b} c_k q^k, complex c_k from default_rng(5) scaled
+    to sum |c_k| = 0.58, so phi does not wind on |q| = 1: a numerator of
+    degree 2b over q^b."""
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(2 * b) + 1j * rng.standard_normal(2 * b)
+    c *= 0.58 / np.sum(np.abs(c))
+    return symbols.SymbolSpec("rational",
+                              tuple(np.concatenate([c[:b], [1.0], c[b:]])),
+                              (0.0,) * b + (1.0,))
+
+
+class TestRootPolish:
+    @pytest.mark.parametrize("b", [16, 32, 64])
+    def test_high_degree_numerators(self, b):
+        # an absolute residual |P(z)| < 1e-12 max|c_k| raised RootFindFailure
+        # on each (residuals up to 1e21 at zeros up to |z| = 19); every root
+        # holds the backward error, measured <= 8.5e-14 at b = 64, and
+        # toeplitz_det, which analyses the symbol, meets the dense LU of its
+        # own moments (measured <= 1.2e-15)
+        spec = wide_laurent(b)
+        zeros = symbols.analyze(spec).zeros
+        assert len(zeros) == 2 * b
+        size = np.abs(spec.numer)
+        for z in zeros:
+            assert abs(horner(spec.numer, z)) <= 1e-12 * horner(size, abs(z))
+        x = 64
+        moments = toeplitz.moment_table(spec, x)
+        sign, log_abs = np.linalg.slogdet(moments[np.subtract.outer(
+            np.arange(x), np.arange(x)) + x])
+        got = toeplitz.toeplitz_det(spec, x)
+        assert abs(got / (sign * np.exp(log_abs)) - 1) <= \
+            4 * x * np.finfo(float).eps * max(1.0, abs(log_abs))
 
 
 class TestFourier:

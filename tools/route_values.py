@@ -14,13 +14,16 @@ the whole order and "blocks=n" for n LUs of smaller blocks, in the order
 they ran, then the Nystrom ladder (``DetResult.grids``, each
 with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
 the same fixtures and x, and both ladders with their values on F1 and F4
-at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, then the reach of
+at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, every ladder with
+the path each of its grids' determinants took, beside its node count:
+"lemma R=k" for the determinant lemma on k columns, "blocked" for the
+elimination on the generators and "lu" for the dense LU; then the reach of
 ``kernel_S``, of ``tau_eff_kernel`` and of ``kernel_W`` at each zero inside
 the base contour on the same fixtures and x, each its ``modes`` and
 ``folds(n)`` at n = 2a, 4a and 8a, a its modes (at least 1, doubled while
 x + a < 16), read only through ``kernel.reach(radius)``, then every
-``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids
-and ``err_estimate`` of every Nystrom ladder the check runs, then
+``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids,
+paths and ``err_estimate`` of every Nystrom ladder the check runs, then
 ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L, L in
 {64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
 are written as ``repr``, so two checkouts compute bit-identical values, and
@@ -153,21 +156,68 @@ def reach_kernels(spec, x):
          for z in inside]
 
 
+@contextlib.contextmanager
+def recorded_paths():
+    """Yields a list that collects "m:path" for every grid of m nodes whose
+    determinant ``fredholm._grid_det`` takes inside the block: "lemma R=k"
+    where ``_lemma_det`` (absent before it landed) returned the value from
+    k columns, "blocked" where ``_blocked_det`` did, else "lu"."""
+    paths, taken = [], []
+    names = [name for name in ("_grid_det", "_lemma_det", "_blocked_det")
+             if hasattr(fredholm, name)]
+    real = {name: getattr(fredholm, name) for name in names}
+
+    def grid_det(kernel, nodes, weights):
+        taken.clear()
+        det = real["_grid_det"](kernel, nodes, weights)
+        paths.append(f"{nodes.size}:{taken[-1] if taken else 'lu'}")
+        return det
+
+    def lemma(delta, cap):
+        det = real["_lemma_det"](delta, cap)
+        if det is not None:
+            taken.append(f"lemma R={len(cap)}")
+        return det
+
+    def blocked(*args):
+        det = real["_blocked_det"](*args)
+        if det is not None:
+            taken.append("blocked")
+        return det
+
+    wrapped = {"_grid_det": grid_det, "_lemma_det": lemma,
+               "_blocked_det": blocked}
+    for name in names:
+        setattr(fredholm, name, wrapped[name])
+    try:
+        yield paths
+    finally:
+        for name in names:
+            setattr(fredholm, name, real[name])
+
+
 def ladder_and_value(kernel, radius):
-    res = fredholm.nystrom_det(kernel, radius)
-    return res.grids, res.err_estimate, res.value
+    with recorded_paths() as paths:
+        res = fredholm.nystrom_det(kernel, radius)
+    return res.grids, res.err_estimate, res.value, ",".join(paths)
+
+
+def ladder_and_path(kernel, radius):
+    grids, err, _, path = ladder_and_value(kernel, radius)
+    return grids, err, path
 
 
 @contextlib.contextmanager
 def recorded_ladders():
-    """Yields a list that collects the ``grids`` and ``err_estimate`` of
-    every ``nystrom_det`` call made inside the block, through any module's
-    alias of it."""
+    """Yields a list that collects the ``grids``, ``err_estimate`` and grid
+    paths (``recorded_paths``) of every ``nystrom_det`` call made inside
+    the block, through any module's alias of it."""
     real, ladders = fredholm.nystrom_det, []
 
     def recorded(*args, **kwargs):
-        res = real(*args, **kwargs)
-        ladders.append((res.grids, res.err_estimate))
+        with recorded_paths() as paths:
+            res = real(*args, **kwargs)
+        ladders.append((res.grids, res.err_estimate, ",".join(paths)))
         return res
 
     aliases = [module for name, module in sys.modules.items()
@@ -210,8 +260,7 @@ def main(out=sys.stdout) -> None:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
             for x in X_VALUES:
-                grids = outcome(
-                    lambda: ladder_and_value(*build(spec, x))[:2])
+                grids = outcome(lambda: ladder_and_path(*build(spec, x)))
                 out.write(f"ladder {name} {kernel} x={x} {grids}\n")
     for name, x in BLOCKED_CASES:
         spec = symbols.fixture(name)
