@@ -17,7 +17,7 @@ from . import errors, symbols
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite, _converged_split, suite_for
 from .contours import base_contour, radius_past
-from .fredholm import (_divide_by_gaps, check_grid_cap, kernel_V,
+from .fredholm import (Reach, _divide_by_gaps, check_grid_cap, kernel_V,
                        kernel_V_residue, nystrom_det)
 
 BO_TAIL_TOL = 1e-16   # borodin_okounkov: size below which the Hankel terms
@@ -238,6 +238,14 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
     return errors.exp_in_range(_log_strong_limit(suite, x), total)
 
 
+def _ladder_only(kernel):
+    """``kernel`` with no fold bound in its reach, so that ``nystrom_det``
+    confirms its value on a second grid rather than trusting one."""
+    reach = kernel.reach
+    kernel.reach = lambda radius: Reach(reach(radius).modes, None)
+    return kernel
+
+
 def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
                    w_b: complex) -> tuple:
     """Ratio of det(1 + V) with the zero z_a inside the contour swapped for
@@ -250,8 +258,14 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     to itself.  The swapped V in residue form is regular at z_a,
     where theta = -1, so its determinant is taken on the plain circle
     ``radius_past`` |w_b| outward, with the poles of phi as obstructions.
-    EmptyAnnulus when a pole lies between the base circle and w_b;
-    NotAvailable when no zero lies inside the contour, or none outside."""
+    Both determinants run the ladder, their kernels' reach stripped of its
+    fold bound (``_ladder_only``): on F4 with z_a = 1.4 and w_b = 2.2, past
+    x ~ 110 the swapped kernel's reach falls under its true fold and its
+    one grid read cancellation noise (5e-5 at x = 127 against the closed
+    form's -8e-26, under a bound of 2e-15), which a second grid exposes as
+    NotConverged.  EmptyAnnulus when a pole lies between the base circle and
+    w_b; NotAvailable when no zero lies inside the contour, or none
+    outside."""
     x = errors.check_x(x)
     suite = suite_for(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
@@ -270,9 +284,11 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
         raise errors.EmptyAnnulus(
             f"a pole lies between the contour and the zero {w_b}")
     inside_swap = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
-    det_swap = nystrom_det(kernel_V_residue(spec, x, inside_swap),
-                           radius_past(abs(w_b), poles, 1), 1e-9)
-    det_base = nystrom_det(kernel_V_residue(spec, x, zset), suite.rho, 1e-9)
+    det_swap = nystrom_det(
+        _ladder_only(kernel_V_residue(spec, x, inside_swap)),
+        radius_past(abs(w_b), poles, 1), 1e-9)
+    det_base = nystrom_det(_ladder_only(kernel_V_residue(spec, x, zset)),
+                           suite.rho, 1e-9)
     ratio = det_swap.value / det_base.value
     d_swap, d_base = (d.err_estimate + d.lu_rounding
                       for d in (det_swap, det_base))

@@ -27,43 +27,45 @@ folds back, read from the same split or decay as the count, or None.
 the kernel bounds what that grid folds, with its LU's rounding, within tol,
 and otherwise runs a
 ladder of grids x + a, x + 2a, x + 4a, ..., with one short step of a nodes
-where two drifts predict convergence.  It takes
-det(Id + K) on grids below BLOCKED_MIN nodes by LU of the filled matrix,
-and from there on by block Gaussian elimination on the generators
-(Gohberg, Kailath and Olshevsky, Math. Comp. 64 (1995)), which never forms
-the m x m matrix: O((r + BLOCK) m^2) time and O((r + BLOCK) m) memory.
-It does not pivot across blocks, so it watches the Schur complement's
-growth and hands the grid back to the dense LU past GROWTH_MAX.
+where two drifts predict convergence.  It takes det(Id + K) on each grid
+by the determinant lemma where the kernel has a grid form (below), and
+otherwise by LU of the filled matrix.
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.  S is the residue form over no zeros.
 
-The residue form, S included, also has a grid form, which takes its
-determinant from LEMMA_MIN nodes on.  On the m nodes q_j = rho u_j of
-``circle_nodes``, q_j^m is one constant, so q^x = q^m q^-n with n = m - x.
+Both forms of V, S included, also have a grid form, which takes the
+determinant on grids of LEMMA_MIN to 2x nodes.  On the m nodes q_j =
+rho u_j of ``circle_nodes``, u_j^m = (-1)^m, so q^x = rho^x (-1)^m u^-n with
+n = m - x.
 Conjugated by diag(q^{x/2}), a similarity that leaves the determinant
-alone (it also absorbs the branch signs of the half powers), the residue
-form's entry off the diagonal is
+alone (it also absorbs the branch signs of the half powers), V's entry off
+the diagonal is
 
-    -a_i a_j w_j/(2 pi i) [sum_{k<n} q_i^(-1-k) q_j^k
-                           + sum_z c_z q_j^-x / ((z - q_i)(z - q_j))],
+    a_i a_j (w_j / rho) u_j^n/(2 pi i) (W(u_j) - W(u_i))/(u_j - u_i)
 
-rank n from the sine part and one more per zero z of the residue sum.  So
-Id + K = diag(delta) + U W^T with R = n + #zeros columns, and delta_j =
-1 + K_jj - (U W^T)_jj = 1 + theta_j w_j m/(2 pi i q_j), which is phi(q_j)
-on the trapezoid weights.  By the matrix determinant lemma, det(Id + K) =
-prod delta_j det(I_R + W^T diag(delta)^-1 U), in O(m log m + R^3) rather
-than O(m^2) or O(m^3).  For S, I_n + W^T diag(delta)^-1 U is the Toeplitz
-matrix of the m-node moments of 1/phi, so D_x(phi_m) = prod_j phi(q_j)
-D_n((1/phi)_m): Jacobi's complementary-minor identity on the m x m
-circulant (Boettcher and Widom, "Szego via Jacobi", Linear Algebra Appl.
-419 (2006)).  Where delta has a zero or a non-finite entry, or an entry of
-W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of 1/phi - 1: a
-zero of phi near the circle), the grid goes to the LU or the elimination.
-Split-form V, ``kernel_W``, ``kernel_sum`` and the resolvent have no grid
-form: split V's tail is a converged split of up to m/2 stored modes, so a
-tail cut to few columns would change its matrix.
+for (-1)^m w/rho^x = W = u^-n + sum_nu h_nu u^-nu - sum_z (-1)^m c_z /
+(rho^x (z - q)), with h_nu = (-1)^m t_nu/rho^x for split V's tail
+sum_{nu=1..N} t_nu u^-nu.  The divided difference of u^-k is -sum_{a<k}
+u_i^(-1-a) u_j^(a-k), so the sine part has rank n, the polynomial tail adds
+the Hankel block h_(a+b) in the same columns, R = max(n, N) of them, and
+each zero of the residue sum adds one more.  So Id + K = diag(delta) + U W^T
+with R + #zeros columns, and delta_j = 1 + K_jj - (U W^T)_jj = 1 + theta_j
+w_j m/(2 pi i q_j), which is phi(q_j) on the trapezoid weights: the tail's
+derivative on the diagonal is its own divided difference.  By the matrix
+determinant lemma, det(Id + K) = prod delta_j det(I + W^T diag(delta)^-1 U),
+in O(m log m + R^3) rather than O(m^3).  For S, I_n + W^T diag(delta)^-1 U
+is the Toeplitz matrix of the m-node moments of 1/phi, so D_x(phi_m) =
+prod_j phi(q_j) D_n((1/phi)_m): Jacobi's complementary-minor identity on
+the m x m circulant (Boettcher and Widom, "Szego via Jacobi", Linear
+Algebra Appl. 419 (2006)).  Split V keeps the N = ``_bandwidth`` tail modes
+its reach reads; those it drops lie below TAIL_TOL of its split's largest.
+Where delta has a zero or a non-finite entry, or an entry of
+W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of 1/phi - 1: a zero
+of phi near the circle), the grid goes to the LU, as do split V's grids on
+another circle or with R >= m.  ``kernel_W``, ``kernel_sum`` and the
+resolvent have no grid form.
 """
 
 from __future__ import annotations
@@ -83,27 +85,11 @@ from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
                      residue_coefficient, suite_for)
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
-# Nodes per block of the elimination on the generators, ``_blocked_det``.
-# Generators and elimination on F4's tau_eff kernel, median of 21, 1 BLAS
-# thread on a 2-vCPU x86-64 host: b = 24, 32, 48 take 8.3, 8.2, 9.0 ms at
-# m = 514 and 24.1, 20.6, 25.8 ms at m = 1002.
-BLOCK = 32
-# Smallest grid whose determinant ``nystrom_det`` takes by the elimination,
-# for kernels without a grid form or grids the lemma hands back (LEMMA_MIN).
-# Median ms per grid, dense fill + LU / generators + elimination, same host:
-#     m     F4 tau_eff    F1 S         F3 S
-#     258    4.2 / 3.6     3.1 / 3.7    3.0 / 3.5
-#     290    3.7 / 3.5     4.0 / 4.3    3.8 / 4.1
-#     322    5.9 / 3.3     5.0 / 4.9    4.7 / 4.9
-#     386    9.3 / 6.2     7.5 / 6.3    7.3 / 6.1
-#     514   19.1 / 6.7    15.1 / 9.9   15.1 / 9.7
-#     1002  92.7 / 28.5   98.0 / 27.9  96.0 / 28.4
-# The S kernels break even near m = 320, the tau_eff kernel below 258.
-BLOCKED_MIN = 300
 # Smallest grid whose determinant ``_grid_det`` takes by the determinant
-# lemma, for kernels with a ``grid_form``.  Median ms per grid of 21, same
-# host, x = m - 4: today's path (fill + LU, or from BLOCKED_MIN the
-# generators + elimination) / grid form + lemma:
+# lemma, for kernels with a ``grid_form``.  Median ms per grid of 21, 1 BLAS
+# thread on a 2-vCPU x86-64 host, x = m - 4: the path before the lemma (fill
+# + LU, from 300 nodes an elimination on the generators since removed) /
+# grid form + lemma:
 #     m     F3 tau_eff    F4 tau_eff    F1 S          F4 S
 #     40    0.10 / 0.12   0.10 / 0.11   0.09 / 0.10   0.09 / 0.10
 #     48    0.11 / 0.11   0.11 / 0.11   0.10 / 0.10   0.10 / 0.10
@@ -113,15 +99,16 @@ BLOCKED_MIN = 300
 #     322   2.86 / 0.24   2.79 / 0.23   2.97 / 0.20   2.87 / 0.20
 #     516   6.13 / 0.28   5.86 / 0.29   6.24 / 0.27   5.99 / 0.27
 #     1002  19.2 / 0.56   19.0 / 0.58   19.3 / 0.44   19.2 / 0.44
-# They break even near m = 48.
+# They break even near m = 48.  Only grids of at most 2x nodes (n = m - x
+# <= x) take the lemma: where R = n nears m it costs more than fill and LU
+# (F4's S at x = 2: 0.57 / 0.45 ms at m = 130, 3.5 / 2.7 ms at m = 258), and
+# each moment's rounding enters a whole diagonal of the R x R matrix, so its
+# error grows like R eps (2.6e-13 off the Toeplitz value at m = 129, against
+# 3.6e-15 for the LU).
 LEMMA_MIN = 56
-# Largest growth of the Schur complement's ``_entry_scale`` over that of
-# Id + K that the elimination accepts; past it the dense LU takes the grid.
-# Measured on the Nystrom ladders of the benchmark's random symbols (seeds
-# 1-40, x = 300, 400, 512, S and tau_eff): growth <= 34 and the two
-# determinants within 9.7e-13, except one grid (seed 10's R1 at x = 512,
-# m = 516) that grew by 2.1e3 and was 1.3e-11 off; F4 grows by <= 73 up to
-# x = 1000.
+# Largest entry of the lemma's R x R matrix W^T diag(delta)^-1 U that
+# ``_lemma_det`` accepts; past it (for S, |phi| below about 1/100 on the
+# grid) the dense LU takes the grid.
 GROWTH_MAX = 100.0
 M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
 M_CAP = 1024     # default cap on Nystrom nodes on the circle
@@ -166,7 +153,7 @@ class Kernel:
     sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i.
     Its ``grid_form``, None or a callable (nodes, weights) -> (delta, cap)
     on a grid of ``circle_nodes``, gives ``_lemma_det``'s factors of the
-    same matrix (module docstring)."""
+    same matrix (module docstring), or None to hand that grid to the LU."""
 
     def __init__(self, generators, x: int = 0, reach=None, grid_form=None):
         self.generators = generators
@@ -174,24 +161,16 @@ class Kernel:
         self.reach = reach
         self.grid_form = grid_form
 
-    def parts(self, nodes, weights):
-        """(cols, rows, diag) of the fill: the m x r generator columns a f_k,
-        the r x m rows g_k a w / (2 pi i) and the diagonal."""
+    def matrix(self, nodes, weights):
+        """The m x m Nystrom matrix: the m x r generator columns a f_k times
+        the r x m rows g_k a w / (2 pi i), divided by the node gaps, and the
+        diagonal a^2 w sum_k f_k g_k' / (2 pi i)."""
         a, f, g, dg = self.generators(nodes)
         r = a * weights / (2j * np.pi)
-        return (np.stack([a * fk for fk in f], axis=1),
-                np.stack([gk * r for gk in g]),
-                a * r * sum(fk * dgk for fk, dgk in zip(f, dg)))
-
-    def matrix(self, nodes, weights):
-        return _fill(*self.parts(nodes, weights), nodes)
-
-
-def _fill(cols, rows, diag, nodes):
-    """The m x m Nystrom matrix of a kernel's ``parts``."""
-    mat = _divide_by_gaps(cols @ rows, nodes)
-    np.fill_diagonal(mat, diag)
-    return mat
+        mat = _divide_by_gaps(np.stack([a * fk for fk in f], axis=1) @
+                              np.stack([gk * r for gk in g]), nodes)
+        np.fill_diagonal(mat, a * r * sum(fk * dgk for fk, dgk in zip(f, dg)))
+        return mat
 
 
 def _divide_by_gaps(mat, nodes):
@@ -202,57 +181,6 @@ def _divide_by_gaps(mat, nodes):
         np.fill_diagonal(gaps[:, start:], 1.0)
         mat[start:start + ROW_BLOCK] /= gaps
     return mat
-
-
-def _entry_scale(cols, rows, diag) -> float:
-    """Bound on the entries of a Cauchy-like matrix with these generators and
-    diagonal, up to the node gaps: sum_k max|cols_k| max|rows_k|, or the
-    largest diagonal entry if that is larger."""
-    gen = np.max(np.abs(cols), axis=0) @ np.max(np.abs(rows), axis=1)
-    return max(float(gen), float(np.max(np.abs(diag))))
-
-
-def _blocked_det(cols, rows, diag, nodes):
-    """det(Id + K) from the fill's ``parts`` without the m x m matrix, by
-    block Gaussian elimination on the generators, BLOCK nodes at a time.
-    The Schur complement of a leading block A_11 is Cauchy-like on the
-    remaining nodes, with generators cols_2 - A_21 A_11^-1 cols_1 and
-    rows_2 - rows_1 A_11^-1 A_12 and diagonal diag_2 - diag(A_21 A_11^-1
-    A_12), so each step forms only the block's rows [A_11 A_12] and columns
-    A_21, by the entry formula of ``Kernel.matrix``, and adds log det A_11,
-    by LU with partial pivoting inside the block.  Blocks are not pivoted
-    against each other: None when a block is singular or the Schur
-    complement's ``_entry_scale`` passes GROWTH_MAX times the matrix's, for
-    the dense LU to take the grid."""
-    cols, rows, diag = cols.copy(), rows.copy(), diag + 1.0
-    m = nodes.size
-    bound = GROWTH_MAX * _entry_scale(cols, rows, diag)
-    logabs, phase = 0.0, 1.0
-    for start in range(0, m, BLOCK):
-        stop = min(start + BLOCK, m)
-        gaps = nodes[None, start:] - nodes[start:stop, None]
-        np.fill_diagonal(gaps, 1.0)
-        top = cols[start:stop] @ rows[:, start:] / gaps
-        np.fill_diagonal(top, diag[start:stop])
-        a11, a12 = top[:, :stop - start], top[:, stop - start:]
-        sign, logdet = np.linalg.slogdet(a11)
-        if not np.isfinite(logdet):
-            return None
-        logabs, phase = logabs + logdet, phase * sign
-        if stop == m:
-            break
-        inv = np.linalg.inv(a11)
-        # A_21 A_11^-1, the gaps of A_21 those of A_12 negated
-        left = -(cols[stop:] @ rows[:, start:stop]
-                 / gaps[:, stop - start:].T) @ inv
-        cols[stop:] -= left @ cols[start:stop]
-        rows[:, stop:] -= rows[:, start:stop] @ inv @ a12
-        diag[stop:] -= np.einsum("ij,ji->i", left, a12)
-        if not _entry_scale(cols[stop:], rows[:, stop:],
-                            diag[stop:]) <= bound:
-            return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(phase * np.exp(logabs))
 
 
 def _rank_one(a, q, u, v, dv):
@@ -401,10 +329,11 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     part of the converged split of q^x theta/(1 + theta) from max(512, 4x)
     nodes, rounded up to a power of two, so its modes near j = x never
     fold; OverflowGuard when q^x overflows on the circle.  Its reach, on
-    this circle, is the larger of theta's bandwidth and the largest |j| of
-    that outside part, both read from the samples of the converged grid,
-    which also bound the modes a grid folds; no bound where radius^x
-    underflows."""
+    this circle, is the larger of theta's bandwidth and the count N of that
+    outside part's modes (``_bandwidth``), both read from the samples of
+    the converged grid, which also bound the modes a grid folds; no bound
+    where radius^x underflows.  Its grid form, on grids of this circle,
+    keeps the tail's first N modes (``_residue_grid``)."""
     x = errors.check_x(x)
     held = {}
 
@@ -419,19 +348,27 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
         return density, radius
 
     split, _ = _converged_split(sample, max(512, pow2_at_least(4 * x)))
+    # w's tail sum_nu t_nu u^-nu, u = q/radius, is -sum_nu minus[nu - 1] u^-nu
+    minus = split.c[split.j < 0][::-1]
+    modes = _bandwidth(split.j, split.c, split.j < 0)
 
     def reach(rho):
         # read on this circle, the one every caller factors the kernel on:
         # the outside modes nu = 1, 2, ... relative to q^x, then zeros
         lead = radius ** x
-        tail = np.append(np.abs(split.c[split.j < 0][::-1]), 0.0)
-        return _reach(*laurent_coeffs(held["theta"]),
-                      _bandwidth(split.j, split.c, split.j < 0),
-                      (lambda nu: tail[np.minimum(nu, tail.size) - 1] / lead)
+        size = np.append(np.abs(minus), 0.0)
+        return _reach(*laurent_coeffs(held["theta"]), modes,
+                      (lambda nu: size[np.minimum(nu, size.size) - 1] / lead)
                       if lead > 0 else None)
 
+    def grid_form(nodes, weights):
+        if grid_of(nodes)[0] != radius:
+            return None
+        return _residue_grid(theta, x, (), -minus[:modes], nodes, weights)
+
     return _kernel_V_generic(
-        theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach)
+        theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach,
+        grid_form)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -442,6 +379,7 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     do not matter: theta = -1 there, and V is regular."""
     res = [(complex(z), residue_coefficient(spec, z, x, 0.0))
            for z in zeros_inside]
+    theta = functools.partial(symbols.eval_theta, spec)
 
     def tail(q):
         gaps = [(c, z - q) for z, c in res]
@@ -449,44 +387,58 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return (-sum((c / g for c, g in gaps), zero),
                 -sum((c / g ** 2 for c, g in gaps), zero))
 
-    return _kernel_V_generic(functools.partial(symbols.eval_theta, spec),
-                             tail, x,
+    return _kernel_V_generic(theta, tail, x,
                              functools.partial(_residue_reach, spec, x, res),
-                             functools.partial(_residue_grid, spec, x, res))
+                             functools.partial(_residue_grid, theta, x, res,
+                                               ()))
 
 
-def _residue_grid(spec: symbols.SymbolSpec, x: int, res, nodes, weights):
-    """(delta, cap) of V's residue form over the pairs ``res`` of a zero z
-    and its c_z = z^x/phi'(z), on a grid of m > x ``circle_nodes`` (module
-    docstring): Id + K is similar to diag(delta) + U W^T with R = n +
-    len(res) columns, n = m - x, and cap = W^T diag(delta)^-1 U.  Every
-    entry of cap is a sum over the nodes of a row times u^s, so one FFT of
-    those rows gives them all (``grid_sums``), in O(m log m) with neither U
-    nor W formed."""
+def _residue_grid(theta, x: int, res, tail, nodes, weights):
+    """(delta, cap) of V over the pairs ``res`` of a zero z and its c_z =
+    z^x/phi'(z), with the polynomial tail sum_{nu=1..N} tail[nu - 1] u^-nu
+    (u = q/radius), on a grid of m > x ``circle_nodes`` (module docstring):
+    Id + K is similar to diag(delta) + U W^T with R + len(res) columns,
+    R = max(n, N) and n = m - x, and cap = W^T diag(delta)^-1 U; None where
+    R >= m, for the LU.  Every entry of cap is a sum over the nodes of a row
+    times u^s, so one FFT of those rows gives them all (``grid_sums``), in
+    O(m log m) with neither U nor W formed; the tail's Hankel block adds
+    O(N R^2)."""
     radius, m = grid_of(nodes)
-    n, zs = m - x, len(res)
-    phi = symbols.eval_phi(spec, nodes)
-    tw = (phi - 1.0) * weights / (2j * np.pi * nodes)   # theta / m
+    n, zs, N = m - x, len(res), len(tail)
+    R = max(n, N)
+    if R >= m:
+        return None
+    tw = theta(nodes) * weights / (2j * np.pi * nodes)   # theta / m
     delta = 1.0 + m * tw
     g = -tw / delta
     # per zero, U's column a beta/(z - q) and W's -a w r u^-x/(2 pi i beta
     # (z - q)), r = c_z/radius^x by logarithms and beta = sqrt|r|, so that
     # the entries of cap have one scale: v = q beta/(z - q) and e = g r
-    # u^-x/(beta (z - q)) are their products with the other factors
+    # u^-x/(beta (z - q)) are their products with the other factors; per
+    # tail mode, h = (-1)^m t_nu/radius^x by logarithms, relative to q^x
     with np.errstate(divide="ignore"):
         r = np.exp(np.log([c for _, c in res]) - x * math.log(radius))
+        h = (1 - 2 * (m % 2)) * np.exp(np.log(np.asarray(tail, dtype=complex))
+                                       - x * math.log(radius))
     beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
     gaps = np.array([z for z, _ in res])[:, None] - nodes
     v = beta[:, None] * nodes / gaps
     e = g * (r / beta)[:, None] * grid_powers(m, -x) / gaps
-    # sums[i, n - 1 + s] = sum_j rows[i, j] u_j^-s, s = 1 - n ... n - 1
-    sums = grid_sums(np.vstack([g, g * v, e]), np.arange(1 - n, n))
-    k = np.arange(n)
-    cap = np.empty((n + zs, n + zs), dtype=complex)
-    cap[:n, :n] = sums[0, n - 1 + k[None, :] - k[:, None]]
-    cap[:n, n:] = sums[1:zs + 1, n - 1 - k].T
-    cap[n:, :n] = sums[zs + 1:, n - 1 + k]
-    cap[n:, n:] = e @ v.T
+    # sums[i, s - lo] = sum_j rows[i, j] u_j^-s, s = lo ... hi - 1
+    lo, hi = 1 - R, R + max(N - n, 0)
+    sums = grid_sums(np.vstack([g, g * v, e]), np.arange(lo, hi))
+    k = np.arange(R)
+    cap = np.zeros((R + zs, R + zs), dtype=complex)
+    cap[:n, :R] = sums[0, k[None, :] - k[:n, None] - lo]
+    cap[:n, R:] = sums[1:zs + 1, -k[:n] - lo].T
+    cap[R:, :R] = sums[zs + 1:, k - lo]
+    cap[R:, R:] = e @ v.T
+    if N:
+        # W's row a gains sum_b h_(a+b) u^(n-b), b = 1 ... N: a Hankel block
+        hankel = np.append(h, np.zeros(R))[k[:, None] + np.arange(N)]
+        b = np.arange(1, N + 1)
+        cap[:R, :R] += hankel @ sums[0, b[:, None] + k - n - lo]
+        cap[:R, R:] += hankel @ sums[1:zs + 1, b - n - lo].T
     return delta, cap
 
 
@@ -496,17 +448,24 @@ def _lemma_det(delta, cap):
     summed and the complex value formed only at the end, inf or nan past
     the double range; None where delta has a zero or a non-finite entry,
     where an entry of cap passes GROWTH_MAX, or where I + cap is singular,
-    for ``_grid_det`` to take the grid by LU or elimination."""
+    for ``_grid_det`` to take the grid by LU.  I + cap is scaled by the
+    geometric mean of |delta|: for S it is the Toeplitz matrix of 1/phi,
+    whose pivots tend to 1/G(phi), so the scaled pivots' logarithms lie
+    near 0, and slogdet's one-at-a-time sum of them rounds far less (split
+    V on F6 at x = 16 and m = 258: 3.4e-13 off E G^x in log unscaled, 4e-15
+    scaled)."""
     size = np.abs(delta)
     if not (np.min(size) > 0 and np.max(size) < np.inf and
             np.max(np.abs(cap)) <= GROWTH_MAX):
         return None
-    sign, logdet = np.linalg.slogdet(cap + np.eye(len(cap)))
+    logs = np.log(size)
+    mean = np.mean(logs)
+    sign, logdet = np.linalg.slogdet(np.exp(mean) * (cap + np.eye(len(cap))))
     if sign == 0:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(sign * np.prod(delta / size) *
-                       np.exp(np.sum(np.log(size)) + logdet))
+                       np.exp(np.sum(logs) - len(cap) * mean + logdet))
 
 
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
@@ -544,24 +503,18 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
 
 def _grid_det(kernel, nodes, weights) -> complex:
     """det(Id + K) on one grid, inf or nan past the double range: by
-    ``_lemma_det`` on the kernel's ``grid_form`` from LEMMA_MIN nodes on,
-    where it has one and the nodes are a grid of ``circle_nodes``; else,
-    or where the lemma gives up, by ``_blocked_det`` on the kernel's
-    ``parts`` from BLOCKED_MIN nodes on; else, or where the elimination
-    gives up, by LU of the filled matrix."""
-    if kernel.grid_form is not None and nodes.size >= LEMMA_MIN and \
+    ``_lemma_det`` on the kernel's ``grid_form`` on grids of LEMMA_MIN to
+    2x nodes, where it has one and the nodes are a grid of
+    ``circle_nodes``; else, or where the grid form or the lemma hands the
+    grid back, by LU of the filled matrix."""
+    if kernel.grid_form is not None and \
+            LEMMA_MIN <= nodes.size <= 2 * kernel.x and \
             grid_of(nodes) is not None:
-        det = _lemma_det(*kernel.grid_form(nodes, weights))
+        form = kernel.grid_form(nodes, weights)
+        det = None if form is None else _lemma_det(*form)
         if det is not None:
             return det
-    if nodes.size >= BLOCKED_MIN:
-        parts = kernel.parts(nodes, weights)
-        det = _blocked_det(*parts, nodes)
-        if det is not None:
-            return det
-        mat = _fill(*parts, nodes)
-    else:
-        mat = kernel.matrix(nodes, weights)
+    mat = kernel.matrix(nodes, weights)
     np.fill_diagonal(mat, mat.diagonal() + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(np.linalg.det(mat))
@@ -598,10 +551,10 @@ def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
-    ``radius``, each grid's determinant by ``_grid_det``, LU of the filled
-    matrix or, from BLOCKED_MIN nodes on, elimination on the generators.
-    A kernel with a ``grid_form`` has that determinant by the determinant
-    lemma from LEMMA_MIN nodes on, unless the lemma hands the grid back.
+    ``radius``, each grid's determinant by ``_grid_det``: by the
+    determinant lemma on grids of LEMMA_MIN to 2x nodes for a kernel with
+    a ``grid_form`` (S and both forms of V), unless the grid is handed
+    back, and otherwise by LU of the filled matrix.
     x is the kernel's bandwidth and a its reach's modes on that circle,
     clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
     a reach), doubled while the grid has fewer than 16 nodes.  Past x + a

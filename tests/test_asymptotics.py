@@ -473,6 +473,24 @@ class TestSlavnov:
         assert abs(closed - ratio) / abs(ratio) < 1e-8
         assert abs(closed - ratio) <= err < 1e-8 * abs(ratio)
 
+    @pytest.mark.parametrize("x", [110, 127, 200])
+    def test_contour_swap_past_its_range_raises(self, x):
+        # the swapped kernel's reach falls under its true fold here (25, 8
+        # and 2 modes), and one grid read the ratio's cancellation noise,
+        # 5.2e-5 + 3.2e-5i at x = 127 against the closed form's -8.2e-26,
+        # under a bound of 1.6e-15; the ladder's drifts never settle
+        with pytest.raises(errors.NotConverged):
+            A.tau_ratio_swap(symbols.fixture("F4"), x, 1.4, 2.2)
+
+    @pytest.mark.parametrize("x", [3, 16])
+    def test_contour_swap_keeps_the_ladders_it_ran(self, monkeypatch, x):
+        # where the reach was clipped at M_START, both kernels already ran
+        # the ladder: the values are those of their own reach, bit for bit
+        spec = symbols.fixture("F4")
+        got = A.tau_ratio_swap(spec, x, 1.4, 2.2)
+        monkeypatch.setattr(A, "_ladder_only", lambda kernel: kernel)
+        assert A.tau_ratio_swap(spec, x, 1.4, 2.2) == got
+
     def test_contour_swap_circle(self, monkeypatch):
         # F4's only pole is the origin: the swapped circle lies EXPANSION
         # past the zero 2.2, the base circle is the suite's

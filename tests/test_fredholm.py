@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
-from detlab.cauchy import CauchySuite, residue_coefficient
+from detlab.cauchy import TAIL_TOL, CauchySuite, residue_coefficient
 from test_asymptotics import SLOW, two_sided_symbols
+from test_perfbench_hooks import PERFBENCH, load_perfbench
 from test_toeplitz import REFERENCES, laurent_symbols, log_gap
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -92,12 +93,9 @@ def zero_kernel():
     return fredholm.Kernel(zero_generators)
 
 
-def zero_parts(nodes, diag):
-    """``Kernel.parts`` with one pair of zero generators and the constant
-    diagonal ``diag``: the fill is diag times the identity."""
-    m = nodes.size
-    return (np.zeros((m, 1), dtype=complex), np.zeros((1, m), dtype=complex),
-            np.full(m, diag, dtype=complex))
+def diagonal_fill(nodes, diag):
+    """A ``Kernel.matrix``: diag times the identity."""
+    return np.diag(np.full(nodes.size, diag, dtype=complex))
 
 
 def kernel_Delta(suite: CauchySuite, x) -> fredholm.Kernel:
@@ -327,105 +325,18 @@ class TestFill:
         assert [r.m_used for r in res] == [g[-1] for g in m_used]
 
 
-def singular_lead_kernel(delta):
-    """Kernel whose first node couples only to the nodes past the first
-    block: f = (u, -v), g = (v, u) with v = 1 at the first node, u = 1 past
-    the first BLOCK nodes and both 0 elsewhere, and K = -1 + delta at the
-    first node's diagonal, so the leading block of Id + K is
-    diag(delta, 1, ..., 1) while Id + K itself is not singular."""
-    def generators(q):
-        at = np.arange(q.size)
-        u, v = (at >= fredholm.BLOCK) + 0j, (at == 0) + 0j
-        # f . dg = -du at the first node, whose weight is 2 pi i q / m
-        du = v * (1.0 - delta) * q.size / q
-        return np.ones(q.size, dtype=complex), (u, -v), (v, u), (0 * q, du)
-
-    return fredholm.Kernel(generators)
-
-
-class TestBlocked:
-    """The elimination on the generators against the dense LU."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(drawn=r_pair_kernels(max_r=3), radius=st.floats(0.3, 1.5),
-           m=st.integers(fredholm.BLOCKED_MIN - 2 * fredholm.BLOCK,
-                         fredholm.BLOCKED_MIN + 2 * fredholm.BLOCK))
-    def test_matches_dense_lu(self, drawn, radius, m):
-        # both within eps m cond(Id + K) of the exact value; measured on 300
-        # random kernels of this family, they differ by at most 0.05 of that
-        _, kern = drawn
-        nodes = circle_nodes(radius, m)
-        weights = circle_weights(nodes, m)
-        mat = kern.matrix(nodes, weights)
-        np.fill_diagonal(mat, mat.diagonal() + 1.0)
-        want = np.linalg.det(mat)
-        got = fredholm._blocked_det(*kern.parts(nodes, weights), nodes)
-        if got is None:
-            # the elimination refused the grid (growth past GROWTH_MAX):
-            # the dense LU takes it
-            assert fredholm._grid_det(kern, nodes, weights) == want
-            return
-        bound = np.finfo(float).eps * m * np.linalg.cond(mat)
-        assert abs(got / want - 1) <= bound
-
-    @pytest.mark.parametrize("delta", [0.0, 1e-13])
-    def test_singular_leading_block_falls_back(self, delta):
-        # a singular block, or a nearly singular one whose inverse blows
-        # the generators up past GROWTH_MAX, hands the grid to the dense LU
-        kern = singular_lead_kernel(delta)
-        m = fredholm.BLOCKED_MIN + 5
-        nodes = circle_nodes(1.0, m)
-        weights = circle_weights(nodes, m)
-        assert fredholm._blocked_det(*kern.parts(nodes, weights),
-                                     nodes) is None
-        mat = kern.matrix(nodes, weights)
-        np.fill_diagonal(mat, mat.diagonal() + 1.0)
-        want = np.linalg.det(mat)
-        assert 0 < abs(want) < np.inf
-        assert fredholm._grid_det(kern, nodes, weights) == want
-
-    def test_no_matrix_above_crossover(self, monkeypatch):
-        # O(m) memory: no m x m fill on grids past BLOCKED_MIN
-        def refuse(*args):
-            raise AssertionError("m x m fill above the crossover")
-
-        monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
-        monkeypatch.setattr(fredholm, "_fill", refuse)
-        spec = symbols.fixture("F4")
-        res = fredholm.nystrom_det(fredholm.kernel_S(spec, 400),
-                                   asymptotics.base_contour(spec))
-        assert min(res.grids) >= fredholm.BLOCKED_MIN
-        assert abs(res.value / asymptotics.slavnov_series(spec, 400) - 1) \
-            < 1e-12
-
-    def test_no_floating_point_warnings(self):
-        # the block diagonals are 0/0 gaps; no step may divide by them
-        spec = symbols.fixture("F4")
-        ct = asymptotics.base_contour(spec)
-        for kern in (fredholm.kernel_S(spec, 400),
-                     asymptotics.tau_eff_kernel(spec, 400)[0]):
-            nodes = circle_nodes(ct, 402)
-            parts = kern.parts(nodes, circle_weights(nodes, 402))
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                assert fredholm._blocked_det(*parts, nodes) is not None
-
-    def test_dense_below_crossover(self, monkeypatch):
-        # the elimination never runs on grids under BLOCKED_MIN nodes
-        def refuse(*args):
-            raise AssertionError("blocked elimination below the crossover")
-
-        monkeypatch.setattr(fredholm, "_blocked_det", refuse)
-        spec = symbols.fixture("F4")
-        res = fredholm.nystrom_det(fredholm.kernel_S(spec, 256),
-                                   asymptotics.base_contour(spec))
-        assert max(res.grids) < fredholm.BLOCKED_MIN
-
-
 def dense_det(kernel, nodes, weights):
     """det(Id + K) by LU of the filled matrix, and that matrix."""
     mat = kernel.matrix(nodes, weights)
     np.fill_diagonal(mat, mat.diagonal() + 1.0)
     return np.linalg.det(mat), mat
+
+
+@functools.lru_cache(maxsize=None)
+def xsweep_r0(seed=9):
+    """R0, the zero-winding random symbol of the benchmark's xsweep."""
+    bw = load_perfbench("bench_workloads", PERFBENCH / "bench_workloads.py")
+    return bw.random_symbols(seed)["R0"]
 
 
 def near_circle_zero():
@@ -435,7 +346,7 @@ def near_circle_zero():
 
 
 class TestLemma:
-    """S and V's residue form by the determinant lemma on their trapezoid
+    """S and both forms of V by the determinant lemma on their trapezoid
     grids (``fredholm._lemma_det`` of the kernel's ``grid_form``)."""
 
     @settings(max_examples=40, deadline=None)
@@ -455,22 +366,57 @@ class TestLemma:
         want, mat = dense_det(kern, nodes, weights)
         got = fredholm._lemma_det(*kern.grid_form(nodes, weights))
         if got is None:
-            # handed back, and below BLOCKED_MIN the dense LU takes it
+            # handed back, and the dense LU takes it
             assert fredholm._grid_det(kern, nodes, weights) == want
             return
         bound = 4 * EPS * max(m, 16) * np.linalg.cond(mat)
         assert abs(got / want - 1) <= bound
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.one_of(laurent_symbols(), two_sided_symbols(False)),
+           x=st.integers(1, 200), n=st.integers(1, 64))
+    def test_split_v_matches_dense_lu(self, spec, x, n):
+        # split V at zero winding on m = x + n unit-circle nodes, its tail's
+        # Hankel block included (up to 84 modes at x = 1), against the dense
+        # LU of V's residue form over the zeros inside |q| = 1: the same
+        # kernel, whose fill lacks the split's rounding floor (the split
+        # form's own fill, its tail's derivative folding j c_j of up to 2x
+        # noise modes onto the grid, read up to 130 eps max(m, 16) cond off
+        # it).  The bound of S and the residue form above, plus m TAIL_TOL
+        # cond: the grid form keeps the N tail modes above TAIL_TOL of the
+        # split's largest, and to first order the modes it drops move the
+        # determinant by m times their sum.  On 1,025 scratch draws the
+        # gap read at most 35 eps max(m, 16) cond, 0.08 of the cut's term
+        # (x = 1, m = 48, N = 44), and over 4 units on 10
+        assume(symbols.winding_number(spec) == 0)
+        kern = fredholm.kernel_V(theta_of(spec), x, 1.0)
+        zeros = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
+        m = x + n
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
+        want, mat = dense_det(fredholm.kernel_V_residue(spec, x, zeros),
+                              nodes, weights)
+        form = kern.grid_form(nodes, weights)
+        got = None if form is None else fredholm._lemma_det(*form)
+        if got is None:
+            # handed back (R >= m, or the lemma's own refusals)
+            assert fredholm._grid_det(kern, nodes, weights) == \
+                dense_det(kern, nodes, weights)[0]
+            return
+        cond = np.linalg.cond(mat)
+        bound = 4 * EPS * max(m, 16) * cond + m * TAIL_TOL * cond
+        assert abs(got / want - 1) <= bound
+
     @pytest.mark.parametrize("name, x, route", [
         (name, x, route) for name in REFERENCES for x in (32, 128, 512)
         for route in ("S", "tau_eff")
-        # det(1 + V) is D_x where phi has no zero outside base_contour
-        if route == "S" or name in ("F3", "F5")])
+        # det(1 + V) is D_x where phi has no zero outside base_contour:
+        # split V on F0 and F1, the residue form on F3 and F5
+        if route == "S" or name in ("F0", "F1", "F3", "F5")])
     def test_references(self, name, x, route):
         # on the grid nystrom_det fills, against the 50-digit log det T_x;
         # in units of x eps max(1, |log det|) the lemma read at worst 0.39
-        # (F5, x = 32), and the dense LU or elimination on the same grid
-        # 2.16 (F5, x = 512)
+        # (F5, x = 32), and the dense LU on the same grid 2.16 (F5, x = 512)
         spec = symbols.fixture(name)
         kern, radius = ((fredholm.kernel_S(spec, x),
                          asymptotics.base_contour(spec)) if route == "S"
@@ -482,6 +428,59 @@ class TestLemma:
         want = complex(*map(float, REFERENCES[name]["log_det"][str(x)]))
         assert log_gap(np.log(got), want) <= \
             4 * x * EPS * max(abs(want.real), 1.0)
+
+    @pytest.mark.parametrize("name", ["F2", "F6", "R0"])
+    @pytest.mark.parametrize("x", [64, 128, 256, 512])
+    def test_split_v_meets_szego(self, name, x):
+        # at zero winding det(1 + V) is E G^x; on these symbols the split's
+        # tail is rounding from x = 64 on, so the lemma runs on R = n
+        # columns; the gap read at most 9.1e-14
+        spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
+        got = asymptotics.tau_eff(spec, x)
+        assert log_gap(np.log(got), np.log(asymptotics.szego(spec, x))) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("name, x, m", [
+        ("F6", 16, 48), ("F6", 16, 258), ("R0", 16, None)])
+    def test_split_v_tail_block(self, name, x, m):
+        # where the tail is not rounding (F6: up to 5e-6 of q^x at x = 16),
+        # the Hankel block carries it: the lemma is no further from
+        # szego than twice the dense LU on the same grid (R0 on the grid
+        # nystrom_det fills; gaps 2.2e-15, 3.6e-15, 1.0e-14 against
+        # 2.2e-13, 1.1e-13, 9.2e-14)
+        spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
+        kern, radius = asymptotics.tau_eff_kernel(spec, x)
+        # theta has bandwidth 1 on both, so the reach counts the tail's modes
+        assert kern.reach(radius).modes > 1
+        m = m or fredholm.nystrom_det(kern, radius).m_used
+        nodes = circle_nodes(radius, m)
+        weights = circle_weights(nodes, m)
+        want = np.log(asymptotics.szego(spec, x))
+        got = fredholm._lemma_det(*kern.grid_form(nodes, weights))
+        dense, _ = dense_det(kern, nodes, weights)
+        assert log_gap(np.log(got), want) <= \
+            2 * log_gap(np.log(dense), want)
+
+    @pytest.mark.parametrize("name", ["F1", "R0"])
+    @pytest.mark.parametrize("x", [128, 256, 512])
+    def test_split_v_takes_the_lemma(self, monkeypatch, name, x):
+        # tau_eff's kernel at zero winding fills no m x m matrix
+        taken = []
+        real = fredholm._lemma_det
+
+        def lemma(delta, cap):
+            det = real(delta, cap)
+            taken.append(det is not None)
+            return det
+
+        def refuse(*args):
+            raise AssertionError("m x m fill")
+
+        monkeypatch.setattr(fredholm, "_lemma_det", lemma)
+        monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
+        spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
+        res = fredholm.nystrom_det(*asymptotics.tau_eff_kernel(spec, x))
+        assert taken == [True] * len(res.grids)
 
     @pytest.mark.parametrize("spec, zeros, x, m", [
         # a zero 1e-4 outside the circle: min |phi| = 7e-5 on the grid, and
@@ -505,8 +504,9 @@ class TestLemma:
 
     def test_switch_at_the_crossover(self, monkeypatch):
         # the lemma takes grids of circle_nodes from LEMMA_MIN nodes on, for
-        # kernels with a grid form; a copy of a grid, split-form V and grids
-        # below LEMMA_MIN take the dense LU, bit for bit
+        # kernels with a grid form, S and split V here; a copy of a grid,
+        # split V on a circle not its own and grids below LEMMA_MIN take
+        # the dense LU, bit for bit
         taken = []
         real = fredholm._lemma_det
 
@@ -517,20 +517,25 @@ class TestLemma:
         monkeypatch.setattr(fredholm, "_lemma_det", lemma)
         spec = symbols.fixture("F4")
         rho = asymptotics.base_contour(spec)
-        kern = fredholm.kernel_S(spec, 40)
-        split = fredholm.kernel_V(theta_of(spec), 40, rho)
+        split = fredholm.kernel_V(theta_of(symbols.fixture("F2")), 40, 1.0)
         for m in (fredholm.LEMMA_MIN - 1, fredholm.LEMMA_MIN):
+            for kern, radius in ((fredholm.kernel_S(spec, 40), rho),
+                                 (split, 1.0)):
+                nodes = circle_nodes(radius, m)
+                weights = circle_weights(nodes, m)
+                got = fredholm._grid_det(kern, nodes, weights)
+                if m < fredholm.LEMMA_MIN:
+                    assert got == dense_det(kern, nodes, weights)[0]
+                else:
+                    assert got == real(*kern.grid_form(nodes, weights))
+                assert fredholm._grid_det(kern, nodes.copy(), weights) == \
+                    dense_det(kern, nodes.copy(), weights)[0]
             nodes = circle_nodes(rho, m)
             weights = circle_weights(nodes, m)
-            got = fredholm._grid_det(kern, nodes, weights)
-            if m < fredholm.LEMMA_MIN:
-                assert got == dense_det(kern, nodes, weights)[0]
-            else:
-                assert got == real(*kern.grid_form(nodes, weights))
-            for k, q in ((kern, nodes.copy()), (split, nodes)):
-                assert fredholm._grid_det(k, q, weights) == \
-                    dense_det(k, q, weights)[0]
-        assert taken == [fredholm.LEMMA_MIN]
+            assert split.grid_form(nodes, weights) is None
+            assert fredholm._grid_det(split, nodes, weights) == \
+                dense_det(split, nodes, weights)[0]
+        assert taken == [fredholm.LEMMA_MIN] * 2
 
 
 class TestNystrom:
@@ -730,8 +735,8 @@ class TestNystrom:
         # det(1 + 1e9 I) is finite at 32 nodes and overflows at 64, where
         # err = inf would otherwise pass err <= tol * |det| = inf
         class Huge(fredholm.Kernel):
-            def parts(self, nodes, weights):
-                return zero_parts(nodes, 1e9)
+            def matrix(self, nodes, weights):
+                return diagonal_fill(nodes, 1e9)
 
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(errors.OverflowGuard):
@@ -741,10 +746,10 @@ class TestNystrom:
         # both parts finite, the modulus past the double range: Python's
         # abs would raise a bare OverflowError
         class Big(fredholm.Kernel):
-            def parts(self, nodes, weights):
-                cols, rows, diag = zero_parts(nodes, 0.0)
-                diag[0] = 1.5e308 * (1 + 1j)
-                return cols, rows, diag
+            def matrix(self, nodes, weights):
+                mat = diagonal_fill(nodes, 0.0)
+                mat[0, 0] = 1.5e308 * (1 + 1j)
+                return mat
 
         with pytest.raises(errors.OverflowGuard):
             fredholm.nystrom_det(Big(None), 1.0)
@@ -1075,7 +1080,8 @@ class TestOnePass:
 
     def test_one_generator_pass_per_grid(self, monkeypatch):
         # a grid the determinant lemma takes is not filled, and it reads
-        # the symbol once too
+        # the symbol once too; at x = 64 the residue form's ladder (96,
+        # 128, 192) takes the lemma on its first two grids
         sizes = []
 
         def counted(spec, q):
@@ -1085,24 +1091,27 @@ class TestOnePass:
         real = symbols.eval_phi
         monkeypatch.setattr(symbols, "eval_phi", counted)
         spec, suite = suite_for("F4")
-        for kern in (fredholm.kernel_S(spec, 3),
-                     fredholm.kernel_V_residue(spec, 3, suite.zeros_inside()),
-                     fredholm.resolvent_kernel(suite, 3,
-                                               suite.b_split(3).plus)):
-            passes = []
+        for x in (3, 64):
+            for kern in (fredholm.kernel_S(spec, x),
+                         fredholm.kernel_V_residue(spec, x,
+                                                   suite.zeros_inside()),
+                         fredholm.resolvent_kernel(suite, x,
+                                                   suite.b_split(x).plus)):
+                passes = []
 
-            def generators(q, inner=kern.generators):
-                passes.append(q.size)
-                return inner(q)
+                def generators(q, inner=kern.generators):
+                    passes.append(q.size)
+                    return inner(q)
 
-            kern.generators = generators
-            sizes.clear()
-            res = fredholm.nystrom_det(kern, suite.rho)
-            lemma = kern.grid_form is not None
-            assert passes == [m for m in res.grids
-                              if not (lemma and m >= fredholm.LEMMA_MIN)]
-            # theta's reach FFT samples 256 nodes
-            assert [n for n in sizes if n != 256] == list(res.grids)
+                kern.generators = generators
+                sizes.clear()
+                res = fredholm.nystrom_det(kern, suite.rho)
+                # the lemma takes grids of LEMMA_MIN to 2x nodes
+                lemma = kern.grid_form is not None
+                assert passes == [m for m in res.grids if not (
+                    lemma and fredholm.LEMMA_MIN <= m <= 2 * x)]
+                # theta's reach FFT samples 256 nodes
+                assert [n for n in sizes if n != 256] == list(res.grids)
 
     def test_split_pieces_formed_once_per_fill(self, monkeypatch):
         # kernel_V's tail and its derivative are the minus part of its

@@ -2,9 +2,13 @@
 
     python3 tools/route_values.py > values.txt
 
-Imports ``detlab`` from the ``src`` of the checkout the script sits in, and
-exits with an error if it gets it from anywhere else, so two checkouts'
-outputs compare the two trees whatever ``PYTHONPATH`` says.
+Sets one BLAS thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS``) before numpy is imported, as ``perfbench/run.py``
+does: LAPACK's results can round differently with more threads, so two
+runs compare their trees alone only at one count.  Imports ``detlab`` from
+the ``src`` of the checkout the script sits in, and exits with an error if
+it gets it from anywhere else, so two checkouts' outputs compare the two
+trees whatever ``PYTHONPATH`` says.
 
 Writes one line per value: every ``cli.ROUTES`` route on the fixtures
 F0-F7 at x in {1, 2, 3, 6, 16, 40}, and ``toeplitz`` on them at x = 33,
@@ -14,10 +18,9 @@ the whole order and "blocks=n" for n LUs of smaller blocks, in the order
 they ran, then the Nystrom ladder (``DetResult.grids``, each
 with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
 the same fixtures and x, and both ladders with their values on F1 and F4
-at x = 512, whose grids pass ``fredholm.BLOCKED_MIN``, every ladder with
-the path each of its grids' determinants took, beside its node count:
-"lemma R=k" for the determinant lemma on k columns, "blocked" for the
-elimination on the generators and "lu" for the dense LU; then the reach of
+at x = 512, every ladder with the path each of its grids' determinants
+took, beside its node count: "lemma R=k" for the determinant lemma on k
+columns and "lu" for the dense LU; then the reach of
 ``kernel_S``, of ``tau_eff_kernel`` and of ``kernel_W`` at each zero inside
 the base contour on the same fixtures and x, each its ``modes`` and
 ``folds(n)`` at n = 2a, 4a and 8a, a its modes (at least 1, doubled while
@@ -54,10 +57,14 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
@@ -87,7 +94,7 @@ MOMENT_CASES = [(name, x) for name in ("F1", "F4") for x in (3, 40)]
 WIDE_BAND = symbols.SymbolSpec(
     log_coeffs={j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)})
 WIDE_BAND_X = (4, 8, 16)
-BLOCKED_CASES = [(name, 512) for name in ("F1", "F4")]
+VALUE_CASES = [(name, 512) for name in ("F1", "F4")]
 CLI_COMMANDS = [(*command, "--format", fmt)
                 for command in (("toeplitz",), ("fredholm", "--kernel", "S"),
                                 ("fredholm", "--kernel", "V"))
@@ -160,40 +167,27 @@ def reach_kernels(spec, x):
 def recorded_paths():
     """Yields a list that collects "m:path" for every grid of m nodes whose
     determinant ``fredholm._grid_det`` takes inside the block: "lemma R=k"
-    where ``_lemma_det`` (absent before it landed) returned the value from
-    k columns, "blocked" where ``_blocked_det`` did, else "lu"."""
+    where ``_lemma_det`` returned the value from k columns, else "lu"."""
     paths, taken = [], []
-    names = [name for name in ("_grid_det", "_lemma_det", "_blocked_det")
-             if hasattr(fredholm, name)]
-    real = {name: getattr(fredholm, name) for name in names}
+    real = fredholm._grid_det, fredholm._lemma_det
 
     def grid_det(kernel, nodes, weights):
         taken.clear()
-        det = real["_grid_det"](kernel, nodes, weights)
+        det = real[0](kernel, nodes, weights)
         paths.append(f"{nodes.size}:{taken[-1] if taken else 'lu'}")
         return det
 
     def lemma(delta, cap):
-        det = real["_lemma_det"](delta, cap)
+        det = real[1](delta, cap)
         if det is not None:
             taken.append(f"lemma R={len(cap)}")
         return det
 
-    def blocked(*args):
-        det = real["_blocked_det"](*args)
-        if det is not None:
-            taken.append("blocked")
-        return det
-
-    wrapped = {"_grid_det": grid_det, "_lemma_det": lemma,
-               "_blocked_det": blocked}
-    for name in names:
-        setattr(fredholm, name, wrapped[name])
+    fredholm._grid_det, fredholm._lemma_det = grid_det, lemma
     try:
         yield paths
     finally:
-        for name in names:
-            setattr(fredholm, name, real[name])
+        fredholm._grid_det, fredholm._lemma_det = real
 
 
 def ladder_and_value(kernel, radius):
@@ -262,7 +256,7 @@ def main(out=sys.stdout) -> None:
             for x in X_VALUES:
                 grids = outcome(lambda: ladder_and_path(*build(spec, x)))
                 out.write(f"ladder {name} {kernel} x={x} {grids}\n")
-    for name, x in BLOCKED_CASES:
+    for name, x in VALUE_CASES:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
             value = outcome(lambda: ladder_and_value(*build(spec, x)))
