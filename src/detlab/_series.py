@@ -18,6 +18,7 @@ routine that sums a polynomial or Laurent series off such a grid.
 
 from __future__ import annotations
 
+import copy
 import functools
 import weakref
 
@@ -206,6 +207,14 @@ class LaurentSplit:
     def reconstruct(self, q, derivative=0):
         """Full series value; valid in the annulus of analyticity."""
         return self._eval(q, "all", derivative)
+
+    def keep(self, part) -> "LaurentSplit":
+        """The same split with only the modes ``part`` selects (a mask over
+        ``j``), the others exactly 0, so neither evaluation path sums them."""
+        kept = copy.copy(self)
+        kept.c = np.where(part, self.c, 0.0)
+        kept._terms_memo = {}
+        return kept
 
     def coefficient(self, k: int) -> complex:
         """c_k, or 0 past the grid; j runs -m/2 .. m/2 - 1 one by one."""

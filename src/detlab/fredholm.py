@@ -59,8 +59,9 @@ in O(m log m + R^3) rather than O(m^3).  For S, I_n + W^T diag(delta)^-1 U
 is the Toeplitz matrix of the m-node moments of 1/phi, so D_x(phi_m) =
 prod_j phi(q_j) D_n((1/phi)_m): Jacobi's complementary-minor identity on
 the m x m circulant (Boettcher and Widom, "Szego via Jacobi", Linear
-Algebra Appl. 419 (2006)).  Split V keeps the N = ``_bandwidth`` tail modes
-its reach reads; those it drops lie below TAIL_TOL of its split's largest.
+Algebra Appl. 419 (2006)).  Split V's tail keeps the N modes above its
+split's rounding, max(x, 16) eps of the largest (at most TAIL_TOL), and
+its fill reads the same N.
 Where delta has a zero or a non-finite entry, or an entry of
 W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of 1/phi - 1: a zero
 of phi near the circle), the grid goes to the LU, as do split V's grids on
@@ -226,11 +227,11 @@ def _first_reach(kernel, radius: float) -> Reach:
     return Reach(max(1, modes), folds)
 
 
-def _bandwidth(j, c, part=True) -> int:
+def _bandwidth(j, c, part=True, tol=TAIL_TOL) -> int:
     """Largest |j| among the modes ``part`` selects whose coefficient c_j
-    lies within TAIL_TOL of the largest of all; 0 when none does."""
+    lies within ``tol`` of the largest of all; 0 when none does."""
     mag = np.abs(c)
-    keep = (mag > 0) & (mag >= TAIL_TOL * np.max(mag)) & part
+    keep = (mag > 0) & (mag >= tol * np.max(mag)) & part
     return int(np.max(np.abs(j[keep]), initial=0))
 
 
@@ -332,8 +333,10 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     this circle, is the larger of theta's bandwidth and the count N of that
     outside part's modes (``_bandwidth``), both read from the samples of
     the converged grid, which also bound the modes a grid folds; no bound
-    where radius^x underflows.  Its grid form, on grids of this circle,
-    keeps the tail's first N modes (``_residue_grid``)."""
+    where radius^x underflows.  Its fill and its grid form (on grids of
+    this circle, ``_residue_grid``) read one tail, the outside modes down
+    to max(x, 16) eps of the split's largest (at most TAIL_TOL), so
+    neither carries the split's rounding."""
     x = errors.check_x(x)
     held = {}
 
@@ -351,6 +354,17 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     # w's tail sum_nu t_nu u^-nu, u = q/radius, is -sum_nu minus[nu - 1] u^-nu
     minus = split.c[split.j < 0][::-1]
     modes = _bandwidth(split.j, split.c, split.j < 0)
+    # the fill and the grid form keep the outside modes down to max(x, 16)
+    # eps of the split's largest, TAIL_TOL past x = 450: the split's
+    # rounding lies below that, as its samples of q^x round like x eps
+    # (outside modes of F1, F2 and F6 up to x eps/3.6 at x = 64 ... 1024,
+    # 3.5 eps at small x), while the modes between it and TAIL_TOL move the
+    # determinant by more than rounding (the kernel-split check of F4 at
+    # x = 3 reads 1.5e-11 cut at TAIL_TOL, 6.7e-14 here, 1.2e-13 with every
+    # mode, rounding included)
+    kept = _bandwidth(split.j, split.c, split.j < 0,
+                      min(max(x, 16) * np.finfo(float).eps, TAIL_TOL))
+    tail = split.keep(split.j >= -kept)
 
     def reach(rho):
         # read on this circle, the one every caller factors the kernel on:
@@ -364,10 +378,10 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     def grid_form(nodes, weights):
         if grid_of(nodes)[0] != radius:
             return None
-        return _residue_grid(theta, x, (), -minus[:modes], nodes, weights)
+        return _residue_grid(theta, x, (), -minus[:kept], nodes, weights)
 
     return _kernel_V_generic(
-        theta, lambda q: (split.minus(q), split.minus(q, 1)), x, reach,
+        theta, lambda q: (tail.minus(q), tail.minus(q, 1)), x, reach,
         grid_form)
 
 

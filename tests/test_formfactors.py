@@ -13,12 +13,14 @@ import pytest
 from hypothesis import (assume, example, given, reject, settings,
                         strategies as st)
 
-from detlab import asymptotics, errors, symbols, toeplitz
+from detlab import asymptotics, errors, formfactors, symbols, toeplitz
 from detlab._series import pow2_at_least
-from detlab.formfactors import (RESIDUAL_TOL, ROW_BLOCK, _angular_density,
+from detlab.formfactors import (LADDER_M0, RESIDUAL_TOL, ROW_BLOCK,
                                 _chosen_indices, _log1p, _log_row_ratios,
-                                _min_distance, _pair_windows, solve_shifted,
-                                tau_eff_finite)
+                                _min_distance, _pair_windows, _phase_slope,
+                                _torus_ladder, solve_shifted, tau_eff_finite)
+
+EPS = np.finfo(float).eps
 
 
 class SizeMismatch(ValueError):
@@ -41,7 +43,7 @@ def form_factor(system, q_subset) -> complex:
     theta_p = symbols.eval_theta(spec, p)
     if np.any(theta_q == 0) or np.any(theta_p == 0):
         return 0.0 + 0.0j
-    dens = _angular_density(spec, p, L)
+    dens = 1.0 + _phase_slope(spec, p, L)
 
     log_total = -2.0 * system.N * np.log(float(L))
     log_total += np.sum(np.log(p) + np.log(q) + np.log(theta_q) +
@@ -351,6 +353,131 @@ class TestRoots:
         q = system.q_roots[system.indices]
         assert _log_row_ratios(system.offsets, q) == \
             row_major_ratios(system.offsets, q)
+
+
+def zero_winding_draws():
+    """Zero-winding draws of ``two_sided_symbols`` and ``banded_symbols``;
+    for ``st.deferred``, as test_asymptotics imports this module."""
+    from test_asymptotics import two_sided_symbols
+    return st.one_of(two_sided_symbols(negative=False), banded_symbols())
+
+
+def ladder_inputs(spec, L):
+    """(offsets, grid, slope) that ``tau_eff_finite`` hands the ladder at
+    N = L."""
+    system = solve_shifted(spec, L, L)
+    return (system.offsets, system.q_roots[system.indices],
+            _phase_slope(spec, system.p_roots, L))
+
+
+def log_gap(a, b) -> float:
+    """|a - b| for logarithms, the imaginary part taken modulo 2 pi (as in
+    test_toeplitz, which imports this module through test_asymptotics)."""
+    d = complex(a) - complex(b)
+    return abs(complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi))
+
+
+@pytest.fixture
+def ladder_grids(monkeypatch):
+    """The node counts of the torus grids the ladder sums, in order."""
+    grids = []
+    real = formfactors._torus_sum
+
+    def counted(d, e):
+        grids.append(d.size)
+        return real(d, e)
+
+    monkeypatch.setattr(formfactors, "_torus_sum", counted)
+    return grids
+
+
+class TestTorusLadder:
+    """The N = L pair sum at zero winding by ``_torus_ladder``: an exact
+    linear part plus the trapezoid rule on coarse torus grids."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.deferred(zero_winding_draws),
+           L=st.sampled_from([128, 257, 1023, 1024, 2048]))
+    def test_matches_row_ratios(self, spec, L):
+        # One unit is eps L max(1, sum_j |delta_j|): each side rounds at
+        # eps times its size, at most (L - 1) sum_j |delta_j| for the
+        # linear part that dominates it, and the ladder stops once two
+        # grids agree within one unit, its truncation error then far
+        # below it.  On 400 scratch draws the gap read at most 1.04 units.
+        # Below the crossover (L = 128) and where no two grids within the
+        # budget agree the ladder hands the sum back
+        assume(symbols.winding_number(spec) == 0)
+        try:
+            delta, q, slope = ladder_inputs(spec, L)
+        except errors.NewtonDiverged:
+            reject()  # no root system at this size: nothing to sum
+        got = _torus_ladder(delta, q, slope)
+        if L * L < 20 * LADDER_M0 ** 2:
+            assert got is None
+        if got is not None:
+            unit = EPS * L * max(1.0, np.sum(np.abs(delta)))
+            assert log_gap(got, _log_row_ratios(delta, q)) <= 4 * unit
+
+    @pytest.mark.parametrize("L", [144, 255, 512])
+    def test_linear_part_in_closed_form(self, monkeypatch, L):
+        # sum_{i != j} y_ij = (L - 1) sum_j delta_j/q_j for any offsets, by
+        # sum_{i != j} 1/(q_j - q_i) = (L - 1)/(2 q_j) on the roots of
+        # unity: with log(1 + y) replaced by y the rest vanishes on every
+        # grid, and the ladder returns its linear part alone
+        monkeypatch.setattr(formfactors, "_log1p", lambda z: z)
+        rng = np.random.default_rng(L)
+        delta = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / L
+        q = np.exp(2j * np.pi * np.arange(L) / L)
+        den = q[None, :] - q[:, None]
+        np.fill_diagonal(den, 1.0)
+        y = (delta[None, :] - delta[:, None]) / den
+        got = _torus_ladder(delta, q, np.zeros(L))
+        assert abs(got - np.sum(y)) <= 8 * EPS * np.sum(np.abs(y))
+
+    @pytest.mark.parametrize("name, L, grids", [
+        ("F2", 143, []), ("F2", 144, [32, 64]), ("F2", 1023, [32, 64]),
+        ("F2", 4096, [32, 64]), ("F6", 256, [32, 64]),
+        ("F6", 512, [32, 64, 128]), ("F6", 1023, [32, 64, 128])])
+    def test_grids_pinned(self, ladder_grids, name, L, grids):
+        # a grid of m nodes is priced as the exact sum on 2m roots, so the
+        # ladder starts where its first two grids cost less than the exact
+        # sum, L >= 144, and stops before its grids' sum of (2m)^2 passes
+        # L^2: F6, whose modes decay like 2^-k, needs 128 nodes, past the
+        # budget at L = 256, where it hands the sum back.  Where it agrees,
+        # within test_matches_row_ratios's bound of the exact sum
+        delta, q, slope = ladder_inputs(symbols.fixture(name), L)
+        got = _torus_ladder(delta, q, slope)
+        assert ladder_grids == grids
+        assert (got is None) == (name == "F6" and L == 256 or not grids)
+        if got is not None:
+            unit = EPS * L * max(1.0, np.sum(np.abs(delta)))
+            assert log_gap(got, _log_row_ratios(delta, q)) <= 4 * unit
+
+    def test_zero_near_the_circle_takes_the_row_ratios(self, ladder_grids,
+                                                       monkeypatch):
+        # phi = 2 (1 - q/z), |z| = 1.02: the modes of G - q decay like
+        # 1.02^-k, so no two grids within the budget of L = 1024 agree,
+        # and the sum is the exact one's, bit for bit
+        z = 1.02 * np.exp(0.5j)
+        spec = symbols.SymbolSpec("rational", (2.0, -2.0 / z), (1.0,))
+        got = tau_eff_finite(spec, 1024, x=2)
+        assert ladder_grids == [32, 64, 128, 256]
+        monkeypatch.setattr(formfactors, "_torus_ladder", lambda *a: None)
+        assert tau_eff_finite(spec, 1024, x=2) == got
+
+    def test_nonzero_winding_takes_the_row_ratios(self, monkeypatch):
+        # F7 (w = 1) at N = L: L of its L + 1 roots, which no analytic G
+        # maps the grid onto, so the pair sum is the exact one
+        def refuse(*args):
+            raise AssertionError("ladder at nonzero winding")
+
+        exact = []
+        real = formfactors._log_row_ratios
+        monkeypatch.setattr(formfactors, "_torus_ladder", refuse)
+        monkeypatch.setattr(formfactors, "_log_row_ratios",
+                            lambda d, q: exact.append(q.size) or real(d, q))
+        assert np.isfinite(tau_eff_finite(symbols.fixture("F7"), 512, 512, 2))
+        assert exact == [512]
 
 
 class TestFormFactor:

@@ -28,7 +28,9 @@ x + a < 16), read only through ``kernel.reach(radius)``, then every
 ``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids,
 paths and ``err_estimate`` of every Nystrom ladder the check runs, then
 ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L, L in
-{64, 256, 1024, 2048}, and for F2 and F6 at (L, N) = (16, 6).  Numbers
+{64, 256, 1024, 2048}, F2 at L = 1023 and 4096 and F6 at L = 256, 1024
+and 2048 (each rung of the N = L pair sum's torus ladder, an odd L and
+the hand-back to the exact sum), and for F2 and F6 at (L, N) = (16, 6).  Numbers
 are written as ``repr``, so two checkouts compute bit-identical values, and
 try the same grids, exactly when ``diff`` of their outputs is empty; a
 route that raises writes its error type and message instead.  Last come the
@@ -82,8 +84,11 @@ TOEPLITZ_X = (33, 64, 128, toeplitz.LEVINSON_MIN - 1, toeplitz.LEVINSON_MIN,
               256, 512)
 SEEDS = (0, 3, 9)
 FINITE_X = 2
-FINITE_CASES = [(name, L, L) for name in ("F1", "F2")
-                for L in (64, 256, 1024, 2048)] + [("F2", 16, 6), ("F6", 16, 6)]
+FINITE_CASES = ([(name, L, L) for name in ("F1", "F2")
+                 for L in (64, 256, 1024, 2048)] +
+                [("F2", L, L) for L in (1023, 4096)] +
+                [("F6", L, L) for L in (256, 1024, 2048)] +
+                [("F2", 16, 6), ("F6", 16, 6)])
 COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
            "--methods", ",".join(cli.ROUTES))
 POINTS = (0.5 + 0.3j, 0.2 - 1.2j, 1.7 + 0j, 1.35 + 2.1j)
