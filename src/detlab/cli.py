@@ -399,13 +399,15 @@ def _checks(seed: int):
     yield "christoffel-darboux-F5", 1e-9, cd_check
 
     def ff_check():
+        # the gaps at L = 4 and 8 (2.9e-4 and 2.8e-9) both lie above the
+        # rounding floor, which L = 16 already reaches (~1e-15)
         spec = symbols.fixture("F2")
         oracle = ROUTES["fredholm_V"](spec, 2, None)
+        g4 = abs(ROUTES["ff"](spec, 2, 4) - oracle)
         g8 = abs(ROUTES["ff"](spec, 2, 8) - oracle)
-        g16 = abs(ROUTES["ff"](spec, 2, 16) - oracle)
-        if g8 < 1e-12 and g16 < 1e-12:
+        if g4 < 1e-12 and g8 < 1e-12:
             return 0.0
-        return g16 / g8
+        return g8 / g4
 
     yield "ff-convergence-F2", 2.0 / 3.0, ff_check
 

@@ -28,45 +28,65 @@ the kernel bounds what that grid folds, with its LU's rounding, within tol,
 and otherwise runs a
 ladder of grids x + a, x + 2a, x + 4a, ..., with one short step of a nodes
 where two drifts predict convergence.  It takes det(Id + K) on each grid
-by the determinant lemma where the kernel has a grid form (below), and
-otherwise by LU of the filled matrix.
+by one side or the other of Jacobi's identity where the kernel has a grid
+form (below), and otherwise by LU of the filled matrix.
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.  S is the residue form over no zeros.
 
-Both forms of V, S included, also have a grid form, which takes the
-determinant on grids of LEMMA_MIN to 2x nodes.  On the m nodes q_j =
-rho u_j of ``circle_nodes``, u_j^m = (-1)^m, so q^x = rho^x (-1)^m u^-n with
-n = m - x.
-Conjugated by diag(q^{x/2}), a similarity that leaves the determinant
-alone (it also absorbs the branch signs of the half powers), V's entry off
-the diagonal is
+Grid forms.  On the m nodes q_j = rho u_j of ``circle_nodes``, conjugated
+by diag(q^{x/2}), a similarity that leaves the determinant alone (it also
+absorbs the branch signs of the half powers), V's entry is
+
+    a_i a_j (w_j / (2 pi i)) q_j^-x (w(q_j) - w(q_i))/(q_j - q_i),
+
+its diagonal the limit w'(q_j), for w = q^x + sum_{nu=1..N} t_nu u^-nu
+(split V's tail) - sum_z c_z/(z - q) (the residue sum).  That divided
+difference has finite rank, so Id + K = I + P C^T with r columns and
+det(Id + K) = det(I_r + C^T P) (the direct side, ``Direct``).  The sine
+part q^x has rank x: columns u^b, rows (theta/m) u^-b, b < x, and its
+block of C^T P is the Toeplitz matrix of theta's m-node moments, so
+det(Id + S) = D_x(phi_m), one FFT.  Split V's tail adds N columns
+u^(-1-a), a < N, each zero of the residue sum one column 1/(z - q), so
+r = x + N + #zeros; ``kernel_W`` and the rank-one kernel of
+``rank_one_shift_identity`` have r = 1, and ``kernel_sum`` stacks its
+parts' columns.
+
+The complementary side (``Kernel.grid_form``) serves S and both forms of
+V.  On the grid, u_j^m = (-1)^m, so q^x = rho^x (-1)^m u^-n with n = m - x,
+and V's entry off the diagonal is
 
     a_i a_j (w_j / rho) u_j^n/(2 pi i) (W(u_j) - W(u_i))/(u_j - u_i)
 
 for (-1)^m w/rho^x = W = u^-n + sum_nu h_nu u^-nu - sum_z (-1)^m c_z /
-(rho^x (z - q)), with h_nu = (-1)^m t_nu/rho^x for split V's tail
-sum_{nu=1..N} t_nu u^-nu.  The divided difference of u^-k is -sum_{a<k}
-u_i^(-1-a) u_j^(a-k), so the sine part has rank n, the polynomial tail adds
-the Hankel block h_(a+b) in the same columns, R = max(n, N) of them, and
-each zero of the residue sum adds one more.  So Id + K = diag(delta) + U W^T
-with R + #zeros columns, and delta_j = 1 + K_jj - (U W^T)_jj = 1 + theta_j
-w_j m/(2 pi i q_j), which is phi(q_j) on the trapezoid weights: the tail's
-derivative on the diagonal is its own divided difference.  By the matrix
-determinant lemma, det(Id + K) = prod delta_j det(I + W^T diag(delta)^-1 U),
-in O(m log m + R^3) rather than O(m^3).  For S, I_n + W^T diag(delta)^-1 U
-is the Toeplitz matrix of the m-node moments of 1/phi, so D_x(phi_m) =
-prod_j phi(q_j) D_n((1/phi)_m): Jacobi's complementary-minor identity on
-the m x m circulant (Boettcher and Widom, "Szego via Jacobi", Linear
+(rho^x (z - q)), with h_nu = (-1)^m t_nu/rho^x.  The divided difference of
+u^-k is -sum_{a<k} u_i^(-1-a) u_j^(a-k), so the sine part has rank n, the
+polynomial tail adds the Hankel block h_(a+b) in the same columns, R =
+max(n, N) of them, and each zero of the residue sum adds one more.  So
+Id + K = diag(delta) + U W^T with R + #zeros columns, and delta_j = 1 +
+K_jj - (U W^T)_jj = 1 + theta_j w_j m/(2 pi i q_j), which is phi(q_j) on
+the trapezoid weights: the tail's derivative on the diagonal is its own
+divided difference.  By the matrix determinant lemma, det(Id + K) = prod
+delta_j det(I + W^T diag(delta)^-1 U), in O(m log m + R^3) rather than
+O(m^3).  For S, I_n + W^T diag(delta)^-1 U is the Toeplitz matrix of the
+m-node moments of 1/phi, so D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m):
+the two sides are the two halves of Jacobi's complementary-minor identity
+on the m x m circulant (Boettcher and Widom, "Szego via Jacobi", Linear
 Algebra Appl. 419 (2006)).  Split V's tail keeps the N modes above its
 split's rounding, max(x, 16) eps of the largest (at most TAIL_TOL), and
 its fill reads the same N.
-Where delta has a zero or a non-finite entry, or an entry of
-W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of 1/phi - 1: a zero
-of phi near the circle), the grid goes to the LU, as do split V's grids on
-another circle or with R >= m.  ``kernel_W``, ``kernel_sum`` and the
-resolvent have no grid form.
+
+Which side.  ``_grid_det`` takes the side with fewer columns.  The
+complementary side's sine rank n is at most the direct side's x on grids
+of at most 2x nodes, where it has max(n, N) + #zeros <= r columns; it
+serves those from LEMMA_MIN nodes on.  The direct side serves any grid
+where r <= m/2.  Where delta has a zero or a non-finite entry, or an
+entry of W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of
+1/phi - 1: a zero of phi near the circle), the complementary side hands
+the grid on.  The dense LU takes the grids neither side serves: the
+resolvent's, split V's on another circle, grids where a long tail or many
+zeros put r past m/2, and the hand-backs.
 """
 
 from __future__ import annotations
@@ -100,12 +120,12 @@ ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 #     322   2.86 / 0.24   2.79 / 0.23   2.97 / 0.20   2.87 / 0.20
 #     516   6.13 / 0.28   5.86 / 0.29   6.24 / 0.27   5.99 / 0.27
 #     1002  19.2 / 0.56   19.0 / 0.58   19.3 / 0.44   19.2 / 0.44
-# They break even near m = 48.  Only grids of at most 2x nodes (n = m - x
-# <= x) take the lemma: where R = n nears m it costs more than fill and LU
-# (F4's S at x = 2: 0.57 / 0.45 ms at m = 130, 3.5 / 2.7 ms at m = 258), and
-# each moment's rounding enters a whole diagonal of the R x R matrix, so its
-# error grows like R eps (2.6e-13 off the Toeplitz value at m = 129, against
-# 3.6e-15 for the LU).
+# They break even near m = 48.  Past 2x nodes the complementary side's R = n
+# nears m, where it costs more than fill and LU (F4's S at x = 2: 0.57 /
+# 0.45 ms at m = 130) and rounds like R eps, each moment's rounding entering
+# a whole diagonal of the R x R matrix (2.6e-13 off the Toeplitz value at
+# m = 129, against 3.6e-15 for the LU); the direct side's x columns serve
+# those grids.
 LEMMA_MIN = 56
 # Largest entry of the lemma's R x R matrix W^T diag(delta)^-1 U that
 # ``_lemma_det`` accepts; past it (for S, |phi| below about 1/100 on the
@@ -140,6 +160,28 @@ class DetResult:
                                                               abs(self.value))
 
 
+class Factors(NamedTuple):
+    """The direct side on one grid of m ``circle_nodes`` (module
+    docstring): Id + K, up to a similarity, is I + P C^T, with P's columns
+    u^b for b in ``powers`` and then the rows of ``cols``, and C^T's rows
+    g u^-s for s in ``spows`` and then the rows of ``rows``; g is
+    theta/m at the nodes, u = q/radius, and P's k-th column pairs with
+    C^T's k-th row."""
+    g: np.ndarray
+    powers: np.ndarray
+    cols: np.ndarray
+    spows: np.ndarray
+    rows: np.ndarray
+
+
+class Direct(NamedTuple):
+    """A kernel's direct grid form: ``rank``, the r columns of P, and
+    ``factors``, a callable (nodes, weights) -> ``Factors`` on a grid of
+    ``circle_nodes``, or None to hand that grid on."""
+    rank: int
+    factors: Callable
+
+
 class Reach(NamedTuple):
     """A kernel's ``reach`` on one circle: ``modes``, how many modes its
     generators carry past q^{+-x/2} above TAIL_TOL, and ``folds(n)``, a
@@ -152,15 +194,19 @@ class Reach(NamedTuple):
 class Kernel:
     """Integrable kernel from ``generators`` (module docstring): its fill is
     sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i.
-    Its ``grid_form``, None or a callable (nodes, weights) -> (delta, cap)
-    on a grid of ``circle_nodes``, gives ``_lemma_det``'s factors of the
-    same matrix (module docstring), or None to hand that grid to the LU."""
+    Its two grid forms (module docstring) are None or give the same
+    determinant without the fill: ``grid_form``, a callable (nodes,
+    weights) -> (delta, cap) on a grid of ``circle_nodes``, the
+    complementary side's factors for ``_lemma_det``, or None to hand that
+    grid on; ``direct``, a ``Direct``, the direct side's."""
 
-    def __init__(self, generators, x: int = 0, reach=None, grid_form=None):
+    def __init__(self, generators, x: int = 0, reach=None, grid_form=None,
+                 direct=None):
         self.generators = generators
         self.x = errors.check_x(x)
         self.reach = reach
         self.grid_form = grid_form
+        self.direct = direct
 
     def matrix(self, nodes, weights):
         """The m x m Nystrom matrix: the m x r generator columns a f_k times
@@ -196,10 +242,30 @@ def kernel_sum(parts: list) -> Kernel:
     largest of their ``_first_reach`` there, which folds the sum of what
     its parts fold, as each entry is the sum of theirs, or no bound where a
     part has none or its margin was clipped; parts after one at M_START
-    with no bound are not read."""
+    with no bound are not read.  Where every part has a direct grid form
+    and one x, so one similarity serves them all, the sum's stacks their
+    columns: I + sum_k P_k C_k^T = I + [P_1 P_2 ...][C_1 C_2 ...]^T, the
+    monomial columns and rows of the parts after the first written out on
+    the grid.  It has no complementary grid form."""
     def generators(q):
         a, *pairs = zip(*(k.generators(q) for k in parts))
         return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
+
+    def factors(nodes, weights):
+        forms = [k.direct.factors(nodes, weights) for k in parts]
+        if any(f is None for f in forms):
+            return None
+        m, first = nodes.size, forms[0]
+        cols, rows = [first.cols], [first.rows]
+        for f in forms[1:]:
+            cols += [grid_powers(m, b) for b in f.powers] + [f.cols]
+            rows += [f.g * grid_powers(m, -s) for s in f.spows] + [f.rows]
+        return first._replace(cols=np.vstack(cols), rows=np.vstack(rows))
+
+    direct = None
+    if parts and all(k.direct is not None and k.x == parts[0].x
+                     for k in parts):
+        direct = Direct(sum(k.direct.rank for k in parts), factors)
 
     def reach(radius):
         read = []
@@ -212,7 +278,8 @@ def kernel_sum(parts: list) -> Kernel:
                      None if None in folds or not read else
                      lambda n: sum(f(n) for f in folds))
 
-    return Kernel(generators, max((k.x for k in parts), default=0), reach)
+    return Kernel(generators, max((k.x for k in parts), default=0), reach,
+                  direct=direct)
 
 
 def _first_reach(kernel, radius: float) -> Reach:
@@ -306,7 +373,7 @@ def _halfpows(q, x):
     return q ** (x / 2.0), q ** (-x / 2.0)
 
 
-def _kernel_V_generic(theta, tail, x, reach, grid_form=None):
+def _kernel_V_generic(theta, tail, x, reach, grid_form=None, direct=None):
     """Generators a = sqrt(theta), vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail
     and vm = q^{-x/2} for the deformation function w = q^x + tail, where
     tail(q) returns the part of w analytic outside the contour and its
@@ -320,7 +387,7 @@ def _kernel_V_generic(theta, tail, x, reach, grid_form=None):
                 ((x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
                  (-x / 2.0) * hm / q))
 
-    return Kernel(generators, x, reach, grid_form)
+    return Kernel(generators, x, reach, grid_form, direct)
 
 
 def kernel_V(theta, x: int, radius: float) -> Kernel:
@@ -333,10 +400,10 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     this circle, is the larger of theta's bandwidth and the count N of that
     outside part's modes (``_bandwidth``), both read from the samples of
     the converged grid, which also bound the modes a grid folds; no bound
-    where radius^x underflows.  Its fill and its grid form (on grids of
-    this circle, ``_residue_grid``) read one tail, the outside modes down
-    to max(x, 16) eps of the split's largest (at most TAIL_TOL), so
-    neither carries the split's rounding."""
+    where radius^x underflows.  Its fill and its grid forms (on grids of
+    this circle, ``_residue_grid`` and ``_v_factors``) read one tail, the
+    outside modes down to max(x, 16) eps of the split's largest (at most
+    TAIL_TOL), so none carries the split's rounding."""
     x = errors.check_x(x)
     held = {}
 
@@ -375,14 +442,16 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
                       (lambda nu: size[np.minimum(nu, size.size) - 1] / lead)
                       if lead > 0 else None)
 
-    def grid_form(nodes, weights):
-        if grid_of(nodes)[0] != radius:
-            return None
-        return _residue_grid(theta, x, (), -minus[:kept], nodes, weights)
+    def on_circle(form):
+        def of(nodes, weights):
+            if grid_of(nodes)[0] != radius:
+                return None
+            return form(theta, x, (), -minus[:kept], nodes, weights)
+        return of
 
     return _kernel_V_generic(
         theta, lambda q: (tail.minus(q), tail.minus(q, 1)), x, reach,
-        grid_form)
+        on_circle(_residue_grid), Direct(x + kept, on_circle(_v_factors)))
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -401,10 +470,19 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
         return (-sum((c / g for c, g in gaps), zero),
                 -sum((c / g ** 2 for c, g in gaps), zero))
 
-    return _kernel_V_generic(theta, tail, x,
-                             functools.partial(_residue_reach, spec, x, res),
-                             functools.partial(_residue_grid, theta, x, res,
-                                               ()))
+    return _kernel_V_generic(
+        theta, tail, x, functools.partial(_residue_reach, spec, x, res),
+        functools.partial(_residue_grid, theta, x, res, ()),
+        Direct(x + len(res), functools.partial(_v_factors, theta, x, res,
+                                               ())))
+
+
+def _by_logs(values, power: int, radius: float):
+    """values / radius^power by logarithms, as radius^power alone may leave
+    the double range: 0 where a value is 0, inf past the range."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(np.asarray(values, dtype=complex)) -
+                      power * math.log(radius))
 
 
 def _residue_grid(theta, x: int, res, tail, nodes, weights):
@@ -430,10 +508,8 @@ def _residue_grid(theta, x: int, res, tail, nodes, weights):
     # the entries of cap have one scale: v = q beta/(z - q) and e = g r
     # u^-x/(beta (z - q)) are their products with the other factors; per
     # tail mode, h = (-1)^m t_nu/radius^x by logarithms, relative to q^x
-    with np.errstate(divide="ignore"):
-        r = np.exp(np.log([c for _, c in res]) - x * math.log(radius))
-        h = (1 - 2 * (m % 2)) * np.exp(np.log(np.asarray(tail, dtype=complex))
-                                       - x * math.log(radius))
+    r = _by_logs([c for _, c in res], x, radius)
+    h = (1 - 2 * (m % 2)) * _by_logs(tail, x, radius)
     beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
     gaps = np.array([z for z, _ in res])[:, None] - nodes
     v = beta[:, None] * nodes / gaps
@@ -482,6 +558,74 @@ def _lemma_det(delta, cap):
                        np.exp(np.sum(logs) - len(cap) * mean + logdet))
 
 
+def _v_factors(theta, x: int, res, tail, nodes, weights) -> Factors:
+    """``Factors`` of V over the pairs ``res`` of a zero z and its c_z, with
+    the polynomial tail sum_{nu=1..N} tail[nu - 1] u^-nu, on a grid of
+    ``circle_nodes`` (module docstring): the sine part's columns u^b and
+    rows g u^-b, b < x; the tail's columns u^(-1-a), a < N, whose rows -g
+    u^(1-x) sum_{nu > a} h_nu u^(a-nu), h_nu = tail[nu - 1]/radius^x by
+    logarithms, are summed by Horner's rule from a = N - 1 down; and one
+    column per zero (``_zero_factors``)."""
+    radius, m = grid_of(nodes)
+    g = theta(nodes) * weights / (2j * np.pi * nodes)   # theta / m
+    sine, n_tail = np.arange(x), len(tail)
+    cols = rows = np.empty((0, m), dtype=complex)
+    if n_tail:
+        h, inv, acc = _by_logs(tail, x, radius), grid_powers(m, -1), 0.0
+        rows = np.empty((n_tail, m), dtype=complex)
+        for a in range(n_tail - 1, -1, -1):
+            acc = rows[a] = inv * (h[a] + acc)
+        rows *= -g * grid_powers(m, 1 - x)
+    if res:
+        cols, zero_rows = _zero_factors(res, x, nodes, g, -1.0)
+        rows = np.vstack([rows, zero_rows])
+    return Factors(g, np.concatenate([sine, -1 - np.arange(n_tail)]), cols,
+                   sine, rows)
+
+
+def _zero_factors(res, x: int, nodes, g, sign: float) -> tuple:
+    """(cols, rows): the direct side's rank-one terms sign c_z/((z - q_i)(z
+    - q_j)) of w's divided difference, times its rows' g_j q_j^(1-x), over
+    the pairs ``res`` of a zero z and its c_z.  Per zero, P's column beta
+    radius/(z - q) and C^T's row sign (r radius/beta) g u^(1-x)/(z - q),
+    r = c_z/radius^(x + 1) by logarithms and beta = sqrt|r|, so that both
+    have one scale."""
+    radius, m = grid_of(nodes)
+    zeros, c = np.array(res, dtype=complex).reshape(-1, 2).T
+    r = _by_logs(c, x + 1, radius)
+    beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
+    gaps = radius / (zeros[:, None] - nodes)
+    return (beta[:, None] * gaps,
+            (sign * r / beta)[:, None] * gaps * (g * grid_powers(m, 1 - x)))
+
+
+def _direct_det(form: Factors) -> complex:
+    """det(I + C^T P) from ``Factors``, inf or nan past the double range.
+    Each entry of C^T P sums a row of C^T times a column of P over the
+    nodes, so one FFT of the rows g, g times each of ``cols`` and
+    ``rows`` gives every entry against a monomial (``grid_sums``), and
+    rows cols^T the rest: O(r m log m + r^3) for r columns, no m x m
+    matrix.  The r x r determinant is an LU (``np.linalg.det``)."""
+    g, powers, cols, spows, rows = form
+    ns, nb, k = spows.size, powers.size, len(cols)
+    # the sums at s - b, at s and at -b, read in one pass; S has no
+    # explicit rows, and skipping their empty blocks takes a fifth off its
+    # grid at x <= 5
+    sums = grid_sums(np.vstack([g, g * cols, rows]) if len(rows) else g[None],
+                     np.concatenate([(spows[:, None] - powers).ravel(),
+                                     spows, -powers]))
+    at = ns * nb
+    cap = np.empty((ns + len(rows), nb + k), dtype=complex)
+    cap[:ns, :nb] = sums[0, :at].reshape(ns, nb)
+    if len(rows):
+        cap[:ns, nb:] = sums[1:k + 1, at:at + ns].T
+        cap[ns:, :nb] = sums[k + 1:, at + ns:]
+        cap[ns:, nb:] = rows @ cols.T
+    cap.flat[::len(cap) + 1] += 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.linalg.det(cap))
+
+
 def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
     """Bare finite-temperature kernel, diagonal x*theta/(2 pi i q): V with
     w = q^x and no tail, the residue form over no zeros, whose reach is
@@ -492,7 +636,8 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
     """Rank-one residue kernel c u(q) u(p) / (2 pi i) at a simple zero s of
     phi, c its residue coefficient and u = sqrt(theta) q^{-x/2}/(s - q); its
-    reach is the residue form's at s (``_residue_reach``)."""
+    reach is the residue form's at s (``_residue_reach``), and its direct
+    grid form the residue form's one column, with the sign of + c."""
     c = residue_coefficient(spec, s, x, 0.0)
 
     def generators(q):
@@ -500,8 +645,14 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
         return _rank_one(np.sqrt(symbols.eval_theta(spec, q)), q, c * u, u,
                          u * (1.0 / (s - q) - (x / 2.0) / q))
 
+    def factors(nodes, weights):
+        g = symbols.eval_theta(spec, nodes) * weights / (2j * np.pi * nodes)
+        cols, rows = _zero_factors([(s, c)], x, nodes, g, 1.0)
+        return Factors(g, np.arange(0), cols, np.arange(0), rows)
+
     return Kernel(generators, x,
-                  functools.partial(_residue_reach, spec, x, [(s, c)]))
+                  functools.partial(_residue_reach, spec, x, [(s, c)]),
+                  direct=Direct(1, factors))
 
 
 def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
@@ -516,18 +667,24 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
 
 
 def _grid_det(kernel, nodes, weights) -> complex:
-    """det(Id + K) on one grid, inf or nan past the double range: by
-    ``_lemma_det`` on the kernel's ``grid_form`` on grids of LEMMA_MIN to
-    2x nodes, where it has one and the nodes are a grid of
-    ``circle_nodes``; else, or where the grid form or the lemma hands the
-    grid back, by LU of the filled matrix."""
-    if kernel.grid_form is not None and \
-            LEMMA_MIN <= nodes.size <= 2 * kernel.x and \
-            grid_of(nodes) is not None:
-        form = kernel.grid_form(nodes, weights)
-        det = None if form is None else _lemma_det(*form)
-        if det is not None:
-            return det
+    """det(Id + K) on one grid, inf or nan past the double range.  On a
+    grid of ``circle_nodes`` it takes the side of Jacobi's identity with
+    fewer columns (module docstring): the complementary side,
+    ``_lemma_det`` of the kernel's ``grid_form``, on grids of LEMMA_MIN to
+    2x nodes, where n = m - x <= x; the direct side, ``_direct_det`` of its
+    ``direct`` factors, where their rank r is at most m/2.  Where neither
+    serves, or both hand the grid on, by LU of the filled matrix."""
+    m = nodes.size
+    if grid_of(nodes) is not None:
+        if kernel.grid_form is not None and LEMMA_MIN <= m <= 2 * kernel.x:
+            form = kernel.grid_form(nodes, weights)
+            det = None if form is None else _lemma_det(*form)
+            if det is not None:
+                return det
+        if kernel.direct is not None and 2 * kernel.direct.rank <= m:
+            form = kernel.direct.factors(nodes, weights)
+            if form is not None:
+                return _direct_det(form)
     mat = kernel.matrix(nodes, weights)
     np.fill_diagonal(mat, mat.diagonal() + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -565,10 +722,12 @@ def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
-    ``radius``, each grid's determinant by ``_grid_det``: by the
-    determinant lemma on grids of LEMMA_MIN to 2x nodes for a kernel with
-    a ``grid_form`` (S and both forms of V), unless the grid is handed
-    back, and otherwise by LU of the filled matrix.
+    ``radius``, each grid's determinant by ``_grid_det``: by the side of
+    Jacobi's identity with fewer columns where the kernel has a grid form,
+    the complementary side (S and both forms of V) on grids of LEMMA_MIN
+    to 2x nodes and the direct side (those, ``kernel_W``, the rank-one
+    kernel and their sums) where its r columns are at most m/2, and
+    otherwise by LU of the filled matrix.
     x is the kernel's bandwidth and a its reach's modes on that circle,
     clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
     a reach), doubled while the grid has fewer than 16 nodes.  Past x + a
@@ -755,7 +914,16 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         split = _theta_split(spec, radius)
         return _reach(split.j, split.c)     # theta's modes, no bound
 
-    vk1 = Kernel(rank_one, x, reach)
+    # conjugated by diag(q^{x/2}), -(theta_j/m) u_i^-1 u_j^(1-x) radius^-x:
+    # the column u^-1 and the row -radius^-x g u^(1-x)
+    def factors(nodes, weights):
+        radius, m = grid_of(nodes)
+        g = theta(nodes) * weights / (2j * np.pi * nodes)
+        row = -_by_logs(1.0, x, radius) * g * grid_powers(m, 1 - x)
+        return Factors(g, np.array([-1]), np.empty((0, m)), np.arange(0),
+                       row[None, :])
+
+    vk1 = Kernel(rank_one, x, reach, direct=Direct(1, factors))
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)

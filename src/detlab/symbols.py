@@ -25,7 +25,7 @@ SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
                     # between the moduli at the edge of the zero selection
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
 SAMPLE_MEMO = 64    # grid samples held by eval_phi and eval_nu_grid,
-SAMPLE_M_MAX = 1024  # each on a grid of at most this many nodes
+SAMPLE_M_MAX = 4096  # each on a grid of at most this many nodes (64 KB)
 
 
 @dataclass(frozen=True)

@@ -474,13 +474,24 @@ class TestSlavnov:
         assert abs(closed - ratio) <= err < 1e-8 * abs(ratio)
 
     @pytest.mark.parametrize("x", [110, 127, 200])
-    def test_contour_swap_past_its_range_raises(self, x):
+    def test_contour_swap_past_its_range_raises(self, monkeypatch, x):
         # the swapped kernel's reach falls under its true fold here (25, 8
         # and 2 modes), and one grid read the ratio's cancellation noise,
         # 5.2e-5 + 3.2e-5i at x = 127 against the closed form's -8.2e-26,
-        # under a bound of 1.6e-15; the ladder's drifts never settle
+        # under a bound of 1.6e-15; the ladder's drifts never settle, also
+        # on its grids past 2x nodes, where the direct side of Jacobi's
+        # identity, which rounds less than the LU it replaced, takes them
+        sizes = []
+        real = fredholm._grid_det
+
+        def grid_det(kernel, nodes, weights):
+            sizes.append(nodes.size)
+            return real(kernel, nodes, weights)
+
+        monkeypatch.setattr(fredholm, "_grid_det", grid_det)
         with pytest.raises(errors.NotConverged):
             A.tau_ratio_swap(symbols.fixture("F4"), x, 1.4, 2.2)
+        assert max(sizes) > 2 * x
 
     @pytest.mark.parametrize("x", [3, 16])
     def test_contour_swap_keeps_the_ladders_it_ran(self, monkeypatch, x):

@@ -520,14 +520,9 @@ class TestLemma:
 
     @pytest.mark.parametrize("spec, zeros, x, m", [
         # a zero 1e-4 outside the circle: min |phi| = 7e-5 on the grid, and
-        # cap's entries, the moments of 1/phi - 1, reach 212
-        (near_circle_zero(), [], 60, 68),
-        # the near-double zero of CHANGES.md: phi'(z) = 2.1e-5, and V's
-        # residue form over z has cap entries up to 360 on 12 nodes
-        (symbols.SymbolSpec("rational", tuple(
-            np.polynomial.polynomial.polyfromroots(
-                [0.0674 + 0.4125j, 0.0674 + 0.4125j + 3.7e-6 * np.exp(0.3j)])),
-            (0.0, 0.0, 1.0)), [0.0674 + 0.4125j], 4, 12)])
+        # cap's entries, the moments of 1/phi - 1, reach 212; the direct
+        # side's 60 columns are past m/2
+        (near_circle_zero(), [], 60, 68)])
     def test_hands_back_to_the_lu(self, spec, zeros, x, m):
         kern = fredholm.kernel_V_residue(spec, x, zeros)
         nodes = circle_nodes(1.0, m)
@@ -535,8 +530,51 @@ class TestLemma:
         delta, cap = kern.grid_form(nodes, weights)
         assert np.max(np.abs(cap)) > fredholm.GROWTH_MAX
         assert fredholm._lemma_det(delta, cap) is None
+        assert 2 * kern.direct.rank > m
         want, _ = dense_det(kern, nodes, weights)
         assert fredholm._grid_det(kern, nodes, weights) == want
+
+    def test_near_double_zero_takes_the_direct_side(self, monkeypatch):
+        # the near-double zero of CHANGES.md: phi'(z) = 2.1e-5, and V's
+        # residue form over z has complementary cap entries up to 360 on 12
+        # nodes, which that side hands on.  The direct side divides by no
+        # phi: its 5 columns take the grid, and against a 40-digit fill of
+        # the same kernel on the same nodes (its double c_z, theta from the
+        # double coefficients) it reads 4.9e-15, the dense LU 1.8e-12
+        mp = pytest.importorskip("mpmath")
+        z, x, m = 0.0674 + 0.4125j, 4, 12
+        spec = symbols.SymbolSpec("rational", tuple(
+            np.polynomial.polynomial.polyfromroots(
+                [z, z + 3.7e-6 * np.exp(0.3j)])), (0.0, 0.0, 1.0))
+        kern = fredholm.kernel_V_residue(spec, x, [z])
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
+        delta, cap = kern.grid_form(nodes, weights)
+        assert fredholm._lemma_det(delta, cap) is None
+        lu, mat = dense_det(kern, nodes, weights)
+
+        def refuse(*args):
+            raise AssertionError("m x m fill")
+
+        monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
+        got = fredholm._grid_det(kern, nodes, weights)
+        # conjugated by diag(q^{x/2}): delta_ij + (theta_j/m) q_j^(1-x)
+        # times w's divided difference, w = q^x - c/(z - q)
+        with mp.workdps(40):
+            c = mp.mpc(residue_coefficient(spec, z, x, 0.0))
+            q = [mp.mpc(v) for v in nodes]
+            theta = [mp.polyval(spec.numer[::-1], v) /
+                     mp.polyval(spec.denom[::-1], v) - 1 for v in q]
+            fill = mp.matrix(m, m)
+            for i in range(m):
+                for j in range(m):
+                    dd = sum(q[i] ** b * q[j] ** (x - 1 - b)
+                             for b in range(x)) - \
+                        c / ((z - q[i]) * (z - q[j]))
+                    fill[i, j] = (i == j) + theta[j] * q[j] ** (1 - x) / m * dd
+            want = complex(mp.det(fill))
+        assert abs(got / want - 1) <= 16 * EPS * np.linalg.cond(mat)
+        assert abs(got / want - 1) <= abs(lu / want - 1)
 
     def test_switch_at_the_crossover(self, monkeypatch):
         # the lemma takes grids of circle_nodes from LEMMA_MIN nodes on, for
@@ -574,6 +612,96 @@ class TestLemma:
         assert taken == [fredholm.LEMMA_MIN] * 2
 
 
+class TestDirect:
+    """The direct side of Jacobi's identity: det(I_r + C^T P) from each
+    kernel's ``direct`` factors (``fredholm._direct_det``)."""
+
+    @staticmethod
+    def kernel(kind, spec, x):
+        """S, V's residue form over the zeros inside |q| = 1, split V on the
+        unit circle, W at the first of those zeros, or split V plus every
+        W, S's other form on that circle."""
+        zeros = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
+        if kind == "S":
+            return fredholm.kernel_S(spec, x)
+        if kind == "residue V":
+            return fredholm.kernel_V_residue(spec, x, zeros)
+        split = fredholm.kernel_V(theta_of(spec), x, 1.0)
+        if kind == "split V":
+            return split
+        if kind == "W":
+            assume(zeros)
+            return fredholm.kernel_W(spec, zeros[0], x)
+        return fredholm.kernel_sum(
+            [split] + [fredholm.kernel_W(spec, z, x) for z in zeros])
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.one_of(laurent_symbols(), two_sided_symbols()),
+           x=st.integers(1, 32), data=st.data(),
+           kind=st.sampled_from(["S", "residue V", "split V", "W", "sum"]))
+    def test_matches_dense_lu(self, spec, x, data, kind):
+        # on m unit-circle nodes, 2x < m <= 4x + 64, against the dense LU of
+        # the same kernel on the same grid, at any rank r (the identity
+        # holds at every r; _grid_det takes it where r <= m/2).  On 4,500
+        # scratch draws the gap read at most 0.80 eps max(m, 16) cond (a
+        # sum at x = 6, m = 13, r = 68); 0.66 for S, 0.48 for split V, 0.42
+        # for the residue form and 0.31 for W
+        m = data.draw(st.integers(2 * x + 1, 4 * x + 64), label="m")
+        try:
+            kern = self.kernel(kind, spec, x)
+        except errors.NotASimpleZero:
+            assume(False)
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
+        want, mat = dense_det(kern, nodes, weights)
+        got = fredholm._direct_det(kern.direct.factors(nodes, weights))
+        bound = 2 * EPS * max(m, 16) * np.linalg.cond(mat)
+        assert abs(got / want - 1) <= bound
+
+    def test_path_follows_the_rank(self, monkeypatch):
+        # F6's split V at x = 5 keeps N = 41 tail modes, so its direct side
+        # has r = 46 columns: past m/2 on its ladder's grids 37 and 69,
+        # which the dense LU fills, within it on 133, which it does not
+        spec = symbols.fixture("F6")
+        kern = fredholm.kernel_V(theta_of(spec), 5, 1.0)
+        assert kern.direct.rank == 46
+        filled = []
+        real = fredholm.Kernel.matrix
+
+        def matrix(self, nodes, weights):
+            filled.append(nodes.size)
+            return real(self, nodes, weights)
+
+        monkeypatch.setattr(fredholm.Kernel, "matrix", matrix)
+        res = fredholm.nystrom_det(kern, 1.0)
+        assert res.grids == (37, 69, 133) and filled == [37, 69]
+        nodes = circle_nodes(1.0, 133)
+        weights = circle_weights(nodes, 133)
+        want, mat = dense_det(kern, nodes, weights)
+        assert abs(res.value / want - 1) <= \
+            2 * EPS * 133 * np.linalg.cond(mat)
+
+    def test_sum_stacks_its_parts(self):
+        # S = V + sum_z W_z on F4's circle: the sum's r = x + N + #zeros
+        # columns give S's value, and a part without a direct side, or
+        # another x, leaves the sum without one
+        spec, suite = suite_for("F4")
+        parts = [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] + \
+            [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()]
+        total = fredholm.kernel_sum(parts)
+        assert total.direct.rank == sum(k.direct.rank for k in parts)
+        m = 2 * total.direct.rank
+        nodes = circle_nodes(suite.rho, m)
+        weights = circle_weights(nodes, m)
+        got = fredholm._direct_det(total.direct.factors(nodes, weights))
+        want = fredholm._direct_det(
+            fredholm.kernel_S(spec, 3).direct.factors(nodes, weights))
+        assert abs(got / want - 1) <= 1e-10
+        assert fredholm.kernel_sum(parts + [zero_kernel()]).direct is None
+        assert fredholm.kernel_sum(
+            parts + [fredholm.kernel_S(spec, 4)]).direct is None
+
+
 class TestNystrom:
     def test_zero_kernel(self):
         res = fredholm.nystrom_det(zero_kernel(), 1.0)
@@ -602,12 +730,16 @@ class TestNystrom:
                                  tol=1e-15, m_cap=32)
 
     def test_drift_at_cap_raises(self):
-        # the grid 35 rounds past 1e-15, so no single grid: the ladder's
-        # grids 19, 35 and 67 leave a drift past 1e-15, and 131 passes the
-        # cap
+        # S's generators and reach with no grid form, so every grid is
+        # filled: the grid 35 rounds past 1e-15, so no single grid; the
+        # ladder's grids 19, 35 and 67 leave a drift past 1e-15, and 131
+        # passes the cap.  (S's direct side rounds below 1e-15 on these
+        # grids, and its ladder settles at tol = 1e-15.)
         spec = symbols.fixture("F4")
+        kern = fredholm.kernel_S(spec, 3)
         with pytest.raises(errors.NotConverged, match="drift .* at m=67"):
-            fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
+            fredholm.nystrom_det(fredholm.Kernel(kern.generators, 3,
+                                                 kern.reach),
                                  asymptotics.base_contour(spec),
                                  tol=1e-15, m_cap=3 + 64)
 
@@ -1115,9 +1247,12 @@ class TestOnePass:
     once."""
 
     def test_one_generator_pass_per_grid(self, monkeypatch):
-        # a grid the determinant lemma takes is not filled, and it reads
-        # the symbol once too; at x = 64 the residue form's ladder (96,
-        # 128, 192) takes the lemma on its first two grids
+        # a grid either side of Jacobi's identity takes is not filled, and
+        # it reads the symbol once too: S and the residue form fill none
+        # (at x = 64 the residue form's ladder 96, 128, 192 takes the
+        # complementary side on its first two grids, the direct side's 66
+        # columns on the third), the resolvent, with no grid form, every
+        # grid
         sizes = []
 
         def counted(spec, q):
@@ -1142,10 +1277,7 @@ class TestOnePass:
                 kern.generators = generators
                 sizes.clear()
                 res = fredholm.nystrom_det(kern, suite.rho)
-                # the lemma takes grids of LEMMA_MIN to 2x nodes
-                lemma = kern.grid_form is not None
-                assert passes == [m for m in res.grids if not (
-                    lemma and fredholm.LEMMA_MIN <= m <= 2 * x)]
+                assert passes == ([] if kern.direct else list(res.grids))
                 # theta's reach FFT samples 256 nodes
                 assert [n for n in sizes if n != 256] == list(res.grids)
 

@@ -77,13 +77,15 @@ def test_determinants_and_fills_are_counted():
     # below toeplitz.LEVINSON_MIN the oracle takes the dense LU by slogdet,
     # which bench_trace.LU_FUNCS does not wrap, so its flops go uncounted
     assert tracer.counters["toeplitz.lu_flops"] == 0
+    # S's one grid (34 nodes) takes the direct side, an LU of its x = 2
+    # columns and no fill; the ladder of its generators, with no grid form,
     # one fill and one LU per grid
-    grids = [m for r in res for m in r.grids]
-    assert len(res[0].grids) == 1 and len(res[1].grids) >= 2
+    ladder = res[1].grids
+    assert res[0].grids == (34,) and len(ladder) >= 2
     assert tracer.counters["fredholm.lu_flops"] == \
-        sum(8 * m ** 3 // 3 for m in grids)
+        8 * 2 ** 3 // 3 + sum(8 * m ** 3 // 3 for m in ladder)
     assert tracer.counters["fredholm.fill_entries"] == \
-        sum(m ** 2 for m in grids)
+        sum(m ** 2 for m in ladder)
 
 
 def test_no_first_grid_past_the_fixed_margin(monkeypatch):

@@ -19,8 +19,9 @@ they ran, then the Nystrom ladder (``DetResult.grids``, each
 with its ``err_estimate``) of ``fredholm_S`` and of ``tau_eff_kernel`` on
 the same fixtures and x, and both ladders with their values on F1 and F4
 at x = 512, every ladder with the path each of its grids' determinants
-took, beside its node count: "lemma R=k" for the determinant lemma on k
-columns and "lu" for the dense LU; then the reach of
+took, beside its node count: "lemma R=k" for the complementary side of
+Jacobi's identity (the determinant lemma) on k columns, "direct r=k" for its
+direct side on k columns and "lu" for the dense LU; then the reach of
 ``kernel_S``, of ``tau_eff_kernel`` and of ``kernel_W`` at each zero inside
 the base contour on the same fixtures and x, each its ``modes`` and
 ``folds(n)`` at n = 2a, 4a and 8a, a its modes (at least 1, doubled while
@@ -172,9 +173,10 @@ def reach_kernels(spec, x):
 def recorded_paths():
     """Yields a list that collects "m:path" for every grid of m nodes whose
     determinant ``fredholm._grid_det`` takes inside the block: "lemma R=k"
-    where ``_lemma_det`` returned the value from k columns, else "lu"."""
+    where ``_lemma_det`` returned the value from k columns, "direct r=k"
+    where ``_direct_det`` did, else "lu"."""
     paths, taken = [], []
-    real = fredholm._grid_det, fredholm._lemma_det
+    real = fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det
 
     def grid_det(kernel, nodes, weights):
         taken.clear()
@@ -188,11 +190,16 @@ def recorded_paths():
             taken.append(f"lemma R={len(cap)}")
         return det
 
-    fredholm._grid_det, fredholm._lemma_det = grid_det, lemma
+    def direct(form):
+        taken.append(f"direct r={form.powers.size + len(form.cols)}")
+        return real[2](form)
+
+    fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det = \
+        grid_det, lemma, direct
     try:
         yield paths
     finally:
-        fredholm._grid_det, fredholm._lemma_det = real
+        fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det = real
 
 
 def ladder_and_value(kernel, radius):
