@@ -10,6 +10,7 @@ Laurent modes, which converge geometrically.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -94,19 +95,33 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
     """(kernel, radius) whose det(1 + V) is the unit-circle one, any
     winding.  Negative winding: V in residue form is analytic out to the
     first pole, so it is taken on ``base_contour``'s circle, where phi does
-    not wind.  Otherwise V is taken from theta on the unit circle."""
-    if symbols.winding_number(spec) < 0:
+    not wind.  Zero winding, phi = P/Q with no t_j: the outside part of
+    q^x theta/(1 + theta) = q^x (1 - Q/P) on the unit circle is its
+    principal parts at the zeros of phi inside, so split V is the residue
+    form over those zeros, of rank x + #zeros and sized by no sample of x;
+    it is taken there unless two of them lie within ``symbols.SEP_TOL``,
+    as ``CauchySuite``'s residue sums require.  Otherwise, t_j or such a
+    pair or positive winding, split V is taken from theta on the unit
+    circle (``kernel_V``)."""
+    winding = symbols.winding_number(spec)
+    if winding < 0 or winding == 0 and not spec.log_coeffs:
         inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
-        return kernel_V_residue(spec, x, inside), base_contour(spec)
+        if winding < 0:
+            return kernel_V_residue(spec, x, inside), base_contour(spec)
+        if all(abs(a - b) >= symbols.SEP_TOL
+               for a, b in itertools.combinations(inside, 2)):
+            return kernel_V_residue(spec, x, inside), 1.0
     return (kernel_V(functools.partial(symbols.eval_theta, spec), x, 1.0),
             1.0)
 
 
 def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
-    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``):
-    exactly 0 at positive winding w, where the sector N = L + w of
-    ``formfactors.tau_eff_finite`` is empty, with no kernel built;
-    NotConverged past the node cap before the kernel samples anything."""
+    """det(1 + V) on the unit circle, any winding (see ``tau_eff_kernel``:
+    V's residue form at negative winding and at zero winding where phi =
+    P/Q, split V otherwise): exactly 0 at positive winding w, where the
+    sector N = L + w of ``formfactors.tau_eff_finite`` is empty, with no
+    kernel built; NotConverged past the node cap before the kernel samples
+    anything."""
     x = errors.check_x(x)
     if symbols.winding_number(spec) > 0:
         return 0.0 + 0.0j

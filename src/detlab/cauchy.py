@@ -59,7 +59,10 @@ def residue_coefficient(spec: symbols.SymbolSpec, z, power: int,
     dphi = complex(symbols.eval_dphi(spec, np.asarray(z)))
     if abs(dphi) < 1e-10:
         raise errors.NotASimpleZero(f"phi'({z}) = {dphi}")
-    log_value = complex(power * cmath.log(z) + log_factor - cmath.log(dphi))
+    if z == 0 and power > 0:   # log 0 is not finite, and 0^power is 0
+        return 0j
+    log_power = power * cmath.log(z) if power else 0.0
+    log_value = complex(log_power + log_factor - cmath.log(dphi))
     if log_value.real >= errors.LOG_MAX:
         raise errors.OverflowGuard(f"residue at {z} is e^{log_value.real:.1f}")
     return cmath.exp(log_value)

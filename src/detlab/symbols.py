@@ -21,8 +21,9 @@ from . import errors
 from ._series import (circle_nodes, circle_weights, clog, grid_of, horner,
                       laurent_sum, laurent_terms)
 
-SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding, and
-                    # between the moduli at the edge of the zero selection
+SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding or
+                    # in a residue sum, and between the moduli at the edge
+                    # of the zero selection
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
 SAMPLE_MEMO = 64    # grid samples held by eval_phi and eval_nu_grid,
 SAMPLE_M_MAX = 4096  # each on a grid of at most this many nodes (64 KB)

@@ -10,14 +10,15 @@ does not wind on its sampling circle has a banded T, whose finite sections
 are stable (Boettcher and Grudsky, Spectral Properties of Banded Toeplitz
 Matrices, SIAM 2005): past the order BLOCK its determinant is a block
 elimination whose Schur complements reach a fixed point within a few
-blocks, so it costs a few small LUs at any x.  Every other symbol takes the
-dense LU of T (``np.linalg.slogdet``) below the order LEVINSON_MIN and from
-there the nonsymmetric Levinson recursion (Trench, J. SIAM 12 (1964);
-Zohar, J. ACM 21 (1974)) in O(x^2) time and O(x) memory, as the sum of the
-logarithms of its prediction errors.  Where a reflection coefficient shows
-a (nearly) singular leading minor, or a block is singular or its Schur
-complement grows, the method is not trusted and the dense LU of the same
-matrix takes over.
+blocks, so it costs a few small LUs at any x, and its 2b + 1 moments, which
+do not depend on x, come from one sample sized by the band b, not by x.
+Every other symbol takes the dense LU of T (``np.linalg.slogdet``) below
+the order LEVINSON_MIN and from there the nonsymmetric Levinson recursion
+(Trench, J. SIAM 12 (1964); Zohar, J. ACM 21 (1974)) in O(x^2) time and
+O(x) memory, as the sum of the logarithms of its prediction errors.
+Where a reflection coefficient shows a (nearly) singular leading minor, or
+a block is singular or its Schur complement grows, the method is not
+trusted and the dense LU of the same matrix takes over.
 """
 
 from __future__ import annotations
@@ -205,20 +206,34 @@ def _block_log_det(moments: np.ndarray, band: int):
     return log_det if math.isfinite(log_det.real) else None
 
 
+def _log_det(spec: symbols.SymbolSpec, x: int) -> complex:
+    """log det T_x, by the path ``toeplitz_det`` takes."""
+    x = errors.check_x(x)
+    band = _laurent_band(spec) if x > BLOCK else None
+    if band is not None:
+        # c_-k .. c_k, k = min(band, x), from the sample of order max(k, 1),
+        # 256 nodes up to k = 32, and every moment past k exactly 0
+        k = min(band, x)
+        table = moment_table(spec, max(k, 1))
+        mid = table.size // 2
+        moments = np.zeros(2 * x + 1, dtype=complex)
+        moments[x - k:x + k + 1] = table[mid - k:mid + k + 1]
+        log_det = _block_log_det(moments, band)
+    else:
+        moments = moment_table(spec, x)
+        log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
+    if log_det is None:
+        log_det = _block_log_det(moments, x)
+    return log_det
+
+
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
     """Determinant of the x-by-x moment matrix.  Past the order BLOCK, a
     Laurent polynomial that does not wind on its sampling circle takes the
-    block elimination of its banded matrix; any other symbol takes the
-    dense LU below LEVINSON_MIN and the Levinson recursion from there.
-    Where either refuses, the dense LU takes over.  OverflowGuard when
-    |det| leaves the normal double range on either side."""
-    moments = moment_table(spec, x)
-    band = _laurent_band(spec) if x > BLOCK else None
-    log_det = None
-    if band is not None:
-        log_det = _block_log_det(moments, band)
-    elif x >= LEVINSON_MIN:
-        log_det = _levinson_log_det(moments)
-    if log_det is None:
-        log_det = _block_log_det(moments, x)
-    return errors.exp_in_range(log_det)
+    block elimination of its banded matrix, its 2b + 1 moments read from
+    ``moment_table`` of order b, so that no sample grows with x; any other
+    symbol takes the dense LU below LEVINSON_MIN and the Levinson recursion
+    from there, on ``moment_table(spec, x)``.  Where either refuses, the
+    dense LU of the same moments takes over.  OverflowGuard when |det|
+    leaves the normal double range on either side."""
+    return errors.exp_in_range(_log_det(spec, x))

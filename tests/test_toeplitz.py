@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics, cauchy, cli, errors, symbols, toeplitz
-from test_asymptotics import SLOW, two_sided_symbols
+from detlab._series import circle_nodes
+from test_asymptotics import (SLOW, laurent_symbols, log_gap,
+                              two_sided_symbols)
 
 
 def gather(moments):
@@ -45,32 +47,6 @@ def growth(moments):
         g = max(g, abs(alpha), abs(gamma),
                 abs(alpha * gamma) / abs(1 - alpha * gamma))
     return g
-
-
-def log_gap(a, b):
-    """|a - b| for logarithms, the imaginary part taken modulo 2 pi."""
-    d = complex(a) - complex(b)
-    return abs(complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi))
-
-
-@st.composite
-def laurent_symbols(draw):
-    """phi(q) = c prod (1 - q/w) prod (q - z) / q^p: zero moduli in separate
-    bands on both sides of |q| = 1, pole order p = 0..3 at the origin and
-    winding #inner - p in -2..1, so the moments form a banded Toeplitz
-    matrix, sampled on the zero-winding circle when one exists."""
-    def zero(lo, hi):
-        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
-
-    inner = [zero(lo, hi) for lo, hi in ((0.2, 0.3), (0.35, 0.45), (0.55, 0.7))
-             if draw(st.booleans())]
-    outer = [zero(lo, hi) for lo, hi in ((1.5, 1.7), (2.2, 2.9), (3.1, 4.0))
-             if draw(st.booleans())]
-    poles = draw(st.integers(max(0, len(inner) - 1), min(3, len(inner) + 2)))
-    numer = np.polynomial.polynomial.polyfromroots(inner + outer)
-    numer = draw(st.floats(0.5, 2.0)) * numer / np.prod([-w for w in outer])
-    return symbols.SymbolSpec("rational", tuple(numer),
-                              tuple([0.0] * poles + [1.0]))
 
 
 class TestClosedForms:
@@ -146,6 +122,21 @@ class TestStructure:
 NEAR_POLE = symbols.SymbolSpec(numer=(1.0,), denom=(1.0, -0.99))
 
 
+def record_grids(monkeypatch):
+    """A list that collects the node count of every sample ``toeplitz``
+    takes by ``_converged_split``; the recording stays installed."""
+    sampled, split = [], toeplitz._converged_split
+
+    def counted(sample, m0):
+        def recorded(m):
+            sampled.append(m)
+            return sample(m)
+        return split(recorded, m0)
+
+    monkeypatch.setattr(toeplitz, "_converged_split", counted)
+    return sampled
+
+
 class TestSampling:
     """``moment_table`` samples phi by the one rule,
     ``cauchy._converged_split``, from max(256, 8x) nodes."""
@@ -155,17 +146,19 @@ class TestSampling:
         (symbols.fixture("F4"), 40, [512]),
         (symbols.SymbolSpec(log_coeffs=SLOW), 4, [256, 512, 1024])])
     def test_grids_sampled(self, spec, x, grids, monkeypatch):
-        sampled, split = [], toeplitz._converged_split
-
-        def counted(sample, m0):
-            def recorded(m):
-                sampled.append(m)
-                return sample(m)
-            return split(recorded, m0)
-
-        monkeypatch.setattr(toeplitz, "_converged_split", counted)
+        sampled = record_grids(monkeypatch)
         toeplitz.moment_table(spec, x)
         assert sampled == grids
+
+    def test_banded_symbol_samples_its_band(self, monkeypatch):
+        # F4 (b = 2) at x = 1024: toeplitz_det reads c_-2 .. c_2 from a
+        # 256-node sample, where moment_table(F4, 1024) takes 8,192 nodes
+        sampled = record_grids(monkeypatch)
+        with pytest.raises(errors.OverflowGuard):
+            toeplitz.toeplitz_det(symbols.fixture("F4"), 1024)
+        assert sampled == [256]
+        toeplitz.moment_table(symbols.fixture("F4"), 1024)
+        assert sampled == [256, 8192]
 
     def test_tail_past_the_cap_raises(self, tmp_path):
         with pytest.raises(errors.TruncationFailure,
@@ -361,7 +354,8 @@ class TestBlock:
 
     @pytest.mark.parametrize("name, most", [("F4", 4), ("F1", 1)])
     def test_blocks_stop_at_the_fixed_point(self, name, most, monkeypatch):
-        # 32 blocks of T_1024; F1's constant symbol repeats its first
+        # 32 blocks of T_1024; F1's constant symbol repeats its first; the
+        # same on the moments toeplitz_det reads, zero past the band
         calls = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet",
@@ -370,6 +364,49 @@ class TestBlock:
         toeplitz._block_log_det(toeplitz.moment_table(spec, 1024),
                                 toeplitz._laurent_band(spec))
         assert 1 <= len(calls) <= most
+        calls.clear()
+        toeplitz._log_det(spec, 1024)
+        assert 1 <= len(calls) <= most
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=laurent_symbols(), x=st.integers(toeplitz.BLOCK + 1, 1024))
+    def test_band_read_matches_the_order_sample(self, spec, x):
+        # the moments of the band's 256-node sample against those of
+        # moment_table(spec, x), sampled on up to 8,192 nodes: they differ
+        # by rounding, which T_x's conditioning amplifies, here measured by
+        # phi's dynamic range on its sampling circle; on 1,500 draws the gap
+        # read at most 0.25 x eps max(1, |log det|) times that range (2.7
+        # without it, at x = 33)
+        band = toeplitz._laurent_band(spec)
+        assume(band is not None)
+        want = toeplitz._block_log_det(toeplitz.moment_table(spec, x), band)
+        assume(want is not None)
+        size = np.abs(symbols.eval_phi(spec, circle_nodes(
+            toeplitz._sample_radius(spec), 256)))
+        got = toeplitz._log_det(spec, x)
+        assert log_gap(got, want) <= (4 * x * EPS * max(abs(want), 1.0) *
+                                      np.max(size) / np.min(size))
+
+    @pytest.mark.parametrize("x", [toeplitz.BLOCK + 1, 40, 60])
+    def test_band_past_the_order(self, x):
+        # phi = P(q)/q^40, 40 zeros inside |q| = 1 and 3 outside: up to
+        # x = 40 every moment of T_x lies in the band, and the band read
+        # takes the order's own sample, so the value is the dense LU's bit
+        # for bit; past it, the band's sample
+        rng = np.random.default_rng(1)
+        inner = 0.3 * rng.uniform(0.5, 1, 40) * np.exp(
+            2j * np.pi * rng.random(40))
+        outer = 2.5 * np.exp(2j * np.pi * rng.random(3))
+        numer = np.polynomial.polynomial.polyfromroots([*inner, *outer])
+        spec = symbols.SymbolSpec("rational", tuple(numer),
+                                  (0.0,) * 40 + (1.0,))
+        assert toeplitz._laurent_band(spec) == 40
+        want = toeplitz._block_log_det(toeplitz.moment_table(spec, x), x)
+        got = toeplitz._log_det(spec, x)
+        if x <= 40:
+            assert got == want
+        else:
+            assert log_gap(got, want) <= 4 * x * EPS * max(abs(want), 1.0)
 
     @pytest.mark.parametrize("x, method", [
         (toeplitz.BLOCK, "lu"), (toeplitz.BLOCK + 1, "block")])
@@ -394,7 +431,9 @@ class TestReferences:
     ``tools/toeplitz_references.py``.  Against them, in units of
     x eps max(1, |log det|), the block path read at worst 1.00 (F5,
     x = 32), the dense LU 1.00 (F5, x = 1024) and Levinson 2.02 (F5,
-    x = 512); on F4 at x = 1024, 8.1e-13, 6.4e-12 and 2.6e-12."""
+    x = 512); on F4 at x = 1024, 8.1e-13, 6.4e-12 and 2.6e-12.
+    ``toeplitz_det``'s own path, whose block path reads the band's 256-node
+    sample past BLOCK, read at worst 1.02 (F5, x = 1024)."""
 
     @pytest.mark.parametrize("name, x", [
         (name, int(x)) for name, entry in REFERENCES.items()
@@ -408,5 +447,6 @@ class TestReferences:
         for got in (toeplitz._block_log_det(moments,
                                             toeplitz._laurent_band(spec)),
                     toeplitz._levinson_log_det(moments),
-                    toeplitz._block_log_det(moments, x)):
+                    toeplitz._block_log_det(moments, x),
+                    toeplitz._log_det(spec, x)):
             assert log_gap(got, want) <= bound

@@ -21,11 +21,14 @@ the same fixtures and x, and both ladders with their values on F1 and F4
 at x = 512, every ladder with the path each of its grids' determinants
 took, beside its node count: "lemma R=k" for the complementary side of
 Jacobi's identity (the determinant lemma) on k columns, "direct r=k" for its
-direct side on k columns and "lu" for the dense LU; then the reach of
-``kernel_S``, of ``tau_eff_kernel`` and of ``kernel_W`` at each zero inside
-the base contour on the same fixtures and x, each its ``modes`` and
-``folds(n)`` at n = 2a, 4a and 8a, a its modes (at least 1, doubled while
-x + a < 16), read only through ``kernel.reach(radius)``, then every
+direct side on k columns and "lu" for the dense LU, and every
+``tau_eff_kernel`` ladder led by the form of V that served, "residue k" over
+k zeros or "split N" with N tail modes kept; then the reach of
+``kernel_S``, of ``tau_eff_kernel`` (labelled with its form of V) and of
+``kernel_W`` at each zero inside the base contour on the same fixtures and
+x, each its ``modes`` and ``folds(n)`` at n = 2a, 4a and 8a, a its modes
+(at least 1, doubled while x + a < 16), read only through
+``kernel.reach(radius)``, then every
 ``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids,
 paths and ``err_estimate`` of every Nystrom ladder the check runs, then
 ``formfactors.tau_eff_finite`` at x = 2 for F1 and F2 at N = L, L in
@@ -63,6 +66,7 @@ import itertools
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -106,10 +110,23 @@ CLI_COMMANDS = [(*command, "--format", fmt)
                                 ("fredholm", "--kernel", "V"))
                 for fmt in ("csv", "json")] + [("ff", "--L", "12"),
                                                ("analyze",)]
+
+
+def tau_eff_form(spec, x):
+    """``asymptotics.tau_eff_kernel(spec, x)`` as (kernel, radius, form),
+    form the V that served: "residue k" over k zeros, or "split N" with N
+    tail modes kept; either has rank x + k or x + N on the direct side."""
+    with mock.patch.object(asymptotics, "kernel_V_residue",
+                           wraps=asymptotics.kernel_V_residue) as residue:
+        kernel, radius = asymptotics.tau_eff_kernel(spec, x)
+    form = "residue" if residue.called else "split"
+    return kernel, radius, f"{form} {kernel.direct.rank - kernel.x}"
+
+
 LADDERS = {
     "fredholm_S": lambda spec, x: (fredholm.kernel_S(spec, x),
-                                   asymptotics.base_contour(spec)),
-    "tau_eff_kernel": asymptotics.tau_eff_kernel,
+                                   asymptotics.base_contour(spec), None),
+    "tau_eff_kernel": tau_eff_form,
 }
 
 
@@ -163,8 +180,9 @@ def reach_kernels(spec, x):
     """(label, kernel, radius) for every kernel whose reach is written."""
     radius = asymptotics.base_contour(spec)
     inside = [z for z in symbols.analyze(spec).zeros if abs(z) < radius]
+    kernel, circle, form = tau_eff_form(spec, x)
     return [("kernel_S", fredholm.kernel_S(spec, x), radius),
-            ("tau_eff_kernel", *asymptotics.tau_eff_kernel(spec, x))] + \
+            (f"tau_eff_kernel[{form}]", kernel, circle)] + \
         [(f"kernel_W({z!r})", fredholm.kernel_W(spec, z, x), radius)
          for z in inside]
 
@@ -202,15 +220,18 @@ def recorded_paths():
         fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det = real
 
 
-def ladder_and_value(kernel, radius):
+def ladder_and_value(kernel, radius, form):
+    """(form, if any, then) the ladder's grids, err_estimate, value and
+    grid paths."""
     with recorded_paths() as paths:
         res = fredholm.nystrom_det(kernel, radius)
-    return res.grids, res.err_estimate, res.value, ",".join(paths)
+    return (*([form] if form else []), res.grids, res.err_estimate,
+            res.value, ",".join(paths))
 
 
-def ladder_and_path(kernel, radius):
-    grids, err, _, path = ladder_and_value(kernel, radius)
-    return grids, err, path
+def ladder_and_path(kernel, radius, form):
+    *head, _, path = ladder_and_value(kernel, radius, form)
+    return (*head, path)
 
 
 @contextlib.contextmanager
