@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from . import errors, symbols
+from . import errors, symbols, toeplitz
 from ._series import LaurentSplit, circle_nodes, laurent_coeffs
 from .cauchy import CauchySuite, _converged_split, suite_for
 from .contours import base_contour, radius_past
@@ -141,21 +141,22 @@ def y_moment(suite: CauchySuite, s: int) -> complex:
     return split.coefficient(s)
 
 
-def y_moment_matrix(suite: CauchySuite, x: int, n: int) -> np.ndarray:
-    """The n-by-n matrix [y_{x+i-j}] of a unit-circle suite's y-moments."""
-    return np.array([[y_moment(suite, x + i - j) for j in range(n)]
-                     for i in range(n)], dtype=complex)
+def y_log_det(suite: CauchySuite, x: int, n: int) -> complex:
+    """log det [y_{x+i-j}], i, j < n, of a unit-circle suite's y-moments:
+    ``toeplitz.moment_log_det`` of y_{x-n+1} .. y_{x+n-1}."""
+    moments = [0, *(y_moment(suite, x + d) for d in range(1 - n, n)), 0]
+    return toeplitz.moment_log_det(np.array(moments, dtype=complex))
 
 
 def hartwig_fisher(spec: symbols.SymbolSpec, x: int) -> complex:
     """Winding-corrected determinant formula; exact (not just asymptotic)
-    equal to det(1 + V) on the unit circle."""
+    equal to det(1 + V) on the unit circle.  The strong-limit exponent and
+    the y-moment log-determinant are summed, then exponentiated once."""
     x = errors.check_x(x)
-    ana = _require_negative_winding(spec)
-    n = -ana.winding
+    n = -_require_negative_winding(spec).winding
     suite = suite_for(spec, unit=True)
-    return errors.exp_in_range(_log_strong_limit(suite, x),
-                               np.linalg.det(y_moment_matrix(suite, x, n)))
+    return errors.exp_in_range(_log_strong_limit(suite, x) +
+                               y_log_det(suite, x, n))
 
 
 def _s_functional(spec: symbols.SymbolSpec, z_list, x: int, n: int) -> complex:

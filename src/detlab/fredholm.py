@@ -107,25 +107,8 @@ from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 # Smallest grid whose determinant ``_grid_det`` takes by the determinant
-# lemma, for kernels with a ``grid_form``.  Median ms per grid of 21, 1 BLAS
-# thread on a 2-vCPU x86-64 host, x = m - 4: the path before the lemma (fill
-# + LU, from 300 nodes an elimination on the generators since removed) /
-# grid form + lemma:
-#     m     F3 tau_eff    F4 tau_eff    F1 S          F4 S
-#     40    0.10 / 0.12   0.10 / 0.11   0.09 / 0.10   0.09 / 0.10
-#     48    0.11 / 0.11   0.11 / 0.11   0.10 / 0.10   0.10 / 0.10
-#     56    0.13 / 0.11   0.13 / 0.11   0.12 / 0.10   0.12 / 0.10
-#     64    0.15 / 0.12   0.15 / 0.11   0.14 / 0.10   0.14 / 0.11
-#     130   0.67 / 0.18   0.68 / 0.18   0.68 / 0.17   0.67 / 0.17
-#     322   2.86 / 0.24   2.79 / 0.23   2.97 / 0.20   2.87 / 0.20
-#     516   6.13 / 0.28   5.86 / 0.29   6.24 / 0.27   5.99 / 0.27
-#     1002  19.2 / 0.56   19.0 / 0.58   19.3 / 0.44   19.2 / 0.44
-# They break even near m = 48.  Past 2x nodes the complementary side's R = n
-# nears m, where it costs more than fill and LU (F4's S at x = 2: 0.57 /
-# 0.45 ms at m = 130) and rounds like R eps, each moment's rounding entering
-# a whole diagonal of the R x R matrix (2.6e-13 off the Toeplitz value at
-# m = 129, against 3.6e-15 for the LU); the direct side's x columns serve
-# those grids.
+# lemma, for kernels with a ``grid_form``: the smallest m timed at which the
+# lemma beat fill + LU on S and V of F1, F3 and F4 (breaking even near 48).
 LEMMA_MIN = 56
 # Largest entry of the lemma's R x R matrix W^T diag(delta)^-1 U that
 # ``_lemma_det`` accepts; past it (for S, |phi| below about 1/100 on the

@@ -15,9 +15,9 @@ import functools
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import errors, symbols
+from . import errors, symbols, toeplitz
 from ._series import LaurentSplit, circle_nodes, horner
-from .asymptotics import _require_negative_winding, y_moment, y_moment_matrix
+from .asymptotics import _require_negative_winding, y_log_det, y_moment
 from .cauchy import suite_for
 
 GRAM_TOL = 1e-12
@@ -35,6 +35,12 @@ class MeasureMu:
         nodes = circle_nodes(1.0, ratio.m)
         self.values = (nodes,
                        ratio.reconstruct(nodes) * nodes ** (-self.x - self.n))
+        # mu_0 .. mu_2n, and the read-only Hankel matrix [mu_{i+j}],
+        # i, j = 0 .. n, whose leading blocks every order reads
+        self.moments = np.array([*map(self.moment, range(2 * self.n + 1))])
+        index = np.arange(self.n + 1)
+        self.gram = self.moments[index[:, None] + index]
+        self.gram.flags.writeable = False
 
     def moment(self, j: int) -> complex:
         """mu_j = oint k^j mu(k) dk = 2 pi i y_{x+n-1-j}."""
@@ -43,23 +49,22 @@ class MeasureMu:
             raise errors.InputError(f"moment order {j} out of supported range")
         return 2j * np.pi * y_moment(self.suite, self.x + self.n - 1 - j)
 
-    @functools.cached_property
-    def gram(self) -> np.ndarray:
-        """The Hankel matrix [mu_{i+j}], i, j = 0 .. n, read-only."""
-        moments = np.array([self.moment(j) for j in range(2 * self.n + 1)])
-        index = np.arange(self.n + 1)
-        gram = moments[index[:, None] + index]
-        gram.flags.writeable = False
-        return gram
+    def gram_log_det(self, k: int) -> complex:
+        """log det of the k x k matrix of moments mu_{i+j}, up to its sign
+        (-1)^{k(k-1)/2}: ``toeplitz.moment_log_det`` of its row reversal
+        [mu_{k-1-i+j}], c_d = mu_{k-1-d}."""
+        return toeplitz.moment_log_det(
+            np.concatenate([[0], self.moments[2 * k - 2::-1], [0]]))
 
     def gram_det(self, k: int) -> complex:
-        """Determinant of the k x k matrix of moments mu_{i+j-2}."""
-        return complex(np.linalg.det(self.gram[:k, :k]))
+        """Determinant of the k x k matrix of moments mu_{i+j}."""
+        return (-1) ** (k * (k - 1) // 2) * errors.exp_in_range(
+            self.gram_log_det(k))
 
     def check_solvable(self):
-        scale = max(abs(self.gram[0, 0]), 1e-30)
+        log_scale = np.log(max(abs(self.moments[0]), 1e-30))
         for k in range(1, self.n + 1):
-            if abs(self.gram_det(k)) < GRAM_TOL * scale ** k:
+            if self.gram_log_det(k).real < np.log(GRAM_TOL) + k * log_scale:
                 raise errors.SingularGram(
                     f"moment determinant of order {k} vanishes")
 
@@ -74,16 +79,14 @@ def monic_orthogonal(measure: MeasureMu, k: int):
     if k < 0 or k > measure.n:
         raise errors.InputError(f"degree {k} outside 0..{measure.n}")
     gram = measure.gram
-    if k == 0:
-        coeffs = np.array([1.0 + 0.0j])
-    else:
-        try:
-            low = np.linalg.solve(gram[:k, :k], -gram[:k, k])
-        except np.linalg.LinAlgError as exc:
-            raise errors.SingularGram(str(exc)) from exc
-        if not np.all(np.isfinite(low)):
-            raise errors.SingularGram(f"moment system of order {k} singular")
-        coeffs = np.concatenate([low, [1.0 + 0.0j]])
+    try:
+        low = (np.linalg.solve(gram[:k, :k], -gram[:k, k]) if k else
+               gram[:0, 0])
+    except np.linalg.LinAlgError as exc:
+        raise errors.SingularGram(str(exc)) from exc
+    if not np.all(np.isfinite(low)):
+        raise errors.SingularGram(f"moment system of order {k} singular")
+    coeffs = np.concatenate([low, [1.0 + 0.0j]])
     h_k = sum(coeffs[i] * coeffs[j] * gram[i, j]
               for i in range(k + 1) for j in range(k + 1))
     return coeffs, complex(h_k)
@@ -194,7 +197,7 @@ def hf_moment_equivalence(spec: symbols.SymbolSpec, x: int) -> float:
     (-1)^{n(n-1)/2} prod_{k<n} h_k / (2 pi i)^n."""
     measure = MeasureMu(spec, x)
     n = measure.n
-    det_y = complex(np.linalg.det(y_moment_matrix(measure.suite, x, n)))
+    det_y = errors.exp_in_range(y_log_det(measure.suite, x, n))
     norms = np.prod([monic_orthogonal(measure, k)[1] for k in range(n)])
     det_h = (-1) ** (n * (n - 1) // 2) * complex(norms) / (2j * np.pi) ** n
     return abs(det_y - det_h) / max(abs(det_h), 1e-300)

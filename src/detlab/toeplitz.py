@@ -1,8 +1,11 @@
 """Exact reference values: finite determinants of Fourier moments.
 
 This module is the ground truth for the whole library; it depends on the
-symbol layer and the contour selection, and shares only the one sampling
-rule, ``cauchy._converged_split``, with the kernel/asymptotics machinery.
+symbol layer and the contour selection, and shares the one sampling rule,
+``cauchy._converged_split``, with the kernel/asymptotics machinery.  Its
+one log-determinant of a moment vector, ``moment_log_det``, also serves
+the y-moment determinant of the winding-corrected formula and the Gram
+minors of the orthogonality measure.
 
 The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken in the
 log domain and exponentiated once.  A Laurent polynomial P(q)/(a q^p) that
@@ -206,25 +209,35 @@ def _block_log_det(moments: np.ndarray, band: int):
     return log_det if math.isfinite(log_det.real) else None
 
 
+def moment_log_det(moments: np.ndarray, band: int | None = None) -> complex:
+    """log det T_k, T_ij = c_{i-j}, for the moment vector c_-k .. c_k (c_0
+    at index k; c_-k and c_k are not read), as a complex log.  Moments zero
+    past ``band`` take the block elimination, one block (the dense LU) up
+    to the order BLOCK; others the dense LU below LEVINSON_MIN and the
+    Levinson recursion from there.  Where either refuses, the dense LU of
+    the same moments."""
+    x = moments.size // 2
+    if band is not None:
+        log_det = _block_log_det(moments, band)
+    else:
+        log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
+    return _block_log_det(moments, x) if log_det is None else log_det
+
+
 def _log_det(spec: symbols.SymbolSpec, x: int) -> complex:
     """log det T_x, by the path ``toeplitz_det`` takes."""
     x = errors.check_x(x)
     band = _laurent_band(spec) if x > BLOCK else None
-    if band is not None:
-        # c_-k .. c_k, k = min(band, x), from the sample of order max(k, 1),
-        # 256 nodes up to k = 32, and every moment past k exactly 0
-        k = min(band, x)
-        table = moment_table(spec, max(k, 1))
-        mid = table.size // 2
-        moments = np.zeros(2 * x + 1, dtype=complex)
-        moments[x - k:x + k + 1] = table[mid - k:mid + k + 1]
-        log_det = _block_log_det(moments, band)
-    else:
-        moments = moment_table(spec, x)
-        log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
-    if log_det is None:
-        log_det = _block_log_det(moments, x)
-    return log_det
+    if band is None:
+        return moment_log_det(moment_table(spec, x))
+    # c_-k .. c_k, k = min(band, x), from the sample of order max(k, 1),
+    # 256 nodes up to k = 32, and every moment past k exactly 0
+    k = min(band, x)
+    table = moment_table(spec, max(k, 1))
+    mid = table.size // 2
+    moments = np.zeros(2 * x + 1, dtype=complex)
+    moments[x - k:x + k + 1] = table[mid - k:mid + k + 1]
+    return moment_log_det(moments, band)
 
 
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:

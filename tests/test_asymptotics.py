@@ -5,6 +5,7 @@ series: the sum taken term by term over all pairs of equally sized zero
 subsets, against which the closed form of ``slavnov_series`` is checked.
 """
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -174,6 +175,17 @@ class TestHartwigFisher:
         for s in (half, -half, 2 * half):
             with pytest.raises(errors.TruncationFailure):
                 A.y_moment(suite, s)
+
+    def test_exponentiates_once(self):
+        # F3 with its numerator scaled by e^22: log D_32 = 704 is in range,
+        # while the strong-limit exponent alone (741.8) is not; the y-moment
+        # determinant (~e^-37.8) enters as a log before the one exponential
+        f3 = symbols.fixture("F3")
+        spec = dataclasses.replace(
+            f3, numer=tuple(np.exp(22.0) * c for c in f3.numer))
+        want = toeplitz._log_det(spec, 32)
+        assert abs(want - 704.0) < 1e-9
+        assert log_gap(np.log(A.hartwig_fisher(spec, 32)), want) <= 1e-8
 
     @pytest.mark.parametrize("name,x", [("F3", 128), ("F4", 256),
                                         ("F5", 512)])

@@ -1,4 +1,5 @@
-"""Every module-level import of a library module is used in that module."""
+"""Every module-level import of a library module is used in that module,
+and dense determinants outside the log domain stay where they are counted."""
 
 import ast
 import pathlib
@@ -34,3 +35,41 @@ def test_detector_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ``np.linalg.det`` calls the benchmark's tracer counts; every other
+# determinant is a log-determinant (``toeplitz.moment_log_det`` or slogdet)
+DENSE_DET_SITES = ["fredholm._direct_det", "fredholm._grid_det"]
+
+
+def dense_det_sites(module: str, source: str) -> list:
+    """``module.function`` for each call of ``np.linalg.det``, named by the
+    top-level function or class method around it."""
+    sites = []
+
+    def scan(node, name):
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and sub.attr == "det" and
+                    ast.unparse(sub.value) == "np.linalg"):
+                sites.append(f"{module}.{name}")
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                scan(item, f"{node.name}.{getattr(item, 'name', '')}")
+        else:
+            scan(node, getattr(node, "name", "<module>"))
+    return sites
+
+
+def test_det_detector_names_the_function():
+    source = ("import numpy as np\n\ndef f(a):\n    return np.linalg.det(a)"
+              "\n\nclass C:\n    def g(self, a):\n"
+              "        return np.linalg.slogdet(a), np.linalg.det(a)\n")
+    assert dense_det_sites("m", source) == ["m.f", "m.C.g"]
+
+
+def test_dense_det_only_where_counted():
+    sites = [site for path in MODULES
+             for site in dense_det_sites(path.stem, path.read_text())]
+    assert sorted(sites) == DENSE_DET_SITES

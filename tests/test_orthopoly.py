@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from detlab import errors, orthopoly, symbols
+from detlab import errors, orthopoly, symbols, toeplitz
 from detlab._series import circle_weights
 from detlab.orthopoly import (MeasureMu, RHPSolution, christoffel_darboux,
                               hf_moment_equivalence, monic_orthogonal)
@@ -46,11 +46,12 @@ def far_field_residual(sol: RHPSolution, radius: float = 1e3) -> float:
 
 
 def fresh_gram_det(measure: MeasureMu, k: int) -> complex:
-    """Determinant of the k x k matrix of moments mu_{i+j-2}, gathered
-    afresh."""
-    mat = np.array([[measure.moment(i + j) for j in range(k)]
-                    for i in range(k)], dtype=complex)
-    return complex(np.linalg.det(mat))
+    """Determinant of the k x k matrix of moments mu_{i+j}, by the one
+    moment log-determinant on its row reversal, c_d = mu_{k-1-d}, the
+    moments gathered afresh."""
+    moments = [measure.moment(k - 1 - d) for d in range(1 - k, k)]
+    return (-1) ** (k * (k - 1) // 2) * errors.exp_in_range(
+        toeplitz.moment_log_det(np.pad(moments, 1)))
 
 
 def fresh_monic_orthogonal(measure: MeasureMu, k: int):
@@ -123,6 +124,16 @@ class TestMeasure:
             coeffs, h = monic_orthogonal(mu, k)
             ref_coeffs, ref_h = fresh_monic_orthogonal(mu, k)
             assert np.array_equal(coeffs, ref_coeffs) and h == ref_h
+
+    @pytest.mark.parametrize("name", ["F3", "F5"])
+    @pytest.mark.parametrize("x", [2, 3, 6])
+    def test_gram_det_is_the_dense_determinant(self, name, x):
+        # the Toeplitz log-determinant of the row-reversed Gram block,
+        # signed by the reversal, is the determinant of the block itself
+        mu = MeasureMu(symbols.fixture(name), x)
+        for k in range(1, mu.n + 1):
+            want = np.linalg.det(mu.gram[:k, :k])
+            assert abs(mu.gram_det(k) - want) <= 1e-14 * abs(want)
 
     def test_moment_range_guard(self):
         mu = MeasureMu(symbols.fixture("F3"), 2)
