@@ -12,8 +12,8 @@ and the residue weights.
 
 Routes ask ``suite_for`` for a suite.  Inside a ``SuiteScope`` every request
 for one (spec, unit) gets the suite the first one built; outside any scope
-each request builds a fresh one.  A suite is read-only, so sharing it moves
-no value; ``scoped`` holds other read-only values the same way.
+each request builds a fresh one.  A suite is read-only, each member filled
+once on first read, so sharing it moves no value, like all ``scoped`` holds.
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ class CauchySuite:
     density ``nu`` is the phase shift compensated for the winding w,
     nu - w (arg q + pi)/(2 pi).
     Provides the inside/outside splits of that density's transform (capital
-    Omega), on first read the split of their Wiener-Hopf ratio
-    e^{-Omega_gt - Omega_lt}, and the zeros of phi on either side of the
-    circle.  None of these depends on x: the b split and the residue weights
-    take it as an argument, and the q^x theta/(1 + theta) split that deforms
-    the integrable kernel is formed by ``fredholm.kernel_V``.
+    Omega), on first read their values on the grid (checked against the
+    jump relation) and the split of their Wiener-Hopf ratio e^{-Omega_gt -
+    Omega_lt}, and the zeros of phi on either side of the circle.  None of
+    these depends on x: the b split and the residue weights take it as an
+    argument, and the q^x theta/(1 + theta) split that deforms the
+    integrable kernel is formed by ``fredholm.kernel_V``.
     """
 
     def __init__(self, spec: symbols.SymbolSpec, *, unit: bool = False):
@@ -101,20 +102,29 @@ class CauchySuite:
 
         self.nu_split, self.m = _converged_split(sample_nu, 256)
         self.nodes = circle_nodes(self.rho, self.m)
-        self.weights = circle_weights(self.nodes, self.m)
-
-        # boundary values of the split transforms on the grid itself
-        self.Omega_gt_nodes = self.Omega_gt(self.nodes)
-        self.Omega_lt_nodes = self.Omega_lt(self.nodes)
-        jump = self.Omega_gt_nodes - self.Omega_lt_nodes - 2j * np.pi * self.nu
-        self.jump_residual = float(np.max(np.abs(jump)))
-        if self.jump_residual > 1e-10:
-            raise errors.NumericalError(
-                f"scalar jump residual {self.jump_residual:.2e}")
         # a scope shares the suite between routes: none may write to it
-        for a in (self.nu, self.weights, self.Omega_gt_nodes,
-                  self.Omega_lt_nodes):
-            a.flags.writeable = False
+        self.nu.flags.writeable = False
+
+    @functools.cached_property
+    def weights(self):
+        weights = circle_weights(self.nodes, self.m)
+        weights.flags.writeable = False
+        return weights
+
+    @functools.cached_property
+    def _boundary(self):
+        """(Omega_gt, Omega_lt, jump residual) on the grid, or NumericalError,
+        on every read, where the jump relation fails there by over 1e-10."""
+        gt, lt = self.Omega_gt(self.nodes), self.Omega_lt(self.nodes)
+        jump = float(np.max(np.abs(gt - lt - 2j * np.pi * self.nu)))
+        if jump > 1e-10:
+            raise errors.NumericalError(f"scalar jump residual {jump:.2e}")
+        gt.flags.writeable = lt.flags.writeable = False
+        return gt, lt, jump
+
+    Omega_gt_nodes = property(lambda self: self._boundary[0])
+    Omega_lt_nodes = property(lambda self: self._boundary[1])
+    jump_residual = property(lambda self: self._boundary[2])
 
     def _nu_at(self, nodes):
         """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi)."""
@@ -193,9 +203,11 @@ class SuiteScope:
     """A memo of read-only values, in force while entered: inside ``with
     scope:`` ``scoped`` hands every request for one key the value that the
     first request built, a suite per (spec, unit) through ``suite_for`` and
-    a finite-size root system per (spec, L, N).  A scope may be entered
-    again, also within itself; its values live as long as the scope object
-    does, and leaving it, by an exception too, restores the scope outside."""
+    a finite-size root system per (spec, L, N); a suite fills its members
+    once, on first read, to the same bits whichever route reads first.  A
+    scope may be entered again, also within itself; its values live as long
+    as the scope object does, and leaving it, by an exception too, restores
+    the scope outside."""
 
     def __init__(self):
         self._held = {}

@@ -21,7 +21,7 @@ None or a callable radius -> how many modes its generators carry past
 q^{+-x/2} on the circle of that radius above ``cauchy.TAIL_TOL``, tells
 ``nystrom_det`` how far past x to start its grids.
 The reach returns a ``Reach``: that count, and a bound on what a grid
-folds back, read from the same split or decay as the count, or None.
+folds back, read from the same modes or decay as the count, or None.
 
 ``nystrom_det`` fills one grid, x + 2a nodes for the first margin a, where
 the kernel bounds what that grid folds, with its LU's rounding, within tol,
@@ -318,11 +318,20 @@ def _reach(j, c, tail_modes: int = 0, tail=None) -> Reach:
     return Reach(modes, functools.partial(_folds, _envelope(j, c), tail))
 
 
-def _theta_split(spec: symbols.SymbolSpec, radius: float):
-    """theta's converged split on the circle of ``radius``, from 256 nodes."""
-    split, _ = _converged_split(lambda m: (symbols.eval_theta(
-        spec, circle_nodes(radius, m)), radius), 256)
-    return split
+def _theta_modes(spec: symbols.SymbolSpec, radius: float):
+    """(j, c), theta's Laurent modes on the circle of ``radius``: for phi =
+    P(q)/(a q^p) (``symbols.laurent_polynomial``) c_j = (P_(j+p)/a)
+    radius^j - delta_(j,0), none past the band; for any other symbol from
+    theta's converged split there from 256 nodes, rounding past its band."""
+    form = symbols.laurent_polynomial(spec)
+    if form is None:
+        split, _ = _converged_split(lambda m: (symbols.eval_theta(
+            spec, circle_nodes(radius, m)), radius), 256)
+        return split.j, split.c
+    p, coeffs = form
+    j = np.arange(max(coeffs.size, p + 1)) - p
+    c = np.append(coeffs, np.zeros(j.size - coeffs.size)) * radius ** j
+    return j, c - (j == 0)
 
 
 def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
@@ -339,13 +348,12 @@ def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
     top = np.max(size, initial=0.0) / rho
     if top >= 1.0:
         return Reach(M_START, None)
-    split = _theta_split(spec, rho)
     poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
     with np.errstate(divide="ignore"):
         # |c_z|/rho^(x + 1) by logarithms, as rho^x alone may underflow
         weight = np.exp(np.log(np.abs([c for _, c in res])) -
                         (x + 1) * math.log(rho))
-    return _reach(split.j, split.c, poles,
+    return _reach(*_theta_modes(spec, rho), poles,
                   lambda nu: weight @ (size[:, None] / rho) ** (nu - 1))
 
 
@@ -505,7 +513,7 @@ def _residue_grid(theta, x: int, res, tail, nodes, weights):
     cap[:n, :R] = sums[0, k[None, :] - k[:n, None] - lo]
     cap[:n, R:] = sums[1:zs + 1, -k[:n] - lo].T
     cap[R:, :R] = sums[zs + 1:, k - lo]
-    cap[R:, R:] = e @ v.T
+    cap[R:, R:] = _products(e, v)
     if N:
         # W's row a gains sum_b h_(a+b) u^(n-b), b = 1 ... N: a Hankel block
         hankel = np.append(h, np.zeros(R))[k[:, None] + np.arange(N)]
@@ -582,6 +590,16 @@ def _zero_factors(res, x: int, nodes, g, sign: float) -> tuple:
             (sign * r / beta)[:, None] * gaps * (g * grid_powers(m, 1 - x)))
 
 
+def _products(rows, cols):
+    """rows @ cols.T, a single row or column by a matrix-vector product: on
+    several BLAS threads zgemm with a unit dimension can take milliseconds."""
+    if len(rows) == 1:
+        return (cols @ rows[0])[None, :]
+    if len(cols) == 1:
+        return (rows @ cols[0])[:, None]
+    return rows @ cols.T
+
+
 def _direct_det(form: Factors) -> complex:
     """det(I + C^T P) from ``Factors``, inf or nan past the double range.
     Each entry of C^T P sums a row of C^T times a column of P over the
@@ -603,7 +621,7 @@ def _direct_det(form: Factors) -> complex:
     if len(rows):
         cap[:ns, nb:] = sums[1:k + 1, at:at + ns].T
         cap[ns:, :nb] = sums[k + 1:, at + ns:]
-        cap[ns:, nb:] = rows @ cols.T
+        cap[ns:, nb:] = _products(rows, cols)
     cap.flat[::len(cap) + 1] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(np.linalg.det(cap))
@@ -727,14 +745,14 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     the tail its grid also folds each product d_nu c_(nu - n), so a tail
     of N modes on a theta of bandwidth b is exact only from n = N + b + 1,
     and the modes past n alone do not tell (with N = b = 2 the grid x + 4
-    was 2e-5 off for tail modes of 1e-4).  ``kernel_S`` and split-form
-    ``kernel_V`` read c_j and d_nu (relative to q^x) from their converged
-    splits, whose coefficients past the function's own modes are the
-    samples' own rounding: where nothing else folds, the bound is that
-    split's rounding floor, at most 0.4 eps of theta's largest mode on F3,
-    F4 and the benchmark's random rational symbols (0 on F1's constant
-    theta), and for V's tail a floor that grows with x, 91 eps of theta's
-    largest on F1 at x = 512.  The residue form's d_nu is at most
+    was 2e-5 off for tail modes of 1e-4).  S and the residue form read c_j
+    from ``_theta_modes``: a Laurent polynomial has none past its band, so
+    where nothing else folds the bound is 0.  Other c_j, and split-form
+    ``kernel_V``'s c_j and d_nu (relative to q^x), come from converged
+    splits, whose coefficients past the function's own modes are rounding:
+    at most 0.4 eps of theta's largest (F3 and F4, sampled), and for V's
+    tail a floor that grows with x, 91 eps of theta's largest on F1 at
+    x = 512.  The residue form's d_nu is at most
     sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) on the circle of rho, c_z =
     z^x/phi'(z) its residue weights, so a small phi'(z) raises the bound,
     and ``kernel_W``'s the same for its one zero.
@@ -894,8 +912,7 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
 
     def reach(radius):
-        split = _theta_split(spec, radius)
-        return _reach(split.j, split.c)     # theta's modes, no bound
+        return _reach(*_theta_modes(spec, radius))   # no bound
 
     # conjugated by diag(q^{x/2}), -(theta_j/m) u_i^-1 u_j^(1-x) radius^-x:
     # the column u^-1 and the row -radius^-x g u^(1-x)

@@ -81,6 +81,15 @@ class SymbolSpec:
                 raise errors.InputError(f"denominator root {r} lies on the unit circle")
 
 
+def laurent_polynomial(spec: SymbolSpec):
+    """(p, P/a) when phi = P(q)/(a q^p) is a Laurent polynomial, its
+    coefficients ascending from q^-p; None for every other symbol."""
+    p, *rest = np.flatnonzero(spec.denom).tolist()
+    if spec.log_coeffs or rest:
+        return None
+    return p, np.array(spec.numer) / spec.denom[p]
+
+
 def _poly_roots(coeffs_ascending):
     c = np.trim_zeros(np.asarray(coeffs_ascending, dtype=complex), "b")
     if len(c) <= 1:

@@ -47,28 +47,13 @@ from .contours import base_contour
 # its Schur complements' entries over those of A_0.
 GROWTH_MAX = 100.0
 # Smallest order whose determinant ``toeplitz_det`` takes by the recursion
-# where the symbol is not a banded one for the block elimination; below it
-# the dense LU is faster, since each step of the recursion pays 7-9 us,
-# mostly NumPy call overhead.  Median us of 41 interleaved runs, recursion /
-# dense LU of the same moments, 1 BLAS thread on a 2-vCPU x86-64 host, for
-# F2, the wide-band exp(sum_{|j| <= 300} 0.4 0.9^|j| q^j) and the Fermi
-# weight at beta = 2 (tests/data/fermi_beta2.json):
-#     x      F2             wide band      Fermi beta 2
-#     8        72 / 18        72 / 18        75 / 18
-#     64      557 / 106      554 / 105      576 / 105
-#     128    1144 / 443     1158 / 444     1161 / 427
-#     160    1468 / 1121    1463 / 1111    1486 / 1118
-#     176    1602 / 1400    1569 / 1378    1599 / 1337
-#     192    1710 / 1640    1800 / 1698    1737 / 1624
-#     208    1822 / 1929    1865 / 1969    1921 / 1965
-#     256    2339 / 3229    2392 / 3307    2497 / 3302
+# where the symbol is not banded: below it the dense LU is faster, as each
+# step of the recursion pays 7-9 us of NumPy call overhead (CHANGES.md holds
+# the timings).
 LEVINSON_MIN = 192
-# Rows per block of ``_block_log_det``, the elimination of a banded T_x,
-# at least the band.  Median ms of 15 interleaved runs of ``toeplitz_det``,
-# summed over the benchmark's x sweep at x = 32 .. 1024 (F1, F3, F4 and the
-# random R0 and R1), seed 9 / 31, same host: 10.9 / 11.2 at 16 rows, 11.1 /
-# 11.5 at 24, 10.6 / 11.2 at 32; the elimination alone on F4 at x = 1024
-# takes 0.43, 0.44, 0.41, 0.54 and 0.77 ms at 16, 24, 32, 48 and 64 rows.
+# Rows per block of ``_block_log_det``, at least the band: the fastest of 16,
+# 24 and 32 rows on the benchmark's x sweep, and of 16 ... 64 in F4's
+# elimination at x = 1024 (CHANGES.md holds the timings).
 BLOCK = 32
 
 
@@ -140,17 +125,17 @@ def _laurent_band(spec: symbols.SymbolSpec):
     Laurent polynomial with exactly p zeros of P inside its sampling circle,
     so that it does not wind there; None for every other symbol.  Read from
     the coefficients, since moments sampled past the band are rounding."""
-    powers = [i for i, d in enumerate(spec.denom) if d]
-    if spec.log_coeffs or len(powers) != 1:
+    form = symbols.laurent_polynomial(spec)
+    if form is None:
         return None
-    p, = powers
+    p, coeffs = form
     try:
         rho, zeros = base_contour(spec), symbols.analyze(spec).zeros
     except errors.InputError:   # phi winds on every circle it could take
         return None
     if sum(abs(z) < rho for z in zeros) != p:
         return None
-    return max(p, len(spec.numer) - 1 - p)
+    return max(p, coeffs.size - 1 - p)
 
 
 def _slogdet(mat: np.ndarray) -> complex:

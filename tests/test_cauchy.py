@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from detlab import errors, fredholm, symbols
+from detlab import asymptotics, cauchy, errors, fredholm, symbols
 from detlab.cauchy import CauchySuite
 
 
@@ -182,3 +182,67 @@ class TestWindingAdjusted:
         ang = np.angle(s.nodes)
         expect = nu - s.winding * (ang + np.pi) / (2 * np.pi)
         assert np.max(np.abs(s.nu_split.reconstruct(s.nodes) - expect)) < 1e-10
+
+
+class TestLazySuite:
+    """The boundary values on the grid, the jump check and the weights are
+    formed on first read, by whichever route reads first."""
+
+    MEMBERS = ("Omega_gt_nodes", "Omega_lt_nodes", "jump_residual")
+
+    @staticmethod
+    def read(suite, order):
+        """The suite's boundary arrays, ratio split and b split of x = 3,
+        read in ``order``, returned in a fixed order."""
+        got = {}
+        for name in order:
+            got[name] = suite.b_split(3) if name == "b" else getattr(suite,
+                                                                     name)
+        return (got["Omega_gt_nodes"], got["Omega_lt_nodes"], got["ratio"].c,
+                got["b"].c)
+
+    @pytest.mark.parametrize("name,unit", [("F1", False), ("F2", False),
+                                           ("F3", True), ("F4", False),
+                                           ("F4", True), ("F7", False)])
+    def test_read_orders_give_the_same_bits(self, name, unit):
+        spec = symbols.fixture(name)
+        orders = (("Omega_gt_nodes", "Omega_lt_nodes", "ratio", "b"),
+                  ("b", "ratio", "Omega_lt_nodes", "Omega_gt_nodes"),
+                  ("ratio", "b", "Omega_gt_nodes", "Omega_lt_nodes"))
+        first, *rest = (self.read(CauchySuite(spec, unit=unit), order)
+                        for order in orders)
+        for other in rest:
+            assert all(np.array_equal(a, b) for a, b in zip(first, other))
+
+    def test_members_are_read_only(self):
+        s = suite_for("F4")
+        for a in (s.nu, s.weights, s.Omega_gt_nodes, s.Omega_lt_nodes):
+            assert not a.flags.writeable
+        assert s.Omega_gt_nodes is s.Omega_gt_nodes
+
+    @pytest.mark.parametrize("member", MEMBERS + ("ratio",))
+    def test_bad_jump_raises_on_first_read(self, member, monkeypatch):
+        # the suite builds; the first read of any member runs the check
+        real = CauchySuite.Omega_gt
+        monkeypatch.setattr(CauchySuite, "Omega_gt",
+                            lambda self, q, d=0: real(self, q, d) + 1e-9)
+        s = suite_for("F4")
+        for _ in range(2):   # a failed check is not held
+            with pytest.raises(errors.NumericalError, match="jump residual"):
+                getattr(s, member)
+        with pytest.raises(errors.NumericalError):
+            s.b_split(3)
+
+    @pytest.mark.parametrize("route,name", [(asymptotics.szego, "F1"),
+                                            (asymptotics.szego, "F6"),
+                                            (asymptotics.tau_leading, "F4"),
+                                            (asymptotics.slavnov_series, "F4"),
+                                            (asymptotics.slavnov_series, "F6")])
+    def test_routes_leave_the_boundary_unformed(self, route, name):
+        spec = symbols.fixture(name)
+        with cauchy.SuiteScope():
+            route(spec, 8)
+            suite = cauchy.suite_for(spec)
+            assert "_boundary" not in vars(suite)
+            suite.jump_residual
+            assert "_boundary" in vars(suite)

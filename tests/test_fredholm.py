@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
@@ -658,6 +658,19 @@ class TestDirect:
         bound = 2 * EPS * max(m, 16) * np.linalg.cond(mat)
         assert abs(got / want - 1) <= bound
 
+    @pytest.mark.parametrize("k,r", [(1, 1), (1, 7), (42, 1), (3, 5),
+                                     (0, 1), (1, 0)])
+    def test_products_of_a_unit_dimension(self, k, r):
+        # rows @ cols.T, a single row or column by a vector product
+        rng = np.random.default_rng(k + 8 * r)
+        rows, cols = (rng.normal(size=(n, 133)) + 1j * rng.normal(
+            size=(n, 133)) for n in (k, r))
+        got = fredholm._products(rows, cols)
+        want = rows @ cols.T
+        assert got.shape == want.shape == (k, r)
+        bound = 4 * EPS * (np.abs(rows) @ np.abs(cols).T)
+        assert np.all(np.abs(got - want) <= bound)
+
     def test_path_follows_the_rank(self, monkeypatch):
         # F6's split V at x = 5 keeps N = 41 tail modes, so its direct side
         # has r = 46 columns: past m/2 on its ladder's grids 37 and 69,
@@ -954,9 +967,9 @@ class TestOneGrid:
         assert ladder.grids == (66, 68)
         assert sizes == [68] and one.grids == (68,) and one.drifts == ()
         assert one.value == ladder.value
-        # theta's modes past 4 are rounding, 0.23 eps of its largest, on
-        # each of the 68 entries of a row
-        assert 0 < one.err_estimate <= 68e-16 * abs(one.value)
+        # theta's modes, read from F4's coefficients, end at 2 < 4: the grid
+        # folds nothing, and its rounding is the LU's alone
+        assert one.err_estimate == 0 < one.lu_rounding
 
     def test_residue_forms_share_one_reach(self):
         # W at the zero 0.3 reads V's residue-form reach over {0.3}: theta's
@@ -1076,6 +1089,73 @@ class TestOneGrid:
         kern = fredholm.Kernel(zero_generators, 3, lambda radius:
                                fredholm.Reach(500, lambda n: 0.0))
         assert fredholm._first_reach(kern, 1.0) == (fredholm.M_START, None)
+
+
+class TestThetaModes:
+    """A Laurent polynomial's theta modes are read from its coefficients
+    (``fredholm._theta_modes``): the same modes as its sampled split to
+    rounding, and the same reach, grids and values as the sampled reach."""
+
+    @staticmethod
+    def sampled(spec, radius):
+        """theta's modes as any other symbol's: from its converged split."""
+        with mock.patch.object(symbols, "laurent_polynomial",
+                               lambda spec: None):
+            return fredholm._theta_modes(spec, radius)
+
+    @staticmethod
+    def kernels(spec, x, rho):
+        """S, V's residue form over the zeros inside the circle of rho and
+        W at the first of them."""
+        zeros = [z for z in symbols.analyze(spec).zeros if abs(z) < rho]
+        out = [fredholm.kernel_S(spec, x),
+               fredholm.kernel_V_residue(spec, x, zeros)]
+        return out + [fredholm.kernel_W(spec, z, x) for z in zeros[:1]]
+
+    @staticmethod
+    def outcome(kernel, rho):
+        try:
+            det = fredholm.nystrom_det(kernel, rho)
+        except errors.DetlabError as exc:
+            return f"{type(exc).__name__}: {exc}", None
+        return (det.value, det.grids, det.drifts), det.err_estimate
+
+    def test_short_numerator(self):
+        # phi = 2/q^3, a numerator shorter than p + 1: theta = 2 q^-3 - 1
+        spec = symbols.SymbolSpec(numer=(2.0,), denom=(0, 0, 0, 1.0))
+        j, c = fredholm._theta_modes(spec, 0.5)
+        assert j.tolist() == [-3, -2, -1, 0]
+        assert c.tolist() == [16, 0, 0, -1]
+        assert symbols.laurent_polynomial(symbols.fixture("F2")) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=laurent_symbols(), x=st.integers(0, 24))
+    @example(spec=symbols.SymbolSpec(numer=(0.5, 1.0), denom=(0, 0, 0, 1.0)),
+             x=5)
+    @example(spec=symbols.SymbolSpec(numer=(1.5,), denom=(0, 1.0)), x=2)
+    def test_modes_and_reach_are_the_sampled_ones(self, spec, x):
+        p, coeffs = symbols.laurent_polynomial(spec)
+        rho = toeplitz._sample_radius(spec)
+        j, c = fredholm._theta_modes(spec, rho)
+        sj, sc = self.sampled(spec, rho)
+        assert j[0] == -p and j[-1] == max(coeffs.size - 1 - p, 0)
+        exact = np.zeros(sc.size, dtype=complex)
+        exact[np.searchsorted(sj, j)] = c
+        assert np.max(np.abs(sc - exact)) <= 4 * EPS * np.max(np.abs(c))
+        try:
+            kernels = self.kernels(spec, x, rho)
+        except errors.NotASimpleZero:
+            assume(False)
+        for kern in kernels:
+            read = kern.reach(rho)
+            value, err = self.outcome(kern, rho)
+            with mock.patch.object(symbols, "laurent_polynomial",
+                                   lambda spec: None):
+                assert kern.reach(rho).modes == read.modes
+                sampled_value, sampled_err = self.outcome(kern, rho)
+            assert value == sampled_value
+            if err is not None:
+                assert err <= sampled_err
 
 
 class TestLadder:
