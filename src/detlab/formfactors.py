@@ -355,13 +355,11 @@ def _torus_ladder(delta: np.ndarray, q: np.ndarray, slope: np.ndarray):
     once two successive grids agree within eps L max(1, sum_j |delta_j|),
     the scale of the rounding of the other terms of ``tau_eff_finite``.
     A grid of m nodes costs about what ``_log_row_ratios`` takes on 2m
-    roots (0.13 ms at m = 64, 1.1 ms at m = 256, against 0.12 and 1.5 ms
-    on 128 and 512 roots; one thread of a 2-core x86-64 host), so the
-    ladder gives up, for that exact sum, before its grids' summed (2m)^2
-    passes L^2, and starts only where its first two grids fit, L >= 144:
-    on F2 it takes 0.22 ms there, as the exact sum does, and 0.25 against
-    0.37 ms at L = 256.  Its blocks of ROW_BLOCK x m/2 pairs, m <= L/2, are
-    smaller than the exact sum's buffer.
+    roots, so the ladder gives up, for that exact sum, before its grids'
+    summed (2m)^2 passes L^2, and starts only where its first two grids
+    fit, L >= 144, the smallest L timed at which it matched the exact sum.
+    Its blocks of ROW_BLOCK x m/2 pairs, m <= L/2, are smaller than the
+    exact sum's buffer.
     """
     n = q.size
     if 20 * LADDER_M0 ** 2 > n * n:

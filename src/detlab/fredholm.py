@@ -35,58 +35,33 @@ V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.  S is the residue form over no zeros.
 
-Grid forms.  On the m nodes q_j = rho u_j of ``circle_nodes``, conjugated
-by diag(q^{x/2}), a similarity that leaves the determinant alone (it also
-absorbs the branch signs of the half powers), V's entry is
+Grid forms.  S and both forms of V carry w = q^x + sum_{nu=1..N} t_nu
+u^-nu (split V's tail, u = q/rho) - sum_z c_z/(z - q) (the residue sum;
+S has neither), whose divided difference has finite rank.  So on a
+grid of ``circle_nodes``, up to a diagonal similarity, Id + K = (I +
+P C^T) diag(delta) (``Factors``, built by ``_v_form``) and det(Id + K) =
+prod delta det(I + C^T P), the r x r matrix C^T P from one FFT of a few
+rows (``_jacobi_det``): the two sides of Jacobi's complementary-minor
+identity (Boettcher and Widom, "Szego via Jacobi", Linear Algebra Appl.
+419 (2006)), which README derives.  The direct side has delta = 1 and
+the sine part's x columns; the complementary side has delta_j = phi(q_j)
+and n = m - x sine columns, as q^x is a constant times u^-n on the grid.
+On both the tail adds N columns and each zero one, so r = x + N + #zeros
+on the direct side and n + N + #zeros on the other.  For S they read
+D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m).  ``kernel_W``, the rank-one
+kernel of ``rank_one_shift_identity`` and ``kernel_sum``, which stacks
+its parts' columns, have the direct side alone.  Split V's tail keeps
+the N modes above its split's rounding, max(x, 16) eps of the largest
+(at most TAIL_TOL), and its fill reads the same N.
 
-    a_i a_j (w_j / (2 pi i)) q_j^-x (w(q_j) - w(q_i))/(q_j - q_i),
-
-its diagonal the limit w'(q_j), for w = q^x + sum_{nu=1..N} t_nu u^-nu
-(split V's tail) - sum_z c_z/(z - q) (the residue sum).  That divided
-difference has finite rank, so Id + K = I + P C^T with r columns and
-det(Id + K) = det(I_r + C^T P) (the direct side, ``Direct``).  The sine
-part q^x has rank x: columns u^b, rows (theta/m) u^-b, b < x, and its
-block of C^T P is the Toeplitz matrix of theta's m-node moments, so
-det(Id + S) = D_x(phi_m), one FFT.  Split V's tail adds N columns
-u^(-1-a), a < N, each zero of the residue sum one column 1/(z - q), so
-r = x + N + #zeros; ``kernel_W`` and the rank-one kernel of
-``rank_one_shift_identity`` have r = 1, and ``kernel_sum`` stacks its
-parts' columns.
-
-The complementary side (``Kernel.grid_form``) serves S and both forms of
-V.  On the grid, u_j^m = (-1)^m, so q^x = rho^x (-1)^m u^-n with n = m - x,
-and V's entry off the diagonal is
-
-    a_i a_j (w_j / rho) u_j^n/(2 pi i) (W(u_j) - W(u_i))/(u_j - u_i)
-
-for (-1)^m w/rho^x = W = u^-n + sum_nu h_nu u^-nu - sum_z (-1)^m c_z /
-(rho^x (z - q)), with h_nu = (-1)^m t_nu/rho^x.  The divided difference of
-u^-k is -sum_{a<k} u_i^(-1-a) u_j^(a-k), so the sine part has rank n, the
-polynomial tail adds the Hankel block h_(a+b) in the same columns, R =
-max(n, N) of them, and each zero of the residue sum adds one more.  So
-Id + K = diag(delta) + U W^T with R + #zeros columns, and delta_j = 1 +
-K_jj - (U W^T)_jj = 1 + theta_j w_j m/(2 pi i q_j), which is phi(q_j) on
-the trapezoid weights: the tail's derivative on the diagonal is its own
-divided difference.  By the matrix determinant lemma, det(Id + K) = prod
-delta_j det(I + W^T diag(delta)^-1 U), in O(m log m + R^3) rather than
-O(m^3).  For S, I_n + W^T diag(delta)^-1 U is the Toeplitz matrix of the
-m-node moments of 1/phi, so D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m):
-the two sides are the two halves of Jacobi's complementary-minor identity
-on the m x m circulant (Boettcher and Widom, "Szego via Jacobi", Linear
-Algebra Appl. 419 (2006)).  Split V's tail keeps the N modes above its
-split's rounding, max(x, 16) eps of the largest (at most TAIL_TOL), and
-its fill reads the same N.
-
-Which side.  ``_grid_det`` takes the side with fewer columns.  The
-complementary side's sine rank n is at most the direct side's x on grids
-of at most 2x nodes, where it has max(n, N) + #zeros <= r columns; it
-serves those from LEMMA_MIN nodes on.  The direct side serves any grid
-where r <= m/2.  Where delta has a zero or a non-finite entry, or an
-entry of W^T diag(delta)^-1 U passes GROWTH_MAX (for S, a moment of
-1/phi - 1: a zero of phi near the circle), the complementary side hands
-the grid on.  The dense LU takes the grids neither side serves: the
-resolvent's, split V's on another circle, grids where a long tail or many
-zeros put r past m/2, and the hand-backs.
+Which side.  ``_grid_det`` takes the side with fewer columns: the
+complementary side on grids of LEMMA_MIN to 2x nodes, where n <= x, and
+the direct side where r <= m/2.  The complementary side hands a grid on
+where N >= m, where delta has a zero or a non-finite entry, or where an
+entry of C^T P passes GROWTH_MAX (for S, a moment of 1/phi - 1: a zero
+of phi near the circle).  The dense LU takes the grids neither side
+serves: the resolvent's, split V's on another circle, grids where a long
+tail or many zeros put r past m/2, and the hand-backs.
 """
 
 from __future__ import annotations
@@ -106,13 +81,13 @@ from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
                      residue_coefficient, suite_for)
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
-# Smallest grid whose determinant ``_grid_det`` takes by the determinant
-# lemma, for kernels with a ``grid_form``: the smallest m timed at which the
-# lemma beat fill + LU on S and V of F1, F3 and F4 (breaking even near 48).
+# Smallest grid whose determinant ``_grid_det`` takes by the complementary
+# side, the determinant lemma: the smallest m timed at which the lemma beat
+# fill + LU on S and V of F1, F3 and F4 (breaking even near 48).
 LEMMA_MIN = 56
-# Largest entry of the lemma's R x R matrix W^T diag(delta)^-1 U that
-# ``_lemma_det`` accepts; past it (for S, |phi| below about 1/100 on the
-# grid) the dense LU takes the grid.
+# Largest entry of the complementary side's C^T P (C^T divided by delta)
+# that ``_lemma_det`` accepts; past it (for S, |phi| below about 1/100 on
+# the grid) the dense LU takes the grid.
 GROWTH_MAX = 100.0
 M_START = 32     # largest first margin of Nystrom nodes over the bandwidth x
 M_CAP = 1024     # default cap on Nystrom nodes on the circle
@@ -144,25 +119,20 @@ class DetResult:
 
 
 class Factors(NamedTuple):
-    """The direct side on one grid of m ``circle_nodes`` (module
-    docstring): Id + K, up to a similarity, is I + P C^T, with P's columns
-    u^b for b in ``powers`` and then the rows of ``cols``, and C^T's rows
-    g u^-s for s in ``spows`` and then the rows of ``rows``; g is
-    theta/m at the nodes, u = q/radius, and P's k-th column pairs with
-    C^T's k-th row."""
+    """One side of Jacobi's identity on a grid of m ``circle_nodes``
+    (module docstring): Id + K, up to a similarity, is (I + P C^T)
+    diag(delta), with P's columns u^b for b in ``powers`` and then the rows
+    of ``cols``, and C^T's rows g u^-s for s in ``spows`` and then the rows
+    of ``rows``; u = q/radius, and P's k-th column pairs with C^T's k-th
+    row.  On the direct side ``delta`` is None, the identity, and g is
+    theta/m at the nodes; on the complementary side delta is phi at the
+    nodes and g = -theta/(m phi)."""
     g: np.ndarray
     powers: np.ndarray
     cols: np.ndarray
     spows: np.ndarray
     rows: np.ndarray
-
-
-class Direct(NamedTuple):
-    """A kernel's direct grid form: ``rank``, the r columns of P, and
-    ``factors``, a callable (nodes, weights) -> ``Factors`` on a grid of
-    ``circle_nodes``, or None to hand that grid on."""
-    rank: int
-    factors: Callable
+    delta: Optional[np.ndarray] = None
 
 
 class Reach(NamedTuple):
@@ -177,19 +147,19 @@ class Reach(NamedTuple):
 class Kernel:
     """Integrable kernel from ``generators`` (module docstring): its fill is
     sum_k (a f_k) (x) (g_k a w / (2 pi i)) over the node gaps q_j - q_i.
-    Its two grid forms (module docstring) are None or give the same
-    determinant without the fill: ``grid_form``, a callable (nodes,
-    weights) -> (delta, cap) on a grid of ``circle_nodes``, the
-    complementary side's factors for ``_lemma_det``, or None to hand that
-    grid on; ``direct``, a ``Direct``, the direct side's."""
+    Its grid ``form`` is None or gives the same determinant without the
+    fill, by either side of Jacobi's identity: a callable (nodes, weights,
+    complementary) -> that side's ``Factors`` on a grid of
+    ``circle_nodes``, or None to hand the grid on; ``rank`` is the count r
+    of the direct side's columns, None where it has none."""
 
-    def __init__(self, generators, x: int = 0, reach=None, grid_form=None,
-                 direct=None):
+    def __init__(self, generators, x: int = 0, reach=None, form=None,
+                 rank=None):
         self.generators = generators
         self.x = errors.check_x(x)
         self.reach = reach
-        self.grid_form = grid_form
-        self.direct = direct
+        self.form = form
+        self.rank = rank
 
     def matrix(self, nodes, weights):
         """The m x m Nystrom matrix: the m x r generator columns a f_k times
@@ -225,17 +195,19 @@ def kernel_sum(parts: list) -> Kernel:
     largest of their ``_first_reach`` there, which folds the sum of what
     its parts fold, as each entry is the sum of theirs, or no bound where a
     part has none or its margin was clipped; parts after one at M_START
-    with no bound are not read.  Where every part has a direct grid form
-    and one x, so one similarity serves them all, the sum's stacks their
-    columns: I + sum_k P_k C_k^T = I + [P_1 P_2 ...][C_1 C_2 ...]^T, the
-    monomial columns and rows of the parts after the first written out on
-    the grid.  It has no complementary grid form."""
+    with no bound are not read.  Where every part has a direct side and
+    one x, so one similarity serves them all, the sum's direct side stacks
+    their columns: I + sum_k P_k C_k^T = I + [P_1 P_2 ...][C_1 C_2 ...]^T,
+    the monomial columns and rows of the parts after the first written out
+    on the grid.  It has no complementary side."""
     def generators(q):
         a, *pairs = zip(*(k.generators(q) for k in parts))
         return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
 
-    def factors(nodes, weights):
-        forms = [k.direct.factors(nodes, weights) for k in parts]
+    def form(nodes, weights, complementary):
+        if complementary:
+            return None
+        forms = [k.form(nodes, weights, False) for k in parts]
         if any(f is None for f in forms):
             return None
         m, first = nodes.size, forms[0]
@@ -245,10 +217,8 @@ def kernel_sum(parts: list) -> Kernel:
             rows += [f.g * grid_powers(m, -s) for s in f.spows] + [f.rows]
         return first._replace(cols=np.vstack(cols), rows=np.vstack(rows))
 
-    direct = None
-    if parts and all(k.direct is not None and k.x == parts[0].x
-                     for k in parts):
-        direct = Direct(sum(k.direct.rank for k in parts), factors)
+    stacked = parts and all(k.rank is not None and k.x == parts[0].x
+                            for k in parts)
 
     def reach(radius):
         read = []
@@ -262,7 +232,8 @@ def kernel_sum(parts: list) -> Kernel:
                      lambda n: sum(f(n) for f in folds))
 
     return Kernel(generators, max((k.x for k in parts), default=0), reach,
-                  direct=direct)
+                  form if stacked else None,
+                  sum(k.rank for k in parts) if stacked else None)
 
 
 def _first_reach(kernel, radius: float) -> Reach:
@@ -364,7 +335,7 @@ def _halfpows(q, x):
     return q ** (x / 2.0), q ** (-x / 2.0)
 
 
-def _kernel_V_generic(theta, tail, x, reach, grid_form=None, direct=None):
+def _kernel_V_generic(theta, tail, x, reach, form=None, rank=None):
     """Generators a = sqrt(theta), vp = q^{-x/2} w = q^{x/2} + q^{-x/2} tail
     and vm = q^{-x/2} for the deformation function w = q^x + tail, where
     tail(q) returns the part of w analytic outside the contour and its
@@ -378,7 +349,7 @@ def _kernel_V_generic(theta, tail, x, reach, grid_form=None, direct=None):
                 ((x / 2.0) * hp / q + hm * (dt - (x / 2.0) * t / q),
                  (-x / 2.0) * hm / q))
 
-    return Kernel(generators, x, reach, grid_form, direct)
+    return Kernel(generators, x, reach, form, rank)
 
 
 def kernel_V(theta, x: int, radius: float) -> Kernel:
@@ -391,10 +362,10 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     this circle, is the larger of theta's bandwidth and the count N of that
     outside part's modes (``_bandwidth``), both read from the samples of
     the converged grid, which also bound the modes a grid folds; no bound
-    where radius^x underflows.  Its fill and its grid forms (on grids of
-    this circle, ``_residue_grid`` and ``_v_factors``) read one tail, the
-    outside modes down to max(x, 16) eps of the split's largest (at most
-    TAIL_TOL), so none carries the split's rounding."""
+    where radius^x underflows.  Its fill and its grid form (``_v_form``,
+    on grids of this circle) read one tail, the outside modes down to
+    max(x, 16) eps of the split's largest (at most TAIL_TOL), so neither
+    carries the split's rounding."""
     x = errors.check_x(x)
     held = {}
 
@@ -433,16 +404,15 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
                       (lambda nu: size[np.minimum(nu, size.size) - 1] / lead)
                       if lead > 0 else None)
 
-    def on_circle(form):
-        def of(nodes, weights):
-            if grid_of(nodes)[0] != radius:
-                return None
-            return form(theta, x, (), -minus[:kept], nodes, weights)
-        return of
+    def form(nodes, weights, complementary):
+        if grid_of(nodes)[0] != radius:
+            return None
+        return _v_form(theta, x, (), -minus[:kept], nodes, weights,
+                       complementary)
 
     return _kernel_V_generic(
-        theta, lambda q: (tail.minus(q), tail.minus(q, 1)), x, reach,
-        on_circle(_residue_grid), Direct(x + kept, on_circle(_v_factors)))
+        theta, lambda q: (tail.minus(q), tail.minus(q, 1)), x, reach, form,
+        x + kept)
 
 
 def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
@@ -463,9 +433,7 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
 
     return _kernel_V_generic(
         theta, tail, x, functools.partial(_residue_reach, spec, x, res),
-        functools.partial(_residue_grid, theta, x, res, ()),
-        Direct(x + len(res), functools.partial(_v_factors, theta, x, res,
-                                               ())))
+        functools.partial(_v_form, theta, x, res, ()), x + len(res))
 
 
 def _by_logs(values, power: int, radius: float):
@@ -476,65 +444,86 @@ def _by_logs(values, power: int, radius: float):
                       power * math.log(radius))
 
 
-def _residue_grid(theta, x: int, res, tail, nodes, weights):
-    """(delta, cap) of V over the pairs ``res`` of a zero z and its c_z =
-    z^x/phi'(z), with the polynomial tail sum_{nu=1..N} tail[nu - 1] u^-nu
-    (u = q/radius), on a grid of m > x ``circle_nodes`` (module docstring):
-    Id + K is similar to diag(delta) + U W^T with R + len(res) columns,
-    R = max(n, N) and n = m - x, and cap = W^T diag(delta)^-1 U; None where
-    R >= m, for the LU.  Every entry of cap is a sum over the nodes of a row
-    times u^s, so one FFT of those rows gives them all (``grid_sums``), in
-    O(m log m) with neither U nor W formed; the tail's Hankel block adds
-    O(N R^2)."""
+def _v_form(theta, x: int, res, tail, nodes, weights,
+            complementary: bool) -> Optional[Factors]:
+    """One side's ``Factors`` of V over the pairs ``res`` of a zero z and
+    its c_z = z^x/phi'(z), with the polynomial tail sum_{nu=1..N}
+    tail[nu - 1] u^-nu, on a grid of m ``circle_nodes`` (module docstring).
+    The sine part has the columns u^b and rows g u^-b, b < x, on the
+    direct side, and u^-a and g u^a, a < n = m - x, on the complementary
+    side, which takes m > x and hands a grid of at most N nodes on (None).
+    The tail's N columns u^(s-1-a), a < N, have the rows -t u^(1-s-x)
+    sum_{nu > a} h_nu u^(a-nu), h_nu = tail[nu - 1]/radius^x by logarithms,
+    summed by Horner's rule from a = N - 1 down, and each zero has one
+    column (``_zero_factors``): t = theta/m and s = 0 on the direct side,
+    t = theta/(m phi) and s = 1, the similarity diag(u), on the other."""
     radius, m = grid_of(nodes)
-    n, zs, N = m - x, len(res), len(tail)
-    R = max(n, N)
-    if R >= m:
+    n_tail, shift, delta = len(tail), int(complementary), None
+    if complementary and n_tail >= m:
         return None
-    tw = theta(nodes) * weights / (2j * np.pi * nodes)   # theta / m
-    delta = 1.0 + m * tw
-    g = -tw / delta
-    # per zero, U's column a beta/(z - q) and W's -a w r u^-x/(2 pi i beta
-    # (z - q)), r = c_z/radius^x by logarithms and beta = sqrt|r|, so that
-    # the entries of cap have one scale: v = q beta/(z - q) and e = g r
-    # u^-x/(beta (z - q)) are their products with the other factors; per
-    # tail mode, h = (-1)^m t_nu/radius^x by logarithms, relative to q^x
-    r = _by_logs([c for _, c in res], x, radius)
-    h = (1 - 2 * (m % 2)) * _by_logs(tail, x, radius)
+    t = theta(nodes) * weights / (2j * np.pi * nodes)   # theta / m
+    if complementary:
+        delta = 1.0 + m * t
+        t = t / delta
+        g, sine = -t, -np.arange(m - x)
+    else:
+        g, sine = t, np.arange(x)
+    cols = rows = np.empty((0, m), dtype=complex)
+    if n_tail:
+        h, inv, acc = _by_logs(tail, x, radius), grid_powers(m, -1), 0.0
+        rows = np.empty((n_tail, m), dtype=complex)
+        for a in range(n_tail - 1, -1, -1):
+            acc = rows[a] = inv * (h[a] + acc)
+        rows *= -t * grid_powers(m, 1 - shift - x)
+    if res:
+        cols, zero_rows = _zero_factors(res, x, nodes, -t, shift)
+        rows = np.vstack([rows, zero_rows])
+    return Factors(g, np.concatenate([sine, shift - 1 - np.arange(n_tail)]),
+                   cols, sine, rows, delta)
+
+
+def _zero_factors(res, x: int, nodes, lead, shift: int = 0) -> tuple:
+    """(cols, rows): P's columns and C^T's rows, times ``lead``, of the
+    rank-one terms c_z/((z - q_i)(z - q_j)) of w's divided difference,
+    times its rows' q_j^(1-x), over the pairs ``res`` of a zero z and its
+    c_z.  Per zero, the column beta radius u^s/(z - q) and the row (r/beta)
+    lead u^(1-s-x)/(z - q), r = c_z/radius^(x + 1 - s) by logarithms and
+    beta = sqrt|r|, so that both have one scale; s = ``shift``, 1 for the
+    complementary side's similarity diag(u) (``_v_form``)."""
+    radius, m = grid_of(nodes)
+    zeros, c = np.array(res, dtype=complex).reshape(-1, 2).T
+    r = _by_logs(c, x + 1 - shift, radius)
     beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
-    gaps = np.array([z for z, _ in res])[:, None] - nodes
-    v = beta[:, None] * nodes / gaps
-    e = g * (r / beta)[:, None] * grid_powers(m, -x) / gaps
-    # sums[i, s - lo] = sum_j rows[i, j] u_j^-s, s = lo ... hi - 1
-    lo, hi = 1 - R, R + max(N - n, 0)
-    sums = grid_sums(np.vstack([g, g * v, e]), np.arange(lo, hi))
-    k = np.arange(R)
-    cap = np.zeros((R + zs, R + zs), dtype=complex)
-    cap[:n, :R] = sums[0, k[None, :] - k[:n, None] - lo]
-    cap[:n, R:] = sums[1:zs + 1, -k[:n] - lo].T
-    cap[R:, :R] = sums[zs + 1:, k - lo]
-    cap[R:, R:] = _products(e, v)
-    if N:
-        # W's row a gains sum_b h_(a+b) u^(n-b), b = 1 ... N: a Hankel block
-        hankel = np.append(h, np.zeros(R))[k[:, None] + np.arange(N)]
-        b = np.arange(1, N + 1)
-        cap[:R, :R] += hankel @ sums[0, b[:, None] + k - n - lo]
-        cap[:R, R:] += hankel @ sums[1:zs + 1, b - n - lo].T
-    return delta, cap
+    if shift:   # the same factors as below with s = 1, in another order
+        gaps = zeros[:, None] - nodes
+        return (beta[:, None] * nodes / gaps,
+                lead * (r / beta)[:, None] * grid_powers(m, -x) / gaps)
+    gaps = radius / (zeros[:, None] - nodes)
+    return (beta[:, None] * gaps,
+            (r / beta)[:, None] * gaps * (lead * grid_powers(m, 1 - x)))
+
+
+def _products(rows, cols):
+    """rows @ cols.T, a single row or column by a matrix-vector product: on
+    several BLAS threads zgemm with a unit dimension can take milliseconds."""
+    if len(rows) == 1:
+        return (cols @ rows[0])[None, :]
+    if len(cols) == 1:
+        return (rows @ cols[0])[:, None]
+    return rows @ cols.T
 
 
 def _lemma_det(delta, cap):
-    """det(diag(delta) + U W^T) = prod delta det(I + cap), cap = W^T
-    diag(delta)^-1 U, by the matrix determinant lemma, its logarithms
-    summed and the complex value formed only at the end, inf or nan past
-    the double range; None where delta has a zero or a non-finite entry,
-    where an entry of cap passes GROWTH_MAX, or where I + cap is singular,
-    for ``_grid_det`` to take the grid by LU.  I + cap is scaled by the
-    geometric mean of |delta|: for S it is the Toeplitz matrix of 1/phi,
-    whose pivots tend to 1/G(phi), so the scaled pivots' logarithms lie
-    near 0, and slogdet's one-at-a-time sum of them rounds far less (split
-    V on F6 at x = 16 and m = 258: 3.4e-13 off E G^x in log unscaled, 4e-15
-    scaled)."""
+    """det((I + P C^T) diag(delta)) = prod delta det(I + cap), cap = C^T P,
+    by the matrix determinant lemma, its logarithms summed and the complex
+    value formed only at the end, inf or nan past the double range; None where delta has a zero or a non-finite
+    entry, where an entry of cap passes GROWTH_MAX, or where I + cap is
+    singular, for ``_grid_det`` to take the grid by LU.  I + cap is scaled
+    by the geometric mean of |delta|: for S it is the Toeplitz matrix of
+    1/phi, whose pivots tend to 1/G(phi), so the scaled pivots' logarithms
+    lie near 0, and slogdet's one-at-a-time sum of them rounds far less
+    (split V on F6 at x = 16 and m = 258: 3.4e-13 off E G^x in log
+    unscaled, 4e-15 scaled)."""
     size = np.abs(delta)
     if not (np.min(size) > 0 and np.max(size) < np.inf and
             np.max(np.abs(cap)) <= GROWTH_MAX):
@@ -549,65 +538,16 @@ def _lemma_det(delta, cap):
                        np.exp(np.sum(logs) - len(cap) * mean + logdet))
 
 
-def _v_factors(theta, x: int, res, tail, nodes, weights) -> Factors:
-    """``Factors`` of V over the pairs ``res`` of a zero z and its c_z, with
-    the polynomial tail sum_{nu=1..N} tail[nu - 1] u^-nu, on a grid of
-    ``circle_nodes`` (module docstring): the sine part's columns u^b and
-    rows g u^-b, b < x; the tail's columns u^(-1-a), a < N, whose rows -g
-    u^(1-x) sum_{nu > a} h_nu u^(a-nu), h_nu = tail[nu - 1]/radius^x by
-    logarithms, are summed by Horner's rule from a = N - 1 down; and one
-    column per zero (``_zero_factors``)."""
-    radius, m = grid_of(nodes)
-    g = theta(nodes) * weights / (2j * np.pi * nodes)   # theta / m
-    sine, n_tail = np.arange(x), len(tail)
-    cols = rows = np.empty((0, m), dtype=complex)
-    if n_tail:
-        h, inv, acc = _by_logs(tail, x, radius), grid_powers(m, -1), 0.0
-        rows = np.empty((n_tail, m), dtype=complex)
-        for a in range(n_tail - 1, -1, -1):
-            acc = rows[a] = inv * (h[a] + acc)
-        rows *= -g * grid_powers(m, 1 - x)
-    if res:
-        cols, zero_rows = _zero_factors(res, x, nodes, g, -1.0)
-        rows = np.vstack([rows, zero_rows])
-    return Factors(g, np.concatenate([sine, -1 - np.arange(n_tail)]), cols,
-                   sine, rows)
-
-
-def _zero_factors(res, x: int, nodes, g, sign: float) -> tuple:
-    """(cols, rows): the direct side's rank-one terms sign c_z/((z - q_i)(z
-    - q_j)) of w's divided difference, times its rows' g_j q_j^(1-x), over
-    the pairs ``res`` of a zero z and its c_z.  Per zero, P's column beta
-    radius/(z - q) and C^T's row sign (r radius/beta) g u^(1-x)/(z - q),
-    r = c_z/radius^(x + 1) by logarithms and beta = sqrt|r|, so that both
-    have one scale."""
-    radius, m = grid_of(nodes)
-    zeros, c = np.array(res, dtype=complex).reshape(-1, 2).T
-    r = _by_logs(c, x + 1, radius)
-    beta = np.where(r != 0, np.sqrt(np.abs(r)), 1.0)
-    gaps = radius / (zeros[:, None] - nodes)
-    return (beta[:, None] * gaps,
-            (sign * r / beta)[:, None] * gaps * (g * grid_powers(m, 1 - x)))
-
-
-def _products(rows, cols):
-    """rows @ cols.T, a single row or column by a matrix-vector product: on
-    several BLAS threads zgemm with a unit dimension can take milliseconds."""
-    if len(rows) == 1:
-        return (cols @ rows[0])[None, :]
-    if len(cols) == 1:
-        return (rows @ cols[0])[:, None]
-    return rows @ cols.T
-
-
-def _direct_det(form: Factors) -> complex:
-    """det(I + C^T P) from ``Factors``, inf or nan past the double range.
-    Each entry of C^T P sums a row of C^T times a column of P over the
-    nodes, so one FFT of the rows g, g times each of ``cols`` and
+def _jacobi_det(form: Factors) -> Optional[complex]:
+    """det(Id + K) from one side's ``Factors``, inf or nan past the double
+    range.  Each entry of cap = C^T P sums a row of C^T times a column of P
+    over the nodes, so one FFT of the rows g, g times each of ``cols`` and
     ``rows`` gives every entry against a monomial (``grid_sums``), and
     rows cols^T the rest: O(r m log m + r^3) for r columns, no m x m
-    matrix.  The r x r determinant is an LU (``np.linalg.det``)."""
-    g, powers, cols, spows, rows = form
+    matrix.  The direct side's det(I + cap) is an LU
+    (``np.linalg.det``); the complementary side's is ``_lemma_det``'s,
+    None where it hands the grid on."""
+    g, powers, cols, spows, rows, delta = form
     ns, nb, k = spows.size, powers.size, len(cols)
     # the sums at s - b, at s and at -b, read in one pass; S has no
     # explicit rows, and skipping their empty blocks takes a fifth off its
@@ -622,6 +562,8 @@ def _direct_det(form: Factors) -> complex:
         cap[:ns, nb:] = sums[1:k + 1, at:at + ns].T
         cap[ns:, :nb] = sums[k + 1:, at + ns:]
         cap[ns:, nb:] = _products(rows, cols)
+    if delta is not None:
+        return _lemma_det(delta, cap)
     cap.flat[::len(cap) + 1] += 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(np.linalg.det(cap))
@@ -637,8 +579,9 @@ def kernel_S(spec: symbols.SymbolSpec, x: int) -> Kernel:
 def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
     """Rank-one residue kernel c u(q) u(p) / (2 pi i) at a simple zero s of
     phi, c its residue coefficient and u = sqrt(theta) q^{-x/2}/(s - q); its
-    reach is the residue form's at s (``_residue_reach``), and its direct
-    grid form the residue form's one column, with the sign of + c."""
+    reach is the residue form's at s (``_residue_reach``), and its grid
+    form, the direct side alone, the residue form's one column, with the
+    sign of + c."""
     c = residue_coefficient(spec, s, x, 0.0)
 
     def generators(q):
@@ -646,14 +589,16 @@ def kernel_W(spec: symbols.SymbolSpec, s: complex, x: int) -> Kernel:
         return _rank_one(np.sqrt(symbols.eval_theta(spec, q)), q, c * u, u,
                          u * (1.0 / (s - q) - (x / 2.0) / q))
 
-    def factors(nodes, weights):
+    def form(nodes, weights, complementary):
+        if complementary:
+            return None
         g = symbols.eval_theta(spec, nodes) * weights / (2j * np.pi * nodes)
-        cols, rows = _zero_factors([(s, c)], x, nodes, g, 1.0)
+        cols, rows = _zero_factors([(s, c)], x, nodes, g)
         return Factors(g, np.arange(0), cols, np.arange(0), rows)
 
     return Kernel(generators, x,
                   functools.partial(_residue_reach, spec, x, [(s, c)]),
-                  direct=Direct(1, factors))
+                  form, 1)
 
 
 def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
@@ -670,22 +615,22 @@ def check_grid_cap(x: int, m_cap: int = M_CAP, margin: int = 1) -> None:
 def _grid_det(kernel, nodes, weights) -> complex:
     """det(Id + K) on one grid, inf or nan past the double range.  On a
     grid of ``circle_nodes`` it takes the side of Jacobi's identity with
-    fewer columns (module docstring): the complementary side,
-    ``_lemma_det`` of the kernel's ``grid_form``, on grids of LEMMA_MIN to
-    2x nodes, where n = m - x <= x; the direct side, ``_direct_det`` of its
-    ``direct`` factors, where their rank r is at most m/2.  Where neither
-    serves, or both hand the grid on, by LU of the filled matrix."""
+    fewer columns (module docstring), ``_jacobi_det`` of the kernel's
+    ``form``: the complementary side on grids of LEMMA_MIN to 2x nodes,
+    where n = m - x <= x; the direct side where its rank r is at most m/2.
+    Where neither serves, or both hand the grid on, by LU of the filled
+    matrix."""
     m = nodes.size
-    if grid_of(nodes) is not None:
-        if kernel.grid_form is not None and LEMMA_MIN <= m <= 2 * kernel.x:
-            form = kernel.grid_form(nodes, weights)
-            det = None if form is None else _lemma_det(*form)
+    if kernel.form is not None and grid_of(nodes) is not None:
+        if LEMMA_MIN <= m <= 2 * kernel.x:
+            form = kernel.form(nodes, weights, True)
+            det = None if form is None else _jacobi_det(form)
             if det is not None:
                 return det
-        if kernel.direct is not None and 2 * kernel.direct.rank <= m:
-            form = kernel.direct.factors(nodes, weights)
+        if kernel.rank is not None and 2 * kernel.rank <= m:
+            form = kernel.form(nodes, weights, False)
             if form is not None:
-                return _direct_det(form)
+                return _jacobi_det(form)
     mat = kernel.matrix(nodes, weights)
     np.fill_diagonal(mat, mat.diagonal() + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -723,12 +668,12 @@ def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
-    ``radius``, each grid's determinant by ``_grid_det``: by the side of
-    Jacobi's identity with fewer columns where the kernel has a grid form,
-    the complementary side (S and both forms of V) on grids of LEMMA_MIN
-    to 2x nodes and the direct side (those, ``kernel_W``, the rank-one
-    kernel and their sums) where its r columns are at most m/2, and
-    otherwise by LU of the filled matrix.
+    ``radius``, each grid's determinant by ``_grid_det``: where the kernel
+    has a grid ``form``, by the side of Jacobi's identity with fewer
+    columns, the complementary side (S and both forms of V, ``_v_form``)
+    on grids of LEMMA_MIN to 2x nodes and the direct side (those,
+    ``kernel_W``, the rank-one kernel and their sums) where its r columns
+    are at most m/2, and otherwise by LU of the filled matrix.
     x is the kernel's bandwidth and a its reach's modes on that circle,
     clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
     a reach), doubled while the grid has fewer than 16 nodes.  Past x + a
@@ -844,7 +789,9 @@ def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
 
 def resolvent_residual(suite: CauchySuite, x: int) -> float:
     """Largest entry of (1 + V)(1 - R) - 1 on a 128-node grid, R the explicit
-    resolvent."""
+    resolvent; NotConverged up front (``check_grid_cap``) where that grid
+    cannot hold the bandwidth x."""
+    check_grid_cap(x, 128)
     nodes = circle_nodes(suite.rho, 128)
     weights = circle_weights(nodes, 128)
     eye = np.eye(nodes.size, dtype=complex)
@@ -859,7 +806,9 @@ def m_function(suite: CauchySuite, x: int, k1, k2) -> tuple:
     """Both sides of the resolvent lemma at each probe pair (k1[i], k2[i]):
     returns arrays (quadrature route on 256 nodes, closed-form route).  The
     probes, equal-length arrays, must lie off the circle; the resolvent is
-    filled once for all of them."""
+    filled once for all of them.  NotConverged up front
+    (``check_grid_cap``) where the 256 nodes cannot hold the bandwidth x."""
+    check_grid_cap(x, 256)
     k1, k2 = np.asarray(k1, dtype=complex), np.asarray(k2, dtype=complex)
     if k1.ndim != 1 or k1.shape != k2.shape:
         raise errors.InputError("k1 and k2 must be equal-length arrays")
@@ -916,14 +865,16 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
 
     # conjugated by diag(q^{x/2}), -(theta_j/m) u_i^-1 u_j^(1-x) radius^-x:
     # the column u^-1 and the row -radius^-x g u^(1-x)
-    def factors(nodes, weights):
+    def form(nodes, weights, complementary):
+        if complementary:
+            return None
         radius, m = grid_of(nodes)
         g = theta(nodes) * weights / (2j * np.pi * nodes)
         row = -_by_logs(1.0, x, radius) * g * grid_powers(m, 1 - x)
         return Factors(g, np.array([-1]), np.empty((0, m)), np.arange(0),
                        row[None, :])
 
-    vk1 = Kernel(rank_one, x, reach, direct=Direct(1, factors))
+    vk1 = Kernel(rank_one, x, reach, form, 1)
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)

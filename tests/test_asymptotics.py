@@ -423,7 +423,7 @@ class TestTauEffResidueAtZeroWinding:
         assume(symbols.winding_number(spec) == 0)
         kernel, form = v_form(spec, x)
         inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
-        assert form == "residue" and kernel.direct.rank == x + len(inside)
+        assert form == "residue" and kernel.rank == x + len(inside)
         got = fredholm.nystrom_det(kernel, 1.0).value
         split = fredholm.nystrom_det(fredholm.kernel_V(
             functools.partial(symbols.eval_theta, spec), x, 1.0), 1.0).value
@@ -439,7 +439,7 @@ class TestTauEffResidueAtZeroWinding:
         # F1's residue form over no zeros is S; F6's has one zero, 0.5
         spec = symbols.fixture(name)
         kernel, form = v_form(spec, x)
-        assert form == "residue" and kernel.direct.rank == x + zeros
+        assert form == "residue" and kernel.rank == x + zeros
         want = A.szego(spec, x)
         assert log_gap(np.log(A.tau_eff(spec, x)), np.log(want)) <= \
             self.BOUND * log_scale(want)

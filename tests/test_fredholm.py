@@ -359,7 +359,8 @@ def near_circle_zero():
 
 class TestLemma:
     """S and both forms of V by the determinant lemma on their trapezoid
-    grids (``fredholm._lemma_det`` of the kernel's ``grid_form``)."""
+    grids (``fredholm._jacobi_det`` of the kernel's complementary
+    ``form``)."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=st.one_of(laurent_symbols(), two_sided_symbols()),
@@ -376,7 +377,7 @@ class TestLemma:
         nodes = circle_nodes(1.0, m)
         weights = circle_weights(nodes, m)
         want, mat = dense_det(kern, nodes, weights)
-        got = fredholm._lemma_det(*kern.grid_form(nodes, weights))
+        got = fredholm._jacobi_det(kern.form(nodes, weights, True))
         if got is None:
             # handed back, and the dense LU takes it
             assert fredholm._grid_det(kern, nodes, weights) == want
@@ -389,7 +390,7 @@ class TestLemma:
            x=st.integers(1, 200), n=st.integers(1, 64))
     def test_split_v_matches_dense_lu(self, spec, x, n):
         # split V at zero winding on m = x + n unit-circle nodes, its tail's
-        # Hankel block included, against the dense LU of V's residue form
+        # columns included, against the dense LU of V's residue form
         # over the zeros inside |q| = 1: the same kernel, whose fill reads
         # no split.  The bound of S and the residue form above, plus m
         # TAIL_TOL cond, the first-order effect of a tail cut at TAIL_TOL
@@ -408,10 +409,10 @@ class TestLemma:
         weights = circle_weights(nodes, m)
         want, mat = dense_det(fredholm.kernel_V_residue(spec, x, zeros),
                               nodes, weights)
-        form = kern.grid_form(nodes, weights)
-        got = None if form is None else fredholm._lemma_det(*form)
+        form = kern.form(nodes, weights, True)
+        got = None if form is None else fredholm._jacobi_det(form)
         if got is None:
-            # handed back (R >= m, or the lemma's own refusals)
+            # handed back (N >= m, or the lemma's own refusals)
             assert fredholm._grid_det(kern, nodes, weights) == \
                 dense_det(kern, nodes, weights)[0]
             return
@@ -419,22 +420,26 @@ class TestLemma:
         bound = 4 * EPS * max(m, 16) * cond + m * TAIL_TOL * cond
         assert abs(got / want - 1) <= bound
 
-    @pytest.mark.parametrize("x", [32, 36, 40])
-    def test_split_v_keeps_its_tail_to_rounding(self, x):
+    @pytest.mark.parametrize("x, m", [(32, 64), (36, 64), (40, 64),
+                                      (40, 56), (36, 48)],
+                             ids=["32", "36", "40", "40-56", "36-48"])
+    def test_split_v_keeps_its_tail_to_rounding(self, x, m):
         # phi = 1 - 0.6/q: split V's outside modes fall like 0.6^(x + nu)
         # relative to its largest, so a cut at TAIL_TOL drops modes that
         # moved the lemma 2.7 - 3.6 eps max(m, 16) cond off V's residue
         # form on 64 nodes.  Kept to max(x, 16) eps, the lemma and the
-        # dense LU of the split fill both read at most 0.09 of that unit on
-        # every grid of 56 to 2x nodes at x = 28 ... 40
+        # dense LU of the split fill read at most 0.19 and 0.086 of that
+        # unit on these grids (on a few other grids of 56 to 2x nodes at
+        # x = 28 ... 40, both pass 1).  On 56 and 48 nodes the tail's
+        # N = 24 and 28 modes outrun the sine rank n = 16 and 12
         spec = symbols.SymbolSpec("rational", (-0.6, 1.0), (0.0, 1.0))
         kern = fredholm.kernel_V(theta_of(spec), x, 1.0)
-        nodes = circle_nodes(1.0, 64)
-        weights = circle_weights(nodes, 64)
+        nodes = circle_nodes(1.0, m)
+        weights = circle_weights(nodes, m)
         want, mat = dense_det(fredholm.kernel_V_residue(spec, x, [0.6]),
                               nodes, weights)
-        unit = EPS * 64 * np.linalg.cond(mat)
-        lemma = fredholm._lemma_det(*kern.grid_form(nodes, weights))
+        unit = EPS * m * np.linalg.cond(mat)
+        lemma = fredholm._jacobi_det(kern.form(nodes, weights, True))
         assert abs(lemma / want - 1) <= unit
         assert abs(dense_det(kern, nodes, weights)[0] / want - 1) <= unit
 
@@ -454,8 +459,8 @@ class TestLemma:
                         else asymptotics.tau_eff_kernel(spec, x))
         m = fredholm.nystrom_det(kern, radius).m_used
         nodes = circle_nodes(radius, m)
-        got = fredholm._lemma_det(*kern.grid_form(
-            nodes, circle_weights(nodes, m)))
+        got = fredholm._jacobi_det(kern.form(
+            nodes, circle_weights(nodes, m), True))
         want = complex(*map(float, REFERENCES[name]["log_det"][str(x)]))
         assert log_gap(np.log(got), want) <= \
             4 * x * EPS * max(abs(want.real), 1.0)
@@ -475,7 +480,7 @@ class TestLemma:
         ("F6", 16, 48), ("F6", 16, 258), ("R0", 16, None)])
     def test_split_v_tail_block(self, name, x, m):
         # where the tail is not rounding (F6: up to 5e-6 of q^x at x = 16),
-        # the Hankel block carries it: on F6 the lemma is no further from
+        # the grid form carries it: on F6 the lemma is no further from
         # szego than twice the dense LU on the same grid (gaps 2.8e-15 and
         # 3.6e-15, against 3.2e-15 and 2.2e-15).  R0, on the grid nystrom_det fills, is held to 2 x eps
         # max(1, |log det|), half the bound of test_references (1.0e-13;
@@ -491,7 +496,7 @@ class TestLemma:
         nodes = circle_nodes(radius, m)
         weights = circle_weights(nodes, m)
         want = np.log(asymptotics.szego(spec, x))
-        got = fredholm._lemma_det(*kern.grid_form(nodes, weights))
+        got = fredholm._jacobi_det(kern.form(nodes, weights, True))
         dense, _ = dense_det(kern, nodes, weights)
         bound = (2 * x * EPS * max(abs(want), 1.0) if name == "R0" else
                  2 * log_gap(np.log(dense), want))
@@ -523,14 +528,21 @@ class TestLemma:
         # cap's entries, the moments of 1/phi - 1, reach 212; the direct
         # side's 60 columns are past m/2
         (near_circle_zero(), [], 60, 68)])
-    def test_hands_back_to_the_lu(self, spec, zeros, x, m):
+    def test_hands_back_to_the_lu(self, monkeypatch, spec, zeros, x, m):
         kern = fredholm.kernel_V_residue(spec, x, zeros)
         nodes = circle_nodes(1.0, m)
         weights = circle_weights(nodes, m)
-        delta, cap = kern.grid_form(nodes, weights)
-        assert np.max(np.abs(cap)) > fredholm.GROWTH_MAX
-        assert fredholm._lemma_det(delta, cap) is None
-        assert 2 * kern.direct.rank > m
+        caps = []
+        real = fredholm._lemma_det
+
+        def lemma(delta, cap):
+            caps.append(cap)
+            return real(delta, cap)
+
+        monkeypatch.setattr(fredholm, "_lemma_det", lemma)
+        assert fredholm._jacobi_det(kern.form(nodes, weights, True)) is None
+        assert np.max(np.abs(caps[0])) > fredholm.GROWTH_MAX
+        assert 2 * kern.rank > m
         want, _ = dense_det(kern, nodes, weights)
         assert fredholm._grid_det(kern, nodes, weights) == want
 
@@ -549,8 +561,7 @@ class TestLemma:
         kern = fredholm.kernel_V_residue(spec, x, [z])
         nodes = circle_nodes(1.0, m)
         weights = circle_weights(nodes, m)
-        delta, cap = kern.grid_form(nodes, weights)
-        assert fredholm._lemma_det(delta, cap) is None
+        assert fredholm._jacobi_det(kern.form(nodes, weights, True)) is None
         lu, mat = dense_det(kern, nodes, weights)
 
         def refuse(*args):
@@ -582,13 +593,14 @@ class TestLemma:
         # split V on a circle not its own and grids below LEMMA_MIN take
         # the dense LU, bit for bit
         taken = []
-        real = fredholm._lemma_det
+        real = fredholm._jacobi_det
 
-        def lemma(delta, cap):
-            taken.append(delta.size)
-            return real(delta, cap)
+        def lemma(form):
+            if form.delta is not None:
+                taken.append(form.delta.size)
+            return real(form)
 
-        monkeypatch.setattr(fredholm, "_lemma_det", lemma)
+        monkeypatch.setattr(fredholm, "_jacobi_det", lemma)
         spec = symbols.fixture("F4")
         rho = asymptotics.base_contour(spec)
         split = fredholm.kernel_V(theta_of(symbols.fixture("F2")), 40, 1.0)
@@ -601,12 +613,12 @@ class TestLemma:
                 if m < fredholm.LEMMA_MIN:
                     assert got == dense_det(kern, nodes, weights)[0]
                 else:
-                    assert got == real(*kern.grid_form(nodes, weights))
+                    assert got == real(kern.form(nodes, weights, True))
                 assert fredholm._grid_det(kern, nodes.copy(), weights) == \
                     dense_det(kern, nodes.copy(), weights)[0]
             nodes = circle_nodes(rho, m)
             weights = circle_weights(nodes, m)
-            assert split.grid_form(nodes, weights) is None
+            assert split.form(nodes, weights, True) is None
             assert fredholm._grid_det(split, nodes, weights) == \
                 dense_det(split, nodes, weights)[0]
         assert taken == [fredholm.LEMMA_MIN] * 2
@@ -614,7 +626,7 @@ class TestLemma:
 
 class TestDirect:
     """The direct side of Jacobi's identity: det(I_r + C^T P) from each
-    kernel's ``direct`` factors (``fredholm._direct_det``)."""
+    kernel's direct ``form`` (``fredholm._jacobi_det``)."""
 
     @staticmethod
     def kernel(kind, spec, x):
@@ -654,7 +666,7 @@ class TestDirect:
         nodes = circle_nodes(1.0, m)
         weights = circle_weights(nodes, m)
         want, mat = dense_det(kern, nodes, weights)
-        got = fredholm._direct_det(kern.direct.factors(nodes, weights))
+        got = fredholm._jacobi_det(kern.form(nodes, weights, False))
         bound = 2 * EPS * max(m, 16) * np.linalg.cond(mat)
         assert abs(got / want - 1) <= bound
 
@@ -677,7 +689,7 @@ class TestDirect:
         # which the dense LU fills, within it on 133, which it does not
         spec = symbols.fixture("F6")
         kern = fredholm.kernel_V(theta_of(spec), 5, 1.0)
-        assert kern.direct.rank == 46
+        assert kern.rank == 46
         filled = []
         real = fredholm.Kernel.matrix
 
@@ -702,17 +714,17 @@ class TestDirect:
         parts = [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()]
         total = fredholm.kernel_sum(parts)
-        assert total.direct.rank == sum(k.direct.rank for k in parts)
-        m = 2 * total.direct.rank
+        assert total.rank == sum(k.rank for k in parts)
+        m = 2 * total.rank
         nodes = circle_nodes(suite.rho, m)
         weights = circle_weights(nodes, m)
-        got = fredholm._direct_det(total.direct.factors(nodes, weights))
-        want = fredholm._direct_det(
-            fredholm.kernel_S(spec, 3).direct.factors(nodes, weights))
+        got = fredholm._jacobi_det(total.form(nodes, weights, False))
+        want = fredholm._jacobi_det(
+            fredholm.kernel_S(spec, 3).form(nodes, weights, False))
         assert abs(got / want - 1) <= 1e-10
-        assert fredholm.kernel_sum(parts + [zero_kernel()]).direct is None
+        assert fredholm.kernel_sum(parts + [zero_kernel()]).form is None
         assert fredholm.kernel_sum(
-            parts + [fredholm.kernel_S(spec, 4)]).direct is None
+            parts + [fredholm.kernel_S(spec, 4)]).form is None
 
 
 class TestNystrom:
@@ -961,7 +973,7 @@ class TestOneGrid:
         kern = fredholm.kernel_S(spec, 64)
         ladder = fredholm.nystrom_det(fredholm.Kernel(
             kern.generators, 64, lambda radius: fredholm.Reach(2, None),
-            kern.grid_form), ct)
+            kern.form), ct)
         sizes = self.filled(monkeypatch)
         one = fredholm.nystrom_det(kern, ct)
         assert ladder.grids == (66, 68)
@@ -1357,7 +1369,7 @@ class TestOnePass:
                 kern.generators = generators
                 sizes.clear()
                 res = fredholm.nystrom_det(kern, suite.rho)
-                assert passes == ([] if kern.direct else list(res.grids))
+                assert passes == ([] if kern.form else list(res.grids))
                 # theta's reach FFT samples 256 nodes
                 assert [n for n in sizes if n != 256] == list(res.grids)
 
@@ -1416,6 +1428,19 @@ class TestResolvent:
         for name, x in (("F2", 2), ("F4", 3)):
             _, suite = suite_for(name)
             assert fredholm.resolvent_residual(suite, x) < 1e-8
+
+    @pytest.mark.parametrize("name", ["F2", "F4"])
+    def test_fixed_grids_refuse_x_past_them(self, name):
+        # resolvent_residual's 128 nodes and m_function's 256 cannot hold
+        # x past them: F4's residual read 67.3 at x = 128, F2's 0.19, and
+        # m_function's F4 gaps 2.2 and 6.3 at x = 255 and 300
+        _, suite = suite_for(name)
+        for x in (128, 200):
+            with pytest.raises(errors.NotConverged):
+                fredholm.resolvent_residual(suite, x)
+        for x in (255, 300):
+            with pytest.raises(errors.NotConverged):
+                fredholm.m_function(suite, x, [0.5], [0.6])
 
     def test_m_function_dual_routes(self):
         _, suite = suite_for("F4")

@@ -39,7 +39,7 @@ def test_module_imports_are_used(path):
 
 # ``np.linalg.det`` calls the benchmark's tracer counts; every other
 # determinant is a log-determinant (``toeplitz.moment_log_det`` or slogdet)
-DENSE_DET_SITES = ["fredholm._direct_det", "fredholm._grid_det"]
+DENSE_DET_SITES = ["fredholm._grid_det", "fredholm._jacobi_det"]
 
 
 def dense_det_sites(module: str, source: str) -> list:

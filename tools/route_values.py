@@ -120,7 +120,7 @@ def tau_eff_form(spec, x):
                            wraps=asymptotics.kernel_V_residue) as residue:
         kernel, radius = asymptotics.tau_eff_kernel(spec, x)
     form = "residue" if residue.called else "split"
-    return kernel, radius, f"{form} {kernel.direct.rank - kernel.x}"
+    return kernel, radius, f"{form} {kernel.rank - kernel.x}"
 
 
 LADDERS = {
@@ -192,9 +192,9 @@ def recorded_paths():
     """Yields a list that collects "m:path" for every grid of m nodes whose
     determinant ``fredholm._grid_det`` takes inside the block: "lemma R=k"
     where ``_lemma_det`` returned the value from k columns, "direct r=k"
-    where ``_direct_det`` did, else "lu"."""
+    where ``_jacobi_det`` took the direct side, else "lu"."""
     paths, taken = [], []
-    real = fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det
+    real = fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det
 
     def grid_det(kernel, nodes, weights):
         taken.clear()
@@ -208,16 +208,17 @@ def recorded_paths():
             taken.append(f"lemma R={len(cap)}")
         return det
 
-    def direct(form):
-        taken.append(f"direct r={form.powers.size + len(form.cols)}")
+    def jacobi(form):
+        if form.delta is None:
+            taken.append(f"direct r={form.powers.size + len(form.cols)}")
         return real[2](form)
 
-    fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det = \
-        grid_det, lemma, direct
+    fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det = \
+        grid_det, lemma, jacobi
     try:
         yield paths
     finally:
-        fredholm._grid_det, fredholm._lemma_det, fredholm._direct_det = real
+        fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det = real
 
 
 def ladder_and_value(kernel, radius, form):
