@@ -138,12 +138,13 @@ def grid_powers(m: int, p: int):
     return (1 - 2 * (p % 2)) * np.exp(2j * np.pi * (np.arange(m) * p % m) / m)
 
 
-def grid_sums(values, s):
+def grid_sums(spectrum, s):
     """sum_j values[..., j] u_j^-s, u_j as in ``grid_powers`` with m =
-    values.shape[-1], for every integer in the array s, any range: one FFT
-    along the last axis, read at s mod m with the sign (-1)^s."""
+    values.shape[-1], for every integer in the array s, any range, from
+    spectrum = np.fft.fft(values) along the last axis: read at s mod m with
+    the sign (-1)^s, so that one FFT serves sums at any indices."""
     s = np.asarray(s)
-    return np.fft.fft(values)[..., s % values.shape[-1]] * (1 - 2 * (s % 2))
+    return spectrum[..., s % spectrum.shape[-1]] * (1 - 2 * (s % 2))
 
 
 SIDES = {"plus": lambda j: j >= 0, "minus": lambda j: j < 0,

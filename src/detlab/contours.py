@@ -10,6 +10,8 @@ contour needs a second component.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import errors, symbols
@@ -56,5 +58,12 @@ def select_contour(analysis: symbols.SymbolAnalysis) -> float:
 
 
 def base_contour(spec: symbols.SymbolSpec) -> float:
-    """Radius of the symbol's own circle, where phi does not wind."""
-    return select_contour(symbols.analyze(spec))
+    """Radius of the symbol's own circle, where phi does not wind: the
+    ``select_contour`` of its memoised analysis, chosen once per analysis;
+    EmptyAnnulus, raised on every call, where there is none."""
+    return _own_radius(symbols.analyze(spec))
+
+
+@functools.lru_cache(maxsize=32)
+def _own_radius(analysis: symbols.SymbolAnalysis) -> float:
+    return select_contour(analysis)

@@ -21,7 +21,9 @@ None or a callable radius -> how many modes its generators carry past
 q^{+-x/2} on the circle of that radius above ``cauchy.TAIL_TOL``, tells
 ``nystrom_det`` how far past x to start its grids.
 The reach returns a ``Reach``: that count, and a bound on what a grid
-folds back, read from the same modes or decay as the count, or None.
+folds back, read from the same modes or decay as the count, or None;
+theta's part is ``_theta_reach``'s, in Python scalars for a Laurent
+polynomial and by the array helpers for sampled modes.
 
 ``nystrom_det`` fills one grid, x + 2a nodes for the first margin a, where
 the kernel bounds what that grid folds, with its LU's rounding, within tol,
@@ -289,20 +291,40 @@ def _reach(j, c, tail_modes: int = 0, tail=None) -> Reach:
     return Reach(modes, functools.partial(_folds, _envelope(j, c), tail))
 
 
-def _theta_modes(spec: symbols.SymbolSpec, radius: float):
-    """(j, c), theta's Laurent modes on the circle of ``radius``: for phi =
-    P(q)/(a q^p) (``symbols.laurent_polynomial``) c_j = (P_(j+p)/a)
-    radius^j - delta_(j,0), none past the band; for any other symbol from
-    theta's converged split there from 256 nodes, rounding past its band."""
+def _theta_reach(spec: symbols.SymbolSpec, radius: float,
+                 tail_modes: int = 0, tail=None) -> Reach:
+    """``_reach`` on theta's modes on the circle of ``radius``.  For phi =
+    P(q)/(a q^p) (``symbols.laurent_polynomial``) in Python scalars: c_j =
+    (P_(j+p)/a) radius^j - delta_(j,0), none past the band, give
+    ``_bandwidth``'s modes and ``_envelope``'s E, and folds(n) sums only
+    the nu with |n - nu| at most the band, past which E is 0.  For any
+    other symbol by the array helpers, on theta's converged split there
+    from 256 nodes, rounding past its band."""
     form = symbols.laurent_polynomial(spec)
     if form is None:
         split, _ = _converged_split(lambda m: (symbols.eval_theta(
             spec, circle_nodes(radius, m)), radius), 256)
-        return split.j, split.c
+        return _reach(split.j, split.c, tail_modes, tail)
     p, coeffs = form
-    j = np.arange(max(coeffs.size, p + 1)) - p
-    c = np.append(coeffs, np.zeros(j.size - coeffs.size)) * radius ** j
-    return j, c - (j == 0)
+    size = [0.0] * (max(p, len(coeffs) - 1 - p) + 1)   # largest |c_j| at |j|
+    for i, a in enumerate(coeffs + (0.0,) * (p + 1 - len(coeffs))):
+        size[abs(i - p)] = max(size[abs(i - p)],
+                               abs(a * radius ** (i - p) - (i == p)))
+    top = max(size)
+    modes = max(max((k for k, mag in enumerate(size)
+                     if mag > 0 and mag >= TAIL_TOL * top), default=0),
+                tail_modes)
+    if tail is None:
+        return Reach(modes, None)
+    env = [e / (top or 1.0)
+           for e in itertools.accumulate(size[::-1], max)][::-1]
+    last = len(env) - 1
+
+    def folds(n):
+        return (env[n + 1] if n < last else 0.0) + sum(
+            tail(nu) * env[abs(n - nu)]
+            for nu in range(max(1, n - last), n + last + 1))
+    return Reach(modes, folds)
 
 
 def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
@@ -315,17 +337,16 @@ def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
     log(max|z|/rho)) - x modes, whichever is more, the count without the
     weights c_z; M_START, with no bound, unless max|z| < rho.  Over no zeros
     it is theta's bandwidth, and the grid folds theta's modes alone."""
-    size = np.abs([z for z, _ in res])
-    top = np.max(size, initial=0.0) / rho
+    top = max((abs(z) for z, _ in res), default=0.0) / rho
     if top >= 1.0:
         return Reach(M_START, None)
     poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
-    with np.errstate(divide="ignore"):
-        # |c_z|/rho^(x + 1) by logarithms, as rho^x alone may underflow
-        weight = np.exp(np.log(np.abs([c for _, c in res])) -
-                        (x + 1) * math.log(rho))
-    return _reach(*_theta_modes(spec, rho), poles,
-                  lambda nu: weight @ (size[:, None] / rho) ** (nu - 1))
+    # (|c_z|/rho^(x + 1), |z|/rho), the first by logarithms, as rho^x alone
+    # may underflow; the bound takes nu as an integer or as an array
+    pairs = [(math.exp(math.log(abs(c)) - (x + 1) * math.log(rho))
+              if c else 0.0, abs(z) / rho) for z, c in res]
+    return _theta_reach(spec, rho, poles, lambda nu: sum(
+        w * r ** (nu - 1) for w, r in pairs))
 
 
 def _halfpows(q, x):
@@ -549,19 +570,19 @@ def _jacobi_det(form: Factors) -> Optional[complex]:
     None where it hands the grid on."""
     g, powers, cols, spows, rows, delta = form
     ns, nb, k = spows.size, powers.size, len(cols)
-    # the sums at s - b, at s and at -b, read in one pass; S has no
-    # explicit rows, and skipping their empty blocks takes a fifth off its
-    # grid at x <= 5
-    sums = grid_sums(np.vstack([g, g * cols, rows]) if len(rows) else g[None],
-                     np.concatenate([(spows[:, None] - powers).ravel(),
-                                     spows, -powers]))
-    at = ns * nb
-    cap = np.empty((ns + len(rows), nb + k), dtype=complex)
-    cap[:ns, :nb] = sums[0, :at].reshape(ns, nb)
+    # one FFT of the stacked rows: g read at s - b, the rest at s (g cols)
+    # and -b (the explicit rows); S has none of the rest, and skipping
+    # their empty blocks takes a fifth off its grid at x <= 5
     if len(rows):
-        cap[:ns, nb:] = sums[1:k + 1, at:at + ns].T
-        cap[ns:, :nb] = sums[k + 1:, at + ns:]
+        spectrum = np.fft.fft(np.vstack([g, g * cols, rows]))
+        sums = grid_sums(spectrum[1:], np.concatenate([spows, -powers]))
+        cap = np.empty((ns + len(rows), nb + k), dtype=complex)
+        cap[:ns, :nb] = grid_sums(spectrum[0], spows[:, None] - powers)
+        cap[:ns, nb:] = sums[:k, :ns].T
+        cap[ns:, :nb] = sums[k:, ns:]
         cap[ns:, nb:] = _products(rows, cols)
+    else:
+        cap = grid_sums(np.fft.fft(g), spows[:, None] - powers)
     if delta is not None:
         return _lemma_det(delta, cap)
     cap.flat[::len(cap) + 1] += 1.0
@@ -691,10 +712,11 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     of N modes on a theta of bandwidth b is exact only from n = N + b + 1,
     and the modes past n alone do not tell (with N = b = 2 the grid x + 4
     was 2e-5 off for tail modes of 1e-4).  S and the residue form read c_j
-    from ``_theta_modes``: a Laurent polynomial has none past its band, so
-    where nothing else folds the bound is 0.  Other c_j, and split-form
-    ``kernel_V``'s c_j and d_nu (relative to q^x), come from converged
-    splits, whose coefficients past the function's own modes are rounding:
+    by ``_theta_reach``, a Laurent polynomial's from its coefficients: it
+    has none past its band, so where nothing else folds the bound is 0.
+    Other c_j, and split-form ``kernel_V``'s c_j and d_nu (relative to
+    q^x), come from converged splits, whose coefficients past the
+    function's own modes are rounding:
     at most 0.4 eps of theta's largest (F3 and F4, sampled), and for V's
     tail a floor that grows with x, 91 eps of theta's largest on F1 at
     x = 512.  The residue form's d_nu is at most
@@ -861,7 +883,7 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
 
     def reach(radius):
-        return _reach(*_theta_modes(spec, radius))   # no bound
+        return _theta_reach(spec, radius)   # no bound
 
     # conjugated by diag(q^{x/2}), -(theta_j/m) u_i^-1 u_j^(1-x) radius^-x:
     # the column u^-1 and the row -radius^-x g u^(1-x)

@@ -35,7 +35,8 @@ class SymbolSpec:
     threads.  ``log_coeffs`` may be given as a dict j -> t_j and is stored as
     a tuple of (j, t_j) pairs sorted by j.  A leading ``kind``, "rational" or
     "laurent_phase" (the two former symbol kinds), is checked, not stored.
-    The coefficient lists that evaluation sums are formed here, once."""
+    The coefficient lists that evaluation sums, and the Laurent form that
+    ``laurent_polynomial`` returns, are formed here, once."""
 
     kind: InitVar[str | None] = None
     numer: tuple = (1.0,)      # P, ascending powers of q
@@ -57,8 +58,11 @@ class SymbolSpec:
             raise errors.InputError("exponent index |j| above 2^16")
         object.__setattr__(self, "log_coeffs", tuple(sorted(lc.items())))
         j, t = np.array(list(lc), dtype=int), np.array(list(lc.values()))
+        p, *rest = np.flatnonzero(self.denom).tolist()
         for name, value in (
                 ("_dnumer", P.polyder(self.numer).tolist()),
+                ("_laurent", None if lc or rest else (p, tuple(
+                    (np.array(self.numer) / self.denom[p]).tolist()))),
                 ("_ddenom", P.polyder(self.denom).tolist()),
                 ("_pole_scale", max(max(map(abs, self.denom)), 1.0)),
                 ("_exponent_terms", (laurent_terms(j, t),
@@ -82,12 +86,10 @@ class SymbolSpec:
 
 
 def laurent_polynomial(spec: SymbolSpec):
-    """(p, P/a) when phi = P(q)/(a q^p) is a Laurent polynomial, its
-    coefficients ascending from q^-p; None for every other symbol."""
-    p, *rest = np.flatnonzero(spec.denom).tolist()
-    if spec.log_coeffs or rest:
-        return None
-    return p, np.array(spec.numer) / spec.denom[p]
+    """(p, P/a) when phi = P(q)/(a q^p) is a Laurent polynomial, P/a a
+    tuple of its coefficients ascending from q^-p; None for every other
+    symbol.  Formed with the spec, so every call returns the same value."""
+    return spec._laurent
 
 
 def _poly_roots(coeffs_ascending):

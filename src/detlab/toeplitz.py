@@ -135,7 +135,7 @@ def _laurent_band(spec: symbols.SymbolSpec):
         return None
     if sum(abs(z) < rho for z in zeros) != p:
         return None
-    return max(p, coeffs.size - 1 - p)
+    return max(p, len(coeffs) - 1 - p)
 
 
 def _slogdet(mat: np.ndarray) -> complex:

@@ -426,12 +426,16 @@ class TestLemma:
     def test_split_v_keeps_its_tail_to_rounding(self, x, m):
         # phi = 1 - 0.6/q: split V's outside modes fall like 0.6^(x + nu)
         # relative to its largest, so a cut at TAIL_TOL drops modes that
-        # moved the lemma 2.7 - 3.6 eps max(m, 16) cond off V's residue
-        # form on 64 nodes.  Kept to max(x, 16) eps, the lemma and the
-        # dense LU of the split fill read at most 0.19 and 0.086 of that
-        # unit on these grids (on a few other grids of 56 to 2x nodes at
-        # x = 28 ... 40, both pass 1).  On 56 and 48 nodes the tail's
-        # N = 24 and 28 modes outrun the sine rank n = 16 and 12
+        # move the lemma 2.8 - 3.7 eps m cond off V's residue form on 64
+        # nodes.  Kept to max(x, 16) eps, on these five grids the lemma
+        # reads 0.19, 0.19, 0.19, 0.052 and 0.016 of the unit eps m cond,
+        # and the dense LU of the split fill 0.044, 0.013, 0.048, 0.012
+        # and 0.086.  Other grids go further: over the 169 grids of 56 to
+        # 2x nodes at x = 28 ... 40 the medians are 0.086 and 0.044, but
+        # on 66 nodes at x = 33 ... 40 both routes pass one unit (the
+        # lemma up to 1.54, the split fill up to 1.24), which points at
+        # the tail both keep.  On 56 and 48 nodes the tail's N = 24 and 28
+        # modes outrun the sine rank n = 16 and 12
         spec = symbols.SymbolSpec("rational", (-0.6, 1.0), (0.0, 1.0))
         kern = fredholm.kernel_V(theta_of(spec), x, 1.0)
         nodes = circle_nodes(1.0, m)
@@ -505,7 +509,8 @@ class TestLemma:
     @pytest.mark.parametrize("name", ["F1", "R0"])
     @pytest.mark.parametrize("x", [128, 256, 512])
     def test_split_v_takes_the_lemma(self, monkeypatch, name, x):
-        # tau_eff's kernel at zero winding fills no m x m matrix
+        # split V at zero winding fills no m x m matrix; it is built here,
+        # as tau_eff_kernel gives F1 and R0 V's residue form
         taken = []
         real = fredholm._lemma_det
 
@@ -520,7 +525,8 @@ class TestLemma:
         monkeypatch.setattr(fredholm, "_lemma_det", lemma)
         monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
         spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
-        res = fredholm.nystrom_det(*asymptotics.tau_eff_kernel(spec, x))
+        res = fredholm.nystrom_det(
+            fredholm.kernel_V(theta_of(spec), x, 1.0), 1.0)
         assert taken == [True] * len(res.grids)
 
     @pytest.mark.parametrize("spec, zeros, x, m", [
@@ -1104,16 +1110,33 @@ class TestOneGrid:
 
 
 class TestThetaModes:
-    """A Laurent polynomial's theta modes are read from its coefficients
-    (``fredholm._theta_modes``): the same modes as its sampled split to
-    rounding, and the same reach, grids and values as the sampled reach."""
+    """A Laurent polynomial's reach is read from its coefficients in Python
+    scalars (``fredholm._theta_reach``): the modes of its sampled split
+    to rounding, the array helpers' modes and folds on the same
+    coefficient modes, and the same grids and values as either reach."""
+
+    @staticmethod
+    def coefficient_modes(form, radius):
+        """(j, c), theta's modes on the circle of ``radius`` from the
+        Laurent form (p, P/a) as arrays: c_j = (P_(j+p)/a) radius^j -
+        delta_(j,0), none past the band."""
+        p, coeffs = form
+        j = np.arange(max(len(coeffs), p + 1)) - p
+        c = np.append(coeffs, np.zeros(j.size - len(coeffs))) * radius ** j
+        return j, c - (j == 0)
+
+    @classmethod
+    def array_reach(cls, spec, radius, tail_modes=0, tail=None):
+        """``_theta_reach`` by the array helpers on the same modes."""
+        return fredholm._reach(*cls.coefficient_modes(
+            symbols.laurent_polynomial(spec), radius), tail_modes, tail)
 
     @staticmethod
     def sampled(spec, radius):
         """theta's modes as any other symbol's: from its converged split."""
-        with mock.patch.object(symbols, "laurent_polynomial",
-                               lambda spec: None):
-            return fredholm._theta_modes(spec, radius)
+        split, _ = fredholm._converged_split(lambda m: (symbols.eval_theta(
+            spec, circle_nodes(radius, m)), radius), 256)
+        return split.j, split.c
 
     @staticmethod
     def kernels(spec, x, rho):
@@ -1133,11 +1156,18 @@ class TestThetaModes:
         return (det.value, det.grids, det.drifts), det.err_estimate
 
     def test_short_numerator(self):
-        # phi = 2/q^3, a numerator shorter than p + 1: theta = 2 q^-3 - 1
+        # phi = 2/q^3, a numerator shorter than p + 1: theta = 2 q^-3 - 1,
+        # on the circle of 0.5 the modes 16 at j = -3 and -1 at j = 0
         spec = symbols.SymbolSpec(numer=(2.0,), denom=(0, 0, 0, 1.0))
-        j, c = fredholm._theta_modes(spec, 0.5)
+        form = symbols.laurent_polynomial(spec)
+        j, c = self.coefficient_modes(form, 0.5)
         assert j.tolist() == [-3, -2, -1, 0]
         assert c.tolist() == [16, 0, 0, -1]
+        # E = 1 up to |j| = 3: folds(n) = E[n + 1] + sum_nu nu E[|n - nu|]
+        read = fredholm._theta_reach(spec, 0.5, 0, lambda nu: 1e-3 * nu)
+        assert read.modes == 3
+        assert [read.folds(n) for n in (1, 2, 4)] == pytest.approx(
+            [1 + 1e-3 * 10, 1 + 1e-3 * 15, 1e-3 * 28], rel=4 * EPS)
         assert symbols.laurent_polynomial(symbols.fixture("F2")) is None
 
     @settings(max_examples=40, deadline=None)
@@ -1146,11 +1176,11 @@ class TestThetaModes:
              x=5)
     @example(spec=symbols.SymbolSpec(numer=(1.5,), denom=(0, 1.0)), x=2)
     def test_modes_and_reach_are_the_sampled_ones(self, spec, x):
-        p, coeffs = symbols.laurent_polynomial(spec)
+        p, coeffs = form = symbols.laurent_polynomial(spec)
         rho = toeplitz._sample_radius(spec)
-        j, c = fredholm._theta_modes(spec, rho)
+        j, c = self.coefficient_modes(form, rho)
         sj, sc = self.sampled(spec, rho)
-        assert j[0] == -p and j[-1] == max(coeffs.size - 1 - p, 0)
+        assert j[0] == -p and j[-1] == max(len(coeffs) - 1 - p, 0)
         exact = np.zeros(sc.size, dtype=complex)
         exact[np.searchsorted(sj, j)] = c
         assert np.max(np.abs(sc - exact)) <= 4 * EPS * np.max(np.abs(c))
@@ -1168,6 +1198,36 @@ class TestThetaModes:
             assert value == sampled_value
             if err is not None:
                 assert err <= sampled_err
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=laurent_symbols(), x=st.integers(0, 40))
+    @example(spec=symbols.SymbolSpec(numer=(2.0,), denom=(0, 0, 0, 1.0)),
+             x=3)
+    def test_scalar_reach_is_the_array_reach(self, spec, x):
+        # pole orders 0-3 and 0-3 zeros inside: the scalar reach has the
+        # array helpers' modes and, to rounding, their folds, and every
+        # determinant it serves takes the same grids to the same bits
+        rho = toeplitz._sample_radius(spec)
+        try:
+            kernels = self.kernels(spec, x, rho)
+        except errors.NotASimpleZero:
+            assume(False)
+        reads = [fredholm._theta_reach(spec, rho)] + [
+            k.reach(rho) for k in kernels]
+        outcomes = [self.outcome(k, rho)[0] for k in kernels]
+        with mock.patch.object(fredholm, "_theta_reach", self.array_reach):
+            arrays = [fredholm._theta_reach(spec, rho)] + [
+                k.reach(rho) for k in kernels]
+            assert [self.outcome(k, rho)[0] for k in kernels] == outcomes
+        assert reads[0] == self.array_reach(spec, rho)
+        for read, array in zip(reads, arrays):
+            assert read.modes == array.modes
+            if read.folds is None:
+                assert array.folds is None
+                continue
+            for n in range(1, 4 * read.modes + 1):
+                a, b = read.folds(n), array.folds(n)
+                assert abs(a - b) <= 4 * EPS * max(a, b)
 
 
 class TestLadder:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from detlab import cli, errors, symbols
+from detlab import cli, contours, errors, symbols
 from detlab._series import (LaurentSplit, circle_nodes, grid_of, horner,
                             laurent_coeffs)
+from test_asymptotics import laurent_symbols
 
 MEMOISED = (symbols.eval_phi, symbols.eval_nu_grid)
 
@@ -205,3 +206,74 @@ class TestSetUpOnce:
                  for d in (0, 1)]
         assert split._terms_memo.keys() == held.keys() and len(held) == 4
         assert all(same_bits(a, b) for a, b in zip(first, again))
+
+
+def fresh_laurent(spec):
+    """(p, P/a) for phi = P(q)/(a q^p), recognised afresh from the spec's
+    fields; None for every other symbol."""
+    p, *rest = np.flatnonzero(spec.denom).tolist()
+    if spec.log_coeffs or rest:
+        return None
+    return p, np.array(spec.numer) / spec.denom[p]
+
+
+def empty_annulus_spec():
+    """Zeros 0.3, 2 and 4, poles 0, 0 and 1.5: winding -1 on |q| = 1, but
+    every circle past the zero at 2 also encloses the pole at 1.5."""
+    return rational([0.3, 2.0, 4.0], [0.0, 0.0, 1.5])
+
+
+class TestHeldConstants:
+    """Per-symbol constants read once: the Laurent form, formed with the
+    spec, and the base contour's radius, chosen once per memoised
+    analysis, both the values their uncached derivations give."""
+
+    def check(self, spec):
+        form = symbols.laurent_polynomial(spec)
+        assert symbols.laurent_polynomial(spec) is form
+        fresh = fresh_laurent(spec)
+        if fresh is None:
+            assert form is None
+        else:
+            p, coeffs = form
+            assert isinstance(coeffs, tuple) and p == fresh[0]
+            assert same_bits(np.array(coeffs), fresh[1])
+            with pytest.raises(TypeError):
+                coeffs[0] = 0.0
+        try:
+            radius = contours.select_contour(symbols.analyze(spec))
+        except errors.DetlabError as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)):
+                    contours.base_contour(spec)
+            return
+        for _ in range(2):
+            assert contours.base_contour(spec).hex() == radius.hex()
+
+    @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self.check(symbols.fixture(name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=laurent_symbols())
+    def test_laurent_symbols(self, spec):
+        assert symbols.laurent_polynomial(spec) is not None
+        self.check(spec)
+
+    def test_empty_annulus_raises_on_every_call(self):
+        spec = empty_annulus_spec()
+        for _ in range(2):
+            with pytest.raises(errors.EmptyAnnulus):
+                contours.base_contour(spec)
+        self.check(spec)
+
+    def test_radius_read_once_per_analysis(self, monkeypatch):
+        spec = rational([0.3, 2.5], [0.0, 0.0], "held-radius")
+        calls = []
+        select = contours.select_contour
+        monkeypatch.setattr(contours, "select_contour",
+                            lambda analysis: calls.append(1) or select(
+                                analysis))
+        contours._own_radius.cache_clear()
+        first = contours.base_contour(spec)
+        assert contours.base_contour(spec) == first and len(calls) == 1
