@@ -9,7 +9,6 @@ Laurent modes, which converge geometrically.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -101,8 +100,8 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
     form over those zeros, of rank x + #zeros and sized by no sample of x;
     it is taken there unless two of them lie within ``symbols.SEP_TOL``,
     as ``CauchySuite``'s residue sums require.  Otherwise, t_j or such a
-    pair or positive winding, split V is taken from theta on the unit
-    circle (``kernel_V``)."""
+    pair or positive winding, split V is taken on the unit circle
+    (``kernel_V``)."""
     winding = symbols.winding_number(spec)
     if winding < 0 or winding == 0 and not spec.log_coeffs:
         inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
@@ -111,8 +110,7 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
         if all(abs(a - b) >= symbols.SEP_TOL
                for a, b in itertools.combinations(inside, 2)):
             return kernel_V_residue(spec, x, inside), 1.0
-    return (kernel_V(functools.partial(symbols.eval_theta, spec), x, 1.0),
-            1.0)
+    return kernel_V(spec, x, 1.0), 1.0
 
 
 def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -288,10 +287,9 @@ def _checks(seed: int):
     def split_check():
         spec = symbols.fixture("F4")
         suite = cauchy.suite_for(spec)
-        theta = functools.partial(symbols.eval_theta, spec)
         lhs = fredholm.nystrom_det(
             fredholm.kernel_sum(
-                [fredholm.kernel_V(theta, 3, suite.rho)] +
+                [fredholm.kernel_V(spec, 3, suite.rho)] +
                 [fredholm.kernel_W(spec, z, 3)
                  for z in suite.zeros_inside()]),
             suite.rho).value

@@ -17,21 +17,18 @@ the resolvent identity unchanged.
 Every kernel carries its bandwidth ``x``, a nonnegative integer: its
 generators hold the factors q^{+-x/2}, so a trapezoid grid of m <= x nodes
 aliases them and ``nystrom_det`` starts its grids above x.  Its ``reach``,
-None or a callable radius -> how many modes its generators carry past
-q^{+-x/2} on the circle of that radius above ``cauchy.TAIL_TOL``, tells
-``nystrom_det`` how far past x to start its grids.
-The reach returns a ``Reach``: that count, and a bound on what a grid
-folds back, read from the same modes or decay as the count, or None;
-theta's part is ``_theta_reach``'s, in Python scalars for a Laurent
-polynomial and by the array helpers for sampled modes.
-
-``nystrom_det`` fills one grid, x + 2a nodes for the first margin a, where
-the kernel bounds what that grid folds, with its LU's rounding, within tol,
-and otherwise runs a
-ladder of grids x + a, x + 2a, x + 4a, ..., with one short step of a nodes
-where two drifts predict convergence.  It takes det(Id + K) on each grid
-by one side or the other of Jacobi's identity where the kernel has a grid
-form (below), and otherwise by LU of the filled matrix.
+None or a callable radius -> ``Reach``, gives how many modes its
+generators carry past q^{+-x/2} on that circle above ``cauchy.TAIL_TOL``,
+which sets the first margin a, and a bound on what a grid folds back or
+None.  Only exact data give a bound: a Laurent polynomial's coefficients
+and the residue weights (``_theta_reach``; S, V's residue form and
+``kernel_W``).  ``nystrom_det`` trusts one grid, x + 2a nodes, only where
+that bound and its LU's rounding are within tol; every other kernel, a
+reach read from samples among them, runs a ladder of grids x + a, x + 2a,
+x + 4a, ..., with one short step of a nodes where two drifts predict
+convergence.  It takes det(Id + K) on each grid by one side or the other
+of Jacobi's identity where the kernel has a grid form (below), and
+otherwise by LU of the filled matrix.
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
@@ -78,7 +75,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import (circle_nodes, circle_weights, grid_of, grid_powers,
-                      grid_sums, laurent_coeffs, pow2_at_least)
+                      grid_sums, pow2_at_least)
 from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
                      residue_coefficient, suite_for)
 
@@ -141,7 +138,8 @@ class Reach(NamedTuple):
     """A kernel's ``reach`` on one circle: ``modes``, how many modes its
     generators carry past q^{+-x/2} above TAIL_TOL, and ``folds(n)``, a
     bound on what a grid of x + n nodes folds into each entry, relative to
-    the kernel's leading term (``nystrom_det``); None gives no bound."""
+    the kernel's leading term (``nystrom_det``), or None where the modes
+    are not exact."""
     modes: int
     folds: Optional[Callable[[int], float]]
 
@@ -194,14 +192,12 @@ def _rank_one(a, q, u, v, dv):
 def kernel_sum(parts: list) -> Kernel:
     """The sum of the kernels ``parts``, which share a: their pairs, in
     order, with the largest x of the parts, and as reach on a circle the
-    largest of their ``_first_reach`` there, which folds the sum of what
-    its parts fold, as each entry is the sum of theirs, or no bound where a
-    part has none or its margin was clipped; parts after one at M_START
-    with no bound are not read.  Where every part has a direct side and
-    one x, so one similarity serves them all, the sum's direct side stacks
-    their columns: I + sum_k P_k C_k^T = I + [P_1 P_2 ...][C_1 C_2 ...]^T,
-    the monomial columns and rows of the parts after the first written out
-    on the grid.  It has no complementary side."""
+    largest of their ``_first_reach`` modes there, with no bound.  Where
+    every part has a direct side and one x, so one similarity serves them
+    all, the sum's direct side stacks their columns: I + sum_k P_k C_k^T =
+    I + [P_1 P_2 ...][C_1 C_2 ...]^T, the monomial columns and rows of the
+    parts after the first written out on the grid.  It has no
+    complementary side."""
     def generators(q):
         a, *pairs = zip(*(k.generators(q) for k in parts))
         return (a[0], *(list(itertools.chain(*rows)) for rows in pairs))
@@ -223,15 +219,8 @@ def kernel_sum(parts: list) -> Kernel:
                             for k in parts)
 
     def reach(radius):
-        read = []
-        for k in parts:
-            read.append(_first_reach(k, radius))
-            if read[-1] == (M_START, None):
-                return read[-1]     # the sum's reach, whatever follows
-        folds = [r.folds for r in read]
-        return Reach(max((r.modes for r in read), default=M_START),
-                     None if None in folds or not read else
-                     lambda n: sum(f(n) for f in folds))
+        return Reach(max((_first_reach(k, radius).modes for k in parts),
+                         default=M_START), None)
 
     return Kernel(generators, max((k.x for k in parts), default=0), reach,
                   form if stacked else None,
@@ -258,53 +247,24 @@ def _bandwidth(j, c, part=True, tol=TAIL_TOL) -> int:
     return int(np.max(np.abs(j[keep]), initial=0))
 
 
-def _envelope(j, c):
-    """E[k], the largest |c_j| over |j| >= k relative to the largest of all,
-    for k = 0 ... max|j| + 1, where it is 0."""
-    by_k = np.zeros(np.max(np.abs(j)) + 2)
-    np.maximum.at(by_k, np.abs(j), np.abs(c))
-    env = np.maximum.accumulate(by_k[::-1])[::-1]
-    return env / env[0] if env[0] > 0 else env
-
-
-def _folds(env, tail, n: int) -> float:
-    """Bound on what a grid of x + n nodes folds back, relative to the
-    kernel's leading term (``nystrom_det``): theta's largest mode past n,
-    from its ``_envelope`` env, plus the sum over the tail modes nu = 1,
-    2, ..., ``tail(nu)`` relative to q^x, of each times theta's largest
-    mode at or past |n - nu|."""
-    last = env.size - 1
-    nu = np.arange(1, n + last + 1)
-    return float(env[min(n + 1, last)] +
-                 np.sum(tail(nu) * env[np.minimum(np.abs(n - nu), last)]))
-
-
-def _reach(j, c, tail_modes: int = 0, tail=None) -> Reach:
-    """Reach of a kernel whose theta has the Laurent modes (j, c) and whose
-    w = q^x + sum_nu d_nu q^-nu carries ``tail_modes`` modes past q^x, with
-    |d_nu| relative to q^x at most ``tail(nu)``: theta's ``_bandwidth`` or
-    the tail's count, whichever is more, folding what ``_folds`` bounds; no
-    bound for tail None."""
-    modes = max(_bandwidth(j, c), tail_modes)
-    if tail is None:
-        return Reach(modes, None)
-    return Reach(modes, functools.partial(_folds, _envelope(j, c), tail))
-
-
 def _theta_reach(spec: symbols.SymbolSpec, radius: float,
                  tail_modes: int = 0, tail=None) -> Reach:
-    """``_reach`` on theta's modes on the circle of ``radius``.  For phi =
-    P(q)/(a q^p) (``symbols.laurent_polynomial``) in Python scalars: c_j =
-    (P_(j+p)/a) radius^j - delta_(j,0), none past the band, give
-    ``_bandwidth``'s modes and ``_envelope``'s E, and folds(n) sums only
-    the nu with |n - nu| at most the band, past which E is 0.  For any
-    other symbol by the array helpers, on theta's converged split there
-    from 256 nodes, rounding past its band."""
+    """Reach of a kernel whose theta is the symbol's on the circle of
+    ``radius`` and whose w = q^x + sum_nu d_nu q^-nu carries ``tail_modes``
+    modes past q^x: theta's ``_bandwidth`` or that count, whichever is
+    more.  For phi = P(q)/(a q^p) (``symbols.laurent_polynomial``) with
+    |d_nu| relative to q^x at most ``tail(nu)``, in Python scalars: from
+    c_j = (P_(j+p)/a) radius^j - delta_(j,0), none past the band, and E[k],
+    the largest |c_j| over |j| >= k relative to the largest of all,
+    folds(n) = E[n + 1] + sum_nu tail(nu) E[|n - nu|] over the nu with
+    |n - nu| at most the band, past which E is 0.  Without ``tail``, and
+    for any other symbol, whose modes come from theta's converged split
+    there from 256 nodes, no bound."""
     form = symbols.laurent_polynomial(spec)
     if form is None:
         split, _ = _converged_split(lambda m: (symbols.eval_theta(
             spec, circle_nodes(radius, m)), radius), 256)
-        return _reach(split.j, split.c, tail_modes, tail)
+        return Reach(max(_bandwidth(split.j, split.c), tail_modes), None)
     p, coeffs = form
     size = [0.0] * (max(p, len(coeffs) - 1 - p) + 1)   # largest |c_j| at |j|
     for i, a in enumerate(coeffs + (0.0,) * (p + 1 - len(coeffs))):
@@ -333,16 +293,17 @@ def _residue_reach(spec: symbols.SymbolSpec, x: int, res,
     a zero z and its c_z = z^x/phi'(z) on the circle of rho, V's residue
     form or W's one zero.  Its mode nu is sum_z c_z z^(nu - 1) q^-nu, at
     most sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) of q^x there, which bounds
-    what a grid folds.  It carries theta's bandwidth or ceil(log TAIL_TOL /
-    log(max|z|/rho)) - x modes, whichever is more, the count without the
-    weights c_z; M_START, with no bound, unless max|z| < rho.  Over no zeros
-    it is theta's bandwidth, and the grid folds theta's modes alone."""
+    what a grid folds on a Laurent polynomial.  It carries theta's
+    bandwidth or ceil(log TAIL_TOL / log(max|z|/rho)) - x modes, whichever
+    is more, the count without the weights c_z; M_START, with no bound,
+    unless max|z| < rho.  Over no zeros it is theta's bandwidth, and the
+    grid folds theta's modes alone."""
     top = max((abs(z) for z, _ in res), default=0.0) / rho
     if top >= 1.0:
         return Reach(M_START, None)
     poles = math.ceil(math.log(TAIL_TOL) / math.log(top)) - x if top else 0
     # (|c_z|/rho^(x + 1), |z|/rho), the first by logarithms, as rho^x alone
-    # may underflow; the bound takes nu as an integer or as an array
+    # may underflow
     pairs = [(math.exp(math.log(abs(c)) - (x + 1) * math.log(rho))
               if c else 0.0, abs(z) / rho) for z, c in res]
     return _theta_reach(spec, rho, poles, lambda nu: sum(
@@ -373,26 +334,24 @@ def _kernel_V_generic(theta, tail, x, reach, form=None, rank=None):
     return Kernel(generators, x, reach, form, rank)
 
 
-def kernel_V(theta, x: int, radius: float) -> Kernel:
-    """Deformed kernel on the circle of ``radius`` for the weight ``theta``,
-    a callable on (a neighborhood of) it; exact Toeplitz value when no zeros
-    of 1 + theta remain outside that circle.  Its w is q^x plus the outside
-    part of the converged split of q^x theta/(1 + theta) from max(512, 4x)
-    nodes, rounded up to a power of two, so its modes near j = x never
-    fold; OverflowGuard when q^x overflows on the circle.  Its reach, on
-    this circle, is the larger of theta's bandwidth and the count N of that
-    outside part's modes (``_bandwidth``), both read from the samples of
-    the converged grid, which also bound the modes a grid folds; no bound
-    where radius^x underflows.  Its fill and its grid form (``_v_form``,
-    on grids of this circle) read one tail, the outside modes down to
-    max(x, 16) eps of the split's largest (at most TAIL_TOL), so neither
-    carries the split's rounding."""
+def kernel_V(spec: symbols.SymbolSpec, x: int, radius: float) -> Kernel:
+    """Deformed kernel of the symbol ``spec`` on the circle of ``radius``;
+    exact Toeplitz value when no zeros of phi remain outside that circle.
+    Its w is q^x plus the outside part of the converged split of q^x
+    theta/(1 + theta) from max(512, 4x) nodes, rounded up to a power of
+    two, so its modes near j = x never fold; OverflowGuard when q^x
+    overflows on the circle.  Its reach, on this circle, is
+    ``_theta_reach``'s with the count N of that outside part's modes
+    (``_bandwidth``), read from samples, so with no bound.  Its fill and
+    its grid form (``_v_form``, on grids of this circle) read one tail, the
+    outside modes down to max(x, 16) eps of the split's largest (at most
+    TAIL_TOL), so neither carries the split's rounding."""
     x = errors.check_x(x)
-    held = {}
+    theta = functools.partial(symbols.eval_theta, spec)
 
     def sample(m):
         nodes = circle_nodes(radius, m)
-        t = held["theta"] = theta(nodes)
+        t = theta(nodes)
         with np.errstate(over="ignore", invalid="ignore"):
             density = nodes ** x * t / (1.0 + t)
         if not np.all(np.isfinite(density)):
@@ -401,8 +360,6 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
         return density, radius
 
     split, _ = _converged_split(sample, max(512, pow2_at_least(4 * x)))
-    # w's tail sum_nu t_nu u^-nu, u = q/radius, is -sum_nu minus[nu - 1] u^-nu
-    minus = split.c[split.j < 0][::-1]
     modes = _bandwidth(split.j, split.c, split.j < 0)
     # the fill and the grid form keep the outside modes down to max(x, 16)
     # eps of the split's largest, TAIL_TOL past x = 450: the split's
@@ -415,21 +372,17 @@ def kernel_V(theta, x: int, radius: float) -> Kernel:
     kept = _bandwidth(split.j, split.c, split.j < 0,
                       min(max(x, 16) * np.finfo(float).eps, TAIL_TOL))
     tail = split.keep(split.j >= -kept)
+    # w's tail sum_nu t_nu u^-nu, u = q/radius: t_nu = -c_(-nu)
+    coeffs = -split.c[split.j < 0][::-1][:kept]
 
     def reach(rho):
-        # read on this circle, the one every caller factors the kernel on:
-        # the outside modes nu = 1, 2, ... relative to q^x, then zeros
-        lead = radius ** x
-        size = np.append(np.abs(minus), 0.0)
-        return _reach(*laurent_coeffs(held["theta"]), modes,
-                      (lambda nu: size[np.minimum(nu, size.size) - 1] / lead)
-                      if lead > 0 else None)
+        # read on this circle, the one every caller factors the kernel on
+        return _theta_reach(spec, radius, modes)
 
     def form(nodes, weights, complementary):
         if grid_of(nodes)[0] != radius:
             return None
-        return _v_form(theta, x, (), -minus[:kept], nodes, weights,
-                       complementary)
+        return _v_form(theta, x, (), coeffs, nodes, weights, complementary)
 
     return _kernel_V_generic(
         theta, lambda q: (tail.minus(q), tail.minus(q, 1)), x, reach, form,
@@ -701,48 +654,28 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     the q^{+-x/2} factors and the kernel's own modes stop aliasing, and the
     determinants converge geometrically (Bornemann, Math. Comp. 79 (2010)).
 
-    What a grid folds.  On m nodes the trapezoid rule adds to the integral
-    of theta q^k the modes of theta a nonzero multiple of m away from the
-    one it reads.  S's
-    sine part (q^x - p^x)/(q - p) has rank x, so det(Id + K) on m = x + n
-    nodes is the x x x Toeplitz determinant of theta's m-node moments, and
-    the grid folds theta's modes c_j with |j| > n, nothing else.  V has
-    w = q^x + sum_{nu >= 1} d_nu q^-nu in place of q^x; to first order in
-    the tail its grid also folds each product d_nu c_(nu - n), so a tail
-    of N modes on a theta of bandwidth b is exact only from n = N + b + 1,
-    and the modes past n alone do not tell (with N = b = 2 the grid x + 4
-    was 2e-5 off for tail modes of 1e-4).  S and the residue form read c_j
-    by ``_theta_reach``, a Laurent polynomial's from its coefficients: it
-    has none past its band, so where nothing else folds the bound is 0.
-    Other c_j, and split-form ``kernel_V``'s c_j and d_nu (relative to
-    q^x), come from converged splits, whose coefficients past the
-    function's own modes are rounding:
-    at most 0.4 eps of theta's largest (F3 and F4, sampled), and for V's
-    tail a floor that grows with x, 91 eps of theta's largest on F1 at
-    x = 512.  The residue form's d_nu is at most
-    sum_z |c_z| |z|^(nu - 1)/rho^(x + nu) on the circle of rho, c_z =
-    z^x/phi'(z) its residue weights, so a small phi'(z) raises the bound,
-    and ``kernel_W``'s the same for its one zero.
+    What a grid folds.  On m = x + n nodes S's determinant is the x x x
+    Toeplitz determinant of theta's m-node moments, which fold theta's
+    modes c_j with |j| > n; V's w = q^x + sum_nu d_nu q^-nu also folds each
+    d_nu c_(nu - n), so a tail of N modes on a theta of bandwidth b is
+    exact only from n = N + b + 1 (with N = b = 2 the grid x + 4 was 2e-5
+    off for tail modes of 1e-4).  ``Reach.folds(n)`` bounds both where they
+    are exact (``_theta_reach``): a Laurent polynomial's c_j, none past its
+    band, and the residue form's d_nu, which a small phi'(z) raises.  A
+    reach read from samples, whose modes past the function's own are
+    rounding that no bound tells from folding, gives none.
 
-    One grid: the kernel's reach bounds what the grid of m = x + 2a nodes
-    folds into each entry (``Reach.folds(2a)``, relative to its leading
-    term), and to first order the determinant moves by at most m times
-    that, without the condition number; the residue form with
-    phi'(0.5) = -4e-6 moved 6 times the bound at x = 30.  Where m
-    times the bound plus m^2 eps, the LU's rounding
-    (``DetResult.lu_rounding``), is within ``tol``, only that grid is
-    filled, and its determinant is returned with m times the bound times
-    max(1, |det|) as ``err_estimate``.  That is the grid a ladder returns
-    when its first two grids agree, so it is the same value.  Folding
-    below rounding moves the matrix less than forming it does, so a
-    second grid could not tell the two apart; conditioning amplifies both
-    alike, and neither estimate counts it.  A tol below the rounding,
-    which no grid can deliver, runs the ladder, whose drifts show it.
-
-    The clip does more than guard against an overestimated reach: it also
-    keeps a bound that understates what a grid folds off the single grid.
-    ``asymptotics.tau_ratio_swap``'s swapped F4 kernel, 132 modes on radius
-    2.75, has grids m = 40 ... 140 off by 2.1 times m folds(m - 3).
+    One grid: to first order the determinant moves by at most m times what
+    the grid of m = x + 2a nodes folds into each entry, without the
+    condition number (the residue form with phi'(0.5) = -4e-6 moved 6
+    times the bound at x = 30).  Where m folds(2a) plus m^2 eps, the LU's
+    rounding (``DetResult.lu_rounding``), is within ``tol``, only that grid
+    is filled, with m folds(2a) max(1, |det|) as ``err_estimate``: the grid
+    a ladder returns when its first two grids agree, so the same value.
+    The clip also keeps a bound that understates what a grid folds off the
+    single grid: ``asymptotics.tau_ratio_swap``'s swapped F4 kernel, 132
+    modes on radius 2.75, has grids m = 40 ... 140 off by 2.1 times m
+    folds(m - 3).
 
     Otherwise (no bound, a reach clipped at M_START, or a bound or rounding
     past tol) a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
@@ -817,8 +750,7 @@ def resolvent_residual(suite: CauchySuite, x: int) -> float:
     nodes = circle_nodes(suite.rho, 128)
     weights = circle_weights(nodes, 128)
     eye = np.eye(nodes.size, dtype=complex)
-    theta = functools.partial(symbols.eval_theta, suite.spec)
-    vmat = kernel_V(theta, x, suite.rho).matrix(nodes, weights)
+    vmat = kernel_V(suite.spec, x, suite.rho).matrix(nodes, weights)
     rmat = resolvent_kernel(suite, x, suite.b_split(x).plus).matrix(
         nodes, weights)
     return float(np.max(np.abs((eye + vmat) @ (eye - rmat) - eye)))
@@ -866,6 +798,18 @@ def m_function(suite: CauchySuite, x: int, k1, k2) -> tuple:
     return np.array(route_a, dtype=complex), np.array(route_b, dtype=complex)
 
 
+def _lowered(spec: symbols.SymbolSpec) -> symbols.SymbolSpec:
+    """The symbol -phi/q, whose phase shift is phi's lowered by one index:
+    numer -P and denom (0, *Q), or -P/q and Q where P(0) = 0, so that the
+    two share no root."""
+    numer = tuple(-c for c in spec.numer)
+    if numer[0] == 0:
+        return symbols.SymbolSpec(numer=numer[1:], denom=spec.denom,
+                                  log_coeffs=spec.log_coeffs)
+    return symbols.SymbolSpec(numer=numer, denom=(0.0, *spec.denom),
+                              log_coeffs=spec.log_coeffs)
+
+
 def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
     """Cross-checks the three equivalent values of the rank-one correction:
     determinant difference, determinant of the index-shifted weight, and the
@@ -874,16 +818,13 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         raise errors.WindingNonzero("identity needs a zero-winding weight")
     suite = suite_for(spec)
     theta = functools.partial(symbols.eval_theta, spec)
-    vk = kernel_V(theta, x, suite.rho)
+    vk = kernel_V(spec, x, suite.rho)
 
     # -sqrt(theta(q) theta(p)) q^{-x/2-1} p^{-x/2} / (2 pi i), its sign fixed
     # numerically: with it, the three values of the identity agree.
     def rank_one(q):
         h = q ** (-x / 2.0)
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
-
-    def reach(radius):
-        return _theta_reach(spec, radius)   # no bound
 
     # conjugated by diag(q^{x/2}), -(theta_j/m) u_i^-1 u_j^(1-x) radius^-x:
     # the column u^-1 and the row -radius^-x g u^(1-x)
@@ -896,16 +837,13 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         return Factors(g, np.array([-1]), np.empty((0, m)), np.arange(0),
                        row[None, :])
 
-    vk1 = Kernel(rank_one, x, reach, form, 1)
+    # theta's reach, with no bound
+    vk1 = Kernel(rank_one, x, functools.partial(_theta_reach, spec), form, 1)
 
     det_v = nystrom_det(vk, suite.rho)
     det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)
-
-    def theta_shift(q):
-        # weight whose phase shift is the original one lowered by one index
-        return -(1.0 + symbols.eval_theta(spec, q)) / q - 1.0
-
-    det_shift = nystrom_det(kernel_V(theta_shift, x, suite.rho), suite.rho)
+    det_shift = nystrom_det(kernel_V(_lowered(spec), x, suite.rho),
+                            suite.rho)
     closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * \
         suite.b_split(x).plus(0.0)
 

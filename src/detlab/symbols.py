@@ -25,8 +25,8 @@ SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding or
                     # in a residue sum, and between the moduli at the edge
                     # of the zero selection
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
-SAMPLE_MEMO = 64    # grid samples held by eval_phi and eval_nu_grid,
-SAMPLE_M_MAX = 4096  # each on a grid of at most this many nodes (64 KB)
+SAMPLE_MEMO = 1 << 22  # bytes of the grid samples eval_phi and eval_nu_grid
+SAMPLE_M_MAX = 4096    # hold, each of at most this many nodes (64 KB)
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class SymbolSpec:
     threads.  ``log_coeffs`` may be given as a dict j -> t_j and is stored as
     a tuple of (j, t_j) pairs sorted by j.  A leading ``kind``, "rational" or
     "laurent_phase" (the two former symbol kinds), is checked, not stored.
-    The coefficient lists that evaluation sums, and the Laurent form that
-    ``laurent_polynomial`` returns, are formed here, once."""
+    The coefficient lists that evaluation sums, the roots of P and Q, and
+    the Laurent form that ``laurent_polynomial`` returns, are formed here,
+    once."""
 
     kind: InitVar[str | None] = None
     numer: tuple = (1.0,)      # P, ascending powers of q
@@ -52,7 +53,7 @@ class SymbolSpec:
         lc = {int(j): complex(t) for j, t in dict(self.log_coeffs).items()}
         if not np.all(np.isfinite([*self.numer, *self.denom, *lc.values()])):
             raise errors.InputError("symbol coefficients must be finite")
-        self._validate_rational()
+        roots = self._validate_rational()
         # the exponent is summed over a dense list of its 1 + max |j| powers
         if lc and max(map(abs, lc)) > 1 << 16:
             raise errors.InputError("exponent index |j| above 2^16")
@@ -60,6 +61,7 @@ class SymbolSpec:
         j, t = np.array(list(lc), dtype=int), np.array(list(lc.values()))
         p, *rest = np.flatnonzero(self.denom).tolist()
         for name, value in (
+                ("_roots", roots),
                 ("_dnumer", P.polyder(self.numer).tolist()),
                 ("_laurent", None if lc or rest else (p, tuple(
                     (np.array(self.numer) / self.denom[p]).tolist()))),
@@ -69,7 +71,8 @@ class SymbolSpec:
                                      laurent_terms(j - 1, j * t)))):
             object.__setattr__(self, name, value)
 
-    def _validate_rational(self):
+    def _validate_rational(self) -> tuple:
+        """The roots of P and of Q, read-only, once P/Q is checked."""
         p = np.array(self.numer, dtype=complex)
         q = np.array(self.denom, dtype=complex)
         if not len(p) or not np.any(p) or not len(q) or not np.any(q):
@@ -83,6 +86,8 @@ class SymbolSpec:
         for r in qr:
             if abs(abs(r) - 1.0) < 1e-8:
                 raise errors.InputError(f"denominator root {r} lies on the unit circle")
+        pr.flags.writeable = qr.flags.writeable = False
+        return pr, qr
 
 
 def laurent_polynomial(spec: SymbolSpec):
@@ -123,15 +128,18 @@ def _exponent(spec: SymbolSpec, q, derivative: bool = False):
 
 
 _samples = collections.OrderedDict()   # (evaluator, spec, radius, m) -> array
+_sample_bytes = 0                      # their nbytes, summed
 
 
 def _memo_on_grids(evaluate):
     """``evaluate(spec, q)``, memoised for q a ``circle_nodes`` grid (known
-    by identity, ``grid_of``) of at most SAMPLE_M_MAX nodes: the SAMPLE_MEMO
-    latest such results are held, read-only, and returned as they are; any
-    other q, and every call that raises, is evaluated afresh."""
+    by identity, ``grid_of``) of at most SAMPLE_M_MAX nodes: the latest such
+    results, SAMPLE_MEMO bytes at most, are held, read-only, and returned as
+    they are; any other q, and every call that raises, is evaluated
+    afresh."""
     @functools.wraps(evaluate)
     def memoised(spec, q):
+        global _sample_bytes
         grid = grid_of(q)
         if grid is None or grid[1] > SAMPLE_M_MAX:
             return evaluate(spec, q)
@@ -141,8 +149,9 @@ def _memo_on_grids(evaluate):
             out = evaluate(spec, q)
             out.flags.writeable = False
             _samples[key] = out
-            if len(_samples) > SAMPLE_MEMO:
-                _samples.popitem(last=False)
+            _sample_bytes += out.nbytes
+            while _sample_bytes > SAMPLE_MEMO:
+                _sample_bytes -= _samples.popitem(last=False)[1].nbytes
         else:
             _samples.move_to_end(key)
         return out
@@ -246,7 +255,7 @@ def _winding_cached(spec: SymbolSpec) -> int:
     n = int(round(quad.real))
     if abs(quad - n) > 0.25:
         raise errors.WindingInconsistent(f"quadrature winding {quad} not near an integer")
-    zeros, poles = _poly_roots(spec.numer), _poly_roots(spec.denom)
+    zeros, poles = spec._roots
     count = int(np.sum(np.abs(zeros) < 1.0)) - int(np.sum(np.abs(poles) < 1.0))
     if n != count:
         raise errors.WindingInconsistent(
@@ -303,10 +312,10 @@ def analyze(spec: SymbolSpec) -> SymbolAnalysis:
 @functools.lru_cache(maxsize=32)
 def _analyze_cached(spec: SymbolSpec) -> SymbolAnalysis:
     n = winding_number(spec)
-    zeros = [_newton_polish(spec, r) for r in _poly_roots(spec.numer)]
+    zeros = [_newton_polish(spec, r) for r in spec._roots[0]]
     zeros.sort(key=abs, reverse=True)
 
-    praw = sorted(_poly_roots(spec.denom), key=abs)
+    praw = sorted(spec._roots[1], key=abs)
     poles = []
     for r in praw:
         if poles and abs(r - poles[-1][0]) < 1e-8:

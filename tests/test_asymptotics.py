@@ -6,7 +6,6 @@ subsets, against which the closed form of ``slavnov_series`` is checked.
 """
 
 import dataclasses
-import functools
 import inspect
 import itertools
 import warnings
@@ -316,9 +315,8 @@ class TestLargeX:
         assert abs(A.slavnov_series(self.SPEC, x) - t) < 1e-10 * abs(t)
 
     def test_kernel_v_reads_the_overflowing_density(self):
-        theta = functools.partial(symbols.eval_theta, self.SPEC)
         with pytest.raises(errors.OverflowGuard):
-            fredholm.kernel_V(theta, 700, CauchySuite(self.SPEC).rho)
+            fredholm.kernel_V(self.SPEC, 700, CauchySuite(self.SPEC).rho)
 
 
 @st.composite
@@ -370,8 +368,7 @@ class TestSplitV:
         # S = V + sum_z W_z on the suite's circle, which at winding -1 is
         # select_contour's, off the unit circle
         suite = CauchySuite(spec)
-        theta = functools.partial(symbols.eval_theta, spec)
-        parts = [fredholm.kernel_V(theta, x, suite.rho)] + [
+        parts = [fredholm.kernel_V(spec, x, suite.rho)] + [
             fredholm.kernel_W(spec, z, x) for z in suite.zeros_inside()]
         v = fredholm.nystrom_det(fredholm.kernel_sum(parts), suite.rho)
         s = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.rho)
@@ -425,8 +422,8 @@ class TestTauEffResidueAtZeroWinding:
         inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
         assert form == "residue" and kernel.rank == x + len(inside)
         got = fredholm.nystrom_det(kernel, 1.0).value
-        split = fredholm.nystrom_det(fredholm.kernel_V(
-            functools.partial(symbols.eval_theta, spec), x, 1.0), 1.0).value
+        split = fredholm.nystrom_det(fredholm.kernel_V(spec, x, 1.0),
+                                     1.0).value
         want = A.szego(spec, x)
         for ref in (split, want):
             assert log_gap(np.log(got), np.log(ref)) <= \
@@ -480,7 +477,7 @@ SIGNATURES = {A.szego: ["spec", "x"], A.hartwig_fisher: ["spec", "x"],
               A.tau_leading: ["spec", "x", "route"],
               A.variational_check: ["spec", "x", "j"],
               CauchySuite: ["spec", "unit"],
-              fredholm.kernel_V: ["theta", "x", "radius"],
+              fredholm.kernel_V: ["spec", "x", "radius"],
               fredholm.nystrom_det: ["kernel", "radius", "tol", "m_cap"],
               contours.radius_past: ["r", "obstructions", "sign"],
               contours.base_contour: ["spec"],

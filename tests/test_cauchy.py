@@ -5,8 +5,6 @@ the suite's series transforms: the trapezoid sum of a Cauchy integral at a
 point off the circle, and b as a residue sum over the zeros outside it.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -16,10 +14,6 @@ from detlab.cauchy import CauchySuite
 
 def suite_for(name):
     return CauchySuite(symbols.fixture(name))
-
-
-def theta_of(suite: CauchySuite):
-    return functools.partial(symbols.eval_theta, suite.spec)
 
 
 def w_density(suite: CauchySuite, x):
@@ -39,7 +33,7 @@ def w_minus(suite: CauchySuite, x, q):
     """Outside part of kernel_V's w at the point q, read off its generator
     vp = g_1 = q^{x/2} + q^{-x/2} w_minus."""
     half = complex(q) ** (x / 2.0)
-    kern = fredholm.kernel_V(theta_of(suite), x, suite.rho)
+    kern = fredholm.kernel_V(suite.spec, x, suite.rho)
     return (kern.generators(np.array([q]))[2][0][0] - half) * half
 
 
@@ -102,7 +96,7 @@ class TestWFunction:
         s = suite_for("F4")
         zeros = s.zeros_inside()
         q = np.array([s.rho * 1.4 + 0.2j, s.rho * np.exp(0.7j)])
-        a = fredholm.kernel_V(theta_of(s), 3, s.rho).generators(q)[2][0]
+        a = fredholm.kernel_V(s.spec, 3, s.rho).generators(q)[2][0]
         b = fredholm.kernel_V_residue(s.spec, 3, zeros).generators(q)[2][0]
         assert np.max(np.abs(a - b)) < 1e-10
 
@@ -110,7 +104,7 @@ class TestWFunction:
         # w_minus' read back from dvp = g_1' = (x/2) q^{x/2-1}
         #   + q^{-x/2} (w_minus' - (x/2) w_minus / q)
         s, x = suite_for("F4"), 3
-        kern = fredholm.kernel_V(theta_of(s), x, s.rho)
+        kern = fredholm.kernel_V(s.spec, x, s.rho)
         q, h = 4.0 + 1.0j, 1e-6
         dvp = kern.generators(np.array([q]))[3][0][0]
         dw = (dvp - (x / 2) * q ** (x / 2 - 1)) * q ** (x / 2) + \

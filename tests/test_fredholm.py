@@ -25,10 +25,6 @@ def suite_for(name):
     return spec, CauchySuite(spec)
 
 
-def theta_of(spec):
-    return functools.partial(symbols.eval_theta, spec)
-
-
 def direct_fill(kernel, nodes, weights):
     """Entry-by-entry Nystrom matrix of r generator pairs: the oracle for
     ``Kernel.matrix``."""
@@ -268,7 +264,7 @@ class TestFill:
 
     def test_sum_fills_its_parts_at_once(self):
         spec, suite = suite_for("F4")
-        parts = [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] + \
+        parts = [fredholm.kernel_V(spec, 3, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()]
         nodes = circle_nodes(suite.rho, 64)
         weights = circle_weights(nodes, 64)
@@ -294,7 +290,7 @@ class TestFill:
         spec = symbols.SymbolSpec(
             "rational", tuple(np.polynomial.polynomial.polyfromroots(zeros)),
             (0.0, 0.0, 1.0))
-        kern = fredholm.kernel_V(theta_of(spec), 32, 1.0)
+        kern = fredholm.kernel_V(spec, 32, 1.0)
         nodes = circle_nodes(1.0, 1024)
         off, _ = long_double_errors(kern, nodes, circle_weights(nodes, 1024))
         assert off <= 5 * np.finfo(float).eps
@@ -315,20 +311,22 @@ class TestFill:
         # gives phi^x = 0.25 to rounding (the fill of every outside mode,
         # their rounding times j in the derivative, read 0.24999999999999217)
         spec = symbols.SymbolSpec("rational", (0.5,), (1.0,))
-        kern = fredholm.kernel_V(theta_of(spec), 2, 1.0)
+        kern = fredholm.kernel_V(spec, 2, 1.0)
         nodes = circle_nodes(1.0, 4)
         det = fredholm._grid_det(kern, nodes, circle_weights(nodes, 4))
         assert abs(det / 0.25 - 1) <= 4 * EPS
 
     @pytest.mark.parametrize("name,m_used", [
         ("F1", ((34,), (24,), (66,))),
-        ("F2", ((46,), (30,), (86,))),
+        ("F2", ((24, 46), (19, 30), (75, 86))),
         ("F3", ((34,), (24,), (68,))),
         ("F4", ((34,), (24,), (68,)))])
     def test_doubling_history_pinned(self, name, m_used):
-        # the grids tried at x = 2, 8, 64: theta's modes past 2a are
-        # rounding, so one grid of x + 2a nodes, a theta's bandwidth (0 -> 1
-        # for F1, 11 for F2, 2 for F3 and F4) doubled while x + a < 16
+        # the grids tried at x = 2, 8, 64, a theta's bandwidth (0 -> 1 for
+        # F1, 11 for F2, 2 for F3 and F4) doubled while x + a < 16: a
+        # Laurent polynomial has no modes past 2a, so one grid of x + 2a
+        # nodes; F2's sampled modes bound nothing, so the ladder x + a,
+        # x + 2a, which returns the same grid
         spec = symbols.fixture(name)
         ct = asymptotics.base_contour(spec)
         res = [fredholm.nystrom_det(fredholm.kernel_S(spec, x), ct)
@@ -402,7 +400,7 @@ class TestLemma:
         # worst at x <= 3 on 2 to 6 nodes (130 units where it summed every
         # outside mode of the split, rounding included)
         assume(symbols.winding_number(spec) == 0)
-        kern = fredholm.kernel_V(theta_of(spec), x, 1.0)
+        kern = fredholm.kernel_V(spec, x, 1.0)
         zeros = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
         m = x + n
         nodes = circle_nodes(1.0, m)
@@ -437,7 +435,7 @@ class TestLemma:
         # the tail both keep.  On 56 and 48 nodes the tail's N = 24 and 28
         # modes outrun the sine rank n = 16 and 12
         spec = symbols.SymbolSpec("rational", (-0.6, 1.0), (0.0, 1.0))
-        kern = fredholm.kernel_V(theta_of(spec), x, 1.0)
+        kern = fredholm.kernel_V(spec, x, 1.0)
         nodes = circle_nodes(1.0, m)
         weights = circle_weights(nodes, m)
         want, mat = dense_det(fredholm.kernel_V_residue(spec, x, [0.6]),
@@ -526,7 +524,7 @@ class TestLemma:
         monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
         spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
         res = fredholm.nystrom_det(
-            fredholm.kernel_V(theta_of(spec), x, 1.0), 1.0)
+            fredholm.kernel_V(spec, x, 1.0), 1.0)
         assert taken == [True] * len(res.grids)
 
     @pytest.mark.parametrize("spec, zeros, x, m", [
@@ -609,7 +607,7 @@ class TestLemma:
         monkeypatch.setattr(fredholm, "_jacobi_det", lemma)
         spec = symbols.fixture("F4")
         rho = asymptotics.base_contour(spec)
-        split = fredholm.kernel_V(theta_of(symbols.fixture("F2")), 40, 1.0)
+        split = fredholm.kernel_V(symbols.fixture("F2"), 40, 1.0)
         for m in (fredholm.LEMMA_MIN - 1, fredholm.LEMMA_MIN):
             for kern, radius in ((fredholm.kernel_S(spec, 40), rho),
                                  (split, 1.0)):
@@ -644,7 +642,7 @@ class TestDirect:
             return fredholm.kernel_S(spec, x)
         if kind == "residue V":
             return fredholm.kernel_V_residue(spec, x, zeros)
-        split = fredholm.kernel_V(theta_of(spec), x, 1.0)
+        split = fredholm.kernel_V(spec, x, 1.0)
         if kind == "split V":
             return split
         if kind == "W":
@@ -694,7 +692,7 @@ class TestDirect:
         # has r = 46 columns: past m/2 on its ladder's grids 37 and 69,
         # which the dense LU fills, within it on 133, which it does not
         spec = symbols.fixture("F6")
-        kern = fredholm.kernel_V(theta_of(spec), 5, 1.0)
+        kern = fredholm.kernel_V(spec, 5, 1.0)
         assert kern.rank == 46
         filled = []
         real = fredholm.Kernel.matrix
@@ -717,7 +715,7 @@ class TestDirect:
         # columns give S's value, and a part without a direct side, or
         # another x, leaves the sum without one
         spec, suite = suite_for("F4")
-        parts = [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] + \
+        parts = [fredholm.kernel_V(spec, 3, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()]
         total = fredholm.kernel_sum(parts)
         assert total.rank == sum(k.rank for k in parts)
@@ -830,7 +828,7 @@ class TestNystrom:
     def test_sum_kernel_takes_widest_part(self):
         spec, suite = suite_for("F4")
         parts = [zero_kernel(),
-                 fredholm.kernel_V(theta_of(spec), 6, suite.rho)] + \
+                 fredholm.kernel_V(spec, 6, suite.rho)] + \
             [fredholm.kernel_W(spec, z, 6) for z in suite.zeros_inside()]
         assert [k.x for k in parts] == [0] + [6] * (len(parts) - 1)
         assert fredholm.kernel_sum(parts).x == 6
@@ -856,14 +854,24 @@ class TestNystrom:
     @pytest.mark.parametrize("n", [4, 8, 16, 30])
     def test_sum_kernel_adds_its_parts_folds(self, n):
         # the sum's entries are the sums of its parts' entries, so it folds
-        # what its parts fold together, not the largest of them
+        # what its parts fold together, not the largest of them: on its
+        # grid x + n the sum of their bounds holds, to the LU's rounding.
+        # The sum reads its widest part's modes and bounds nothing itself
         spec = symbols.fixture("F4")
         rho = asymptotics.base_contour(spec)
         kern = fredholm.kernel_V_residue(spec, 6, [0.3])
         one = kern.reach(rho)
-        two = fredholm.kernel_sum([kern, kern]).reach(rho)
-        assert one.modes == two.modes == 11
-        assert 0 < one.folds(n) and two.folds(n) == 2 * one.folds(n)
+        two = fredholm.kernel_sum([kern, kern])
+        assert one.modes == two.reach(rho).modes == 11
+        assert two.reach(rho).folds is None and 0 < one.folds(n)
+
+        def det(m):
+            nodes = circle_nodes(rho, m)
+            return fredholm._grid_det(two, nodes, circle_weights(nodes, m))
+
+        m, exact = 6 + n, det(400)
+        assert abs(det(m) - exact) / max(1.0, abs(exact)) <= \
+            m * 2 * one.folds(n) + m * m * EPS
 
     def test_theta_reach_reads_the_converged_bandwidth(self):
         # SLOW's theta converges on 1024 nodes: one FFT on 256 nodes read
@@ -899,7 +907,7 @@ class TestNystrom:
         # F6's split V at x = 2 carries ~39 modes past q^{-1}, capped at 32:
         # the ladder of the previous fixed margin.  Forced to 1, the first
         # grids disagree and the ladder doubles on to the same value.
-        kern = fredholm.kernel_V(theta_of(symbols.fixture("F6")), 2, 1.0)
+        kern = fredholm.kernel_V(symbols.fixture("F6"), 2, 1.0)
         want = fredholm.nystrom_det(kern, 1.0)
         assert want.grids == (34, 66, 130)
         kern.reach = lambda radius: fredholm.Reach(1, None)
@@ -1002,25 +1010,24 @@ class TestOneGrid:
         assert v.folds(4) > 1e-8 > 1e-15 > v.folds(22)
 
     def test_v_tail_meets_theta_below_the_grid(self):
-        # theta of bandwidth 2 and the tail 1e-4 (1/q + 1/q^2): the grid
-        # x + n folds the tail mode 2 into theta's mode n - 2 until
-        # n = 2 + 2 + 1, which the modes past n alone do not show
-        def theta(q):
-            return 0.5 + 0.2 * (q + 1 / q) + 0.1 * (q ** 2 + 1 / q ** 2)
+        # theta = 0.5 + 0.2 (q + 1/q) + 0.1 (q^2 + 1/q^2), bandwidth 2, and
+        # the tail 1e-4 (1/q + 1/q^2): the grid x + n folds the tail mode 2
+        # into theta's mode n - 2 until n = 2 + 2 + 1, which theta's modes
+        # past n alone, none past its band, do not show
+        spec = symbols.SymbolSpec(numer=(0.1, 0.2, 1.5, 0.2, 0.1),
+                                  denom=(0, 0, 1.0))
 
         def tail(q):
             return (1e-4 * (1 / q + 1 / q ** 2),
                     -1e-4 * (1 / q ** 2 + 2 / q ** 3))
 
         x = 30
-        kern = fredholm._kernel_V_generic(theta, tail, x, None)
-        split = LaurentSplit(theta(circle_nodes(1.0, 256)), 1.0)
-        env = fredholm._envelope(split.j, split.c)
-        modes = np.array([1e-4, 1e-4, 0.0])
-
-        def folds(n):
-            return fredholm._folds(
-                env, lambda nu: modes[np.minimum(nu, 3) - 1], n)
+        kern = fredholm._kernel_V_generic(
+            functools.partial(symbols.eval_theta, spec), tail, x, None)
+        read = fredholm._theta_reach(spec, 1.0, 2,
+                                     lambda nu: 1e-4 if nu <= 2 else 0.0)
+        alone = fredholm._theta_reach(spec, 1.0, 0, lambda nu: 0.0)
+        assert read.modes == 2
 
         def det(m):
             nodes = circle_nodes(1.0, m)
@@ -1029,11 +1036,33 @@ class TestOneGrid:
         exact = det(200)
         for n in (2, 3, 4):
             off = abs(det(x + n) / exact - 1)
-            assert folds(n) / 2 <= off <= folds(n)
-            assert env[n + 1] < 1e-16
+            assert read.folds(n) / 2 <= off <= read.folds(n)
+            assert alone.folds(n) == 0
         for n in (5, 6, 8):
             assert abs(det(x + n) / exact - 1) < 1e-13
-            assert folds(n) < 1e-15
+            assert read.folds(n) == 0
+
+    def test_only_exact_modes_bound_a_grid(self):
+        # S, V's residue form and W on a Laurent polynomial (F4) read their
+        # modes and residue weights exactly and bound what a grid folds;
+        # split V on it, a sum, and every kernel of F2, whose theta is
+        # sampled, bound nothing, and their determinants take the ladder
+        f4, f2 = symbols.fixture("F4"), symbols.fixture("F2")
+        rho = asymptotics.base_contour(f4)
+        exact = [fredholm.kernel_S(f4, 6),
+                 fredholm.kernel_V_residue(f4, 6, [0.3]),
+                 fredholm.kernel_W(f4, 0.3, 6)]
+        assert all(k.reach(rho).folds is not None for k in exact)
+        sampled = [(fredholm.kernel_V(f4, 6, rho), rho),
+                   (fredholm.kernel_sum(exact), rho),
+                   (fredholm.kernel_S(f2, 6), 1.0),
+                   (fredholm.kernel_V_residue(f2, 6, []), 1.0),
+                   asymptotics.tau_eff_kernel(f2, 6)]
+        assert all(k.reach(r).folds is None for k, r in sampled)
+        for kern, radius in [(fredholm.kernel_S(f2, 2), 1.0),
+                             asymptotics.tau_eff_kernel(f2, 2),
+                             (fredholm.kernel_V(f4, 3, rho), rho)]:
+            assert len(fredholm.nystrom_det(kern, radius).grids) >= 2
 
     @staticmethod
     def near_double_zero(x):
@@ -1109,11 +1138,34 @@ class TestOneGrid:
         assert fredholm._first_reach(kern, 1.0) == (fredholm.M_START, None)
 
 
+def reference_reach(j, c, tail_modes=0, tail=None):
+    """The reference envelope and fold rule on the modes (j, c), in arrays:
+    theta's bandwidth or ``tail_modes``, whichever is more, and folds(n) =
+    E[n + 1] + sum_nu tail(nu) E[|n - nu|] over the tail modes nu = 1, 2,
+    ..., E[k] the largest |c_j| over |j| >= k relative to the largest of
+    all, 0 past max|j|; no bound for tail None."""
+    modes = max(fredholm._bandwidth(j, c), tail_modes)
+    if tail is None:
+        return fredholm.Reach(modes, None)
+    by_k = np.zeros(np.max(np.abs(j)) + 2)
+    np.maximum.at(by_k, np.abs(j), np.abs(c))
+    env = np.maximum.accumulate(by_k[::-1])[::-1]
+    env = env / env[0] if env[0] > 0 else env
+    last = env.size - 1
+
+    def folds(n):
+        nu = np.arange(1, n + last + 1)
+        return float(env[min(n + 1, last)] + np.sum(
+            tail(nu) * env[np.minimum(np.abs(n - nu), last)]))
+    return fredholm.Reach(modes, folds)
+
+
 class TestThetaModes:
     """A Laurent polynomial's reach is read from its coefficients in Python
     scalars (``fredholm._theta_reach``): the modes of its sampled split
-    to rounding, the array helpers' modes and folds on the same
-    coefficient modes, and the same grids and values as either reach."""
+    to rounding, ``reference_reach``'s modes and folds on the
+    same coefficient modes, and the same grids and values as that one.
+    Read from samples, the same modes bound nothing."""
 
     @staticmethod
     def coefficient_modes(form, radius):
@@ -1127,8 +1179,8 @@ class TestThetaModes:
 
     @classmethod
     def array_reach(cls, spec, radius, tail_modes=0, tail=None):
-        """``_theta_reach`` by the array helpers on the same modes."""
-        return fredholm._reach(*cls.coefficient_modes(
+        """``_theta_reach`` by ``reference_reach`` on the same modes."""
+        return reference_reach(*cls.coefficient_modes(
             symbols.laurent_polynomial(spec), radius), tail_modes, tail)
 
     @staticmethod
@@ -1188,16 +1240,23 @@ class TestThetaModes:
             kernels = self.kernels(spec, x, rho)
         except errors.NotASimpleZero:
             assume(False)
+        # read from samples the reach has the same modes and no bound, so
+        # where the coefficients took one grid, x + 2a, the ladder x + a,
+        # x + 2a stops on it, with its value
         for kern in kernels:
             read = kern.reach(rho)
-            value, err = self.outcome(kern, rho)
+            value, _ = self.outcome(kern, rho)
             with mock.patch.object(symbols, "laurent_polynomial",
                                    lambda spec: None):
-                assert kern.reach(rho).modes == read.modes
-                sampled_value, sampled_err = self.outcome(kern, rho)
-            assert value == sampled_value
-            if err is not None:
-                assert err <= sampled_err
+                sampled = kern.reach(rho)
+                ladder, _ = self.outcome(kern, rho)
+            assert read.folds is not None and sampled.folds is None
+            assert sampled.modes == read.modes
+            if isinstance(value, str) or len(value[1]) > 1:
+                assert ladder == value
+                continue
+            assert len(ladder[1]) == 2 and ladder[1][-1] == value[1][0]
+            assert ladder[0] == value[0]
 
     @settings(max_examples=40, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(0, 40))
@@ -1205,7 +1264,7 @@ class TestThetaModes:
              x=3)
     def test_scalar_reach_is_the_array_reach(self, spec, x):
         # pole orders 0-3 and 0-3 zeros inside: the scalar reach has the
-        # array helpers' modes and, to rounding, their folds, and every
+        # reference's modes and, to rounding, its folds, and every
         # determinant it serves takes the same grids to the same bits
         rho = toeplitz._sample_radius(spec)
         try:
@@ -1357,14 +1416,14 @@ class TestKernelAlgebra:
         ct = suite.rho
         s_det = fredholm.nystrom_det(fredholm.kernel_S(spec, 3), ct).value
         combo = fredholm.kernel_sum(
-            [fredholm.kernel_V(theta_of(spec), 3, suite.rho)] +
+            [fredholm.kernel_V(spec, 3, suite.rho)] +
             [fredholm.kernel_W(spec, z, 3) for z in suite.zeros_inside()])
         v_det = fredholm.nystrom_det(combo, ct).value
         assert abs(s_det - v_det) / abs(s_det) < 1e-10
 
     def test_v_residue_route(self):
         spec, suite = suite_for("F4")
-        kern_a = fredholm.kernel_V(theta_of(spec), 2, suite.rho)
+        kern_a = fredholm.kernel_V(spec, 2, suite.rho)
         kern_b = fredholm.kernel_V_residue(spec, 2, suite.zeros_inside())
         ct = suite.rho
         a = fredholm.nystrom_det(kern_a, ct).value
@@ -1453,7 +1512,7 @@ class TestOnePass:
         nodes = circle_nodes(suite.rho, 40)
         weights = circle_weights(nodes, 40)
         for kern, want in (
-                (fredholm.kernel_V(theta_of(spec), 3, suite.rho),
+                (fredholm.kernel_V(spec, 3, suite.rho),
                  {("minus", 0): 1, ("minus", 1): 1}),
                 (fredholm.resolvent_kernel(suite, 3, suite.b_split(3).plus),
                  {("minus", 0): 1, ("minus", 1): 1,
@@ -1529,9 +1588,9 @@ class TestRankOne:
     def test_sum_starts_at_the_margin_of_v(self, monkeypatch):
         # on F2 at x = 2 the rank-one part carries theta's reach, no wider
         # than V's, so the sum (V's two pairs and the rank-one part's two)
-        # starts at V's margin where it took x + 32 nodes; V bounds what its
-        # grid x + 2a folds and takes that one grid, the rank-one part has
-        # no bound, so the sum runs the ladder
+        # starts at V's margin where it took x + 32 nodes; neither V, whose
+        # modes are sampled, nor the sum bounds what a grid folds, so both
+        # run the same ladder
         ladders = []
         real = fredholm.nystrom_det
 
@@ -1543,7 +1602,28 @@ class TestRankOne:
 
         monkeypatch.setattr(fredholm, "nystrom_det", recorded)
         fredholm.rank_one_shift_identity(symbols.fixture("F2"), 2)
-        assert ladders[:2] == [(2, (46,)), (4, (24, 46))]
+        assert ladders[:2] == [(2, (24, 46)), (4, (24, 46))]
+
+    @pytest.mark.parametrize("x", [1, 2, 5, 8])
+    def test_shifted_weight_where_p_vanishes_at_0(self, x):
+        # phi = q(q - 2)/(q - 0.5) has winding 0 and P(0) = 0, so the
+        # shifted weight -phi/q is the symbol -(q - 2)/(q - 0.5), whose P
+        # and Q share no root; its residuals read at most 1.4e-15
+        spec = symbols.SymbolSpec(numer=(0, -2.0, 1.0), denom=(-0.5, 1.0))
+        assert symbols.winding_number(spec) == 0
+        res = fredholm.rank_one_shift_identity(spec, x)
+        assert res["residual_difference"] < 1e-13
+        assert res["residual_closed"] < 1e-13
+
+    @pytest.mark.parametrize("spec", [
+        symbols.fixture("F0"), symbols.fixture("F2"), symbols.fixture("F6"),
+        symbols.SymbolSpec(numer=(0, -2.0, 1.0), denom=(-0.5, 1.0))],
+        ids=["F0", "F2", "F6", "P(0)=0"])
+    def test_shifted_weight_is_minus_phi_over_q(self, spec):
+        q = np.array([0.3 + 0.1j, 1.7 - 0.4j, -0.2 + 2.5j, 0.9j, 3.0])
+        want = -symbols.eval_phi(spec, q) / q
+        got = symbols.eval_phi(fredholm._lowered(spec), q)
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
     def test_not_a_simple_zero_guard(self):
         # phi = (q - 1.3)^2 / q has a double zero: the rank-one residue

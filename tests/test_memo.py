@@ -59,10 +59,14 @@ class TestGridIdentity:
 
         one_pass()
         before = circle_nodes.cache_info()
+        held = dict(symbols._samples)
         one_pass()
         after = circle_nodes.cache_info()
         assert after.misses == before.misses
         assert after.hits > before.hits
+        # and evaluates no sample afresh
+        assert symbols._samples.keys() == held.keys()
+        assert all(symbols._samples[key] is out for key, out in held.items())
 
 
 class TestGridSamples:
@@ -98,10 +102,26 @@ class TestGridSamples:
             symbols.eval_phi(spec, grid)
 
     def test_memo_is_bounded(self):
+        # by bytes: twice as many of the largest samples as it holds leave
+        # it full to within one of them, the latest held
         spec = symbols.fixture("F1")
-        for m in range(16, 16 + 2 * symbols.SAMPLE_MEMO):
-            symbols.eval_phi(spec, circle_nodes(1.0, m))
-        assert len(symbols._samples) == symbols.SAMPLE_MEMO
+        largest = 16 * symbols.SAMPLE_M_MAX
+        for k in range(2 * symbols.SAMPLE_MEMO // largest):
+            grid = circle_nodes(1.0, symbols.SAMPLE_M_MAX - k)
+            out = symbols.eval_phi(spec, grid)
+        held = sum(a.nbytes for a in symbols._samples.values())
+        assert held == symbols._sample_bytes
+        assert symbols.SAMPLE_MEMO - largest < held <= symbols.SAMPLE_MEMO
+        assert symbols.eval_phi(spec, grid) is out
+
+    def test_cyclic_pass_of_small_samples_misses_none(self):
+        # 100 small samples in one cyclic order, past the 64 largest ones
+        # the memo holds: the second pass returns every first result
+        spec = symbols.fixture("F3")
+        grids = [circle_nodes(1.0, m) for m in range(64, 164)]
+        first = [symbols.eval_phi(spec, grid) for grid in grids]
+        assert all(symbols.eval_phi(spec, grid) is out
+                   for grid, out in zip(grids, first))
 
     def test_pole_hit_raises_on_every_call(self):
         grid = circle_nodes(1.3, 16)
@@ -224,9 +244,10 @@ def empty_annulus_spec():
 
 
 class TestHeldConstants:
-    """Per-symbol constants read once: the Laurent form, formed with the
-    spec, and the base contour's radius, chosen once per memoised
-    analysis, both the values their uncached derivations give."""
+    """Per-symbol constants read once: the Laurent form and the roots of P
+    and Q, formed with the spec, and the base contour's radius, chosen
+    once per memoised analysis, each the value its uncached derivation
+    gives."""
 
     def check(self, spec):
         form = symbols.laurent_polynomial(spec)
@@ -266,6 +287,21 @@ class TestHeldConstants:
             with pytest.raises(errors.EmptyAnnulus):
                 contours.base_contour(spec)
         self.check(spec)
+
+    def test_roots_found_once_per_spec(self, monkeypatch):
+        # np.roots runs on P and on Q once, as the spec is formed; the
+        # winding's count and the analysis read the held roots
+        calls = []
+        real = symbols._poly_roots
+        monkeypatch.setattr(symbols, "_poly_roots",
+                            lambda coeffs: calls.append(1) or real(coeffs))
+        spec = rational([0.3, 2.5], [0.0, 0.6], "held-roots")
+        assert len(calls) == 2
+        assert symbols.winding_number(spec) == -1
+        symbols.analyze(spec)
+        assert len(calls) == 2
+        for held, coeffs in zip(spec._roots, (spec.numer, spec.denom)):
+            assert same_bits(held, real(coeffs)) and not held.flags.writeable
 
     def test_radius_read_once_per_analysis(self, monkeypatch):
         spec = rational([0.3, 2.5], [0.0, 0.0], "held-radius")

@@ -26,8 +26,9 @@ direct side on k columns and "lu" for the dense LU, and every
 k zeros or "split N" with N tail modes kept; then the reach of
 ``kernel_S``, of ``tau_eff_kernel`` (labelled with its form of V) and of
 ``kernel_W`` at each zero inside the base contour on the same fixtures and
-x, each its ``modes`` and ``folds(n)`` at n = 2a, 4a and 8a, a its modes
-(at least 1, doubled while x + a < 16), read only through
+x, each its ``modes`` and ``folds(n)`` at n = 2a, 4a and 8a, or None
+where the reach reads samples, a its modes (at least 1, doubled while
+x + a < 16), read only through
 ``kernel.reach(radius)``, then every
 ``detlab verify`` residual at seeds 0, 3 and 9, at seed 0 with the grids,
 paths and ``err_estimate`` of every Nystrom ladder the check runs, then
