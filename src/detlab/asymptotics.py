@@ -197,10 +197,15 @@ def hf_leading(spec: symbols.SymbolSpec, x: int,
     route 'angular': quadratic functional of the raw phase shift on the
     angle interval [-pi, pi).
     route 'reduced': compensated-shift mode sums plus explicit zero factors.
+    Both sum over the n zeros of ``z_list`` at winding -n: EmptyAnnulus
+    where it holds fewer, as where phi has no zero outside the circle.
     """
     x = errors.check_x(x)
     ana = _require_negative_winding(spec)
     n = -ana.winding
+    if len(ana.z_list) < n:
+        raise errors.EmptyAnnulus(
+            f"winding {-n} but {len(ana.z_list)} zeros to enclose")
     z = np.array(ana.z_list, dtype=complex)
     # zero differences over ordered pairs, and the zeros' powers and phi'
     # values, all as logarithms so no power of a zero over- or underflows
@@ -272,12 +277,13 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
     to itself.  The swapped V in residue form is regular at z_a,
     where theta = -1, so its determinant is taken on the plain circle
     ``radius_past`` |w_b| outward, with the poles of phi as obstructions.
-    Both determinants run the ladder, their kernels' reach stripped of its
-    fold bound (``_ladder_only``): on F4 with z_a = 1.4 and w_b = 2.2, past
-    x ~ 110 the swapped kernel's reach falls under its true fold and its
-    one grid read cancellation noise (5e-5 at x = 127 against the closed
-    form's -8e-26, under a bound of 2e-15), which a second grid exposes as
-    NotConverged.  EmptyAnnulus when a pole lies between the base circle and
+    Both determinants run the ladder: phi winds on the swapped circle, so
+    that kernel's reach carries no fold bound, and the base kernel's is
+    stripped of it (``_ladder_only``).  On F4 with z_a = 1.4 and w_b = 2.2,
+    past x ~ 110 the swapped kernel's reach falls under its true fold, and
+    its one grid read cancellation noise (5e-5 at x = 127 against the
+    closed form's -8e-26, under a bound of 2e-15), which a second grid
+    exposes as NotConverged.  EmptyAnnulus when a pole lies between the base circle and
     w_b; NotAvailable when no zero lies inside the contour, or none
     outside."""
     x = errors.check_x(x)
@@ -298,9 +304,8 @@ def tau_ratio_swap(spec: symbols.SymbolSpec, x: int, z_a: complex,
         raise errors.EmptyAnnulus(
             f"a pole lies between the contour and the zero {w_b}")
     inside_swap = [z for z in zset if abs(z - z_a) > 1e-8] + [w_b]
-    det_swap = nystrom_det(
-        _ladder_only(kernel_V_residue(spec, x, inside_swap)),
-        radius_past(abs(w_b), poles, 1), 1e-9)
+    det_swap = nystrom_det(kernel_V_residue(spec, x, inside_swap),
+                           radius_past(abs(w_b), poles, 1), 1e-9)
     det_base = nystrom_det(_ladder_only(kernel_V_residue(spec, x, zset)),
                            suite.rho, 1e-9)
     ratio = det_swap.value / det_base.value

@@ -235,156 +235,78 @@ def cmd_compare(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# verification suite
+# verification suite: each check(spec, x) returns its residual
+
+def _pair(route, reference):
+    """The check of the gap of ``route`` to ``reference``, both calls
+    (spec, x, arg) as ``ROUTES``."""
+    return lambda spec, x: _gap(route(spec, x, None), reference(spec, x, None))
+
+
+def _kernel_split(spec, x):
+    suite = cauchy.suite_for(spec)
+    lhs = fredholm.nystrom_det(
+        fredholm.kernel_sum(
+            [fredholm.kernel_V(spec, x, suite.rho)] +
+            [fredholm.kernel_W(spec, z, x) for z in suite.zeros_inside()]),
+        suite.rho).value
+    rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, x), suite.rho).value
+    return _gap(lhs, rhs)
+
+
+def _rank_one(spec, x):
+    res = fredholm.rank_one_shift_identity(spec, x)
+    return max(res["residual_difference"], res["residual_closed"])
+
+
+def _rhp_normalization(spec, x):
+    measure = orthopoly.MeasureMu(spec, x)
+    return orthopoly.RHPSolution(measure).normalization_residual()
+
+
+def _ff_convergence(spec, x):
+    # the gaps at L = 4 and 8 (2.9e-4 and 2.8e-9 on F2 at x = 2) both lie
+    # above the rounding floor, which L = 16 already reaches (~1e-15)
+    oracle = ROUTES["fredholm_V"](spec, x, None)
+    g4, g8 = (abs(ROUTES["ff"](spec, x, L) - oracle) for L in (4, 8))
+    if g4 < 1e-12 and g8 < 1e-12:
+        return 0.0
+    return g8 / g4
+
+
+def _rows(prefix, tol, check, *cases):
+    """The rows ``prefix-F-xX`` of ``check`` on fixture F at x = X, one for
+    each (F, X) of ``cases``."""
+    return [(f"{prefix}-{name}-x{x}", tol, check, name, x)
+            for name, x in cases]
+
 
 def _verify_checks(seed: int):
-    """Yield (name, tolerance, residual_callable) triples.  One call is one
-    verify pass: its callables run inside one ``cauchy.SuiteScope``, which
-    lives as long as they do, so the pass builds each suite once."""
+    """Yield (name, tolerance, residual_callable) triples, one for each row
+    (name, tolerance, check, fixture, x) of the table below, in its order:
+    the callable returns check(spec of fixture, x).  One call is one verify
+    pass: its callables run inside one ``cauchy.SuiteScope``, which lives
+    as long as they do, so the pass builds each suite once, and the checks
+    that probe draw from one generator seeded with ``seed`` as they run."""
+    rng = np.random.default_rng(seed)
     scope = cauchy.SuiteScope()
 
-    def scoped(run):
-        def call():
-            with scope:
-                return run()
-        return call
-
-    for name, tol, run in _checks(seed):
-        yield name, tol, scoped(run)
-
-
-def _checks(seed: int):
-    """The (name, tolerance, residual_callable) triples of ``_verify_checks``,
-    each callable outside any suite scope."""
-    rng = np.random.default_rng(seed)
-
-    def jump_check(name):
-        def run():
-            spec = symbols.fixture(name)
-            return cauchy.suite_for(spec).jump_residual
-        return run
-
-    for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7"):
-        yield f"scalar-jump-{name}", 1e-10, jump_check(name)
-
-    def pair_checks(prefix, tol, route, reference, cases):
-        """Checks ``prefix-name-xX``: the gap of ``route`` to ``reference``,
-        both calls (spec, x, arg), for each fixture name and order x of
-        ``cases``."""
-        def check(name, x):
-            def run():
-                spec = symbols.fixture(name)
-                return _gap(route(spec, x, None), reference(spec, x, None))
-            return run
-
-        for name, x in cases:
-            yield f"{prefix}-{name}-x{x}", tol, check(name, x)
-
-    yield from pair_checks("oracle-S", 1e-8, ROUTES["fredholm_S"],
-                           ROUTES["toeplitz"],
-                           (("F1", 3), ("F3", 5), ("F4", 2), ("F6", 4)))
-
-    def split_check():
-        spec = symbols.fixture("F4")
+    def mdual(spec, x):
         suite = cauchy.suite_for(spec)
-        lhs = fredholm.nystrom_det(
-            fredholm.kernel_sum(
-                [fredholm.kernel_V(spec, 3, suite.rho)] +
-                [fredholm.kernel_W(spec, z, 3)
-                 for z in suite.zeros_inside()]),
-            suite.rho).value
-        rhs = fredholm.nystrom_det(fredholm.kernel_S(spec, 3),
-                                   suite.rho).value
-        return _gap(lhs, rhs)
+        probes = []
+        for _ in range(4):
+            r = suite.rho * (0.3 + 0.6 * rng.random())
+            probes.append(r * np.exp(1j * (2 * np.pi * rng.random(2))))
+        k1, k2 = np.transpose(probes)
+        return max(map(_gap, *fredholm.m_function(suite, x, k1, k2)))
 
-    yield "kernel-split-F4-x3", 1e-8, split_check
+    def rhp_jump(spec, x):
+        sol = orthopoly.RHPSolution(orthopoly.MeasureMu(spec, x))
+        probes = np.exp(2j * np.pi * rng.random(4))
+        return max(sol.jump_residual(q) for q in probes)
 
-    def inversion_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            return fredholm.resolvent_residual(cauchy.suite_for(spec), x)
-        return run
-
-    for name, x in (("F2", 2), ("F4", 2)):
-        yield f"resolvent-inversion-{name}-x{x}", 1e-8, inversion_check(name, x)
-
-    def mdual_check(name, x):
-        def run():
-            spec = symbols.fixture(name)
-            suite = cauchy.suite_for(spec)
-            probes = []
-            for _ in range(4):
-                r = suite.rho * (0.3 + 0.6 * rng.random())
-                probes.append(r * np.exp(1j * (2 * np.pi * rng.random(2))))
-            k1, k2 = np.transpose(probes)
-            return max(map(_gap, *fredholm.m_function(suite, x, k1, k2)))
-        return run
-
-    for name, x in (("F2", 2), ("F4", 3)):
-        yield f"mdual-{name}-x{x}", 1e-8, mdual_check(name, x)
-
-    def rank_one_check(name, x):
-        def run():
-            res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
-            return max(res["residual_difference"], res["residual_closed"])
-        return run
-
-    for name, x in (("F2", 2), ("F6", 5)):
-        yield f"rank-one-{name}-x{x}", 1e-8, rank_one_check(name, x)
-
-    yield from pair_checks("hf-exact", 1e-8, ROUTES["hf"],
-                           ROUTES["fredholm_V"], (("F3", 4), ("F5", 3)))
-    yield from pair_checks(
-        "leading-dual", 1e-9, ROUTES["leading"],
-        lambda spec, x, arg: asymptotics.tau_leading(spec, x, route="double"),
-        (("F1", 4), ("F4", 3)))
-    yield from pair_checks(
-        "hf-leading-dual", 1e-8, ROUTES["hf-leading"],
-        lambda spec, x, arg: asymptotics.hf_leading(spec, x, route="reduced"),
-        (("F3", 5), ("F5", 4)))
-    yield from pair_checks("bo", 1e-8, ROUTES["bo"], ROUTES["toeplitz"],
-                           (("F2", 3), ("F6", 5)))
-    yield from pair_checks("slavnov-sum", 1e-8, ROUTES["slavnov"],
-                           ROUTES["toeplitz"], (("F4", 2), ("F4", 4)))
-
-    def swap_check():
-        spec = symbols.fixture("F4")
-        closed, ratio, _ = asymptotics.tau_ratio_swap(spec, 3, 1.4, 2.2)
-        return _gap(closed, ratio)
-
-    yield "contour-swap-F4-x3", 1e-6, swap_check
-
-    def variational_fn():
-        spec = symbols.fixture("F2")
-        return _gap(*asymptotics.variational_check(spec, 2, -1))
-
-    yield "variational-F2", 1e-4, variational_fn
-
-    def ortho_checks(name, x):
-        def jump():
-            sol = orthopoly.RHPSolution(orthopoly.MeasureMu(
-                symbols.fixture(name), x))
-            probes = np.exp(2j * np.pi * rng.random(4))
-            return max(sol.jump_residual(q) for q in probes)
-
-        def norm():
-            sol = orthopoly.RHPSolution(orthopoly.MeasureMu(
-                symbols.fixture(name), x))
-            return sol.normalization_residual()
-
-        def hfm():
-            return orthopoly.hf_moment_equivalence(symbols.fixture(name), x)
-
-        return jump, norm, hfm
-
-    for name, x in (("F3", 2), ("F5", 3)):
-        jump, norm, hfm = ortho_checks(name, x)
-        yield f"rhp-jump-{name}-x{x}", 1e-8, jump
-        yield f"rhp-normalization-{name}-x{x}", 1e-8, norm
-        yield f"hf-moment-{name}-x{x}", 1e-8, hfm
-
-    def cd_check():
-        measure = orthopoly.MeasureMu(symbols.fixture("F5"), 2)
+    def christoffel_darboux(spec, x):
+        measure = orthopoly.MeasureMu(spec, x)
         worst = 0.0
         for _ in range(3):
             q = 0.8 * (rng.random() + 1j * rng.random())
@@ -394,20 +316,56 @@ def _checks(seed: int):
                 orthopoly.christoffel_darboux(measure, q, k, "closed")))
         return worst
 
-    yield "christoffel-darboux-F5", 1e-9, cd_check
+    rows = [
+        *((f"scalar-jump-{name}", 1e-10,
+           lambda spec, x: cauchy.suite_for(spec).jump_residual, name, None)
+          for name in ("F1", "F2", "F3", "F4", "F5", "F6", "F7")),
+        *_rows("oracle-S", 1e-8,
+               _pair(ROUTES["fredholm_S"], ROUTES["toeplitz"]),
+               ("F1", 3), ("F3", 5), ("F4", 2), ("F6", 4)),
+        *_rows("kernel-split", 1e-8, _kernel_split, ("F4", 3)),
+        *_rows("resolvent-inversion", 1e-8, lambda spec, x:
+               fredholm.resolvent_residual(cauchy.suite_for(spec), x),
+               ("F2", 2), ("F4", 2)),
+        *_rows("mdual", 1e-8, mdual, ("F2", 2), ("F4", 3)),
+        *_rows("rank-one", 1e-8, _rank_one, ("F2", 2), ("F6", 5)),
+        *_rows("hf-exact", 1e-8, _pair(ROUTES["hf"], ROUTES["fredholm_V"]),
+               ("F3", 4), ("F5", 3)),
+        *_rows("leading-dual", 1e-9, _pair(
+            ROUTES["leading"], lambda spec, x, arg:
+            asymptotics.tau_leading(spec, x, route="double")),
+            ("F1", 4), ("F4", 3)),
+        *_rows("hf-leading-dual", 1e-8, _pair(
+            ROUTES["hf-leading"], lambda spec, x, arg:
+            asymptotics.hf_leading(spec, x, route="reduced")),
+            ("F3", 5), ("F5", 4)),
+        *_rows("bo", 1e-8, _pair(ROUTES["bo"], ROUTES["toeplitz"]),
+               ("F2", 3), ("F6", 5)),
+        *_rows("slavnov-sum", 1e-8,
+               _pair(ROUTES["slavnov"], ROUTES["toeplitz"]),
+               ("F4", 2), ("F4", 4)),
+        *_rows("contour-swap", 1e-6, lambda spec, x: _gap(
+            *asymptotics.tau_ratio_swap(spec, x, 1.4, 2.2)[:2]), ("F4", 3)),
+        ("variational-F2", 1e-4, lambda spec, x: _gap(
+            *asymptotics.variational_check(spec, x, -1)), "F2", 2),
+        *_rows("rhp-jump", 1e-8, rhp_jump, ("F3", 2)),
+        *_rows("rhp-normalization", 1e-8, _rhp_normalization, ("F3", 2)),
+        *_rows("hf-moment", 1e-8, orthopoly.hf_moment_equivalence, ("F3", 2)),
+        *_rows("rhp-jump", 1e-8, rhp_jump, ("F5", 3)),
+        *_rows("rhp-normalization", 1e-8, _rhp_normalization, ("F5", 3)),
+        *_rows("hf-moment", 1e-8, orthopoly.hf_moment_equivalence, ("F5", 3)),
+        ("christoffel-darboux-F5", 1e-9, christoffel_darboux, "F5", 2),
+        ("ff-convergence-F2", 2.0 / 3.0, _ff_convergence, "F2", 2),
+    ]
 
-    def ff_check():
-        # the gaps at L = 4 and 8 (2.9e-4 and 2.8e-9) both lie above the
-        # rounding floor, which L = 16 already reaches (~1e-15)
-        spec = symbols.fixture("F2")
-        oracle = ROUTES["fredholm_V"](spec, 2, None)
-        g4 = abs(ROUTES["ff"](spec, 2, 4) - oracle)
-        g8 = abs(ROUTES["ff"](spec, 2, 8) - oracle)
-        if g4 < 1e-12 and g8 < 1e-12:
-            return 0.0
-        return g8 / g4
+    def scoped(check, name, x):
+        def call():
+            with scope:
+                return check(symbols.fixture(name), x)
+        return call
 
-    yield "ff-convergence-F2", 2.0 / 3.0, ff_check
+    for name, tol, check, fixture, x in rows:
+        yield name, tol, scoped(check, fixture, x)
 
 
 def cmd_verify(args) -> int:

@@ -39,6 +39,11 @@ ROW_BLOCK = 64
 LADDER_M0 = 32      # nodes of the first grid of ``_torus_ladder``
 NEWTON_TOL = 1e-14
 NEWTON_MAXIT = 60
+# Largest offset |p - q| of a root that ``tau_eff_finite`` reads theta at p
+# and q from rather than by evaluation: theta(q) = theta(p) - delta phi'
+# there to O(delta^3), while an evaluation of theta near its zero keeps only
+# its absolute precision, eps/|L delta| relative
+NEAR_ROOT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -410,11 +415,23 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         # symbol identically trivial: only the coincident subset, weight 1
         return 1.0 + 0.0j
     theta_p = symbols.eval_theta(spec, p)
+    theta_q = symbols.eval_theta(spec, q)
+    # a root within NEAR_ROOT of its grid point sits by a zero of theta,
+    # where theta(p) and theta(q) are as small as their rounding, yet their
+    # ratio, 1 + q phi'(q)/L to first order, sets the sum: theta(p) = p^-L
+    # - 1 from the offset, as Newton solved it, and theta(q) = theta(p) -
+    # delta phi' at the midpoint keep it (an evaluated theta(-1) = -1.1e-16
+    # on 0.5 (q - 0.2)(1 - q/1.5)/q moved the sum by 1e-3 at L = 128)
+    near = np.flatnonzero(np.abs(delta) < NEAR_ROOT)
+    if near.size:
+        d, start = delta[near], q_start[near]
+        theta_p[near] = np.expm1(-L * _log1p(d / start))
+        theta_q[system.indices[near]] = theta_p[near] - d * symbols.eval_dphi(
+            spec, start + 0.5 * d)
     if not np.all(theta_p):
         # theta vanishes at a grid point, which the root then never leaves:
         # F(p) = 0 and the Cauchy matrix is singular
         return 0.0 + 0.0j
-    theta_q = symbols.eval_theta(spec, q)
     weight = theta_q / (1.0 + theta_q)
     slope = _phase_slope(spec, p, L)
     if N < L:

@@ -14,53 +14,27 @@ different branch choice multiplies the Nystrom matrix by D K D with D a
 diagonal of signs, which is a similarity and leaves determinants, traces and
 the resolvent identity unchanged.
 
-Every kernel carries its bandwidth ``x``, a nonnegative integer: its
-generators hold the factors q^{+-x/2}, so a trapezoid grid of m <= x nodes
-aliases them and ``nystrom_det`` starts its grids above x.  Its ``reach``,
-None or a callable radius -> ``Reach``, gives how many modes its
-generators carry past q^{+-x/2} on that circle above ``cauchy.TAIL_TOL``,
-which sets the first margin a, and a bound on what a grid folds back or
-None.  Only exact data give a bound: a Laurent polynomial's coefficients
-and the residue weights (``_theta_reach``; S, V's residue form and
-``kernel_W``).  ``nystrom_det`` trusts one grid, x + 2a nodes, only where
-that bound and its LU's rounding are within tol; every other kernel, a
-reach read from samples among them, runs a ladder of grids x + a, x + 2a,
-x + 4a, ..., with one short step of a nodes where two drifts predict
-convergence.  It takes det(Id + K) on each grid by one side or the other
-of Jacobi's identity where the kernel has a grid form (below), and
-otherwise by LU of the filled matrix.
+Every kernel carries its bandwidth ``x``, a nonnegative integer: a
+trapezoid grid of m <= x nodes aliases its generators' q^{+-x/2}.  Its
+``reach``, None or a callable radius -> ``Reach``, gives its modes past
+q^{+-x/2} on that circle and, from exact data only, a bound on what a grid
+folds back; ``nystrom_det`` trusts one grid on that bound alone, and
+otherwise runs a ladder of grids (README, Fredholm determinants).
 
 V has one split form, ``kernel_V``, and one residue form; the residue form,
 ``kernel_W`` and the suite's residue weights read z^{+-x}/phi'(z) from
 ``cauchy.residue_coefficient``.  S is the residue form over no zeros.
 
-Grid forms.  S and both forms of V carry w = q^x + sum_{nu=1..N} t_nu
-u^-nu (split V's tail, u = q/rho) - sum_z c_z/(z - q) (the residue sum;
-S has neither), whose divided difference has finite rank.  So on a
-grid of ``circle_nodes``, up to a diagonal similarity, Id + K = (I +
-P C^T) diag(delta) (``Factors``, built by ``_v_form``) and det(Id + K) =
-prod delta det(I + C^T P), the r x r matrix C^T P from one FFT of a few
-rows (``_jacobi_det``): the two sides of Jacobi's complementary-minor
-identity (Boettcher and Widom, "Szego via Jacobi", Linear Algebra Appl.
-419 (2006)), which README derives.  The direct side has delta = 1 and
-the sine part's x columns; the complementary side has delta_j = phi(q_j)
-and n = m - x sine columns, as q^x is a constant times u^-n on the grid.
-On both the tail adds N columns and each zero one, so r = x + N + #zeros
-on the direct side and n + N + #zeros on the other.  For S they read
-D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m).  ``kernel_W``, the rank-one
-kernel of ``rank_one_shift_identity`` and ``kernel_sum``, which stacks
-its parts' columns, have the direct side alone.  Split V's tail keeps
-the N modes above its split's rounding, max(x, 16) eps of the largest
-(at most TAIL_TOL), and its fill reads the same N.
-
-Which side.  ``_grid_det`` takes the side with fewer columns: the
-complementary side on grids of LEMMA_MIN to 2x nodes, where n <= x, and
-the direct side where r <= m/2.  The complementary side hands a grid on
-where N >= m, where delta has a zero or a non-finite entry, or where an
-entry of C^T P passes GROWTH_MAX (for S, a moment of 1/phi - 1: a zero
-of phi near the circle).  The dense LU takes the grids neither side
-serves: the resolvent's, split V's on another circle, grids where a long
-tail or many zeros put r past m/2, and the hand-backs.
+Grid forms.  Where a kernel's divided difference has finite rank, a grid of
+``circle_nodes`` takes det(Id + K) = prod delta det(I + C^T P) from an r x
+r matrix (``Factors``, ``_v_form``, ``_jacobi_det``), by either side of
+Jacobi's complementary-minor identity (Boettcher and Widom, "Szego via
+Jacobi", Linear Algebra Appl. 419 (2006)), which README derives; for S the
+two sides read D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m), n = m - x.  S
+and both forms of V have both sides; ``kernel_W``, the rank-one kernel of
+``rank_one_shift_identity`` and ``kernel_sum`` the direct side alone.
+``_grid_det`` takes the side with fewer columns, and the dense LU of the
+filled matrix every grid that neither side serves.
 """
 
 from __future__ import annotations
@@ -139,7 +113,8 @@ class Reach(NamedTuple):
     generators carry past q^{+-x/2} above TAIL_TOL, and ``folds(n)``, a
     bound on what a grid of x + n nodes folds into each entry, relative to
     the kernel's leading term (``nystrom_det``), or None where the modes
-    are not exact."""
+    are not exact, or where the determinant is near singular (S and V's
+    residue form on a circle where phi winds, ``kernel_V_residue``)."""
     modes: int
     folds: Optional[Callable[[int], float]]
 
@@ -394,10 +369,20 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
     the zero set ``zeros_inside``.  V is singular only at that set, at 0 and
     at the poles of phi, so det(1 + V) is the same on every circle that
     encloses the zero set, 0 and the same poles of phi.  Other zeros of phi
-    do not matter: theta = -1 there, and V is regular."""
+    do not matter: theta = -1 there, and V is regular.  Its reach is
+    ``_residue_reach``'s, with no bound on a circle where phi winds."""
     res = [(complex(z), residue_coefficient(spec, z, x, 0.0))
            for z in zeros_inside]
     theta = functools.partial(symbols.eval_theta, spec)
+
+    def reach(rho):
+        # where phi winds on the circle, Id + V is near singular there and
+        # its LU rounds far past m^2 eps: on (2q - 0.5)/q^2 at x = 16, where
+        # D_16 = 0, its smallest singular value is 1e-15 and 28 nodes read
+        # 9e-11, so a second grid confirms the value instead
+        read = _residue_reach(spec, x, res, rho)
+        winds = read.folds and symbols.winding_on(spec, rho)
+        return Reach(read.modes, None) if winds else read
 
     def tail(q):
         gaps = [(c, z - q) for z, c in res]
@@ -406,7 +391,7 @@ def kernel_V_residue(spec: symbols.SymbolSpec, x: int, zeros_inside) -> Kernel:
                 -sum((c / g ** 2 for c, g in gaps), zero))
 
     return _kernel_V_generic(
-        theta, tail, x, functools.partial(_residue_reach, spec, x, res),
+        theta, tail, x, reach,
         functools.partial(_v_form, theta, x, res, ()), x + len(res))
 
 
@@ -642,43 +627,26 @@ def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
 def nystrom_det(kernel, radius: float, tol: float = TOL,
                 m_cap: int = M_CAP) -> DetResult:
     """det(Id + K) on trapezoidal grids on the origin-centered circle of
-    ``radius``, each grid's determinant by ``_grid_det``: where the kernel
-    has a grid ``form``, by the side of Jacobi's identity with fewer
-    columns, the complementary side (S and both forms of V, ``_v_form``)
-    on grids of LEMMA_MIN to 2x nodes and the direct side (those,
-    ``kernel_W``, the rank-one kernel and their sums) where its r columns
-    are at most m/2, and otherwise by LU of the filled matrix.
-    x is the kernel's bandwidth and a its reach's modes on that circle,
-    clipped to [1, M_START] (``_first_reach``; M_START for a kernel without
-    a reach), doubled while the grid has fewer than 16 nodes.  Past x + a
-    the q^{+-x/2} factors and the kernel's own modes stop aliasing, and the
-    determinants converge geometrically (Bornemann, Math. Comp. 79 (2010)).
+    ``radius``, each grid's determinant by ``_grid_det``.  The grids start
+    past the kernel's bandwidth x by a margin a: its reach's modes on that
+    circle, clipped to [1, M_START] (``_first_reach``; M_START for a kernel
+    without a reach), doubled while the grid has fewer than 16 nodes.  Past
+    x + a the determinants converge geometrically (Bornemann, Math. Comp.
+    79 (2010)).
 
-    What a grid folds.  On m = x + n nodes S's determinant is the x x x
-    Toeplitz determinant of theta's m-node moments, which fold theta's
-    modes c_j with |j| > n; V's w = q^x + sum_nu d_nu q^-nu also folds each
-    d_nu c_(nu - n), so a tail of N modes on a theta of bandwidth b is
-    exact only from n = N + b + 1 (with N = b = 2 the grid x + 4 was 2e-5
-    off for tail modes of 1e-4).  ``Reach.folds(n)`` bounds both where they
-    are exact (``_theta_reach``): a Laurent polynomial's c_j, none past its
-    band, and the residue form's d_nu, which a small phi'(z) raises.  A
-    reach read from samples, whose modes past the function's own are
-    rounding that no bound tells from folding, gives none.
+    One grid: where m folds(2a) (``Reach.folds``, exact data only) plus
+    m^2 eps, the LU's rounding (``DetResult.lu_rounding``), is within
+    ``tol`` on m = x + 2a nodes, only that grid is filled, with m folds(2a)
+    max(1, |det|) as ``err_estimate``: the grid a ladder returns when its
+    first two grids agree, so the same value.  To first order the
+    determinant moves by at most m times what the grid folds into each
+    entry, without the condition number (the residue form with phi'(0.5)
+    = -4e-6 moved 6 times the bound at x = 30).  The clip also keeps a
+    bound that understates what a grid folds off the single grid:
+    ``asymptotics.tau_ratio_swap``'s swapped F4 kernel, 132 modes on
+    radius 2.75, has grids m = 40 ... 140 off by 2.1 times m folds(m - 3).
 
-    One grid: to first order the determinant moves by at most m times what
-    the grid of m = x + 2a nodes folds into each entry, without the
-    condition number (the residue form with phi'(0.5) = -4e-6 moved 6
-    times the bound at x = 30).  Where m folds(2a) plus m^2 eps, the LU's
-    rounding (``DetResult.lu_rounding``), is within ``tol``, only that grid
-    is filled, with m folds(2a) max(1, |det|) as ``err_estimate``: the grid
-    a ladder returns when its first two grids agree, so the same value.
-    The clip also keeps a bound that understates what a grid folds off the
-    single grid: ``asymptotics.tau_ratio_swap``'s swapped F4 kernel, 132
-    modes on radius 2.75, has grids m = 40 ... 140 off by 2.1 times m
-    folds(m - 3).
-
-    Otherwise (no bound, a reach clipped at M_START, or a bound or rounding
-    past tol) a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
+    Otherwise a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
     two grids that agree to ``tol`` give the value.  Where the last two
     drifts predict (``_error_left``) at most tol/2 max(1, |det|) left on
     the grid x + a 2^k, the next grid is x + a (2^k + 1); if that one

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import errors, symbols, toeplitz
 from ._series import LaurentSplit, circle_nodes, horner
@@ -55,11 +54,6 @@ class MeasureMu:
         [mu_{k-1-i+j}], c_d = mu_{k-1-d}."""
         return toeplitz.moment_log_det(
             np.concatenate([[0], self.moments[2 * k - 2::-1], [0]]))
-
-    def gram_det(self, k: int) -> complex:
-        """Determinant of the k x k matrix of moments mu_{i+j}."""
-        return (-1) ** (k * (k - 1) // 2) * errors.exp_in_range(
-            self.gram_log_det(k))
 
     def check_solvable(self):
         log_scale = np.log(max(abs(self.moments[0]), 1e-30))
@@ -182,7 +176,7 @@ def christoffel_darboux(measure: MeasureMu, q, k, route: str = "closed"
         cn, _ = monic_orthogonal(measure, n)
         cm, hm = monic_orthogonal(measure, n - 1)
         if abs(k - q) < 1e-9:
-            dn, dm = P.polyder(cn), P.polyder(cm)
+            dn, dm = symbols.derivative(cn), symbols.derivative(cm)
             val = (horner(dn, q) * horner(cm, q) -
                    horner(cn, q) * horner(dm, q)) / hm
             return complex(val)

@@ -15,7 +15,6 @@ from dataclasses import InitVar, dataclass
 from importlib import resources
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import errors
 from ._series import (circle_nodes, circle_weights, clog, grid_of, horner,
@@ -27,6 +26,8 @@ SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding or
 WINDING_M = 512     # unit-circle nodes of the winding quadrature
 SAMPLE_MEMO = 1 << 22  # bytes of the grid samples eval_phi and eval_nu_grid
 SAMPLE_M_MAX = 4096    # hold, each of at most this many nodes (64 KB)
+POLISH_TOL = 1e-12  # backward error of a polished zero of P, relative
+POLISH_MAXIT = 40   # Newton steps of one polish
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ class SymbolSpec:
         p, *rest = np.flatnonzero(self.denom).tolist()
         for name, value in (
                 ("_roots", roots),
-                ("_dnumer", P.polyder(self.numer).tolist()),
+                ("_dnumer", derivative(self.numer)),
                 ("_laurent", None if lc or rest else (p, tuple(
                     (np.array(self.numer) / self.denom[p]).tolist()))),
-                ("_ddenom", P.polyder(self.denom).tolist()),
+                ("_ddenom", derivative(self.denom)),
                 ("_pole_scale", max(max(map(abs, self.denom)), 1.0)),
                 ("_exponent_terms", (laurent_terms(j, t),
                                      laurent_terms(j - 1, j * t)))):
@@ -95,6 +96,12 @@ def laurent_polynomial(spec: SymbolSpec):
     tuple of its coefficients ascending from q^-p; None for every other
     symbol.  Formed with the spec, so every call returns the same value."""
     return spec._laurent
+
+
+def derivative(coeffs) -> list:
+    """Ascending coefficients of the derivative of the polynomial of the
+    ascending ``coeffs``: k c_k for k >= 1, or [0j] for a constant."""
+    return [k * coeffs[k] for k in range(1, len(coeffs))] or [0j]
 
 
 def _poly_roots(coeffs_ascending):
@@ -241,6 +248,14 @@ def winding_number(spec: SymbolSpec) -> int:
     return _winding_cached(spec)
 
 
+def winding_on(spec: SymbolSpec, radius: float) -> int:
+    """Winding of phi around the circle of ``radius``: its zeros less its
+    poles inside, with multiplicity, counted from the roots of P and Q (the
+    exponential factor has none) in Python scalars, quicker for so few."""
+    return sum(abs(z) < radius for z in spec._roots[0].tolist()) - sum(
+        abs(p) < radius for p in spec._roots[1].tolist())
+
+
 @functools.lru_cache(maxsize=32)
 def _winding_cached(spec: SymbolSpec) -> int:
     nodes = circle_nodes(1.0, WINDING_M)
@@ -255,8 +270,7 @@ def _winding_cached(spec: SymbolSpec) -> int:
     n = int(round(quad.real))
     if abs(quad - n) > 0.25:
         raise errors.WindingInconsistent(f"quadrature winding {quad} not near an integer")
-    zeros, poles = spec._roots
-    count = int(np.sum(np.abs(zeros) < 1.0)) - int(np.sum(np.abs(poles) < 1.0))
+    count = winding_on(spec, 1.0)
     if n != count:
         raise errors.WindingInconsistent(
             f"quadrature winding {n} vs zero/pole count {count}")
@@ -276,18 +290,18 @@ class SymbolAnalysis:
         return tuple(abs(p) for p, _ in self.poles)
 
 
-def _newton_polish(spec: SymbolSpec, root, tol=1e-12, maxit=40):
-    """Newton steps on the numerator P from ``root`` until z is a root of a
-    polynomial within tol of P coefficient by coefficient: the backward
-    error |P(z)| <= tol sum_k |c_k| |z|^k, which a high degree's large
-    |z|^k does not defeat as an absolute residual test does;
-    RootFindFailure where the steps stall first."""
+def _newton_polish(spec: SymbolSpec, root):
+    """At most POLISH_MAXIT Newton steps on the numerator P from ``root``
+    until z is a root of a polynomial within POLISH_TOL of P coefficient by
+    coefficient: the backward error |P(z)| <= POLISH_TOL sum_k |c_k|
+    |z|^k, which a high degree's large |z|^k does not defeat as an absolute
+    residual test does; RootFindFailure where the steps stall first."""
     c, dc = spec.numer, spec._dnumer
     size = np.abs(c)
     z = complex(root)
-    for _ in range(maxit):
+    for _ in range(POLISH_MAXIT):
         f = complex(horner(c, z))
-        if abs(f) <= tol * horner(size, abs(z)):
+        if abs(f) <= POLISH_TOL * horner(size, abs(z)):
             return z
         df = complex(horner(dc, z))
         if df == 0.0:
@@ -297,7 +311,7 @@ def _newton_polish(spec: SymbolSpec, root, tol=1e-12, maxit=40):
             break
         z -= step
     f = complex(horner(c, z))
-    if abs(f) <= tol * horner(size, abs(z)):
+    if abs(f) <= POLISH_TOL * horner(size, abs(z)):
         return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")
 

@@ -130,12 +130,10 @@ def _laurent_band(spec: symbols.SymbolSpec):
         return None
     p, coeffs = form
     try:
-        rho, zeros = base_contour(spec), symbols.analyze(spec).zeros
+        winds = symbols.winding_on(spec, base_contour(spec))
     except errors.InputError:   # phi winds on every circle it could take
         return None
-    if sum(abs(z) < rho for z in zeros) != p:
-        return None
-    return max(p, len(coeffs) - 1 - p)
+    return None if winds else max(p, len(coeffs) - 1 - p)
 
 
 def _slogdet(mat: np.ndarray) -> complex:

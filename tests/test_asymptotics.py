@@ -20,6 +20,7 @@ from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes
 from detlab.cauchy import CauchySuite
 from test_formfactors import banded_symbols
+from test_perfbench_hooks import PERFBENCH, load_perfbench
 
 
 class SizeMismatch(ValueError):
@@ -132,6 +133,22 @@ class TestSzego:
                 < 1e-12
 
 
+# symbols of winding -n with fewer than n zeros outside the unit circle, and
+# their D_4: 50-digit mpmath determinants of the 400-node trapezoid moments
+# on the unit circle
+SHORT_OF_ZEROS = {
+    "q^-1 e": (symbols.SymbolSpec(numer=(1.0,), denom=(0.0, 1.0),
+                                  log_coeffs={1: 0.3, -1: 0.2}),
+               3.5409083731583213e-4),
+    "(q + 0.5)/q^2 e": (symbols.SymbolSpec(
+        numer=(0.5, 1.0), denom=(0.0, 0.0, 1.0),
+        log_coeffs={1: 0.3, -1: 0.2}), 3.9902824712050182e-4),
+    "(q - 1.5)/q^3 e": (symbols.SymbolSpec(
+        numer=(-1.5, 1.0), denom=(0.0, 0.0, 0.0, 1.0),
+        log_coeffs={1: 0.3, -1: 0.2}), 1.7491339586487408e-8),
+}
+
+
 class TestHartwigFisher:
     @pytest.mark.parametrize("name,x", [("F3", 1), ("F3", 4), ("F5", 3)])
     def test_exact_at_finite_x(self, name, x):
@@ -150,6 +167,31 @@ class TestHartwigFisher:
         a = A.hf_leading(spec, x, route="angular")
         b = A.hf_leading(spec, x, route="reduced")
         assert abs(a - b) / abs(b) < 1e-10
+
+    @pytest.mark.parametrize("label", SHORT_OF_ZEROS)
+    def test_leading_raises_short_of_zeros(self, label):
+        # its formula sums over the n zeros of z_list; with fewer it
+        # returned a value off D_4 by 3.0e3 ... 3.9e7 relative, no error
+        spec, d4 = SHORT_OF_ZEROS[label]
+        ana = symbols.analyze(spec)
+        assert len(ana.z_list) < -ana.winding
+        for route in ("angular", "reduced"):
+            with pytest.raises(errors.EmptyAnnulus):
+                A.hf_leading(spec, 4, route=route)
+        # the oracle reads the same moments and still holds D_4
+        assert abs(toeplitz.toeplitz_det(spec, 4) - d4) <= 1e-12 * d4
+
+    def test_fixtures_and_workload_symbols_hold_their_zeros(self):
+        # so the guard above moves no route value: each symbol the lab and
+        # its benchmark read holds |n| zeros at winding n
+        bw = load_perfbench("bench_workloads",
+                            PERFBENCH / "bench_workloads.py")
+        specs = [symbols.fixture(name) for name in symbols.FIXTURE_NAMES]
+        for seed in (*range(10), 123):
+            specs += bw.random_symbols(seed).values()
+        for spec in specs:
+            ana = symbols.analyze(spec)
+            assert len(ana.z_list) == abs(ana.winding), spec.label
 
     def test_leading_matches_contour_form(self):
         spec = symbols.fixture("F5")

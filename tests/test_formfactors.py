@@ -55,6 +55,10 @@ def form_factor(system, q_subset) -> complex:
     return complex(np.exp(log_total))
 
 
+# phi = 0.5 (q - 0.2)(1 - q/1.5)/q, zero winding, phi(-1) = 1
+THETA_ZERO_AT_MINUS_ONE = (-0.1, 0.5666666666666667, -0.3333333333333333)
+
+
 def enumerated_sum(spec, L, N, x) -> complex:
     """Sum over N-subsets of the unshifted grid of |overlap|^2 prod (q/p)^x,
     term by term, with compensated summation; the coincident subset of a
@@ -773,10 +777,27 @@ class TestFiniteSum:
 
     @settings(max_examples=30, deadline=None)
     @given(spec=sector_symbols(), x=st.integers(1, 3))
+    @example(spec=symbols.SymbolSpec("rational", THETA_ZERO_AT_MINUS_ONE,
+                                     (0.0, 1.0)), x=1)
     def test_winding_sector_converges_random(self, spec, x):
         truth = asymptotics.tau_eff(spec, x)
         val = tau_eff_finite(spec, L=128, x=x)
         assert abs(val - truth) <= 1e-9 * abs(truth)
+
+    @pytest.mark.parametrize("L", [63, 64, 127, 128, 256])
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_theta_zero_by_a_grid_point(self, L, x):
+        # theta(-1) rounds to -1.1e-16, 0 in exact arithmetic: q = -1 is a
+        # grid point at every even L, and its root moves by ~1e-18.  Read
+        # from the offset, theta there keeps the sum at the odd sizes'
+        # precision (evaluated, it was 1e-3 off at L = 128, 1/L at every
+        # even L)
+        spec = symbols.SymbolSpec("rational", THETA_ZERO_AT_MINUS_ONE,
+                                  (0.0, 1.0))
+        assert abs(symbols.eval_theta(spec, np.array([-1.0]))[0]) < 1e-15
+        truth = asymptotics.tau_eff(spec, x)
+        val = tau_eff_finite(spec, L=L, x=x)
+        assert abs(val - truth) <= 1e-10 * abs(truth)
 
     @pytest.mark.parametrize("N", [4, 8])
     def test_theta_zero_on_grid_gives_zero(self, N):

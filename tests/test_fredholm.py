@@ -1227,6 +1227,8 @@ class TestThetaModes:
     @example(spec=symbols.SymbolSpec(numer=(0.5, 1.0), denom=(0, 0, 0, 1.0)),
              x=5)
     @example(spec=symbols.SymbolSpec(numer=(1.5,), denom=(0, 1.0)), x=2)
+    @example(spec=symbols.SymbolSpec(numer=(-0.5, 2.0), denom=(0, 0, 1.0)),
+             x=16)
     def test_modes_and_reach_are_the_sampled_ones(self, spec, x):
         p, coeffs = form = symbols.laurent_polynomial(spec)
         rho = toeplitz._sample_radius(spec)
@@ -1242,21 +1244,45 @@ class TestThetaModes:
             assume(False)
         # read from samples the reach has the same modes and no bound, so
         # where the coefficients took one grid, x + 2a, the ladder x + a,
-        # x + 2a stops on it, with its value
-        for kern in kernels:
+        # x + 2a stops on it, with its value.  Where phi winds on the
+        # circle, S and V are near singular and their coefficients bound
+        # nothing either (D_16 = 0 on (2q - 0.5)/q^2, whose one grid of V
+        # read 9e-11 as within 4.5e-16); W keeps its bound
+        winds = symbols.winding_on(spec, rho) != 0
+        for i, kern in enumerate(kernels):
             read = kern.reach(rho)
             value, _ = self.outcome(kern, rho)
             with mock.patch.object(symbols, "laurent_polynomial",
                                    lambda spec: None):
                 sampled = kern.reach(rho)
                 ladder, _ = self.outcome(kern, rho)
-            assert read.folds is not None and sampled.folds is None
+            assert (read.folds is None) == (winds and i < 2)
+            assert sampled.folds is None
             assert sampled.modes == read.modes
             if isinstance(value, str) or len(value[1]) > 1:
                 assert ladder == value
                 continue
             assert len(ladder[1]) == 2 and ladder[1][-1] == value[1][0]
             assert ladder[0] == value[0]
+
+    def test_winding_circle_runs_the_ladder(self):
+        # (2q - 0.5)/q^2 winds -1 on every circle past its zero 0.25, and
+        # T_16 is strictly triangular: D_16 = 0, which S and V read as
+        # rounding noise of 1e-11 ... 1e-10.  Their reach bounds nothing
+        # there, so each runs the ladder, whose estimate covers the noise;
+        # W, whose determinant is 1, keeps its bound and its one grid
+        spec = symbols.SymbolSpec(numer=(-0.5, 2.0), denom=(0, 0, 1.0))
+        assert symbols.winding_on(spec, 1.0) == -1
+        assert symbols.winding_on(spec, 0.2) == -2
+        s, v, w = self.kernels(spec, 16, 1.0)
+        for kern in (s, v):
+            assert kern.reach(1.0).folds is None
+            det = fredholm.nystrom_det(kern, 1.0)
+            assert len(det.grids) >= 2
+            assert abs(det.value) <= det.err_estimate <= fredholm.TOL
+        assert w.reach(1.0).folds is not None
+        det = fredholm.nystrom_det(w, 1.0)
+        assert det.grids == (28,) and abs(det.value - 1) <= 1e-14
 
     @settings(max_examples=40, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(0, 40))

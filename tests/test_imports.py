@@ -1,8 +1,12 @@
 """Every module-level import of a library module is used in that module,
-and dense determinants outside the log domain stay where they are counted."""
+dense determinants outside the log domain stay where they are counted, and
+``import detlab`` loads no ``numpy.polynomial``."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +77,12 @@ def test_dense_det_only_where_counted():
     sites = [site for path in MODULES
              for site in dense_det_sites(path.stem, path.read_text())]
     assert sorted(sites) == DENSE_DET_SITES
+
+
+def test_import_loads_no_numpy_polynomial():
+    # symbols.derivative serves the two derivatives it was imported for
+    probe = "import sys, detlab; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

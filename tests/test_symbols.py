@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes, horner
@@ -30,6 +31,19 @@ class TestFixtures:
     def test_winding(self, name):
         assert symbols.winding_number(symbols.fixture(name)) == \
             EXPECTED_WINDING[name]
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_WINDING))
+    def test_winding_on_the_unit_circle(self, name):
+        spec = symbols.fixture(name)
+        assert symbols.winding_on(spec, 1.0) == symbols.winding_number(spec)
+
+    def test_winding_on_other_circles(self):
+        # phi = (q - 0.3)(q - 1.4)(q - 2.2)/q^2 (F4's zeros): -2 inside 0.3,
+        # then one more for each zero a circle passes
+        spec = symbols.SymbolSpec(
+            "rational", tuple(np.poly([2.2, 1.4, 0.3])[::-1]), (0, 0, 1.0))
+        assert [symbols.winding_on(spec, r) for r in (0.1, 1.0, 2.0, 3.0)] \
+            == [-2, -1, 0, 1]
 
     def test_f3_selected_zeros(self):
         ana = symbols.analyze(symbols.fixture("F3"))
@@ -163,6 +177,14 @@ class TestRootPolish:
         got = toeplitz.toeplitz_det(spec, x)
         assert abs(got / (sign * np.exp(log_abs)) - 1) <= \
             4 * x * np.finfo(float).eps * max(1.0, abs(log_abs))
+
+    @pytest.mark.parametrize("coeffs", [
+        (2.0 + 0j,), (1.0 + 0j, -2.0 + 0j, 0.5j),
+        np.array([0.3, 1j, -2.0, 4.0 + 1j, -0.0])])
+    def test_derivative_is_polyder(self, coeffs):
+        # the coefficients the polish's Newton steps and phi' read
+        got = symbols.derivative(coeffs)
+        assert np.array_equal(got, P.polyder(coeffs))
 
 
 class TestFourier:

@@ -261,6 +261,13 @@ def recorded_ladders():
             module.nystrom_det = real
 
 
+def gram_det(measure, k):
+    """Determinant of the k x k matrix of moments mu_{i+j}, from its log
+    (``MeasureMu.gram_log_det``) and the sign of its row reversal."""
+    return (-1) ** (k * (k - 1) // 2) * errors.exp_in_range(
+        measure.gram_log_det(k))
+
+
 def monic(measure, k):
     coeffs, norm = orthopoly.monic_orthogonal(measure, k)
     return coeffs.tolist(), norm
@@ -355,7 +362,7 @@ def main(out=sys.stdout) -> None:
         measure = orthopoly.MeasureMu(spec, x)
         head = f"orthopoly {name} x={x}"
         for k in range(1, measure.n + 1):
-            value = outcome(lambda: measure.gram_det(k))
+            value = outcome(lambda: gram_det(measure, k))
             out.write(f"{head} gram_det({k}) {value}\n")
         for k in range(measure.n + 1):
             value = outcome(lambda: monic(measure, k))
