@@ -161,12 +161,16 @@ class LaurentSplit:
         minus(q) = -sum_{j<0} c_j (q/rho)^j     (analytic outside, |q| > rho)
 
     Boundary values on the circle itself come from the same series.
+    ``values`` holds the samples it was built from, on ``circle_nodes(radius,
+    m)``, read-only: routes that share a split read them, and none may write.
     """
 
     def __init__(self, values, radius: float):
         self.radius = float(radius)
         self.j, self.c = laurent_coeffs(values)
         self.m = len(values)
+        self.values = np.asarray(values).view()
+        self.values.flags.writeable = False
         self._terms_memo = {}
 
     def tail_ratio(self) -> float:
@@ -222,9 +226,11 @@ class LaurentSplit:
 
     def keep(self, part) -> "LaurentSplit":
         """The same split with only the modes ``part`` selects (a mask over
-        ``j``), the others exactly 0, so neither evaluation path sums them."""
+        ``j``), the others exactly 0, so neither evaluation path sums them;
+        it holds no samples (``values`` None), as none are its own."""
         kept = copy.copy(self)
         kept.c = np.where(part, self.c, 0.0)
+        kept.values = None
         kept._terms_memo = {}
         return kept
 

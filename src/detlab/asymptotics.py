@@ -326,8 +326,7 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
         raise errors.WindingNonzero("identity needs a zero-winding symbol")
     suite = suite_for(spec, unit=True)
     ratio = suite.ratio                 # (phi_+^{-1} phi_-)_k
-    ks, c_plus = laurent_coeffs(        # (phi_+ phi_-^{-1})_k
-        1.0 / ratio.reconstruct(circle_nodes(ratio.radius, ratio.m)))
+    ks, c_plus = laurent_coeffs(1.0 / ratio.values)  # (phi_+ phi_-^{-1})_k
     # K[n, m] = sum_l c-_{x+n+l} c+_{-x-m-l} (n, m >= 1) = (H- @ H+)[n, m]
     # with Hankel factors H-[n, l] = a[n + l], H+[l, m] = b[m + l] (0-based)
     a = ratio.c[ratio.j > x]            # c-_{x+1}, c-_{x+2}, ...

@@ -95,15 +95,10 @@ class CauchySuite:
                 raise errors.WindingNonzero(
                     f"phase shift winds {winding:+.2f} on the chosen circle")
 
-        def sample_nu(mm):
-            # the last sample is taken on the converged grid: kept as self.nu
-            self.nu = self._nu_at(circle_nodes(self.rho, mm))
-            return self.nu, self.rho
-
-        self.nu_split, self.m = _converged_split(sample_nu, 256)
+        self.nu_split, self.m = _converged_split(lambda mm: (self._nu_at(
+            circle_nodes(self.rho, mm)), self.rho), 256)
         self.nodes = circle_nodes(self.rho, self.m)
-        # a scope shares the suite between routes: none may write to it
-        self.nu.flags.writeable = False
+        self.nu = self.nu_split.values
 
     @functools.cached_property
     def weights(self):

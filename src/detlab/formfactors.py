@@ -58,6 +58,10 @@ class RootSystem:
     p_roots: np.ndarray   # N roots of p^L * phi(p) = 1
     offsets: np.ndarray   # p_roots - q_roots[indices], to full relative precision
     residuals: np.ndarray
+    # u = p phi'(p)/(L phi(p)) from Newton's last evaluation: the angular
+    # density of the roots is 1 + u, and u keeps its relative precision
+    # where phi is near constant
+    slope: np.ndarray
 
 
 def _chosen_indices(L: int, N: int) -> np.ndarray:
@@ -168,7 +172,8 @@ def solve_shifted(spec: symbols.SymbolSpec, L: int, N: int | None = None
         raise errors.NewtonDiverged(f"two roots {gap:.2e} apart")
     _check_zero_roots(spec, L, float(np.max(np.abs(p))))
     return RootSystem(spec=spec, L=L, N=N, q_roots=q_roots, indices=k % L,
-                      p_roots=p, offsets=delta, residuals=residuals)
+                      p_roots=p, offsets=delta, residuals=residuals,
+                      slope=p * dlog_p / L)
 
 
 def _check_zero_roots(spec: symbols.SymbolSpec, L: int, reach: float):
@@ -210,13 +215,6 @@ def _check_zero_roots(spec: symbols.SymbolSpec, L: int, reach: float):
             f"the zero {complex(z[near[0]]):.4g} of phi may hold a root "
             f"within |p| <= {reach:.4g}, among the roots found: L = {L} is "
             f"too small")
-
-
-def _phase_slope(spec: symbols.SymbolSpec, p: np.ndarray, L: int):
-    """u = p phi'(p)/(L phi(p)), (2 pi / L) times the angular derivative of
-    the phase shift at p: the angular density of the roots is 1 + u, and u
-    itself keeps its relative precision where phi is near constant."""
-    return p * symbols.eval_log_phi(spec, p)[1] / L
 
 
 def _pair_windows(v: np.ndarray) -> np.ndarray:
@@ -343,7 +341,7 @@ def _torus_ladder(delta: np.ndarray, q: np.ndarray, slope: np.ndarray):
     over all L = ``q.size`` roots of unity q_j = e^{2 pi i j/L} in grid
     order, where p_j = q_j + delta_j = G(q_j) for one function G analytic
     on an annulus about the unit circle (zero winding: G inverts
-    q -> q phi(q)^(1/L)), and ``slope`` is ``_phase_slope`` at the p_j;
+    q -> q phi(q)^(1/L)), and ``slope`` is ``RootSystem.slope`` there;
     None where the ladder does not agree within its budget.
 
     The linear part is exact: sum_{i != j} 1/(q_j - q_i) = (L - 1)/(2 q_j)
@@ -401,8 +399,11 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     grid point.  The pair sum sum_i log R_i takes O(L log L) by
     ``_torus_ladder`` at zero winding, and otherwise, or where the ladder
     hands it back, O(L^2) by ``_log_row_ratios``.  N > L: no N-subset
-    exists and the sum is exactly 0.  The roots take no x: inside a
-    ``cauchy.SuiteScope`` they are solved once per (spec, L, N).
+    exists and the sum is exactly 0.  Where theta vanishes at a grid point,
+    a root sits on it: N = L takes the sum's limit there, and N < L, whose
+    Cauchy matrix has a pole there, raises TooCloseToContour.  The roots
+    take no x: inside a ``cauchy.SuiteScope`` they are solved once per
+    (spec, L, N).
     """
     x = errors.check_x(x)
     N, roots = _sector_size(spec, L, N)
@@ -428,13 +429,14 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         theta_p[near] = np.expm1(-L * _log1p(d / start))
         theta_q[system.indices[near]] = theta_p[near] - d * symbols.eval_dphi(
             spec, start + 0.5 * d)
-    if not np.all(theta_p):
-        # theta vanishes at a grid point, which the root then never leaves:
-        # F(p) = 0 and the Cauchy matrix is singular
-        return 0.0 + 0.0j
     weight = theta_q / (1.0 + theta_q)
-    slope = _phase_slope(spec, p, L)
+    slope = system.slope
     if N < L:
+        if not np.all(delta):
+            # theta vanishes at a grid point, which the root never leaves
+            raise errors.TooCloseToContour(
+                f"a root of p^L phi(p) = 1 sits on a grid point, a pole of "
+                f"the Cauchy matrix at N = {N} < L = {L}")
         # p_i - q_j = (q_start_i - q_j) + delta_i: exact where q_j = q_start_i
         cmat = 1.0 / (q_start[:, None] - q[None, :] + delta[:, None])
         g = q ** (1 + x) * weight
@@ -450,9 +452,13 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         # to 1 over the grid.  The terms' phases are taken mod 2 pi as one
         # product of unit factors: where theta(p) < 0 (F3, F6) each is ~pi,
         # and a plain sum of L of them, as of the phases of q, rounds at
-        # ~L eps
+        # ~L eps.  Where theta vanishes at a grid point the root stays
+        # there, delta = 0, and its factor theta(p) g(q) / ((p^L - 1)^2
+        # (1 + u)) takes its limit 1: theta(p)/(p^L - 1) = -p^-L on a root,
+        # and delta/(p^L - 1) -> q/L takes theta(q)/(p^L - 1) to -(1 + u)
         pl_minus_1 = np.expm1(L * _log1p(delta / q_start))
-        ratio = theta_p * weight[system.indices] / pl_minus_1 ** 2
+        ratio = np.divide(theta_p * weight[system.indices], pl_minus_1 ** 2,
+                          out=1.0 + slope, where=delta != 0)
         terms = ((1 - x) * _log1p(delta / q_start) - clog(1.0 + slope) +
                  clog(ratio))
         phase = np.angle(np.prod(np.exp(1j * terms.imag)))

@@ -10,8 +10,6 @@ mu reproduces the winding-corrected determinant formula.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import errors, symbols, toeplitz
@@ -29,11 +27,10 @@ class MeasureMu:
         self.x = errors.check_x(x)
         self.n = -_require_negative_winding(spec).winding
         self.suite = suite_for(spec, unit=True)
-        # (nodes, mu) on the grid of the suite's ratio split
+        # (nodes, mu) on the grid of the suite's ratio split, from its samples
         ratio = self.suite.ratio
         nodes = circle_nodes(1.0, ratio.m)
-        self.values = (nodes,
-                       ratio.reconstruct(nodes) * nodes ** (-self.x - self.n))
+        self.values = (nodes, ratio.values * nodes ** (-self.x - self.n))
         # mu_0 .. mu_2n, and the read-only Hankel matrix [mu_{i+j}],
         # i, j = 0 .. n, whose leading blocks every order reads
         self.moments = np.array([*map(self.moment, range(2 * self.n + 1))])
@@ -104,11 +101,6 @@ class RHPSolution:
         self._split_a = LaurentSplit(horner(self.alpha, nodes) * mu, 1.0)
         self._split_b = LaurentSplit(horner(self.beta, nodes) * mu, 1.0)
 
-    @functools.cached_property
-    def _split_mu(self) -> LaurentSplit:
-        """The measure's own split, held for every ``jump_residual`` probe."""
-        return LaurentSplit(self.measure.values[1], 1.0)
-
     def _transforms(self, q, side: str):
         if side == "inside":
             return self._split_a.plus(q), self._split_b.plus(q)
@@ -134,7 +126,8 @@ class RHPSolution:
             raise errors.InputError("jump is defined on the unit circle")
         y_gt = self.matrix(q, side="inside")
         y_lt = self.matrix(q, side="outside")
-        mu_q = self._split_mu.reconstruct(q)
+        x, n = self.measure.x, self.measure.n
+        mu_q = self.measure.suite.ratio.reconstruct(q) * q ** (-x - n)
         jump = np.array([[1.0, -mu_q], [0.0, 1.0]], dtype=complex)
         return float(np.max(np.abs(np.linalg.solve(y_gt, y_lt) - jump)))
 

@@ -1,27 +1,15 @@
 """Exact reference values: finite determinants of Fourier moments.
 
-This module is the ground truth for the whole library; it depends on the
-symbol layer and the contour selection, and shares the one sampling rule,
-``cauchy._converged_split``, with the kernel/asymptotics machinery.  Its
-one log-determinant of a moment vector, ``moment_log_det``, also serves
-the y-moment determinant of the winding-corrected formula and the Gram
-minors of the orthogonality measure.
-
-The determinant of the x-by-x moment matrix T_ij = c_{i-j} is taken in the
-log domain and exponentiated once.  A Laurent polynomial P(q)/(a q^p) that
-does not wind on its sampling circle has a banded T, whose finite sections
-are stable (Boettcher and Grudsky, Spectral Properties of Banded Toeplitz
-Matrices, SIAM 2005): past the order BLOCK its determinant is a block
-elimination whose Schur complements reach a fixed point within a few
-blocks, so it costs a few small LUs at any x, and its 2b + 1 moments, which
-do not depend on x, come from one sample sized by the band b, not by x.
-Every other symbol takes the dense LU of T (``np.linalg.slogdet``) below
-the order LEVINSON_MIN and from there the nonsymmetric Levinson recursion
-(Trench, J. SIAM 12 (1964); Zohar, J. ACM 21 (1974)) in O(x^2) time and
-O(x) memory, as the sum of the logarithms of its prediction errors.
-Where a reflection coefficient shows a (nearly) singular leading minor, or
-a block is singular or its Schur complement grows, the method is not
-trusted and the dense LU of the same matrix takes over.
+``toeplitz_det(spec, x)`` is det T_x, T_ij = c_{i-j}, for the moments c_k
+of phi on a circle |q| = rho where phi does not wind (T becomes D T D^{-1},
+D = diag(rho^i), with the same determinant), taken in the log domain by
+``moment_log_det`` and exponentiated once.  A Laurent polynomial that does
+not wind on that circle has its coefficients for moments, exactly 0 past
+its band; any other symbol's are sampled by ``moment_table`` under the
+library's one sampling rule, ``cauchy._converged_split``.
+``moment_log_det`` also serves the y-moment determinant of the
+winding-corrected formula and the Gram minors of the orthogonality
+measure.
 """
 
 from __future__ import annotations
@@ -83,7 +71,9 @@ def moment_table(spec: symbols.SymbolSpec, x: int) -> np.ndarray:
 
 
 def _levinson_log_det(moments: np.ndarray):
-    """log det T_x = sum_k log eps_k by the nonsymmetric Levinson recursion.
+    """log det T_x = sum_k log eps_k by the nonsymmetric Levinson recursion
+    (Trench, J. SIAM 12 (1964); Zohar, J. ACM 21 (1974)), O(x^2) time and
+    O(x) memory.
 
     T_k p_k = eps_k e_0 and T_k q_k = eps_k e_{k-1} with p_k[0] = q_k[-1] = 1
     define the forward and backward predictors; with the residuals
@@ -142,7 +132,9 @@ def _slogdet(mat: np.ndarray) -> complex:
 
 
 def _block_log_det(moments: np.ndarray, band: int):
-    """log det T_x of moments zero past ``band`` by block elimination.
+    """log det T_x of moments zero past ``band`` by block elimination: the
+    finite sections of a banded T are stable (Boettcher and Grudsky,
+    Spectral Properties of Banded Toeplitz Matrices, SIAM 2005).
 
     With blocks of B = max(BLOCK, band) rows T_x is block tridiagonal, A_0
     on the diagonal, A_below and A_above beside it, and log det T_x =
@@ -200,36 +192,35 @@ def moment_log_det(moments: np.ndarray, band: int | None = None) -> complex:
     Levinson recursion from there.  Where either refuses, the dense LU of
     the same moments."""
     x = moments.size // 2
-    if band is not None:
-        log_det = _block_log_det(moments, band)
-    else:
+    if band is None:
         log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
+    else:
+        log_det = _block_log_det(moments, band) if x > BLOCK else None
     return _block_log_det(moments, x) if log_det is None else log_det
 
 
 def _log_det(spec: symbols.SymbolSpec, x: int) -> complex:
     """log det T_x, by the path ``toeplitz_det`` takes."""
     x = errors.check_x(x)
-    band = _laurent_band(spec) if x > BLOCK else None
+    band = _laurent_band(spec) if x else None   # x = 0: moment_table raises
     if band is None:
         return moment_log_det(moment_table(spec, x))
-    # c_-k .. c_k, k = min(band, x), from the sample of order max(k, 1),
-    # 256 nodes up to k = 32, and every moment past k exactly 0
-    k = min(band, x)
-    table = moment_table(spec, max(k, 1))
-    mid = table.size // 2
+    # the moments rho^j c_j, |j| <= min(band, x), from the coefficients
+    p, coeffs = symbols.laurent_polynomial(spec)
+    j = np.arange(-p, len(coeffs) - p)
+    keep = np.abs(j) <= x
     moments = np.zeros(2 * x + 1, dtype=complex)
-    moments[x - k:x + k + 1] = table[mid - k:mid + k + 1]
+    moments[j[keep] + x] = np.multiply(coeffs, base_contour(spec) ** j)[keep]
     return moment_log_det(moments, band)
 
 
 def toeplitz_det(spec: symbols.SymbolSpec, x: int) -> complex:
-    """Determinant of the x-by-x moment matrix.  Past the order BLOCK, a
-    Laurent polynomial that does not wind on its sampling circle takes the
-    block elimination of its banded matrix, its 2b + 1 moments read from
-    ``moment_table`` of order b, so that no sample grows with x; any other
-    symbol takes the dense LU below LEVINSON_MIN and the Levinson recursion
-    from there, on ``moment_table(spec, x)``.  Where either refuses, the
-    dense LU of the same moments takes over.  OverflowGuard when |det|
-    leaves the normal double range on either side."""
+    """Determinant of the x-by-x moment matrix.  A Laurent polynomial that
+    does not wind on its sampling circle reads its moments from its
+    coefficients and samples nothing: the dense LU up to the order BLOCK,
+    the block elimination of its banded matrix past it.  Any other symbol
+    takes the dense LU below LEVINSON_MIN and the Levinson recursion from
+    there, on ``moment_table(spec, x)``.  Where either refuses, the dense LU
+    of the same moments takes over.  InputError at x = 0; OverflowGuard
+    when |det| leaves the normal double range on either side."""
     return errors.exp_in_range(_log_det(spec, x))

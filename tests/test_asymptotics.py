@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import asymptotics as A
 from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
-from detlab._series import circle_nodes
+from detlab._series import LaurentSplit, circle_nodes, grid_of
 from detlab.cauchy import CauchySuite
 from test_formfactors import banded_symbols
 from test_perfbench_hooks import PERFBENCH, load_perfbench
@@ -766,7 +766,40 @@ class TestSlavnov:
 SLOW = {j: 0.4 * 0.9 ** abs(j) for j in range(-300, 301)}
 
 
+def record_split_work(monkeypatch):
+    """(builds, reads): the radius of every ``LaurentSplit`` built and of
+    every ``reconstruct`` on a split's own grid, a second FFT of the
+    samples it was built from, recorded from here on."""
+    builds, reads = [], []
+    init, reconstruct = LaurentSplit.__init__, LaurentSplit.reconstruct
+
+    def counted_init(self, values, radius):
+        builds.append(radius)
+        init(self, values, radius)
+
+    def counted_reconstruct(self, q, derivative=0):
+        if grid_of(q) == (self.radius, self.m):
+            reads.append(self.radius)
+        return reconstruct(self, q, derivative)
+
+    monkeypatch.setattr(LaurentSplit, "__init__", counted_init)
+    monkeypatch.setattr(LaurentSplit, "reconstruct", counted_reconstruct)
+    return builds, reads
+
+
 class TestIndexSeries:
+    @pytest.mark.parametrize("name", ["F2", "F6"])
+    def test_reads_the_ratio_samples(self, name, monkeypatch):
+        # the inverse of the ratio comes from the samples its split holds,
+        # not from a transform back onto their grid
+        spec = symbols.fixture(name)
+        want = A.borodin_okounkov(spec, 5)
+        with cauchy.SuiteScope():
+            A.suite_for(spec, unit=True).ratio
+            builds, reads = record_split_work(monkeypatch)
+            assert A.borodin_okounkov(spec, 5) == want
+        assert builds == [] and reads == []
+
     @pytest.mark.parametrize("name,x", [("F2", 3), ("F2", 5), ("F6", 3),
                                         ("F6", 5), ("F6", 8)])
     def test_identity(self, name, x):

@@ -17,10 +17,16 @@ from detlab import asymptotics, errors, formfactors, symbols, toeplitz
 from detlab._series import pow2_at_least
 from detlab.formfactors import (LADDER_M0, RESIDUAL_TOL, ROW_BLOCK,
                                 _chosen_indices, _log1p, _log_row_ratios,
-                                _min_distance, _pair_windows, _phase_slope,
-                                _torus_ladder, solve_shifted, tau_eff_finite)
+                                _min_distance, _pair_windows, _torus_ladder,
+                                solve_shifted, tau_eff_finite)
 
 EPS = np.finfo(float).eps
+
+
+def phase_slope(spec, p, L):
+    """u = p phi'(p)/(L phi(p)) by a fresh evaluation: the reference for
+    ``RootSystem.slope``, which Newton's last step leaves."""
+    return p * symbols.eval_log_phi(spec, p)[1] / L
 
 
 class SizeMismatch(ValueError):
@@ -43,7 +49,7 @@ def form_factor(system, q_subset) -> complex:
     theta_p = symbols.eval_theta(spec, p)
     if np.any(theta_q == 0) or np.any(theta_p == 0):
         return 0.0 + 0.0j
-    dens = 1.0 + _phase_slope(spec, p, L)
+    dens = 1.0 + phase_slope(spec, p, L)
 
     log_total = -2.0 * system.N * np.log(float(L))
     log_total += np.sum(np.log(p) + np.log(q) + np.log(theta_q) +
@@ -449,7 +455,8 @@ def polynomial_roots_sum(spec, L, x) -> complex:
     q_roots = np.exp(2j * np.pi * np.arange(L) / L)
     system = formfactors.RootSystem(
         spec=spec, L=L, N=p.size, q_roots=q_roots, indices=indices,
-        p_roots=p, offsets=p - q_roots[indices], residuals=np.zeros(p.size))
+        p_roots=p, offsets=p - q_roots[indices], residuals=np.zeros(p.size),
+        slope=phase_slope(spec, p, L))
     with mock.patch.object(formfactors, "solve_shifted",
                            lambda *args: system), \
             mock.patch.object(formfactors, "_torus_ladder",
@@ -469,7 +476,7 @@ def ladder_inputs(spec, L):
     N = L."""
     system = solve_shifted(spec, L, L)
     return (system.offsets, system.q_roots[system.indices],
-            _phase_slope(spec, system.p_roots, L))
+            phase_slope(spec, system.p_roots, L))
 
 
 def log_gap(a, b) -> float:
@@ -799,12 +806,41 @@ class TestFiniteSum:
         val = tau_eff_finite(spec, L=L, x=x)
         assert abs(val - truth) <= 1e-10 * abs(truth)
 
-    @pytest.mark.parametrize("N", [4, 8])
-    def test_theta_zero_on_grid_gives_zero(self, N):
-        # phi = (q + 3)/4 has phi(1) = 1: the root at q = 1 never moves
+    @pytest.mark.parametrize("L", [8, 64])
+    def test_theta_zero_on_grid_takes_the_limit(self, L):
+        # phi = (q + 3)/4 has phi(1) = 1: the root at q = 1 never moves.  At
+        # N = L the sum is continuous there: theta(1) = 1e-12 moves it by
+        # 1.5e-12 (it read exactly 0, the 0 * inf of enumerated_sum)
         spec = symbols.SymbolSpec("rational", (0.75, 0.25), (1.0,))
-        assert enumerated_sum(spec, 8, N, 2) == 0.0
-        assert tau_eff_finite(spec, 8, N, 2) == 0.0
+        near = symbols.SymbolSpec("rational", (0.75 + 1e-12, 0.25), (1.0,))
+        assert symbols.eval_theta(spec, np.ones(1))[0] == 0.0
+        got = tau_eff_finite(spec, L, L, 2)
+        assert abs(got - tau_eff_finite(near, L, L, 2)) <= 1e-11
+        if L == 64:
+            assert abs(got - asymptotics.tau_eff(spec, 2)) <= 1e-12
+
+    def test_theta_zero_on_grid_raises_below_l(self):
+        # N < L: the root on the grid point is a pole of the Cauchy matrix
+        spec = symbols.SymbolSpec("rational", (0.75, 0.25), (1.0,))
+        with pytest.raises(errors.TooCloseToContour):
+            tau_eff_finite(spec, 8, 4, 2)
+
+    @pytest.mark.parametrize("name, L, N", [
+        ("F1", 64, 64), ("F2", 256, 256), ("F2", 16, 6), ("F6", 16, 6)])
+    def test_reads_the_slope_newton_left(self, name, L, N):
+        # log phi' is evaluated inside solve_shifted only, and the slope it
+        # leaves is the fresh evaluation's, bit for bit
+        spec = symbols.fixture(name)
+        system = solve_shifted(spec, L, N)
+        assert np.array_equal(system.slope,
+                              phase_slope(spec, system.p_roots, L))
+        want = tau_eff_finite(spec, L, N, 2)
+        with mock.patch.object(symbols, "eval_log_phi",
+                               wraps=symbols.eval_log_phi) as log_phi, \
+                mock.patch.object(formfactors, "solve_shifted",
+                                  lambda *args: system):
+            assert tau_eff_finite(spec, L, N, 2) == want
+        assert not log_phi.called
 
     @settings(max_examples=40, deadline=None)
     @given(spec=banded_symbols(), L=st.integers(4, 12), data=st.data(),

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from detlab import errors, orthopoly, symbols, toeplitz
+from detlab import cauchy, errors, orthopoly, symbols, toeplitz
 from detlab._series import circle_weights
 from detlab.orthopoly import (MeasureMu, RHPSolution, christoffel_darboux,
                               hf_moment_equivalence, monic_orthogonal)
+from test_asymptotics import record_split_work
 
 
 def moment_matrix(measure: MeasureMu) -> np.ndarray:
@@ -158,7 +159,7 @@ class TestRHP:
         assert sol.normalization_residual() < 1e-10
 
     def test_jump_probes_share_one_split(self, monkeypatch):
-        # the measure's split is made on the first probe and held after it
+        # every probe reads mu from the suite's ratio split: none makes one
         sol = RHPSolution(MeasureMu(symbols.fixture("F3"), 5))
         made = []
         real = orthopoly.LaurentSplit
@@ -170,7 +171,22 @@ class TestRHP:
         monkeypatch.setattr(orthopoly, "LaurentSplit", counted)
         for q in np.exp(2j * np.pi * np.array([0.13, 0.41, 0.77, 0.9])):
             assert sol.jump_residual(q) < 1e-10
-        assert made == [1.0]
+        assert made == []
+
+    @pytest.mark.parametrize("name,x", [("F3", 5), ("F5", 3)])
+    def test_nothing_recomputed_from_the_ratio(self, name, x, monkeypatch):
+        # mu on the grid is the ratio split's own samples times q^(-x-n),
+        # and off it the split's series: neither the measure nor a jump
+        # probe transforms those samples again; the boundary problem builds
+        # its two Cauchy-transform splits and no other
+        spec = symbols.fixture(name)
+        with cauchy.SuiteScope():
+            cauchy.suite_for(spec, unit=True).ratio
+            builds, reads = record_split_work(monkeypatch)
+            sol = RHPSolution(MeasureMu(spec, x))
+            for q in np.exp(2j * np.pi * np.array([0.13, 0.41, 0.77])):
+                assert sol.jump_residual(q) < 1e-10
+        assert builds == [1.0, 1.0] and reads == []
 
     def test_unit_determinant(self):
         mu = MeasureMu(symbols.fixture("F3"), 3)

@@ -1,5 +1,8 @@
-"""``tools/route_values.py`` reads the checkout it sits in."""
+"""``tools/route_values.py`` reads the checkout it sits in, and writes the
+same bytes on every run."""
 
+import importlib.util
+import io
 import os
 import shutil
 import subprocess
@@ -20,3 +23,24 @@ def test_refuses_a_detlab_from_elsewhere(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert f"not {tmp_path / 'src'}" in proc.stderr
+
+
+def test_two_runs_write_the_same_bytes(monkeypatch):
+    # every value diff compares two dumps, so a dump may not depend on what
+    # ran before it: the second run in one process finds every memo, held
+    # grid and sample that the first one filled.  The tool's thread
+    # settings and path entry are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location(
+        "route_values", ROOT / "tools" / "route_values.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        tool.main(out)
+        runs.append(out.getvalue().encode())
+    assert runs[0] == runs[1]
+    assert runs[0].count(b"\n") > 1000

@@ -69,6 +69,16 @@ class TestClosedForms:
         for x in (1, 4, 9):
             assert abs(toeplitz.toeplitz_det(sp, x) - 1.0) < 1e-12
 
+    def test_triangular_bands_are_exactly_unity(self):
+        # F3 = (q - 0.4)(q - 1.6)/q^2 and F5, a cubic over q^3, hold no
+        # positive moment and c_0 = 1: read from the coefficients, T_x is
+        # exactly upper triangular with a unit diagonal, and so is every
+        # Schur complement (sampled, they read 1 only to rounding)
+        for name in ("F3", "F5"):
+            for x in (2, 33, 256, 1024):
+                got = toeplitz.toeplitz_det(symbols.fixture(name), x)
+                assert got == 1 + 0j, (name, x)
+
 
 class TestStructure:
     def test_matrix_is_toeplitz(self):
@@ -151,14 +161,15 @@ class TestSampling:
         assert sampled == grids
 
     def test_banded_symbol_samples_its_band(self, monkeypatch):
-        # F4 (b = 2) at x = 1024: toeplitz_det reads c_-2 .. c_2 from a
-        # 256-node sample, where moment_table(F4, 1024) takes 8,192 nodes
+        # F4 (b = 2) at x = 1024: toeplitz_det reads c_-2 .. c_2 from its
+        # coefficients and samples no grid, where moment_table(F4, 1024)
+        # takes 8,192 nodes
         sampled = record_grids(monkeypatch)
         with pytest.raises(errors.OverflowGuard):
             toeplitz.toeplitz_det(symbols.fixture("F4"), 1024)
-        assert sampled == [256]
+        assert sampled == []
         toeplitz.moment_table(symbols.fixture("F4"), 1024)
-        assert sampled == [256, 8192]
+        assert sampled == [8192]
 
     def test_tail_past_the_cap_raises(self, tmp_path):
         with pytest.raises(errors.TruncationFailure,
@@ -352,10 +363,13 @@ class TestBlock:
         got = toeplitz._block_log_det(moments, band)
         assert log_gap(got, want) <= x * EPS * max(abs(want.real), 1.0)
 
-    @pytest.mark.parametrize("name, most", [("F4", 4), ("F1", 1)])
-    def test_blocks_stop_at_the_fixed_point(self, name, most, monkeypatch):
-        # 32 blocks of T_1024; F1's constant symbol repeats its first; the
-        # same on the moments toeplitz_det reads, zero past the band
+    @pytest.mark.parametrize("name, most, exact", [("F4", 4, 5), ("F1", 1, 1)],
+                             ids=["F4-4", "F1-1"])
+    def test_blocks_stop_at_the_fixed_point(self, name, most, exact,
+                                            monkeypatch):
+        # 32 blocks of T_1024; F1's constant symbol repeats its first; on
+        # the exact moments toeplitz_det reads, zero past the band, F4's
+        # elimination reaches its bitwise fixed point one block later
         calls = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet",
@@ -366,17 +380,17 @@ class TestBlock:
         assert 1 <= len(calls) <= most
         calls.clear()
         toeplitz._log_det(spec, 1024)
-        assert 1 <= len(calls) <= most
+        assert 1 <= len(calls) <= exact
 
     @settings(max_examples=30, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(toeplitz.BLOCK + 1, 1024))
     def test_band_read_matches_the_order_sample(self, spec, x):
-        # the moments of the band's 256-node sample against those of
-        # moment_table(spec, x), sampled on up to 8,192 nodes: they differ
-        # by rounding, which T_x's conditioning amplifies, here measured by
-        # phi's dynamic range on its sampling circle; on 1,500 draws the gap
-        # read at most 0.25 x eps max(1, |log det|) times that range (2.7
-        # without it, at x = 33)
+        # the band's exact moments against those of moment_table(spec, x),
+        # sampled on up to 8,192 nodes: they differ by rounding, which T_x's
+        # conditioning amplifies, here measured by phi's dynamic range on
+        # its sampling circle; on 1,500 draws the gap read at most 0.23
+        # x eps max(1, |log det|) times that range, at x = 33 (0.25 from the
+        # band's 256-node sample)
         band = toeplitz._laurent_band(spec)
         assume(band is not None)
         want = toeplitz._block_log_det(toeplitz.moment_table(spec, x), band)
@@ -390,9 +404,9 @@ class TestBlock:
     @pytest.mark.parametrize("x", [toeplitz.BLOCK + 1, 40, 60])
     def test_band_past_the_order(self, x):
         # phi = P(q)/q^40, 40 zeros inside |q| = 1 and 3 outside: up to
-        # x = 40 every moment of T_x lies in the band, and the band read
-        # takes the order's own sample, so the value is the dense LU's bit
-        # for bit; past it, the band's sample
+        # x = 40 every moment of T_x lies in the band, and the value is the
+        # dense LU of the exact moments rho^j c_j bit for bit; past it, the
+        # block elimination's, within rounding of the sampled moments
         rng = np.random.default_rng(1)
         inner = 0.3 * rng.uniform(0.5, 1, 40) * np.exp(
             2j * np.pi * rng.random(40))
@@ -404,7 +418,11 @@ class TestBlock:
         want = toeplitz._block_log_det(toeplitz.moment_table(spec, x), x)
         got = toeplitz._log_det(spec, x)
         if x <= 40:
-            assert got == want
+            j = np.arange(-40, 4)
+            exact = np.zeros(2 * x + 1, dtype=complex)
+            exact[j[40 - x:] + x] = np.multiply(
+                spec.numer, toeplitz._sample_radius(spec) ** j)[40 - x:]
+            assert got == toeplitz._block_log_det(exact, x)
         else:
             assert log_gap(got, want) <= 4 * x * EPS * max(abs(want), 1.0)
 
@@ -432,8 +450,9 @@ class TestReferences:
     x eps max(1, |log det|), the block path read at worst 1.00 (F5,
     x = 32), the dense LU 1.00 (F5, x = 1024) and Levinson 2.02 (F5,
     x = 512); on F4 at x = 1024, 8.1e-13, 6.4e-12 and 2.6e-12.
-    ``toeplitz_det``'s own path, whose block path reads the band's 256-node
-    sample past BLOCK, read at worst 1.02 (F5, x = 1024)."""
+    ``toeplitz_det``'s own path, which reads the moments of these Laurent
+    polynomials from their coefficients, reads at worst 0.15 (F1, x = 8);
+    from the band's sample it read 1.02 (F5, x = 1024)."""
 
     @pytest.mark.parametrize("name, x", [
         (name, int(x)) for name, entry in REFERENCES.items()
@@ -450,3 +469,13 @@ class TestReferences:
                     toeplitz._block_log_det(moments, x),
                     toeplitz._log_det(spec, x)):
             assert log_gap(got, want) <= bound
+
+    def test_oracle_within_half_a_unit(self):
+        worst = 0.0
+        for name, entry in REFERENCES.items():
+            for x, value in entry["log_det"].items():
+                want = complex(*map(float, value))
+                got = toeplitz._log_det(symbols.fixture(name), int(x))
+                worst = max(worst, log_gap(got, want) / (
+                    int(x) * EPS * max(abs(want.real), 1.0)))
+        assert worst <= 0.5
