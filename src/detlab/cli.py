@@ -429,7 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the nodes of one grid on the contour; a "
                         "kernel that needs more raises NotConverged "
                         "(exit 3)")
-    p.add_argument("--tol", type=float, default=fredholm.TOL)
+    p.add_argument("--tol", type=float, default=fredholm.TOL,
+                   help="the first two grids, the margin past x doubled "
+                        "each time, that agree to tol max(1, |det|) give "
+                        "the value; one grid where its fold bound and LU "
+                        "rounding are within tol")
     p.set_defaults(func=cmd_fredholm)
 
     p = sub.add_parser("ff", help="finite-size overlap series")

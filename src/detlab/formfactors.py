@@ -400,10 +400,11 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     ``_torus_ladder`` at zero winding, and otherwise, or where the ladder
     hands it back, O(L^2) by ``_log_row_ratios``.  N > L: no N-subset
     exists and the sum is exactly 0.  Where theta vanishes at a grid point,
-    a root sits on it: N = L takes the sum's limit there, and N < L, whose
-    Cauchy matrix has a pole there, raises TooCloseToContour.  The roots
-    take no x: inside a ``cauchy.SuiteScope`` they are solved once per
-    (spec, L, N).
+    a root sits on it and the sum takes its limit there: at N = L that
+    root's factor is 1, and at N < L the root and its grid point drop out,
+    leaving the same closed form over N - 1 roots and L - 1 points with
+    L^{-2(N-1)}.  The roots take no x: inside a ``cauchy.SuiteScope`` they
+    are solved once per (spec, L, N).
     """
     x = errors.check_x(x)
     N, roots = _sector_size(spec, L, N)
@@ -433,17 +434,24 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
     slope = system.slope
     if N < L:
         if not np.all(delta):
-            # theta vanishes at a grid point, which the root never leaves
-            raise errors.TooCloseToContour(
-                f"a root of p^L phi(p) = 1 sits on a grid point, a pole of "
-                f"the Cauchy matrix at N = {N} < L = {L}")
+            # where theta vanishes at a grid point the root stays on it,
+            # delta = 0: every subset without that point has theta(p) = 0,
+            # and in the rest theta(p) g(q) / delta^2 -> L^2 (1 + u)
+            # q^(x - 1) cancels the root's other factors to L^2, so the
+            # pair drops out
+            moved = delta != 0
+            points = np.ones(L, dtype=bool)
+            points[system.indices[~moved]] = False
+            p, q_start, delta, slope, theta_p = (
+                a[moved] for a in (p, q_start, delta, slope, theta_p))
+            q, weight = q[points], weight[points]
         # p_i - q_j = (q_start_i - q_j) + delta_i: exact where q_j = q_start_i
         cmat = 1.0 / (q_start[:, None] - q[None, :] + delta[:, None])
         g = q ** (1 + x) * weight
         sign, logdet = np.linalg.slogdet((cmat * g) @ cmat.T)
         log_total = (np.sum((1 - x) * clog(p) - clog(1.0 + slope) +
                             clog(theta_p)) + logdet + np.log(sign) -
-                     2.0 * N * np.log(float(L)))
+                     2.0 * p.size * np.log(float(L)))
     else:
         # p^L - 1 = (1 + delta/q)^L - 1 without cancellation; theta(p_i)
         # g(q_i) / (p_i^L - 1)^2 is one factor per root, so the large

@@ -69,19 +69,23 @@ TOL = 1e-10      # default agreement of two successive Nystrom determinants
 
 @dataclass(frozen=True)
 class DetResult:
-    """det(Id + K) from ``nystrom_det``.  A ladder lists the node counts it
-    tried in ``grids``, the last m_used, and in ``drifts`` |det - det
-    before| on each grid after the first; its ``err_estimate`` is the last
-    drift.  A single grid has ``grids`` (m_used,), no ``drifts``, and as
-    ``err_estimate`` m_used times its kernel's bound on what the grid folds
-    into each entry, times max(1, |det|), taken only where that and the
-    LU's rounding, ``lu_rounding``, are within tol together.  Neither
-    estimate counts that rounding."""
+    """det(Id + K) from ``nystrom_det``.  ``grids`` lists the node counts
+    tried, the last one ``m_used``.  A ladder has in ``drifts`` |det - det
+    before| on each grid after the first, and its ``err_estimate`` is the
+    last drift.  A single grid has no ``drifts``; its ``err_estimate`` is
+    m_used times its kernel's bound on what the grid folds into each entry,
+    times max(1, |det|), taken only where that and the LU's rounding,
+    ``lu_rounding``, are within tol together.  Neither estimate counts
+    that rounding."""
     value: complex
     err_estimate: float
-    m_used: int
     grids: tuple
     drifts: tuple
+
+    @property
+    def m_used(self) -> int:
+        """Node count of the grid that gave ``value``, the last tried."""
+        return self.grids[-1]
 
     @property
     def lu_rounding(self) -> float:
@@ -596,17 +600,6 @@ def _grid_det(kernel, nodes, weights) -> complex:
         return complex(np.linalg.det(mat))
 
 
-def _error_left(grids, drifts) -> float:
-    """Error left on the last grid m_k predicted from the last two drifts,
-    d_k r^(m_k - m_(k-1)) with the per-node rate r = (d_k / d_(k-1))^(1 /
-    (m_(k-1) - m_(k-2))) of a geometric convergence; inf unless there are
-    two drifts and they decrease."""
-    if len(drifts) < 2 or not drifts[-1] < drifts[-2]:
-        return math.inf
-    rate = (drifts[-1] / drifts[-2]) ** (1.0 / (grids[-2] - grids[-3]))
-    return drifts[-1] * rate ** (grids[-1] - grids[-2])
-
-
 def _grid_value(kernel, radius: float, m: int, prev) -> tuple:
     """(det, |det|, |det - prev|) on the grid of m nodes by ``_grid_det``,
     the drift 0 without ``prev``; OverflowGuard once |det| or the drift
@@ -647,15 +640,12 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     radius 2.75, has grids m = 40 ... 140 off by 2.1 times m folds(m - 3).
 
     Otherwise a ladder of m = x + a 2^k nodes, k = 0, 1, ...: the first
-    two grids that agree to ``tol`` give the value.  Where the last two
-    drifts predict (``_error_left``) at most tol/2 max(1, |det|) left on
-    the grid x + a 2^k, the next grid is x + a (2^k + 1); if that one
-    disagrees, the ladder goes on to x + a 2^(k+1).  InputError unless
-    radius > 0; raises NotConverged when the next grid would pass
-    ``m_cap``, and, by ``check_grid_cap``, up front before any sampling
-    and again once the first margin is read, before any fill;
-    OverflowGuard once |det| or its drift between two grids leaves the
-    double range."""
+    two grids that agree to tol max(1, |det|) give the later one's value,
+    with their drift as ``err_estimate``.  InputError unless radius > 0;
+    raises NotConverged when the next grid would pass ``m_cap``, and, by
+    ``check_grid_cap``, up front before any sampling and again once the
+    first margin is read, before any fill; OverflowGuard once |det| or its
+    drift between two grids leaves the double range."""
     if not radius > 0:
         raise errors.InputError(f"circle radius {radius} is not positive")
     x = kernel.x
@@ -668,28 +658,18 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     bound = math.inf if folds is None else m * folds(2 * margin)
     if bound + m * m * np.finfo(float).eps <= tol:
         det, size, _ = _grid_value(kernel, radius, m, None)
-        return DetResult(det, bound * max(1.0, size), m, (m,), ())
-    step, m = margin, x + margin
-    grids, drifts = [], []
-    prev = None
-    while True:
-        grids.append(m)
-        det, size, err = _grid_value(kernel, radius, m, prev)
+        return DetResult(det, bound * max(1.0, size), (m,), ())
+    grids, drifts, prev = [], [], None
+    while x + margin <= m_cap:
+        grids.append(x + margin)
+        det, size, err = _grid_value(kernel, radius, grids[-1], prev)
         if prev is not None:
             drifts.append(err)
             if err <= tol * max(1.0, size):
-                return DetResult(det, err, m, tuple(grids), tuple(drifts))
+                return DetResult(det, err, tuple(grids), tuple(drifts))
         prev = det
-        # one short step, from a grid the doubling reached
-        if m == x + margin and \
-                _error_left(grids, drifts) <= 0.5 * tol * max(1.0, size):
-            m += step
-        else:
-            margin *= 2
-            m = x + margin
-        if m > m_cap:
-            raise errors.NotConverged(
-                f"determinant drift {err:.2e} at m={grids[-1]}")
+        margin *= 2
+    raise errors.NotConverged(f"determinant drift {err:.2e} at m={grids[-1]}")
 
 
 def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:

@@ -44,6 +44,11 @@ def form_factor(system, q_subset) -> complex:
         raise SizeMismatch(
             f"subset size {q.size} != number of shifted roots {system.N}")
     spec, L, p = system.spec, system.L, system.p_roots
+    # a root that sits on a grid point of the subset, where theta vanishes,
+    # pairs off with it: its own factors over the pair's squared Cauchy
+    # entry tend to 1, and every other factor that holds either cancels
+    on = p[:, None] == q[None, :]
+    p, q = p[~on.any(axis=1)], q[~on.any(axis=0)]
 
     theta_q = symbols.eval_theta(spec, q)
     theta_p = symbols.eval_theta(spec, p)
@@ -51,10 +56,10 @@ def form_factor(system, q_subset) -> complex:
         return 0.0 + 0.0j
     dens = 1.0 + phase_slope(spec, p, L)
 
-    log_total = -2.0 * system.N * np.log(float(L))
+    log_total = -2.0 * p.size * np.log(float(L))
     log_total += np.sum(np.log(p) + np.log(q) + np.log(theta_q) +
                         np.log(theta_p) - np.log(1.0 + theta_q) - np.log(dens))
-    iu = np.triu_indices(system.N, k=1)
+    iu = np.triu_indices(p.size, k=1)
     log_total += 2.0 * np.sum(np.log(p[iu[1]] - p[iu[0]]))
     log_total += 2.0 * np.sum(np.log(q[iu[1]] - q[iu[0]]))
     log_total -= 2.0 * np.sum(np.log(p[:, None] - q[None, :]))
@@ -68,17 +73,14 @@ THETA_ZERO_AT_MINUS_ONE = (-0.1, 0.5666666666666667, -0.3333333333333333)
 def enumerated_sum(spec, L, N, x) -> complex:
     """Sum over N-subsets of the unshifted grid of |overlap|^2 prod (q/p)^x,
     term by term, with compensated summation; the coincident subset of a
-    trivial symbol contributes 1."""
+    trivial symbol contributes 1 (``form_factor``)."""
     system = solve_shifted(spec, L, N)
     p = system.p_roots
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for combo in itertools.combinations(range(L), system.N):
         q = system.q_roots[list(combo)]
-        if np.max(np.abs(np.sort_complex(q) - np.sort_complex(p))) < 1e-12:
-            term = 1.0 + 0.0j
-        else:
-            term = form_factor(system, q) * complex(np.prod((q / p) ** x))
+        term = form_factor(system, q) * complex(np.prod((q / p) ** x))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -654,11 +656,15 @@ class TestZerosOwnRoots:
 
 class TestFormFactor:
     def test_vanishing_shift_gives_zero(self):
-        # theta = 0 kills the overlap weight termwise; the coincident-grid
-        # unit contribution is supplied by the summation layer instead
+        # theta = 0 kills the overlap weight of every subset but the
+        # coincident one, whose roots all pair off with their grid points
         spec = symbols.fixture("F0")
         sys = solve_shifted(spec, L=8, N=4)
-        assert form_factor(sys, sys.q_roots[sys.indices]) == 0.0
+        assert form_factor(sys, sys.q_roots[sys.indices]) == 1.0
+        others = np.setdiff1d(np.arange(8), sys.indices)
+        assert form_factor(sys, sys.q_roots[others]) == 0.0
+        assert form_factor(sys, sys.q_roots[np.r_[sys.indices[1:],
+                                                  others[:1]]]) == 0.0
 
     def test_permutation_invariance(self):
         sys = solve_shifted(symbols.fixture("F2"), L=10, N=5)
@@ -819,11 +825,26 @@ class TestFiniteSum:
         if L == 64:
             assert abs(got - asymptotics.tau_eff(spec, 2)) <= 1e-12
 
-    def test_theta_zero_on_grid_raises_below_l(self):
-        # N < L: the root on the grid point is a pole of the Cauchy matrix
+    def test_theta_zero_on_grid_takes_the_limit_below_l(self):
+        # N < L: the root on its grid point drops out with that point, and
+        # the sum is the limit of phi = (q + 3)/4 + eps as eps -> 0
         spec = symbols.SymbolSpec("rational", (0.75, 0.25), (1.0,))
-        with pytest.raises(errors.TooCloseToContour):
-            tau_eff_finite(spec, 8, 4, 2)
+        near = symbols.SymbolSpec("rational", (0.75 + 1e-14, 0.25), (1.0,))
+        got = tau_eff_finite(spec, 8, 4, 2)
+        assert abs(got - (0.9155844039623912 + 0.0660163193671219j)) <= 1e-13
+        assert abs(tau_eff_finite(near, 8, 4, 2) -
+                   (0.9155844039624043 + 0.0660163193671220j)) <= 1e-13
+
+    @pytest.mark.parametrize("N, want", [
+        (4, 0.9155844039623912 + 0.0660163193671219j),
+        (8, 0.5622717271093324)])
+    def test_oracle_pairs_off_the_root_on_its_grid_point(self, N, want):
+        # in the enumeration the pair's factor is 1 in each subset that
+        # holds the grid point, and every other subset is 0
+        spec = symbols.SymbolSpec("rational", (0.75, 0.25), (1.0,))
+        got = tau_eff_finite(spec, 8, N, 2)
+        assert abs(got - want) <= 1e-13
+        assert abs(enumerated_sum(spec, 8, N, 2) - got) <= 1e-13
 
     @pytest.mark.parametrize("name, L, N", [
         ("F1", 64, 64), ("F2", 256, 256), ("F2", 16, 6), ("F6", 16, 6)])

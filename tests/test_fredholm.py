@@ -1316,8 +1316,8 @@ class TestThetaModes:
 
 
 class TestLadder:
-    """The short step of ``nystrom_det``: grids x + a, x + 2a, x + 4a, ...
-    until two drifts predict convergence, then one of a nodes more."""
+    """The ladder of ``nystrom_det``: grids x + a, x + 2a, x + 4a, ...
+    until two agree."""
     X, A = 3, 16
 
     def scripted(self, monkeypatch, det_at):
@@ -1333,38 +1333,25 @@ class TestLadder:
         return fredholm.Kernel(zero_generators, self.X, lambda radius:
                                fredholm.Reach(self.A, None)), filled
 
-    @staticmethod
-    def geometric(n):
-        """1 + 10^(-3n/16): on x + a, x + 2a and x + 4a nodes the drifts
-        1e-3 and 1e-6 predict 1e-12 left on x + 4a."""
-        return 1 + 10.0 ** (-3 * n / 16)
+    def test_geometric_drifts_double_until_two_agree(self, monkeypatch):
+        # det = 1 + 10^(-3n/16) drifts 1e-6 from x + 2a to x + 4a, where
+        # the error left is 1e-12: x + 8a, not x + 5a, confirms it
+        def geometric(n):
+            return 1 + 10.0 ** (-3 * n / 16)
 
-    def test_geometric_drifts_take_one_short_step(self, monkeypatch):
-        # x + 5a, not x + 8a, confirms x + 4a
-        kern, filled = self.scripted(monkeypatch, self.geometric)
+        kern, filled = self.scripted(monkeypatch, geometric)
         res = fredholm.nystrom_det(kern, 1.0)
-        steps = (1, 2, 4, 5)
+        steps = (1, 2, 4, 8)
         assert res.grids == tuple(filled) == tuple(
             self.X + k * self.A for k in steps)
-        dets = [complex(self.geometric(k * self.A)) for k in steps]
-        assert res.value == dets[-1]
+        dets = [complex(geometric(k * self.A)) for k in steps]
+        assert res.value == dets[-1] and res.m_used == self.X + 8 * self.A
         assert res.drifts == tuple(abs(b - a) for a, b in zip(dets, dets[1:]))
         assert res.err_estimate == res.drifts[-1]
 
-    def test_disagreeing_short_step_doubles_on(self, monkeypatch):
-        # x + 5a drifts 2e-10 from x + 4a, past tol; the drifts 1e-6 and
-        # 2e-10 would predict convergence again, but the ladder goes back
-        # to doubling: x + 8a, which agrees
-        values = {16: 1e-3, 32: 1e-6, 64: 1e-12, 80: 1e-12 + 2e-10,
-                  128: 1e-12 + 2e-10 + 1e-13}
-        kern, _ = self.scripted(monkeypatch, lambda n: 1 + values[n])
-        res = fredholm.nystrom_det(kern, 1.0)
-        assert res.grids == tuple(self.X + n for n in values)
-        assert len(res.drifts) == 4 and res.drifts[2] > fredholm.TOL
-
     def test_stalled_drift_raises_where_doubling_did(self, monkeypatch):
-        # drifts near 2e-9 that shrink only by 1/n never predict
-        # convergence: the grids double and 259 passes m_cap = 200
+        # drifts near 2e-9 that shrink only by 1/n never agree to tol: the
+        # grids double and 259 passes m_cap = 200
         def det(n):
             return 1 + (-1) ** n.bit_length() * 1e-9 * (1 + 1 / n)
 
@@ -1372,16 +1359,6 @@ class TestLadder:
         with pytest.raises(errors.NotConverged, match="drift .* at m=131"):
             fredholm.nystrom_det(kern, 1.0, m_cap=200)
         assert filled == [19, 35, 67, 131]
-
-    def test_short_step_meets_the_cap(self, monkeypatch):
-        # NotConverged exactly where the next grid tried, x + 5a = 83,
-        # would pass m_cap
-        kern, filled = self.scripted(monkeypatch, self.geometric)
-        with pytest.raises(errors.NotConverged, match="at m=67"):
-            fredholm.nystrom_det(kern, 1.0, m_cap=82)
-        assert filled == [19, 35, 67]
-        assert fredholm.nystrom_det(kern, 1.0, m_cap=83).grids == \
-            (19, 35, 67, 83)
 
     @staticmethod
     def recorded(calls):
@@ -1394,7 +1371,7 @@ class TestLadder:
         return call
 
     def test_contour_swap_ladders_pinned(self):
-        # verify's contour-swap check confirms on 163 nodes, not on 259.
+        # verify's contour-swap check confirms on 259 nodes.
         # Both kernels run the ladder because their reach, 132 and 130
         # modes, is clipped at M_START, and the clip also keeps an
         # understated bound off the single grid: against a 1,024-node grid
@@ -1406,16 +1383,16 @@ class TestLadder:
         with mock.patch.object(asymptotics, "nystrom_det",
                                self.recorded(calls)):
             asymptotics.tau_ratio_swap(symbols.fixture("F4"), 3, 1.4, 2.2)
-        assert [c[-1].grids for c in calls] == [(35, 67, 131, 163)] * 2
+        assert [c[-1].grids for c in calls] == [(35, 67, 131, 259)] * 2
 
     @settings(max_examples=25, deadline=None)
     @given(spec=two_sided_symbols(), x=st.integers(1, 4))
     def test_accepted_values_hold_on_twice_the_grid(self, spec, x):
         # the ladders of S, of tau_eff's V and of tau_ratio_swap's two
         # residue kernels, swapping the largest zero inside for the
-        # smallest outside: many take the short step, and many a single
-        # grid, which holds to its err_estimate, which counts no rounding,
-        # plus its LU's
+        # smallest outside: many take a ladder, and many a single grid,
+        # which holds to its err_estimate, which counts no rounding, plus
+        # its LU's
         calls = []
         nystrom = self.recorded(calls)
         nystrom(fredholm.kernel_S(spec, x), asymptotics.base_contour(spec))

@@ -90,16 +90,17 @@ def test_determinants_and_fills_are_counted():
 
 def test_no_first_grid_past_the_fixed_margin(monkeypatch):
     # every Nystrom ladder of verify and of one x sweep pass starts at most
-    # fredholm.M_START nodes past the kernel's bandwidth; a single grid is
-    # the second grid of the ladder it stands for, x + 2a
-    starts = []
+    # fredholm.M_START nodes past the kernel's bandwidth and doubles that
+    # margin a from grid to grid, x + a 2^k; a single grid is the second
+    # grid of the ladder it stands for, x + 2a
+    ladders = []
     real = fredholm.nystrom_det
 
     def recorded(kernel, *args, **kwargs):
         res = real(kernel, *args, **kwargs)
-        first = res.grids[0] if len(res.grids) > 1 else \
-            (res.grids[0] + kernel.x) // 2
-        starts.append((kernel.x, first))
+        x, grids = kernel.x, res.grids
+        margin = grids[0] - x if len(grids) > 1 else (grids[0] - x) // 2
+        ladders.append((x, margin, grids))
         return res
 
     monkeypatch.setattr(fredholm, "nystrom_det", recorded)
@@ -112,5 +113,9 @@ def test_no_first_grid_past_the_fixed_margin(monkeypatch):
             op.call()
         except errors.DetlabError:   # the workload's own failures
             pass
-    assert len(starts) > 100
-    assert all(first <= x + fredholm.M_START for x, first in starts)
+    assert len(ladders) > 100
+    assert all(margin <= fredholm.M_START for _, margin, _ in ladders)
+    assert all(grids == tuple(x + margin * 2 ** k for k in range(len(grids)))
+               for x, margin, grids in ladders if len(grids) > 1)
+    # verify's contour-swap check runs two four-grid ladders
+    assert sum(len(grids) == 4 for _, _, grids in ladders) >= 2
