@@ -237,23 +237,27 @@ def slavnov_series(spec: symbols.SymbolSpec, x: int,
     (w_j - z)).  Coefficient k of det(t - A) is the sum of the principal
     k-minors of -A, which by Cauchy-Binet and the Cauchy determinant is the
     sum over k-subsets Z, W of prod a(Z) prod b(W) det[1/(w - z)]^2; the
-    series is tau times the sum of its leading coefficients.  NoResidueForm
-    unless phi is rational."""
+    series is tau times the sum of its leading coefficients.  At full order
+    that sum is det(I - A), one LU; only a partial order forms the
+    characteristic polynomial.  NoResidueForm unless phi is rational."""
     x = errors.check_x(x)
     if max_order is not None and max_order < 0:
         raise errors.InputError(f"correction order {max_order} is negative")
     suite = suite_for(spec)
     zset, wset = suite.zeros_inside(), suite.zeros_outside()
-    kmax = min(len(zset), len(wset))
-    if max_order is not None:
-        kmax = min(kmax, max_order)
+    full = min(len(zset), len(wset))
+    kmax = full if max_order is None else min(full, max_order)
     total = 1.0
-    if kmax:   # np.poly takes no empty matrix
+    if kmax:
         a = np.array([suite.residue_weight(z, x) for z in zset])
         b = np.array([suite.residue_weight(w, x) for w in wset])
         cmat = 1.0 / np.subtract.outer(np.array(wset), np.array(zset))
         amat = -b[:, None] * ((cmat * a) @ cmat.T)
-        total = np.sum(np.poly(amat)[:kmax + 1])
+        if kmax < full:
+            total = np.sum(np.poly(amat)[:kmax + 1])
+        else:
+            sign, log_abs = np.linalg.slogdet(np.eye(len(wset)) - amat)
+            total = sign * np.exp(log_abs)
     return errors.exp_in_range(_log_strong_limit(suite, x), total)
 
 

@@ -56,7 +56,7 @@ def residue_coefficient(spec: symbols.SymbolSpec, z, power: int,
     from its logarithm: OverflowGuard past the double range, while an
     underflow goes to 0; NotASimpleZero where phi'(z) vanishes."""
     z = complex(z)
-    dphi = complex(symbols.eval_dphi(spec, np.asarray(z)))
+    dphi = symbols.dphi_at(spec, z)
     if abs(dphi) < 1e-10:
         raise errors.NotASimpleZero(f"phi'({z}) = {dphi}")
     if z == 0 and power > 0:   # log 0 is not finite, and 0^power is 0
@@ -78,7 +78,8 @@ class CauchySuite:
     Provides the inside/outside splits of that density's transform (capital
     Omega), on first read their values on the grid (checked against the
     jump relation) and the split of their Wiener-Hopf ratio e^{-Omega_gt -
-    Omega_lt}, and the zeros of phi on either side of the circle.  None of
+    Omega_lt}, the zeros of phi on either side of the circle and their
+    residue weights, from the factorization of P/Q there.  None of
     these depends on x: the b split and the residue weights take it as an
     argument, and the q^x theta/(1 + theta) split that deforms the
     integrable kernel is formed by ``fredholm.kernel_V``.
@@ -122,9 +123,12 @@ class CauchySuite:
     jump_residual = property(lambda self: self._boundary[2])
 
     def _nu_at(self, nodes):
-        """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi)."""
-        return symbols.eval_nu_grid(self.spec, nodes) - self.winding * (
-            np.angle(nodes) + np.pi) / (2.0 * np.pi)
+        """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi), which
+        at winding 0 is not formed."""
+        nu = symbols.eval_nu_grid(self.spec, nodes)
+        if not self.winding:
+            return nu
+        return nu - self.winding * (np.angle(nodes) + np.pi) / (2.0 * np.pi)
 
     # --- phase-shift transform ------------------------------------------------
 
@@ -165,24 +169,53 @@ class CauchySuite:
                                        f"on radius {self.rho:.4g}")
         return LaurentSplit(density, self.rho)
 
+    @functools.cached_property
+    def _factors(self):
+        """(Omega_gt(0) = 2 pi i nu_0, the zeros and poles of phi outside the
+        circle, those inside it but the origin), each as (c, s) with s = +1
+        at a zero and -1 at a pole, repeated by multiplicity, in Python
+        scalars.  Where phi does not wind on the circle, the zeros and poles
+        inside balance, so log phi(q) = 2 pi i nu_0 + sum_{c outside} s
+        log(1 - q/c) + sum_{c inside} s log(1 - c/q), its two sums analytic
+        inside and outside: the Wiener-Hopf factors of a rational symbol
+        (Day, Trans. AMS 206 (1975)).  nu_0 is the split's own, so the
+        constant is the sampled one.  WindingNonzero on a unit-circle suite
+        where phi winds; NoResidueForm and NotASimpleZero as ``_zeros``."""
+        if self.winding:
+            raise errors.WindingNonzero(
+                f"phi winds {self.winding:+d} on the unit circle: no "
+                "factorization of its own there")
+        roots = [(c, 1) for c in self._zeros] + [
+            (c, -1) for c in self.spec._roots[1].tolist()]
+        return (2j * np.pi * self.nu_split.coefficient(0),
+                [(c, s) for c, s in roots if abs(c) > self.rho],
+                [(c, s) for c, s in roots if 0 < abs(c) < self.rho])
+
     def residue_weight(self, z, x: int) -> complex:
         """Weight of a zero z of phi in the residue sums over this circle:
         z^x e^{2 Omega_gt(z)} / phi'(z) inside it, z^{-x} e^{-2 Omega_lt(z)}
-        / phi'(z) outside it."""
+        / phi'(z) outside it, Omega read from the factorization
+        (``_factors``), so that no series is summed at a zero."""
+        z = complex(z)
+        omega0, outside, inside = self._factors
         if abs(z) < self.rho:
-            return residue_coefficient(self.spec, z, x, 2.0 * self.Omega_gt(z))
-        return residue_coefficient(self.spec, z, -x, -2.0 * self.Omega_lt(z))
+            omega = omega0 + sum(s * cmath.log(1.0 - z / c) for c, s in outside)
+            return residue_coefficient(self.spec, z, x, 2.0 * omega)
+        omega = -sum(s * cmath.log(1.0 - c / z) for c, s in inside)
+        return residue_coefficient(self.spec, z, -x, -2.0 * omega)
 
     def zeros_outside(self):
         """Zeros of phi outside this circle (phi = P/Q only)."""
-        return [z for z in self._zeros() if abs(z) > self.rho]
+        return [z for z in self._zeros if abs(z) > self.rho]
 
     def zeros_inside(self):
-        return [z for z in self._zeros() if abs(z) < self.rho]
+        return [z for z in self._zeros if abs(z) < self.rho]
 
+    @functools.cached_property
     def _zeros(self):
         """The zeros of phi, each simple: ``residue_weight`` divides by phi'.
-        NoResidueForm with any t_j: sums over zeros cannot carry exp(...)."""
+        NoResidueForm with any t_j, on every read: sums over zeros cannot
+        carry exp(...)."""
         if self.spec.log_coeffs:
             raise errors.NoResidueForm("residue route needs phi = P/Q, no t_j")
         zeros = symbols.analyze(self.spec).zeros

@@ -191,6 +191,15 @@ def eval_dphi(spec: SymbolSpec, q):
                                          _ratio(spec, q) * dlog)
 
 
+def dphi_at(spec: SymbolSpec, z: complex) -> complex:
+    """phi'(z) at one point: for phi = P/Q by Horner's rule in Python
+    scalars, ~2 us on F4 against ~10 us for ``eval_dphi`` on a 0-d array
+    (one core of an x86-64 host); with t_j ``eval_dphi``'s value."""
+    if spec.log_coeffs:
+        return complex(eval_dphi(spec, np.asarray(z, dtype=complex)))
+    return complex(_ratio(spec, complex(z), derivative=True))
+
+
 def eval_log_phi(spec: SymbolSpec, q):
     """(a logarithm of phi(q), phi'(q)/phi(q)) in one pass, phi not formed:
     the exponent E itself for the factor e^E and the principal logarithm of

@@ -3,12 +3,16 @@
 ``slavnov_term`` and ``enumerated_series`` are the oracle of the correction
 series: the sum taken term by term over all pairs of equally sized zero
 subsets, against which the closed form of ``slavnov_series`` is checked.
+They read Omega at the zeros from the suite's series, not from the
+factorization of P/Q that ``slavnov_series``' weights read.
 """
 
 import dataclasses
 import inspect
 import itertools
+import json
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -566,7 +570,35 @@ class TestCirclesAgreeAtZeroWinding:
         self.assert_agree(symbols.fixture("F2"), x)
 
 
+# 50-digit log det T_x of the banded fixtures (tools/toeplitz_references.py)
+REFERENCES = json.loads((Path(__file__).parent / "data" /
+                         "toeplitz_references.json").read_text())
+# where the determinant leaves the double range: F4 and F6 overflow, F7
+# underflows
+PAST_RANGE = {("F4", 1024), ("F6", 1024), ("F7", 1024)}
+
+
 class TestSlavnov:
+    # against REFERENCES, in units of x eps max(1, |log det|), the full
+    # series reads at worst 6.2 (F4, x = 2) and 0.61 at every other point;
+    # with Omega summed from the suite's series at the zeros and the
+    # characteristic polynomial from its eigenvalues, F4 read 12.9 at x = 2
+    REFERENCE_UNITS = 8.0
+
+    @pytest.mark.parametrize("name, x", [
+        (name, int(x)) for name, entry in REFERENCES.items()
+        for x in entry["log_det"] if (name, int(x)) not in PAST_RANGE])
+    def test_references(self, name, x):
+        want = complex(*map(float, REFERENCES[name]["log_det"][str(x)]))
+        got = np.log(A.slavnov_series(symbols.fixture(name), x))
+        assert log_gap(got, want) <= self.REFERENCE_UNITS * x * np.finfo(
+            float).eps * max(abs(want.real), 1.0)
+
+    @pytest.mark.parametrize("name, x", sorted(PAST_RANGE))
+    def test_references_past_the_double_range(self, name, x):
+        with pytest.raises(errors.OverflowGuard):
+            A.slavnov_series(symbols.fixture(name), x)
+
     def test_needs_a_residue_form(self):
         # F2 has t_j: the residue sums over zeros cannot carry exp(...)
         assert issubclass(errors.NoResidueForm, errors.InputError)
@@ -604,7 +636,13 @@ class TestSlavnov:
             built.append(self)
             init(self, *args, **kwargs)
 
+        def summed(*args, **kwargs):
+            raise AssertionError("a series is summed")
+
+        # and no Omega is read off the suite's series: the residue weights
+        # come from the factorization, the leading value from the modes
         monkeypatch.setattr(CauchySuite, "__init__", counting)
+        monkeypatch.setattr(LaurentSplit, "_eval", summed)
         A.slavnov_series(symbols.fixture("F4"), 4)
         assert len(built) == 1
 

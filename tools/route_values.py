@@ -42,8 +42,9 @@ route that raises writes its error type and message instead.  Last come the
 rows of ``detlab compare --spec F4 --x 1..32`` over every route, as the CLI
 prints them (17 significant digits), which run inside compare's suite scope.
 Then the off-grid evaluations: on each fixture's own-circle and unit-circle
-``CauchySuite``, Omega_gt(0) and, at each zero of phi, the Omega_gt (zero
-inside the circle) or Omega_lt (outside) that its residue weight reads; and
+``CauchySuite``, Omega_gt(0) and, at each zero of phi, the series Omega_gt
+(zero inside the circle) or Omega_lt (outside), and on the own circle the
+zero's residue weight at x = 2 and 64, read from the factorization; and
 phi, phi' and nu of F2 and of F5 exp(0.3 q + 0.2/q + 0.05i q^2) at a few
 scalar points.  Then the orthogonal-polynomial values of F3 and F5 at
 x = 2 and 5: every Gram determinant, every monic polynomial's coefficients
@@ -98,6 +99,7 @@ FINITE_CASES = ([(name, L, L) for name in ("F1", "F2")
 COMPARE = ("compare", "--spec", "F4", "--x", "1..32",
            "--methods", ",".join(cli.ROUTES))
 POINTS = (0.5 + 0.3j, 0.2 - 1.2j, 1.7 + 0j, 1.35 + 2.1j)
+WEIGHT_X = (2, 64)
 EXPONENT = {1: 0.3, -1: 0.2, 2: 0.05j}
 ORTHO_CASES = [(name, x) for name in ("F3", "F5") for x in (2, 5)]
 CD_PROBES = ((0.3 + 0.2j, -0.4 + 0.5j), (0.6 - 0.1j, 0.6 - 0.1j))
@@ -347,6 +349,10 @@ def main(out=sys.stdout) -> None:
                 side = "Omega_gt" if abs(z) < suite.rho else "Omega_lt"
                 value = outcome(lambda: getattr(suite, side)(z))
                 out.write(f"omega {name} {circle} {side}({z!r}) {value}\n")
+                for x in () if unit else WEIGHT_X:
+                    value = outcome(lambda: suite.residue_weight(z, x))
+                    out.write(f"omega {name} {circle} weight({z!r}) x={x} "
+                              f"{value}\n")
     f5 = symbols.fixture("F5")
     mixed = symbols.SymbolSpec(numer=f5.numer, denom=f5.denom,
                                log_coeffs=EXPONENT)
