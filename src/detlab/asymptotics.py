@@ -14,7 +14,8 @@ import itertools
 import numpy as np
 
 from . import errors, symbols, toeplitz
-from ._series import LaurentSplit, circle_nodes, laurent_coeffs
+from ._series import (LaurentSplit, circle_nodes, circle_weights, horner,
+                      laurent_coeffs)
 from .cauchy import CauchySuite, _converged_split, suite_for
 from .contours import base_contour, radius_past
 from .fredholm import (Reach, _divide_by_gaps, check_grid_cap, kernel_V,
@@ -30,25 +31,33 @@ def tau_leading(spec: symbols.SymbolSpec, x: int,
                 route: str = "modes") -> complex:
     """Leading-order value on the symbol's circle, where phi does not wind.
 
-    route 'modes': the strong-limit exponent, x 2 pi i nu_0 plus a mode sum.
+    route 'modes': the strong-limit exponent from the roots, x C + modes.
     route 'double': direct trapezoid of the double integral, diagonal taken
-    as the analytic limit nu'(q)^2.
+    as the analytic limit nu'(q)^2, on the sampled nu (``_sampled_nu``).
     """
     x = errors.check_x(x)
     suite = suite_for(spec)
     if route == "modes":
         return errors.exp_in_range(_log_strong_limit(suite, x))
     if route == "double":
+        nodes, nu = _sampled_nu(suite)
         return errors.exp_in_range(_log_tau_double(
-            suite, x, suite.nu, symbols.eval_dnu(spec, suite.nodes)))
+            x, nodes, nu, symbols.eval_dnu(spec, nodes)))
     raise errors.InputError(f"unknown route {route!r}")
 
 
-def _log_tau_double(suite: CauchySuite, x: int, nu, dnu) -> complex:
-    """ln tau as the trapezoid double integral on the suite's grid, for the
-    shift values nu and derivative dnu at its nodes; the diagonal of the
+def _sampled_nu(suite: CauchySuite) -> tuple:
+    """(nodes, nu), nu sampled on the suite's own circle, from 256 nodes."""
+    split, m = _converged_split(lambda m: (symbols.eval_nu_grid(
+        suite.spec, circle_nodes(suite.rho, m)), suite.rho), 256)
+    return circle_nodes(suite.rho, m), split.values
+
+
+def _log_tau_double(x: int, nodes, nu, dnu) -> complex:
+    """ln tau as the trapezoid double integral on the grid ``nodes``, for
+    the shift values nu and derivative dnu there; the diagonal of the
     difference quotient is the analytic limit dnu."""
-    nodes, weights = suite.nodes, suite.weights
+    weights = circle_weights(nodes, nodes.size)
     lin = x * np.sum(weights * nu / nodes)
     # one m x m buffer holds the quotient and its square
     ratio = _divide_by_gaps(nu[None, :] - nu[:, None], nodes)
@@ -69,18 +78,19 @@ def szego(spec: symbols.SymbolSpec, x: int) -> complex:
 
 # --- strong-limit exponent ---------------------------------------------------
 
-def _mode_sum(split: LaurentSplit) -> complex:
-    """sum_{m>=1} m * v_m * v_{-m} with v_j = 2 pi i * (Laurent coefficient j)."""
-    js, cs = split.j, split.c
-    pos = js > 0
-    return complex(np.sum(js[pos] * (2j * np.pi * cs[pos]) *
-                          (2j * np.pi * cs[np.searchsorted(js, -js[pos])])))
-
-
 def _log_strong_limit(suite: CauchySuite, x: int) -> complex:
-    """(x - winding) 2 pi i nu_0 plus the mode sum of the suite's split."""
-    return ((x - suite.winding) * 2j * np.pi *
-            suite.nu_split.coefficient(0) + _mode_sum(suite.nu_split))
+    """(x - winding) C plus sum_{m>=1} m v_m v_{-m}, v_j the modes of
+    Omega_gt - Omega_lt, over the suite's roots a outside and b inside and
+    the halves E_+- of sum_j t_j q^j: sum_m m t_m t_{-m} - sum_b s_b E_+(b)
+    - sum_a s_a E_-(a) - sum_{a,b} s_a s_b log(1 - b/a), where sum_b s_b
+    (E_+(b) + sum_a s_a log(1 - b/a)) = sum_b s_b (Omega_gt(b) - C)."""
+    (plus, minus), _ = suite.halves
+    modes = sum(m * plus[m] * minus[m]
+                for m in range(1, min(len(plus), len(minus))))
+    modes -= sum(s * (suite.Omega_gt(b) - suite.C) for b, s in suite.inside)
+    if minus:
+        modes -= sum(s * horner(minus, 1.0 / a) for a, s in suite.outside)
+    return (x - suite.winding) * suite.C + complex(modes)
 
 
 def _require_negative_winding(spec):
@@ -374,14 +384,14 @@ def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
     eps = 1e-6
     x = errors.check_x(x)
     suite = suite_for(spec)
-    nodes, weights = suite.nodes, suite.weights
-    nu = suite.nu
+    nodes, nu = _sampled_nu(suite)
+    weights = circle_weights(nodes, nodes.size)
     dnu = symbols.eval_dnu(spec, nodes)
 
     pert = nodes.astype(complex) ** j
     dpert = j * nodes.astype(complex) ** (j - 1)
-    fd = (_log_tau_double(suite, x, nu + eps * pert, dnu + eps * dpert) -
-          _log_tau_double(suite, x, nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
+    fd = (_log_tau_double(x, nodes, nu + eps * pert, dnu + eps * dpert) -
+          _log_tau_double(x, nodes, nu - eps * pert, dnu - eps * dpert)) / (2 * eps)
 
     # first-order variation paired with the perturbation: the double-integral
     # part reduces, after integration by parts, to the principal value of the

@@ -1,14 +1,18 @@
-"""Scalar Cauchy-transform machinery on circular contours.
+"""Scalar Wiener-Hopf factors on circular contours, and the sampling rule.
 
-Every plus/minus boundary value is obtained from a truncated Laurent series
-of the density sampled on the circle itself (see _series.LaurentSplit); the
-slightly-shifted contours of the defining integrals never appear in numerics.
-``_converged_split`` sizes every such sample, here and in every other
-module: it doubles the grid until the coefficient tail passes TAIL_TOL.
 A suite is one symbol on one circle, known by its radius: its own (where
-phi does not wind) or the unit circle with the phase shift compensated for
-its winding; x enters only through q^{+-x}, as an argument of the b split
-and the residue weights.
+phi does not wind) or the unit circle.  Its factors Omega_gt and Omega_lt
+are finite sums over the roots on either side of the circle and the halves
+of sum_j t_j q^j, with one constant pinned to the sampled phase shift
+(``CauchySuite``).  The routes that read them, ``tau_leading``'s modes,
+``szego``, ``slavnov_series``, ``hartwig_fisher``, ``hf_leading``'s reduced
+route and ``borodin_okounkov``, read roots; ``toeplitz``, ``fredholm_S``,
+split V, ``tau_leading(route="double")``, ``variational_check`` and
+``hf_leading``'s angular route sample the symbol and read none, so the
+checks that pair the two are sampled against exact.  x enters only through
+q^{+-x}, as an argument of the b split and the residue weights.
+``_converged_split`` sizes every Laurent sample, here and in every other
+module: it doubles the grid until the coefficient tail passes TAIL_TOL.
 
 Routes ask ``suite_for`` for a suite.  Inside a ``SuiteScope`` every request
 for one (spec, unit) gets the suite the first one built; outside any scope
@@ -25,7 +29,8 @@ import functools
 import numpy as np
 
 from . import errors, symbols
-from ._series import LaurentSplit, circle_nodes, circle_weights
+from ._series import (LaurentSplit, circle_nodes, clog, horner,
+                      pow2_at_least)
 from .contours import base_contour
 
 TAIL_TOL = 1e-13
@@ -69,140 +74,135 @@ def residue_coefficient(spec: symbols.SymbolSpec, z, power: int,
 
 
 class CauchySuite:
-    """All scalar transforms attached to one symbol on one circle.
+    """The Wiener-Hopf factors of one symbol on one circle, from its roots.
 
     The circle is its radius ``rho``: ``contours.base_contour``'s, where
-    phi does not wind, or with ``unit`` 1, the unit circle, where the split
-    density ``nu`` is the phase shift compensated for the winding w,
-    nu - w (arg q + pi)/(2 pi).
-    Provides the inside/outside splits of that density's transform (capital
-    Omega), on first read their values on the grid (checked against the
-    jump relation) and the split of their Wiener-Hopf ratio e^{-Omega_gt -
-    Omega_lt}, the zeros of phi on either side of the circle and their
-    residue weights, from the factorization of P/Q there.  None of
-    these depends on x: the b split and the residue weights take it as an
-    argument, and the q^x theta/(1 + theta) split that deforms the
-    integrable kernel is formed by ``fredholm.kernel_V``.
+    phi does not wind (WindingNonzero where ``symbols.winding_on`` counts
+    a winding), or with ``unit`` the unit circle, where phi winds w and the
+    suite factors psi = q^-w phi, its extra roots at 0 dropped: nu there is
+    the phase shift less w (arg q + pi)/(2 pi).  Held, and sampled nowhere:
+    the zeros (``symbols.analyze``) and poles of phi as (c, s), s = +1 at a
+    zero and -1 at a pole, by multiplicity, ``outside`` and ``inside`` the
+    circle but the origin; the ``halves`` j >= 1 and j < 0 of sum_j t_j q^j
+    and their derivatives; and C, pinned so that Omega_gt - Omega_lt = 2 pi
+    i nu at the grids' first node, angle -pi, where the sampled nu of
+    ``symbols.eval_nu_grid`` starts its branch:
+
+        Omega_gt(q) = C + sum_{j>=1} t_j q^j + sum_{c outside} s log(1 - q/c)
+        Omega_lt(q) = -sum_{j<0} t_j q^j - sum_{c inside} s log(1 - c/q),
+
+    analytic inside and outside (Day, Trans. AMS 206 (1975)); C = 2 pi i
+    nu_0.  The ratio and b splits sample them after ``jump_residual``.
     """
 
     def __init__(self, spec: symbols.SymbolSpec, *, unit: bool = False):
         self.spec = spec
         self.rho = 1.0 if unit else base_contour(spec)
-        self.winding = symbols.winding_number(spec) if unit else 0
+        self.winding = symbols.winding_on(spec, self.rho)
+        if self.winding and not unit:
+            raise errors.WindingNonzero(f"phi winds {self.winding:+d} there")
+        roots = [(c, 1) for c in symbols.analyze(spec).zeros] + [
+            (c, -1) for c in spec._roots[1].tolist()]
+        self.outside = tuple((c, s) for c, s in roots if abs(c) > self.rho)
+        self.inside = tuple((c, s) for c, s in roots
+                            if 0 < abs(c) < self.rho)
+        (plus, minus), derivatives = spec._exponent_terms
+        self.halves = (([0j, *plus[1:]], minus), derivatives)
+        q0 = complex(circle_nodes(self.rho, 256)[0])
+        self.C = (cmath.log(symbols._ratio(spec, q0)) +
+                  symbols._exponent(spec, q0) -
+                  1j * self.winding * (cmath.phase(q0) + cmath.pi) -
+                  self._sum(q0, 0, 0) - self._sum(q0, 0, 1))
 
-        if not unit:
-            winding = symbols.grid_winding(spec, circle_nodes(self.rho, 256))
-            if abs(winding) > 0.25:
-                raise errors.WindingNonzero(
-                    f"phase shift winds {winding:+.2f} on the chosen circle")
-
-        self.nu_split, self.m = _converged_split(lambda mm: (self._nu_at(
-            circle_nodes(self.rho, mm)), self.rho), 256)
-        self.nodes = circle_nodes(self.rho, self.m)
-        self.nu = self.nu_split.values
-
-    @functools.cached_property
-    def weights(self):
-        weights = circle_weights(self.nodes, self.m)
-        weights.flags.writeable = False
-        return weights
-
-    @functools.cached_property
-    def _boundary(self):
-        """(Omega_gt, Omega_lt, jump residual) on the grid, or NumericalError,
-        on every read, where the jump relation fails there by over 1e-10."""
-        gt, lt = self.Omega_gt(self.nodes), self.Omega_lt(self.nodes)
-        jump = float(np.max(np.abs(gt - lt - 2j * np.pi * self.nu)))
-        if jump > 1e-10:
-            raise errors.NumericalError(f"scalar jump residual {jump:.2e}")
-        gt.flags.writeable = lt.flags.writeable = False
-        return gt, lt, jump
-
-    Omega_gt_nodes = property(lambda self: self._boundary[0])
-    Omega_lt_nodes = property(lambda self: self._boundary[1])
-    jump_residual = property(lambda self: self._boundary[2])
-
-    def _nu_at(self, nodes):
-        """The raw phase shift less the sawtooth w (arg q + pi)/(2 pi), which
-        at winding 0 is not formed."""
-        nu = symbols.eval_nu_grid(self.spec, nodes)
-        if not self.winding:
-            return nu
-        return nu - self.winding * (np.angle(nodes) + np.pi) / (2.0 * np.pi)
-
-    # --- phase-shift transform ------------------------------------------------
+    def _sum(self, q, derivative: int, side: int):
+        """sum_{j>=1} t_{+-j} u^j + sum s log(1 - k u), k = 1/c outside at u
+        = q (side 0), k = c inside at u = 1/q (side 1), or its q-derivative:
+        by ``cmath`` at a scalar, by ``_series.clog`` on an array."""
+        scalar = np.ndim(q) == 0
+        u = complex(q) if scalar else np.asarray(q, dtype=complex)
+        u = 1.0 / u if side else u
+        half = self.halves[derivative][side]
+        roots = self.inside if side else [(1.0 / c, s) for c, s in
+                                          self.outside]
+        out = horner(half, u) if half else 0.0 * u
+        if derivative:
+            du = -u * u if side else 1.0
+            return out - sum(s * k * du / (1.0 - k * u) for k, s in roots)
+        log = cmath.log if scalar else clog
+        return out + sum(s * log(1.0 - k * u) for k, s in roots)
 
     def Omega_gt(self, q, derivative: int = 0):
-        """Inside-analytic piece; jump relation Omega_gt - Omega_lt = 2 pi i nu."""
-        return 2j * np.pi * self.nu_split.plus(q, derivative)
+        """Inside-analytic factor, or with ``derivative`` 1 its derivative."""
+        return self._sum(q, derivative, 0) + (0.0 if derivative else self.C)
 
     def Omega_lt(self, q, derivative: int = 0):
-        """Outside-analytic piece, vanishing at infinity."""
-        return 2j * np.pi * self.nu_split.minus(q, derivative)
+        """Outside-analytic factor, vanishing at infinity."""
+        return -self._sum(q, derivative, 1)
+
+    @functools.cached_property
+    def jump_residual(self) -> float:
+        """The largest of |Omega_gt - Omega_lt - 2 pi i nu| and |Omega_lt -
+        2 pi i nu_-| on the grid of the Cauchy split nu_+ - nu_- of nu
+        sampled by ``symbols.eval_nu_grid``, less w k/m at node k
+        (``_converged_split`` from 256 nodes), so Omega_gt meets nu_+ too;
+        NumericalError, on every read, past 1e-10.  No value reads nu."""
+        def sample(m):
+            nodes = circle_nodes(self.rho, m)
+            return (symbols.eval_nu_grid(self.spec, nodes) -
+                    self.winding * np.arange(m) / m, self.rho)
+
+        split, m = _converged_split(sample, 256)
+        nodes = circle_nodes(self.rho, m)
+        gt, lt = self.Omega_gt(nodes), self.Omega_lt(nodes)
+        jump = np.max(np.abs([gt - lt - 2j * np.pi * split.values,
+                              lt - 2j * np.pi * split.minus(nodes)]))
+        if not jump <= 1e-10:   # a nan fails too
+            raise errors.NumericalError(f"scalar jump residual {jump:.2e}")
+        return float(jump)
+
+    def _ratio_at(self, nodes):
+        self.jump_residual
+        return np.exp(-self.Omega_gt(nodes) - self.Omega_lt(nodes))
 
     @functools.cached_property
     def ratio(self) -> LaurentSplit:
-        """Split of the Wiener-Hopf ratio e^{-Omega_gt - Omega_lt}, sampled as
-        e^{-2 pi i nu - 2 Omega_lt}; on the unit circle its coefficient s is
-        the y-moment y_s.  Doubles from the suite's grid, which it reuses."""
-        def sample(mm):
-            if mm == self.m:
-                nu, om_lt = self.nu, self.Omega_lt_nodes
-            else:
-                nodes = circle_nodes(self.rho, mm)
-                nu, om_lt = self._nu_at(nodes), self.Omega_lt(nodes)
-            return np.exp(-2j * np.pi * nu - 2.0 * om_lt), self.rho
-
-        return _converged_split(sample, self.m)[0]
+        """Split of the Wiener-Hopf ratio e^{-Omega_gt - Omega_lt}, from 256
+        nodes; on the unit circle its coefficient s is the y-moment y_s."""
+        return _converged_split(lambda m: (self._ratio_at(
+            circle_nodes(self.rho, m)), self.rho), 256)[0]
 
     # --- b function and residue weights --------------------------------------
 
     def b_split(self, x: int) -> LaurentSplit:
-        """Split of the density -q^{-x} theta e^{-Omega_gt - Omega_lt} on the
-        suite's grid; OverflowGuard when q^{-x} overflows on the circle."""
-        theta = symbols.eval_theta(self.spec, self.nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            density = -self.nodes ** (-x) * theta * np.exp(
-                -self.Omega_gt_nodes - self.Omega_lt_nodes)
-        if not np.all(np.isfinite(density)):
-            raise errors.OverflowGuard(f"q^-x density overflows at x={x} "
-                                       f"on radius {self.rho:.4g}")
-        return LaurentSplit(density, self.rho)
+        """Split of the density -q^{-x} theta e^{-Omega_gt - Omega_lt} from
+        max(256, 4x) nodes, a power of two, so that q^{-x} shifts no mode
+        past m/2; OverflowGuard when q^{-x} overflows on the circle."""
+        def sample(m):
+            nodes = circle_nodes(self.rho, m)
+            theta = symbols.eval_theta(self.spec, nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                density = -nodes ** (-x) * theta * self._ratio_at(nodes)
+            if not np.all(np.isfinite(density)):
+                raise errors.OverflowGuard(f"q^-x density overflows at x={x} "
+                                           f"on radius {self.rho:.4g}")
+            return density, self.rho
 
-    @functools.cached_property
-    def _factors(self):
-        """(Omega_gt(0) = 2 pi i nu_0, the zeros and poles of phi outside the
-        circle, those inside it but the origin), each as (c, s) with s = +1
-        at a zero and -1 at a pole, repeated by multiplicity, in Python
-        scalars.  Where phi does not wind on the circle, the zeros and poles
-        inside balance, so log phi(q) = 2 pi i nu_0 + sum_{c outside} s
-        log(1 - q/c) + sum_{c inside} s log(1 - c/q), its two sums analytic
-        inside and outside: the Wiener-Hopf factors of a rational symbol
-        (Day, Trans. AMS 206 (1975)).  nu_0 is the split's own, so the
-        constant is the sampled one.  WindingNonzero on a unit-circle suite
-        where phi winds; NoResidueForm and NotASimpleZero as ``_zeros``."""
-        if self.winding:
-            raise errors.WindingNonzero(
-                f"phi winds {self.winding:+d} on the unit circle: no "
-                "factorization of its own there")
-        roots = [(c, 1) for c in self._zeros] + [
-            (c, -1) for c in self.spec._roots[1].tolist()]
-        return (2j * np.pi * self.nu_split.coefficient(0),
-                [(c, s) for c, s in roots if abs(c) > self.rho],
-                [(c, s) for c, s in roots if 0 < abs(c) < self.rho])
+        return _converged_split(sample, max(256, pow2_at_least(4 * x)))[0]
 
     def residue_weight(self, z, x: int) -> complex:
         """Weight of a zero z of phi in the residue sums over this circle:
         z^x e^{2 Omega_gt(z)} / phi'(z) inside it, z^{-x} e^{-2 Omega_lt(z)}
-        / phi'(z) outside it, Omega read from the factorization
-        (``_factors``), so that no series is summed at a zero."""
+        / phi'(z) outside it.  WindingNonzero where the factors are psi's;
+        NoResidueForm and NotASimpleZero as ``_zeros``."""
+        if self.winding:
+            raise errors.WindingNonzero(
+                f"phi winds {self.winding:+d} on the unit circle: no "
+                "factorization of its own there")
+        self._zeros
         z = complex(z)
-        omega0, outside, inside = self._factors
         if abs(z) < self.rho:
-            omega = omega0 + sum(s * cmath.log(1.0 - z / c) for c, s in outside)
-            return residue_coefficient(self.spec, z, x, 2.0 * omega)
-        omega = -sum(s * cmath.log(1.0 - c / z) for c, s in inside)
-        return residue_coefficient(self.spec, z, -x, -2.0 * omega)
+            return residue_coefficient(self.spec, z, x, 2.0 * self.Omega_gt(z))
+        return residue_coefficient(self.spec, z, -x, -2.0 * self.Omega_lt(z))
 
     def zeros_outside(self):
         """Zeros of phi outside this circle (phi = P/Q only)."""

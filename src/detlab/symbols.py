@@ -243,13 +243,6 @@ def eval_nu_grid(spec: SymbolSpec, q):
     return log_phi / (2j * np.pi)
 
 
-def grid_winding(spec: SymbolSpec, nodes) -> float:
-    """Total increment of nu over one closed loop of the grid (argument principle)."""
-    w = eval_phi(spec, nodes)
-    ang = np.unwrap(np.angle(np.concatenate([w, w[:1]])))
-    return float((ang[-1] - ang[0]) / (2.0 * np.pi))
-
-
 def winding_number(spec: SymbolSpec) -> int:
     """Winding of phi around the unit circle, by quadrature, cross-checked by
     counting the zeros and poles of P/Q; memoised, as every route of one
@@ -300,28 +293,25 @@ class SymbolAnalysis:
 
 
 def _newton_polish(spec: SymbolSpec, root):
-    """At most POLISH_MAXIT Newton steps on the numerator P from ``root``
-    until z is a root of a polynomial within POLISH_TOL of P coefficient by
-    coefficient: the backward error |P(z)| <= POLISH_TOL sum_k |c_k|
-    |z|^k, which a high degree's large |z|^k does not defeat as an absolute
-    residual test does; RootFindFailure where the steps stall first."""
+    """Newton steps on the numerator P from ``root`` until z is a root of a
+    polynomial within POLISH_TOL of P coefficient by coefficient, |P(z)| <=
+    POLISH_TOL sum_k |c_k| |z|^k, which a high degree's large |z|^k does not
+    defeat as an absolute residual does; then one more, to the last bit
+    (F4's zeros 5.6e-15 to 1.9e-16 off), unless past POLISH_TOL |z|, as the
+    rounding noise at a double zero.  RootFindFailure where the steps stall
+    first, or past POLISH_MAXIT."""
     c, dc = spec.numer, spec._dnumer
     size = np.abs(c)
     z = complex(root)
-    for _ in range(POLISH_MAXIT):
+    for _ in range(POLISH_MAXIT + 1):
         f = complex(horner(c, z))
-        if abs(f) <= POLISH_TOL * horner(size, abs(z)):
-            return z
         df = complex(horner(dc, z))
-        if df == 0.0:
-            break
-        step = f / df
+        step = f / df if df else np.inf
+        if abs(f) <= POLISH_TOL * horner(size, abs(z)):
+            return z - step if abs(step) <= POLISH_TOL * abs(z) else z
         if not np.isfinite(step) or abs(step) > 1e6:
             break
         z -= step
-    f = complex(horner(c, z))
-    if abs(f) <= POLISH_TOL * horner(size, abs(z)):
-        return z
     raise errors.RootFindFailure(f"polish stalled at {z}, residual {abs(f):.2e}")
 
 

@@ -3,8 +3,9 @@
 ``slavnov_term`` and ``enumerated_series`` are the oracle of the correction
 series: the sum taken term by term over all pairs of equally sized zero
 subsets, against which the closed form of ``slavnov_series`` is checked.
-They read Omega at the zeros from the suite's series, not from the
-factorization of P/Q that ``slavnov_series``' weights read.
+They read Omega at the zeros from ``sampled_split``, the Cauchy split of the
+sampled phase shift, not from the roots that ``slavnov_series``' weights
+read.
 """
 
 import dataclasses
@@ -31,19 +32,43 @@ class SizeMismatch(ValueError):
     """Zero subsets of unequal size given to ``slavnov_term``."""
 
 
+def sampled_split(spec, radius, winding):
+    """The sampled reference of a suite's factors on the circle of
+    ``radius``: the Cauchy split (``laurent_coeffs``) of the phase shift
+    sampled by ``eval_nu_grid``, less the sawtooth w (arg q + pi)/(2 pi)
+    of the winding w there, on the grid where its tail converges
+    (``cauchy._converged_split`` from 256 nodes).  Omega_gt and Omega_lt
+    are 2 pi i times its plus and minus parts."""
+    def sample(m):
+        nodes = circle_nodes(radius, m)
+        return (symbols.eval_nu_grid(spec, nodes) - winding *
+                (np.angle(nodes) + np.pi) / (2.0 * np.pi), radius)
+    return cauchy._converged_split(sample, 256)[0]
+
+
+def sampled_strong_limit(split, x, winding) -> complex:
+    """(x - w) v_0 plus the mode sum sum_{m>=1} m v_m v_{-m}, v_j = 2 pi i
+    times coefficient j of ``split``: the strong-limit exponent of the
+    sample."""
+    js, v = split.j, 2j * np.pi * split.c
+    pos = js > 0
+    modes = np.sum(js[pos] * v[pos] * v[np.searchsorted(js, -js[pos])])
+    return (x - winding) * 2j * np.pi * split.coefficient(0) + modes
+
+
 def slavnov_term(spec, x, zset, wset) -> complex:
     """One Cauchy-determinant correction for equally sized zero subsets."""
     if len(zset) != len(wset):
         raise SizeMismatch("zero subsets must have equal size")
     if not zset:
         return 1.0 + 0.0j
-    suite = CauchySuite(spec)
+    split = sampled_split(spec, CauchySuite(spec).rho, 0)
     val = 1.0 + 0.0j
     for w in wset:
-        val *= w ** (-x) * np.exp(-2.0 * suite.Omega_lt(w)) / \
+        val *= w ** (-x) * np.exp(-4j * np.pi * split.minus(w)) / \
             complex(symbols.eval_dphi(spec, np.asarray(w)))
     for z in zset:
-        val *= z ** x * np.exp(2.0 * suite.Omega_gt(z)) / \
+        val *= z ** x * np.exp(4j * np.pi * split.plus(z)) / \
             complex(symbols.eval_dphi(spec, np.asarray(z)))
     for a, b in itertools.combinations(range(len(wset)), 2):
         val *= (wset[a] - wset[b]) ** 2
@@ -204,9 +229,14 @@ class TestHartwigFisher:
 
     @pytest.mark.parametrize("name", ["F3", "F5"])
     def test_y_moment_is_trapezoid_coefficient(self, name):
-        suite = CauchySuite(symbols.fixture(name), unit=True)
-        k = suite.nodes
-        dens = np.exp(-2j * np.pi * suite.nu - 2.0 * suite.Omega_lt_nodes)
+        # the trapezoid of the sampled ratio e^{-2 pi i nu - 2 Omega_lt},
+        # nu and Omega_lt from ``sampled_split``, against the coefficients
+        # of the split of the closed form e^{-Omega_gt - Omega_lt}
+        spec = symbols.fixture(name)
+        suite = CauchySuite(spec, unit=True)
+        split = sampled_split(spec, 1.0, suite.winding)
+        k = circle_nodes(1.0, split.m)
+        dens = np.exp(-2j * np.pi * (split.values + 2.0 * split.minus(k)))
         for s in (-3, 0, 2, 7, 40):
             direct = np.mean(k ** (-s) * dens)
             assert abs(A.y_moment(suite, s) - direct) < 1e-15
@@ -538,16 +568,18 @@ def test_routes_take_only_mathematical_arguments(fn):
 
 class TestCirclesAgreeAtZeroWinding:
     """At winding 0 the symbol's own circle is the unit circle: both suites
-    build the same split, and szego is tau_leading's value, bit for bit; at
-    any other winding szego raises before it builds a suite."""
+    hold the same roots, halves of the exponent and constant, so the same
+    factors, and szego is tau_leading's value, bit for bit; at any other
+    winding szego raises before it builds a suite."""
 
     @staticmethod
     def assert_agree(spec, x):
         own, unit = CauchySuite(spec), CauchySuite(spec, unit=True)
-        assert own.m == unit.m
-        assert np.array_equal(own.nu_split.c, unit.nu_split.c)
-        assert np.array_equal(own.Omega_gt_nodes, unit.Omega_gt_nodes)
-        assert np.array_equal(own.Omega_lt_nodes, unit.Omega_lt_nodes)
+        for member in ("rho", "winding", "C", "outside", "inside", "halves"):
+            assert getattr(own, member) == getattr(unit, member), member
+        nodes = circle_nodes(1.0, 64)
+        assert np.array_equal(own.ratio.c, unit.ratio.c)
+        assert np.array_equal(own.Omega_lt(nodes, 1), unit.Omega_lt(nodes, 1))
         assert A.szego(spec, x) == A.tau_leading(spec, x)
 
     @settings(max_examples=25, deadline=None)

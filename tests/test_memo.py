@@ -139,12 +139,15 @@ class TestGridSamples:
 
     @pytest.mark.parametrize("name", symbols.FIXTURE_NAMES)
     def test_grid_winding_reads_the_cached_sample(self, name):
+        # the winding of the held sample on a grid, its unwrapped phase's
+        # closing increment, is the count of the roots of P and Q
         spec = symbols.fixture(name)
         grid = circle_nodes(1.0, 256)
-        closed = symbols.eval_phi(spec, np.concatenate([grid, grid[:1]]))
-        ang = np.unwrap(np.angle(closed))
-        assert symbols.grid_winding(spec, grid) == \
-            float((ang[-1] - ang[0]) / (2.0 * np.pi))
+        held = symbols.eval_phi(spec, grid)
+        assert symbols.eval_phi(spec, grid) is held
+        ang = np.unwrap(np.angle(np.concatenate([held, held[:1]])))
+        assert round((ang[-1] - ang[0]) / (2.0 * np.pi)) == \
+            symbols.winding_on(spec, 1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(zeros=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=0,

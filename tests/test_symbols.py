@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 from detlab import asymptotics, errors, fredholm, symbols, toeplitz
-from detlab._series import circle_nodes, horner
+from detlab._series import circle_nodes, horner, laurent_coeffs
 from detlab.cauchy import CauchySuite
 from detlab.contours import base_contour
 
@@ -157,6 +157,26 @@ def wide_laurent(b):
 
 
 class TestRootPolish:
+    # the roots of F4's coefficients, as the doubles they are, to 40 digits
+    # (mpmath.polyroots at 50 digits)
+    F4_ROOTS = (2.199999999999999540133936642105997518289,
+                1.400000000000000374447947396303010903195,
+                0.2999999999999999966002739915784683446254)
+
+    def test_f4_zeros_to_the_last_bit(self):
+        # the backward-error test alone left them up to 5.6e-15 off; the
+        # one step past it reads 0.66 eps at worst
+        zeros = symbols.analyze(symbols.fixture("F4")).zeros
+        for z, want in zip(zeros, self.F4_ROOTS):
+            assert abs(z - want) <= 4 * np.finfo(float).eps * want
+
+    def test_double_zero_keeps_its_symmetric_pair(self):
+        # a Newton step at a double zero is rounding noise (1e-8 off): the
+        # polish keeps np.roots' pair, whose sum is exact to rounding
+        spec = symbols.SymbolSpec(numer=(0.0625, -0.5, 1.0), denom=(0, 0, 1))
+        a, b = symbols.analyze(spec).zeros
+        assert abs(a + b - 0.5) < 1e-15
+
     @pytest.mark.parametrize("b", [16, 32, 64])
     def test_high_degree_numerators(self, b):
         # an absolute residual |P(z)| < 1e-12 max|c_k| raised RootFindFailure
@@ -190,10 +210,16 @@ class TestRootPolish:
 class TestFourier:
     def test_f2_exact_coefficients(self):
         # log phi = 0.3 q + 0.2 / q, i.e. nu_{+1} = 0.3, nu_{-1} = 0.2 in the
-        # normalization nu(q) = sum_j q^j nu_j / (2 pi i)
-        split = CauchySuite(symbols.fixture("F2"), unit=True).nu_split
-        assert abs(2j * np.pi * split.coefficient(1) - 0.3) < 1e-13
-        assert abs(2j * np.pi * split.coefficient(-1) - 0.2) < 1e-13
+        # normalization nu(q) = sum_j q^j nu_j / (2 pi i), in the sample's
+        # modes and in the suite's factors Omega_gt = 0.3 q, Omega_lt =
+        # -0.2 / q
+        j, c = laurent_coeffs(symbols.eval_nu_grid(symbols.fixture("F2"),
+                                                   circle_nodes(1.0, 256)))
+        assert abs(2j * np.pi * c[j == 1][0] - 0.3) < 1e-13
+        assert abs(2j * np.pi * c[j == -1][0] - 0.2) < 1e-13
+        suite = CauchySuite(symbols.fixture("F2"), unit=True)
+        assert abs(suite.Omega_gt(0.0, 1) - 0.3) < 1e-15
+        assert abs(suite.Omega_lt(10.0) + 0.02) < 1e-15
 
     def test_f1_moments(self):
         # c_{-4} .. c_4: c_0 at index 4, c_3 at index 7

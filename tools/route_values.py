@@ -42,9 +42,9 @@ route that raises writes its error type and message instead.  Last come the
 rows of ``detlab compare --spec F4 --x 1..32`` over every route, as the CLI
 prints them (17 significant digits), which run inside compare's suite scope.
 Then the off-grid evaluations: on each fixture's own-circle and unit-circle
-``CauchySuite``, Omega_gt(0) and, at each zero of phi, the series Omega_gt
-(zero inside the circle) or Omega_lt (outside), and on the own circle the
-zero's residue weight at x = 2 and 64, read from the factorization; and
+``CauchySuite``, Omega_gt(0) and, at each zero of phi, Omega_gt (zero
+inside the circle) or Omega_lt (outside), both read from the roots, and on
+the own circle the zero's residue weight at x = 2 and 64; and
 phi, phi' and nu of F2 and of F5 exp(0.3 q + 0.2/q + 0.05i q^2) at a few
 scalar points.  Then the orthogonal-polynomial values of F3 and F5 at
 x = 2 and 5: every Gram determinant, every monic polynomial's coefficients
