@@ -2,9 +2,11 @@
 determinant formulas, Cauchy-type correction series, contour-swap ratios and
 the discrete-index determinant identity.
 
-Double integrals over circles are never done by brute force when a spectral
-shortcut exists: quadratic functionals of the phase shift reduce to sums over
-Laurent modes, which converge geometrically.
+Quadratic functionals of the phase shift reduce to sums over Laurent modes,
+which converge geometrically, or to finite sums over the roots.  One double
+integral is taken by brute force on purpose: ``tau_leading(route="double")``
+and ``variational_check`` sum the trapezoid rule over the suite's sampled nu
+(``_log_tau_double``), as the cross-check of the strong-limit exponent.
 """
 
 from __future__ import annotations
@@ -33,24 +35,18 @@ def tau_leading(spec: symbols.SymbolSpec, x: int,
 
     route 'modes': the strong-limit exponent from the roots, x C + modes.
     route 'double': direct trapezoid of the double integral, diagonal taken
-    as the analytic limit nu'(q)^2, on the sampled nu (``_sampled_nu``).
+    as the analytic limit nu'(q)^2, on the suite's one sample of nu
+    (``CauchySuite.nu_split``, which its jump check reads too).
     """
     x = errors.check_x(x)
     suite = suite_for(spec)
     if route == "modes":
         return errors.exp_in_range(_log_strong_limit(suite, x))
     if route == "double":
-        nodes, nu = _sampled_nu(suite)
+        nodes = circle_nodes(suite.rho, suite.nu_split.m)
         return errors.exp_in_range(_log_tau_double(
-            x, nodes, nu, symbols.eval_dnu(spec, nodes)))
+            x, nodes, suite.nu_split.values, symbols.eval_dnu(spec, nodes)))
     raise errors.InputError(f"unknown route {route!r}")
-
-
-def _sampled_nu(suite: CauchySuite) -> tuple:
-    """(nodes, nu), nu sampled on the suite's own circle, from 256 nodes."""
-    split, m = _converged_split(lambda m: (symbols.eval_nu_grid(
-        suite.spec, circle_nodes(suite.rho, m)), suite.rho), 256)
-    return circle_nodes(suite.rho, m), split.values
 
 
 def _log_tau_double(x: int, nodes, nu, dnu) -> complex:
@@ -384,7 +380,8 @@ def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:
     eps = 1e-6
     x = errors.check_x(x)
     suite = suite_for(spec)
-    nodes, nu = _sampled_nu(suite)
+    nodes = circle_nodes(suite.rho, suite.nu_split.m)
+    nu = suite.nu_split.values
     weights = circle_weights(nodes, nodes.size)
     dnu = symbols.eval_dnu(spec, nodes)
 

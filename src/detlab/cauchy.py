@@ -9,8 +9,11 @@ of sum_j t_j q^j, with one constant pinned to the sampled phase shift
 route and ``borodin_okounkov``, read roots; ``toeplitz``, ``fredholm_S``,
 split V, ``tau_leading(route="double")``, ``variational_check`` and
 ``hf_leading``'s angular route sample the symbol and read none, so the
-checks that pair the two are sampled against exact.  x enters only through
-q^{+-x}, as an argument of the b split and the residue weights.
+checks that pair the two are sampled against exact.  A suite samples nu
+once, ``nu_split``, which its jump check and the double routes read, and
+evaluates the factors once on that grid, where the ratio and b splits read
+them.  x enters only through q^{+-x}, as an argument of the b split and
+the residue weights.
 ``_converged_split`` sizes every Laurent sample, here and in every other
 module: it doubles the grid until the coefficient tail passes TAIL_TOL.
 
@@ -92,7 +95,10 @@ class CauchySuite:
         Omega_lt(q) = -sum_{j<0} t_j q^j - sum_{c inside} s log(1 - c/q),
 
     analytic inside and outside (Day, Trans. AMS 206 (1975)); C = 2 pi i
-    nu_0.  The ratio and b splits sample them after ``jump_residual``.
+    nu_0.  Filled on first read: ``nu_split``, the one sample of nu, and
+    ``jump_residual``, which holds the factors to it and keeps e^{-Omega_gt
+    - Omega_lt} on its grid; the ratio and b splits sample the factors
+    after the check, and read that grid's values where they use it.
     """
 
     def __init__(self, spec: symbols.SymbolSpec, *, unit: bool = False):
@@ -140,36 +146,46 @@ class CauchySuite:
         return -self._sum(q, derivative, 1)
 
     @functools.cached_property
+    def nu_split(self) -> LaurentSplit:
+        """Split nu_+ - nu_- of nu sampled by ``symbols.eval_nu_grid`` on
+        the circle, less w k/m at node k, from 256 nodes
+        (``_converged_split``): the one sample of nu, which the jump check,
+        ``tau_leading(route="double")`` and ``variational_check`` read."""
+        return _converged_split(lambda m: (symbols.eval_nu_grid(
+            self.spec, circle_nodes(self.rho, m)) - self.winding *
+            np.arange(m) / m, self.rho), 256)[0]
+
+    @functools.cached_property
     def jump_residual(self) -> float:
         """The largest of |Omega_gt - Omega_lt - 2 pi i nu| and |Omega_lt -
-        2 pi i nu_-| on the grid of the Cauchy split nu_+ - nu_- of nu
-        sampled by ``symbols.eval_nu_grid``, less w k/m at node k
-        (``_converged_split`` from 256 nodes), so Omega_gt meets nu_+ too;
-        NumericalError, on every read, past 1e-10.  No value reads nu."""
-        def sample(m):
-            nodes = circle_nodes(self.rho, m)
-            return (symbols.eval_nu_grid(self.spec, nodes) -
-                    self.winding * np.arange(m) / m, self.rho)
-
-        split, m = _converged_split(sample, 256)
-        nodes = circle_nodes(self.rho, m)
+        2 pi i nu_-| on the grid of ``nu_split``, so Omega_gt meets nu_+
+        too; NumericalError, on every read, past 1e-10.  Omega_gt and
+        Omega_lt are evaluated there once: the check keeps e^{-Omega_gt -
+        Omega_lt} on that grid for the ratio and b splits.  No value of the
+        factors reads nu."""
+        nodes = circle_nodes(self.rho, self.nu_split.m)
         gt, lt = self.Omega_gt(nodes), self.Omega_lt(nodes)
-        jump = np.max(np.abs([gt - lt - 2j * np.pi * split.values,
-                              lt - 2j * np.pi * split.minus(nodes)]))
+        jump = np.max(np.abs([gt - lt - 2j * np.pi * self.nu_split.values,
+                              lt - 2j * np.pi * self.nu_split.minus(nodes)]))
         if not jump <= 1e-10:   # a nan fails too
             raise errors.NumericalError(f"scalar jump residual {jump:.2e}")
+        self._checked_ratio = np.exp(-gt - lt)
         return float(jump)
 
-    def _ratio_at(self, nodes):
+    def _ratio_at(self, m: int):
+        """e^{-Omega_gt - Omega_lt} on m nodes of the circle, after the jump
+        check: the check's own on its grid, evaluated on any other."""
         self.jump_residual
+        if m == self.nu_split.m:
+            return self._checked_ratio
+        nodes = circle_nodes(self.rho, m)
         return np.exp(-self.Omega_gt(nodes) - self.Omega_lt(nodes))
 
     @functools.cached_property
     def ratio(self) -> LaurentSplit:
         """Split of the Wiener-Hopf ratio e^{-Omega_gt - Omega_lt}, from 256
         nodes; on the unit circle its coefficient s is the y-moment y_s."""
-        return _converged_split(lambda m: (self._ratio_at(
-            circle_nodes(self.rho, m)), self.rho), 256)[0]
+        return _converged_split(lambda m: (self._ratio_at(m), self.rho), 256)[0]
 
     # --- b function and residue weights --------------------------------------
 
@@ -181,7 +197,7 @@ class CauchySuite:
             nodes = circle_nodes(self.rho, m)
             theta = symbols.eval_theta(self.spec, nodes)
             with np.errstate(over="ignore", invalid="ignore"):
-                density = -nodes ** (-x) * theta * self._ratio_at(nodes)
+                density = -nodes ** (-x) * theta * self._ratio_at(m)
             if not np.all(np.isfinite(density)):
                 raise errors.OverflowGuard(f"q^-x density overflows at x={x} "
                                            f"on radius {self.rho:.4g}")
@@ -199,7 +215,6 @@ class CauchySuite:
                 f"phi winds {self.winding:+d} on the unit circle: no "
                 "factorization of its own there")
         self._zeros
-        z = complex(z)
         if abs(z) < self.rho:
             return residue_coefficient(self.spec, z, x, 2.0 * self.Omega_gt(z))
         return residue_coefficient(self.spec, z, -x, -2.0 * self.Omega_lt(z))

@@ -691,12 +691,15 @@ def resolvent_kernel(suite: CauchySuite, x: int, b_plus) -> Kernel:
 
 
 def resolvent_residual(suite: CauchySuite, x: int) -> float:
-    """Largest entry of (1 + V)(1 - R) - 1 on a 128-node grid, R the explicit
-    resolvent; NotConverged up front (``check_grid_cap``) where that grid
-    cannot hold the bandwidth x."""
-    check_grid_cap(x, 128)
-    nodes = circle_nodes(suite.rho, 128)
-    weights = circle_weights(nodes, 128)
+    """Largest entry of (1 + V)(1 - R) - 1, R the explicit resolvent, on
+    max(128, pow2_at_least(x + 2 a)) nodes, a theta's modes on the circle
+    (``_theta_reach``), so that the grid folds none of theta's modes past
+    q^{+-x/2}; NotConverged up front (``check_grid_cap``) where x + 2 a
+    passes M_CAP."""
+    modes = _theta_reach(suite.spec, suite.rho).modes
+    check_grid_cap(x, M_CAP, modes)
+    nodes = circle_nodes(suite.rho, max(128, pow2_at_least(x + 2 * modes)))
+    weights = circle_weights(nodes, nodes.size)
     eye = np.eye(nodes.size, dtype=complex)
     vmat = kernel_V(suite.spec, x, suite.rho).matrix(nodes, weights)
     rmat = resolvent_kernel(suite, x, suite.b_split(x).plus).matrix(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlab import asymptotics, cauchy, errors, fredholm, symbols
-from detlab._series import circle_nodes, circle_weights
+from detlab._series import circle_nodes, circle_weights, grid_of
 from detlab.cauchy import CauchySuite
 from test_asymptotics import (sampled_split, sampled_strong_limit,
                               two_sided_symbols)
@@ -212,16 +212,14 @@ class TestBFunction:
             s.zeros_outside()
 
     @pytest.mark.parametrize("name,x", [
-        *((name, x) for name in ("F3", "F4", "F6") for x in (8, 64, 120, 126)),
-        pytest.param("F2", 126, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="resolvent_residual's own 128 nodes fold theta's modes "
-                   "past q^(+-x/2) at margin 2: F2's theta has a mode at "
-                   "every index, and reads 2.7e-5 on every b grid"))])
+        (name, x) for name in ("F2", "F3", "F4", "F6")
+        for x in (8, 64, 120, 126, 128, 200)])
     def test_resolvent_past_the_first_grid(self, name, x):
         # b's grid is sized from x, max(256, 4x) nodes: q^-x shifts modes
         # past the 128 of a 256-node grid at x near 128, and on it F4 read
-        # 4.84 at x = 126 (4.1e-12 on 512 nodes)
+        # 4.84 at x = 126 (4.1e-12 on 512 nodes).  The residual's own grid
+        # is sized from x and theta's modes: on a fixed 128 nodes F2, whose
+        # theta has a mode at every index, read 2.7e-5 at x = 126
         try:
             residual = fredholm.resolvent_residual(suite_for(name), x)
         except errors.DetlabError:
@@ -355,22 +353,24 @@ class TestLazySuite:
 
     @staticmethod
     def read(suite, order):
-        """The suite's jump residual, ratio split and b split of x = 3,
-        read in ``order``, returned in a fixed order."""
+        """The suite's jump residual, ratio split, b split of x = 3 and nu
+        split, read in ``order``, returned in a fixed order."""
         got = {}
         for name in order:
             got[name] = suite.b_split(3) if name == "b" else getattr(suite,
                                                                      name)
-        return got["jump_residual"], got["ratio"].c, got["b"].c
+        return (got["jump_residual"], got["ratio"].c, got["b"].c,
+                got["nu_split"].c)
 
     @pytest.mark.parametrize("name,unit", [("F1", False), ("F2", False),
                                            ("F3", True), ("F4", False),
                                            ("F4", True), ("F7", False)])
     def test_read_orders_give_the_same_bits(self, name, unit):
         spec = symbols.fixture(name)
-        orders = (("jump_residual", "ratio", "b"),
-                  ("b", "ratio", "jump_residual"),
-                  ("ratio", "b", "jump_residual"))
+        orders = (("jump_residual", "ratio", "b", "nu_split"),
+                  ("b", "ratio", "jump_residual", "nu_split"),
+                  ("ratio", "b", "jump_residual", "nu_split"),
+                  ("nu_split", "b", "ratio", "jump_residual"))
         first, *rest = (self.read(CauchySuite(spec, unit=unit), order)
                         for order in orders)
         for other in rest:
@@ -408,3 +408,37 @@ class TestLazySuite:
             assert "jump_residual" not in vars(suite)
             suite.jump_residual
             assert "jump_residual" in vars(suite)
+
+    def test_factors_evaluated_once_on_the_check_grid(self, monkeypatch):
+        # the jump check keeps e^{-Omega_gt - Omega_lt} on its grid, and the
+        # ratio's sample there reads it
+        calls = []
+        for side in ("Omega_gt", "Omega_lt"):
+            def counted(self, q, derivative=0,
+                        real=getattr(CauchySuite, side), side=side):
+                if grid_of(q) == (1.0, M):
+                    calls.append(side)
+                return real(self, q, derivative)
+            monkeypatch.setattr(CauchySuite, side, counted)
+        asymptotics.hartwig_fisher(symbols.fixture("F4"), 16)
+        assert sorted(calls) == ["Omega_gt", "Omega_lt"]
+
+    def test_double_routes_read_the_checked_nu(self, monkeypatch):
+        # one split of nu per suite: the jump check's, which the double
+        # routes read within the scope
+        splits = []
+        real = cauchy._converged_split
+
+        def counted(sample, m0):
+            splits.append(m0)
+            return real(sample, m0)
+
+        monkeypatch.setattr(cauchy, "_converged_split", counted)
+        monkeypatch.setattr(asymptotics, "_converged_split", counted)
+        spec = symbols.fixture("F4")
+        with cauchy.SuiteScope():
+            cauchy.suite_for(spec).jump_residual
+            assert splits == [M]
+            asymptotics.tau_leading(spec, 8, route="double")
+            asymptotics.variational_check(spec, 8, 1)
+        assert splits == [M]

@@ -1553,16 +1553,33 @@ class TestResolvent:
 
     @pytest.mark.parametrize("name", ["F2", "F4"])
     def test_fixed_grids_refuse_x_past_them(self, name):
-        # resolvent_residual's 128 nodes and m_function's 256 cannot hold
-        # x past them: F4's residual read 67.3 at x = 128, F2's 0.19, and
-        # m_function's F4 gaps 2.2 and 6.3 at x = 255 and 300
+        # m_function's 256 nodes cannot hold x past them: its F4 gaps read
+        # 2.2 and 6.3 at x = 255 and 300
         _, suite = suite_for(name)
-        for x in (128, 200):
-            with pytest.raises(errors.NotConverged):
-                fredholm.resolvent_residual(suite, x)
         for x in (255, 300):
             with pytest.raises(errors.NotConverged):
                 fredholm.m_function(suite, x, [0.5], [0.6])
+
+    def test_residual_grid_follows_x(self, monkeypatch):
+        # max(128, pow2_at_least(x + 2 a)) nodes, a theta's modes (F2's
+        # 11 on its circle): 128 while x + 2 a fits, and NotConverged
+        # before any fill where x + 2 a passes M_CAP
+        _, suite = suite_for("F2")
+        modes = fredholm._theta_reach(suite.spec, suite.rho).modes
+        fills = []
+        real = fredholm.Kernel.matrix
+
+        def counted(self, nodes, weights):
+            fills.append(nodes.size)
+            return real(self, nodes, weights)
+
+        monkeypatch.setattr(fredholm.Kernel, "matrix", counted)
+        for x in (2, 128 - 2 * modes, 129 - 2 * modes, 200):
+            fredholm.resolvent_residual(suite, x)
+        assert fills == [128] * 4 + [256] * 4
+        with pytest.raises(errors.NotConverged):
+            fredholm.resolvent_residual(suite, fredholm.M_CAP)
+        assert len(fills) == 8
 
     def test_m_function_dual_routes(self):
         _, suite = suite_for("F4")
@@ -1585,6 +1602,20 @@ class TestRankOne:
     @pytest.mark.parametrize("name,x", [("F2", 2), ("F6", 5)])
     def test_three_determinant_identity(self, name, x):
         res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
+        assert res["residual_difference"] < 1e-8
+        assert res["residual_closed"] < 1e-8
+
+    @pytest.mark.parametrize("name", ["F2", "F6"])
+    @pytest.mark.parametrize("x", [8, 32, 64])
+    def test_holds_or_raises_past_verify(self, name, x):
+        # F2 holds to 1e-14 up to x = 200; F6's shifted determinant (split
+        # V of -phi/q, which winds -1 on the unit circle) drifts at 1e-6
+        # from x ~ 24 and raises NotConverged, where a single grid once
+        # returned that noise under the scale |det_v| ~ 6e9
+        try:
+            res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
+        except errors.DetlabError:
+            return
         assert res["residual_difference"] < 1e-8
         assert res["residual_closed"] < 1e-8
 

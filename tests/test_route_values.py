@@ -44,3 +44,28 @@ def test_two_runs_write_the_same_bytes(monkeypatch):
         runs.append(out.getvalue().encode())
     assert runs[0] == runs[1]
     assert runs[0].count(b"\n") > 1000
+
+
+def test_route_diff_summary():
+    # two small outputs: one line moves by rounding, one moves in its
+    # words, one is new; the others, and a nan that stays, do not count
+    spec = importlib.util.spec_from_file_location(
+        "route_diff", ROOT / "tools" / "route_diff.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = ("route F4 slavnov x=16 (958395.8079114329-1.8e-09j)\n"
+           "route F4 szego x=3 (1+0j)\n"
+           "ladder F6 tau_eff_kernel[split 45] x=6 ((33, 70), 1e-12)\n"
+           "verify seed=0 mdual-F4-x3 nan 2.0\n")
+    new = ("route F4 slavnov x=16 (958395.8079114328-1.8e-09j)\n"
+           "route F4 szego x=3 (1+0j)\n"
+           "ladder F6 tau_eff_kernel[residue 1] x=6 ((40,), 0.0)\n"
+           "verify seed=0 mdual-F4-x3 nan 2.0\n"
+           "verify seed=3 mdual-F4-x3 nan 2.5\n")
+    assert tool.summary(old, old) == "identical\n"
+    assert tool.summary(old, new) == (
+        "route F4 slavnov: 1 moved, largest relative move 1.2e-16\n"
+        "ladder F6 tau_eff_kernel: 1 moved, in text\n"
+        "verify mdual-F4-x3: 1 moved, in text\n"
+        "3 of 5 lines moved\n")
+    assert tool.relative_move("a 2.0 (1+1j)", "a 2.5 (1+1j)") == 0.2
