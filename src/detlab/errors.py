@@ -31,10 +31,6 @@ class ZeroOnContour(NumericalError):
     """The symbol vanishes (numerically) at a quadrature node."""
 
 
-class WindingInconsistent(NumericalError):
-    """Quadrature winding disagrees with zero/pole counting."""
-
-
 class DegenerateZeros(InputError):
     """Two zeros of a symbol of nonzero winding share a modulus within
     SEP_TOL."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, symbols
+from . import errors, symbols, toeplitz
 from ._series import circle_nodes, clog, pow2_at_least
 from .cauchy import scoped
 
@@ -448,9 +448,9 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         # p_i - q_j = (q_start_i - q_j) + delta_i: exact where q_j = q_start_i
         cmat = 1.0 / (q_start[:, None] - q[None, :] + delta[:, None])
         g = q ** (1 + x) * weight
-        sign, logdet = np.linalg.slogdet((cmat * g) @ cmat.T)
         log_total = (np.sum((1 - x) * clog(p) - clog(1.0 + slope) +
-                            clog(theta_p)) + logdet + np.log(sign) -
+                            clog(theta_p)) +
+                     toeplitz._slogdet((cmat * g) @ cmat.T) -
                      2.0 * p.size * np.log(float(L)))
     else:
         # p^L - 1 = (1 + delta/q)^L - 1 without cancellation; theta(p_i)

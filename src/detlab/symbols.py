@@ -17,13 +17,12 @@ from importlib import resources
 import numpy as np
 
 from . import errors
-from ._series import (circle_nodes, circle_weights, clog, grid_of, horner,
-                      laurent_sum, laurent_terms)
+from ._series import (circle_nodes, clog, grid_of, horner, laurent_sum,
+                      laurent_terms)
 
 SEP_TOL = 1e-6      # smallest gap between two zeros at nonzero winding or
                     # in a residue sum, and between the moduli at the edge
                     # of the zero selection
-WINDING_M = 512     # unit-circle nodes of the winding quadrature
 SAMPLE_MEMO = 1 << 22  # bytes of the grid samples eval_phi and eval_nu_grid
 SAMPLE_M_MAX = 4096    # hold, each of at most this many nodes (64 KB)
 POLISH_TOL = 1e-12  # backward error of a polished zero of P, relative
@@ -244,9 +243,12 @@ def eval_nu_grid(spec: SymbolSpec, q):
 
 
 def winding_number(spec: SymbolSpec) -> int:
-    """Winding of phi around the unit circle, by quadrature, cross-checked by
-    counting the zeros and poles of P/Q; memoised, as every route of one
-    symbol asks for it again."""
+    """Winding of phi around the unit circle: ``winding_on(spec, 1.0)``,
+    the count of the zeros and poles of P/Q inside it.  OverflowGuard where
+    |phi| leaves the normal double range on the 256 unit-circle nodes that
+    ``moment_table`` samples first, as exp(t_0) does past t_0 = 709 or
+    below -708, though every coefficient is finite.  Memoised, as every
+    route of one symbol asks for it again."""
     return _winding_cached(spec)
 
 
@@ -260,23 +262,12 @@ def winding_on(spec: SymbolSpec, radius: float) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _winding_cached(spec: SymbolSpec) -> int:
-    nodes = circle_nodes(1.0, WINDING_M)
-    weights = circle_weights(nodes, WINDING_M)
-    # finite coefficients may still overflow, exp(t_0) past e^709 say
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = np.sum(weights * eval_dphi(spec, nodes) /
-                      eval_phi(spec, nodes)) / (2j * np.pi)
-    if not np.isfinite(quad):
-        raise errors.WindingInconsistent(
-            f"quadrature winding {quad} is not finite")
-    n = int(round(quad.real))
-    if abs(quad - n) > 0.25:
-        raise errors.WindingInconsistent(f"quadrature winding {quad} not near an integer")
-    count = winding_on(spec, 1.0)
-    if n != count:
-        raise errors.WindingInconsistent(
-            f"quadrature winding {n} vs zero/pole count {count}")
-    return n
+        size = np.abs(eval_phi(spec, circle_nodes(1.0, 256)))
+    if not np.all((size >= np.finfo(float).tiny) & (size < np.inf)):
+        raise errors.OverflowGuard(
+            "|phi| leaves the normal double range on the unit circle")
+    return winding_on(spec, 1.0)
 
 
 @dataclass(frozen=True)

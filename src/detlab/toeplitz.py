@@ -48,8 +48,8 @@ BLOCK = 32
 def _sample_radius(spec: symbols.SymbolSpec) -> float:
     """Radius of the circle where phi does not wind; 1 if no circle
     separates the selected zeros (an InputError of the contour choice).  A
-    numerical failure, such as a winding quadrature that is not finite,
-    raises."""
+    numerical failure, such as the OverflowGuard of a phi whose modulus
+    leaves the double range on the unit circle, raises."""
     try:
         return base_contour(spec)
     except errors.InputError:
@@ -127,6 +127,9 @@ def _laurent_band(spec: symbols.SymbolSpec):
 
 
 def _slogdet(mat: np.ndarray) -> complex:
+    """log det ``mat`` as one complex log, log|det| + i arg det, from
+    ``np.linalg.slogdet``: the lab's one conversion of its (sign, log|det|),
+    -inf where ``mat`` is singular."""
     sign, log_abs = np.linalg.slogdet(mat)
     return complex(log_abs, np.angle(sign))
 

@@ -147,8 +147,10 @@ class TestExitCodes:
         ('{"numer": [[NaN, 0]]}', 2),
         ('{"numer": [[1, 0], [Infinity, 0]]}', 2),
         ('{"log_coeffs": {"1": [NaN, 0]}}', 2),
-        # finite, but exp(t_0) overflows: the winding quadrature is not
-        ('{"log_coeffs": {"0": [1e308, 0]}}', 3)])
+        # finite, but exp(t_0) overflows or underflows on the unit circle:
+        # OverflowGuard from the winding, which every command reads first
+        ('{"log_coeffs": {"0": [1e308, 0]}}', 3),
+        ('{"log_coeffs": {"0": [-800, 0]}}', 3)])
     def test_non_finite_symbol_exit_code(self, text, code, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(text)

@@ -46,13 +46,18 @@ def test_two_runs_write_the_same_bytes(monkeypatch):
     assert runs[0].count(b"\n") > 1000
 
 
-def test_route_diff_summary():
-    # two small outputs: one line moves by rounding, one moves in its
-    # words, one is new; the others, and a nan that stays, do not count
+def route_diff():
     spec = importlib.util.spec_from_file_location(
         "route_diff", ROOT / "tools" / "route_diff.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_route_diff_summary():
+    # two small outputs: one line moves by rounding, one moves in its
+    # words, one is new; the others, and a nan that stays, do not count
+    tool = route_diff()
     old = ("route F4 slavnov x=16 (958395.8079114329-1.8e-09j)\n"
            "route F4 szego x=3 (1+0j)\n"
            "ladder F6 tau_eff_kernel[split 45] x=6 ((33, 70), 1e-12)\n"
@@ -69,3 +74,21 @@ def test_route_diff_summary():
         "verify mdual-F4-x3: 1 moved, in text\n"
         "3 of 5 lines moved\n")
     assert tool.relative_move("a 2.0 (1+1j)", "a 2.5 (1+1j)") == 0.2
+
+
+def test_route_diff_line_split(tmp_path):
+    # two trees, no git: the old src has a module of 2 code, 1 docstring,
+    # 1 comment and 1 blank line; the new one adds a package of 1 code line
+    # and drops the comment
+    old, new = tmp_path / "old", tmp_path / "new"
+    (old / "src" / "pkg").mkdir(parents=True)
+    (new / "src" / "pkg").mkdir(parents=True)
+    (old / "src" / "pkg" / "m.py").write_text(
+        '"""Doc."""\n\n# note\nx = 1\ny = 2\n')
+    (new / "src" / "pkg" / "m.py").write_text('"""Doc."""\n\nx = 1\ny = 2\n')
+    (new / "src" / "pkg" / "__init__.py").write_text("z = 3\n")
+    assert route_diff().line_split(old, new, "REV") == (
+        "src lines (code / docstring / comment / blank = total)\n"
+        "  REV: 2 / 1 / 1 / 1 = 5\n"
+        "  this tree: 3 / 1 / 0 / 1 = 5\n"
+        "  change: +1 / +0 / -1 / +0 = +0\n")

@@ -3,13 +3,14 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
-from detlab import asymptotics, errors, fredholm, symbols, toeplitz
+from detlab import asymptotics, cli, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes, horner, laurent_coeffs
 from detlab.cauchy import CauchySuite
 from detlab.contours import base_contour
@@ -474,3 +475,93 @@ class TestExponent:
                 nu = symbols.eval_nu_grid(ratio, q) + e / (2j * np.pi)
                 assert np.all(np.abs(symbols.eval_nu_grid(spec, q) - nu) <=
                               tol * size)
+
+
+# a root within 1/200 of the unit circle: (symbol, winding, det T_4); the
+# winding is the count of the roots inside, and every route reads it
+NEAR_CIRCLE = {
+    "q-1.002": (symbols.SymbolSpec(numer=(-1.002, 1.0)), 0, 1.008024032016),
+    "(q-0.999)/q": (symbols.SymbolSpec(numer=(-0.999, 1.0), denom=(0, 1.0)),
+                    0, 1.0),
+    "(q-0.3)(q-1.001)/q": (symbols.SymbolSpec(
+        numer=tuple(np.poly([1.001, 0.3])[::-1]), denom=(0, 1.0)), 0,
+        1.430213994301),
+    "q-0.9995": (symbols.SymbolSpec(numer=(-0.9995, 1.0)), 1,
+                 0.9980014995),
+}
+
+
+def route_values(spec, x):
+    """Each ``cli.ROUTES`` route's value at x, or its DetlabError's type;
+    any warning is an error."""
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, route in cli.ROUTES.items():
+            try:
+                out[name] = route(spec, x, None)
+            except errors.DetlabError as exc:
+                out[name] = type(exc)
+    return out
+
+
+@st.composite
+def near_circle_symbols(draw):
+    """(P/q^k, its winding): one zero of P at modulus 1 +- 10^u, u in
+    [-6, -2], at any phase, with those of ``product_symbols``' bands."""
+    def zero(lo, hi):
+        return draw(st.floats(lo, hi)) * np.exp(1j * draw(st.floats(0, 6.3)))
+
+    inside = draw(st.booleans())
+    near = 1.0 + (-1.0 if inside else 1.0) * 10.0 ** draw(st.floats(-6, -2))
+    zeros = [zero(0.2, 0.28), zero(0.45, 0.55), zero(near, near),
+             zero(1.5, 1.7), zero(2.3, 2.6), zero(3.2, 3.6)]
+    k = draw(st.integers(0, 4))
+    numer = np.polynomial.polynomial.polyfromroots(zeros)
+    return (symbols.SymbolSpec(numer=tuple(numer), denom=(0.0,) * k + (1.0,)),
+            2 + inside - k)
+
+
+class TestNearCircle:
+    """A root nearer the unit circle than a quadrature of phi'/phi resolves
+    leaves the winding as the roots give it, and every route a value or a
+    typed error."""
+
+    @pytest.mark.parametrize("name", NEAR_CIRCLE)
+    def test_winding_is_the_count(self, name):
+        spec, winding, _ = NEAR_CIRCLE[name]
+        assert symbols.winding_number(spec) == \
+            symbols.winding_on(spec, 1.0) == winding
+
+    @pytest.mark.parametrize("name", NEAR_CIRCLE)
+    def test_every_route_a_value_or_a_typed_error(self, name):
+        spec, _, det = NEAR_CIRCLE[name]
+        values = route_values(spec, 4)
+        for value in values.values():
+            assert isinstance(value, type) or np.isfinite(value)
+        assert values["toeplitz"] == pytest.approx(det, rel=1e-12)
+        assert abs(values["fredholm_S"] - values["toeplitz"]) <= \
+            1e-12 * abs(values["toeplitz"])
+
+    def test_zero_winding_routes_agree(self):
+        # D_4 from the residue sum, and E G^4 = 1.43368 from the closed
+        # forms and det(1 + V)
+        values = route_values(NEAR_CIRCLE["(q-0.3)(q-1.001)/q"][0], 4)
+        exact = values["toeplitz"]
+        assert abs(values["slavnov"] - exact) <= 1e-12 * abs(exact)
+        for name in ("szego", "leading", "fredholm_V"):
+            assert values[name] == pytest.approx(1.4336804707632, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=near_circle_symbols())
+    def test_random_zero_near_the_circle(self, drawn):
+        spec, winding = drawn
+        assert symbols.winding_number(spec) == winding
+
+    @pytest.mark.parametrize("log_coeffs", [{0: 800}, {0: 1e308}, {1: 800},
+                                            {0: -800}])
+    def test_phi_past_the_double_range_is_overflow(self, log_coeffs):
+        # finite coefficients, but |phi| overflows or underflows on the
+        # unit circle: every route raises OverflowGuard
+        values = route_values(symbols.SymbolSpec(log_coeffs=log_coeffs), 4)
+        assert set(values.values()) == {errors.OverflowGuard}

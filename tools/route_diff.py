@@ -13,7 +13,9 @@ is its kind and the labels among its first three words, such as "route F4
 slavnov" or "verify mdual-F4-x3" (words holding a value, "x=3" or
 "seed=0", are not labels).  Lines are paired by ``difflib``; a moved line
 whose words other than its numbers changed, or that has no partner, moves
-"in text".
+"in text".  Last it prints ``tools/src_lines.py``'s code / docstring /
+comment / blank split of ``src/`` at REV and in this checkout, and the
+change between them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import src_lines  # noqa: E402  (tools/ is no package)
 
 ROOT = Path(__file__).resolve().parent.parent
 _REAL = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
@@ -83,6 +88,19 @@ def summary(old: str, new: str) -> str:
     return out.getvalue()
 
 
+def line_split(old_root: Path, new_root: Path, rev: str) -> str:
+    """``src_lines``' split of the ``src/`` under each root, and the
+    change from the first to the second."""
+    old, new = (src_lines.total(src_lines.counts_of(root / "src"))
+                for root in (old_root, new_root))
+    change = (" / ".join(f"{new[k] - old[k]:+,}" for k in src_lines.KINDS) +
+              f" = {sum(new.values()) - sum(old.values()):+,}")
+    return (f"src lines ({' / '.join(src_lines.KINDS)} = total)\n"
+            f"  {rev}: {src_lines.line(old)}\n"
+            f"  this tree: {src_lines.line(new)}\n"
+            f"  change: {change}\n")
+
+
 def route_values(root: Path) -> str:
     """The output of the ``tools/route_values.py`` under ``root``."""
     return subprocess.run([sys.executable, str(root / "tools" /
@@ -101,7 +119,8 @@ def main(argv) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         old = route_values(Path(tmp))
-    sys.stdout.write(summary(old, route_values(ROOT)))
+        split = line_split(Path(tmp), ROOT, argv[0])
+    sys.stdout.write(summary(old, route_values(ROOT)) + split)
     return 0
 
 

@@ -68,17 +68,24 @@ def line(counts: dict) -> str:
             f" = {sum(counts.values()):,}")
 
 
+def counts_of(path: Path) -> list:
+    """(file, its counts) for every ``*.py`` file under ``path``, or for
+    ``path`` itself where it is a file."""
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return [(file, count(file.read_text())) for file in files]
+
+
+def total(files: list) -> dict:
+    """The sum by kind of ``counts_of``'s counts."""
+    return {k: sum(counts[k] for _, counts in files) for k in KINDS}
+
+
 def main(argv=None) -> None:
     paths = [Path(p) for p in (argv or sys.argv[1:])] or [SRC]
-    total = dict.fromkeys(KINDS, 0)
-    for path in paths:
-        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        for file in files:
-            counts = count(file.read_text())
-            print(f"{file}: {line(counts)}")
-            for k in KINDS:
-                total[k] += counts[k]
-    print(f"total ({' / '.join(KINDS)}): {line(total)}")
+    files = [item for path in paths for item in counts_of(path)]
+    for file, counts in files:
+        print(f"{file}: {line(counts)}")
+    print(f"total ({' / '.join(KINDS)}): {line(total(files))}")
 
 
 if __name__ == "__main__":
