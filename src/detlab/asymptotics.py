@@ -1,6 +1,6 @@
 """Closed-form ladder: leading tau, smooth-symbol limit, winding-corrected
 determinant formulas, Cauchy-type correction series, contour-swap ratios and
-the discrete-index determinant identity.
+the discrete-index determinant identities.
 
 Quadratic functionals of the phase shift reduce to sums over Laurent modes,
 which converge geometrically, or to finite sums over the roots.  One double
@@ -15,10 +15,10 @@ import itertools
 
 import numpy as np
 
-from . import errors, symbols, toeplitz
+from . import errors, fredholm, symbols, toeplitz
 from ._series import (LaurentSplit, circle_nodes, circle_weights, horner,
                       laurent_coeffs)
-from .cauchy import CauchySuite, _converged_split, suite_for
+from .cauchy import CauchySuite, _converged_split, _note, suite_for
 from .contours import base_contour, radius_past
 from .fredholm import (Reach, _divide_by_gaps, check_grid_cap, kernel_V,
                        kernel_V_residue, nystrom_det)
@@ -111,12 +111,14 @@ def tau_eff_kernel(spec: symbols.SymbolSpec, x: int):
     winding = symbols.winding_number(spec)
     if winding < 0 or winding == 0 and not spec.log_coeffs:
         inside = [z for z in symbols.analyze(spec).zeros if abs(z) < 1.0]
-        if winding < 0:
-            return kernel_V_residue(spec, x, inside), base_contour(spec)
-        if all(abs(a - b) >= symbols.SEP_TOL
-               for a, b in itertools.combinations(inside, 2)):
-            return kernel_V_residue(spec, x, inside), 1.0
-    return kernel_V(spec, x, 1.0), 1.0
+        if winding < 0 or all(abs(a - b) >= symbols.SEP_TOL
+                              for a, b in itertools.combinations(inside, 2)):
+            radius = base_contour(spec) if winding < 0 else 1.0
+            _note("V", "residue", len(inside))
+            return kernel_V_residue(spec, x, inside), radius
+    kernel = kernel_V(spec, x, 1.0)
+    _note("V", "split", kernel.rank - kernel.x)
+    return kernel, 1.0
 
 
 def tau_eff(spec: symbols.SymbolSpec, x: int) -> complex:
@@ -370,6 +372,55 @@ def borodin_okounkov(spec: symbols.SymbolSpec, x: int) -> complex:
             f"det(Id - K) is {np.exp(log_hadamard):.1e} of its Hadamard "
             f"bound at x={x}")
     return errors.exp_in_range(_log_strong_limit(suite, x) + log_det)
+
+
+def _lowered(spec: symbols.SymbolSpec) -> symbols.SymbolSpec:
+    """The symbol -phi/q, whose phase shift is phi's lowered by one index:
+    numer -P and denom (0, *Q), or -P/q and Q where P(0) = 0, so that the
+    two share no root."""
+    numer = tuple(-c for c in spec.numer)
+    if numer[0] == 0:
+        return symbols.SymbolSpec(numer=numer[1:], denom=spec.denom,
+                                  log_coeffs=spec.log_coeffs)
+    return symbols.SymbolSpec(numer=numer, denom=(0.0, *spec.denom),
+                              log_coeffs=spec.log_coeffs)
+
+
+def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
+    """Cross-checks the three equivalent values of the rank-one correction:
+    determinant difference, determinant of the index-shifted weight -phi/q
+    (``tau_eff_kernel``'s, or split V where -phi/q has no zero outside the
+    unit circle), and the closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
+    if symbols.winding_number(spec) != 0:
+        raise errors.WindingNonzero("identity needs a zero-winding weight")
+    suite = suite_for(spec)
+    vk = kernel_V(spec, x, suite.rho)
+    vk1 = fredholm.kernel_rank_one(spec, x)
+    det_v = nystrom_det(vk, suite.rho)
+    det_sum = nystrom_det(fredholm.kernel_sum([vk, vk1]), suite.rho)
+    try:
+        det_shift = nystrom_det(*tau_eff_kernel(_lowered(spec), x))
+    except errors.EmptyAnnulus:
+        det_shift = nystrom_det(kernel_V(_lowered(spec), x, 1.0), 1.0)
+    closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * \
+        suite.b_split(x).plus(0.0)
+
+    # When the correction is exponentially small in x, every determinant in
+    # the identity is still O(1), so the identity can only hold to absolute
+    # machine precision; residuals are scaled by the largest member rather
+    # than by the tiny correction alone.  The same scale bounds what the
+    # raw difference det(1+V+V1) - det(1+V) loses to cancellation, so it
+    # needs no stable (relative-precision) form.
+    scale = max(abs(det_sum.value), abs(det_shift.value), 1e-300)
+    return {
+        "det_v": det_v.value,
+        "det_sum": det_sum.value,
+        "det_shift": det_shift.value,
+        "closed_form": complex(closed),
+        "residual_difference":
+            abs(det_sum.value - det_v.value - det_shift.value) / scale,
+        "residual_closed": abs(complex(closed) - det_shift.value) / scale,
+    }
 
 
 def variational_check(spec: symbols.SymbolSpec, x: int, j: int) -> tuple:

@@ -41,6 +41,8 @@ M_CAP = 2048
 
 # the values held by the innermost entered SuiteScope, or None outside any
 _SCOPE = contextvars.ContextVar("detlab_suite_scope", default=None)
+# the list of the innermost entered Notes, or None outside any
+_NOTES = contextvars.ContextVar("detlab_notes", default=None)
 
 
 def _converged_split(sample, m0: int):
@@ -262,6 +264,26 @@ class SuiteScope:
 
     def __exit__(self, *exc_info):
         _SCOPE.reset(self._tokens.pop())
+
+
+class Notes(list):
+    """While entered, ``with Notes() as notes:``, the list of the paths the
+    determinants take, one tuple per decision, noted where it is made
+    (README lists them): only the innermost entered list gets a note, and
+    outside any nothing is kept."""
+
+    def __enter__(self):
+        self._token = _NOTES.set(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        _NOTES.reset(self._token)
+
+
+def _note(*event) -> None:
+    """Appends ``event`` to the innermost entered ``Notes``, if any."""
+    if (notes := _NOTES.get()) is not None:
+        notes.append(event)
 
 
 def scoped(build, *args, **kwargs):

@@ -255,7 +255,7 @@ def _kernel_split(spec, x):
 
 
 def _rank_one(spec, x):
-    res = fredholm.rank_one_shift_identity(spec, x)
+    res = asymptotics.rank_one_shift_identity(spec, x)
     return max(res["residual_difference"], res["residual_closed"])
 
 

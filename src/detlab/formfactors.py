@@ -430,6 +430,8 @@ def tau_eff_finite(spec: symbols.SymbolSpec, L: int, N: int | None = None,
         theta_p[near] = np.expm1(-L * _log1p(d / start))
         theta_q[system.indices[near]] = theta_p[near] - d * symbols.eval_dphi(
             spec, start + 0.5 * d)
+    if not np.all(1.0 + theta_q):
+        raise errors.OverflowGuard("phi = 1 + theta rounds to 0 at a root")
     weight = theta_q / (1.0 + theta_q)
     slope = system.slope
     if N < L:

@@ -31,8 +31,8 @@ r matrix (``Factors``, ``_v_form``, ``_jacobi_det``), by either side of
 Jacobi's complementary-minor identity (Boettcher and Widom, "Szego via
 Jacobi", Linear Algebra Appl. 419 (2006)), which README derives; for S the
 two sides read D_x(phi_m) = prod_j phi(q_j) D_n((1/phi)_m), n = m - x.  S
-and both forms of V have both sides; ``kernel_W``, the rank-one kernel of
-``rank_one_shift_identity`` and ``kernel_sum`` the direct side alone.
+and both forms of V have both sides; ``kernel_W``, ``kernel_rank_one``
+and ``kernel_sum`` the direct side alone.
 ``_grid_det`` takes the side with fewer columns, and the dense LU of the
 filled matrix every grid that neither side serves.
 """
@@ -50,8 +50,8 @@ import numpy as np
 from . import errors, symbols
 from ._series import (circle_nodes, circle_weights, grid_of, grid_powers,
                       grid_sums, pow2_at_least)
-from .cauchy import (TAIL_TOL, CauchySuite, _converged_split,
-                     residue_coefficient, suite_for)
+from .cauchy import (TAIL_TOL, CauchySuite, _converged_split, _note,
+                     residue_coefficient)
 
 ROW_BLOCK = 64   # rows of node gaps formed at a time, small enough for cache
 # Smallest grid whose determinant ``_grid_det`` takes by the complementary
@@ -331,11 +331,11 @@ def kernel_V(spec: symbols.SymbolSpec, x: int, radius: float) -> Kernel:
     def sample(m):
         nodes = circle_nodes(radius, m)
         t = theta(nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             density = nodes ** x * t / (1.0 + t)
         if not np.all(np.isfinite(density)):
             raise errors.OverflowGuard(
-                f"q^x density overflows at x={x} on radius {radius:.4g}")
+                f"q^x theta/phi not finite at x={x} on radius {radius:.4g}")
         return density, radius
 
     split, _ = _converged_split(sample, max(512, pow2_at_least(4 * x)))
@@ -589,11 +589,14 @@ def _grid_det(kernel, nodes, weights) -> complex:
             form = kernel.form(nodes, weights, True)
             det = None if form is None else _jacobi_det(form)
             if det is not None:
+                _note("grid", m, "lemma", form.powers.size + len(form.cols))
                 return det
         if kernel.rank is not None and 2 * kernel.rank <= m:
             form = kernel.form(nodes, weights, False)
             if form is not None:
+                _note("grid", m, "direct", form.powers.size + len(form.cols))
                 return _jacobi_det(form)
+    _note("grid", m, "lu", m)
     mat = kernel.matrix(nodes, weights)
     np.fill_diagonal(mat, mat.diagonal() + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -658,7 +661,9 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
     bound = math.inf if folds is None else m * folds(2 * margin)
     if bound + m * m * np.finfo(float).eps <= tol:
         det, size, _ = _grid_value(kernel, radius, m, None)
-        return DetResult(det, bound * max(1.0, size), (m,), ())
+        res = DetResult(det, bound * max(1.0, size), (m,), ())
+        _note("ladder", res)
+        return res
     grids, drifts, prev = [], [], None
     while x + margin <= m_cap:
         grids.append(x + margin)
@@ -666,7 +671,9 @@ def nystrom_det(kernel, radius: float, tol: float = TOL,
         if prev is not None:
             drifts.append(err)
             if err <= tol * max(1.0, size):
-                return DetResult(det, err, tuple(grids), tuple(drifts))
+                res = DetResult(det, err, tuple(grids), tuple(drifts))
+                _note("ladder", res)
+                return res
         prev = det
         margin *= 2
     raise errors.NotConverged(f"determinant drift {err:.2e} at m={grids[-1]}")
@@ -749,30 +756,12 @@ def m_function(suite: CauchySuite, x: int, k1, k2) -> tuple:
     return np.array(route_a, dtype=complex), np.array(route_b, dtype=complex)
 
 
-def _lowered(spec: symbols.SymbolSpec) -> symbols.SymbolSpec:
-    """The symbol -phi/q, whose phase shift is phi's lowered by one index:
-    numer -P and denom (0, *Q), or -P/q and Q where P(0) = 0, so that the
-    two share no root."""
-    numer = tuple(-c for c in spec.numer)
-    if numer[0] == 0:
-        return symbols.SymbolSpec(numer=numer[1:], denom=spec.denom,
-                                  log_coeffs=spec.log_coeffs)
-    return symbols.SymbolSpec(numer=numer, denom=(0.0, *spec.denom),
-                              log_coeffs=spec.log_coeffs)
-
-
-def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
-    """Cross-checks the three equivalent values of the rank-one correction:
-    determinant difference, determinant of the index-shifted weight, and the
-    closed form det(1+V) e^{Omega_gt(0)} b_plus(0)."""
-    if symbols.winding_number(spec) != 0:
-        raise errors.WindingNonzero("identity needs a zero-winding weight")
-    suite = suite_for(spec)
+def kernel_rank_one(spec: symbols.SymbolSpec, x: int) -> Kernel:
+    """-sqrt(theta(q) theta(p)) q^{-x/2-1} p^{-x/2} / (2 pi i), the rank-one
+    part of ``asymptotics.rank_one_shift_identity``, its sign fixed
+    numerically; theta's reach, with no bound, and the direct side alone."""
     theta = functools.partial(symbols.eval_theta, spec)
-    vk = kernel_V(spec, x, suite.rho)
 
-    # -sqrt(theta(q) theta(p)) q^{-x/2-1} p^{-x/2} / (2 pi i), its sign fixed
-    # numerically: with it, the three values of the identity agree.
     def rank_one(q):
         h = q ** (-x / 2.0)
         return _rank_one(np.sqrt(theta(q)), q, -h / q, h, (-x / 2.0) * h / q)
@@ -788,29 +777,4 @@ def rank_one_shift_identity(spec: symbols.SymbolSpec, x: int) -> dict:
         return Factors(g, np.array([-1]), np.empty((0, m)), np.arange(0),
                        row[None, :])
 
-    # theta's reach, with no bound
-    vk1 = Kernel(rank_one, x, functools.partial(_theta_reach, spec), form, 1)
-
-    det_v = nystrom_det(vk, suite.rho)
-    det_sum = nystrom_det(kernel_sum([vk, vk1]), suite.rho)
-    det_shift = nystrom_det(kernel_V(_lowered(spec), x, suite.rho),
-                            suite.rho)
-    closed = det_v.value * np.exp(suite.Omega_gt(0.0)) * \
-        suite.b_split(x).plus(0.0)
-
-    # When the correction is exponentially small in x, every determinant in
-    # the identity is still O(1), so the identity can only hold to absolute
-    # machine precision; residuals are scaled by the largest member rather
-    # than by the tiny correction alone.  The same scale bounds what the
-    # raw difference det(1+V+V1) - det(1+V) loses to cancellation, so it
-    # needs no stable (relative-precision) form.
-    scale = max(abs(det_sum.value), abs(det_shift.value), 1e-300)
-    return {
-        "det_v": det_v.value,
-        "det_sum": det_sum.value,
-        "det_shift": det_shift.value,
-        "closed_form": complex(closed),
-        "residual_difference":
-            abs(det_sum.value - det_v.value - det_shift.value) / scale,
-        "residual_closed": abs(complex(closed) - det_shift.value) / scale,
-    }
+    return Kernel(rank_one, x, functools.partial(_theta_reach, spec), form, 1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors, symbols
 from ._series import circle_nodes, pow2_at_least
-from .cauchy import _converged_split
+from .cauchy import _converged_split, _note
 from .contours import base_contour
 
 # Largest |alpha|, |gamma| and |alpha gamma| / |1 - alpha gamma| (the
@@ -156,6 +156,7 @@ def _block_log_det(moments: np.ndarray, band: int):
     offsets = np.subtract.outer(span, span)
     if size >= x:
         # one block: the dense LU, whose value stands as it is
+        _note("lu")
         return _slogdet(moments[offsets + x])
     # c_k at index mid + k, |k| < 2 B, zero past the band
     mid = 2 * size - 1
@@ -168,6 +169,7 @@ def _block_log_det(moments: np.ndarray, band: int):
     bound = GROWTH_MAX * np.max(np.abs(a0))
     schur, log_det = a0, 0j
     for k in range(1, blocks + 1):
+        _note("block")
         block = _slogdet(schur)
         if not math.isfinite(block.real):
             return None
@@ -183,6 +185,7 @@ def _block_log_det(moments: np.ndarray, band: int):
             break
         schur = step
     if rest:
+        _note("block")
         log_det += _slogdet(schur[:rest, :rest])
     return log_det if math.isfinite(log_det.real) else None
 
@@ -194,11 +197,12 @@ def moment_log_det(moments: np.ndarray, band: int | None = None) -> complex:
     to the order BLOCK; others the dense LU below LEVINSON_MIN and the
     Levinson recursion from there.  Where either refuses, the dense LU of
     the same moments."""
-    x = moments.size // 2
-    if band is None:
-        log_det = _levinson_log_det(moments) if x >= LEVINSON_MIN else None
-    else:
-        log_det = _block_log_det(moments, band) if x > BLOCK else None
+    x, log_det = moments.size // 2, None
+    if band is None and x >= LEVINSON_MIN:
+        _note("levinson")
+        log_det = _levinson_log_det(moments)
+    elif band is not None and x > BLOCK:
+        log_det = _block_log_det(moments, band)
     return _block_log_det(moments, x) if log_det is None else log_det
 
 

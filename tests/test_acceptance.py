@@ -176,7 +176,7 @@ def test_criterion_11_rank_one_identity():
     for name in ("F2", "F6"):
         spec = symbols.fixture(name)
         for x in (2, 5, 8):
-            res = fredholm.rank_one_shift_identity(spec, x)
+            res = asymptotics.rank_one_shift_identity(spec, x)
             worst = max(worst, res["residual_difference"],
                         res["residual_closed"])
     report(11, "rank-one shift identity", worst, 1e-8)

@@ -24,7 +24,7 @@ from detlab import asymptotics as A
 from detlab import cauchy, cli, contours, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, grid_of
 from detlab.cauchy import CauchySuite
-from test_formfactors import banded_symbols
+from test_formfactors import banded_symbols, log_gap
 from test_perfbench_hooks import PERFBENCH, load_perfbench
 
 
@@ -451,21 +451,14 @@ class TestSplitV:
         assert abs(v.value - s.value) <= 1e-8 * abs(s.value)
 
 
-def log_gap(a, b):
-    """|a - b| for logarithms, the imaginary part taken modulo 2 pi."""
-    d = complex(a) - complex(b)
-    return abs(complex(d.real, (d.imag + np.pi) % (2 * np.pi) - np.pi))
-
-
 def v_form(spec, x):
     """(kernel, form) of ``tau_eff_kernel(spec, x)`` at zero winding, on
-    the unit circle, form "residue" or "split" by the V builder it called."""
-    with mock.patch.object(A, "kernel_V_residue",
-                           wraps=fredholm.kernel_V_residue) as residue, \
-            mock.patch.object(A, "kernel_V", wraps=fredholm.kernel_V) as split:
+    the unit circle, form "residue" or "split" as its one note says."""
+    with cauchy.Notes() as notes:
         kernel, radius = A.tau_eff_kernel(spec, x)
-    assert radius == 1.0 and residue.called != split.called
-    return kernel, "residue" if residue.called else "split"
+    (_, form, _), = notes
+    assert radius == 1.0
+    return kernel, form
 
 
 def near_double(d):
@@ -711,24 +704,16 @@ class TestSlavnov:
         assert abs(closed - ratio) <= err < 1e-8 * abs(ratio)
 
     @pytest.mark.parametrize("x", [110, 127, 200])
-    def test_contour_swap_past_its_range_raises(self, monkeypatch, x):
+    def test_contour_swap_past_its_range_raises(self, x):
         # the swapped kernel's reach falls under its true fold here (25, 8
         # and 2 modes), and one grid read the ratio's cancellation noise,
         # 5.2e-5 + 3.2e-5i at x = 127 against the closed form's -8.2e-26,
         # under a bound of 1.6e-15; the ladder's drifts never settle, also
         # on its grids past 2x nodes, where the direct side of Jacobi's
         # identity, which rounds less than the LU it replaced, takes them
-        sizes = []
-        real = fredholm._grid_det
-
-        def grid_det(kernel, nodes, weights):
-            sizes.append(nodes.size)
-            return real(kernel, nodes, weights)
-
-        monkeypatch.setattr(fredholm, "_grid_det", grid_det)
-        with pytest.raises(errors.NotConverged):
+        with cauchy.Notes() as notes, pytest.raises(errors.NotConverged):
             A.tau_ratio_swap(symbols.fixture("F4"), x, 1.4, 2.2)
-        assert max(sizes) > 2 * x
+        assert max(event[1] for event in notes if event[0] == "grid") > 2 * x
 
     @pytest.mark.parametrize("x", [3, 16])
     def test_contour_swap_keeps_the_ladders_it_ran(self, monkeypatch, x):

@@ -6,14 +6,16 @@ off the circle, and b as a residue sum over the zeros outside it.
 ``sampled_split`` (``test_asymptotics``) is the sampled reference of the
 factors read from the roots: ``series_weight`` forms a residue weight from
 it, and ``TestClosedForm`` holds the factors, nu_0 and the strong-limit
-exponent to it.
+exponent to it.  ``TestNotes`` holds ``cauchy.Notes``, the record of the
+path each determinant took.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlab import asymptotics, cauchy, errors, fredholm, symbols
+from detlab import (asymptotics, cauchy, cli, errors, fredholm, symbols,
+                    toeplitz)
 from detlab._series import circle_nodes, circle_weights, grid_of
 from detlab.cauchy import CauchySuite
 from test_asymptotics import (sampled_split, sampled_strong_limit,
@@ -442,3 +444,39 @@ class TestLazySuite:
             asymptotics.tau_leading(spec, 8, route="double")
             asymptotics.variational_check(spec, 8, 1)
         assert splits == [M]
+
+
+
+class TestNotes:
+    """Each determinant notes the path it took where it chose it, into the
+    innermost entered ``cauchy.Notes``; outside any, nothing is kept."""
+
+    @pytest.mark.parametrize("name", [f"F{k}" for k in range(1, 8)])
+    @pytest.mark.parametrize("x", [2, 32])
+    def test_every_determinant_notes_its_path(self, name, x):
+        # toeplitz_det notes a path, and a nystrom_det that returns one
+        # ladder, right after the grids it took; F7's tau_eff, 0 at
+        # positive winding, builds no kernel
+        spec = symbols.fixture(name)
+        for route in ("toeplitz", "fredholm_S", "fredholm_V"):
+            with cauchy.Notes() as notes:
+                value = cli.ROUTES[route](spec, x, None)
+            if route == "toeplitz":
+                assert notes and {kind for kind, in notes} <= {
+                    "levinson", "block", "lu"}
+            elif notes or value:
+                (_, res), = [e for e in notes if e[0] == "ladder"]
+                grids = tuple(e[1] for e in notes if e[0] == "grid")
+                assert notes[-1][1] is res and grids == res.grids
+                assert res.value == value
+
+    def test_nothing_is_kept_outside(self):
+        # a note goes to the innermost entered Notes alone, and outside any
+        # there is no list to keep it
+        spec = symbols.fixture("F4")
+        with cauchy.Notes() as outer:
+            with cauchy.Notes() as inner:
+                toeplitz.toeplitz_det(spec, 2)
+            toeplitz.toeplitz_det(spec, 2)
+        toeplitz.toeplitz_det(spec, 2)
+        assert inner == outer == [("lu",)] and cauchy._NOTES.get() is None

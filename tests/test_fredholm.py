@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from detlab import asymptotics, errors, fredholm, symbols, toeplitz
+from detlab import asymptotics, cauchy, errors, fredholm, symbols, toeplitz
 from detlab._series import LaurentSplit, circle_nodes, circle_weights
 from detlab.cauchy import TAIL_TOL, CauchySuite, residue_coefficient
 from test_asymptotics import SLOW, two_sided_symbols
@@ -534,26 +534,15 @@ class TestLemma:
 
     @pytest.mark.parametrize("name", ["F1", "R0"])
     @pytest.mark.parametrize("x", [128, 256, 512])
-    def test_split_v_takes_the_lemma(self, monkeypatch, name, x):
-        # split V at zero winding fills no m x m matrix; it is built here,
-        # as tau_eff_kernel gives F1 and R0 V's residue form
-        taken = []
-        real = fredholm._lemma_det
-
-        def lemma(delta, cap):
-            det = real(delta, cap)
-            taken.append(det is not None)
-            return det
-
-        def refuse(*args):
-            raise AssertionError("m x m fill")
-
-        monkeypatch.setattr(fredholm, "_lemma_det", lemma)
-        monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
+    def test_split_v_takes_the_lemma(self, name, x):
+        # split V at zero winding fills no m x m matrix: the lemma takes
+        # every grid.  It is built here, as tau_eff_kernel gives F1 and R0
+        # V's residue form
         spec = xsweep_r0() if name == "R0" else symbols.fixture(name)
-        res = fredholm.nystrom_det(
-            fredholm.kernel_V(spec, x, 1.0), 1.0)
-        assert taken == [True] * len(res.grids)
+        with cauchy.Notes() as notes:
+            res = fredholm.nystrom_det(fredholm.kernel_V(spec, x, 1.0), 1.0)
+        assert [event[:3] for event in notes[:-1]] == \
+            [("grid", m, "lemma") for m in res.grids]
 
     @pytest.mark.parametrize("spec, zeros, x, m", [
         # a zero 1e-4 outside the circle: min |phi| = 7e-5 on the grid, and
@@ -578,7 +567,7 @@ class TestLemma:
         want, _ = dense_det(kern, nodes, weights)
         assert fredholm._grid_det(kern, nodes, weights) == want
 
-    def test_near_double_zero_takes_the_direct_side(self, monkeypatch):
+    def test_near_double_zero_takes_the_direct_side(self):
         # the near-double zero of CHANGES.md: phi'(z) = 2.1e-5, and V's
         # residue form over z has complementary cap entries up to 360 on 12
         # nodes, which that side hands on.  The direct side divides by no
@@ -595,12 +584,9 @@ class TestLemma:
         weights = circle_weights(nodes, m)
         assert fredholm._jacobi_det(kern.form(nodes, weights, True)) is None
         lu, mat = dense_det(kern, nodes, weights)
-
-        def refuse(*args):
-            raise AssertionError("m x m fill")
-
-        monkeypatch.setattr(fredholm.Kernel, "matrix", refuse)
-        got = fredholm._grid_det(kern, nodes, weights)
+        with cauchy.Notes() as notes:
+            got = fredholm._grid_det(kern, nodes, weights)
+        assert notes == [("grid", m, "direct", 5)]
         # conjugated by diag(q^{x/2}): delta_ij + (theta_j/m) q_j^(1-x)
         # times w's divided difference, w = q^x - c/(z - q)
         with mp.workdps(40):
@@ -619,20 +605,12 @@ class TestLemma:
         assert abs(got / want - 1) <= 16 * EPS * np.linalg.cond(mat)
         assert abs(got / want - 1) <= abs(lu / want - 1)
 
-    def test_switch_at_the_crossover(self, monkeypatch):
+    def test_switch_at_the_crossover(self):
         # the lemma takes grids of circle_nodes from LEMMA_MIN nodes on, for
         # kernels with a grid form, S and split V here; a copy of a grid,
         # split V on a circle not its own and grids below LEMMA_MIN take
         # the dense LU, bit for bit
-        taken = []
-        real = fredholm._jacobi_det
-
-        def lemma(form):
-            if form.delta is not None:
-                taken.append(form.delta.size)
-            return real(form)
-
-        monkeypatch.setattr(fredholm, "_jacobi_det", lemma)
+        real, notes = fredholm._jacobi_det, cauchy.Notes()
         spec = symbols.fixture("F4")
         rho = asymptotics.base_contour(spec)
         split = fredholm.kernel_V(symbols.fixture("F2"), 40, 1.0)
@@ -641,7 +619,8 @@ class TestLemma:
                                  (split, 1.0)):
                 nodes = circle_nodes(radius, m)
                 weights = circle_weights(nodes, m)
-                got = fredholm._grid_det(kern, nodes, weights)
+                with notes:
+                    got = fredholm._grid_det(kern, nodes, weights)
                 if m < fredholm.LEMMA_MIN:
                     assert got == dense_det(kern, nodes, weights)[0]
                 else:
@@ -653,7 +632,8 @@ class TestLemma:
             assert split.form(nodes, weights, True) is None
             assert fredholm._grid_det(split, nodes, weights) == \
                 dense_det(split, nodes, weights)[0]
-        assert taken == [fredholm.LEMMA_MIN] * 2
+        assert [side for _, _, side, _ in notes] == ["lu", "lu"] + \
+            ["lemma"] * 2
 
 
 class TestDirect:
@@ -715,23 +695,17 @@ class TestDirect:
         bound = 4 * EPS * (np.abs(rows) @ np.abs(cols).T)
         assert np.all(np.abs(got - want) <= bound)
 
-    def test_path_follows_the_rank(self, monkeypatch):
+    def test_path_follows_the_rank(self):
         # F6's split V at x = 5 keeps N = 41 tail modes, so its direct side
         # has r = 46 columns: past m/2 on its ladder's grids 37 and 69,
         # which the dense LU fills, within it on 133, which it does not
         spec = symbols.fixture("F6")
         kern = fredholm.kernel_V(spec, 5, 1.0)
         assert kern.rank == 46
-        filled = []
-        real = fredholm.Kernel.matrix
-
-        def matrix(self, nodes, weights):
-            filled.append(nodes.size)
-            return real(self, nodes, weights)
-
-        monkeypatch.setattr(fredholm.Kernel, "matrix", matrix)
-        res = fredholm.nystrom_det(kern, 1.0)
-        assert res.grids == (37, 69, 133) and filled == [37, 69]
+        with cauchy.Notes() as notes:
+            res = fredholm.nystrom_det(kern, 1.0)
+        assert res.grids == (37, 69, 133)
+        assert [event[2] for event in notes[:-1]] == ["lu", "lu", "direct"]
         nodes = circle_nodes(1.0, 133)
         weights = circle_weights(nodes, 133)
         want, mat = dense_det(kern, nodes, weights)
@@ -801,16 +775,14 @@ class TestNystrom:
                                  asymptotics.base_contour(spec),
                                  tol=1e-15, m_cap=3 + 32)
 
-    def test_bandwidth_past_cap_raises_before_fill(self, monkeypatch):
-        # every grid of at most 1024 nodes aliases q^{+-512}
-        def no_fill(*args):
-            raise AssertionError("filled a grid that cannot converge")
-
-        monkeypatch.setattr(fredholm.Kernel, "matrix", no_fill)
+    def test_bandwidth_past_cap_raises_before_fill(self):
+        # every grid of at most 1024 nodes aliases q^{+-512}: none is taken
         spec = symbols.fixture("F1")
-        with pytest.raises(errors.NotConverged, match="1026"):
+        with cauchy.Notes() as notes, \
+                pytest.raises(errors.NotConverged, match="1026"):
             fredholm.nystrom_det(fredholm.kernel_S(spec, 1024),
                                  asymptotics.base_contour(spec), m_cap=1024)
+        assert notes == []
 
     @pytest.mark.parametrize("route,spec", [
         ("tau_eff", symbols.fixture("F1")),
@@ -995,20 +967,7 @@ class TestOneGrid:
     """``nystrom_det`` fills one grid, x + 2a, where the kernel's reach
     bounds what that grid folds within tol, and runs the ladder otherwise."""
 
-    @staticmethod
-    def filled(monkeypatch):
-        """The node counts of every grid filled from here on."""
-        sizes = []
-        real = fredholm._grid_det
-
-        def grid_det(kernel, nodes, weights):
-            sizes.append(nodes.size)
-            return real(kernel, nodes, weights)
-
-        monkeypatch.setattr(fredholm, "_grid_det", grid_det)
-        return sizes
-
-    def test_f4_takes_the_last_grid_of_its_ladder(self, monkeypatch):
+    def test_f4_takes_the_last_grid_of_its_ladder(self):
         # the same generators and grid form with a reach that bounds nothing
         # run the ladder (66, 68): its value, bit for bit, from one grid
         spec = symbols.fixture("F4")
@@ -1017,10 +976,11 @@ class TestOneGrid:
         ladder = fredholm.nystrom_det(fredholm.Kernel(
             kern.generators, 64, lambda radius: fredholm.Reach(2, None),
             kern.form), ct)
-        sizes = self.filled(monkeypatch)
-        one = fredholm.nystrom_det(kern, ct)
+        with cauchy.Notes() as notes:
+            one = fredholm.nystrom_det(kern, ct)
         assert ladder.grids == (66, 68)
-        assert sizes == [68] and one.grids == (68,) and one.drifts == ()
+        assert notes == [("grid", 68, "lemma", 4), ("ladder", one)]
+        assert one.grids == (68,) and one.drifts == ()
         assert one.value == ladder.value
         # theta's modes, read from F4's coefficients, end at 2 < 4: the grid
         # folds nothing, and its rounding is the LU's alone
@@ -1124,7 +1084,7 @@ class TestOneGrid:
 
     @pytest.mark.parametrize("case", ["no reach", "slow", "fermi", "bound",
                                       "rounding"])
-    def test_ladder_where_no_bound_holds(self, monkeypatch, case):
+    def test_ladder_where_no_bound_holds(self, case):
         # a kernel with no reach, a reach clipped at M_START (SLOW's theta,
         # and the Fermi weight's tau_eff kernel at beta = 8), a bound above
         # tol, and a tol below the grid's rounding each fill the ladder's
@@ -1151,12 +1111,13 @@ class TestOneGrid:
         margin = fredholm._first_reach(kern, radius).modes
         while kern.x + margin < 16:
             margin *= 2
-        sizes = self.filled(monkeypatch)
-        try:
-            res = fredholm.nystrom_det(kern, radius, tol, m_cap)
-            assert res.grids == tuple(sizes) and len(res.drifts) >= 1
-        except errors.NotConverged:
-            pass
+        with cauchy.Notes() as notes:
+            try:
+                res = fredholm.nystrom_det(kern, radius, tol, m_cap)
+            except errors.NotConverged:
+                res = None
+        sizes = [event[1] for event in notes if event[0] == "grid"]
+        assert res is None or res.grids == tuple(sizes) and res.drifts
         assert sizes[:2] == [kern.x + margin, kern.x + 2 * margin]
 
     def test_clipped_reach_bounds_nothing(self):
@@ -1408,11 +1369,10 @@ class TestLadder:
         # m folds(m - 3) reads 9.0e-10, 2.1 times low at every m from 40
         # to 140; the base kernel on radius 1.755 holds it (2.6e-10 against
         # 6.8e-10)
-        calls = []
-        with mock.patch.object(asymptotics, "nystrom_det",
-                               self.recorded(calls)):
+        with cauchy.Notes() as notes:
             asymptotics.tau_ratio_swap(symbols.fixture("F4"), 3, 1.4, 2.2)
-        assert [c[-1].grids for c in calls] == [(35, 67, 131, 259)] * 2
+        assert [event[1].grids for event in notes if event[0] == "ladder"] \
+            == [(35, 67, 131, 259)] * 2
 
     @settings(max_examples=25, deadline=None)
     @given(spec=two_sided_symbols(), x=st.integers(1, 4))
@@ -1629,23 +1589,24 @@ class TestResolvent:
 class TestRankOne:
     @pytest.mark.parametrize("name,x", [("F2", 2), ("F6", 5)])
     def test_three_determinant_identity(self, name, x):
-        res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
+        res = asymptotics.rank_one_shift_identity(symbols.fixture(name), x)
         assert res["residual_difference"] < 1e-8
         assert res["residual_closed"] < 1e-8
 
     @pytest.mark.parametrize("name", ["F2", "F6"])
-    @pytest.mark.parametrize("x", [8, 32, 64])
+    @pytest.mark.parametrize("x", [8, 24, 32, 64])
     def test_holds_or_raises_past_verify(self, name, x):
-        # F2 holds to 1e-14 up to x = 200; F6's shifted determinant (split
-        # V of -phi/q, which winds -1 on the unit circle) drifts at 1e-6
-        # from x ~ 24 and raises NotConverged, where a single grid once
-        # returned that noise under the scale |det_v| ~ 6e9
+        # F6's shifted determinant, V's residue form of -phi/q on its own
+        # circle, reads at most 1.3e-14 (x = 64), where split V raised
+        # NotConverged from x ~ 24; F2's, split V, holds to 1e-14 up to
+        # x = 200 and may raise past that
         try:
-            res = fredholm.rank_one_shift_identity(symbols.fixture(name), x)
+            res = asymptotics.rank_one_shift_identity(symbols.fixture(name), x)
         except errors.DetlabError:
+            assert name == "F2"
             return
-        assert res["residual_difference"] < 1e-8
-        assert res["residual_closed"] < 1e-8
+        assert res["residual_difference"] < 1e-12
+        assert res["residual_closed"] < 1e-12
 
     def test_sum_starts_at_the_margin_of_v(self, monkeypatch):
         # on F2 at x = 2 the rank-one part carries theta's reach, no wider
@@ -1662,8 +1623,8 @@ class TestRankOne:
             ladders.append((pairs, res.grids))
             return res
 
-        monkeypatch.setattr(fredholm, "nystrom_det", recorded)
-        fredholm.rank_one_shift_identity(symbols.fixture("F2"), 2)
+        monkeypatch.setattr(asymptotics, "nystrom_det", recorded)
+        asymptotics.rank_one_shift_identity(symbols.fixture("F2"), 2)
         assert ladders[:2] == [(2, (24, 46)), (4, (24, 46))]
 
     @pytest.mark.parametrize("x", [1, 2, 5, 8])
@@ -1673,7 +1634,7 @@ class TestRankOne:
         # and Q share no root; its residuals read at most 1.4e-15
         spec = symbols.SymbolSpec(numer=(0, -2.0, 1.0), denom=(-0.5, 1.0))
         assert symbols.winding_number(spec) == 0
-        res = fredholm.rank_one_shift_identity(spec, x)
+        res = asymptotics.rank_one_shift_identity(spec, x)
         assert res["residual_difference"] < 1e-13
         assert res["residual_closed"] < 1e-13
 
@@ -1684,7 +1645,7 @@ class TestRankOne:
     def test_shifted_weight_is_minus_phi_over_q(self, spec):
         q = np.array([0.3 + 0.1j, 1.7 - 0.4j, -0.2 + 2.5j, 0.9j, 3.0])
         want = -symbols.eval_phi(spec, q) / q
-        got = symbols.eval_phi(fredholm._lowered(spec), q)
+        got = symbols.eval_phi(asymptotics._lowered(spec), q)
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
 
     def test_not_a_simple_zero_guard(self):

@@ -1,6 +1,7 @@
-"""``tools/route_values.py`` reads the checkout it sits in, and writes the
-same bytes on every run."""
+"""``tools/route_values.py`` reads the checkout it sits in, writes the same
+bytes on every run and rebinds nothing of numpy or of detlab."""
 
+import ast
 import importlib.util
 import io
 import os
@@ -8,6 +9,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,11 +28,9 @@ def test_refuses_a_detlab_from_elsewhere(tmp_path):
     assert f"not {tmp_path / 'src'}" in proc.stderr
 
 
-def test_two_runs_write_the_same_bytes(monkeypatch):
-    # every value diff compares two dumps, so a dump may not depend on what
-    # ran before it: the second run in one process finds every memo, held
-    # grid and sample that the first one filled.  The tool's thread
-    # settings and path entry are undone after the test
+def route_values(monkeypatch):
+    """The tool, loaded in this process; its thread settings and path entry
+    are undone after the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
@@ -37,6 +38,14 @@ def test_two_runs_write_the_same_bytes(monkeypatch):
         "route_values", ROOT / "tools" / "route_values.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_two_runs_write_the_same_bytes(monkeypatch):
+    # every value diff compares two dumps, so a dump may not depend on what
+    # ran before it: the second run in one process finds every memo, held
+    # grid and sample that the first one filled
+    tool = route_values(monkeypatch)
     runs = []
     for _ in range(2):
         out = io.StringIO()
@@ -44,6 +53,28 @@ def test_two_runs_write_the_same_bytes(monkeypatch):
         runs.append(out.getvalue().encode())
     assert runs[0] == runs[1]
     assert runs[0].count(b"\n") > 1000
+
+
+def test_binds_nothing_of_numpy_or_detlab(monkeypatch):
+    # the tool reads each path from cauchy.Notes: it stores no attribute
+    # and names no setattr or mock, and a run leaves every attribute of
+    # numpy.linalg and of each detlab module the object it was
+    tree = ast.parse((ROOT / "tools" / "route_values.py").read_text())
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and
+                    isinstance(node.ctx, ast.Store)), ast.unparse(node)
+        if isinstance(node, (ast.Name, ast.alias)):
+            assert ast.unparse(node) not in ("setattr", "mock")
+    tool = route_values(monkeypatch)
+    modules = [np.linalg] + [module for name, module in sys.modules.items()
+                             if name.split(".")[0] == "detlab"]
+    before = [dict(vars(module)) for module in modules]
+    tool.main(io.StringIO())
+    for module, attrs in zip(modules, before):
+        after = vars(module)
+        assert after.keys() == attrs.keys(), module.__name__
+        for name, value in attrs.items():
+            assert after[name] is value, f"{module.__name__}.{name}"
 
 
 def route_diff():

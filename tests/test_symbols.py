@@ -14,6 +14,7 @@ from detlab import asymptotics, cli, errors, fredholm, symbols, toeplitz
 from detlab._series import circle_nodes, horner, laurent_coeffs
 from detlab.cauchy import CauchySuite
 from detlab.contours import base_contour
+from test_asymptotics import _rational
 
 EXPECTED_WINDING = {"F0": 0, "F1": 0, "F2": 0, "F3": -1, "F4": -1,
                     "F5": -2, "F6": 0, "F7": 1}
@@ -112,12 +113,6 @@ class TestEvaluation:
         from detlab._series import circle_nodes
         nu = symbols.eval_nu_grid(sp, circle_nodes(1.0, 256))
         assert np.max(np.abs(np.diff(nu))) < 0.2
-
-
-def _rational(zeros, pole_order):
-    numer = np.polynomial.polynomial.polyfromroots(zeros)
-    return symbols.SymbolSpec("rational", tuple(numer),
-                              (0.0,) * pole_order + (1.0,))
 
 
 class TestZeroSelection:
@@ -565,3 +560,20 @@ class TestNearCircle:
         # unit circle: every route raises OverflowGuard
         values = route_values(symbols.SymbolSpec(log_coeffs=log_coeffs), 4)
         assert set(values.values()) == {errors.OverflowGuard}
+
+    def test_phi_below_half_eps_is_typed(self):
+        # exp(-700) is in range, but theta = phi - 1 rounds to -1 and 1 +
+        # theta to 0: split V's sample and the finite-size weight divide by
+        # it and raise OverflowGuard, as D_4 = e^-2800 is out of range; no
+        # route raises a raw warning or returns a non-finite value
+        values = route_values(symbols.SymbolSpec(log_coeffs={0: -700}), 4)
+        assert values["fredholm_V"] is values["ff"] is errors.OverflowGuard
+        for value in values.values():
+            assert isinstance(value, type) or np.isfinite(value)
+
+    @pytest.mark.xfail(strict=True, reason="fredholm_S reads theta = -1 "
+                       "where |phi| < eps/2 and returns 2.3e-69 - 3.9e-69i "
+                       "for e^-2800 with no error (ROADMAP item 9's floor)")
+    def test_fredholm_s_below_half_eps_is_typed(self):
+        values = route_values(symbols.SymbolSpec(log_coeffs={0: -700}), 4)
+        assert isinstance(values["fredholm_S"], type)

@@ -1,5 +1,6 @@
 """Exact moment-determinant oracle."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -188,25 +189,16 @@ VANISHING_MINOR = symbols.SymbolSpec("rational", (5.25, -10.75, 0.0, 1.0),
 SMALL_CONSTANT = symbols.SymbolSpec("rational", (-0.4,), (1.0,))
 
 
-def record_methods(monkeypatch, spec, x):
-    """The methods ``toeplitz_det(spec, x)`` runs, in order: "levinson",
-    "block", the elimination of a band below x, and "lu", the dense LU of
-    the whole order; the recording stays installed."""
-    calls = []
-    levinson, block = toeplitz._levinson_log_det, toeplitz._block_log_det
-
-    def recorded_block(moments, band):
-        calls.append("lu" if band >= x else "block")
-        return block(moments, band)
-
-    monkeypatch.setattr(toeplitz, "_levinson_log_det",
-                        lambda m: calls.append("levinson") or levinson(m))
-    monkeypatch.setattr(toeplitz, "_block_log_det", recorded_block)
-    try:
-        toeplitz.toeplitz_det(spec, x)
-    except errors.OverflowGuard:
-        pass
-    return calls
+def record_methods(spec, x):
+    """The methods ``toeplitz_det(spec, x)`` notes, in order: "levinson",
+    "block", the elimination of a band below x (one entry for its run of
+    block LUs), and "lu", the dense LU of the whole order."""
+    with cauchy.Notes() as notes:
+        try:
+            toeplitz.toeplitz_det(spec, x)
+        except errors.OverflowGuard:
+            pass
+    return [kind for kind, _ in itertools.groupby(e[0] for e in notes)]
 
 
 class TestLevinson:
@@ -225,7 +217,7 @@ class TestLevinson:
         assert log_gap(got, want) <= 1e-10
 
     @pytest.mark.parametrize("x", [2, 3, 8, 64, toeplitz.LEVINSON_MIN, 256])
-    def test_vanishing_minor_falls_back(self, x, monkeypatch):
+    def test_vanishing_minor_falls_back(self, x):
         # unguarded, the recursion was off by 5.3, 18.7 and 283 in log at
         # x = 3, 8, 64, and its monitor refuses at every order; toeplitz_det
         # never runs it here: the symbol is banded and does not wind on its
@@ -233,7 +225,7 @@ class TestLevinson:
         # the block elimination, which pivots inside each block
         assert toeplitz._levinson_log_det(
             toeplitz.moment_table(VANISHING_MINOR, x)) is None
-        assert record_methods(monkeypatch, VANISHING_MINOR, x) == \
+        assert record_methods(VANISHING_MINOR, x) == \
             ["lu" if x <= toeplitz.BLOCK else "block"]
         got = np.log(toeplitz.toeplitz_det(VANISHING_MINOR, x))
         assert log_gap(got, dense_log_det(VANISHING_MINOR, x)) <= 1e-12
@@ -269,9 +261,9 @@ class TestLevinson:
 
     @pytest.mark.parametrize("x, method", [
         (toeplitz.LEVINSON_MIN - 1, "lu"), (toeplitz.LEVINSON_MIN, "levinson")])
-    def test_method_switches_at_the_crossover(self, x, method, monkeypatch):
+    def test_method_switches_at_the_crossover(self, x, method):
         # F2, exp(0.3 q + 0.2/q), is not banded and keeps the crossover
-        assert record_methods(monkeypatch, symbols.fixture("F2"), x) == \
+        assert record_methods(symbols.fixture("F2"), x) == \
             [method]
 
     @settings(max_examples=20, deadline=None)
@@ -365,22 +357,18 @@ class TestBlock:
 
     @pytest.mark.parametrize("name, most, exact", [("F4", 4, 5), ("F1", 1, 1)],
                              ids=["F4-4", "F1-1"])
-    def test_blocks_stop_at_the_fixed_point(self, name, most, exact,
-                                            monkeypatch):
+    def test_blocks_stop_at_the_fixed_point(self, name, most, exact):
         # 32 blocks of T_1024; F1's constant symbol repeats its first; on
         # the exact moments toeplitz_det reads, zero past the band, F4's
         # elimination reaches its bitwise fixed point one block later
-        calls = []
-        slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: calls.append(len(a)) or slogdet(a))
         spec = symbols.fixture(name)
-        toeplitz._block_log_det(toeplitz.moment_table(spec, 1024),
-                                toeplitz._laurent_band(spec))
-        assert 1 <= len(calls) <= most
-        calls.clear()
-        toeplitz._log_det(spec, 1024)
-        assert 1 <= len(calls) <= exact
+        with cauchy.Notes() as notes:
+            toeplitz._block_log_det(toeplitz.moment_table(spec, 1024),
+                                    toeplitz._laurent_band(spec))
+        assert 1 <= len(notes) <= most
+        with cauchy.Notes() as notes:
+            toeplitz._log_det(spec, 1024)
+        assert 1 <= len(notes) <= exact
 
     @settings(max_examples=30, deadline=None)
     @given(spec=laurent_symbols(), x=st.integers(toeplitz.BLOCK + 1, 1024))
@@ -428,14 +416,14 @@ class TestBlock:
 
     @pytest.mark.parametrize("x, method", [
         (toeplitz.BLOCK, "lu"), (toeplitz.BLOCK + 1, "block")])
-    def test_banded_symbols_switch_at_block(self, x, method, monkeypatch):
-        assert record_methods(monkeypatch, symbols.fixture("F4"), x) == \
+    def test_banded_symbols_switch_at_block(self, x, method):
+        assert record_methods(symbols.fixture("F4"), x) == \
             [method]
 
     @pytest.mark.parametrize("x", [55, toeplitz.LEVINSON_MIN])
-    def test_winding_symbol_keeps_the_old_rule(self, x, monkeypatch):
+    def test_winding_symbol_keeps_the_old_rule(self, x):
         assert toeplitz._laurent_band(WINDING) is None
-        assert "block" not in record_methods(monkeypatch, WINDING, x)
+        assert "block" not in record_methods(WINDING, x)
         got = np.log(toeplitz.toeplitz_det(WINDING, x))
         assert log_gap(got, dense_log_det(WINDING, x)) <= 1e-9
 

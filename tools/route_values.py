@@ -58,6 +58,8 @@ moments and theta take more nodes than any first grid, ``toeplitz`` and
 byte for byte with its exit code and error line, of ``toeplitz``,
 ``fredholm --kernel S`` and ``--kernel V`` (CSV and JSON), ``ff --L 12``
 and ``analyze`` on F3, F4 and F7.
+Every path, form of V and ladder is read from ``cauchy.Notes``; the tool
+rebinds nothing of numpy or of detlab.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import itertools
 import os
 import sys
 from pathlib import Path
-from unittest import mock
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -117,13 +118,12 @@ CLI_COMMANDS = [(*command, "--format", fmt)
 
 def tau_eff_form(spec, x):
     """``asymptotics.tau_eff_kernel(spec, x)`` as (kernel, radius, form),
-    form the V that served: "residue k" over k zeros, or "split N" with N
+    form the V it notes: "residue k" over k zeros, or "split N" with N
     tail modes kept; either has rank x + k or x + N on the direct side."""
-    with mock.patch.object(asymptotics, "kernel_V_residue",
-                           wraps=asymptotics.kernel_V_residue) as residue:
+    with cauchy.Notes() as notes:
         kernel, radius = asymptotics.tau_eff_kernel(spec, x)
-    form = "residue" if residue.called else "split"
-    return kernel, radius, f"{form} {kernel.rank - kernel.x}"
+    _, form, k = notes[-1]
+    return kernel, radius, f"{form} {k}"
 
 
 LADDERS = {
@@ -141,27 +141,11 @@ def outcome(call) -> str:
 
 
 def toeplitz_path(spec, x):
-    """(outcome, path) of ``toeplitz_det(spec, x)``, the path read from the
-    calls it made to ``_levinson_log_det`` and ``np.linalg.slogdet``."""
-    steps = []
-    levinson, slogdet = toeplitz._levinson_log_det, np.linalg.slogdet
-
-    def recorded_levinson(moments):
-        steps.append("levinson")
-        return levinson(moments)
-
-    def recorded_slogdet(a):
-        steps.append("lu" if len(a) == x else "block")
-        return slogdet(a)
-
-    toeplitz._levinson_log_det = recorded_levinson
-    np.linalg.slogdet = recorded_slogdet
-    try:
+    """(outcome, path) of ``toeplitz_det(spec, x)``, the path it notes."""
+    with cauchy.Notes() as notes:
         value = outcome(lambda: toeplitz.toeplitz_det(spec, x))
-    finally:
-        toeplitz._levinson_log_det, np.linalg.slogdet = levinson, slogdet
     path = []
-    for step, run in itertools.groupby(steps):
+    for step, run in itertools.groupby(event[0] for event in notes):
         run = list(run)
         path += [f"blocks={len(run)}"] if step == "block" else run
     return value, "+".join(path)
@@ -190,77 +174,32 @@ def reach_kernels(spec, x):
          for z in inside]
 
 
-@contextlib.contextmanager
-def recorded_paths():
-    """Yields a list that collects "m:path" for every grid of m nodes whose
-    determinant ``fredholm._grid_det`` takes inside the block: "lemma R=k"
-    where ``_lemma_det`` returned the value from k columns, "direct r=k"
-    where ``_jacobi_det`` took the direct side, else "lu"."""
-    paths, taken = [], []
-    real = fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det
-
-    def grid_det(kernel, nodes, weights):
-        taken.clear()
-        det = real[0](kernel, nodes, weights)
-        paths.append(f"{nodes.size}:{taken[-1] if taken else 'lu'}")
-        return det
-
-    def lemma(delta, cap):
-        det = real[1](delta, cap)
-        if det is not None:
-            taken.append(f"lemma R={len(cap)}")
-        return det
-
-    def jacobi(form):
-        if form.delta is None:
-            taken.append(f"direct r={form.powers.size + len(form.cols)}")
-        return real[2](form)
-
-    fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det = \
-        grid_det, lemma, jacobi
-    try:
-        yield paths
-    finally:
-        fredholm._grid_det, fredholm._lemma_det, fredholm._jacobi_det = real
+def ladders(notes):
+    """(grids, err_estimate, grid paths) of every ``nystrom_det`` that
+    returned while ``notes`` was entered, its paths "m:lemma R=k", "m:direct
+    r=k" or "m:lu" read from the grid notes just before its own."""
+    found, paths = [], []
+    for kind, *event in notes:
+        if kind == "grid":
+            m, side, k = event
+            paths.append(f"{m}:{side}" + {"lemma": f" R={k}",
+                                          "direct": f" r={k}"}.get(side, ""))
+        elif kind == "ladder":
+            res, = event
+            found.append((res.grids, res.err_estimate,
+                          ",".join(paths[-len(res.grids):])))
+            paths = []
+    return found
 
 
-def ladder_and_value(kernel, radius, form):
-    """(form, if any, then) the ladder's grids, err_estimate, value and
-    grid paths."""
-    with recorded_paths() as paths:
+def ladder(kernel, radius, form, value=False):
+    """(form, if any, then) the ladder's grids, err_estimate, with
+    ``value`` its value, and grid paths."""
+    with cauchy.Notes() as notes:
         res = fredholm.nystrom_det(kernel, radius)
-    return (*([form] if form else []), res.grids, res.err_estimate,
-            res.value, ",".join(paths))
-
-
-def ladder_and_path(kernel, radius, form):
-    *head, _, path = ladder_and_value(kernel, radius, form)
-    return (*head, path)
-
-
-@contextlib.contextmanager
-def recorded_ladders():
-    """Yields a list that collects the ``grids``, ``err_estimate`` and grid
-    paths (``recorded_paths``) of every ``nystrom_det`` call made inside
-    the block, through any module's alias of it."""
-    real, ladders = fredholm.nystrom_det, []
-
-    def recorded(*args, **kwargs):
-        with recorded_paths() as paths:
-            res = real(*args, **kwargs)
-        ladders.append((res.grids, res.err_estimate, ",".join(paths)))
-        return res
-
-    aliases = [module for name, module in sys.modules.items()
-               if name.split(".")[0] == "detlab"
-               and getattr(module, "nystrom_det", None) is real]
-    for module in aliases:
-        module.nystrom_det = recorded
-    try:
-        yield ladders
-    finally:
-        for module in aliases:
-            module.nystrom_det = real
+    (grids, err, paths), = ladders(notes)
+    return (*([form] if form else []), grids, err,
+            *([res.value] if value else []), paths)
 
 
 def gram_det(measure, k):
@@ -298,12 +237,12 @@ def main(out=sys.stdout) -> None:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
             for x in X_VALUES:
-                grids = outcome(lambda: ladder_and_path(*build(spec, x)))
+                grids = outcome(lambda: ladder(*build(spec, x)))
                 out.write(f"ladder {name} {kernel} x={x} {grids}\n")
     for name, x in VALUE_CASES:
         spec = symbols.fixture(name)
         for kernel, build in LADDERS.items():
-            value = outcome(lambda: ladder_and_value(*build(spec, x)))
+            value = outcome(lambda: ladder(*build(spec, x), value=True))
             out.write(f"ladder {name} {kernel} x={x} {value}\n")
     for name in symbols.FIXTURE_NAMES:
         spec = symbols.fixture(name)
@@ -319,12 +258,12 @@ def main(out=sys.stdout) -> None:
                 out.write(f"reach {name} {label} x={x} {value}\n")
     for seed in SEEDS:
         for check, _, run in cli._verify_checks(seed):
-            with recorded_ladders() as ladders:
+            with cauchy.Notes() as notes:
                 value = outcome(run)
             out.write(f"verify seed={seed} {check} {value}\n")
-            if seed == SEEDS[0] and ladders:
+            if seed == SEEDS[0] and ladders(notes):
                 out.write(f"verify seed={seed} {check} ladders "
-                          f"{tuple(ladders)}\n")
+                          f"{tuple(ladders(notes))}\n")
     for name, L, N in FINITE_CASES:
         value = outcome(lambda: formfactors.tau_eff_finite(
             symbols.fixture(name), L, N, FINITE_X))
